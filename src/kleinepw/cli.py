@@ -150,24 +150,12 @@ def cmd_emit_sextic(args):
 def cmd_char_table(args):
     ctx = verify.VerifyContext()
     table = ctx.table
-    labeled = ctx.labeled
-    rows = {
-        "chi0": None,
-        "xi": group.functor_xi(),
-        "xi_dual": group.functor_xi_dual(),
-        "wedge2_xi": group.functor_wedge2(),
-    }
+    rows = verify.CHARACTER_ROWS
     classes = []
     for label, order, size in fixtures.CLASS_DATA:
-        cls = labeled[label]
-        entry = {"class": label, "order": order, "size": size, "values": {}}
-        for name, f in rows.items():
-            if f is None:
-                val = group.CycloNum.from_rational(1, 11)
-            else:
-                val = group.character(f, table, cls[0])
-            entry["values"][name] = cyclo_json(val)
-        classes.append(entry)
+        values = {name: cyclo_json(verify.character_value(ctx, name, label))
+                  for name in rows}
+        classes.append({"class": label, "order": order, "size": size, "values": values})
     payload = {"group-order": len(table), "classes": classes}
     text = [f"group order {len(table)}"]
     header = "class  order size " + " ".join(f"{n:>10}" for n in rows)
@@ -218,7 +206,10 @@ def cmd_fixed_points(args):
 
 
 def cmd_stratum(args):
-    coords = [Fraction(part) for part in args.point.split(",")]
+    try:
+        coords = [Fraction(part) for part in args.point.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in --point {args.point}") from None
     if len(coords) != 6:
         raise ValueError("need exactly six coordinates")
     ell = epw.stratum(epw.build_A(), coords)
@@ -293,6 +284,8 @@ def cmd_hermitian(args):
 def cmd_groebner(args):
     with open(args.file, "r", encoding="utf-8") as handle:
         spec = json.load(handle)
+    if not isinstance(spec, dict) or not {"variables", "generators"} <= spec.keys():
+        raise ValueError(f"{args.file}: need a JSON object with 'variables' and 'generators'")
     prime = args.prime or spec.get("prime")
     if not prime:
         raise ValueError("no prime given (--prime or the file's 'prime' field)")

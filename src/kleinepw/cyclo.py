@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from . import linalg
+
 MAX_CONDUCTOR = 66
 
 
@@ -198,7 +200,7 @@ class CycloNum:
         for d in _proper_divisors(self.n):
             if d == 1:
                 continue
-            sol = _subfield_solve(self.n, d, self.num)
+            sol = linalg.solve(_subfield_basis(self.n, d), self.num)
             if sol is not None:
                 return CycloNum(d, [s / self.den for s in sol])
         return self
@@ -380,49 +382,10 @@ def _proper_divisors(n):
 
 @lru_cache(maxsize=None)
 def _subfield_basis(n, d):
-    """Power basis of Q(zeta_d) written in coordinates of Q(zeta_n)."""
-    cols = []
-    for i in range(euler_phi(d)):
-        cols.append(CycloNum.zeta(n, (i * (n // d)) % n).num)
-    return tuple(cols)
-
-
-def _subfield_solve(n, d, target):
-    """Solve sum_i y_i * basis_i = target over Q, or None if unsolvable."""
-    cols = [list(map(Fraction, c)) for c in _subfield_basis(n, d)]
-    rhs = list(map(Fraction, target))
-    rows = len(rhs)
-    ncols = len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [rhs[i]] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, rows) if aug[i][c]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][ncols]
-    for i in range(r, rows):
-        if aug[i][ncols]:
-            return None
-    # rows below pivots already zero; verify consistency of skipped rows
-    for i in range(rows):
-        acc = sum((cols[j][i] * sol[j] for j in range(ncols)), Fraction(0))
-        if acc != rhs[i]:
-            return None
-    return tuple(sol)
+    """Power basis of Q(zeta_d) as the columns of a matrix in coordinates
+    of Q(zeta_n)."""
+    cols = [CycloNum.zeta(n, (i * (n // d)) % n).num for i in range(euler_phi(d))]
+    return tuple(zip(*cols))
 
 
 def lambda_embed() -> CycloNum:

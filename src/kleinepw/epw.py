@@ -383,7 +383,7 @@ def _chart_matrix_for(a_rows):
         raise TransversalityError("Lagrangian meets the 3-vectors on 1..5")
     # modulo the Lagrangian:  e0 ^ e_J  =  -sum_r alpha_r * (xi-part of row r)
     # where  B^T alpha = unit_J
-    bt = _transpose(B)
+    bt = linalg.transpose(B)
     image_cols = []
     for j in range(10):
         rhs = [Fraction(int(i == j)) for i in range(10)]
@@ -408,10 +408,6 @@ def _chart_matrix_for(a_rows):
     return out
 
 
-def _transpose(m):
-    return [list(r) for r in zip(*m)]
-
-
 def sextic_equation(a_rows=None):
     """Homogeneous degree-6 polynomial in x0..x5 cutting out the locus where
     the Lagrangian meets x ^ (2-vectors); for the canonical Lagrangian the
@@ -421,7 +417,7 @@ def sextic_equation(a_rows=None):
         det = poly_det_bareiss(chart)
     else:
         chart = _chart_matrix_for(a_rows)
-        det = _det_field_poly(chart)
+        det = linalg.expansion_det(chart, MultiPoly.const(5, 1))
     if det.is_zero():
         raise TransversalityError("degenerate chart determinant")
     deg = det.total_degree()
@@ -435,33 +431,6 @@ def sextic_equation(a_rows=None):
             lambda c: int(c) if Fraction(c).denominator == 1 else c
         )
     return hom
-
-
-def _det_field_poly(m):
-    """Division-free determinant (subset dynamic programming) for small
-    polynomial matrices over a field."""
-    n = len(m)
-    minors = {frozenset(): MultiPoly.const(m[0][0].nvars, 1)}
-    for row in range(n):
-        new = {}
-        for cols, val in minors.items():
-            if len(cols) != row:
-                continue
-            for c in range(n):
-                if c in cols:
-                    continue
-                entry = m[row][c]
-                if entry.is_zero():
-                    continue
-                sign = (-1) ** sum(1 for x in cols if x > c)
-                key = cols | {c}
-                term = val * entry
-                if sign < 0:
-                    term = -term
-                acc = new.get(key)
-                new[key] = term if acc is None else acc + term
-        minors = new
-    return minors.get(frozenset(range(n)), MultiPoly.zero(m[0][0].nvars))
 
 
 INTERPOLATION_NODES = (-3, -2, -1, 0, 1, 2, 3)
@@ -605,17 +574,6 @@ def fixed_locus(g6):
             out.append((ev, kb))
     assert sum(len(kb[0]) for _, kb in out) == 6, "lost eigenvalues"
     return out
-
-
-def canonical_point(coords):
-    """Projective normalization: first nonzero coordinate scaled to 1."""
-    lead = next((c for c in coords if c), None)
-    if lead is None:
-        raise ValueError("zero vector is not a projective point")
-    if isinstance(lead, int):
-        lead = Fraction(lead)
-        return [Fraction(c) / lead for c in coords]
-    return [c / lead for c in coords]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import heapq
 import random
 from itertools import combinations
 
+from . import linalg
 from .poly import grevlex_key
 
 
@@ -95,9 +96,6 @@ class FPoly:
 
     def __hash__(self):
         return hash((self.p, frozenset(self.terms.items())))
-
-    def copy_terms(self):
-        return dict(self.terms)
 
     def lead(self):
         if not self.terms:
@@ -417,31 +415,6 @@ def projective_empty(gens, max_pairs=200000, max_degree=60):
     return projective_empty_with_basis(gens, max_pairs, max_degree)[0]
 
 
-def fpoly_det(matrix, p, nvars):
-    """Division-free determinant of a small FPoly matrix (subset DP)."""
-    n = len(matrix)
-    level = {(): FPoly.const(p, nvars, 1)}
-    for row in range(n):
-        nxt = {}
-        for cols, val in level.items():
-            for c in range(n):
-                if c in cols:
-                    continue
-                entry = matrix[row][c]
-                if entry.is_zero():
-                    continue
-                pos = sum(1 for x in cols if x < c)
-                sign = 1 if (len(cols) - pos) % 2 == 0 else -1
-                term = val * entry
-                if sign < 0:
-                    term = -term
-                key = tuple(sorted(cols + (c,)))
-                acc = nxt.get(key)
-                nxt[key] = term if acc is None else acc + term
-        level = nxt
-    return level.get(tuple(range(n)), FPoly.zero(p, nvars))
-
-
 def jacobian(gens):
     nvars = gens[0].nvars
     return [[g.derivative(i) for i in range(nvars)] for g in gens]
@@ -453,6 +426,7 @@ def jacobian_minors(gens, size, sample=None, seed=0):
     cut out a larger scheme)."""
     jac = jacobian(gens)
     p, nvars = gens[0].p, gens[0].nvars
+    one = FPoly.const(p, nvars, 1)
     rows = range(len(gens))
     cols = range(nvars)
     all_keys = [
@@ -468,7 +442,7 @@ def jacobian_minors(gens, size, sample=None, seed=0):
     out = []
     for rs, cs in all_keys:
         sub = [[jac[r][c] for c in cs] for r in rs]
-        m = fpoly_det(sub, p, nvars)
+        m = linalg.expansion_det(sub, one)
         if not m.is_zero():
             out.append(m)
     return out, sampled

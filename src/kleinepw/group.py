@@ -239,15 +239,14 @@ def generate_group(gens, cap=1320):
 
 class GroupTable:
     """Immutable closure of a finite matrix group: element list, lookup
-    index, generator list, and lazily computed orders, inverses, squares
-    and conjugacy classes."""
+    index, generator list, and lazily computed orders, squares and
+    conjugacy classes."""
 
     def __init__(self, elements, index, gens):
         self.elements = elements
         self.index = index
         self.gens = gens
         self._orders = {}
-        self._inverses = {}
         self._squares = {}
         self._classes = None
         self._products = {}
@@ -271,13 +270,6 @@ class GroupTable:
         if hit is None:
             hit = self.product_index(i, i)
             self._squares[i] = hit
-        return hit
-
-    def inverse_index(self, i):
-        hit = self._inverses.get(i)
-        if hit is None:
-            hit = self.index_of(mat_inverse(self.elements[i]))
-            self._inverses[i] = hit
         return hit
 
     def element_order(self, i):
@@ -402,11 +394,6 @@ def _v6_matrix(m5):
     return tuple(tuple(row) for row in v6_action([list(r) for r in m5]))
 
 
-def _wedge3_v6_matrix(m5):
-    g6 = v6_action([list(r) for r in m5])
-    return tuple(tuple(row) for row in exterior_power_matrix(g6, 3))
-
-
 def functor_xi():
     return RepFunctor("xi", 5, matrix_fn=lambda m: m)
 
@@ -435,10 +422,6 @@ def functor_sym2_wedge2():
 
 def functor_v6():
     return RepFunctor("chi0_plus_xi", 6, matrix_fn=_v6_matrix)
-
-
-def functor_wedge3_v6():
-    return RepFunctor("wedge3_of_v6", 20, matrix_fn=_wedge3_v6_matrix)
 
 
 def functor_tensor(f, g):

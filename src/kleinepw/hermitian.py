@@ -6,9 +6,9 @@ induces on the wedge square (rank 10), compares entrywise against the
 transcribed rank-10 matrix, and reads off polarization invariants from
 characteristic polynomials.
 
-Determinants over the order are computed two ways: a division-free
-subset-expansion over the ring itself, and Gaussian elimination after
-embedding into the conductor-11 cyclotomic field.
+Determinants over the order are computed two ways: the division-free
+subset expansion linalg.expansion_det over the ring itself, and Gaussian
+elimination after embedding into the conductor-11 cyclotomic field.
 """
 
 from __future__ import annotations
@@ -37,32 +37,6 @@ def is_hermitian_matrix(m) -> bool:
     return True
 
 
-def ring_det(m):
-    """Division-free determinant over the order (column-subset dynamic
-    programming); exact for any commutative-ring entries."""
-    n = len(m)
-    level = {(): QuadInt(1)}
-    for row in range(n):
-        nxt = {}
-        for cols, val in level.items():
-            for c in range(n):
-                if c in cols:
-                    continue
-                entry = m[row][c]
-                if entry.is_zero():
-                    continue
-                pos = sum(1 for x in cols if x < c)
-                sign = 1 if (len(cols) - pos) % 2 == 0 else -1
-                key = tuple(sorted(cols + (c,)))
-                term = val * entry
-                if sign < 0:
-                    term = -term
-                acc = nxt.get(key)
-                nxt[key] = term if acc is None else acc + term
-        level = nxt
-    return level.get(tuple(range(n)), QuadInt(0))
-
-
 def _embed(m):
     return [[e.to_cyclo() for e in row] for row in m]
 
@@ -73,7 +47,7 @@ def herm_det(m) -> int:
     Computed over the cyclotomic embedding and cross-checked against the
     division-free ring determinant."""
     field_det = linalg.det(_embed(m))
-    ring = ring_det(m)
+    ring = linalg.expansion_det(m, QuadInt(1))
     if isinstance(field_det, CycloNum):
         if not field_det.is_rational():
             raise ArithmeticError("determinant not rational: input not Hermitian?")

@@ -47,10 +47,6 @@ class Lattice:
     def signature(self):
         return linalg.symmetric_signature([list(r) for r in self.gram])
 
-    def is_definite(self):
-        pos, neg = self.signature()
-        return pos == 0 or neg == 0
-
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 

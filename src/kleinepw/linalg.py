@@ -5,7 +5,9 @@ arguments.  Field entries may be Fraction, CycloNum or any type with
 exact +, -, *, / and truthiness testing zero.  Integer matrices use
 Python ints.  Determinants and ranks over Q run fraction-free (Bareiss)
 to control coefficient growth; over cyclotomic fields plain Gaussian
-elimination is used (the matrices involved stay small).
+elimination is used (the matrices involved stay small).  Over rings
+without division (polynomials, the order Z[w]) expansion_det expands
+along column subsets instead.
 """
 
 from __future__ import annotations
@@ -187,6 +189,37 @@ def _det_field(m):
     return -result if sign < 0 else result
 
 
+def expansion_det(m, one):
+    """Division-free determinant by subset expansion along the rows.
+
+    Exact over any commutative ring whose entries support +, -, * and
+    is_zero(); `one` is the ring's unit.  Level r maps each set of r
+    chosen columns (a bitmask) to the signed sum over all ways of placing
+    the first r rows in those columns.  Zero entries are skipped, which
+    keeps sparse polynomial matrices cheap.  A zero result is `one - one`.
+    """
+    n = len(m)
+    level = {0: one}
+    for row in m:
+        nxt = {}
+        for cols, val in level.items():
+            for c in range(n):
+                bit = 1 << c
+                entry = row[c]
+                if cols & bit or entry.is_zero():
+                    continue
+                term = val * entry
+                # sign of the permutation: chosen columns to the right of c
+                if (cols >> c).bit_count() % 2:
+                    term = -term
+                key = cols | bit
+                acc = nxt.get(key)
+                nxt[key] = term if acc is None else acc + term
+        level = nxt
+    full = level.get((1 << n) - 1)
+    return one - one if full is None else full
+
+
 def rref(m):
     """Reduced row echelon form and pivot columns (field entries)."""
     a = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in m]
@@ -246,26 +279,16 @@ def kernel_basis(m):
 
 def solve(m, rhs):
     """One solution x of m x = rhs, or None if inconsistent."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    aug = [list(m[i]) + [rhs[i]] for i in range(rows)]
-    red, piv_cols = rref(aug)
-    zero_like = None
-    for c in piv_cols:
-        if c == cols:
-            return None  # pivot in the augmented column
+    cols = len(m[0]) if m else 0
+    red, piv_cols = rref([list(row) + [b] for row, b in zip(m, rhs)])
+    if cols in piv_cols:
+        return None  # pivot in the augmented column
     sol = [Fraction(0)] * cols
     for i, c in enumerate(piv_cols):
         sol[c] = red[i][cols]
-    # verify (also fixes the zero element type for exotic fields)
-    for i in range(rows):
-        acc = zero_like
-        for j in range(cols):
-            term = m[i][j] * sol[j]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = rhs[i] * 0
-        if acc != rhs[i]:
+    # verify each equation exactly
+    for row, b in zip(m, rhs):
+        if sum((x * y for x, y in zip(row, sol)), b * 0) != b:
             return None
     return sol
 

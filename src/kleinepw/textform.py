@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .poly import MultiPoly, grevlex_key
+from .poly import MultiPoly
 
 MAX_EXPONENT = 4096
 
@@ -167,7 +167,3 @@ def poly_monomials_json(p: MultiPoly):
     for e, c in p.sorted_terms():
         out.append({"exponents": list(e), "coefficient": str(c)})
     return out
-
-
-def sort_terms_for_display(terms):
-    return sorted(terms, key=lambda t: grevlex_key(t[0]), reverse=True)

@@ -136,6 +136,24 @@ class VerifyContext:
         )
 
 
+# the rows of the character table, in display order; chi0 is the trivial
+# character and has no functor
+CHARACTER_ROWS = {
+    "chi0": None,
+    "xi": group.functor_xi(),
+    "xi_dual": group.functor_xi_dual(),
+    "wedge2_xi": group.functor_wedge2(),
+}
+
+
+def character_value(ctx, row, label):
+    """Value of the named character row on the class with this label."""
+    f = CHARACTER_ROWS[row]
+    if f is None:
+        return CycloNum.from_rational(1, 11)
+    return group.character(f, ctx.table, ctx.labeled[label][0])
+
+
 CHECKS = []
 
 
@@ -168,14 +186,7 @@ def _sextic_fixture(ctx):
     want = ctx.sextic_fixture
     if got == want:
         return PASS, {"terms": len(got.terms)}
-    for e in sorted(set(got.terms) | set(want.terms)):
-        if got.terms.get(e) != want.terms.get(e):
-            return FAIL, {
-                "exponents": list(e),
-                "computed": str(got.terms.get(e, 0)),
-                "expected": str(want.terms.get(e, 0)),
-            }
-    return FAIL, {}
+    return FAIL, _first_term_diff(got, want, "computed", "expected")
 
 
 @check(
@@ -188,14 +199,19 @@ def _sextic_routes(ctx):
     b = ctx.sextic_interpolated
     if a == b:
         return PASS, {}
+    return FAIL, _first_term_diff(a, b, "elimination", "interpolation")
+
+
+def _first_term_diff(a, b, a_name, b_name):
+    """Witness at the first exponent (sorted order) where a and b differ."""
     for e in sorted(set(a.terms) | set(b.terms)):
         if a.terms.get(e) != b.terms.get(e):
-            return FAIL, {
+            return {
                 "exponents": list(e),
-                "elimination": str(a.terms.get(e, 0)),
-                "interpolation": str(b.terms.get(e, 0)),
+                a_name: str(a.terms.get(e, 0)),
+                b_name: str(b.terms.get(e, 0)),
             }
-    return FAIL, {}
+    return {}
 
 
 @check(
@@ -330,20 +346,9 @@ def _orders(ctx):
 )
 def _chartable(ctx):
     rows = fixtures.character_rows()
-    functors = {
-        "chi0": None,
-        "xi": group.functor_xi(),
-        "xi_dual": group.functor_xi_dual(),
-        "wedge2_xi": group.functor_wedge2(),
-    }
-    labels = [lab for lab, _, _ in fixtures.CLASS_DATA]
-    for name, f in functors.items():
-        for lab, want in zip(labels, rows[name]):
-            got = (
-                CycloNum.from_rational(1, 11)
-                if f is None
-                else group.character(f, ctx.table, ctx.labeled[lab][0])
-            )
+    for name in CHARACTER_ROWS:
+        for (lab, _, _), want in zip(fixtures.CLASS_DATA, rows[name]):
+            got = character_value(ctx, name, lab)
             if got != want:
                 return FAIL, {
                     "row": name,

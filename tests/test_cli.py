@@ -50,6 +50,26 @@ def test_stratum_usage_error(capsys):
     assert "six" in err
 
 
+@pytest.mark.parametrize(
+    "argv, spec, phrase",
+    [
+        (["stratum", "--point", "1/0,0,0,0,0,0"], None, "zero denominator"),
+        (["groebner", "--prime", "101", "--file"], {"variables": 3}, "generators"),
+    ],
+    ids=["stratum-zero-denominator", "groebner-no-generators"],
+)
+def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phrase):
+    if spec is not None:
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(spec))
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and phrase in err
+    assert err.count("\n") == 1
+
+
 def test_lattice_command(capsys):
     code, out, _ = run(
         capsys, "--json", "lattice", "--spec", "U+U+E8(-1)+E8(-1)+(-2)+(-2)"

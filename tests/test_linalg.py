@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
-from kleinepw import linalg
-from kleinepw.cyclo import CycloNum, euler_phi
+import pytest
+
+from kleinepw import epw, linalg
+from kleinepw.cyclo import CycloNum, QuadInt, euler_phi
+from kleinepw.groebner import FPoly
+from kleinepw.poly import MultiPoly
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -130,3 +134,69 @@ def test_signature():
     from kleinepw import lattices
 
     assert linalg.symmetric_signature([list(r) for r in lattices.e8(-1).gram]) == (0, 8)
+
+
+def rand_linear_multipoly(rng, nvars):
+    """Random affine-linear integer polynomial, zero about a quarter of the time."""
+    if rng.random() < 0.25:
+        return MultiPoly.zero(nvars)
+    terms = {(0,) * nvars: rng.randint(-3, 3)}
+    for i in range(nvars):
+        e = [0] * nvars
+        e[i] = 1
+        terms[tuple(e)] = rng.randint(-2, 2)
+    return MultiPoly(nvars, terms)
+
+
+def rand_fpoly(rng, p, nvars):
+    """Random FPoly of degree at most 2 with a few terms, sometimes zero."""
+    if rng.random() < 0.2:
+        return FPoly.zero(p, nvars)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * nvars
+        for _ in range(rng.randint(0, 2)):
+            e[rng.randrange(nvars)] += 1
+        terms[tuple(e)] = rng.randrange(1, p)
+    return FPoly(p, nvars, terms)
+
+
+def test_expansion_det_fpoly_matches_integer_bareiss_at_points():
+    rng = random.Random(7)
+    p, nvars = 32003, 3
+    for n in (1, 2, 3, 4):
+        m = [[rand_fpoly(rng, p, nvars) for _ in range(n)] for _ in range(n)]
+        d = linalg.expansion_det(m, FPoly.const(p, nvars, 1))
+        assert isinstance(d, FPoly) and d.p == p and d.nvars == nvars
+        for _ in range(5):
+            point = [rng.randrange(p) for _ in range(nvars)]
+            values = [[entry.evaluate(point) for entry in row] for row in m]
+            assert d.evaluate(point) == linalg.det(values) % p
+
+
+def test_expansion_det_multipoly_matches_poly_bareiss():
+    rng = random.Random(3)
+    nvars = 3
+    for n in (2, 3, 4):
+        for _ in range(4):
+            m = [[rand_linear_multipoly(rng, nvars) for _ in range(n)] for _ in range(n)]
+            d = linalg.expansion_det(m, MultiPoly.const(nvars, 1))
+            assert d == epw.poly_det_bareiss(m)
+
+
+@pytest.mark.parametrize(
+    "zero, one",
+    [
+        (FPoly.zero(101, 2), FPoly.const(101, 2, 1)),
+        (MultiPoly.zero(2), MultiPoly.const(2, 1)),
+        (QuadInt(0), QuadInt(1)),
+    ],
+    ids=["FPoly", "MultiPoly", "QuadInt"],
+)
+def test_expansion_det_zero_row_gives_typed_zero(zero, one):
+    two = one + one
+    m = [[one, two, one], [zero, zero, zero], [two, one, one]]
+    d = linalg.expansion_det(m, one)
+    assert type(d) is type(one)
+    assert d.is_zero()
+    assert d == zero
