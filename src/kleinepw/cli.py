@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -24,6 +25,32 @@ from .textform import PolyParseError, emit_polynomial, parse_polynomial, poly_mo
 from .verify import cyclo_json, frac_str, quadint_json
 
 
+def _is_prime(n):
+    """Primality by trial division (the CLI's primes are small)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _int_arg(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _prime_arg(text):
+    value = _int_arg(text)
+    if not _is_prime(value):
+        raise argparse.ArgumentTypeError(f"{value} is not a prime")
+    return value
+
+
+def _budget_arg(text):
+    value = _int_arg(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="klein-epw",
@@ -32,15 +59,15 @@ def build_parser():
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized property checks")
-    parser.add_argument("--budget-pairs", type=int, default=500000)
-    parser.add_argument("--budget-degree", type=int, default=48)
+    parser.add_argument("--budget-pairs", type=_budget_arg, default=500000)
+    parser.add_argument("--budget-degree", type=_budget_arg, default=48)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=verify.SUITES)
     p_verify.add_argument("--slow", action="store_true", help="include the slow tier")
     p_verify.add_argument(
-        "--prime", type=int, action="append", default=None,
+        "--prime", type=_prime_arg, action="append", default=None,
         help="prime(s) for the finite-field checks (repeatable)",
     )
 
@@ -67,7 +94,7 @@ def build_parser():
 
     p_gb = sub.add_parser("groebner", help="finite-field ideal checks")
     p_gb.add_argument("--file", required=True, help="ideal description (JSON)")
-    p_gb.add_argument("--prime", type=int, default=None)
+    p_gb.add_argument("--prime", type=_prime_arg, default=None)
     p_gb.add_argument("--codim", type=int, default=None,
                       help="run the smoothness check at this codimension "
                       "(default: projective emptiness only)")
@@ -287,8 +314,10 @@ def cmd_groebner(args):
     if not isinstance(spec, dict) or not {"variables", "generators"} <= spec.keys():
         raise ValueError(f"{args.file}: need a JSON object with 'variables' and 'generators'")
     prime = args.prime or spec.get("prime")
-    if not prime:
+    if prime is None:
         raise ValueError("no prime given (--prime or the file's 'prime' field)")
+    if type(prime) is not int or not _is_prime(prime):
+        raise ValueError(f"{args.file}: 'prime' must be a prime, got {prime!r}")
     variables = spec["variables"]
     names = [f"x{i}" for i in range(variables)] if isinstance(variables, int) else list(variables)
     gens = []

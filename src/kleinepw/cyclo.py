@@ -62,13 +62,15 @@ def _poly_exact_div_int(num, den):
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
         c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise ArithmeticError("inexact polynomial division")
         q = c // den[-1]
         out[k] = q
         if q:
             for i, d in enumerate(den):
                 num[k + i] -= q * d
-    assert not any(num), "inexact polynomial division"
+    if any(num):
+        raise ArithmeticError("inexact polynomial division")
     return out
 
 
@@ -531,6 +533,7 @@ def _poly_invert_mod(a, mod):
         for i, x in enumerate(prod):
             nxt[i] -= x
         s0, s1 = s1, trim(nxt)
-    assert len(r0) == 1, "element not invertible modulo the cyclotomic polynomial"
+    if len(r0) != 1:
+        raise ArithmeticError("element not invertible modulo the cyclotomic polynomial")
     inv_lead = 1 / r0[0]
     return [c * inv_lead for c in s0]

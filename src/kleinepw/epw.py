@@ -388,7 +388,8 @@ def _chart_matrix_for(a_rows):
     for j in range(10):
         rhs = [Fraction(int(i == j)) for i in range(10)]
         alpha = linalg.solve(bt, rhs)
-        assert alpha is not None
+        if alpha is None:
+            raise ArithmeticError("B^T alpha = e_J has no solution")
         col = [-sum(alpha[r] * C[r][t] for r in range(10)) for t in range(10)]
         image_cols.append(col)
     # full map on the chart: e_J -> (image of e0 ^ e_J) + (sum x_k e_k) ^ e_J
@@ -487,9 +488,11 @@ def sextic_via_interpolation(nodes=INTERPOLATION_NODES):
         values = new
     poly = MultiPoly(5)
     for e, c in values.items():
-        assert Fraction(c).denominator == 1, "non-integer interpolated coefficient"
+        if Fraction(c).denominator != 1:
+            raise ArithmeticError("non-integer interpolated coefficient")
         poly.terms[e] = int(Fraction(c))
-    assert poly.total_degree() <= 6
+    if poly.total_degree() > 6:
+        raise ArithmeticError("interpolated sextic has degree above 6")
     return poly.homogenize(6, 0, degree=6)
 
 
@@ -572,7 +575,8 @@ def fixed_locus(g6):
         dim = len(kb[0]) if kb else 0
         if dim:
             out.append((ev, kb))
-    assert sum(len(kb[0]) for _, kb in out) == 6, "lost eigenvalues"
+    if sum(len(kb[0]) for _, kb in out) != 6:
+        raise ArithmeticError("lost eigenvalues")
     return out
 
 

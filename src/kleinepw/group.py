@@ -11,9 +11,10 @@ ordered to match the diagonal generator, normalized by a square root of
 -11 so the determinant is exactly 1.
 
 All 660 elements are generated by breadth-first closure with canonical
-cyclotomic hashing; conjugacy classes come from genuine conjugation
-orbits.  Characters, fixed-point counts and the invariant Hermitian form
-are computed from the closure, exactly.
+cyclotomic hashing; its multiplication table by the generators gives
+products, squares, orders and conjugacy classes (genuine conjugation
+orbits) by index.  Characters, fixed-point counts and the invariant
+Hermitian form are computed from the closure, exactly.
 """
 
 from __future__ import annotations
@@ -212,44 +213,45 @@ def mat_conj_transpose(m):
 def generate_group(gens, cap=1320):
     """Breadth-first closure under multiplication with canonical hashing;
     aborts past the cap (closure exceeding it means a mis-normalized
-    generator)."""
+    generator).  Records right[i][k], the index of elements[i] * gens[k],
+    and words[i], the generator indices whose product is elements[i]."""
     if not gens:
         raise ValueError("need at least one generator")
     ident = mat_identity(len(gens[0]))
     elements = [ident]
     index = {mat_key(ident): 0}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in gens:
-                prod = mat_mul(g, h)
-                key = mat_key(prod)
-                if key not in index:
-                    index[key] = len(elements)
-                    elements.append(prod)
-                    new.append(prod)
-                    if len(elements) > cap:
-                        raise ClosureExceeded(
-                            f"closure exceeded cap {cap}"
-                        )
-        frontier = new
-    return GroupTable(elements, index, list(gens))
+    words = [()]
+    right = []
+    # elements grows while it is walked: breadth-first order is index order
+    for i, g in enumerate(elements):
+        row = []
+        for k, h in enumerate(gens):
+            prod = mat_mul(g, h)
+            key = mat_key(prod)
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(elements)
+                elements.append(prod)
+                words.append(words[i] + (k,))
+                if len(elements) > cap:
+                    raise ClosureExceeded(f"closure exceeded cap {cap}")
+            row.append(j)
+        right.append(tuple(row))
+    return GroupTable(elements, index, list(gens), tuple(right), tuple(words))
 
 
 class GroupTable:
     """Immutable closure of a finite matrix group: element list, lookup
-    index, generator list, and lazily computed orders, squares and
-    conjugacy classes."""
+    index, generator list, and the closure's multiplication table by the
+    generators.  Products, squares, orders and conjugacy classes are read
+    from that table by index."""
 
-    def __init__(self, elements, index, gens):
+    def __init__(self, elements, index, gens, right, words):
         self.elements = elements
         self.index = index
         self.gens = gens
-        self._orders = {}
-        self._squares = {}
-        self._classes = None
-        self._products = {}
+        self.right = right
+        self.words = words
 
     def __len__(self):
         return len(self.elements)
@@ -258,33 +260,28 @@ class GroupTable:
         return self.index[mat_key(m)]
 
     def product_index(self, i, j):
-        key = (i, j)
-        hit = self._products.get(key)
-        if hit is None:
-            hit = self.index_of(mat_mul(self.elements[i], self.elements[j]))
-            self._products[key] = hit
-        return hit
+        """Index of elements[i] * elements[j]: walk j's word from i."""
+        for k in self.words[j]:
+            i = self.right[i][k]
+        return i
 
     def square_index(self, i):
-        hit = self._squares.get(i)
-        if hit is None:
-            hit = self.product_index(i, i)
-            self._squares[i] = hit
-        return hit
+        return self.product_index(i, i)
 
     def element_order(self, i):
-        hit = self._orders.get(i)
-        if hit is None:
-            hit = mat_order(self.elements[i])
-            self._orders[i] = hit
-        return hit
+        n, x = 1, i
+        while x != 0:
+            x = self.product_index(x, i)
+            n += 1
+        return n
 
     def conjugacy_classes(self):
-        """List of (sorted index list) computed by conjugation orbits under
-        the generators."""
-        if self._classes is not None:
-            return self._classes
-        gen_pairs = [(g, mat_inverse(g)) for g in self.gens]
+        """List of (sorted index list): orbits of x -> g^-1 x g over the
+        generators g, in order of smallest member."""
+        right = self.right
+        # g_k^-1 is the element that gens[k] takes to the identity
+        inverses = [next(r for r, row in enumerate(right) if row[k] == 0)
+                    for k in range(len(self.gens))]
         assigned = [False] * len(self.elements)
         classes = []
         for start in range(len(self.elements)):
@@ -296,17 +293,14 @@ class GroupTable:
             while frontier:
                 nxt = []
                 for idx in frontier:
-                    x = self.elements[idx]
-                    for g, ginv in gen_pairs:
-                        y = mat_mul(mat_mul(g, x), ginv)
-                        yi = self.index[mat_key(y)]
+                    for k, ginv in enumerate(inverses):
+                        yi = right[self.product_index(ginv, idx)][k]
                         if yi not in orbit:
                             orbit.add(yi)
                             assigned[yi] = True
                             nxt.append(yi)
                 frontier = nxt
             classes.append(sorted(orbit))
-        self._classes = classes
         return classes
 
     def class_label(self, indices):
@@ -481,7 +475,8 @@ def lefschetz_surface_count(table: GroupTable, g) -> int:
     chi_sq = character(w, table, table.square_index(idx))
     val = 2 + 2 * chi * chi - chi_sq
     frac = val.to_fraction()
-    assert frac.denominator == 1
+    if frac.denominator != 1:
+        raise ArithmeticError(f"fixed-point count {frac} is not an integer")
     return int(frac)
 
 

@@ -374,7 +374,8 @@ def short_vectors(lat: Lattice, bound: int):
         if i < 0:
             if any(x):
                 used = bound_f - remaining
-                assert used.denominator == 1
+                if used.denominator != 1:
+                    raise ArithmeticError(f"non-integer norm {used}")
                 out.append((tuple(x), sign * int(used)))
             return
         center = sum(l[i][j] * x[j] for j in range(i + 1, n))

@@ -461,5 +461,6 @@ def symmetric_signature(gram):
     pos = descartes_positive_roots(cp)
     neg_poly = [c if i % 2 == 0 else -c for i, c in enumerate(cp)]
     neg = descartes_positive_roots(neg_poly)
-    assert pos + neg == n
+    if pos + neg != n:
+        raise ArithmeticError(f"signature {(pos, neg)} does not add up to rank {n}")
     return pos, neg

@@ -55,8 +55,13 @@ def test_stratum_usage_error(capsys):
     [
         (["stratum", "--point", "1/0,0,0,0,0,0"], None, "zero denominator"),
         (["groebner", "--prime", "101", "--file"], {"variables": 3}, "generators"),
+        (["groebner", "--file"], {"variables": 1, "prime": 4, "generators": ["x0"]},
+         "'prime' must be a prime, got 4"),
+        (["groebner", "--file"], {"variables": 1, "prime": "7", "generators": ["x0"]},
+         "'prime' must be a prime, got '7'"),
     ],
-    ids=["stratum-zero-denominator", "groebner-no-generators"],
+    ids=["stratum-zero-denominator", "groebner-no-generators", "groebner-file-prime-4",
+         "groebner-file-prime-string"],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phrase):
     if spec is not None:
@@ -68,6 +73,29 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phras
     assert out == ""
     assert err.startswith("error: ") and phrase in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, phrase",
+    [
+        (["verify", "groebner", "--prime", "4"], "argument --prime: 4 is not a prime"),
+        (["verify", "groebner", "--prime", "x"], "argument --prime: invalid int value: 'x'"),
+        (["groebner", "--file", "ideal.json", "--prime", "1"],
+         "argument --prime: 1 is not a prime"),
+        (["--budget-pairs", "-1", "verify", "groebner"], "argument --budget-pairs: -1 is negative"),
+        (["--budget-degree", "-2", "verify", "groebner"],
+         "argument --budget-degree: -2 is negative"),
+    ],
+    ids=["verify-prime-4", "verify-prime-not-int", "groebner-prime-1", "budget-pairs-negative",
+         "budget-degree-negative"],
+)
+def test_bad_number_flag_is_a_usage_error(capsys, argv, phrase):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert phrase in out.err and "Traceback" not in out.err
 
 
 def test_lattice_command(capsys):

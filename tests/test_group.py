@@ -56,6 +56,63 @@ def test_full_closure_and_classes(table660):
     assert sizes == [1, 55, 60, 60, 110, 110, 132, 132]
 
 
+def _classes_by_exact_conjugation(table):
+    """The oracle route: orbits of x -> g x g^-1 under the generators, by
+    exact matrix products and the inverse by order."""
+    pairs = [(g, group.mat_inverse(g)) for g in table.gens]
+    assigned = set()
+    classes = []
+    for start in range(len(table)):
+        if start in assigned:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            x = table.elements[frontier.pop()]
+            for g, ginv in pairs:
+                y = table.index_of(group.mat_mul(group.mat_mul(g, x), ginv))
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        assigned |= orbit
+        classes.append(sorted(orbit))
+    return classes
+
+
+def test_classes_match_exact_conjugation(table660):
+    assert table660.conjugacy_classes() == _classes_by_exact_conjugation(table660)
+
+
+def test_products_and_orders_match_exact_matrices(table660, labeled_classes):
+    rng = random.Random(11)
+    for _ in range(100):
+        i, j = rng.randrange(660), rng.randrange(660)
+        prod = group.mat_mul(table660.elements[i], table660.elements[j])
+        assert table660.product_index(i, j) == table660.index_of(prod)
+    sample = [cls[0] for cls in labeled_classes.values()]
+    sample += [rng.randrange(660) for _ in range(40)]
+    for i in sample:
+        assert table660.element_order(i) == group.mat_order(table660.elements[i])
+        square = group.mat_mul(table660.elements[i], table660.elements[i])
+        assert table660.square_index(i) == table660.index_of(square)
+
+
+def test_table_queries_need_no_matrix_products(generators, monkeypatch):
+    table = group.generate_group(list(generators))
+
+    def refuse(a, b):
+        raise AssertionError("exact matrix product after the closure")
+
+    monkeypatch.setattr(group, "mat_mul", refuse)
+    sizes = sorted(len(c) for c in table.conjugacy_classes())
+    assert sizes == [1, 55, 60, 60, 110, 110, 132, 132]
+    labeled = table.labeled_classes()
+    for label, order, _ in fixtures.CLASS_DATA:
+        assert table.element_order(labeled[label][0]) == order
+    b = labeled["b"][0]
+    assert table.square_index(b) in labeled["b2"]
+    assert table.product_index(b, table.square_index(b)) in labeled["b3"]
+
+
 def test_class_labels_and_orders(table660, labeled_classes):
     for label, order, size in fixtures.CLASS_DATA:
         cls = labeled_classes[label]
