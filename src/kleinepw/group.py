@@ -13,8 +13,10 @@ ordered to match the diagonal generator, normalized by a square root of
 All 660 elements are generated by breadth-first closure with canonical
 cyclotomic hashing; its multiplication table by the generators gives
 products, squares, orders and conjugacy classes (genuine conjugation
-orbits) by index.  Characters, fixed-point counts and the invariant
-Hermitian form are computed from the closure, exactly.
+orbits) by index.  Characters and fixed-point counts are computed from
+the closure, exactly.  The group-summed invariant Hermitian form is
+|G| * I, proved from the exact unitarity of the generators' images; the
+term-by-term sum remains for representations that are not unitary.
 """
 
 from __future__ import annotations
@@ -164,15 +166,21 @@ def projective_key(m):
     return tuple((x.num, x.den) for row in m for e in row for x in (inv * e,))
 
 
-def mat_is_identity(m):
+def mat_is_scalar(m):
+    """Zero off the diagonal and one value on it."""
+    lead = m[0][0]
     for i, row in enumerate(m):
         for j, e in enumerate(row):
             if i == j:
-                if e != 1:
+                if e != lead:
                     return False
             elif not e.is_zero():
                 return False
     return True
+
+
+def mat_is_identity(m):
+    return m[0][0] == 1 and mat_is_scalar(m)
 
 
 def mat_order(m, cap=70):
@@ -267,6 +275,11 @@ class GroupTable:
 
     def square_index(self, i):
         return self.product_index(i, i)
+
+    def projective_class_count(self):
+        """Number of classes modulo scalars: the scalar elements form a
+        subgroup Z and each class is a coset of it, so len(self) // |Z|."""
+        return len(self) // sum(1 for m in self.elements if mat_is_scalar(m))
 
     def element_order(self, i):
         n, x = 1, i
@@ -496,6 +509,20 @@ def invariant_hermitian(f: RepFunctor, table: GroupTable):
                 for j in range(len(row)):
                     trow[j] = trow[j] + row[j]
     return tuple(tuple(row) for row in total)
+
+
+def unitary_group_sum(f: RepFunctor, generators, order):
+    """The sum over the group generated by `generators` of
+    conj(F(g))^T F(g), proved rather than summed: if conj(F(h))^T F(h) == I
+    exactly for every generator h, then, F being a homomorphism, every
+    F(g) is a product of unitaries, so every term is I and the sum is
+    order * I.  Returns None when some generator's image is not unitary,
+    where only invariant_hermitian's term-by-term sum gives the form."""
+    for h in generators:
+        fh = f.matrix(h)
+        if not mat_is_identity(mat_mul(mat_conj_transpose(fh), fh)):
+            return None
+    return tuple(tuple(e * order for e in row) for row in mat_identity(f.dim))
 
 
 def is_hermitian(m):

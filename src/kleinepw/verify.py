@@ -130,10 +130,12 @@ class VerifyContext:
 
     @property
     def invariant_form(self):
-        return self._get(
-            "invform",
-            lambda: group.invariant_hermitian(group.functor_wedge2(), self.table),
-        )
+        def build():
+            w2 = group.functor_wedge2()
+            form = group.unitary_group_sum(w2, self.generators, len(self.table))
+            return form if form is not None else group.invariant_hermitian(w2, self.table)
+
+        return self._get("invform", build)
 
 
 # the rows of the character table, in display order; chi0 is the trivial
@@ -304,9 +306,9 @@ def _weil(ctx):
 )
 def _closure(ctx):
     t = ctx.table
-    proj = {group.projective_key(m) for m in t.elements}
-    ok = len(t) == 660 and len(proj) == 660
-    return _bool(ok, {"matrices": len(t)}, {"matrices": len(t), "projective": len(proj)})
+    proj = t.projective_class_count()
+    ok = len(t) == 660 and proj == 660
+    return _bool(ok, {"matrices": len(t)}, {"matrices": len(t), "projective": proj})
 
 
 @check(

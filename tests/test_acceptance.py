@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinepw import epw, fixtures, group, hermitian, lattices, linalg
+from kleinepw import epw, fixtures, group, hermitian, lattices, linalg, verify
 from kleinepw.cyclo import CycloNum, QuadInt, lambda_embed
 from kleinepw.groebner import (
     decomposable_pullback_ideal,
@@ -235,7 +235,9 @@ def test_criterion_10_hermitian_suite():
 def test_criterion_11_invariant_form(table660, generators):
     with Criterion(11, "group-summed invariant Hermitian form", 300):
         w2 = group.functor_wedge2()
-        m = group.invariant_hermitian(w2, table660)
+        ctx = verify.VerifyContext()
+        ctx._cache.update(gens=tuple(generators), table=table660)
+        m = ctx.invariant_form
         assert group.is_hermitian(m)
         assert group.hermitian_invariance_check(w2, m, list(generators))
         assert group.hermitian_positive_definite(m)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinepw import epw, fixtures, group, linalg
+from kleinepw import epw, fixtures, group, linalg, verify
 from kleinepw.cyclo import CycloNum, lambda_embed
 
 
@@ -54,6 +54,17 @@ def test_full_closure_and_classes(table660):
     assert len(proj) == 660
     sizes = sorted(len(c) for c in table660.conjugacy_classes())
     assert sizes == [1, 55, 60, 60, 110, 110, 132, 132]
+
+
+def test_projective_count_matches_projective_keys(table660):
+    assert table660.projective_class_count() == 660
+    assert len({group.projective_key(m) for m in table660.elements}) == 660
+    minus_one = tuple(tuple(-e for e in row) for row in group.mat_identity())
+    cyclic = group.generate_group([group.gen_c(), minus_one])
+    assert len(cyclic) == 22
+    assert sum(1 for m in cyclic.elements if group.mat_is_scalar(m)) == 2
+    assert cyclic.projective_class_count() == 11
+    assert len({group.projective_key(m) for m in cyclic.elements}) == 11
 
 
 def _classes_by_exact_conjugation(table):
@@ -218,6 +229,86 @@ def test_invariant_form_wedge2(table660, generators):
     assert group.is_hermitian(m)
     assert group.hermitian_invariance_check(w2, m, list(generators))
     assert group.hermitian_positive_definite(m)
+    # the term-by-term sum is the oracle for the route verify ships
+    assert m == group.unitary_group_sum(w2, generators, 660)
+    assert group.mat_is_scalar(m) and m[0][0] == 660
+
+
+def _borel_conjugated_by_diagonal():
+    """gen_a and gen_c conjugated by diag(1, ..., 5), which is not unitary,
+    and their 55-element closure."""
+    d = [CycloNum.from_rational(k, 11) for k in range(1, 6)]
+    zero = CycloNum.from_rational(0, 11)
+    diag = tuple(tuple(d[i] if i == j else zero for j in range(5)) for i in range(5))
+    diag_inv = tuple(
+        tuple(d[i].inverse() if i == j else zero for j in range(5)) for i in range(5)
+    )
+    gens = tuple(
+        group.mat_mul(group.mat_mul(diag, g), diag_inv)
+        for g in (group.gen_a(), group.gen_c())
+    )
+    return gens, group.generate_group(list(gens))
+
+
+def test_invariant_form_falls_back_to_the_sum(monkeypatch):
+    gens, borel = _borel_conjugated_by_diagonal()
+    assert len(borel) == 55
+    w2 = group.functor_wedge2()
+    assert group.unitary_group_sum(w2, gens, len(borel)) is None
+
+    summed = []
+    oracle = group.invariant_hermitian
+
+    def spy(f, table):
+        summed.append(table)
+        return oracle(f, table)
+
+    monkeypatch.setattr(group, "invariant_hermitian", spy)
+    ctx = verify.VerifyContext()
+    ctx._cache.update(gens=gens, table=borel)
+    m = ctx.invariant_form
+    assert summed == [borel]
+    assert not group.mat_is_scalar(m)
+    assert verify._invform(ctx) == (verify.PASS, {"dimension": 10})
+
+
+# the witnesses of the group suite, as the term-by-term sum and the
+# projective keys gave them
+GROUP_SUITE_WITNESSES = {
+    "chartable.lambda-identities": {"lambda": {
+        "conductor": 11, "pretty": "\u03bb",
+        "coefficients": ["0", "1", "0", "1", "1", "1", "0", "0", "0", "1"]}},
+    "chartable.rows": {},
+    "group.borel-55": {"size": 55},
+    "group.character-orthogonality": {},
+    "group.class-sizes": {"sizes": [1, 55, 60, 60, 110, 110, 132, 132]},
+    "group.closure-660": {"matrices": 660},
+    "group.eigenvalue-exponents": {"exponents": [1, 4, 5, 9, 3]},
+    "group.order-profile": {"orders": {"1": 1, "a": 5, "a2": 5, "b": 6, "b2": 3,
+                                       "b3": 2, "c": 11, "c2": 11}},
+    "group.stabilizers": {"coordinate-point": 11, "vertex": 660},
+    "group.wedge-character-identity": {},
+    "group.weil-normalization": {},
+    "invform.group-sum": {"dimension": 10},
+    "lefschetz.surface-counts": {"counts": {3: 3, 5: 2, 6: 3, 11: 5}},
+    "quadric.invariance": {},
+    "quadric.trivial-multiplicity": {"multiplicity": 1, "xi-multiplicity": 0},
+}
+
+
+def test_group_suite_needs_no_group_sum(generators, table660, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("term-by-term route in the group suite")
+
+    monkeypatch.setattr(group, "invariant_hermitian", refuse)
+    monkeypatch.setattr(group, "projective_key", refuse)
+    ctx = verify.VerifyContext()
+    ctx._cache.update(gens=tuple(generators), table=table660)
+    reports = verify.run_suite("group", ctx)
+    assert {r.check_id: r.verdict for r in reports} == dict.fromkeys(
+        GROUP_SUITE_WITNESSES, verify.PASS
+    )
+    assert {r.check_id: r.witness for r in reports} == GROUP_SUITE_WITNESSES
 
 
 def test_total_positivity():
