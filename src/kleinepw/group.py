@@ -516,12 +516,10 @@ def unitary_group_sum(f: RepFunctor, generators, order):
     conj(F(g))^T F(g), proved rather than summed: if conj(F(h))^T F(h) == I
     exactly for every generator h, then, F being a homomorphism, every
     F(g) is a product of unitaries, so every term is I and the sum is
-    order * I.  Returns None when some generator's image is not unitary,
-    where only invariant_hermitian's term-by-term sum gives the form."""
-    for h in generators:
-        fh = f.matrix(h)
-        if not mat_is_identity(mat_mul(mat_conj_transpose(fh), fh)):
-            return None
+    order * I.  Returns None when some generator's image is not unitary;
+    invariant_hermitian's term-by-term sum is the oracle."""
+    if not hermitian_invariance_check(f, mat_identity(f.dim), generators):
+        return None
     return tuple(tuple(e * order for e in row) for row in mat_identity(f.dim))
 
 

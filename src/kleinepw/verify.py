@@ -130,12 +130,12 @@ class VerifyContext:
 
     @property
     def invariant_form(self):
-        def build():
-            w2 = group.functor_wedge2()
-            form = group.unitary_group_sum(w2, self.generators, len(self.table))
-            return form if form is not None else group.invariant_hermitian(w2, self.table)
-
-        return self._get("invform", build)
+        return self._get(
+            "invform",
+            lambda: group.unitary_group_sum(
+                group.functor_wedge2(), self.generators, len(self.table)
+            ),
+        )
 
 
 # the rows of the character table, in display order; chi0 is the trivial
@@ -479,6 +479,8 @@ def _lefschetz(ctx):
 )
 def _invform(ctx):
     m = ctx.invariant_form
+    if m is None:
+        return FAIL, {"stage": "unitary"}
     if not group.is_hermitian(m):
         return FAIL, {"stage": "hermitian"}
     if not group.hermitian_invariance_check(

@@ -250,26 +250,16 @@ def _borel_conjugated_by_diagonal():
     return gens, group.generate_group(list(gens))
 
 
-def test_invariant_form_falls_back_to_the_sum(monkeypatch):
+def test_non_unitary_generators_fail_invform():
     gens, borel = _borel_conjugated_by_diagonal()
     assert len(borel) == 55
     w2 = group.functor_wedge2()
     assert group.unitary_group_sum(w2, gens, len(borel)) is None
-
-    summed = []
-    oracle = group.invariant_hermitian
-
-    def spy(f, table):
-        summed.append(table)
-        return oracle(f, table)
-
-    monkeypatch.setattr(group, "invariant_hermitian", spy)
+    # the premise matters: here the true group sum is not a scalar matrix
+    assert not group.mat_is_scalar(group.invariant_hermitian(w2, borel))
     ctx = verify.VerifyContext()
     ctx._cache.update(gens=gens, table=borel)
-    m = ctx.invariant_form
-    assert summed == [borel]
-    assert not group.mat_is_scalar(m)
-    assert verify._invform(ctx) == (verify.PASS, {"dimension": 10})
+    assert verify._invform(ctx) == (verify.FAIL, {"stage": "unitary"})
 
 
 # the witnesses of the group suite, as the term-by-term sum and the

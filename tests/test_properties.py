@@ -14,12 +14,9 @@ def _is_unitary(m):
 
 @settings(deadline=None, max_examples=40)
 @given(word=st.lists(st.integers(0, 2), max_size=12))
-def test_words_are_unitary_and_match_the_table(word, generators, table660):
-    gen_index = [table660.index_of(g) for g in generators]
-    m, idx = group.mat_identity(), 0
+def test_words_have_unitary_images(word, generators):
+    m = group.mat_identity()
     for k in word:
         m = group.mat_mul(m, generators[k])
-        idx = table660.product_index(idx, gen_index[k])
     assert _is_unitary(m)
     assert _is_unitary(group.functor_wedge2().matrix(m))
-    assert table660.index_of(m) == idx
