@@ -44,6 +44,23 @@ def _prime_arg(text):
     return value
 
 
+# The shipped ideals do not reduce faithfully modulo these primes.
+_BAD_VERIFY_PRIMES = {
+    2: "divides coefficients of the transcribed sextic",
+    3: "divides coefficients of the transcribed sextic",
+    11: "is the conductor of the cyclotomic field",
+}
+
+
+def _verify_prime_arg(text):
+    value = _prime_arg(text)
+    if value in _BAD_VERIFY_PRIMES:
+        raise argparse.ArgumentTypeError(
+            f"{value} is a bad prime for verify: it {_BAD_VERIFY_PRIMES[value]}"
+        )
+    return value
+
+
 def _budget_arg(text):
     value = _int_arg(text)
     if value < 0:
@@ -67,8 +84,10 @@ def build_parser():
     p_verify.add_argument("suite", choices=verify.SUITES)
     p_verify.add_argument("--slow", action="store_true", help="include the slow tier")
     p_verify.add_argument(
-        "--prime", type=_prime_arg, action="append", default=None,
-        help="prime(s) for the finite-field checks (repeatable)",
+        "--prime", type=_verify_prime_arg, action="append", default=None,
+        help="prime(s) for the finite-field checks (repeatable); 2, 3 and 11 are "
+        "refused: 2 and 3 divide coefficients of the transcribed sextic, 11 is the "
+        "conductor",
     )
 
     p_sextic = sub.add_parser("emit-sextic", help="print the canonical sextic")
@@ -347,7 +366,8 @@ def cmd_groebner(args):
             payload = {"verdict": verdict, "primes": [prime],
                        "mode": "projective-emptiness", "basis_size": len(basis)}
     except BudgetExhausted as e:
-        payload = {"verdict": "budget-exhausted", "primes": [prime], "detail": str(e)}
+        payload = {"verdict": "budget-exhausted", "primes": [prime], "detail": str(e),
+                   "progress": e.progress()}
     payload["elapsed_seconds"] = round(_time.monotonic() - start, 3)
     print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
     return 0 if payload["verdict"] == "pass" else 1

@@ -30,7 +30,16 @@ from .poly import grevlex_key
 
 
 class BudgetExhausted(RuntimeError):
-    pass
+    """A pair or degree budget ran out.  ``pairs`` is the number of pairs
+    handled, ``basis`` the basis size and ``degree`` the highest leading
+    degree reached when it did."""
+
+    def __init__(self, message, pairs, basis, degree):
+        super().__init__(message)
+        self.pairs, self.basis, self.degree = pairs, basis, degree
+
+    def progress(self):
+        return {"pairs": self.pairs, "basis": self.basis, "degree": self.degree}
 
 
 _PACK_BASE = 256
@@ -282,13 +291,24 @@ def _lcm_exp(a, b):
 def buchberger(gens, max_pairs=200000, max_degree=60):
     """Reduced Groebner basis by the classic algorithm with the coprime
     and chain criteria and normal (minimal-lcm) selection; deterministic
-    for a fixed input order.  Budgets raise BudgetExhausted."""
-    basis = [g.monic() for g in gens if not g.is_zero()]
+    for a fixed input order.  Budgets raise BudgetExhausted.
+
+    The input is reduced first: each generator, in order, is replaced by
+    its normal form against the generators already kept; a zero is
+    dropped, the rest are made monic and kept.  Pairs are formed among the
+    kept generators only.  The ideal, hence the reduced basis, is the same."""
+    basis, leads, lead_data = [], [], []
+    for g in gens:
+        h = normal_form(g, basis, lead_data)
+        if not h.is_zero():
+            h = h.monic()
+            basis.append(h)
+            leads.append(h.lead()[0])
+            lead_data.append((leads[-1], list(h.terms.items())))
     if not basis:
         raise ValueError("no nonzero generators")
     p, nvars = basis[0].p, basis[0].nvars
-    leads = [g.lead()[0] for g in basis]
-    lead_data = [(leads[k], list(basis[k].terms.items())) for k in range(len(basis))]
+    degree = max(sum(e) for e in leads)
     pending = {}
     heap = []
     for i in range(len(basis)):
@@ -318,9 +338,11 @@ def buchberger(gens, max_pairs=200000, max_degree=60):
                     break
         if skip:
             continue
+        if handled >= max_pairs:
+            raise BudgetExhausted(
+                f"pair budget {max_pairs} exhausted", handled, len(basis), degree
+            )
         handled += 1
-        if handled > max_pairs:
-            raise BudgetExhausted(f"pair budget {max_pairs} exhausted")
         gi, gj = basis[i], basis[j]
         shift_i = tuple(a - b for a, b in zip(lcm, leads[i]))
         shift_j = tuple(a - b for a, b in zip(lcm, leads[j]))
@@ -342,8 +364,11 @@ def buchberger(gens, max_pairs=200000, max_degree=60):
             continue
         h = h.monic()
         le = h.lead()[0]
+        degree = max(degree, sum(le))
         if sum(le) > max_degree:
-            raise BudgetExhausted(f"degree budget {max_degree} exhausted")
+            raise BudgetExhausted(
+                f"degree budget {max_degree} exhausted", handled, len(basis), degree
+            )
         basis.append(h)
         leads.append(le)
         lead_data.append((le, list(h.terms.items())))
@@ -466,9 +491,8 @@ def smoothness_check(
         raise ValueError("codimension must be at least 1")
     base = buchberger(gens, max_pairs=max_pairs, max_degree=max_degree)
     minors, sampled = jacobian_minors(gens, codim, sample=minor_sample, seed=seed)
-    reduced = _reduce_against(minors, base)
     empty, basis = projective_empty_with_basis(
-        base + reduced, max_pairs=max_pairs, max_degree=max_degree
+        base + minors, max_pairs=max_pairs, max_degree=max_degree
     )
     info = {"sampled_minors": sampled, "minors_used": len(minors),
             "basis_size": len(basis)}
@@ -476,31 +500,12 @@ def smoothness_check(
         return True, info
     if sampled:
         minors, _ = jacobian_minors(gens, codim, sample=None)
-        reduced = _reduce_against(minors, base)
         empty, basis = projective_empty_with_basis(
-            base + reduced, max_pairs=max_pairs, max_degree=max_degree
+            base + minors, max_pairs=max_pairs, max_degree=max_degree
         )
         info = {"sampled_minors": False, "minors_used": len(minors),
                 "basis_size": len(basis)}
     return empty, info
-
-
-def _reduce_against(polys, basis):
-    """Normal forms against a basis, dropping zeros and duplicates; the
-    ideal generated together with the basis is unchanged."""
-    lead_data = [(g.lead()[0], list(g.terms.items())) for g in basis]
-    out = []
-    seen = set()
-    for f in polys:
-        r = normal_form(f, basis, lead_data)
-        if r.is_zero():
-            continue
-        r = r.monic()
-        key = frozenset(r.terms.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
 
 
 # ---------------------------------------------------------------------------

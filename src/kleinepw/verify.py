@@ -905,7 +905,7 @@ def _decomposable(ctx):
                 max_degree=ctx.budget_degree,
             )
         except BudgetExhausted as e:
-            return BUDGET, {"prime": p, "detail": str(e)}
+            return BUDGET, {"prime": p, "detail": str(e), "progress": e.progress()}
         if not empty:
             return FAIL, {"prime": p}
         verified.append(p)
@@ -929,7 +929,7 @@ def _x3smooth(ctx):
                 minor_sample=None,
             )
         except BudgetExhausted as e:
-            return BUDGET, {"prime": p, "detail": str(e)}
+            return BUDGET, {"prime": p, "detail": str(e), "progress": e.progress()}
         if not ok:
             return FAIL, {"prime": p, "info": info}
         verified.append(p)
@@ -955,7 +955,7 @@ def _x5smooth(ctx):
                 minor_sample=None,
             )
         except BudgetExhausted as e:
-            return BUDGET, {"prime": p, "detail": str(e)}
+            return BUDGET, {"prime": p, "detail": str(e), "progress": e.progress()}
         if not ok:
             return FAIL, {"prime": p, "info": info}
         verified.append(p)
@@ -984,6 +984,7 @@ def _sing_smooth(ctx):
             return BUDGET, {
                 "prime": p,
                 "detail": str(e),
+                "progress": e.progress(),
                 "tier-budget-pairs": ctx.surface_budget_pairs,
             }
         if not ok:

@@ -85,9 +85,15 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phras
         (["--budget-pairs", "-1", "verify", "groebner"], "argument --budget-pairs: -1 is negative"),
         (["--budget-degree", "-2", "verify", "groebner"],
          "argument --budget-degree: -2 is negative"),
+        (["verify", "groebner", "--prime", "2"],
+         "argument --prime: 2 is a bad prime for verify: it divides coefficients"),
+        (["verify", "groebner", "--prime", "32003", "--prime", "3"],
+         "argument --prime: 3 is a bad prime for verify: it divides coefficients"),
+        (["verify", "all", "--prime", "11"],
+         "argument --prime: 11 is a bad prime for verify: it is the conductor"),
     ],
     ids=["verify-prime-4", "verify-prime-not-int", "groebner-prime-1", "budget-pairs-negative",
-         "budget-degree-negative"],
+         "budget-degree-negative", "verify-prime-2", "verify-prime-3", "verify-prime-11"],
 )
 def test_bad_number_flag_is_a_usage_error(capsys, argv, phrase):
     with pytest.raises(SystemExit) as err:
@@ -185,7 +191,22 @@ def test_groebner_budget_verdict(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     code, out, _ = run(capsys, "--budget-pairs", "1", "groebner", "--file", str(path))
     assert code == 1
-    assert json.loads(out)["verdict"] == "budget-exhausted"
+    payload = json.loads(out)
+    assert payload["verdict"] == "budget-exhausted"
+    # one S-pair gave x1^3; the next pair ran over the budget
+    assert payload["progress"] == {"pairs": 1, "basis": 3, "degree": 3}
+
+
+def test_verify_budget_reports_progress(capsys):
+    code, out, _ = run(capsys, "--json", "--budget-pairs", "1", "verify", "groebner")
+    assert code == 1
+    reports = {r["check"]: r for r in map(json.loads, out.splitlines())}
+    for check in ("groebner.no-decomposable-vectors", "groebner.threefold-smooth"):
+        assert reports[check]["verdict"] == "budget-exhausted"
+        witness = reports[check]["witness"]
+        assert witness["prime"] == 32003 and witness["detail"] == "pair budget 1 exhausted"
+        assert witness["progress"].keys() == {"pairs", "basis", "degree"}
+        assert witness["progress"]["pairs"] == 1
 
 
 def test_shipped_ideal_matches_builder():

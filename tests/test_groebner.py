@@ -9,12 +9,14 @@ from kleinepw.groebner import (
     FPoly,
     buchberger,
     decomposable_pullback_ideal,
+    gm_fivefold_ideal,
     gm_threefold_ideal,
     grassmannian_relations_gr36,
     ideal_membership,
     jacobian_minors,
     normal_form,
     projective_empty,
+    projective_empty_with_basis,
     smoothness_check,
 )
 
@@ -65,8 +67,18 @@ def test_normal_form_properties():
 
 def test_budget_exhaustion():
     x, y = fvars(7, 2)
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as err:
         buchberger([x * x * x - y * y, x * y * y - x], max_pairs=1)
+    e = err.value
+    assert str(e) == "pair budget 1 exhausted"
+    assert (e.pairs, e.basis, e.degree) == (1, 3, 4)
+    assert e.progress() == {"pairs": 1, "basis": 3, "degree": 4}
+    with pytest.raises(BudgetExhausted) as err:
+        buchberger([x * x * x - y * y, x * y * y - x], max_degree=3)
+    e = err.value
+    assert str(e) == "degree budget 3 exhausted"
+    # the first S-polynomial has a degree-4 lead and is not kept
+    assert (e.pairs, e.basis, e.degree) == (1, 2, 4)
 
 
 def test_projective_empty():
@@ -133,12 +145,22 @@ def test_grassmannian_relations():
 
 def test_decomposable_gate_two_primes():
     for p in (P, 65537):
-        assert projective_empty(decomposable_pullback_ideal(p)) is True
+        empty, basis = projective_empty_with_basis(decomposable_pullback_ideal(p))
+        assert empty is True and len(basis) == 60
 
 
 def test_threefold_gate():
-    ok, info = smoothness_check(gm_threefold_ideal(P), 4, minor_sample=None)
+    for p in (P, 65537):
+        ok, info = smoothness_check(gm_threefold_ideal(p), 4, minor_sample=None)
+        assert ok is True
+        assert info == {"sampled_minors": False, "minors_used": 1037, "basis_size": 165}
+
+
+@pytest.mark.slow
+def test_fivefold_gate():
+    ok, info = smoothness_check(gm_fivefold_ideal(P), 4, minor_sample=None)
     assert ok is True
+    assert info == {"sampled_minors": False, "minors_used": 2965, "basis_size": 445}
 
 
 def test_threefold_negative_control():
