@@ -31,19 +31,14 @@ for j in range(6):
 for label, order in (("c", 11), ("a", 5), ("b3", 2)):
     g6 = group._v6_matrix(table.elements[labeled[label][0]])
     print(f"\nfixed locus of an order-{order} element:")
-    for ev, kb in epw.fixed_locus([list(r) for r in g6]):
-        dim = len(kb[0])
+    count, components = epw.sextic_fixed_point_count([list(r) for r in g6], A, f)
+    for _, dim, value in components:
         if dim == 1:
-            pt = [kb[i][0] for i in range(6)]
-            print(f"    point, stratum {epw.stratum(A, pt)}")
+            print(f"    point, stratum {value}")
         elif dim == 2:
-            p = [kb[i][0] for i in range(6)]
-            q = [kb[i][1] for i in range(6)]
-            pattern = epw.line_intersection_pattern(f, p, q)
-            print(f"    line, intersection multiplicities {pattern}")
+            print(f"    line, intersection multiplicities {value}")
         else:
             print(f"    linear space of dimension {dim - 1} (positive-dimensional")
             print("      intersection with the hypersurface)")
-    if order != 2:
-        count, _ = epw.sextic_fixed_point_count([list(r) for r in g6], A, f)
+    if count is not None:
         print(f"    total fixed points on the hypersurface: {count}")

@@ -219,24 +219,15 @@ def cmd_fixed_points(args):
     ctx = verify.VerifyContext()
     label = {11: "c", 5: "a", 6: "b", 3: "b2", 2: "b3"}[args.order]
     g6 = group._v6_matrix(ctx.table.elements[ctx.labeled[label][0]])
-    locus = epw.fixed_locus([list(r) for r in g6])
+    count, found = epw.sextic_fixed_point_count(
+        [list(r) for r in g6], ctx.lagrangian, ctx.sextic_fixture
+    )
     components = []
-    for ev, kb in locus:
-        dim = len(kb[0])
+    for ev, dim, value in found:
         comp = {"eigenvalue": cyclo_json(ev), "dimension": dim}
-        if dim == 1:
-            point = [kb[i][0] for i in range(6)]
-            comp["stratum"] = epw.stratum(ctx.lagrangian, point)
-        elif dim == 2:
-            p = [kb[i][0] for i in range(6)]
-            q = [kb[i][1] for i in range(6)]
-            pattern = epw.line_intersection_pattern(ctx.sextic_fixture, p, q)
-            comp["line-pattern"] = pattern
+        if dim <= 2:
+            comp["stratum" if dim == 1 else "line-pattern"] = value
         components.append(comp)
-    count = None
-    if args.order != 2:
-        count, _ = epw.sextic_fixed_point_count([list(r) for r in g6],
-                                                ctx.lagrangian, ctx.sextic_fixture)
     payload = {"order": args.order, "components": components,
                "points-on-sextic": count}
     text = [f"element order {args.order}"]

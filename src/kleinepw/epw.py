@@ -8,6 +8,12 @@ five coordinates, and the sextic hypersurface is recovered from it in two
 independent ways: fraction-free elimination over the polynomial ring, and
 evaluation at an integer grid followed by exact interpolation.
 
+The module holds no elimination of its own.  Ranks and determinants go
+through linalg: its fraction-free (Bareiss) kernel takes the rational
+matrices as they are and the chart matrices over Z[x1..x5] through
+linalg.bareiss_det; its field kernel takes the matrices that
+_common_field lifts to one cyclotomic field.
+
 All operations are pure functions over immutable inputs.
 """
 
@@ -16,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd as _gcd
+from math import lcm as _lcm
 
 from . import fixtures, linalg
 from .cyclo import CycloNum
@@ -178,26 +184,20 @@ def v6_action(g5):
 
 
 def _common_field(rows):
-    """Lift a mixed int/Fraction/CycloNum matrix to one coefficient field."""
-    conductor = 1
-    has_cyclo = False
+    """Lift a matrix with a CycloNum entry to one cyclotomic field; a
+    rational matrix is returned as it is, for linalg's integer kernel."""
+    conductor = None
     for row in rows:
         for x in row:
             if isinstance(x, CycloNum):
-                has_cyclo = True
-                conductor = conductor * x.n // _gcd(conductor, x.n)
-    if not has_cyclo:
-        return [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
-    out = []
-    for row in rows:
-        new = []
-        for x in row:
-            if isinstance(x, CycloNum):
-                new.append(x.lift(conductor))
-            else:
-                new.append(CycloNum.from_rational(x, conductor))
-        out.append(new)
-    return out
+                conductor = _lcm(conductor or 1, x.n)
+    if conductor is None:
+        return rows
+    return [
+        [x.lift(conductor) if isinstance(x, CycloNum)
+         else CycloNum.from_rational(x, conductor) for x in row]
+        for row in rows
+    ]
 
 
 def span_rank(rows):
@@ -347,31 +347,6 @@ def chart_matrix_derived():
     ]
 
 
-def poly_det_bareiss(m):
-    """Fraction-free determinant of a square MultiPoly matrix over Z; all
-    intermediate divisions are exact."""
-    a = [row[:] for row in m]
-    n = len(a)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            p = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if p is None:
-                return MultiPoly.zero(a[0][0].nvars)
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = piv * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev) if prev is not None else num
-            a[i][k] = MultiPoly.zero(piv.nvars)
-        prev = piv
-    result = a[n - 1][n - 1]
-    return -result if sign < 0 else result
-
-
 def _chart_matrix_for(a_rows):
     """Chart matrix for a general Lagrangian with invertible e0-block."""
     e0_cols = [TRIPLE_INDEX[(0,) + p] for p in PAIRS5]
@@ -415,7 +390,7 @@ def sextic_equation(a_rows=None):
     chart matrix is the derived one and the x0^6 coefficient is +1."""
     if a_rows is None or a_rows == build_A():
         chart = chart_matrix_derived()
-        det = poly_det_bareiss(chart)
+        det = linalg.bareiss_det(chart)
     else:
         chart = _chart_matrix_for(a_rows)
         det = linalg.expansion_det(chart, MultiPoly.const(5, 1))
@@ -470,7 +445,7 @@ def sextic_via_interpolation(nodes=INTERPOLATION_NODES):
         m = [[0] * 10 for _ in range(10)]
         for i, j, const, lin in entries:
             m[i][j] = const + sum(c * x for c, x in zip(lin, xs) if c)
-        values[point] = linalg._det_bareiss(m)
+        values[point] = linalg.bareiss_det(m)
     inv = _inverse_vandermonde(tuple(nodes))
     # peel one axis at a time: values indexed by (exponents..., node indices...)
     for axis in range(5):
@@ -657,33 +632,30 @@ def sextic_fixed_point_count(g6, a_rows=None, f=None):
     """Number of fixed points of the projective action lying on the sextic,
     when finite: eigen-point strata plus distinct line intersections.
 
-    Returns (count, details); count is None when some fixed component
-    meets the hypersurface in positive dimension (order-2 elements)."""
+    Returns (count, components), one component (eigenvalue, dimension,
+    value) per eigenspace: value is the stratum of a fixed point, the
+    intersection pattern of a fixed line (None if the line lies on f), or
+    None for a fixed space of dimension >= 3.  count is None when some
+    fixed component meets the hypersurface in positive dimension (the
+    order-2 elements)."""
     if a_rows is None:
         a_rows = build_A()
     if f is None:
         f = fixtures.sextic_poly()
-    count = 0
-    details = []
+    components = []
     for ev, kb in fixed_locus(g6):
         dim = len(kb[0])
+        points = [[kb[i][j] for i in range(6)] for j in range(min(dim, 2))]
         if dim == 1:
-            point = [kb[i][0] for i in range(6)]
-            ell = stratum(a_rows, point)
-            details.append(("point", ell))
-            if ell >= 1:
-                count += 1
+            value = stratum(a_rows, points[0])
         elif dim == 2:
-            p = [kb[i][0] for i in range(6)]
-            q = [kb[i][1] for i in range(6)]
-            pattern = line_intersection_pattern(f, p, q)
-            details.append(("line", pattern))
-            if pattern is None:
-                return None, details
-            count += len(pattern)
+            value = line_intersection_pattern(f, *points)
         else:
-            # a fixed linear space of projective dimension >= 2 meets the
-            # hypersurface in positive dimension
-            details.append(("space", dim))
-            return None, details
-    return count, details
+            value = None
+        components.append((ev, dim, value))
+    # a line on f, or a fixed space of projective dimension >= 2, meets the
+    # hypersurface in positive dimension
+    if any(value is None for _, _, value in components):
+        return None, components
+    count = sum(value >= 1 if dim == 1 else len(value) for _, dim, value in components)
+    return count, components

@@ -385,7 +385,7 @@ def autoreduce(basis):
     monomials, every element fully reduced by the others, monic, sorted."""
     # drop elements whose lead is divisible by another lead
     basis = [g.monic() for g in basis if not g.is_zero()]
-    keep = []
+    keep, data = [], []  # data: normal_form's (lead, terms), in step with keep
     leads = [g.lead()[0] for g in basis]
     for i, g in enumerate(basis):
         li = leads[i]
@@ -395,13 +395,14 @@ def autoreduce(basis):
         ):
             continue
         keep.append(g)
+        data.append((li, list(g.terms.items())))
     changed = True
     while changed:
         changed = False
-        out = []
+        out, out_data = [], []
         for i, g in enumerate(keep):
-            others = out + keep[i + 1 :]
-            r = normal_form(g, others) if others else g
+            others = out_data + data[i + 1 :]
+            r = normal_form(g, None, others) if others else g
             if r.is_zero():
                 changed = True
                 continue
@@ -409,7 +410,8 @@ def autoreduce(basis):
             if r != g:
                 changed = True
             out.append(r)
-        keep = out
+            out_data.append((r.lead()[0], list(r.terms.items())))
+        keep, data = out, out_data
     keep.sort(key=lambda g: grevlex_key(g.lead()[0]))
     return keep
 

@@ -1,19 +1,26 @@
 """Exact dense linear algebra over fields plus integer Smith normal form.
 
 Matrices are plain lists of lists (rows); functions never mutate their
-arguments.  Field entries may be Fraction, CycloNum or any type with
-exact +, -, *, / and truthiness testing zero.  Integer matrices use
-Python ints.  Determinants and ranks over Q run fraction-free (Bareiss)
-to control coefficient growth; over cyclotomic fields plain Gaussian
-elimination is used (the matrices involved stay small).  Over rings
-without division (polynomials, the order Z[w]) expansion_det expands
-along column subsets instead.
+arguments.  rank and det pick one of two elimination kernels by the type
+of the entries:
+
+- the fraction-free kernel (Bareiss) serves ints, and Fractions once each
+  row is cleared of denominators, so ranks and determinants over Q never
+  divide in Q.  bareiss_det exposes it for polynomial matrices over Z
+  (MultiPoly, whose exact quotient is `//`);
+- the field kernel (Gaussian elimination with division) serves every other
+  exact field: CycloNum, or any type with exact +, -, *, / and truthiness
+  testing zero.  The matrices involved stay small.
+
+Over rings without exact division (the order Z[w], polynomials over F_p)
+expansion_det expands along column subsets instead, and rref gives the
+full reduction that kernel_basis and solve need.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _gcd
+from math import lcm as _lcm
 
 
 def identity(n, one=1, zero=0):
@@ -58,135 +65,139 @@ def mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def _is_int_matrix(m):
-    return all(isinstance(x, int) for row in m for x in row)
-
-
 # ---------------------------------------------------------------------------
-# rank / determinant / kernel over a field
+# rank and determinant: one fraction-free kernel, one field kernel
 # ---------------------------------------------------------------------------
 
 
 def rank(m) -> int:
-    """Rank by elimination; fraction-free over integer matrices."""
+    """Rank by elimination: fraction-free over Q, with division otherwise."""
     if not m or not m[0]:
         return 0
-    if _is_int_matrix(m):
-        return _rank_bareiss(m)
-    return _rank_field(m)
-
-
-def _rank_bareiss(m):
-    a = [row[:] for row in m]
-    rows, cols = len(a), len(a[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, rows):
-            ric = a[i][c]
-            for j in range(c + 1, cols):
-                a[i][j] = (piv * a[i][j] - ric * a[r][j]) // prev
-            a[i][c] = 0
-        prev = piv
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def _rank_field(m):
-    a = [row[:] for row in m]
-    rows, cols = len(a), len(a[0])
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        piv_inv = 1 / a[r][c]
-        for i in range(r + 1, rows):
-            if a[i][c]:
-                f = a[i][c] * piv_inv
-                for j in range(c, cols):
-                    a[i][j] = a[i][j] - f * a[r][j]
-        r += 1
-        if r == rows:
-            break
-    return r
+    cleared = _cleared(m)
+    return _bareiss(cleared[0])[0] if cleared else len(_field_pivots(m)[0])
 
 
 def det(m):
     """Exact determinant of a square matrix.
 
-    Integer and Fraction matrices run fraction-free (Bareiss); other
-    exact fields use Gaussian elimination with division.
+    Integer and Fraction matrices run fraction-free (Bareiss) after their
+    denominators are cleared; other exact fields use Gaussian elimination
+    with division.  An int matrix gives an int, a Fraction matrix a Fraction.
     """
     n = len(m)
     if n == 0:
         return 1
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    if _is_int_matrix(m):
-        return _det_bareiss(m)
-    if all(isinstance(x, (int, Fraction)) for row in m for x in row):
-        den = 1
-        for row in m:
-            for x in row:
-                d = Fraction(x).denominator
-                den = den * d // _gcd(den, d)
-        scaled = [[int(Fraction(x) * den) for x in row] for row in m]
-        return Fraction(_det_bareiss(scaled), den**n)
-    return _det_field(m)
-
-
-def _det_bareiss(m):
-    a = [row[:] for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            p = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if p is None:
-                return 0
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (piv * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = piv
-    return sign * a[n - 1][n - 1]
-
-
-def _det_field(m):
-    a = [row[:] for row in m]
-    n = len(a)
-    result = None
-    sign = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            return a[0][0] * 0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        piv = a[k][k]
-        result = piv if result is None else result * piv
-        if k + 1 < n:
-            piv_inv = 1 / piv
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    f = a[i][k] * piv_inv
-                    for j in range(k, n):
-                        a[i][j] = a[i][j] - f * a[k][j]
+    cleared = _cleared(m)
+    if cleared:
+        rows, scale = cleared
+        d = bareiss_det(rows)
+        return d if scale is None else Fraction(d, scale)
+    pivots, sign = _field_pivots(m)
+    if len(pivots) < n:
+        return m[0][0] * 0
+    result = pivots[0]
+    for piv in pivots[1:]:
+        result = result * piv
     return -result if sign < 0 else result
+
+
+def bareiss_det(m):
+    """Determinant of a square matrix over an integral domain whose exact
+    quotients are taken by `//`: the integers, or Z[x] as MultiPoly."""
+    r, last = _bareiss(m)
+    return last if r == len(m) else m[0][0] * 0
+
+
+def _cleared(m):
+    """(integer rows, scale) for a matrix of ints and Fractions.  A row
+    holding a Fraction is multiplied by the lcm of its denominators, which
+    keeps the rank and multiplies the determinant by that lcm; scale is the
+    product of the multipliers, or None when no entry is a Fraction.  None
+    when some entry is neither an int nor a Fraction."""
+    rows = []
+    scale = None
+    for row in m:
+        den = None
+        for x in row:
+            if isinstance(x, Fraction):
+                den = _lcm(den or 1, x.denominator)
+            elif not isinstance(x, int):
+                return None
+        if den is None:
+            rows.append(row)
+        else:
+            rows.append([x.numerator * (den // x.denominator) for x in row])
+            scale = (scale or 1) * den
+    return rows, scale
+
+
+def _bareiss(m):
+    """Fraction-free echelon form (Bareiss, Math. Comp. 22, 1968) over an
+    integral domain with exact `//`.  Returns (rank, last pivot with the
+    sign of the row swaps); for a square matrix of full rank that pivot is
+    the determinant.  Every division is exact: each entry is a minor of m."""
+    a = [row[:] for row in m]
+    rows, cols = len(a), len(a[0])
+    r = 0
+    sign = 1
+    prev = None
+    for c in range(cols):
+        p = next((i for i in range(r, rows) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top = a[r]
+        piv = top[c]
+        later = range(c + 1, cols)
+        for row in a[r + 1:]:
+            x = row[c]
+            if prev is None:
+                for j in later:
+                    row[j] = piv * row[j] - x * top[j]
+            else:
+                for j in later:
+                    row[j] = (piv * row[j] - x * top[j]) // prev
+        prev = piv
+        r += 1
+        if r == rows:
+            break
+    return r, (-prev if sign < 0 else prev)
+
+
+def _field_pivots(m):
+    """Gaussian elimination with division over a field (cyclotomic entries
+    in practice).  Returns (pivots, sign of the row swaps): their count is
+    the rank, and for a square matrix of full rank the signed product of
+    the pivots is the determinant."""
+    a = [row[:] for row in m]
+    rows, cols = len(a), len(a[0])
+    pivots = []
+    sign = 1
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, rows) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top = a[r]
+        pivots.append(top[c])
+        if r + 1 == rows:
+            break
+        piv_inv = 1 / top[c]
+        for i in range(r + 1, rows):
+            row = a[i]
+            if row[c]:
+                f = row[c] * piv_inv
+                for j in range(c + 1, cols):
+                    row[j] = row[j] - f * top[j]
+    return pivots, sign
 
 
 def expansion_det(m, one):
@@ -255,16 +266,7 @@ def kernel_basis(m):
     if rows == 0:
         return identity(cols, Fraction(1), Fraction(0))
     red, piv_cols = rref(m)
-    one = None
-    for row in red:
-        for x in row:
-            if x:
-                one = x / x
-                break
-        if one is not None:
-            break
-    if one is None:
-        one = Fraction(1)
+    one = next((x / x for row in red for x in row if x), Fraction(1))
     zero = one * 0
     free = [c for c in range(cols) if c not in piv_cols]
     basis_cols = []
@@ -299,8 +301,6 @@ def char_poly(m):
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    if _is_int_matrix(m):
-        m = [[Fraction(x) for x in row] for row in m]
     coeffs = [None] * (n + 1)
     coeffs[n] = 1
     mk = [row[:] for row in m]
@@ -358,21 +358,9 @@ def smith_normal_form(m):
         a[i] = [-x for x in a[i]]
         left[i] = [-x for x in left[i]]
 
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # find a nonzero pivot
-        found = next(
-            ((i, j) for j in range(t, cols) for i in range(t, rows) if a[i][j]),
-            None,
-        )
-        if found is None:
-            break
-        i, j = found
-        swap_rows(t, i)
-        swap_cols(t, j)
+    def clear(t):
+        # Euclidean steps until row and column t vanish off the diagonal
         while True:
-            # clear column t
             dirty = False
             for i in range(t + 1, rows):
                 if a[i][t]:
@@ -392,6 +380,21 @@ def smith_normal_form(m):
                 break
         if a[t][t] < 0:
             negate_row(t)
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        # find a nonzero pivot
+        found = next(
+            ((i, j) for j in range(t, cols) for i in range(t, rows) if a[i][j]),
+            None,
+        )
+        if found is None:
+            break
+        i, j = found
+        swap_rows(t, i)
+        swap_cols(t, j)
+        clear(t)
         t += 1
 
     # enforce the divisibility chain
@@ -403,27 +406,7 @@ def smith_normal_form(m):
             if y % x if x else y:
                 # fold a[i+1][i+1] into position (i, i) and redo
                 add_col(i + 1, i, 1)
-                t = i
-                while True:
-                    dirty = False
-                    for r in range(t + 1, rows):
-                        if a[r][t]:
-                            q = a[r][t] // a[t][t]
-                            add_row(t, r, -q)
-                            if a[r][t]:
-                                swap_rows(t, r)
-                                dirty = True
-                    for c in range(t + 1, cols):
-                        if a[t][c]:
-                            q = a[t][c] // a[t][t]
-                            add_col(t, c, -q)
-                            if a[t][c]:
-                                swap_cols(t, c)
-                                dirty = True
-                    if not dirty:
-                        break
-                if a[t][t] < 0:
-                    negate_row(t)
+                clear(i)
                 if a[i + 1][i + 1] < 0:
                     negate_row(i + 1)
                 changed = True

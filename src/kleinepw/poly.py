@@ -268,6 +268,10 @@ class MultiPoly:
         p.terms = out
         return p
 
+    def __floordiv__(self, divisor):
+        """Exact quotient, so fraction-free elimination runs over Z[x]."""
+        return self.exact_div(divisor)
+
     def map_coefficients(self, fn):
         p = MultiPoly(self.nvars)
         p.terms = {e: v for e, c in self.terms.items() if (v := fn(c))}

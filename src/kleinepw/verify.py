@@ -596,15 +596,13 @@ def _line5(ctx):
     "the order-2 fixed line meets the sextic in 6 distinct points",
 )
 def _line2(ctx):
-    s = ctx.generators[2]
-    s6 = group._v6_matrix(s)
-    for ev, kb in epw.fixed_locus([list(r) for r in s6]):
-        if len(kb[0]) == 2:
-            p = [kb[i][0] for i in range(6)]
-            q = [kb[i][1] for i in range(6)]
-            pattern = epw.line_intersection_pattern(ctx.sextic_fixture, p, q)
-            ok = pattern == [1] * 6
-            return _bool(ok, {"pattern": pattern}, {"pattern": pattern})
+    s6 = group._v6_matrix(ctx.generators[2])
+    _, components = epw.sextic_fixed_point_count(
+        [list(r) for r in s6], ctx.lagrangian, ctx.sextic_fixture
+    )
+    for _, dim, pattern in components:
+        if dim == 2:
+            return _bool(pattern == [1] * 6, {"pattern": pattern}, {"pattern": pattern})
     return FAIL, {"error": "no 2-dimensional eigenspace found"}
 
 
@@ -890,26 +888,52 @@ def _binomials(ctx):
 # ---------------------------------------------------------------------------
 
 
+def _at_primes(ctx, gate, budget_witness=None):
+    """Run a finite-field gate at the first two primes.  gate(p) returns
+    None when it passes at p, else the failure witness; a spent budget
+    stops the check with its progress and any budget_witness entries."""
+    verified = []
+    for p in ctx.primes[:2]:
+        try:
+            failure = gate(p)
+        except BudgetExhausted as e:
+            witness = {"prime": p, "detail": str(e), "progress": e.progress()}
+            return BUDGET, {**witness, **(budget_witness or {})}
+        if failure is not None:
+            return FAIL, failure
+        verified.append(p)
+    return PASS, {"verified-at-primes": verified}
+
+
+def _smooth_at_primes(ctx, ideal, codim, max_pairs, minor_sample=None, budget_witness=None):
+    def gate(p):
+        ok, info = smoothness_check(
+            ideal(p),
+            codim,
+            max_pairs=max_pairs,
+            max_degree=ctx.budget_degree,
+            minor_sample=minor_sample,
+        )
+        return None if ok else {"prime": p, "info": info}
+
+    return _at_primes(ctx, gate, budget_witness)
+
+
 @check(
     "groebner.no-decomposable-vectors",
     {"groebner"},
     "the Lagrangian contains no decomposable vectors (empty pullback cone)",
 )
 def _decomposable(ctx):
-    verified = []
-    for p in ctx.primes[:2]:
-        try:
-            empty = projective_empty(
-                decomposable_pullback_ideal(p),
-                max_pairs=ctx.budget_pairs,
-                max_degree=ctx.budget_degree,
-            )
-        except BudgetExhausted as e:
-            return BUDGET, {"prime": p, "detail": str(e), "progress": e.progress()}
-        if not empty:
-            return FAIL, {"prime": p}
-        verified.append(p)
-    return PASS, {"verified-at-primes": verified}
+    def gate(p):
+        empty = projective_empty(
+            decomposable_pullback_ideal(p),
+            max_pairs=ctx.budget_pairs,
+            max_degree=ctx.budget_degree,
+        )
+        return None if empty else {"prime": p}
+
+    return _at_primes(ctx, gate)
 
 
 @check(
@@ -918,22 +942,7 @@ def _decomposable(ctx):
     "the degree-10 Fano threefold section is smooth (codimension-4 Jacobian check)",
 )
 def _x3smooth(ctx):
-    verified = []
-    for p in ctx.primes[:2]:
-        try:
-            ok, info = smoothness_check(
-                gm_threefold_ideal(p),
-                4,
-                max_pairs=ctx.budget_pairs,
-                max_degree=ctx.budget_degree,
-                minor_sample=None,
-            )
-        except BudgetExhausted as e:
-            return BUDGET, {"prime": p, "detail": str(e), "progress": e.progress()}
-        if not ok:
-            return FAIL, {"prime": p, "info": info}
-        verified.append(p)
-    return PASS, {"verified-at-primes": verified}
+    return _smooth_at_primes(ctx, gm_threefold_ideal, 4, ctx.budget_pairs)
 
 
 @check(
@@ -944,22 +953,7 @@ def _x3smooth(ctx):
 def _x5smooth(ctx):
     if not ctx.slow:
         return SKIP, {"reason": "slow tier; rerun with --slow"}
-    verified = []
-    for p in ctx.primes[:2]:
-        try:
-            ok, info = smoothness_check(
-                gm_fivefold_ideal(p),
-                4,
-                max_pairs=ctx.budget_pairs,
-                max_degree=ctx.budget_degree,
-                minor_sample=None,
-            )
-        except BudgetExhausted as e:
-            return BUDGET, {"prime": p, "detail": str(e), "progress": e.progress()}
-        if not ok:
-            return FAIL, {"prime": p, "info": info}
-        verified.append(p)
-    return PASS, {"verified-at-primes": verified}
+    return _smooth_at_primes(ctx, gm_fivefold_ideal, 4, ctx.budget_pairs)
 
 
 @check(
@@ -970,27 +964,14 @@ def _x5smooth(ctx):
 def _sing_smooth(ctx):
     if not ctx.slow:
         return SKIP, {"reason": "slow tier; rerun with --slow"}
-    verified = []
-    for p in ctx.primes[:2]:
-        try:
-            ok, info = smoothness_check(
-                sextic_singular_locus_ideal(p),
-                3,
-                max_pairs=ctx.surface_budget_pairs,
-                max_degree=ctx.budget_degree,
-                minor_sample=48,
-            )
-        except BudgetExhausted as e:
-            return BUDGET, {
-                "prime": p,
-                "detail": str(e),
-                "progress": e.progress(),
-                "tier-budget-pairs": ctx.surface_budget_pairs,
-            }
-        if not ok:
-            return FAIL, {"prime": p, "info": info}
-        verified.append(p)
-    return PASS, {"verified-at-primes": verified}
+    return _smooth_at_primes(
+        ctx,
+        sextic_singular_locus_ideal,
+        3,
+        ctx.surface_budget_pairs,
+        48,
+        {"tier-budget-pairs": ctx.surface_budget_pairs},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -185,11 +185,11 @@ def test_fixed_point_counts_slow(table660, labeled_classes):
     f = fixtures.sextic_poly()
     for lab, order in (("b", 6), ("b2", 3)):
         g6 = group._v6_matrix(table660.elements[labeled_classes[lab][0]])
-        count, details = epw.sextic_fixed_point_count([list(r) for r in g6], a_rows, f)
+        count, components = epw.sextic_fixed_point_count([list(r) for r in g6], a_rows, f)
         assert count == fixtures.SEXTIC_FIXED_COUNTS[order]
-        for kind, pat in details:
-            if kind == "line":
-                assert pat == [1, 1, 1, 1, 2]
+        for _, dim, pattern in components:
+            if dim == 2:
+                assert pattern == [1, 1, 1, 1, 2]
 
 
 def test_order2_line_squarefree(table660, labeled_classes):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinepw import epw, linalg
+from kleinepw import linalg
 from kleinepw.cyclo import CycloNum, QuadInt, euler_phi
 from kleinepw.groebner import FPoly
 from kleinepw.poly import MultiPoly
@@ -181,7 +181,7 @@ def test_expansion_det_multipoly_matches_poly_bareiss():
         for _ in range(4):
             m = [[rand_linear_multipoly(rng, nvars) for _ in range(n)] for _ in range(n)]
             d = linalg.expansion_det(m, MultiPoly.const(nvars, 1))
-            assert d == epw.poly_det_bareiss(m)
+            assert d == linalg.bareiss_det(m)
 
 
 @pytest.mark.parametrize(

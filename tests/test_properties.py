@@ -5,8 +5,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from kleinepw import group  # noqa: E402
+from fractions import Fraction  # noqa: E402
+
+from kleinepw import group, linalg  # noqa: E402
+from kleinepw.cyclo import QuadInt  # noqa: E402
 from kleinepw.groebner import FPoly, buchberger, normal_form  # noqa: E402
+from kleinepw.poly import MultiPoly  # noqa: E402
 
 P = 32003
 
@@ -53,3 +57,77 @@ def test_redundant_input_keeps_the_reduced_basis(gens, data):
     assert [g.terms for g in again] == [g.terms for g in basis]
     for g in gens:
         assert normal_form(g, basis).is_zero()
+
+
+# -- the two elimination kernels against independent routes ---------------
+
+
+def _field_det(m):
+    """Determinant from the field kernel's pivots, called directly."""
+    pivots, sign = linalg._field_pivots(m)
+    if len(pivots) < len(m):
+        return 0
+    d = sign
+    for piv in pivots:
+        d = d * piv
+    return d
+
+
+def _square(entries, n):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(m=st.integers(1, 5).flatmap(lambda n: _square(st.integers(-6, 6), n)))
+def test_integer_det_matches_expansion_and_field_kernel(m):
+    d = linalg.det(m)
+    assert type(d) is int
+    embedded = [[QuadInt(x) for x in row] for row in m]
+    assert linalg.expansion_det(embedded, QuadInt(1)) == QuadInt(d)
+    assert _field_det([[Fraction(x) for x in row] for row in m]) == d
+
+
+@st.composite
+def _affine(draw, nvars=3):
+    """An affine-linear integer polynomial, often zero or constant."""
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=nvars + 1, max_size=nvars + 1))
+    terms = {(0,) * nvars: coeffs[0]}
+    for i, c in enumerate(coeffs[1:]):
+        terms[tuple(int(k == i) for k in range(nvars))] = c
+    return MultiPoly(nvars, terms)
+
+
+@settings(deadline=None, max_examples=40)
+@given(m=st.integers(1, 4).flatmap(lambda n: _square(_affine(), n)))
+def test_polynomial_bareiss_det_matches_expansion(m):
+    assert linalg.bareiss_det(m) == linalg.expansion_det(m, MultiPoly.const(3, 1))
+
+
+_RATIONAL = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=6))
+
+
+@st.composite
+def _rational_matrix(draw):
+    """Rows of ints and Fractions, with zero rows and rescaled repeats of
+    earlier rows shuffled in."""
+    cols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_RATIONAL, min_size=cols, max_size=cols),
+                         min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            rows.append([0] * cols)
+        else:
+            k = draw(st.integers(0, len(rows) - 1))
+            c = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+            rows.append([c * x for x in rows[k]])
+    return draw(st.permutations(rows))
+
+
+@settings(deadline=None, max_examples=80)
+@given(m=_rational_matrix())
+def test_rational_rank_matches_field_kernel(m):
+    exact = [[Fraction(x) for x in row] for row in m]
+    assert linalg.rank(m) == len(linalg._field_pivots(exact)[0])
+    n = len(m)
+    if n <= len(m[0]):
+        assert linalg.det([row[:n] for row in m]) == _field_det([row[:n] for row in exact])
