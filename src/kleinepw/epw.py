@@ -6,7 +6,8 @@ order is fixed once, globally.  The rank-10 Lagrangian is the graph of a
 signed-permutation isomorphism v from 2-vectors to 3-vectors on the last
 five coordinates, and the sextic hypersurface is recovered from it in two
 independent ways: fraction-free elimination over the polynomial ring, and
-evaluation at an integer grid followed by exact interpolation.
+evaluation at the integer points of the degree-10 simplex followed by
+exact Newton interpolation.
 
 The module holds no elimination of its own.  Ranks and determinants go
 through linalg: its fraction-free (Bareiss) kernel takes the rational
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import lcm as _lcm
+from itertools import combinations
+from math import factorial, lcm as _lcm
 
 from . import fixtures, linalg
 from .cyclo import CycloNum
-from .poly import MultiPoly, Poly1
+from .poly import MultiPoly, Poly1, squarefree_decomposition
 
 TRIPLES6 = tuple(combinations(range(6), 3))
 PAIRS6 = tuple(combinations(range(6), 2))
@@ -269,13 +270,14 @@ def self_duality_check(a_rows):
         for r in a_rows:
             acc = sum(x * y for x, y in zip(f, r))
             if acc != 0:
-                return _self_duality_by_annihilator(a_rows)
+                return self_duality_oracle(a_rows)
     # spans have equal dimension, so containment in the annihilator is
     # equality whenever the row span has full rank 10
     return span_rank(a_rows) == 10
 
 
-def _self_duality_by_annihilator(a_rows):
+def self_duality_oracle(a_rows):
+    """Independent annihilator-comparison route (kernel based)."""
     ann_cols = linalg.kernel_basis([list(r) for r in a_rows])
     k = len(ann_cols[0]) if ann_cols else 0
     ann_rows = [[ann_cols[i][j] for i in range(20)] for j in range(k)]
@@ -284,11 +286,6 @@ def _self_duality_by_annihilator(a_rows):
         span_rank(ann_rows) == span_rank(flipped)
         and span_rank(ann_rows + flipped) == span_rank(ann_rows)
     )
-
-
-def self_duality_oracle(a_rows):
-    """Independent annihilator-comparison route (kernel based)."""
-    return _self_duality_by_annihilator(a_rows)
 
 
 def random_lagrangian(rng, steps=6):
@@ -409,63 +406,69 @@ def sextic_equation(a_rows=None):
     return hom
 
 
-INTERPOLATION_NODES = (-3, -2, -1, 0, 1, 2, 3)
+def _simplex(nvars, n):
+    """Exponent vectors e in N^nvars with |e| <= n, in lexicographic order."""
+    if nvars == 0:
+        return [()]
+    return [(k,) + rest for k in range(n + 1) for rest in _simplex(nvars - 1, n - k)]
 
 
-@lru_cache(maxsize=None)
-def _inverse_vandermonde(nodes):
-    n = len(nodes)
-    v = [[Fraction(t) ** j for j in range(n)] for t in nodes]
-    aug = [row[:] + [Fraction(int(i == k)) for k in range(n)] for i, row in enumerate(v)]
-    red, piv = linalg.rref(aug)
-    inv = [row[n:] for row in red]
-    return inv
+def _forward_differences(line):
+    """Newton coefficients D^k g(0) of the values g(0), g(1), ..."""
+    for k in range(1, len(line)):
+        for i in range(len(line) - 1, k - 1, -1):
+            line[i] -= line[i - 1]
+    return line
 
 
-def sextic_via_interpolation(nodes=INTERPOLATION_NODES):
-    """Independent route: evaluate the derived chart determinant at an
-    integer grid and recover the coefficients by exact tensor-product
-    interpolation (degree at most 6 in each variable)."""
-    chart = chart_matrix_derived()
-    # linear entries -> fast evaluation table: entry(i,j) = const + sum coeff*x
-    entries = []
-    for i in range(10):
-        for j in range(10):
-            terms = chart[i][j].terms
-            const = terms.get((0, 0, 0, 0, 0), 0)
-            lin = [0] * 5
-            for e, c in terms.items():
-                if sum(e) == 1:
-                    lin[e.index(1)] = c
-            entries.append((i, j, const, lin))
-    npts = len(nodes)
+def _binomials_to_powers(line):
+    """Power coefficients of sum_k line[k] * C(x, k), by Horner's rule on
+    x (x - 1) ... (x - k + 1) scaled by m!; raises unless they are integers."""
+    m = len(line) - 1
+    acc = []
+    for k in range(m, -1, -1):
+        acc = [a - k * b for a, b in zip([0] + acc, acc + [0])]
+        acc[0] += line[k] * (factorial(m) // factorial(k))
+    if any(a % factorial(m) for a in acc):
+        raise ArithmeticError("non-integer interpolated coefficient")
+    return [a // factorial(m) for a in acc]
+
+
+def _simplex_det(chart):
+    """Determinant of an n x n matrix of affine-linear integer MultiPolys,
+    interpolated from integer determinants on the principal lattice
+    {e : |e| <= n}, which is unisolvent for total degree <= n (Chung & Yao,
+    SIAM J. Numer. Anal. 14, 1977).  Forward differences along each axis
+    give the Newton coefficients D^e f(0); every difference stays inside
+    the simplex.  The binomials C(x_i, k) are then expanded into powers
+    along each axis in the same way."""
+    n, nvars = len(chart), chart[0][0].nvars
+    if any(entry.total_degree() > 1 for row in chart for entry in row):
+        raise ValueError("chart entries must be affine-linear")
+    # nonzero entries as (i, j, [(index into (1, x1, ...), coefficient)])
+    entries = [(i, j, [(1 + e.index(1) if any(e) else 0, c) for e, c in entry.terms.items()])
+               for i, row in enumerate(chart) for j, entry in enumerate(row) if entry.terms]
     values = {}
-    for point in product(range(npts), repeat=5):
-        xs = [nodes[i] for i in point]
-        m = [[0] * 10 for _ in range(10)]
-        for i, j, const, lin in entries:
-            m[i][j] = const + sum(c * x for c, x in zip(lin, xs) if c)
-        values[point] = linalg.bareiss_det(m)
-    inv = _inverse_vandermonde(tuple(nodes))
-    # peel one axis at a time: values indexed by (exponents..., node indices...)
-    for axis in range(5):
-        # group over the chosen axis
-        grouped = {}
-        for key, val in values.items():
-            rest = key[:axis] + key[axis + 1 :]
-            grouped.setdefault(rest, [0] * npts)[key[axis]] = val
-        new = {}
-        for rest, vec in grouped.items():
-            for exp in range(npts):
-                coeff = sum(inv[exp][i] * vec[i] for i in range(npts))
-                if coeff:
-                    new[rest[:axis] + (exp,) + rest[axis:]] = coeff
-        values = new
-    poly = MultiPoly(5)
-    for e, c in values.items():
-        if Fraction(c).denominator != 1:
-            raise ArithmeticError("non-integer interpolated coefficient")
-        poly.terms[e] = int(Fraction(c))
+    for e in _simplex(nvars, n):
+        xs = (1,) + e
+        m = [[0] * n for _ in range(n)]
+        for i, j, terms in entries:
+            m[i][j] = sum(c * xs[k] for k, c in terms)
+        values[e] = linalg.bareiss_det(m)
+    for transform in (_forward_differences, _binomials_to_powers):
+        for axis in range(nvars):
+            for rest in _simplex(nvars - 1, n):
+                keys = [rest[:axis] + (k,) + rest[axis:] for k in range(n - sum(rest) + 1)]
+                values.update(zip(keys, transform([values[key] for key in keys])))
+    return MultiPoly(nvars, values)
+
+
+def sextic_via_interpolation():
+    """Independent route: the derived chart determinant interpolated from
+    its values on the degree-10 simplex, which assumes only the degree
+    bound 10 of a 10 x 10 affine chart; the sextic's degree 6 is then a
+    certificate, not an assumption."""
+    poly = _simplex_det(chart_matrix_derived())
     if poly.total_degree() > 6:
         raise ArithmeticError("interpolated sextic has degree above 6")
     return poly.homogenize(6, 0, degree=6)
@@ -566,9 +569,8 @@ def dual_v():
     signed permutation v this equals v itself, which is exactly why the
     dual route returns the same Lagrangian."""
     v = build_v()
-    vt = [[v[j][i] for j in range(10)] for i in range(10)]
     # v is a signed permutation, so its inverse is its transpose
-    vin = vt
+    vin = [[v[j][i] for j in range(10)] for i in range(10)]
     return [[vin[j][i] for j in range(10)] for i in range(10)]
 
 
@@ -579,12 +581,8 @@ def dual_rebuild_check(generators):
     vd = dual_v()
     vdq = [[Fraction(x) for x in row] for row in vd]
     for g in generators:
-        gl = [list(r) for r in g]
-        inv = linalg.rref(
-            [row + [Fraction(int(i == k)) for k in range(5)] for i, row in
-             enumerate([[x for x in r] for r in gl])]
-        )[0]
-        ginv = [row[5:] for row in inv]
+        aug = [list(row) + [Fraction(int(i == k)) for k in range(5)] for i, row in enumerate(g)]
+        ginv = [row[5:] for row in linalg.rref(aug)[0]]
         gdual = [[ginv[j][i] for j in range(5)] for i in range(5)]
         w2 = exterior_power_matrix(gdual, 2)
         w3 = exterior_power_matrix(gdual, 3)
@@ -617,8 +615,6 @@ def line_intersection_pattern(f, p, q):
     if g.is_zero():
         return None
     pol, inf_mult = binary_form_to_poly1(g, degree=6)
-    from .poly import squarefree_decomposition
-
     pattern = []
     if pol.degree() > 0:
         for factor, mult in squarefree_decomposition(pol):

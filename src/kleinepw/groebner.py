@@ -481,7 +481,6 @@ def smoothness_check(
     max_pairs=200000,
     max_degree=60,
     minor_sample=64,
-    seed=0,
 ):
     """Projective emptiness of the singular locus: generators plus the
     codim x codim minors of their Jacobian.  Starts from a deterministic
@@ -492,7 +491,7 @@ def smoothness_check(
     if codim < 1:
         raise ValueError("codimension must be at least 1")
     base = buchberger(gens, max_pairs=max_pairs, max_degree=max_degree)
-    minors, sampled = jacobian_minors(gens, codim, sample=minor_sample, seed=seed)
+    minors, sampled = jacobian_minors(gens, codim, sample=minor_sample)
     empty, basis = projective_empty_with_basis(
         base + minors, max_pairs=max_pairs, max_degree=max_degree
     )

@@ -81,16 +81,12 @@ class VerifyContext:
     the sextic by both routes."""
 
     def __init__(self, seed=0, slow=False, primes=(32003, 65537),
-                 budget_pairs=500000, budget_degree=48,
-                 surface_budget_pairs=5000):
+                 budget_pairs=500000, budget_degree=48):
         self.seed = seed
         self.slow = slow
         self.primes = tuple(primes)
         self.budget_pairs = budget_pairs
         self.budget_degree = budget_degree
-        # explicit tier budget for the singular-surface check, which is
-        # expected to exhaust it at desk scale
-        self.surface_budget_pairs = surface_budget_pairs
         self._cache = {}
 
     def _get(self, key, builder):
@@ -956,6 +952,11 @@ def _x5smooth(ctx):
     return _smooth_at_primes(ctx, gm_fivefold_ideal, 4, ctx.budget_pairs)
 
 
+# explicit tier budget for the singular-surface check, which is expected
+# to exhaust it at desk scale
+SURFACE_BUDGET_PAIRS = 5000
+
+
 @check(
     "groebner.singular-surface-smooth",
     {"groebner"},
@@ -968,9 +969,9 @@ def _sing_smooth(ctx):
         ctx,
         sextic_singular_locus_ideal,
         3,
-        ctx.surface_budget_pairs,
+        SURFACE_BUDGET_PAIRS,
         48,
-        {"tier-budget-pairs": ctx.surface_budget_pairs},
+        {"tier-budget-pairs": SURFACE_BUDGET_PAIRS},
     )
 
 

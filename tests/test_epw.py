@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -72,6 +73,43 @@ def test_sextic_routes_and_fixture():
     assert len(f1.terms) == 37
     f2 = epw.sextic_via_interpolation()
     assert f2 == f1
+
+
+def _tensor_grid_sextic():
+    """Oracle for the simplex route: the chart determinant at the 7^5
+    tensor grid, recovered axis by axis through the inverse Vandermonde
+    matrix.  Exact only when the degree in each variable is at most 6,
+    which the sextic happens to satisfy."""
+    nodes = (-3, -2, -1, 0, 1, 2, 3)
+    # affine entries as (index into (1, x1..x5), coefficient) pairs
+    chart = [[[(1 + e.index(1) if any(e) else 0, c) for e, c in entry.terms.items()]
+              for entry in row] for row in epw.chart_matrix_derived()]
+    n = len(nodes)
+    values = {}
+    for point in itertools.product(range(n), repeat=5):
+        xs = (1,) + tuple(nodes[i] for i in point)
+        values[point] = linalg.bareiss_det(
+            [[sum(c * xs[k] for k, c in entry) for entry in row] for row in chart]
+        )
+    vandermonde = [[Fraction(t) ** j for j in range(n)] + [Fraction(int(i == k)) for k in range(n)]
+                   for i, t in enumerate(nodes)]
+    inv = [row[n:] for row in linalg.rref(vandermonde)[0]]
+    for axis in range(5):
+        grouped = {}
+        for key, val in values.items():
+            grouped.setdefault(key[:axis] + key[axis + 1:], [0] * n)[key[axis]] = val
+        values = {
+            rest[:axis] + (exp,) + rest[axis:]: sum(inv[exp][i] * vec[i] for i in range(n))
+            for rest, vec in grouped.items()
+            for exp in range(n)
+        }
+    assert all(c.denominator == 1 for c in values.values())
+    return MultiPoly(5, {e: int(c) for e, c in values.items()}).homogenize(6, 0, degree=6)
+
+
+def test_tensor_grid_oracle_matches_simplex_route():
+    simplex = epw.sextic_via_interpolation()
+    assert _tensor_grid_sextic() == simplex == fixtures.sextic_poly()
 
 
 def test_sextic_generic_route_matches():

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fractions import Fraction  # noqa: E402
 
-from kleinepw import group, linalg  # noqa: E402
-from kleinepw.cyclo import QuadInt  # noqa: E402
+from math import lcm  # noqa: E402
+
+from kleinepw import epw, group, linalg  # noqa: E402
+from kleinepw.cyclo import CycloNum, QuadInt, euler_phi  # noqa: E402
 from kleinepw.groebner import FPoly, buchberger, normal_form  # noqa: E402
 from kleinepw.poly import MultiPoly  # noqa: E402
 
@@ -131,3 +133,63 @@ def test_rational_rank_matches_field_kernel(m):
     n = len(m)
     if n <= len(m[0]):
         assert linalg.det([row[:n] for row in m]) == _field_det([row[:n] for row in exact])
+
+
+# -- the simplex interpolation route against the polynomial Bareiss route ---
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_simplex_det_matches_bareiss(data):
+    nvars = data.draw(st.integers(2, 5))
+    m = data.draw(st.integers(1, 5).flatmap(lambda n: _square(_affine(nvars), n)))
+    assert epw._simplex_det(m) == linalg.bareiss_det(m)
+
+
+def test_simplex_det_reaches_the_size_bound():
+    # degree 8 in one variable: beyond any tensor grid sized for degree 6
+    x1 = MultiPoly.var(0, 3)
+    zero = MultiPoly.zero(3)
+    m = [[x1 if i == j else zero for j in range(8)] for i in range(8)]
+    assert epw._simplex_det(m) == MultiPoly(3, {(8, 0, 0): 1})
+
+
+# -- CycloNum field axioms across conductors --------------------------------
+
+CONDUCTORS = (1, 3, 5, 7, 11, 15, 33)
+# the maximal lcms of those conductors that stay within MAX_CONDUCTOR 66,
+# so that any elements drawn for one host can be combined
+HOSTS = (15, 21, 33, 35, 55)
+
+
+@st.composite
+def _cyclos(draw, size=3):
+    """size cyclotomic numbers with conductors from CONDUCTORS, mixed, all
+    dividing one host field."""
+    host = draw(st.sampled_from(HOSTS))
+    out = []
+    for _ in range(size):
+        n = draw(st.sampled_from([c for c in CONDUCTORS if host % c == 0]))
+        coeffs = draw(st.lists(st.fractions(-4, 4, max_denominator=3),
+                               min_size=euler_phi(n), max_size=euler_phi(n)))
+        out.append(CycloNum(n, coeffs))
+    return out
+
+
+def _same(a, b):
+    return a == b and hash(a) == hash(b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(xyz=_cyclos())
+def test_cyclo_field_axioms_across_conductors(xyz):
+    x, y, z = xyz
+    assert _same((x * y) * z, x * (y * z))
+    assert _same((x + y) + z, x + (y + z))
+    assert _same(x * (y + z), x * y + x * z)
+    assert _same(x * y, y * x)
+    host = lcm(x.n, y.n, z.n)
+    assert _same(x, x.lift(host))
+    if not x.is_zero():
+        assert x * x.inverse() == 1
+        assert _same((x * y) / x, y)
