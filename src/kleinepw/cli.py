@@ -68,6 +68,17 @@ def _budget_arg(text):
     return value
 
 
+def _positive(value):
+    return type(value) is int and value >= 1
+
+
+def _codim_arg(text):
+    value = _int_arg(text)
+    if not _positive(value):
+        raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="klein-epw",
@@ -114,7 +125,7 @@ def build_parser():
     p_gb = sub.add_parser("groebner", help="finite-field ideal checks")
     p_gb.add_argument("--file", required=True, help="ideal description (JSON)")
     p_gb.add_argument("--prime", type=_prime_arg, default=None)
-    p_gb.add_argument("--codim", type=int, default=None,
+    p_gb.add_argument("--codim", type=_codim_arg, default=None,
                       help="run the smoothness check at this codimension "
                       "(default: projective emptiness only)")
     return parser
@@ -219,9 +230,7 @@ def cmd_fixed_points(args):
     ctx = verify.VerifyContext()
     label = {11: "c", 5: "a", 6: "b", 3: "b2", 2: "b3"}[args.order]
     g6 = group._v6_matrix(ctx.table.elements[ctx.labeled[label][0]])
-    count, found = epw.sextic_fixed_point_count(
-        [list(r) for r in g6], ctx.lagrangian, ctx.sextic_fixture
-    )
+    count, found = epw.sextic_fixed_point_count(g6, ctx.lagrangian, ctx.sextic_fixture)
     components = []
     for ev, dim, value in found:
         comp = {"eigenvalue": cyclo_json(ev), "dimension": dim}
@@ -329,17 +338,22 @@ def cmd_groebner(args):
     if type(prime) is not int or not _is_prime(prime):
         raise ValueError(f"{args.file}: 'prime' must be a prime, got {prime!r}")
     variables = spec["variables"]
-    names = [f"x{i}" for i in range(variables)] if isinstance(variables, int) else list(variables)
-    gens = []
-    for src in spec["generators"]:
-        poly = parse_polynomial(src, names)
-        gens.append(FPoly.from_int_poly(poly, prime))
+    if not (_positive(variables) or (isinstance(variables, list) and variables
+                                     and all(isinstance(name, str) for name in variables))):
+        raise ValueError(f"{args.file}: 'variables' must be a positive int or a list of "
+                         f"names, got {variables!r}")
+    sources = spec["generators"]
+    if not isinstance(sources, list) or not all(isinstance(src, str) for src in sources):
+        raise ValueError(f"{args.file}: 'generators' must be a list of strings")
     codim = args.codim if args.codim is not None else spec.get("codim")
+    if codim is not None and not _positive(codim):
+        raise ValueError(f"{args.file}: 'codim' must be a positive int, got {codim!r}")
+    gens = [FPoly.from_int_poly(parse_polynomial(src, variables), prime) for src in sources]
     import time as _time
 
     start = _time.monotonic()
     try:
-        if codim:
+        if codim is not None:
             ok, info = smoothness_check(
                 gens, codim,
                 max_pairs=args.budget_pairs, max_degree=args.budget_degree,

@@ -202,7 +202,7 @@ def _common_field(rows):
 
 
 def span_rank(rows):
-    return linalg.rank(_common_field([list(r) for r in rows]))
+    return linalg.rank(_common_field(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def stratum(a_rows, x):
         raise ValueError("zero vector has no stratum")
     wedge_rows = [wedge_vector_pair(x, p) for p in PAIRS6]
     w_rank = span_rank(wedge_rows)
-    total = span_rank([list(r) for r in a_rows] + wedge_rows)
+    total = span_rank(list(a_rows) + wedge_rows)
     return len(a_rows) + w_rank - total
 
 
@@ -231,7 +231,7 @@ def gm_dimension(a_rows, covector):
     """5 - dim(A meet wedge3 of the hyperplane ker(covector))."""
     if not any(covector):
         raise ValueError("zero covector")
-    kernel_cols = linalg.kernel_basis([list(covector)])
+    kernel_cols = linalg.kernel_basis([covector])
     ncols = len(kernel_cols[0])
     basis = [[kernel_cols[i][j] for i in range(6)] for j in range(ncols)]
     w_rows = []
@@ -278,7 +278,7 @@ def self_duality_check(a_rows):
 
 def self_duality_oracle(a_rows):
     """Independent annihilator-comparison route (kernel based)."""
-    ann_cols = linalg.kernel_basis([list(r) for r in a_rows])
+    ann_cols = linalg.kernel_basis(a_rows)
     k = len(ann_cols[0]) if ann_cols else 0
     ann_rows = [[ann_cols[i][j] for i in range(20)] for j in range(k)]
     flipped = [_dual_flip(r) for r in a_rows]

@@ -1,8 +1,9 @@
 """Multivariate ideals over prime fields: Buchberger, emptiness, smoothness.
 
-Polynomials are sparse dictionaries over F_p in graded reverse
-lexicographic order.  The Groebner machinery supports two certified
-checks used as finite-field stand-ins for characteristic-0 computations:
+Polynomials are FPoly: poly.MultiPoly over F_p, whose operations reduce
+their coefficients into 1..p-1, in graded reverse lexicographic order.
+The Groebner machinery supports two certified checks used as
+finite-field stand-ins for characteristic-0 computations:
 
 * projective emptiness: the reduced basis has a pure power of every
   variable among its leading monomials (the affine cone is supported at
@@ -26,7 +27,7 @@ import random
 from itertools import combinations
 
 from . import linalg
-from .poly import grevlex_key
+from .poly import MultiPoly, grevlex_key
 
 
 class BudgetExhausted(RuntimeError):
@@ -54,25 +55,23 @@ def _pack(e):
     return key
 
 
-class FPoly:
-    """Sparse polynomial over F_p with coefficients in 1..p-1."""
+class FPoly(MultiPoly):
+    """MultiPoly over F_p: coefficients in 1..p-1.  The ring operations
+    are MultiPoly's; the result hook reduces their coefficients mod p."""
 
-    __slots__ = ("p", "nvars", "terms")
+    __slots__ = ("p",)
 
     def __init__(self, p, nvars, terms=None):
         self.p = p
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for e, c in terms.items() if isinstance(terms, dict) else terms:
-                c %= p
-                if c:
-                    e = tuple(e)
-                    acc = (self.terms.get(e, 0) + c) % p
-                    if acc:
-                        self.terms[e] = acc
-                    elif e in self.terms:
-                        del self.terms[e]
+        super().__init__(nvars, terms)
+        self.terms = {e: v for e, c in self.terms.items() if (v := c % p)}
+
+    def _with_terms(self, terms):
+        p = self.p
+        r = FPoly.__new__(FPoly)
+        r.p, r.nvars = p, self.nvars
+        r.terms = {e: v for e, c in terms.items() if (v := c % p)}
+        return r
 
     @staticmethod
     def zero(p, nvars):
@@ -91,126 +90,18 @@ class FPoly:
     @staticmethod
     def from_int_poly(poly, p):
         """Reduce a MultiPoly with integer coefficients modulo p."""
-        return FPoly(p, poly.nvars, {e: c % p for e, c in poly.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FPoly)
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.p, frozenset(self.terms.items())))
-
-    def lead(self):
-        if not self.terms:
-            raise ValueError("zero polynomial")
-        e = max(self.terms, key=grevlex_key)
-        return e, self.terms[e]
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def is_homogeneous(self):
-        return len({sum(e) for e in self.terms}) <= 1
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        p = self.p
-        for e, c in other.terms.items():
-            acc = (out.get(e, 0) + c) % p
-            if acc:
-                out[e] = acc
-            elif e in out:
-                del out[e]
-        r = FPoly(p, self.nvars)
-        r.terms = out
-        return r
-
-    def __neg__(self):
-        p = self.p
-        r = FPoly(p, self.nvars)
-        r.terms = {e: p - c for e, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        p = self.p
-        if isinstance(other, int):
-            other %= p
-            r = FPoly(p, self.nvars)
-            if other:
-                r.terms = {e: (c * other) % p for e, c in self.terms.items()}
-                r.terms = {e: c for e, c in r.terms.items() if c}
-            return r
-        out = {}
-        small, big = self.terms, other.terms
-        if len(small) > len(big):
-            small, big = big, small
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = (out.get(e, 0) + c1 * c2) % p
-                if acc:
-                    out[e] = acc
-                elif e in out:
-                    del out[e]
-        r = FPoly(p, self.nvars)
-        r.terms = out
-        return r
-
-    __rmul__ = __mul__
+        return FPoly(p, poly.nvars)._with_terms(poly.terms)
 
     def monic(self):
         if not self.terms:
             return self
-        _, c = self.lead()
+        _, c = self.leading_term()
         if c == 1:
             return self
-        inv = pow(c, self.p - 2, self.p)
-        return self * inv
-
-    def derivative(self, i):
-        p = self.p
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                cc = (c * e[i]) % p
-                if cc:
-                    out[tuple(ne)] = cc
-        r = FPoly(p, self.nvars)
-        r.terms = out
-        return r
+        return self * pow(c, -1, self.p)
 
     def evaluate(self, point):
-        p = self.p
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v = (v * pow(x, k, p)) % p
-            total = (total + v) % p
-        return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
-            mono = "*".join(
-                f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k
-            )
-            bits.append(f"{c}*{mono}" if mono else str(c))
-        return " + ".join(bits)
+        return super().evaluate(point) % self.p
 
 
 def _divides(d, e):
@@ -228,7 +119,7 @@ def normal_form(f: FPoly, basis, lead_data=None):
     if not work:
         return f
     if lead_data is None:
-        lead_data = [(g.lead()[0], list(g.terms.items())) for g in basis]
+        lead_data = [(g.leading_term()[0], list(g.terms.items())) for g in basis]
     heap = []
     unpack = {}
     for e in work:
@@ -303,7 +194,7 @@ def buchberger(gens, max_pairs=200000, max_degree=60):
         if not h.is_zero():
             h = h.monic()
             basis.append(h)
-            leads.append(h.lead()[0])
+            leads.append(h.leading_term()[0])
             lead_data.append((leads[-1], list(h.terms.items())))
     if not basis:
         raise ValueError("no nonzero generators")
@@ -363,7 +254,7 @@ def buchberger(gens, max_pairs=200000, max_degree=60):
         if h.is_zero():
             continue
         h = h.monic()
-        le = h.lead()[0]
+        le = h.leading_term()[0]
         degree = max(degree, sum(le))
         if sum(le) > max_degree:
             raise BudgetExhausted(
@@ -386,7 +277,7 @@ def autoreduce(basis):
     # drop elements whose lead is divisible by another lead
     basis = [g.monic() for g in basis if not g.is_zero()]
     keep, data = [], []  # data: normal_form's (lead, terms), in step with keep
-    leads = [g.lead()[0] for g in basis]
+    leads = [g.leading_term()[0] for g in basis]
     for i, g in enumerate(basis):
         li = leads[i]
         if any(
@@ -410,9 +301,9 @@ def autoreduce(basis):
             if r != g:
                 changed = True
             out.append(r)
-            out_data.append((r.lead()[0], list(r.terms.items())))
+            out_data.append((r.leading_term()[0], list(r.terms.items())))
         keep, data = out, out_data
-    keep.sort(key=lambda g: grevlex_key(g.lead()[0]))
+    keep.sort(key=lambda g: grevlex_key(g.leading_term()[0]))
     return keep
 
 
@@ -431,7 +322,7 @@ def projective_empty_with_basis(gens, max_pairs=200000, max_degree=60):
     nvars = gens[0].nvars
     covered = [False] * nvars
     for g in basis:
-        e = g.lead()[0]
+        e = g.leading_term()[0]
         support = [i for i, k in enumerate(e) if k]
         if len(support) == 1:
             covered[support[0]] = True
@@ -450,10 +341,14 @@ def jacobian(gens):
 def jacobian_minors(gens, size, sample=None, seed=0):
     """c x c minors of the Jacobian matrix; optionally a deterministic
     random subsample (sound for the empty verdict, since fewer equations
-    cut out a larger scheme)."""
-    jac = jacobian(gens)
+    cut out a larger scheme).
+
+    The minors are taken over Z, from the generators' integer lifts, and
+    then reduced mod p: reduction commutes with derivatives and
+    determinants, and integer arithmetic skips a reduction per operation."""
     p, nvars = gens[0].p, gens[0].nvars
-    one = FPoly.const(p, nvars, 1)
+    jac = jacobian([MultiPoly(nvars, g.terms) for g in gens])
+    one = MultiPoly.const(nvars, 1)
     rows = range(len(gens))
     cols = range(nvars)
     all_keys = [
@@ -469,7 +364,7 @@ def jacobian_minors(gens, size, sample=None, seed=0):
     out = []
     for rs, cs in all_keys:
         sub = [[jac[r][c] for c in cs] for r in rs]
-        m = linalg.expansion_det(sub, one)
+        m = FPoly.from_int_poly(linalg.expansion_det(sub, one), p)
         if not m.is_zero():
             out.append(m)
     return out, sampled
@@ -566,18 +461,10 @@ def decomposable_pullback_ideal(p):
     a_rows = build_A()
     relations = grassmannian_relations_gr36(p)
     # linear forms: coordinate I of the family point = sum_r a_r * A[r][I]
-    linear = []
-    for idx in range(20):
-        terms = {}
-        for r in range(10):
-            c = a_rows[r][idx] % p
-            if c:
-                e = [0] * 10
-                e[r] = 1
-                terms[tuple(e)] = c
-        lf = FPoly(p, 10)
-        lf.terms = terms
-        linear.append(lf)
+    linear = [
+        FPoly(p, 10, {tuple(int(k == r) for k in range(10)): a_rows[r][idx] for r in range(10)})
+        for idx in range(20)
+    ]
     out = []
     seen = set()
     for rel in relations:

@@ -104,7 +104,7 @@ def weil_outside_borel():
     raises WeilNormalizationError (the fallback would be to work with
     projective classes)."""
     m = fourier_candidate()
-    d = linalg.det([list(r) for r in m])
+    d = linalg.det(m)
     root = sqrt_minus_11()
     for k in range(-6, 7):
         power = root**k
@@ -375,7 +375,7 @@ def _dual_matrix(m5):
 
 
 def _wedge2_matrix(m5):
-    return tuple(tuple(row) for row in exterior_power_matrix([list(r) for r in m5], 2))
+    return tuple(tuple(row) for row in exterior_power_matrix(m5, 2))
 
 
 def _sym2_matrix(m):
@@ -398,7 +398,7 @@ def _sym2_matrix(m):
 
 
 def _v6_matrix(m5):
-    return tuple(tuple(row) for row in v6_action([list(r) for r in m5]))
+    return tuple(tuple(row) for row in v6_action(m5))
 
 
 def functor_xi():
@@ -575,8 +575,7 @@ def hermitian_positive_definite(m) -> bool:
     """Leading principal minors are real and (totally) positive."""
     n = len(m)
     for k in range(1, n + 1):
-        sub = [list(row[:k]) for row in m[:k]]
-        minor = linalg.det(sub)
+        minor = linalg.det([row[:k] for row in m[:k]])
         if not isinstance(minor, CycloNum):
             if minor <= 0:
                 return False
@@ -603,7 +602,7 @@ def stabilizer(table: GroupTable, subspace_cols, rep: RepFunctor = None):
     out = []
     for idx, m in enumerate(table.elements):
         fm = rep.matrix(m)
-        image = [linalg.mat_vec([list(r) for r in fm], col) for col in cols]
+        image = [linalg.mat_vec(fm, col) for col in cols]
         if span_rank(cols + image) == base_rank:
             out.append(idx)
     return out

@@ -42,10 +42,10 @@ class Lattice:
         return len(self.gram)
 
     def det(self):
-        return linalg.det([list(r) for r in self.gram])
+        return linalg.det(self.gram)
 
     def signature(self):
-        return linalg.symmetric_signature([list(r) for r in self.gram])
+        return linalg.symmetric_signature(self.gram)
 
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -300,9 +300,8 @@ def _spans(images, fqf):
 def disc_group(lat: Lattice) -> FiniteQuadraticForm:
     """Discriminant group (cokernel of the Gram matrix) with its induced
     Q/2Z-valued form, via the Smith normal form."""
-    g = [list(r) for r in lat.gram]
     n = lat.rank
-    diag, left, right = linalg.smith_normal_form(g)
+    diag, left, right = linalg.smith_normal_form(lat.gram)
     dual_gens = []
     orders = []
     for i, d in enumerate(diag):

@@ -1,7 +1,7 @@
 """Exact dense linear algebra over fields plus integer Smith normal form.
 
-Matrices are plain lists of lists (rows); functions never mutate their
-arguments.  rank and det pick one of two elimination kernels by the type
+Matrices are lists or tuples of rows, each row a list or a tuple;
+functions never mutate their arguments.  rank and det pick one of two elimination kernels by the type
 of the entries:
 
 - the fraction-free kernel (Bareiss) serves ints, and Fractions once each
@@ -139,7 +139,7 @@ def _bareiss(m):
     integral domain with exact `//`.  Returns (rank, last pivot with the
     sign of the row swaps); for a square matrix of full rank that pivot is
     the determinant.  Every division is exact: each entry is a minor of m."""
-    a = [row[:] for row in m]
+    a = [list(row) for row in m]
     rows, cols = len(a), len(a[0])
     r = 0
     sign = 1
@@ -174,7 +174,7 @@ def _field_pivots(m):
     in practice).  Returns (pivots, sign of the row swaps): their count is
     the rank, and for a square matrix of full rank the signed product of
     the pivots is the determinant."""
-    a = [row[:] for row in m]
+    a = [list(row) for row in m]
     rows, cols = len(a), len(a[0])
     pivots = []
     sign = 1
@@ -303,7 +303,7 @@ def char_poly(m):
         raise ValueError("characteristic polynomial of a non-square matrix")
     coeffs = [None] * (n + 1)
     coeffs[n] = 1
-    mk = [row[:] for row in m]
+    mk = [list(row) for row in m]
     cs = []
     for k in range(1, n + 1):
         tr = mk[0][0]
@@ -328,7 +328,7 @@ def char_poly(m):
 def smith_normal_form(m):
     """(diagonal, left, right) with left*m*right diagonal, d_i | d_(i+1),
     and both transforms unimodular.  Entries must be Python ints."""
-    a = [row[:] for row in m]
+    a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     left = identity(rows)

@@ -2,8 +2,11 @@
 
 MultiPoly stores a map from exponent tuples to nonzero coefficients; the
 coefficient domain is anything supporting ring arithmetic (int, Fraction,
-CycloNum, ...).  The canonical term order is graded reverse lexicographic
-over the declared variable order.  Poly1 is a dense univariate polynomial
+CycloNum, ...).  The ring operations build their results through one
+hook, _with_terms, so a subclass can fix the coefficient ring:
+groebner.FPoly is MultiPoly over F_p, whose hook reduces coefficients
+modulo p.  The canonical term order is graded reverse lexicographic over
+the declared variable order.  Poly1 is a dense univariate polynomial
 used for characteristic polynomials, line restrictions and squarefree
 decomposition.
 """
@@ -56,13 +59,25 @@ class MultiPoly:
 
     # -- basic ring ops -------------------------------------------------
 
+    def _with_terms(self, terms):
+        """A polynomial over this one's coefficient ring with the given
+        terms (exponent tuple -> coefficient, no zero coefficients).  The
+        ring operations (+, -, *, **, derivative, exact division) build
+        their results here."""
+        p = MultiPoly.__new__(MultiPoly)
+        p.nvars, p.terms = self.nvars, terms
+        return p
+
+    def _const(self, c):
+        return self._with_terms({(0,) * self.nvars: c} if c else {})
+
     def _check(self, other):
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.nvars, other)
+            other = self._const(other)
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -72,20 +87,16 @@ class MultiPoly:
                 out[e] = s
             elif e in out:
                 del out[e]
-        p = MultiPoly(self.nvars)
-        p.terms = out
-        return p
+        return self._with_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = MultiPoly(self.nvars)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return self._with_terms({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.nvars, other)
+            other = self._const(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -93,10 +104,9 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            p = MultiPoly(self.nvars)
-            if other:
-                p.terms = {e: c * other for e, c in self.terms.items()}
-            return p
+            return self._with_terms(
+                {e: c * other for e, c in self.terms.items()} if other else {}
+            )
         self._check(other)
         out = {}
         small, big = (self.terms, other.terms)
@@ -112,14 +122,12 @@ class MultiPoly:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        p = MultiPoly(self.nvars)
-        p.terms = out
-        return p
+        return self._with_terms(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        result = MultiPoly.const(self.nvars, 1)
+        result = self._const(1)
         base = self
         while k:
             if k & 1:
@@ -175,10 +183,9 @@ class MultiPoly:
             if e[i]:
                 ne = list(e)
                 ne[i] -= 1
-                out[tuple(ne)] = c * e[i]
-        p = MultiPoly(self.nvars)
-        p.terms = {e: c for e, c in out.items() if c}
-        return p
+                if v := c * e[i]:
+                    out[tuple(ne)] = v
+        return self._with_terms(out)
 
     # -- evaluation / substitution --------------------------------------
 
@@ -264,9 +271,7 @@ class MultiPoly:
                     rem[ke] = s
                 elif ke in rem:
                     del rem[ke]
-        p = MultiPoly(self.nvars)
-        p.terms = out
-        return p
+        return self._with_terms(out)
 
     def __floordiv__(self, divisor):
         """Exact quotient, so fraction-free elimination runs over Z[x]."""

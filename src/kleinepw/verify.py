@@ -288,7 +288,7 @@ def _borel(ctx):
 )
 def _weil(ctx):
     s = ctx.generators[2]
-    det = linalg.det([list(r) for r in s])
+    det = linalg.det(s)
     order = group.mat_order(s)
     trace = group.mat_trace(s)
     ok = det == 1 and order == 2 and trace == 1
@@ -447,8 +447,8 @@ def _quadric_invariance(ctx):
             B[i][j] += Fraction(coeff, 2)
             B[j][i] += Fraction(coeff, 2)
     for name, g in zip("acs", ctx.generators):
-        M = [list(r) for r in group._wedge2_matrix(g)]
-        Mt = [list(r) for r in zip(*M)]
+        M = group._wedge2_matrix(g)
+        Mt = linalg.transpose(M)
         lhs = linalg.mat_mul(linalg.mat_mul(Mt, B), M)
         if not linalg.mat_eq(lhs, [[Fraction(x) for x in row] for row in B]):
             return FAIL, {"generator": name}
@@ -593,9 +593,7 @@ def _line5(ctx):
 )
 def _line2(ctx):
     s6 = group._v6_matrix(ctx.generators[2])
-    _, components = epw.sextic_fixed_point_count(
-        [list(r) for r in s6], ctx.lagrangian, ctx.sextic_fixture
-    )
+    _, components = epw.sextic_fixed_point_count(s6, ctx.lagrangian, ctx.sextic_fixture)
     for _, dim, pattern in components:
         if dim == 2:
             return _bool(pattern == [1] * 6, {"pattern": pattern}, {"pattern": pattern})
@@ -644,7 +642,7 @@ def _fixed_counts(ctx):
     got = {}
     for lab, order in plan:
         g6 = group._v6_matrix(ctx.table.elements[ctx.labeled[lab][0]])
-        count, _ = epw.sextic_fixed_point_count([list(r) for r in g6], A, f)
+        count, _ = epw.sextic_fixed_point_count(g6, A, f)
         got[order] = count
         if count != fixtures.SEXTIC_FIXED_COUNTS[order]:
             return FAIL, {"order": order, "computed": count,

@@ -59,9 +59,17 @@ def test_stratum_usage_error(capsys):
          "'prime' must be a prime, got 4"),
         (["groebner", "--file"], {"variables": 1, "prime": "7", "generators": ["x0"]},
          "'prime' must be a prime, got '7'"),
+        (["groebner", "--file"],
+         {"variables": 1, "prime": 7, "codim": "1", "generators": ["x0"]},
+         "'codim' must be a positive int, got '1'"),
+        (["groebner", "--file"], {"variables": 2, "prime": 7, "generators": [5, "x1^2"]},
+         "'generators' must be a list of strings"),
+        (["groebner", "--file"], {"variables": "ab", "prime": 7, "generators": ["a", "b"]},
+         "'variables' must be a positive int or a list of names, got 'ab'"),
     ],
     ids=["stratum-zero-denominator", "groebner-no-generators", "groebner-file-prime-4",
-         "groebner-file-prime-string"],
+         "groebner-file-prime-string", "groebner-file-codim-string",
+         "groebner-generator-not-string", "groebner-variables-string"],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phrase):
     if spec is not None:
@@ -91,9 +99,12 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phras
          "argument --prime: 3 is a bad prime for verify: it divides coefficients"),
         (["verify", "all", "--prime", "11"],
          "argument --prime: 11 is a bad prime for verify: it is the conductor"),
+        (["groebner", "--file", "ideal.json", "--codim", "0"],
+         "argument --codim: 0 is not positive"),
     ],
     ids=["verify-prime-4", "verify-prime-not-int", "groebner-prime-1", "budget-pairs-negative",
-         "budget-degree-negative", "verify-prime-2", "verify-prime-3", "verify-prime-11"],
+         "budget-degree-negative", "verify-prime-2", "verify-prime-3", "verify-prime-11",
+         "groebner-codim-0"],
 )
 def test_bad_number_flag_is_a_usage_error(capsys, argv, phrase):
     with pytest.raises(SystemExit) as err:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -41,7 +42,7 @@ def test_buchberger_basics():
 def test_buchberger_zero_dimensional_cone():
     x, y = fvars(7, 2)
     gb = buchberger([x * x + y * y, x * y])
-    leads = [g.lead()[0] for g in gb]
+    leads = [g.leading_term()[0] for g in gb]
     assert any(e[1] == 0 for e in leads) and any(e[0] == 0 for e in leads)
     # hand-computed S-polynomial content: y^3 lands in the ideal
     assert ideal_membership(y * y * y, gb)
@@ -183,3 +184,21 @@ def test_minor_subsampling_reports():
     assert sampled is True and len(minors) <= 10
     full, not_sampled = jacobian_minors(gens, 4, sample=None)
     assert not_sampled is False and len(full) > 1000
+
+
+def test_jacobian_minors_over_z_match_the_fpoly_expansion():
+    # jacobian_minors takes the minors over Z and reduces them; the oracle
+    # expands each minor of the Jacobian over F_p directly
+    gens = gm_threefold_ideal(P)
+    minors, sampled = jacobian_minors(gens, 4)
+    jac = [[g.derivative(i) for i in range(8)] for g in gens]
+    one = FPoly.const(P, 8, 1)
+    oracle = []
+    for rs in combinations(range(len(gens)), 4):
+        for cs in combinations(range(8), 4):
+            m = linalg.expansion_det([[jac[r][c] for c in cs] for r in rs], one)
+            if not m.is_zero():
+                oracle.append(m)
+    assert sampled is False
+    assert all(type(m) is FPoly and m.p == P for m in minors)
+    assert [m.terms for m in minors] == [m.terms for m in oracle]

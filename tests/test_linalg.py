@@ -200,3 +200,23 @@ def test_expansion_det_zero_row_gives_typed_zero(zero, one):
     assert type(d) is type(one)
     assert d.is_zero()
     assert d == zero
+
+
+@pytest.mark.parametrize(
+    "fn, m",
+    [
+        (linalg.det, [[2, -1, 0], [1, 3, Fraction(1, 2)], [0, 4, 5]]),
+        (linalg.det, rand_cyclo_matrix(random.Random(5), 3, 3)),
+        (linalg.rank, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]),
+        (linalg.rank, rand_cyclo_matrix(random.Random(6), 3, 4)),
+        (linalg.char_poly, [[1, 2, 0], [0, 1, -1], [3, 0, 2]]),
+        (linalg.smith_normal_form, [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]),
+        (linalg.symmetric_signature, [[2, 1, 0], [1, -3, 0], [0, 0, 5]]),
+    ],
+    ids=["det-Q", "det-cyclo", "rank-Z", "rank-cyclo", "char_poly", "smith_normal_form",
+         "symmetric_signature"],
+)
+def test_tuple_rows_give_the_list_rows_result(fn, m):
+    before = [list(row) for row in m]
+    assert fn(tuple(tuple(row) for row in m)) == fn(m)
+    assert m == before

@@ -61,6 +61,63 @@ def test_redundant_input_keeps_the_reduced_basis(gens, data):
         assert normal_form(g, basis).is_zero()
 
 
+# -- FPoly is MultiPoly reduced mod p: each operation commutes with the lift
+
+
+@st.composite
+def _int_polys(draw, p, count):
+    """count integer polynomials in three variables sharing one term set,
+    with exponents up to 8 (so that x^p appears at p = 7) and coefficients
+    that are often multiples of p."""
+    monomials = draw(st.lists(st.tuples(*[st.integers(0, 8)] * 3), min_size=0,
+                              max_size=5, unique=True))
+    coeff = st.one_of(st.integers(-3 * p, 3 * p), st.integers(-3, 3).map(lambda k: k * p))
+    return [MultiPoly(3, {e: draw(coeff) for e in monomials}) for _ in range(count)]
+
+
+def _mod(f, p):
+    return FPoly.from_int_poly(f, p)
+
+
+def _same_fpoly(got, want, p):
+    assert type(got) is FPoly and got.p == p and got.nvars == want.nvars
+    assert all(0 < c < p for c in got.terms.values())
+    assert got.terms == want.terms
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_fpoly_operations_commute_with_reduction(p, data):
+    f, g = data.draw(_int_polys(p, 2))
+    k = data.draw(st.one_of(st.integers(-2 * p, 2 * p), st.just(p)))
+    point = data.draw(st.lists(st.integers(-p, 2 * p), min_size=3, max_size=3))
+    i = data.draw(st.integers(0, 2))
+    ff, fg = _mod(f, p), _mod(g, p)
+    _same_fpoly(ff + fg, _mod(f + g, p), p)
+    _same_fpoly(ff - fg, _mod(f - g, p), p)
+    _same_fpoly(-ff, _mod(-f, p), p)
+    _same_fpoly(ff * k, _mod(f * k, p), p)
+    _same_fpoly(k * ff, _mod(f * k, p), p)
+    _same_fpoly(ff * fg, _mod(f * g, p), p)
+    _same_fpoly(ff.derivative(i), _mod(f.derivative(i), p), p)
+    assert ff.evaluate(point) == f.evaluate(point) % p
+    if ff:
+        lift = MultiPoly(3, ff.terms)
+        _, c = lift.leading_term()
+        monic = ff.monic()
+        _same_fpoly(monic, _mod(lift * pow(c, -1, p), p), p)
+        assert monic.leading_term()[1] == 1
+
+
+def test_fpoly_derivative_drops_coefficients_that_vanish_mod_p():
+    x = FPoly.var(7, 0, 2)
+    y = FPoly.var(7, 1, 2)
+    assert (x ** 7).derivative(0).is_zero()
+    _same_fpoly((x ** 7 + 3 * x * y).derivative(0), FPoly(7, 2, {(0, 1): 3}), 7)
+    assert (x * 7 + y * 14).is_zero()
+
+
 # -- the two elimination kernels against independent routes ---------------
 
 
