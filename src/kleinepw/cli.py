@@ -116,7 +116,7 @@ def build_parser():
     p_lat = sub.add_parser("lattice", help="discriminant data of a lattice")
     p_lat.add_argument("--spec", required=True,
                        help='symbolic sum like "U+U+E8(-1)+(-2)" or a JSON Gram matrix')
-    p_lat.add_argument("--short-vectors", type=int, default=None, metavar="BOUND",
+    p_lat.add_argument("--short-vectors", type=_budget_arg, default=None, metavar="BOUND",
                        help="also enumerate vectors with |norm| <= BOUND")
 
     p_herm = sub.add_parser("hermitian", help="checks for the Hermitian forms")

@@ -14,14 +14,18 @@ arithmetic.
 
 Mixed-conductor operations lift both operands to the lcm of the two
 conductors, which is capped at MAX_CONDUCTOR.  All values are immutable
-and every operation is a pure function.
+and every operation is a pure function.  The inverse is the product of
+the other Galois conjugates over the (rational) norm.  mat_mul multiplies
+matrices with each entry packed into one integer (Kronecker
+substitution), reducing each output entry once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 
@@ -246,28 +250,23 @@ class CycloNum:
                     y = bn[j]
                     if y:
                         conv[i + j] += x * y
-        rows = _reduction_rows(a.n)
-        out = conv[:phi]
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                row = rows[k - phi]
-                for j in range(phi):
-                    out[j] += c * row[j]
-        return CycloNum(a.n, out, a.den * b.den)
+        return CycloNum(a.n, _reduced(conv, a.n, phi), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the product of the other Galois
+        conjugates, divided by the norm (the product of all of them, a
+        nonzero rational)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = euler_phi(self.n)
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        a = [Fraction(c, self.den) for c in self.num]
-        inv = _poly_invert_mod(a, mod)
-        out = inv + [Fraction(0)] * (phi - len(inv))
-        return CycloNum(self.n, out[:phi])
+        adj = CycloNum.from_rational(1, self.n)
+        for t in range(2, self.n):
+            if gcd(t, self.n) == 1:
+                adj = adj * self.galois(t)
+        norm = (self * adj).to_fraction()
+        return CycloNum(self.n, [c * norm.denominator for c in adj.num],
+                        adj.den * norm.numerator)
 
     def __truediv__(self, other):
         other = _coerce(other, self.n)
@@ -375,6 +374,83 @@ def _coerce(value, n):
     if isinstance(value, Fraction):
         return CycloNum.from_rational(value, n)
     return NotImplemented
+
+
+@lru_cache(maxsize=None)
+def _sparse_reduction_rows(n: int) -> tuple:
+    """_reduction_rows(n) with only the nonzero (index, value) pairs."""
+    return tuple(tuple((j, r) for j, r in enumerate(row) if r)
+                 for row in _reduction_rows(n))
+
+
+def _reduced(conv, n, phi):
+    """The coefficients of a product's convolution (2*phi - 1 of them)
+    reduced modulo the n-th cyclotomic polynomial."""
+    out = conv[:phi]
+    for c, row in zip(conv[phi:], _sparse_reduction_rows(n)):
+        if c:
+            for j, r in row:
+                out[j] += c * r
+    return out
+
+
+def _scaled(m, n):
+    """The entries of m lifted to conductor n over one common denominator:
+    (their integer coefficient lists, empty for a zero entry; the
+    denominator; the largest coefficient in absolute value)."""
+    rows = [[x.lift(n) for x in row] for row in m]
+    den = lcm(*(x.den for row in rows for x in row))
+    out = [[[c * (den // x.den) for c in x.num] if x else [] for x in row] for row in rows]
+    top = max((max(max(cs), -min(cs)) for row in out for cs in row if cs), default=0)
+    return out, den, top
+
+
+def _pack(coeffs, bits):
+    """Kronecker substitution: the value at 2^bits of the polynomial with
+    these (signed) coefficients, low to high."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << bits) + c
+    return v
+
+
+def mat_mul(a, b):
+    """Exact product of two matrices of CycloNum entries.
+
+    With the entries lifted to the lcm of their conductors and each operand
+    over one common denominator, every entry is an integer polynomial of
+    degree below phi, packed into one int at radix 2^bits (Kronecker
+    substitution; Dumas, Fousse & Salvy, J. Symbolic Comput. 46, 2011).
+    bits leaves every coefficient of a sum of len(b) convolutions a
+    balanced digit, so each output entry is one sum of int products,
+    unpacked, reduced modulo the cyclotomic polynomial and built once."""
+    n = lcm(*(x.n for m in (a, b) for row in m for x in row))
+    if n > MAX_CONDUCTOR:
+        raise ValueError(f"conductor lcm {n} exceeds cap {MAX_CONDUCTOR}")
+    phi = euler_phi(n)
+    ca, den_a, top_a = _scaled(a, n)
+    cb, den_b, top_b = _scaled(b, n)
+    # each output coefficient c has |c| <= len(b) * phi * top_a * top_b,
+    # which is below 2^(bits - 1), half the radix
+    bits = (len(b) * phi * top_a * top_b).bit_length() + 1
+    pa = [[_pack(c, bits) for c in row] for row in ca]
+    cols = list(zip(*[[_pack(c, bits) for c in row] for row in cb]))
+    # unpack with an offset of half the radix in every digit, so that each
+    # balanced digit d is read as the nonnegative d + half
+    length = 2 * phi - 1
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    offset = half * (((1 << (bits * length)) - 1) // mask)
+    shifts = [bits * t for t in range(length)]
+    den = den_a * den_b
+    out = []
+    for arow in pa:
+        out_row = []
+        for col in cols:
+            acc = sum(map(mul, arow, col)) + offset
+            digits = [((acc >> s) & mask) - half for s in shifts]
+            out_row.append(CycloNum(n, _reduced(digits, n, phi), den))
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -491,49 +567,3 @@ def _as_quadint(value):
     if isinstance(value, int):
         return QuadInt(value, 0)
     return NotImplemented
-
-
-def _poly_invert_mod(a, mod):
-    """Inverse of polynomial a modulo the monic polynomial mod, over Q."""
-
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    def divmod_(p, q):
-        p = p[:]
-        out = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-        while len(p) >= len(q) and any(p):
-            if not p[-1]:
-                p.pop()
-                continue
-            k = len(p) - len(q)
-            f = p[-1] / q[-1]
-            out[k] = f
-            for i in range(len(q)):
-                p[k + i] -= f * q[i]
-            p.pop()
-        return out, trim(p)
-
-    r0, r1 = mod[:], trim(a[:])
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = divmod_(r0, r1)
-        r0, r1 = r1, r
-        # s_next = s0 - q * s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, x in enumerate(q):
-            if x:
-                for j, y in enumerate(s1):
-                    prod[i + j] += x * y
-        nxt = [Fraction(0)] * max(len(s0), len(prod))
-        for i, x in enumerate(s0):
-            nxt[i] += x
-        for i, x in enumerate(prod):
-            nxt[i] -= x
-        s0, s1 = s1, trim(nxt)
-    if len(r0) != 1:
-        raise ArithmeticError("element not invertible modulo the cyclotomic polynomial")
-    inv_lead = 1 / r0[0]
-    return [c * inv_lead for c in s0]

@@ -11,20 +11,25 @@ ordered to match the diagonal generator, normalized by a square root of
 -11 so the determinant is exactly 1.
 
 All 660 elements are generated by breadth-first closure with canonical
-cyclotomic hashing; its multiplication table by the generators gives
-products, squares, orders and conjugacy classes (genuine conjugation
-orbits) by index.  Characters and fixed-point counts are computed from
-the closure, exactly.  The group-summed invariant Hermitian form is
-|G| * I, proved from the exact unitarity of the generators' images; the
-term-by-term sum remains for representations that are not unitary.
+cyclotomic hashing.  A right product by a monomial generator is a column
+permutation and a scaling; only the Weil generator needs the packed
+product cyclo.mat_mul.  The closure's multiplication table by the
+generators gives products, squares, orders and conjugacy classes (genuine
+conjugation orbits) by index, and stabilizers come from orbits: each
+generator permutes the orbit of a subspace, and an element's word is
+walked through those permutations.  Characters and fixed-point counts are
+computed from the closure, exactly.  The group-summed invariant Hermitian
+form is |G| * I, proved from the exact unitarity of the generators'
+images; the term-by-term sum, invariant_hermitian, is the tests' oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from . import linalg
+from . import cyclo, linalg
 from .cyclo import CycloNum, lambda_embed, sqrt_minus_11
 from .epw import exterior_power_matrix, v6_action
 
@@ -53,20 +58,9 @@ def _zeta(k):
     return CycloNum.zeta(CONDUCTOR, k)
 
 
-_ZERO = None
-_ONE = None
-
-
-def _zero_one():
-    global _ZERO, _ONE
-    if _ZERO is None:
-        _ZERO, _ONE = _c11(0), _c11(1)
-    return _ZERO, _ONE
-
-
 def gen_a():
     """Order-5 generator: the 5-cycle permutation matrix (determinant 1)."""
-    zero, one = _zero_one()
+    zero, one = _c11(0), _c11(1)
     m = [[zero] * 5 for _ in range(5)]
     for col in range(5):
         m[(col + 1) % 5][col] = one
@@ -75,7 +69,7 @@ def gen_a():
 
 def gen_c():
     """Order-11 generator: diag(z, z^4, z^5, z^9, z^3), determinant 1."""
-    zero, _ = _zero_one()
+    zero = _c11(0)
     exps = (1, 4, 5, 9, 3)
     m = [[zero] * 5 for _ in range(5)]
     for i, e in enumerate(exps):
@@ -126,29 +120,13 @@ def weil_outside_borel():
 
 
 def mat_mul(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                x = ai[k]
-                if x.is_zero():
-                    continue
-                y = b[k][j]
-                if y.is_zero():
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else _zero_one()[0])
-        out.append(tuple(row))
-    return tuple(out)
+    """Exact product of two matrices over the cyclotomic field: the packed
+    kernel cyclo.mat_mul."""
+    return cyclo.mat_mul(a, b)
 
 
 def mat_identity(n=5):
-    zero, one = _zero_one()
+    zero, one = _c11(0), _c11(1)
     return tuple(
         tuple(one if i == j else zero for j in range(n)) for i in range(n)
     )
@@ -218,6 +196,33 @@ def mat_conj_transpose(m):
 # ---------------------------------------------------------------------------
 
 
+def _monomial_columns(h):
+    """For a matrix with exactly one nonzero entry in each column, the
+    (row, entry) of that nonzero column by column, with None for an entry
+    equal to 1; None for any other matrix."""
+    cols = []
+    for j in range(len(h[0])):
+        rows = [i for i in range(len(h)) if not h[i][j].is_zero()]
+        if len(rows) != 1:
+            return None
+        e = h[rows[0]][j]
+        cols.append((rows[0], None if e == 1 else e))
+    return cols
+
+
+def _right_product(h):
+    """g -> g * h.  A monomial h is a column permutation and a scaling, in
+    which an entry equal to 1 (or a zero entry of g) is not multiplied;
+    any other h goes through the dense mat_mul."""
+    cols = _monomial_columns(h)
+    if cols is None:
+        return lambda g: mat_mul(g, h)
+    return lambda g: tuple(
+        tuple(row[i] if s is None or not row[i] else row[i] * s for i, s in cols)
+        for row in g
+    )
+
+
 def generate_group(gens, cap=1320):
     """Breadth-first closure under multiplication with canonical hashing;
     aborts past the cap (closure exceeding it means a mis-normalized
@@ -230,11 +235,12 @@ def generate_group(gens, cap=1320):
     index = {mat_key(ident): 0}
     words = [()]
     right = []
+    products = [_right_product(h) for h in gens]
     # elements grows while it is walked: breadth-first order is index order
     for i, g in enumerate(elements):
         row = []
-        for k, h in enumerate(gens):
-            prod = mat_mul(g, h)
+        for k, times in enumerate(products):
+            prod = times(g)
             key = mat_key(prod)
             j = index.get(key)
             if j is None:
@@ -587,22 +593,55 @@ def hermitian_positive_definite(m) -> bool:
     return True
 
 
+def _echelon(vectors):
+    """The reduced row echelon basis of the span of vectors (CycloNums of
+    one conductor) and its key; equal spans give equal keys."""
+    red, pivots = linalg.rref(vectors)
+    basis = red[:len(pivots)]
+    return basis, tuple((x.num, x.den) for row in basis for x in row)
+
+
 def stabilizer(table: GroupTable, subspace_cols, rep: RepFunctor = None):
     """Indices of elements whose image maps the column span of the given
-    6 x k matrix into itself."""
+    6 x k matrix into itself.
+
+    Orbit-stabilizer (Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, 2005, section 4.1): a breadth-first search over the span's
+    orbit under the generators' images, each span keyed by its reduced
+    echelon form over one cyclotomic field, records each generator as a
+    permutation of the orbit.  elements[i] = g_k1 ... g_km for words[i] =
+    (k1, ..., km), so its image of the span is found by walking the word
+    through those permutations right to left."""
     if rep is None:
         rep = functor_v6()
     if not any(any(row) for row in subspace_cols):
         raise ValueError("zero subspace")
-    from .epw import span_rank
-
-    cols = [[subspace_cols[i][j] for i in range(len(subspace_cols))]
-            for j in range(len(subspace_cols[0]))]
-    base_rank = span_rank(cols)
+    # the transposed images of the generators, then the spanning vectors,
+    # as rows over one cyclotomic field
+    rows = [col for g in table.gens for col in zip(*rep.matrix(g))]
+    rows += list(zip(*subspace_cols))
+    n = lcm(*(x.n for row in rows for x in row if isinstance(x, CycloNum)))
+    rows = [[x.lift(n) if isinstance(x, CycloNum) else CycloNum.from_rational(x, n)
+             for x in row] for row in rows]
+    d = len(subspace_cols)
+    transposed = [rows[k:k + d] for k in range(0, d * len(table.gens), d)]
+    start, key = _echelon(rows[d * len(table.gens):])
+    orbit, index = [start], {key: 0}
+    perms = [[] for _ in transposed]
+    # orbit grows while it is walked
+    for basis in orbit:
+        for perm, mt in zip(perms, transposed):
+            image, key = _echelon(cyclo.mat_mul(basis, mt))
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(orbit)
+                orbit.append(image)
+            perm.append(j)
     out = []
-    for idx, m in enumerate(table.elements):
-        fm = rep.matrix(m)
-        image = [linalg.mat_vec(fm, col) for col in cols]
-        if span_rank(cols + image) == base_rank:
+    for idx, word in enumerate(table.words):
+        point = 0
+        for k in reversed(word):
+            point = perms[k][point]
+        if point == 0:
             out.append(idx)
     return out

@@ -101,10 +101,12 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phras
          "argument --prime: 11 is a bad prime for verify: it is the conductor"),
         (["groebner", "--file", "ideal.json", "--codim", "0"],
          "argument --codim: 0 is not positive"),
+        (["lattice", "--spec", "E8", "--short-vectors", "-1"],
+         "argument --short-vectors: -1 is negative"),
     ],
     ids=["verify-prime-4", "verify-prime-not-int", "groebner-prime-1", "budget-pairs-negative",
          "budget-degree-negative", "verify-prime-2", "verify-prime-3", "verify-prime-11",
-         "groebner-codim-0"],
+         "groebner-codim-0", "short-vectors-negative"],
 )
 def test_bad_number_flag_is_a_usage_error(capsys, argv, phrase):
     with pytest.raises(SystemExit) as err:

@@ -124,6 +124,62 @@ def test_table_queries_need_no_matrix_products(generators, monkeypatch):
     assert table.product_index(b, table.square_index(b)) in labeled["b3"]
 
 
+def test_closure_makes_dense_products_only_for_the_weil_generator(generators, monkeypatch):
+    calls = []
+    dense = group.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return dense(a, b)
+
+    monkeypatch.setattr(group, "mat_mul", counted)
+    assert len(group.generate_group(list(generators))) == 660
+    assert len(calls) == 660
+    del calls[:]
+    assert len(group.generate_group([group.gen_a(), group.gen_c()])) == 55
+    assert not calls
+
+
+def test_stabilizer_makes_no_rank_call(table660, monkeypatch):
+    def refuse(m):
+        raise AssertionError("rank call in the stabilizer")
+
+    monkeypatch.setattr(linalg, "rank", refuse)
+    assert len(group.stabilizer(table660, [[0], [1], [0], [0], [0], [0]])) == 11
+
+
+def _dense_closure(gens):
+    """The oracle route: the breadth-first closure with every right product
+    taken by the dense mat_mul."""
+    elements = [group.mat_identity(len(gens[0]))]
+    index = {group.mat_key(elements[0]): 0}
+    words, right = [()], []
+    for i, g in enumerate(elements):
+        row = []
+        for k, h in enumerate(gens):
+            prod = group.mat_mul(g, h)
+            j = index.setdefault(group.mat_key(prod), len(elements))
+            if j == len(elements):
+                elements.append(prod)
+                words.append(words[i] + (k,))
+            row.append(j)
+        right.append(tuple(row))
+    return [group.mat_key(m) for m in elements], tuple(words), tuple(right)
+
+
+def test_monomial_products_match_the_dense_closure(generators, table660):
+    minus_one = tuple(tuple(-e for e in row) for row in group.mat_identity())
+    cases = [
+        (list(generators), table660),
+        ([group.gen_a(), group.gen_c()], None),
+        ([group.gen_c(), minus_one], None),
+    ]
+    for gens, table in cases:
+        table = table or group.generate_group(gens)
+        got = [group.mat_key(m) for m in table.elements], table.words, table.right
+        assert got == _dense_closure(gens)
+
+
 def test_class_labels_and_orders(table660, labeled_classes):
     for label, order, size in fixtures.CLASS_DATA:
         cls = labeled_classes[label]
@@ -324,6 +380,43 @@ def test_stabilizers(table660):
     orders = {table660.element_order(i) for i in stab}
     assert len(stab) >= 10
     assert 5 in orders and 2 in orders
+
+
+def _stabilizer_by_images(table, subspace_cols, images):
+    """The oracle route: the elements whose 6 x 6 image keeps the rank of
+    the span, one exact image and one rank per element."""
+    cols = [list(col) for col in zip(*subspace_cols)]
+    base = epw.span_rank(cols)
+    return [
+        idx for idx, fm in enumerate(images)
+        if epw.span_rank(cols + [linalg.mat_vec(fm, c) for c in cols]) == base
+    ]
+
+
+def test_orbit_stabilizer_matches_the_image_loop(table660):
+    rng = random.Random(23)
+    images = [group.functor_v6().matrix(m) for m in table660.elements]
+
+    def rational(k):
+        return [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(k)]
+                for _ in range(6)]
+
+    def moved(cols):
+        # the image under a random element: cyclotomic entries, and a
+        # conjugate stabilizer of the same size
+        fm = images[rng.randrange(1, 660)]
+        return [list(row) for row in zip(*(linalg.mat_vec(fm, c) for c in zip(*cols)))]
+
+    e1 = [[0], [1], [0], [0], [0], [0]]
+    plane = [[1, 0], [0, 1], [0, 1], [0, 1], [0, 1], [0, 1]]
+    subspaces = [rational(1), e1, plane, rational(2), moved(e1), moved(plane),
+                 moved(rational(1))]
+    sizes = []
+    for cols in subspaces:
+        got = group.stabilizer(table660, cols)
+        assert got == _stabilizer_by_images(table660, cols, images)
+        sizes.append(len(got))
+    assert sizes[1] == sizes[4] == 11 and sizes[2] == sizes[5] >= 10
 
 
 def test_v_equivariance_validates_generators(generators):

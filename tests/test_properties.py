@@ -250,3 +250,80 @@ def test_cyclo_field_axioms_across_conductors(xyz):
     if not x.is_zero():
         assert x * x.inverse() == 1
         assert _same((x * y) / x, y)
+
+
+# -- the packed matrix product against the per-entry product ----------------
+
+# conductors of the entries, and hosts whose divisors among them can be
+# mixed in one product within MAX_CONDUCTOR
+PRODUCT_CONDUCTORS = (1, 3, 5, 11, 33)
+PRODUCT_HOSTS = (15, 33, 55)
+
+
+def _per_entry_mat_mul(a, b):
+    """The term-by-term product: one reduced CycloNum per term and another
+    per addition."""
+    zero = CycloNum.from_rational(0)
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = None
+            for k, x in enumerate(row):
+                y = b[k][j]
+                if x.is_zero() or y.is_zero():
+                    continue
+                term = x * y
+                acc = term if acc is None else acc + term
+            out_row.append(zero if acc is None else acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+@st.composite
+def _cyclo_entry(draw, host, bound):
+    """A CycloNum of a conductor dividing host: often zero, otherwise with
+    signed coefficients up to bound over mixed denominators."""
+    n = draw(st.sampled_from([c for c in PRODUCT_CONDUCTORS if host % c == 0]))
+    phi = euler_phi(n)
+    if draw(st.integers(0, 3)) == 0:
+        return CycloNum(n, (0,) * phi, 1)
+    coeffs = draw(st.lists(st.integers(-bound, bound), min_size=phi, max_size=phi))
+    return CycloNum(n, coeffs, draw(st.sampled_from([1, 1, 2, 3, 7, 2 ** 40 + 15])))
+
+
+@st.composite
+def _matrix_pair(draw):
+    """An n x n pair (n from 1 to 10) over one host field."""
+    n = draw(st.integers(1, 10))
+    host = draw(st.sampled_from(PRODUCT_HOSTS))
+    bound = draw(st.sampled_from([1, 5, 2 ** 30, 2 ** 100]))
+    entry = _cyclo_entry(host, bound)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return draw(square), draw(square)
+
+
+def _equal_matrices(got, want):
+    return len(got) == len(want) and all(
+        len(r) == len(s) and all(x == y for x, y in zip(r, s)) for r, s in zip(got, want)
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(pair=_matrix_pair())
+def test_packed_mat_mul_matches_per_entry_product(pair):
+    a, b = pair
+    assert _equal_matrices(group.mat_mul(a, b), _per_entry_mat_mul(a, b))
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize("conductor", PRODUCT_CONDUCTORS)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_mat_mul_at_the_coefficient_bound(n, conductor, sign):
+    # every coefficient of every entry at +-2^100: the middle coefficient
+    # of each output convolution sum is n * phi * 2^200, the radix bound
+    phi = euler_phi(conductor)
+    top = 2 ** 100
+    a = [[CycloNum(conductor, (sign * top,) * phi, 1)] * n for _ in range(n)]
+    b = [[CycloNum(conductor, (top,) * phi, 1)] * n for _ in range(n)]
+    assert _equal_matrices(group.mat_mul(a, b), _per_entry_mat_mul(a, b))
