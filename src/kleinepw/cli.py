@@ -96,9 +96,9 @@ def build_parser():
     p_verify.add_argument("--slow", action="store_true", help="include the slow tier")
     p_verify.add_argument(
         "--prime", type=_verify_prime_arg, action="append", default=None,
-        help="prime(s) for the finite-field checks (repeatable); 2, 3 and 11 are "
-        "refused: 2 and 3 divide coefficients of the transcribed sextic, 11 is the "
-        "conductor",
+        help="a prime for the finite-field checks; give it twice, with two distinct "
+        "primes, or not at all (32003 and 65537); 2, 3 and 11 are refused: 2 and 3 "
+        "divide coefficients of the transcribed sextic, 11 is the conductor",
     )
 
     p_sextic = sub.add_parser("emit-sextic", help="print the canonical sextic")
@@ -137,19 +137,17 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         raise SystemExit(2 if e.code not in (0, None) else 0)
-    try:
-        handler = {
-            "verify": cmd_verify,
-            "emit-sextic": cmd_emit_sextic,
-            "char-table": cmd_char_table,
-            "fixed-points": cmd_fixed_points,
-            "stratum": cmd_stratum,
-            "lattice": cmd_lattice,
-            "hermitian": cmd_hermitian,
-            "groebner": cmd_groebner,
-        }[args.command]
-    except KeyError:
-        parser.error(f"unknown command {args.command}")
+    # argparse requires the subcommand and restricts it to these names
+    handler = {
+        "verify": cmd_verify,
+        "emit-sextic": cmd_emit_sextic,
+        "char-table": cmd_char_table,
+        "fixed-points": cmd_fixed_points,
+        "stratum": cmd_stratum,
+        "lattice": cmd_lattice,
+        "hermitian": cmd_hermitian,
+        "groebner": cmd_groebner,
+    }[args.command]
     try:
         return handler(args)
     except (PolyParseError, ValueError, OSError, json.JSONDecodeError) as e:
@@ -167,6 +165,9 @@ def _emit(args, payload, text_lines):
 
 def cmd_verify(args):
     primes = tuple(args.prime) if args.prime else (32003, 65537)
+    if len(primes) != 2 or primes[0] == primes[1]:
+        raise ValueError(f"verify needs exactly two distinct --prime values, or none; "
+                         f"got {', '.join(map(str, primes))}")
     ctx = verify.VerifyContext(
         seed=args.seed,
         slow=args.slow,

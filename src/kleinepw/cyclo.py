@@ -15,7 +15,8 @@ arithmetic.
 Mixed-conductor operations lift both operands to the lcm of the two
 conductors, which is capped at MAX_CONDUCTOR.  All values are immutable
 and every operation is a pure function.  The inverse is the product of
-the other Galois conjugates over the (rational) norm.  mat_mul multiplies
+the other Galois conjugates over the (rational) norm.  common_field lifts
+a matrix to the lcm of its entries' conductors.  mat_mul multiplies
 matrices with each entry packed into one integer (Kronecker
 substitution), reducing each output entry once.
 """
@@ -374,6 +375,18 @@ def _coerce(value, n):
     if isinstance(value, Fraction):
         return CycloNum.from_rational(value, n)
     return NotImplemented
+
+
+def common_field(rows):
+    """Lift a matrix with a CycloNum entry to one cyclotomic field, the
+    lcm of its entries' conductors; a rational matrix is returned as it
+    is, for linalg's integer kernel."""
+    conductors = [x.n for row in rows for x in row if isinstance(x, CycloNum)]
+    if not conductors:
+        return rows
+    n = lcm(*conductors)
+    return [[x.lift(n) if isinstance(x, CycloNum) else CycloNum.from_rational(x, n)
+             for x in row] for row in rows]
 
 
 @lru_cache(maxsize=None)

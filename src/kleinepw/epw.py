@@ -9,11 +9,14 @@ independent ways: fraction-free elimination over the polynomial ring, and
 evaluation at the integer points of the degree-10 simplex followed by
 exact Newton interpolation.
 
-The module holds no elimination of its own.  Ranks and determinants go
-through linalg: its fraction-free (Bareiss) kernel takes the rational
-matrices as they are and the chart matrices over Z[x1..x5] through
-linalg.bareiss_det; its field kernel takes the matrices that
-_common_field lifts to one cyclotomic field.
+The module holds no elimination of its own.  Ranks, determinants and
+exterior powers go through linalg: its fraction-free (Bareiss) kernel
+takes the rational matrices as they are and the chart matrices over
+Z[x1..x5] through linalg.bareiss_det; its field kernel takes the
+matrices that cyclo.common_field lifts to one cyclotomic field.  Both
+sextic routes certify the degree bound 6, and sextic_equation also the
+x0^6 coefficient 1, raising ArithmeticError when the determinant breaks
+them.
 
 All operations are pure functions over immutable inputs.
 """
@@ -23,10 +26,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm as _lcm
+from math import factorial
 
-from . import fixtures, linalg
-from .cyclo import CycloNum
+from . import fixtures, group, linalg
+from .cyclo import CycloNum, common_field
 from .poly import MultiPoly, Poly1, squarefree_decomposition
 
 TRIPLES6 = tuple(combinations(range(6), 3))
@@ -144,65 +147,8 @@ def wedge_vector_pair(x, pair):
     return out
 
 
-def _minor(m, rows, cols):
-    k = len(rows)
-    if k == 1:
-        return m[rows[0]][cols[0]]
-    if k == 2:
-        (r0, r1), (c0, c1) = rows, cols
-        return m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
-    if k == 3:
-        (r0, r1, r2), (c0, c1, c2) = rows, cols
-        return (
-            m[r0][c0] * (m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1])
-            - m[r0][c1] * (m[r1][c0] * m[r2][c2] - m[r1][c2] * m[r2][c0])
-            + m[r0][c2] * (m[r1][c0] * m[r2][c1] - m[r1][c1] * m[r2][c0])
-        )
-    return linalg.det([[m[r][c] for c in cols] for r in rows])
-
-
-def exterior_power_matrix(m, k):
-    """Matrix of the induced map on the k-th exterior power; bases are the
-    lexicographically ordered k-subsets.  Entry (I, J) is the (I, J) minor."""
-    n = len(m)
-    subsets = tuple(combinations(range(n), k))
-    return [[_minor(m, rows, cols) for cols in subsets] for rows in subsets]
-
-
-def v6_action(g5):
-    """Extend a 5 x 5 matrix to 6 x 6 acting trivially on coordinate 0."""
-    zero = g5[0][0] * 0
-    one = zero + 1
-    out = [[one] + [zero] * 5]
-    for row in g5:
-        out.append([zero] + list(row))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# field coercion helpers
-# ---------------------------------------------------------------------------
-
-
-def _common_field(rows):
-    """Lift a matrix with a CycloNum entry to one cyclotomic field; a
-    rational matrix is returned as it is, for linalg's integer kernel."""
-    conductor = None
-    for row in rows:
-        for x in row:
-            if isinstance(x, CycloNum):
-                conductor = _lcm(conductor or 1, x.n)
-    if conductor is None:
-        return rows
-    return [
-        [x.lift(conductor) if isinstance(x, CycloNum)
-         else CycloNum.from_rational(x, conductor) for x in row]
-        for row in rows
-    ]
-
-
 def span_rank(rows):
-    return linalg.rank(_common_field(rows))
+    return linalg.rank(common_field(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +180,9 @@ def gm_dimension(a_rows, covector):
     kernel_cols = linalg.kernel_basis([covector])
     ncols = len(kernel_cols[0])
     basis = [[kernel_cols[i][j] for i in range(6)] for j in range(ncols)]
-    w_rows = []
-    for tri in combinations(range(len(basis)), 3):
-        vec = _wedge3_of_vectors(basis[tri[0]], basis[tri[1]], basis[tri[2]])
-        w_rows.append(vec)
+    # the 3 x 3 minors' columns are the 3-subsets of 0..5 in TRIPLES6 order
+    w_rows = linalg.exterior_power_matrix(basis, 3)
     return 5 - trivector_subspace_intersection(a_rows, w_rows)
-
-
-def _wedge3_of_vectors(u, v, w):
-    out = [0] * 20
-    mat = [u, v, w]
-    for idx, tri in enumerate(TRIPLES6):
-        sub = [[mat[r][c] for c in tri] for r in range(3)]
-        out[idx] = linalg.det(sub)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +252,6 @@ def is_lagrangian(rows):
 # ---------------------------------------------------------------------------
 
 
-class TransversalityError(ValueError):
-    """The chart construction needs the Lagrangian transverse to the
-    3-vectors on coordinates 1..5."""
-
-
 def chart_matrix_derived():
     """10 x 10 matrix over Z[x1..x5] whose determinant cuts out the sextic
     on the affine chart x0 = 1, derived from the graph map (not transcribed)."""
@@ -344,65 +274,17 @@ def chart_matrix_derived():
     ]
 
 
-def _chart_matrix_for(a_rows):
-    """Chart matrix for a general Lagrangian with invertible e0-block."""
-    e0_cols = [TRIPLE_INDEX[(0,) + p] for p in PAIRS5]
-    xi_cols = [TRIPLE_INDEX[t] for t in TRIPLES5]
-    B = [[Fraction(r[c]) for c in e0_cols] for r in a_rows]
-    C = [[Fraction(r[c]) for c in xi_cols] for r in a_rows]
-    det_b = linalg.det(B)
-    if det_b == 0:
-        raise TransversalityError("Lagrangian meets the 3-vectors on 1..5")
-    # modulo the Lagrangian:  e0 ^ e_J  =  -sum_r alpha_r * (xi-part of row r)
-    # where  B^T alpha = unit_J
-    bt = linalg.transpose(B)
-    image_cols = []
-    for j in range(10):
-        rhs = [Fraction(int(i == j)) for i in range(10)]
-        alpha = linalg.solve(bt, rhs)
-        if alpha is None:
-            raise ArithmeticError("B^T alpha = e_J has no solution")
-        col = [-sum(alpha[r] * C[r][t] for r in range(10)) for t in range(10)]
-        image_cols.append(col)
-    # full map on the chart: e_J -> (image of e0 ^ e_J) + (sum x_k e_k) ^ e_J
-    out = [[MultiPoly.const(5, 0) for _ in range(10)] for _ in range(10)]
-    for j, J in enumerate(PAIRS5):
-        for t in range(10):
-            c = image_cols[j][t]
-            if c:
-                out[t][j] = out[t][j] + MultiPoly.const(5, c)
-        for k in range(1, 6):
-            sign, tri = merge_indices((k,), J)
-            if not sign:
-                continue
-            out[TRIPLE5_INDEX[tri]][j] = out[TRIPLE5_INDEX[tri]][j] + MultiPoly.var(
-                k - 1, 5, sign
-            )
-    return out
-
-
-def sextic_equation(a_rows=None):
+def sextic_equation():
     """Homogeneous degree-6 polynomial in x0..x5 cutting out the locus where
-    the Lagrangian meets x ^ (2-vectors); for the canonical Lagrangian the
-    chart matrix is the derived one and the x0^6 coefficient is +1."""
-    if a_rows is None or a_rows == build_A():
-        chart = chart_matrix_derived()
-        det = linalg.bareiss_det(chart)
-    else:
-        chart = _chart_matrix_for(a_rows)
-        det = linalg.expansion_det(chart, MultiPoly.const(5, 1))
-    if det.is_zero():
-        raise TransversalityError("degenerate chart determinant")
-    deg = det.total_degree()
-    if deg > 6:
-        raise TransversalityError("chart determinant exceeds degree 6")
+    the invariant Lagrangian meets x ^ (2-vectors): the derived chart
+    determinant by fraction-free elimination over Z[x1..x5].  Its degree
+    at most 6 and its x0^6 coefficient 1 are certified, not assumed."""
+    det = linalg.bareiss_det(chart_matrix_derived())
+    if det.total_degree() > 6:
+        raise ArithmeticError("chart determinant has degree above 6")
     hom = det.homogenize(6, 0, degree=6)
-    const = hom.coefficient((6, 0, 0, 0, 0, 0))
-    if const:
-        hom = hom.map_coefficients(lambda c: Fraction(c) / const)
-        hom = hom.map_coefficients(
-            lambda c: int(c) if Fraction(c).denominator == 1 else c
-        )
+    if hom.coefficient((6, 0, 0, 0, 0, 0)) != 1:
+        raise ArithmeticError("chart determinant has x0^6 coefficient other than 1")
     return hom
 
 
@@ -527,28 +409,18 @@ def root_of_unity(order, power=1):
     raise ValueError(f"unsupported root order {order}")
 
 
-def matrix_order(m, cap=70):
-    ident = linalg.identity(len(m), m[0][0] * 0 + 1, m[0][0] * 0)
-    acc = m
-    for k in range(1, cap + 1):
-        if linalg.mat_eq(acc, ident):
-            return k
-        acc = linalg.mat_mul(acc, m)
-    raise ValueError("matrix order exceeds cap")
-
-
 def fixed_locus(g6):
     """Eigen-decomposition of a finite-order 6 x 6 matrix: one subspace per
     eigenvalue actually occurring, over a cyclotomic field containing all
     candidate eigenvalues.  The projective fixed locus is the union of the
     projectivized eigenspaces."""
-    g6 = _common_field(g6)
-    n = matrix_order(g6)
+    g6 = common_field(g6)
+    n = group.mat_order(g6)
     out = []
     for j in range(n):
         ev = root_of_unity(n, j)
         shifted = [[g6[i][k] - (ev if i == k else 0) for k in range(6)] for i in range(6)]
-        shifted = _common_field(shifted)
+        shifted = common_field(shifted)
         kb = linalg.kernel_basis(shifted)
         dim = len(kb[0]) if kb else 0
         if dim:
@@ -584,8 +456,8 @@ def dual_rebuild_check(generators):
         aug = [list(row) + [Fraction(int(i == k)) for k in range(5)] for i, row in enumerate(g)]
         ginv = [row[5:] for row in linalg.rref(aug)[0]]
         gdual = [[ginv[j][i] for j in range(5)] for i in range(5)]
-        w2 = exterior_power_matrix(gdual, 2)
-        w3 = exterior_power_matrix(gdual, 3)
+        w2 = linalg.exterior_power_matrix(gdual, 2)
+        w3 = linalg.exterior_power_matrix(gdual, 3)
         lhs = linalg.mat_mul(vdq, w2)
         rhs = linalg.mat_mul(w3, vdq)
         if not linalg.mat_eq(lhs, rhs):

@@ -13,6 +13,9 @@ finite-field stand-ins for characteristic-0 computations:
   the empty verdict: a subset of the minors cuts out a larger scheme, so
   emptiness of the subsampled locus implies emptiness of the full one.
 
+The GM threefold's ideal is built from the Grassmannian's Pluecker
+relations by substituting its linear section, not written out by hand.
+
 Emptiness over a single prime is evidence, not proof, for the
 characteristic-0 statement; the verification driver demands agreement at
 two primes and labels results accordingly.  Budgets (pair count, degree)
@@ -468,11 +471,7 @@ def decomposable_pullback_ideal(p):
     out = []
     seen = set()
     for rel in relations:
-        acc = FPoly.zero(p, 10)
-        for e, c in rel.terms.items():
-            idx = [i for i, k in enumerate(e) for _ in range(k)]
-            prod = linear[idx[0]] * linear[idx[1]]
-            acc = acc + prod * c
+        acc = rel.substitute(linear)
         if not acc.is_zero():
             key = frozenset(acc.monic().terms.items())
             if key not in seen:
@@ -481,9 +480,11 @@ def decomposable_pullback_ideal(p):
     return out
 
 
-def pluecker_relations_gr25(p, nvars, pair_index):
-    """The five 4-term Grassmannian relations for 2-planes in a 5-space:
-    one per 4-subset {i<j<k<l}: x_ij x_kl - x_ik x_jl + x_il x_jk."""
+def pluecker_relations_gr25(p):
+    """The five 4-term Grassmannian relations for 2-planes in a 5-space, in
+    the ten pair coordinates x01, x02, ..., x34 (lexicographic order): one
+    per 4-subset {i<j<k<l}: x_ij x_kl - x_ik x_jl + x_il x_jk."""
+    pair_index = {pair: k for k, pair in enumerate(combinations(range(5), 2))}
     out = []
     for sub in combinations(range(5), 4):
         i, j, k, l = sub
@@ -494,48 +495,29 @@ def pluecker_relations_gr25(p, nvars, pair_index):
             (((i, l), (j, k)), 1),
         ):
             a, b = pair_index[p1], pair_index[p2]
-            e = [0] * nvars
+            e = [0] * 10
             e[a] += 1
             e[b] += 1
             terms[tuple(e)] = sign % p
-        out.append(FPoly(p, nvars, terms))
+        out.append(FPoly(p, 10, terms))
     return out
 
 
 def gm_threefold_ideal(p):
-    """The degree-10 Fano threefold section: five restricted Grassmannian
-    quadrics plus one more quadric, in the eight coordinates left after
-    imposing x03 = -x12 and x04 = x23 (variable order: x01, x02, x12,
+    """The degree-10 Fano threefold section: the five Grassmannian quadrics
+    restricted to the linear section x03 = -x12, x04 = x23, plus one more
+    quadric, in the eight coordinates left (variable order: x01, x02, x12,
     x13, x14, x23, x24, x34)."""
     names = ["x01", "x02", "x12", "x13", "x14", "x23", "x24", "x34"]
-    name_index = {n: i for i, n in enumerate(names)}
-    nvars = 8
 
-    def var(n, coeff=1):
-        return FPoly.var(p, name_index[n], nvars, coeff)
+    def var(name, coeff=1):
+        return FPoly.var(p, names.index(name), 8, coeff)
 
-    def image(pair):
-        i, j = pair
-        key = f"x{i}{j}"
-        if key in name_index:
-            return var(key)
-        if key == "x03":
-            return var("x12", -1)
-        if key == "x04":
-            return var("x23")
-        raise KeyError(key)
-
-    out = []
-    for sub in combinations(range(5), 4):
-        i, j, k, l = sub
-        rel = (
-            image((i, j)) * image((k, l))
-            - image((i, k)) * image((j, l))
-            + image((i, l)) * image((j, k))
-        )
-        out.append(rel)
-    quadric = var("x01") * var("x02") - var("x13") * var("x14") - var("x24") * var("x34")
-    out.append(quadric)
+    section = {"x03": var("x12", -1), "x04": var("x23")}
+    pairs = [f"x{i}{j}" for i, j in combinations(range(5), 2)]
+    images = [section[pair] if pair in section else var(pair) for pair in pairs]
+    out = [rel.substitute(images) for rel in pluecker_relations_gr25(p)]
+    out.append(var("x01") * var("x02") - var("x13") * var("x14") - var("x24") * var("x34"))
     return out
 
 
@@ -546,9 +528,7 @@ def gm_fivefold_ideal(p):
     from .fixtures import PAIR_VARS, QUADRIC_TEXT
     from .textform import parse_polynomial
 
-    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    pair_index = {pr: k for k, pr in enumerate(pairs)}
-    out = pluecker_relations_gr25(p, 10, pair_index)
+    out = pluecker_relations_gr25(p)
     q = parse_polynomial(QUADRIC_TEXT, PAIR_VARS)
     out.append(FPoly.from_int_poly(q, p))
     return out

@@ -27,11 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import cyclo, linalg
-from .cyclo import CycloNum, lambda_embed, sqrt_minus_11
-from .epw import exterior_power_matrix, v6_action
+from .cyclo import CycloNum, euler_phi, lambda_embed, sqrt_minus_11
 
 CONDUCTOR = 11
 
@@ -381,30 +379,13 @@ def _dual_matrix(m5):
 
 
 def _wedge2_matrix(m5):
-    return tuple(tuple(row) for row in exterior_power_matrix(m5, 2))
-
-
-def _sym2_matrix(m):
-    """Symmetric square on the basis e_i . e_j (i <= j, lex)."""
-    n = len(m)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    out = []
-    for (i, j) in pairs:
-        row = []
-        for (k, l) in pairs:
-            if k == l:
-                val = m[i][k] * m[j][k]
-            elif i == j:
-                val = m[i][k] * m[i][l] + m[i][l] * m[i][k]
-            else:
-                val = m[i][k] * m[j][l] + m[i][l] * m[j][k]
-            row.append(val)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(row) for row in linalg.exterior_power_matrix(m5, 2))
 
 
 def _v6_matrix(m5):
-    return tuple(tuple(row) for row in v6_action(m5))
+    """Extend a 5 x 5 matrix to 6 x 6 acting trivially on coordinate 0."""
+    zero = m5[0][0] * 0
+    return ((zero + 1,) + (zero,) * 5,) + tuple((zero,) + tuple(row) for row in m5)
 
 
 def functor_xi():
@@ -427,29 +408,11 @@ def functor_sym2_wedge2():
         tr2 = mat_trace(sq)
         return (tr * tr + tr2) * Fraction(1, 2)
 
-    return RepFunctor(
-        "sym2_wedge2_xi", 55, matrix_fn=lambda m: _sym2_matrix(_wedge2_matrix(m)),
-        character_fn=char,
-    )
+    return RepFunctor("sym2_wedge2_xi", 55, character_fn=char)
 
 
 def functor_v6():
     return RepFunctor("chi0_plus_xi", 6, matrix_fn=_v6_matrix)
-
-
-def functor_tensor(f, g):
-    def char(table, idx):
-        return f.character(table, idx) * g.character(table, idx)
-
-    return RepFunctor(f"{f.name}(x){g.name}", f.dim * g.dim, character_fn=char)
-
-
-def functor_dual_of(f):
-    def char(table, idx):
-        value = f.character(table, idx)
-        return value.conj() if isinstance(value, CycloNum) else value
-
-    return RepFunctor(f"dual_{f.name}", f.dim, character_fn=char)
 
 
 def character(f: RepFunctor, table: GroupTable, g) -> CycloNum:
@@ -561,20 +524,12 @@ def is_totally_positive(value: CycloNum) -> bool:
     if value.is_rational():
         return value.to_fraction() > 0
     n = value.n
-    from .cyclo import euler_phi
-
     phi = euler_phi(n)
     cols = []
     for j in range(phi):
         cols.append((value * CycloNum.zeta(n, j)).coeffs())
     mult = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-    cp = linalg.char_poly(mult)
-    # all roots positive <=> strictly alternating coefficient signs
-    for i, c in enumerate(cp):
-        expected = 1 if (phi - i) % 2 == 0 else -1
-        if c == 0 or (1 if c > 0 else -1) != expected:
-            return False
-    return True
+    return linalg.descartes_positive_roots(linalg.char_poly(mult)) == phi
 
 
 def hermitian_positive_definite(m) -> bool:
@@ -619,10 +574,7 @@ def stabilizer(table: GroupTable, subspace_cols, rep: RepFunctor = None):
     # the transposed images of the generators, then the spanning vectors,
     # as rows over one cyclotomic field
     rows = [col for g in table.gens for col in zip(*rep.matrix(g))]
-    rows += list(zip(*subspace_cols))
-    n = lcm(*(x.n for row in rows for x in row if isinstance(x, CycloNum)))
-    rows = [[x.lift(n) if isinstance(x, CycloNum) else CycloNum.from_rational(x, n)
-             for x in row] for row in rows]
+    rows = cyclo.common_field(rows + list(zip(*subspace_cols)))
     d = len(subspace_cols)
     transposed = [rows[k:k + d] for k in range(0, d * len(table.gens), d)]
     start, key = _echelon(rows[d * len(table.gens):])

@@ -2,7 +2,8 @@
 
 The rank-5 positive definite unimodular Hermitian form with an order-11
 symmetry is fixed as a transcription; the package recomputes the form it
-induces on the wedge square (rank 10), compares entrywise against the
+induces on the wedge square (rank 10), its 2 x 2 minors taken by
+linalg.exterior_power_matrix, compares entrywise against the
 transcribed rank-10 matrix, and reads off polarization invariants from
 characteristic polynomials.
 
@@ -14,7 +15,6 @@ elimination after embedding into the conductor-11 cyclotomic field.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from . import fixtures, linalg
@@ -78,20 +78,12 @@ def is_positive_definite(m) -> bool:
     return all(v > 0 for v in leading_minor_values(m))
 
 
-WEDGE_BASIS = tuple(combinations(range(5), 2))
-
-
 def induced_wedge2(m):
     """The rank-10 Hermitian form induced on the wedge square:
-    H(x1^x2, x3^x4) = H'(x1,x3) H'(x2,x4) - H'(x1,x4) H'(x2,x3),
-    in the basis (e12, e13, e14, e15, e23, e24, e25, e34, e35, e45)."""
-    out = []
-    for (i, j) in WEDGE_BASIS:
-        row = []
-        for (k, l) in WEDGE_BASIS:
-            row.append(m[i][k] * m[j][l] - m[i][l] * m[j][k])
-        out.append(tuple(row))
-    return tuple(out)
+    H(x1^x2, x3^x4) = H'(x1,x3) H'(x2,x4) - H'(x1,x4) H'(x2,x3), the 2 x 2
+    minors of H', in the basis (e12, e13, e14, e15, e23, e24, e25, e34,
+    e35, e45)."""
+    return tuple(tuple(row) for row in linalg.exterior_power_matrix(m, 2))
 
 
 def matches_mat10(computed):

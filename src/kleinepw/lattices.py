@@ -25,7 +25,12 @@ class Lattice:
     __slots__ = ("gram",)
 
     def __init__(self, gram):
-        g = [list(map(int, row)) for row in gram]
+        if not all(isinstance(row, (list, tuple)) for row in gram):
+            raise ValueError("Gram matrix must be a list of rows")
+        bad = next((x for row in gram for x in row if type(x) is not int), None)
+        if bad is not None:
+            raise ValueError(f"Gram matrix entries must be integers, got {bad!r}")
+        g = [list(row) for row in gram]
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over fields plus integer Smith normal form.
 
 Matrices are lists or tuples of rows, each row a list or a tuple;
-functions never mutate their arguments.  rank and det pick one of two elimination kernels by the type
-of the entries:
+functions never mutate their arguments.  exterior_power_matrix gives the
+k x k minors of a rectangular matrix.  rank and det pick one of two
+elimination kernels by the type of the entries:
 
 - the fraction-free kernel (Bareiss) serves ints, and Fractions once each
   row is cleared of denominators, so ranks and determinants over Q never
@@ -20,6 +21,7 @@ full reduction that kernel_basis and solve need.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm as _lcm
 
 
@@ -63,6 +65,35 @@ def mat_eq(a, b):
     if len(a) != len(b) or len(a[0]) != len(b[0]):
         return False
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _minor(m, rows, cols):
+    """Determinant of the submatrix on the given rows and columns.  Up to
+    3 x 3 it is expanded directly, which needs no division: a field kernel
+    would invert cyclotomic entries."""
+    k = len(rows)
+    if k == 1:
+        return m[rows[0]][cols[0]]
+    if k == 2:
+        (r0, r1), (c0, c1) = rows, cols
+        return m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
+    if k == 3:
+        (r0, r1, r2), (c0, c1, c2) = rows, cols
+        return (
+            m[r0][c0] * (m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1])
+            - m[r0][c1] * (m[r1][c0] * m[r2][c2] - m[r1][c2] * m[r2][c0])
+            + m[r0][c2] * (m[r1][c0] * m[r2][c1] - m[r1][c1] * m[r2][c0])
+        )
+    return det([[m[r][c] for c in cols] for r in rows])
+
+
+def exterior_power_matrix(m, k):
+    """k-th exterior power of an r x n matrix: a C(r, k) x C(n, k) matrix
+    whose entry (I, J) is the minor on the I-th k-subset of rows and the
+    J-th k-subset of columns, both in lexicographic order."""
+    row_sets = tuple(combinations(range(len(m)), k))
+    col_sets = tuple(combinations(range(len(m[0])), k))
+    return [[_minor(m, rows, cols) for cols in col_sets] for rows in row_sets]
 
 
 # ---------------------------------------------------------------------------

@@ -203,15 +203,16 @@ class MultiPoly:
         return total
 
     def substitute(self, images):
-        """Ring substitution x_i -> images[i] (MultiPolys over one ring)."""
+        """Ring substitution x_i -> images[i] (MultiPolys over one ring); the
+        result is built over the images' ring, so FPoly images give an FPoly."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
-        nv = images[0].nvars
+        const = images[0]._const
         # cache powers of each image
-        powers = [[MultiPoly.const(nv, 1)] for _ in images]
-        result = MultiPoly.zero(nv)
+        powers = [[const(1)] for _ in images]
+        result = const(0)
         for e, c in self.terms.items():
-            term = MultiPoly.const(nv, c)
+            term = const(c)
             for i, k in enumerate(e):
                 while len(powers[i]) <= k:
                     powers[i].append(powers[i][-1] * images[i])
@@ -276,11 +277,6 @@ class MultiPoly:
     def __floordiv__(self, divisor):
         """Exact quotient, so fraction-free elimination runs over Z[x]."""
         return self.exact_div(divisor)
-
-    def map_coefficients(self, fn):
-        p = MultiPoly(self.nvars)
-        p.terms = {e: v for e, c in self.terms.items() if (v := fn(c))}
-        return p
 
     def __repr__(self):
         if not self.terms:

@@ -883,11 +883,11 @@ def _binomials(ctx):
 
 
 def _at_primes(ctx, gate, budget_witness=None):
-    """Run a finite-field gate at the first two primes.  gate(p) returns
+    """Run a finite-field gate at each of the context's primes.  gate(p) returns
     None when it passes at p, else the failure witness; a spent budget
     stops the check with its progress and any budget_witness entries."""
     verified = []
-    for p in ctx.primes[:2]:
+    for p in ctx.primes:
         try:
             failure = gate(p)
         except BudgetExhausted as e:

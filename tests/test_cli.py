@@ -66,10 +66,27 @@ def test_stratum_usage_error(capsys):
          "'generators' must be a list of strings"),
         (["groebner", "--file"], {"variables": "ab", "prime": 7, "generators": ["a", "b"]},
          "'variables' must be a positive int or a list of names, got 'ab'"),
+        (["lattice", "--spec", "[[2.5,1],[1,2]]"], None,
+         "Gram matrix entries must be integers, got 2.5"),
+        (["lattice", "--spec", '[["2",1],[1,2]]'], None,
+         "Gram matrix entries must be integers, got '2'"),
+        (["lattice", "--spec", "[[true,1],[1,2]]"], None,
+         "Gram matrix entries must be integers, got True"),
+        (["lattice", "--spec", "U+[[2.7,1],[1,2]]"], None,
+         "Gram matrix entries must be integers, got 2.7"),
+        (["verify", "groebner", "--prime", "32003"], None,
+         "verify needs exactly two distinct --prime values, or none; got 32003"),
+        (["verify", "groebner", "--prime", "32003", "--prime", "32003"], None,
+         "got 32003, 32003"),
+        (["verify", "groebner", "--prime", "32003", "--prime", "65537", "--prime", "101"],
+         None, "got 32003, 65537, 101"),
     ],
     ids=["stratum-zero-denominator", "groebner-no-generators", "groebner-file-prime-4",
          "groebner-file-prime-string", "groebner-file-codim-string",
-         "groebner-generator-not-string", "groebner-variables-string"],
+         "groebner-generator-not-string", "groebner-variables-string",
+         "lattice-float-entry", "lattice-string-entry", "lattice-bool-entry",
+         "lattice-float-summand", "verify-one-prime", "verify-repeated-prime",
+         "verify-three-primes"],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phrase):
     if spec is not None:

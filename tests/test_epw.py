@@ -112,20 +112,6 @@ def test_tensor_grid_oracle_matches_simplex_route():
     assert _tensor_grid_sextic() == simplex == fixtures.sextic_poly()
 
 
-def test_sextic_generic_route_matches():
-    # the generic-Lagrangian code path on the canonical matrix
-    a = epw.build_A()
-    shuffled = list(reversed(a))  # same span, different basis order
-    f = epw.sextic_equation(shuffled)
-    assert f == fixtures.sextic_poly()
-
-
-def test_sextic_transversality_error():
-    coord = [epw.basis_trivector(t) for t in epw.TRIPLES5]  # the 3-vectors on 1..5
-    with pytest.raises(epw.TransversalityError):
-        epw.sextic_equation(coord)
-
-
 def test_strata():
     a = epw.build_A()
     assert epw.stratum(a, [1, 0, 0, 0, 0, 0]) == 0

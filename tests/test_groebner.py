@@ -4,7 +4,6 @@ from itertools import combinations
 import pytest
 
 from kleinepw import linalg
-from kleinepw.epw import _wedge3_of_vectors
 from kleinepw.groebner import (
     BudgetExhausted,
     FPoly,
@@ -135,7 +134,7 @@ def test_grassmannian_relations():
         u = [rng.randint(0, P - 1) for _ in range(6)]
         v = [rng.randint(0, P - 1) for _ in range(6)]
         w = [rng.randint(0, P - 1) for _ in range(6)]
-        t = [c % P for c in _wedge3_of_vectors(u, v, w)]
+        t = [c % P for c in linalg.exterior_power_matrix([u, v, w], 3)[0]]
         for g in rel:
             assert g.evaluate(t) == 0
     some_nonzero = any(
@@ -148,6 +147,32 @@ def test_decomposable_gate_two_primes():
     for p in (P, 65537):
         empty, basis = projective_empty_with_basis(decomposable_pullback_ideal(p))
         assert empty is True and len(basis) == 60
+
+
+def _hand_built_threefold(p):
+    """The oracle for gm_threefold_ideal: each 4-term Pluecker quadric
+    x_ij x_kl - x_ik x_jl + x_il x_jk written out with x03 = -x12 and
+    x04 = x23 put in by hand, then the extra quadric."""
+    names = ["x01", "x02", "x12", "x13", "x14", "x23", "x24", "x34"]
+
+    def var(name, coeff=1):
+        return FPoly.var(p, names.index(name), 8, coeff)
+
+    def image(i, j):
+        name = f"x{i}{j}"
+        return var("x12", -1) if name == "x03" else var("x23") if name == "x04" else var(name)
+
+    out = [image(i, j) * image(k, l) - image(i, k) * image(j, l) + image(i, l) * image(j, k)
+           for i, j, k, l in combinations(range(5), 4)]
+    out.append(var("x01") * var("x02") - var("x13") * var("x14") - var("x24") * var("x34"))
+    return out
+
+
+@pytest.mark.parametrize("p", [P, 65537])
+def test_threefold_ideal_matches_the_hand_built_quadrics(p):
+    built, oracle = gm_threefold_ideal(p), _hand_built_threefold(p)
+    assert all(type(g) is FPoly and g.p == p for g in built)
+    assert [g.terms for g in built] == [g.terms for g in oracle]
 
 
 def test_threefold_gate():

@@ -1,19 +1,27 @@
-"""Only linalg uses linalg's private names.
+"""Layering guards.
 
-linalg.rank and linalg.det pick the elimination kernel; a module or demo
-that called a private kernel directly would bypass that choice.  Tests
-may still call the private kernels as oracles.
+Only linalg uses linalg's private names: linalg.rank and linalg.det pick
+the elimination kernel, and a module or demo that called a private kernel
+directly would bypass that choice.  Tests may still call the private
+kernels as oracles.
+
+epw imports group (for the matrix order), so group imports nothing from
+epw; and the k x k minors have one home, linalg.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kleinepw"
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _private_linalg_uses(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
             for alias in node.names:
                 if alias.name.startswith("_"):
@@ -34,3 +42,29 @@ def test_no_private_linalg_names_outside_linalg():
         for line, name in _private_linalg_uses(path)
     ]
     assert not uses, "private linalg names used outside linalg: " + ", ".join(uses)
+
+
+def test_group_imports_nothing_from_epw():
+    uses = []
+    for node in ast.walk(_tree(PACKAGE / "group.py")):
+        if isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").rsplit(".", 1)[-1]] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name.rsplit(".", 1)[-1] for a in node.names]
+        else:
+            continue
+        if "epw" in names:
+            uses.append(node.lineno)
+    assert not uses, f"group.py imports from epw at lines {uses}"
+
+
+def test_minors_are_defined_only_in_linalg():
+    defs = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_minor", "exterior_power_matrix")
+    ]
+    assert not defs, "minor helpers outside linalg: " + ", ".join(defs)

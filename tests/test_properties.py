@@ -6,6 +6,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fractions import Fraction  # noqa: E402
+from itertools import combinations  # noqa: E402
 
 from math import lcm  # noqa: E402
 
@@ -71,8 +72,12 @@ def _int_polys(draw, p, count):
     that are often multiples of p."""
     monomials = draw(st.lists(st.tuples(*[st.integers(0, 8)] * 3), min_size=0,
                               max_size=5, unique=True))
-    coeff = st.one_of(st.integers(-3 * p, 3 * p), st.integers(-3, 3).map(lambda k: k * p))
-    return [MultiPoly(3, {e: draw(coeff) for e in monomials}) for _ in range(count)]
+    return [MultiPoly(3, {e: draw(_coefficients(p)) for e in monomials})
+            for _ in range(count)]
+
+
+def _coefficients(p):
+    return st.one_of(st.integers(-3 * p, 3 * p), st.integers(-3, 3).map(lambda k: k * p))
 
 
 def _mod(f, p):
@@ -102,6 +107,11 @@ def test_fpoly_operations_commute_with_reduction(p, data):
     _same_fpoly(ff * fg, _mod(f * g, p), p)
     _same_fpoly(ff.derivative(i), _mod(f.derivative(i), p), p)
     assert ff.evaluate(point) == f.evaluate(point) % p
+    # affine images, so that the substitution stays small
+    affine = st.dictionaries(st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                             _coefficients(p), max_size=2)
+    images = [MultiPoly(3, data.draw(affine)) for _ in range(3)]
+    _same_fpoly(ff.substitute([_mod(h, p) for h in images]), _mod(f.substitute(images), p), p)
     if ff:
         lift = MultiPoly(3, ff.terms)
         _, c = lift.leading_term()
@@ -190,6 +200,35 @@ def test_rational_rank_matches_field_kernel(m):
     n = len(m)
     if n <= len(m[0]):
         assert linalg.det([row[:n] for row in m]) == _field_det([row[:n] for row in exact])
+
+
+# -- the k x k minors of a rectangular matrix ------------------------------
+
+
+def _matrix(entries, rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_exterior_power_entries_are_minors_and_compose(data):
+    """Entry (I, J) of the k-th exterior power of an r x n matrix is the
+    determinant on the I-th k-subset of rows and the J-th k-subset of
+    columns; and Cauchy-Binet holds: wedge^k(AB) = wedge^k(A) wedge^k(B)."""
+    entries = data.draw(st.sampled_from([st.integers(-5, 5), _RATIONAL]))
+    r, n, q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, min(r, n, q)))
+    a, b = data.draw(_matrix(entries, r, n)), data.draw(_matrix(entries, n, q))
+    wedge = linalg.exterior_power_matrix(a, k)
+    row_sets, col_sets = list(combinations(range(r), k)), list(combinations(range(n), k))
+    assert len(wedge) == len(row_sets)
+    for rows, got in zip(row_sets, wedge):
+        assert len(got) == len(col_sets)
+        for cols, minor in zip(col_sets, got):
+            assert minor == linalg.det([[a[i][j] for j in cols] for i in rows])
+    assert linalg.exterior_power_matrix(linalg.mat_mul(a, b), k) == linalg.mat_mul(
+        wedge, linalg.exterior_power_matrix(b, k))
 
 
 # -- the simplex interpolation route against the polynomial Bareiss route ---
