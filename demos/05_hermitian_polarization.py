@@ -9,13 +9,14 @@ the polarization is principal.
 """
 
 from kleinepw import hermitian as herm
+from kleinepw import linalg
 from kleinepw.cyclo import QuadInt
 
 H = herm.build_Hprime()
 print("rank-5 Gram matrix over Z[w]:")
 for row in H:
     print("   ", [repr(e) for e in row])
-print("Hermitian:", herm.is_hermitian_matrix(H))
+print("Hermitian:", linalg.is_hermitian(H))
 print("positive definite:", herm.is_positive_definite(H))
 print("determinant:", herm.herm_det(H), "(unimodular)")
 print("leading minors:", herm.leading_minor_values(H))

@@ -12,9 +12,10 @@ import argparse
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
-from . import epw, fixtures, group, hermitian, lattices, verify
+from . import epw, fixtures, group, hermitian, lattices, linalg, verify
 from .groebner import (
     BudgetExhausted,
     FPoly,
@@ -304,7 +305,7 @@ def cmd_hermitian(args):
     H = hermitian.build_Hprime()
     if args.check == "hprime":
         ok = (
-            hermitian.is_hermitian_matrix(H)
+            linalg.is_hermitian(H)
             and hermitian.is_positive_definite(H)
             and hermitian.herm_det(H) == 1
         )
@@ -350,9 +351,7 @@ def cmd_groebner(args):
     if codim is not None and not _positive(codim):
         raise ValueError(f"{args.file}: 'codim' must be a positive int, got {codim!r}")
     gens = [FPoly.from_int_poly(parse_polynomial(src, variables), prime) for src in sources]
-    import time as _time
-
-    start = _time.monotonic()
+    start = time.monotonic()
     try:
         if codim is not None:
             ok, info = smoothness_check(
@@ -374,7 +373,7 @@ def cmd_groebner(args):
     except BudgetExhausted as e:
         payload = {"verdict": "budget-exhausted", "primes": [prime], "detail": str(e),
                    "progress": e.progress()}
-    payload["elapsed_seconds"] = round(_time.monotonic() - start, 3)
+    payload["elapsed_seconds"] = round(time.monotonic() - start, 3)
     print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
     return 0 if payload["verdict"] == "pass" else 1
 

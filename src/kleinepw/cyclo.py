@@ -4,8 +4,12 @@ A CycloNum of conductor n is a vector of phi(n) rationals giving the
 coordinates of the element in the basis 1, z, ..., z^(phi(n)-1), where
 z = exp(2*pi*i/n) and the basis is taken modulo the n-th cyclotomic
 polynomial.  Reduction modulo the cyclotomic polynomial (rather than
-x^n - 1) makes the representation canonical, so equality is
-coefficient-wise and elements can be hashed.
+x^n - 1) makes the representation canonical for each conductor, so
+equality is coefficient-wise once both sides are lifted to one field.
+The hash is that of the normalized trace Tr(x)/phi(n), which does not
+depend on the conductor x is written in and equals hash(q) for a
+rational q, so equal values hash equally across conductors and with int
+and Fraction.  to_int is the one rational-integer check.
 
 Coefficient vectors are stored as a tuple of integers over a single
 positive denominator with the gcd divided out; this is just a packed
@@ -18,7 +22,8 @@ and every operation is a pure function.  The inverse is the product of
 the other Galois conjugates over the (rational) norm.  common_field lifts
 a matrix to the lcm of its entries' conductors.  mat_mul multiplies
 matrices with each entry packed into one integer (Kronecker
-substitution), reducing each output entry once.
+substitution), reducing each output entry once.  The module imports
+nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-
-from . import linalg
 
 MAX_CONDUCTOR = 66
 
@@ -80,39 +83,46 @@ def _poly_exact_div_int(num, den):
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple:
-    """Row j: integer coordinates of z^(phi(n)+j) in the power basis."""
+def _zeta_power_table(n: int) -> tuple:
+    """Integer coordinate vectors of z^k, k = 0..n-1, in the power basis,
+    by the recurrence z^(k+1) = z * z^k reduced modulo the cyclotomic
+    polynomial."""
     phi = euler_phi(n)
     poly = cyclotomic_polynomial(n)  # monic of degree phi
-    rows = []
     # z^phi = -(poly[0] + poly[1] z + ... + poly[phi-1] z^(phi-1))
-    current = [-poly[i] for i in range(phi)]
-    for _ in range(n):  # more rows than ever needed by one multiplication
-        rows.append(tuple(current))
-        nxt = [0] + current[:-1]
+    top_row = [-poly[i] for i in range(phi)]
+    current = [1] + [0] * (phi - 1)
+    table = []
+    for _ in range(n):
+        table.append(tuple(current))
         top = current[-1]
+        current = [0] + current[:-1]
         if top:
-            base = rows[0]
             for i in range(phi):
-                nxt[i] += top * base[i]
-        current = nxt
-    return tuple(rows)
+                current[i] += top * top_row[i]
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
-def _zeta_power_table(n: int) -> tuple:
-    """Integer coordinate vectors of z^k, k = 0..n-1, in the power basis."""
-    phi = euler_phi(n)
-    rows = _reduction_rows(n)
-    table = []
-    for k in range(n):
-        if k < phi:
-            vec = [0] * phi
-            vec[k] = 1
-            table.append(tuple(vec))
-        else:
-            table.append(rows[k - phi])
-    return tuple(table)
+def _traces(n: int) -> tuple:
+    """Tr(z^k) for k = 0..phi(n)-1: the sum of the Galois conjugates of
+    z^k, a rational integer, so coordinate 0 of their summed vectors."""
+    table = _zeta_power_table(n)
+    units = [t for t in range(1, n + 1) if gcd(t, n) == 1]
+    return tuple(sum(table[k * t % n][0] for t in units) for k in range(euler_phi(n)))
+
+
+def _map_exponents(num, m, phi, step):
+    """Coordinates, in the conductor-m power basis of phi = phi(m) entries,
+    of sum_i num[i] z^(i * step)."""
+    table = _zeta_power_table(m)
+    out = [0] * phi
+    for i, c in enumerate(num):
+        if c:
+            row = table[(i * step) % m]
+            for j in range(phi):
+                out[j] += c * row[j]
+    return out
 
 
 def _normalize(num, den):
@@ -179,16 +189,7 @@ class CycloNum:
             return self
         if m % self.n != 0:
             raise ValueError(f"cannot lift conductor {self.n} to {m}")
-        step = m // self.n
-        table = _zeta_power_table(m)
-        phi_m = euler_phi(m)
-        out = [0] * phi_m
-        for i, c in enumerate(self.num):
-            if c:
-                row = table[(i * step) % m]
-                for j in range(phi_m):
-                    out[j] += c * row[j]
-        return CycloNum(m, out, self.den)
+        return CycloNum(m, _map_exponents(self.num, m, euler_phi(m), m // self.n), self.den)
 
     def _common(self, other):
         if self.n == other.n:
@@ -197,20 +198,6 @@ class CycloNum:
         if m > MAX_CONDUCTOR:
             raise ValueError(f"conductor lcm {m} exceeds cap {MAX_CONDUCTOR}")
         return self.lift(m), other.lift(m)
-
-    def canonical(self):
-        """Rewrite over the smallest cyclotomic subfield Q(zeta_d), d | n."""
-        if self.n == 1:
-            return self
-        if not any(self.num[1:]):
-            return CycloNum(1, (self.num[0],), self.den)
-        for d in _proper_divisors(self.n):
-            if d == 1:
-                continue
-            sol = linalg.solve(_subfield_basis(self.n, d), self.num)
-            if sol is not None:
-                return CycloNum(d, [s / self.den for s in sol])
-        return self
 
     # -- ring operations ----------------------------------------------
 
@@ -297,15 +284,7 @@ class CycloNum:
         """Substitute z -> z^t (t coprime to the conductor)."""
         if gcd(t, self.n) != 1:
             raise ValueError(f"{t} not coprime to conductor {self.n}")
-        table = _zeta_power_table(self.n)
-        phi = len(self.num)
-        out = [0] * phi
-        for i, c in enumerate(self.num):
-            if c:
-                row = table[(i * t) % self.n]
-                for j in range(phi):
-                    out[j] += c * row[j]
-        return CycloNum(self.n, out, self.den)
+        return CycloNum(self.n, _map_exponents(self.num, self.n, len(self.num), t), self.den)
 
     def conj(self):
         """Complex conjugation, z -> z^(n-1)."""
@@ -329,6 +308,13 @@ class CycloNum:
             raise ValueError("not a rational number")
         return Fraction(self.num[0], self.den)
 
+    def to_int(self):
+        """The value as an int; ArithmeticError unless it is a rational
+        integer."""
+        if self.den != 1 or any(self.num[1:]):
+            raise ArithmeticError(f"{self!r} is not a rational integer")
+        return self.num[0]
+
     def coeffs(self):
         return tuple(Fraction(c, self.den) for c in self.num)
 
@@ -343,9 +329,11 @@ class CycloNum:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
+        # the normalized trace Tr(x)/phi(n) does not depend on the conductor
+        # x is written in, and is x itself for a rational x
         if self._hash is None:
-            c = self.canonical()
-            self._hash = hash((c.n, c.num, c.den))
+            tr = sum(c * t for c, t in zip(self.num, _traces(self.n)))
+            self._hash = hash(Fraction(tr, self.den * euler_phi(self.n)))
         return self._hash
 
     def __bool__(self):
@@ -391,9 +379,11 @@ def common_field(rows):
 
 @lru_cache(maxsize=None)
 def _sparse_reduction_rows(n: int) -> tuple:
-    """_reduction_rows(n) with only the nonzero (index, value) pairs."""
-    return tuple(tuple((j, r) for j, r in enumerate(row) if r)
-                 for row in _reduction_rows(n))
+    """Row j: the nonzero (index, value) pairs of z^(phi(n)+j), for the
+    phi(n) - 1 powers a product's convolution reaches past the basis."""
+    phi, table = euler_phi(n), _zeta_power_table(n)
+    return tuple(tuple((i, r) for i, r in enumerate(table[(phi + j) % n]) if r)
+                 for j in range(phi - 1))
 
 
 def _reduced(conv, n, phi):
@@ -466,19 +456,6 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _proper_divisors(n):
-    return tuple(d for d in range(1, n) if n % d == 0)
-
-
-@lru_cache(maxsize=None)
-def _subfield_basis(n, d):
-    """Power basis of Q(zeta_d) as the columns of a matrix in coordinates
-    of Q(zeta_n)."""
-    cols = [CycloNum.zeta(n, (i * (n // d)) % n).num for i in range(euler_phi(d))]
-    return tuple(zip(*cols))
-
-
 def lambda_embed() -> CycloNum:
     """The quadratic irrationality (-1 + sqrt(-11))/2 as a conductor-11 sum
     of the five quadratic-residue powers z + z^3 + z^4 + z^5 + z^9."""
@@ -545,9 +522,6 @@ class QuadInt:
 
     def is_zero(self):
         return self.a == 0 and self.b == 0
-
-    def is_rational_integer(self):
-        return self.b == 0
 
     def to_cyclo(self):
         """Embed into the conductor-11 field via w -> lambda_embed()."""

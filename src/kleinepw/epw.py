@@ -26,11 +26,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from . import fixtures, group, linalg
 from .cyclo import CycloNum, common_field
-from .poly import MultiPoly, Poly1, squarefree_decomposition
+from .poly import MultiPoly, Poly1, linear_forms, squarefree_decomposition
 
 TRIPLES6 = tuple(combinations(range(6), 3))
 PAIRS6 = tuple(combinations(range(6), 2))
@@ -174,12 +174,16 @@ def trivector_subspace_intersection(a_rows, w_rows):
 
 
 def gm_dimension(a_rows, covector):
-    """5 - dim(A meet wedge3 of the hyperplane ker(covector))."""
+    """5 - dim(A meet wedge3 of the hyperplane ker(covector)), for a
+    rational covector."""
     if not any(covector):
         raise ValueError("zero covector")
-    kernel_cols = linalg.kernel_basis([covector])
-    ncols = len(kernel_cols[0])
-    basis = [[kernel_cols[i][j] for i in range(6)] for j in range(ncols)]
+    # each kernel vector scaled by its denominators' lcm: the same span,
+    # and integer minors
+    basis = []
+    for vec in zip(*linalg.kernel_basis([covector])):
+        den = lcm(*(x.denominator for x in vec))
+        basis.append([int(x * den) for x in vec])
     # the 3 x 3 minors' columns are the 3-subsets of 0..5 in TRIPLES6 order
     w_rows = linalg.exterior_power_matrix(basis, 3)
     return 5 - trivector_subspace_intersection(a_rows, w_rows)
@@ -203,9 +207,8 @@ def self_duality_check(a_rows):
     # direct pairing test: every flipped row must annihilate every row
     for f in flipped:
         for r in a_rows:
-            acc = sum(x * y for x, y in zip(f, r))
-            if acc != 0:
-                return self_duality_oracle(a_rows)
+            if sum(x * y for x, y in zip(f, r)) != 0:
+                return False
     # spans have equal dimension, so containment in the annihilator is
     # equality whenever the row span has full rank 10
     return span_rank(a_rows) == 10
@@ -365,15 +368,7 @@ def restrict_to_line(f, p, q):
     """Binary form g(s, t) = f(s p + t q); rejects dependent points."""
     if span_rank([list(p), list(q)]) != 2:
         raise ValueError("line needs two independent points")
-    images = []
-    for i in range(f.nvars):
-        img = MultiPoly(2)
-        if p[i]:
-            img = img + MultiPoly.var(0, 2, p[i])
-        if q[i]:
-            img = img + MultiPoly.var(1, 2, q[i])
-        images.append(img)
-    return f.substitute(images)
+    return f.substitute(linear_forms(list(zip(p, q))))
 
 
 def binary_form_to_poly1(g, degree=None):

@@ -79,36 +79,17 @@ def chart_matrix():
 
 # ---------------------------------------------------------------------------
 # The invariant quadric on the 10-dimensional space of 2-vectors, in the
-# pair coordinates x12, ..., x45 (same basis order as above), and the
-# quadratic equation of the associated sixfold in P^10.
+# pair coordinates x12, ..., x45 (same basis order as above).
 # ---------------------------------------------------------------------------
 
 PAIR_VARS = ["x12", "x13", "x14", "x15", "x23", "x24", "x25", "x34", "x35", "x45"]
 
 QUADRIC_TEXT = "x12*x13 + x23*x24 + x34*x35 - x45*x14 + x15*x25"
 
-SIXFOLD_VARS = ["x00"] + PAIR_VARS
-
-# the sixfold is the double cover datum x00^2 = Q inside P(C e00 + wedge2 V)
-SIXFOLD_TEXT = "x00^2 - x12*x13 - x23*x24 - x34*x35 + x45*x14 - x15*x25"
-
 
 @lru_cache(maxsize=None)
 def invariant_quadric():
     return parse_polynomial(QUADRIC_TEXT, PAIR_VARS)
-
-
-# ---------------------------------------------------------------------------
-# The degree-10 Fano threefold: intersection, inside the 10 Pluecker
-# coordinates x01..x34 on pairs from {0..4}, of the rank-2 Grassmannian,
-# the linear space  x03 + x12 = x04 - x23 = 0  and one quadric.
-# ---------------------------------------------------------------------------
-
-GM3_PLANE_VARS = [
-    "x01", "x02", "x03", "x04", "x12", "x13", "x14", "x23", "x24", "x34",
-]
-GM3_LINEAR_TEXT = ["x03 + x12", "x04 - x23"]
-GM3_QUADRIC_TEXT = "x01*x02 - x13*x14 - x24*x34"
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,10 @@ import random
 from itertools import combinations
 
 from . import linalg
-from .poly import MultiPoly, grevlex_key
+from .epw import TRIPLE_INDEX, TRIPLES6, build_A, merge_indices
+from .fixtures import PAIR_VARS, QUADRIC_TEXT, sextic_poly
+from .poly import MultiPoly, grevlex_key, linear_forms
+from .textform import parse_polynomial
 
 
 class BudgetExhausted(RuntimeError):
@@ -416,8 +419,6 @@ def grassmannian_relations_gr36(p):
     """Quadratic relations cutting the cone of decomposable trivectors in
     the 20 coordinates: contraction-and-wedge identities (equivalently the
     three-term straightening relations); exactly 35 independent ones."""
-    from .epw import TRIPLES6, TRIPLE_INDEX, merge_indices
-
     nvars = 20
     relations = {}
     for m in range(6):
@@ -459,15 +460,9 @@ def decomposable_pullback_ideal(p):
     family of Lagrangian vectors: quadrics over F_p in 10 coordinates
     whose projective emptiness certifies that the Lagrangian contains no
     decomposable vector."""
-    from .epw import build_A
-
-    a_rows = build_A()
     relations = grassmannian_relations_gr36(p)
     # linear forms: coordinate I of the family point = sum_r a_r * A[r][I]
-    linear = [
-        FPoly(p, 10, {tuple(int(k == r) for k in range(10)): a_rows[r][idx] for r in range(10)})
-        for idx in range(20)
-    ]
+    linear = [FPoly.from_int_poly(form, p) for form in linear_forms(list(zip(*build_A())))]
     out = []
     seen = set()
     for rel in relations:
@@ -525,9 +520,6 @@ def gm_fivefold_ideal(p):
     """The fivefold section: the five Grassmannian quadrics on pairs from
     a 5-space together with the invariant quadric, in the ten pair
     coordinates (x12, ..., x45)."""
-    from .fixtures import PAIR_VARS, QUADRIC_TEXT
-    from .textform import parse_polynomial
-
     out = pluecker_relations_gr25(p)
     q = parse_polynomial(QUADRIC_TEXT, PAIR_VARS)
     out.append(FPoly.from_int_poly(q, p))
@@ -537,7 +529,5 @@ def gm_fivefold_ideal(p):
 def sextic_singular_locus_ideal(p):
     """Gradient ideal of the invariant sextic over F_p (six quintics in
     six variables); its projective zero locus is the singular surface."""
-    from .fixtures import sextic_poly
-
     f = FPoly.from_int_poly(sextic_poly(), p)
     return [f.derivative(i) for i in range(6)]

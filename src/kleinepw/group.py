@@ -418,10 +418,7 @@ def functor_v6():
 def character(f: RepFunctor, table: GroupTable, g) -> CycloNum:
     """Trace of the functor applied to a group element (index or matrix)."""
     idx = g if isinstance(g, int) else table.index_of(g)
-    val = f.character(table, idx)
-    if isinstance(val, Fraction):
-        val = CycloNum.from_rational(val, CONDUCTOR)
-    return val
+    return f.character(table, idx)
 
 
 def trivial_multiplicity(f: RepFunctor, table: GroupTable) -> int:
@@ -429,16 +426,12 @@ def trivial_multiplicity(f: RepFunctor, table: GroupTable) -> int:
     which must come out an exact nonnegative integer."""
     total = None
     for cls in table.conjugacy_classes():
-        val = f.character(table, cls[0])
-        if isinstance(val, Fraction):
-            val = CycloNum.from_rational(val, CONDUCTOR)
-        term = val * len(cls)
+        term = f.character(table, cls[0]) * len(cls)
         total = term if total is None else total + term
-    avg = total * Fraction(1, len(table))
-    frac = avg.to_fraction() if isinstance(avg, CycloNum) else Fraction(avg)
-    if frac.denominator != 1 or frac < 0:
-        raise ArithmeticError(f"character sum {frac} is not a nonnegative integer")
-    return int(frac)
+    value = (total * Fraction(1, len(table))).to_int()
+    if value < 0:
+        raise ArithmeticError(f"character sum {value} is negative")
+    return value
 
 
 def lefschetz_surface_count(table: GroupTable, g) -> int:
@@ -455,11 +448,7 @@ def lefschetz_surface_count(table: GroupTable, g) -> int:
     w = functor_wedge2()
     chi = character(w, table, idx)
     chi_sq = character(w, table, table.square_index(idx))
-    val = 2 + 2 * chi * chi - chi_sq
-    frac = val.to_fraction()
-    if frac.denominator != 1:
-        raise ArithmeticError(f"fixed-point count {frac} is not an integer")
-    return int(frac)
+    return (2 + 2 * chi * chi - chi_sq).to_int()
 
 
 def invariant_hermitian(f: RepFunctor, table: GroupTable):
@@ -490,15 +479,6 @@ def unitary_group_sum(f: RepFunctor, generators, order):
     if not hermitian_invariance_check(f, mat_identity(f.dim), generators):
         return None
     return tuple(tuple(e * order for e in row) for row in mat_identity(f.dim))
-
-
-def is_hermitian(m):
-    n = len(m)
-    for i in range(n):
-        for j in range(n):
-            if m[i][j] != m[j][i].conj():
-                return False
-    return True
 
 
 def hermitian_invariance_check(f: RepFunctor, m, generators):
@@ -556,9 +536,9 @@ def _echelon(vectors):
     return basis, tuple((x.num, x.den) for row in basis for x in row)
 
 
-def stabilizer(table: GroupTable, subspace_cols, rep: RepFunctor = None):
+def stabilizer(table: GroupTable, subspace_cols):
     """Indices of elements whose image maps the column span of the given
-    6 x k matrix into itself.
+    6 x k matrix into itself under the action on V6 (_v6_matrix).
 
     Orbit-stabilizer (Holt, Eick & O'Brien, Handbook of Computational Group
     Theory, 2005, section 4.1): a breadth-first search over the span's
@@ -567,13 +547,11 @@ def stabilizer(table: GroupTable, subspace_cols, rep: RepFunctor = None):
     permutation of the orbit.  elements[i] = g_k1 ... g_km for words[i] =
     (k1, ..., km), so its image of the span is found by walking the word
     through those permutations right to left."""
-    if rep is None:
-        rep = functor_v6()
     if not any(any(row) for row in subspace_cols):
         raise ValueError("zero subspace")
     # the transposed images of the generators, then the spanning vectors,
     # as rows over one cyclotomic field
-    rows = [col for g in table.gens for col in zip(*rep.matrix(g))]
+    rows = [col for g in table.gens for col in zip(*_v6_matrix(g))]
     rows = cyclo.common_field(rows + list(zip(*subspace_cols)))
     d = len(subspace_cols)
     transposed = [rows[k:k + d] for k in range(0, d * len(table.gens), d)]

@@ -9,32 +9,22 @@ characteristic polynomials.
 
 Determinants over the order are computed two ways: the division-free
 subset expansion linalg.expansion_det over the ring itself, and Gaussian
-elimination after embedding into the conductor-11 cyclotomic field.
+elimination after embedding into the conductor-11 cyclotomic field, read
+back as an integer by CycloNum.to_int.  The Hermitian test is
+linalg.is_hermitian.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from . import fixtures, linalg
-from .cyclo import CycloNum, QuadInt
+from .cyclo import QuadInt
 
 
 def build_Hprime():
     """The rank-5 positive definite unimodular Hermitian Gram matrix."""
     return fixtures.hprime_matrix()
-
-
-def is_hermitian_matrix(m) -> bool:
-    n = len(m)
-    for i in range(n):
-        if not m[i][i].is_rational_integer():
-            return False
-        for j in range(n):
-            if m[i][j] != m[j][i].conj():
-                return False
-    return True
 
 
 def _embed(m):
@@ -46,18 +36,8 @@ def herm_det(m) -> int:
 
     Computed over the cyclotomic embedding and cross-checked against the
     division-free ring determinant."""
-    field_det = linalg.det(_embed(m))
-    ring = linalg.expansion_det(m, QuadInt(1))
-    if isinstance(field_det, CycloNum):
-        if not field_det.is_rational():
-            raise ArithmeticError("determinant not rational: input not Hermitian?")
-        frac = field_det.to_fraction()
-    else:
-        frac = Fraction(field_det)
-    if frac.denominator != 1:
-        raise ArithmeticError("non-integer determinant")
-    value = int(frac)
-    if ring != QuadInt(value):
+    value = linalg.det(_embed(m)).to_int()
+    if linalg.expansion_det(m, QuadInt(1)) != QuadInt(value):
         raise ArithmeticError("ring and field determinants disagree")
     return value
 
@@ -73,7 +53,7 @@ def leading_minor_values(m):
 
 def is_positive_definite(m) -> bool:
     """All leading principal minors strictly positive (exact integers)."""
-    if not is_hermitian_matrix(m):
+    if not linalg.is_hermitian(m):
         raise ValueError("positive definiteness is for Hermitian matrices")
     return all(v > 0 for v in leading_minor_values(m))
 
@@ -105,18 +85,8 @@ def polarization_invariants(m):
         raise ValueError("polarization invariants need a positive definite matrix")
     n = len(m)
     cp = linalg.char_poly(_embed(m))
-    out = []
-    for j in range(n + 1):
-        c = cp[j]
-        if isinstance(c, CycloNum):
-            if not c.is_rational():
-                raise ArithmeticError("characteristic polynomial not rational")
-            c = c.to_fraction()
-        val = Fraction(c) * (-1) ** (n - j)
-        if val.denominator != 1:
-            raise ArithmeticError("non-integer invariant")
-        out.append(int(val))
-    return out
+    # the leading coefficient is the int 1: char_poly is monic
+    return [(-1) ** (n - j) * c.to_int() for j, c in enumerate(cp[:n])] + [1]
 
 
 def binomial_invariants(n):

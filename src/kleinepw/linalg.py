@@ -15,7 +15,8 @@ elimination kernels by the type of the entries:
 
 Over rings without exact division (the order Z[w], polynomials over F_p)
 expansion_det expands along column subsets instead, and rref gives the
-full reduction that kernel_basis and solve need.
+full reduction that kernel_basis needs.  is_hermitian is the one
+conjugate-symmetry test, for entries with conj() (CycloNum or QuadInt).
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ def mat_eq(a, b):
     if len(a) != len(b) or len(a[0]) != len(b[0]):
         return False
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def is_hermitian(m):
+    """m equals its conjugate transpose, exactly.  Over Z[w] this also
+    makes the diagonal rational: a + bw is its own conjugate iff b = 0."""
+    n = len(m)
+    return all(m[i][j] == m[j][i].conj() for i in range(n) for j in range(n))
 
 
 def _minor(m, rows, cols):
@@ -308,22 +316,6 @@ def kernel_basis(m):
             v[c] = -red[i][f]
         basis_cols.append(v)
     return [[col[i] for col in basis_cols] for i in range(cols)]
-
-
-def solve(m, rhs):
-    """One solution x of m x = rhs, or None if inconsistent."""
-    cols = len(m[0]) if m else 0
-    red, piv_cols = rref([list(row) + [b] for row, b in zip(m, rhs)])
-    if cols in piv_cols:
-        return None  # pivot in the augmented column
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        sol[c] = red[i][cols]
-    # verify each equation exactly
-    for row, b in zip(m, rhs):
-        if sum((x * y for x, y in zip(row, sol)), b * 0) != b:
-            return None
-    return sol
 
 
 def char_poly(m):

@@ -6,9 +6,10 @@ CycloNum, ...).  The ring operations build their results through one
 hook, _with_terms, so a subclass can fix the coefficient ring:
 groebner.FPoly is MultiPoly over F_p, whose hook reduces coefficients
 modulo p.  The canonical term order is graded reverse lexicographic over
-the declared variable order.  Poly1 is a dense univariate polynomial
-used for characteristic polynomials, line restrictions and squarefree
-decomposition.
+the declared variable order.  linear_forms builds the linear images that
+substitute takes, a matrix's rows as forms in its column variables.
+Poly1 is a dense univariate polynomial used for characteristic
+polynomials, line restrictions and squarefree decomposition.
 """
 
 from __future__ import annotations
@@ -288,6 +289,14 @@ class MultiPoly:
             )
             bits.append(f"{c}" if not mono else f"{c}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
+
+
+def linear_forms(rows):
+    """The linear forms sum_j rows[i][j] * y_j, one MultiPoly per row, in
+    as many variables as a row has entries."""
+    nvars = len(rows[0])
+    units = [tuple(int(k == j) for k in range(nvars)) for j in range(nvars)]
+    return [MultiPoly(nvars, zip(units, row)) for row in rows]
 
 
 class Poly1:

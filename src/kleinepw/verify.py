@@ -10,12 +10,13 @@ witnesses are serialized as strings.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import epw, fixtures, group, hermitian, lattices, linalg
-from .cyclo import CycloNum, lambda_embed
+from .cyclo import CycloNum, QuadInt, lambda_embed
 from .groebner import (
     BudgetExhausted,
     decomposable_pullback_ideal,
@@ -25,7 +26,7 @@ from .groebner import (
     sextic_singular_locus_ideal,
     smoothness_check,
 )
-from .poly import Poly1, squarefree_decomposition
+from .poly import Poly1, linear_forms, squarefree_decomposition
 from .textform import emit_polynomial
 
 PASS, FAIL, SKIP, BUDGET = "pass", "fail", "skipped", "budget-exhausted"
@@ -247,20 +248,9 @@ def _sextic_coeffs(ctx):
     "the sextic is fixed exactly by all three group generators",
 )
 def _sextic_invariance(ctx):
-    from .poly import MultiPoly
-
     f = ctx.sextic_fixture
     for name, g in zip(("a", "c", "s"), ctx.generators):
-        g6 = group._v6_matrix(g)
-        images = []
-        for i in range(6):
-            img = MultiPoly(6)
-            for j in range(6):
-                e = g6[i][j]
-                if not e.is_zero():
-                    img = img + MultiPoly.var(j, 6, e)
-            images.append(img)
-        if f.substitute(images) != f:
+        if f.substitute(linear_forms(group._v6_matrix(g))) != f:
             return FAIL, {"generator": name}
     return PASS, {}
 
@@ -477,7 +467,7 @@ def _invform(ctx):
     m = ctx.invariant_form
     if m is None:
         return FAIL, {"stage": "unitary"}
-    if not group.is_hermitian(m):
+    if not linalg.is_hermitian(m):
         return FAIL, {"stage": "hermitian"}
     if not group.hermitian_invariance_check(
         group.functor_wedge2(), m, list(ctx.generators)
@@ -606,9 +596,7 @@ def _line2(ctx):
     "for seeded random rational points: stratum >= 1 iff the sextic vanishes",
 )
 def _random_consistency(ctx):
-    import random as _random
-
-    rng = _random.Random(ctx.seed)
+    rng = random.Random(ctx.seed)
     A = ctx.lagrangian
     f = ctx.sextic_fixture
     checked = 0
@@ -822,7 +810,7 @@ def _repr5(ctx):
 def _hprime(ctx):
     H = hermitian.build_Hprime()
     ok = (
-        hermitian.is_hermitian_matrix(H)
+        linalg.is_hermitian(H)
         and hermitian.is_positive_definite(H)
         and hermitian.herm_det(H) == 1
     )
@@ -867,8 +855,6 @@ def _mat10_principal(ctx):
     "polarization invariants of the identity are the binomial coefficients",
 )
 def _binomials(ctx):
-    from .cyclo import QuadInt
-
     ident = tuple(
         tuple(QuadInt(1 if i == j else 0) for j in range(10)) for i in range(10)
     )

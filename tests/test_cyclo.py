@@ -80,7 +80,7 @@ def test_mixed_conductor_lift():
     z11 = CycloNum.zeta(11)
     w = z5 + z11
     assert w.n == 55
-    assert (w - z11).canonical().n == 5
+    assert (w - z11) == z5
     assert (w - z11 - z5) == 0
     with pytest.raises(ValueError):
         CycloNum.zeta(5) * CycloNum.zeta(33)  # lcm 165 beyond the cap
@@ -92,8 +92,25 @@ def test_canonical_form_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     z5_in_55 = CycloNum.zeta(55, 11)
-    assert z5_in_55.canonical().n == 5
+    assert z5_in_55 == CycloNum.zeta(5)
     assert hash(z5_in_55) == hash(CycloNum.zeta(5))
+
+
+def test_hash_of_a_rational_is_its_hash_as_int_or_fraction():
+    for n in (1, 5, 11, 55):
+        for q in (0, 1, -3, 7, Fraction(3, 2), Fraction(-5, 11)):
+            assert hash(CycloNum.from_rational(q, n)) == hash(q)
+    assert len({CycloNum.from_rational(1, 11), 1}) == 1
+
+
+def test_to_int_accepts_only_rational_integers():
+    assert CycloNum.from_rational(-4, 11).to_int() == -4
+    # the primitive fifth roots of unity sum to -1
+    roots = sum((CycloNum.zeta(5, k) for k in range(1, 5)), CycloNum.from_rational(0, 5))
+    assert roots.lift(55).to_int() == -1
+    for x in (CycloNum.from_rational(Fraction(1, 2), 11), CycloNum.zeta(11)):
+        with pytest.raises(ArithmeticError):
+            x.to_int()
 
 
 def test_quadint_ring():

@@ -138,6 +138,19 @@ def test_gm_dimensions():
     assert dims == {3, 5}
 
 
+def test_gm_dimension_with_fraction_kernel_matches_unscaled_minors():
+    # the kernels of these covectors have no integer basis from rref, so
+    # gm_dimension's scaled integer vectors are compared with the minors of
+    # the Fraction basis itself
+    a = epw.build_A()
+    for cov in ([2, 3, 0, 0, 0, 5], [0, 0, 0, 3, 2, 0], [3, 1, 4, 1, 5, 9]):
+        basis = [list(vec) for vec in zip(*linalg.kernel_basis([cov]))]
+        assert any(x.denominator != 1 for vec in basis for x in vec)
+        w_rows = linalg.exterior_power_matrix(basis, 3)
+        want = 5 - epw.trivector_subspace_intersection(a, w_rows)
+        assert epw.gm_dimension(a, cov) == want
+
+
 def test_self_duality():
     a = epw.build_A()
     assert epw.self_duality_check(a) is True
@@ -146,6 +159,17 @@ def test_self_duality():
     assert epw.is_lagrangian(coord)
     assert epw.self_duality_check(coord) is False
     assert epw.self_duality_oracle(coord) is False
+
+
+def test_self_duality_check_rejects_without_the_oracle(monkeypatch):
+    # a flipped row that pairs nonzero with a row already decides False, so
+    # the direct route stays independent of the oracle it is checked against
+    def oracle(a_rows):
+        raise AssertionError("self_duality_check called the oracle")
+
+    monkeypatch.setattr(epw, "self_duality_oracle", oracle)
+    coord = [epw.basis_trivector((0,) + p) for p in epw.PAIRS5]
+    assert epw.self_duality_check(coord) is False
 
 
 def test_random_lagrangians_against_oracle():

@@ -273,7 +273,7 @@ def test_invariant_form_trivial_functor(table660):
 def test_invariant_form_wedge2(table660, generators):
     w2 = group.functor_wedge2()
     m = group.invariant_hermitian(w2, table660)
-    assert group.is_hermitian(m)
+    assert linalg.is_hermitian(m)
     assert group.hermitian_invariance_check(w2, m, list(generators))
     assert group.hermitian_positive_definite(m)
     # the term-by-term sum is the oracle for the route verify ships

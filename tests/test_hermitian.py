@@ -18,7 +18,7 @@ def test_hprime_entries():
     h = herm.build_Hprime()
     assert h[0][0] == QuadInt(3)
     assert h[0][1] == QuadInt(2, 1)  # 1 - conj(w)
-    assert herm.is_hermitian_matrix(h)
+    assert linalg.is_hermitian(h)
 
 
 def test_hprime_unimodular_positive():
@@ -58,7 +58,7 @@ def test_induced_form_entries_and_fixture():
     assert w[0][1] == QuadInt(0, 2)  # 2w
     ok, witness = herm.matches_mat10(w)
     assert ok, witness
-    assert herm.is_hermitian_matrix(w)
+    assert linalg.is_hermitian(w)
     assert herm.herm_det(w) == 1
     assert herm.is_positive_definite(w)
 

@@ -6,7 +6,8 @@ directly would bypass that choice.  Tests may still call the private
 kernels as oracles.
 
 epw imports group (for the matrix order), so group imports nothing from
-epw; and the k x k minors have one home, linalg.
+epw; cyclo is a leaf and imports nothing from the package; and the k x k
+minors and the Hermitian test have one home, linalg.
 """
 
 import ast
@@ -58,13 +59,36 @@ def test_group_imports_nothing_from_epw():
     assert not uses, f"group.py imports from epw at lines {uses}"
 
 
-def test_minors_are_defined_only_in_linalg():
-    defs = [
+def _package_imports(path):
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "kleinepw":
+                yield node.lineno
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "kleinepw" for a in node.names):
+                yield node.lineno
+
+
+def test_cyclo_imports_nothing_from_the_package():
+    uses = list(_package_imports(PACKAGE / "cyclo.py"))
+    assert not uses, f"cyclo.py imports from the package at lines {uses}"
+
+
+def _defined_outside_linalg(names):
+    return [
         f"{path.name}:{node.lineno} {node.name}"
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "linalg.py"
         for node in ast.walk(_tree(path))
-        if isinstance(node, ast.FunctionDef)
-        and node.name in ("_minor", "exterior_power_matrix")
+        if isinstance(node, ast.FunctionDef) and node.name in names
     ]
+
+
+def test_minors_are_defined_only_in_linalg():
+    defs = _defined_outside_linalg(("_minor", "exterior_power_matrix"))
     assert not defs, "minor helpers outside linalg: " + ", ".join(defs)
+
+
+def test_is_hermitian_is_defined_only_in_linalg():
+    defs = _defined_outside_linalg(("is_hermitian", "is_hermitian_matrix"))
+    assert not defs, "Hermitian tests outside linalg: " + ", ".join(defs)

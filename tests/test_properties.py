@@ -291,6 +291,15 @@ def test_cyclo_field_axioms_across_conductors(xyz):
         assert _same((x * y) / x, y)
 
 
+@settings(deadline=None, max_examples=60)
+@given(n=st.sampled_from([5, 11]), data=st.data())
+def test_hash_does_not_depend_on_the_conductor(n, data):
+    coeffs = data.draw(st.lists(st.fractions(-4, 4, max_denominator=3),
+                                min_size=euler_phi(n), max_size=euler_phi(n)))
+    x = CycloNum(n, coeffs)
+    assert hash(x) == hash(x.lift(55))
+
+
 # -- the packed matrix product against the per-entry product ----------------
 
 # conductors of the entries, and hosts whose divisors among them can be
