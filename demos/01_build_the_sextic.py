@@ -10,7 +10,7 @@ of the degree-10 simplex followed by exact Newton interpolation.
 """
 
 from kleinepw import epw, fixtures
-from kleinepw.poly import Poly1, squarefree_decomposition
+from kleinepw.poly import squarefree_decomposition
 from kleinepw.textform import emit_polynomial
 
 A = epw.build_A()
@@ -36,8 +36,8 @@ print("\nCanonical equation:\n", emit_polynomial(f))
 print("\nRestriction to the line through [1:0:...:0] and [0:1:1:1:1:1]:")
 line = epw.restrict_to_line(f, [1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 1, 1])
 print("   ", emit_polynomial(line, ["s", "t"]))
-pol, _ = epw.binary_form_to_poly1(line)
+pol, _ = epw.dehomogenize(line)
 for factor, mult in squarefree_decomposition(pol):
-    print(f"    factor {factor} with multiplicity {mult}")
+    print(f"    factor {emit_polynomial(factor, ['u'])} with multiplicity {mult}")
 print("Two double points and two simple points: the line crosses the")
 print("hypersurface in 4 points, two of them on its singular surface.")

@@ -27,7 +27,7 @@ for p in (32003, 65537):
 
 for p in (32003, 65537):
     t0 = time.time()
-    ok, info = smoothness_check(gm_threefold_ideal(p), 4, minor_sample=None)
+    ok, info = smoothness_check(gm_threefold_ideal(p), 4)
     print(
         f"prime {p}: threefold section smooth: {ok} "
         f"({time.time()-t0:.1f}s, {info['minors_used']} Jacobian minors)"

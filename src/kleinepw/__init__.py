@@ -16,7 +16,7 @@ order Z[w] with w^2 = -w - 3.
 
 from . import epw, fixtures, group, groebner, hermitian, lattices, linalg, verify
 from .cyclo import CycloNum, QuadInt, euler_phi, lambda_embed, sqrt_minus_11
-from .poly import MultiPoly, Poly1, squarefree_decomposition, squarefree_part
+from .poly import MultiPoly, squarefree_decomposition
 from .textform import emit_polynomial, parse_polynomial
 
 __all__ = [
@@ -26,9 +26,7 @@ __all__ = [
     "lambda_embed",
     "sqrt_minus_11",
     "MultiPoly",
-    "Poly1",
     "squarefree_decomposition",
-    "squarefree_part",
     "emit_polynomial",
     "parse_polynomial",
     "epw",

@@ -357,7 +357,6 @@ def cmd_groebner(args):
             ok, info = smoothness_check(
                 gens, codim,
                 max_pairs=args.budget_pairs, max_degree=args.budget_degree,
-                minor_sample=None,
             )
             verdict = "pass" if ok else "fail"
             payload = {"verdict": verdict, "primes": [prime], "mode": "smoothness",

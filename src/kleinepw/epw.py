@@ -30,7 +30,7 @@ from math import factorial, lcm
 
 from . import fixtures, group, linalg
 from .cyclo import CycloNum, common_field
-from .poly import MultiPoly, Poly1, linear_forms, squarefree_decomposition
+from .poly import MultiPoly, linear_forms, squarefree_decomposition
 
 TRIPLES6 = tuple(combinations(range(6), 3))
 PAIRS6 = tuple(combinations(range(6), 2))
@@ -181,7 +181,7 @@ def gm_dimension(a_rows, covector):
     # each kernel vector scaled by its denominators' lcm: the same span,
     # and integer minors
     basis = []
-    for vec in zip(*linalg.kernel_basis([covector])):
+    for vec in linalg.kernel_basis([covector]):
         den = lcm(*(x.denominator for x in vec))
         basis.append([int(x * den) for x in vec])
     # the 3 x 3 minors' columns are the 3-subsets of 0..5 in TRIPLES6 order
@@ -216,9 +216,7 @@ def self_duality_check(a_rows):
 
 def self_duality_oracle(a_rows):
     """Independent annihilator-comparison route (kernel based)."""
-    ann_cols = linalg.kernel_basis(a_rows)
-    k = len(ann_cols[0]) if ann_cols else 0
-    ann_rows = [[ann_cols[i][j] for i in range(20)] for j in range(k)]
+    ann_rows = linalg.kernel_basis(a_rows)
     flipped = [_dual_flip(r) for r in a_rows]
     return (
         span_rank(ann_rows) == span_rank(flipped)
@@ -371,20 +369,13 @@ def restrict_to_line(f, p, q):
     return f.substitute(linear_forms(list(zip(p, q))))
 
 
-def binary_form_to_poly1(g, degree=None):
-    """Dehomogenize g(s, t) at s = u, t = 1; returns (Poly1 in u,
-    multiplicity of the root at infinity [1:0])."""
+def dehomogenize(g, degree=None):
+    """Dehomogenize the binary form g(s, t) at s = u, t = 1: (the
+    one-variable MultiPoly in u, multiplicity of the root at infinity
+    [1:0])."""
     d = g.total_degree() if degree is None else degree
-    coeffs = [0] * (d + 1)
-    for (es, et), c in g.terms.items():
-        coeffs[es] = Fraction(c) if isinstance(c, int) else c
-    inf_mult = 0
-    for k in range(d, -1, -1):
-        if coeffs[k] == 0:
-            inf_mult += 1
-        else:
-            break
-    return Poly1(list(coeffs)), inf_mult
+    pol = MultiPoly(1, {(es,): c for (es, _), c in g.terms.items()})
+    return pol, d - pol.total_degree()
 
 
 def root_of_unity(order, power=1):
@@ -417,10 +408,9 @@ def fixed_locus(g6):
         shifted = [[g6[i][k] - (ev if i == k else 0) for k in range(6)] for i in range(6)]
         shifted = common_field(shifted)
         kb = linalg.kernel_basis(shifted)
-        dim = len(kb[0]) if kb else 0
-        if dim:
+        if kb:
             out.append((ev, kb))
-    if sum(len(kb[0]) for _, kb in out) != 6:
+    if sum(len(kb) for _, kb in out) != 6:
         raise ArithmeticError("lost eigenvalues")
     return out
 
@@ -481,11 +471,10 @@ def line_intersection_pattern(f, p, q):
     g = restrict_to_line(f, p, q)
     if g.is_zero():
         return None
-    pol, inf_mult = binary_form_to_poly1(g, degree=6)
+    pol, inf_mult = dehomogenize(g, degree=6)
     pattern = []
-    if pol.degree() > 0:
-        for factor, mult in squarefree_decomposition(pol):
-            pattern.extend([mult] * factor.degree())
+    for factor, mult in squarefree_decomposition(pol):
+        pattern.extend([mult] * factor.total_degree())
     if inf_mult:
         pattern.append(inf_mult)
     return sorted(pattern)
@@ -507,12 +496,11 @@ def sextic_fixed_point_count(g6, a_rows=None, f=None):
         f = fixtures.sextic_poly()
     components = []
     for ev, kb in fixed_locus(g6):
-        dim = len(kb[0])
-        points = [[kb[i][j] for i in range(6)] for j in range(min(dim, 2))]
+        dim = len(kb)
         if dim == 1:
-            value = stratum(a_rows, points[0])
+            value = stratum(a_rows, kb[0])
         elif dim == 2:
-            value = line_intersection_pattern(f, *points)
+            value = line_intersection_pattern(f, *kb)
         else:
             value = None
         components.append((ev, dim, value))

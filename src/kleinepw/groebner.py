@@ -381,12 +381,13 @@ def smoothness_check(
     codim,
     max_pairs=200000,
     max_degree=60,
-    minor_sample=64,
+    minor_sample=None,
 ):
     """Projective emptiness of the singular locus: generators plus the
-    codim x codim minors of their Jacobian.  Starts from a deterministic
-    random subsample of the minors (enough when the verdict is empty) and
-    falls back to the full minor set otherwise.
+    codim x codim minors of their Jacobian, all of them by default.  Given
+    minor_sample, it starts from a deterministic random subsample of that
+    many minors (enough when the verdict is empty) and falls back to the
+    full minor set otherwise.
 
     Returns (smooth: bool, info dict)."""
     if codim < 1:

@@ -2,8 +2,9 @@
 
 Matrices are lists or tuples of rows, each row a list or a tuple;
 functions never mutate their arguments.  exterior_power_matrix gives the
-k x k minors of a rectangular matrix.  rank and det pick one of two
-elimination kernels by the type of the entries:
+k x k minors of a rectangular matrix.  mat_mul hands a product of two
+cyclotomic matrices to the packed kernel cyclo.mat_mul.  rank and det
+pick one of two elimination kernels by the type of the entries:
 
 - the fraction-free kernel (Bareiss) serves ints, and Fractions once each
   row is cleared of denominators, so ranks and determinants over Q never
@@ -15,7 +16,8 @@ elimination kernels by the type of the entries:
 
 Over rings without exact division (the order Z[w], polynomials over F_p)
 expansion_det expands along column subsets instead, and rref gives the
-full reduction that kernel_basis needs.  is_hermitian is the one
+full reduction that kernel_basis needs; kernel_basis and int_kernel_basis
+both return lists of basis row vectors.  is_hermitian is the one
 conjugate-symmetry test, for entries with conj() (CycloNum or QuadInt).
 """
 
@@ -25,12 +27,20 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm as _lcm
 
+from . import cyclo
+from .cyclo import CycloNum
+
 
 def identity(n, one=1, zero=0):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
+    """Matrix product.  When every entry of both operands is a CycloNum the
+    packed kernel cyclo.mat_mul takes it and returns tuples; other entries
+    are multiplied one by one into lists."""
+    if all(isinstance(x, CycloNum) for m in (a, b) for row in m for x in row):
+        return cyclo.mat_mul(a, b)
     rows, inner, cols = len(a), len(b), len(b[0])
     out = []
     for i in range(rows):
@@ -295,11 +305,9 @@ def rref(m):
 
 
 def kernel_basis(m):
-    """Columns spanning the null space {x : m x = 0}; independent columns.
-
-    Returns a cols x k matrix (list of rows, k columns); empty list of
-    columns is returned as a cols x 0 matrix.
-    """
+    """Basis of the null space {x : m x = 0}: a list of independent row
+    vectors, one per free column of the reduced form (empty when m has
+    full column rank)."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if rows == 0:
@@ -308,14 +316,14 @@ def kernel_basis(m):
     one = next((x / x for row in red for x in row if x), Fraction(1))
     zero = one * 0
     free = [c for c in range(cols) if c not in piv_cols]
-    basis_cols = []
+    basis = []
     for f in free:
         v = [zero] * cols
         v[f] = one
         for i, c in enumerate(piv_cols):
             v[c] = -red[i][f]
-        basis_cols.append(v)
-    return [[col[i] for col in basis_cols] for i in range(cols)]
+        basis.append(v)
+    return basis
 
 
 def char_poly(m):
@@ -337,7 +345,7 @@ def char_poly(m):
         if k < n:
             for i in range(n):
                 mk[i][i] = mk[i][i] + ck
-            mk = mat_mul(m, mk)
+            mk = [list(row) for row in mat_mul(m, mk)]
     # det(T I - m) = T^n + cs[0] T^(n-1) + ... + cs[n-1]
     out = [cs[n - 1 - i] for i in range(n)] + [1]
     return out

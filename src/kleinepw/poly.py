@@ -1,4 +1,4 @@
-"""Sparse multivariate and dense univariate polynomials over exact coefficients.
+"""Sparse multivariate polynomials over exact coefficients.
 
 MultiPoly stores a map from exponent tuples to nonzero coefficients; the
 coefficient domain is anything supporting ring arithmetic (int, Fraction,
@@ -6,10 +6,11 @@ CycloNum, ...).  The ring operations build their results through one
 hook, _with_terms, so a subclass can fix the coefficient ring:
 groebner.FPoly is MultiPoly over F_p, whose hook reduces coefficients
 modulo p.  The canonical term order is graded reverse lexicographic over
-the declared variable order.  linear_forms builds the linear images that
+the declared variable order.  divmod is the one division loop: exact_div
+and `//` are divmod with a zero remainder required, and gcd and
+squarefree_decomposition (line restrictions) run on one-variable
+polynomials through it.  linear_forms builds the linear images that
 substitute takes, a matrix's rows as forms in its column variables.
-Poly1 is a dense univariate polynomial used for characteristic
-polynomials, line restrictions and squarefree decomposition.
 """
 
 from __future__ import annotations
@@ -239,33 +240,33 @@ class MultiPoly:
         p.terms = out
         return p
 
-    def exact_div(self, divisor):
-        """Exact division (raises if the divisor does not divide evenly).
-
-        Works over int coefficients (integer quotients checked) and over
-        field coefficients.
-        """
+    def divmod(self, divisor):
+        """(q, r) with self == q * divisor + r, by one division loop in the
+        grevlex order.  r keeps each term whose monomial the divisor's
+        leading monomial does not divide and, when both coefficients are
+        ints, each term whose coefficient the leading coefficient does not
+        divide.  Other coefficients are multiplied by one inverse of the
+        leading coefficient, taken through Fraction."""
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = dict(self.terms)
-        out = {}
         de, dc = divisor.leading_term()
-        dterms = list(divisor.terms.items())
+        tail = [(e, c) for e, c in divisor.terms.items() if e != de]
+        over_z = isinstance(dc, int)
+        inv = Fraction(1) / dc
+        rem = dict(self.terms)
+        q, r = {}, {}
         while rem:
             e = max(rem, key=grevlex_key)
-            c = rem[e]
+            c = rem.pop(e)
             qe = tuple(a - b for a, b in zip(e, de))
-            if any(x < 0 for x in qe):
-                raise ValueError("inexact polynomial division (monomial)")
-            if isinstance(c, int) and isinstance(dc, int):
-                if c % dc:
-                    raise ValueError("inexact polynomial division (coefficient)")
-                qc = c // dc
-            else:
-                qc = c / dc
-            out[qe] = qc
-            for te, tc in dterms:
+            whole = over_z and isinstance(c, int)
+            if any(x < 0 for x in qe) or (whole and c % dc):
+                r[e] = c
+                continue
+            qc = c // dc if whole else c * inv
+            q[qe] = qc
+            for te, tc in tail:
                 ke = tuple(a + b for a, b in zip(qe, te))
                 acc = rem.get(ke)
                 s = (acc if acc is not None else 0) - qc * tc
@@ -273,11 +274,26 @@ class MultiPoly:
                     rem[ke] = s
                 elif ke in rem:
                     del rem[ke]
-        return self._with_terms(out)
+        return self._with_terms(q), self._with_terms(r)
 
-    def __floordiv__(self, divisor):
-        """Exact quotient, so fraction-free elimination runs over Z[x]."""
-        return self.exact_div(divisor)
+    def exact_div(self, divisor):
+        """The quotient of a division with zero remainder; raises ValueError
+        otherwise.  It is also `//`, so fraction-free elimination runs over
+        Z[x]."""
+        q, r = self.divmod(divisor)
+        if r:
+            raise ValueError("inexact polynomial division")
+        return q
+
+    __floordiv__ = exact_div
+
+    def monic(self):
+        """This polynomial divided by its leading coefficient, through one
+        inverse; ints are divided as rationals."""
+        if not self.terms:
+            return self
+        _, c = self.leading_term()
+        return self if c == 1 else self * (Fraction(1) / c)
 
     def __repr__(self):
         if not self.terms:
@@ -299,156 +315,36 @@ def linear_forms(rows):
     return [MultiPoly(nvars, zip(units, row)) for row in rows]
 
 
-class Poly1:
-    """Dense univariate polynomial; coefficients low to high, no trailing zeros."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = cs
-
-    @staticmethod
-    def from_const(c):
-        return Poly1([c])
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] = out[i] + c
-        for i, c in enumerate(other.coeffs):
-            out[i] = out[i] + c
-        return Poly1(out)
-
-    def __neg__(self):
-        return Poly1([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly1):
-            return Poly1([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly1([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return Poly1(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError
-        rem = self.coeffs[:]
-        dn = other.coeffs
-        q = [0] * max(0, len(rem) - len(dn) + 1)
-        lead = dn[-1]
-        for k in range(len(rem) - len(dn), -1, -1):
-            c = rem[k + len(dn) - 1]
-            if not c:
-                continue
-            f = c / lead
-            q[k] = f
-            for i, d in enumerate(dn):
-                rem[k + i] = rem[k + i] - f * d
-        return Poly1(q), Poly1(rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def derivative(self):
-        return Poly1([c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly1([c / lead for c in self.coeffs])
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                bits.append(f"{c}")
-            elif i == 1:
-                bits.append(f"{c}*u")
-            else:
-                bits.append(f"{c}*u^{i}")
-        return " + ".join(bits).replace("+ -", "- ")
+def gcd(a, b):
+    """Monic gcd of two one-variable polynomials over a field, by Euclid's
+    algorithm; the divisor is made monic at each step, so ints divide as
+    rationals."""
+    a = a.monic()
+    while b:
+        b = b.monic()
+        a, b = b, a.divmod(b)[1]
+    return a
 
 
-def squarefree_decomposition(p: Poly1):
-    """Yun-style decomposition [(factor, multiplicity), ...] over a
-    characteristic-0 field; the product of factor^multiplicity equals p
-    up to the leading coefficient, factors are monic, squarefree and
-    pairwise coprime.  Rejects the zero polynomial.
-    """
+def squarefree_decomposition(p):
+    """Yun's decomposition [(factor, multiplicity), ...] of a one-variable
+    polynomial over a characteristic-0 field: the product of
+    factor^multiplicity equals p up to the leading coefficient, and the
+    factors are monic, squarefree, pairwise coprime and of positive degree.
+    Rejects the zero polynomial."""
     if p.is_zero():
         raise ValueError("zero polynomial has no squarefree decomposition")
-    if all(isinstance(c, int) for c in p.coeffs):
-        p = Poly1([Fraction(c) for c in p.coeffs])
-    if p.degree() == 0:
-        return []
     p = p.monic()
-    d = p.gcd(p.derivative())
+    d = gcd(p, p.derivative(0))
+    w = p // d
     out = []
-    w = (p // d).monic()
     i = 1
-    while w.degree() > 0:
-        y = w.gcd(d)
-        factor = (w // y).monic()
-        if factor.degree() > 0:
+    while w.total_degree() > 0:
+        y = gcd(w, d)
+        factor = w // y
+        if factor.total_degree() > 0:
             out.append((factor, i))
         w = y
         d = d // y
         i += 1
     return out
-
-
-def squarefree_part(p: Poly1) -> Poly1:
-    prod = Poly1.from_const(Fraction(1))
-    for f, _ in squarefree_decomposition(p):
-        prod = prod * f
-    return prod

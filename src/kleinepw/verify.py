@@ -26,7 +26,7 @@ from .groebner import (
     sextic_singular_locus_ideal,
     smoothness_check,
 )
-from .poly import Poly1, linear_forms, squarefree_decomposition
+from .poly import MultiPoly, gcd, linear_forms, squarefree_decomposition
 from .textform import emit_polynomial
 
 PASS, FAIL, SKIP, BUDGET = "pass", "fail", "skipped", "budget-exhausted"
@@ -562,17 +562,17 @@ def _line5(ctx):
     g = epw.restrict_to_line(f, [1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 1, 1])
     if g != fixtures.order5_line_poly():
         return FAIL, {"restriction": emit_polynomial(g, ["s", "t"])}
-    pol, inf = epw.binary_form_to_poly1(g)
-    gcd = pol.gcd(pol.derivative())
-    want_gcd = Poly1([Fraction(-1), Fraction(1), Fraction(1)])
+    pol, inf = epw.dehomogenize(g)
+    common = gcd(pol, pol.derivative(0))
+    want_gcd = MultiPoly(1, {(2,): 1, (1,): 1, (0,): -1})
     pattern = sorted(
-        m for fac, m in squarefree_decomposition(pol) for _ in range(fac.degree())
+        m for fac, m in squarefree_decomposition(pol) for _ in range(fac.total_degree())
     )
-    ok = gcd == want_gcd and pattern == [1, 1, 2, 2] and inf == 0
+    ok = common == want_gcd and pattern == [1, 1, 2, 2] and inf == 0
     return _bool(
         ok,
         {"pattern": pattern, "double-root-factor": "u^2 + u - 1"},
-        {"pattern": pattern, "gcd": repr(gcd)},
+        {"pattern": pattern, "gcd": repr(common)},
     )
 
 

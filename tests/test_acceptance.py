@@ -17,7 +17,7 @@ from kleinepw.groebner import (
     projective_empty,
     smoothness_check,
 )
-from kleinepw.poly import MultiPoly, Poly1, squarefree_decomposition
+from kleinepw.poly import MultiPoly, gcd, squarefree_decomposition
 from kleinepw.textform import emit_polynomial, parse_polynomial
 
 
@@ -138,21 +138,17 @@ def test_criterion_07_line_sections(table660, labeled_classes):
         f = fixtures.sextic_poly()
         g = epw.restrict_to_line(f, [1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 1, 1])
         assert g == fixtures.order5_line_poly()
-        pol, inf = epw.binary_form_to_poly1(g)
+        pol, inf = epw.dehomogenize(g)
         assert inf == 0
         dec = squarefree_decomposition(pol)
-        assert sum(fac.degree() for fac, _ in dec) == 4
-        assert pol.gcd(pol.derivative()) == Poly1(
-            [Fraction(-1), Fraction(1), Fraction(1)]
-        )
-        pattern = sorted(m for fac, m in dec for _ in range(fac.degree()))
+        assert sum(fac.total_degree() for fac, _ in dec) == 4
+        assert gcd(pol, pol.derivative(0)) == MultiPoly(1, {(2,): 1, (1,): 1, (0,): -1})
+        pattern = sorted(m for fac, m in dec for _ in range(fac.total_degree()))
         assert pattern == [1, 1, 2, 2]
         s6 = group._v6_matrix(table660.elements[labeled_classes["b3"][0]])
         for _, kb in epw.fixed_locus([list(r) for r in s6]):
-            if len(kb[0]) == 2:
-                p = [kb[i][0] for i in range(6)]
-                q = [kb[i][1] for i in range(6)]
-                assert epw.line_intersection_pattern(f, p, q) == [1] * 6
+            if len(kb) == 2:
+                assert epw.line_intersection_pattern(f, *kb) == [1] * 6
 
 
 def test_criterion_08_lattice_suite():
@@ -249,5 +245,5 @@ def test_criterion_12_groebner_gates():
         for p in primes:
             assert projective_empty(decomposable_pullback_ideal(p)) is True
         for p in primes:
-            ok, _ = smoothness_check(gm_threefold_ideal(p), 4, minor_sample=None)
+            ok, _ = smoothness_check(gm_threefold_ideal(p), 4)
             assert ok is True

@@ -198,6 +198,16 @@ def test_groebner_file_and_negative_control(tmp_path, capsys):
     assert payload["verdict"] == "fail"
 
 
+def test_shipped_sixfold_file_passes_validation(capsys):
+    # the double cover is a variety, so the emptiness verdict is fail (exit
+    # 1); a field the command rejects would exit 2 with a usage line
+    code, out, _ = run(capsys, "groebner", "--file", str(fixtures.ideal_file("gm_sixfold")))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["mode"] == "projective-emptiness"
+    assert payload["primes"] == [32003] and payload["verdict"] == "fail"
+
+
 def test_groebner_emptiness_mode(tmp_path, capsys):
     spec = {
         "prime": 101,
@@ -240,16 +250,17 @@ def test_verify_budget_reports_progress(capsys):
 
 
 def test_shipped_ideal_matches_builder():
-    from kleinepw.groebner import FPoly, gm_threefold_ideal
+    from kleinepw.groebner import FPoly, gm_fivefold_ideal, gm_threefold_ideal
 
-    with open(fixtures.ideal_file("gm_threefold"), "r", encoding="utf-8") as handle:
-        spec = json.load(handle)
-    parsed = {
-        frozenset(FPoly.from_int_poly(parse_polynomial(s, spec["variables"]), 32003).terms.items())
-        for s in spec["generators"]
-    }
-    built = {frozenset(g.terms.items()) for g in gm_threefold_ideal(32003)}
-    assert parsed == built
+    # generator by generator and term for term, at the file's own prime
+    for name, build in (("gm_threefold", gm_threefold_ideal),
+                        ("gm_fivefold", gm_fivefold_ideal)):
+        with open(fixtures.ideal_file(name), "r", encoding="utf-8") as handle:
+            spec = json.load(handle)
+        p = spec["prime"]
+        parsed = [FPoly.from_int_poly(parse_polynomial(s, spec["variables"]), p).terms
+                  for s in spec["generators"]]
+        assert parsed == [g.terms for g in build(p)], name
 
 
 def test_verify_hermitian_json(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kleinepw import epw, fixtures, group, linalg
-from kleinepw.poly import MultiPoly, Poly1, squarefree_decomposition
+from kleinepw.poly import MultiPoly, squarefree_decomposition
 
 
 def test_v_assignments():
@@ -144,7 +144,7 @@ def test_gm_dimension_with_fraction_kernel_matches_unscaled_minors():
     # the Fraction basis itself
     a = epw.build_A()
     for cov in ([2, 3, 0, 0, 0, 5], [0, 0, 0, 3, 2, 0], [3, 1, 4, 1, 5, 9]):
-        basis = [list(vec) for vec in zip(*linalg.kernel_basis([cov]))]
+        basis = linalg.kernel_basis([cov])
         assert any(x.denominator != 1 for vec in basis for x in vec)
         w_rows = linalg.exterior_power_matrix(basis, 3)
         want = 5 - epw.trivector_subspace_intersection(a, w_rows)
@@ -188,11 +188,11 @@ def test_restrict_to_line_examples():
     f = fixtures.sextic_poly()
     g = epw.restrict_to_line(f, [1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 1, 1])
     assert g == fixtures.order5_line_poly()
-    pol, inf = epw.binary_form_to_poly1(g)
+    pol, inf = epw.dehomogenize(g)
     assert inf == 0
-    assert pol == Poly1([Fraction(c) for c in [5, -12, 0, 10, 0, 0, 1]])
+    assert pol == MultiPoly(1, {(k,): c for k, c in enumerate([5, -12, 0, 10, 0, 0, 1])})
     pattern = sorted(
-        m for fac, m in squarefree_decomposition(pol) for _ in range(fac.degree())
+        m for fac, m in squarefree_decomposition(pol) for _ in range(fac.total_degree())
     )
     assert pattern == [1, 1, 2, 2]
     with pytest.raises(ValueError):
@@ -205,13 +205,13 @@ def test_restrict_to_line_examples():
 def test_fixed_loci(table660, labeled_classes):
     tbl, lab = table660, labeled_classes
     c6 = group._v6_matrix(tbl.elements[lab["c"][0]])
-    dims = sorted(len(kb[0]) for _, kb in epw.fixed_locus([list(r) for r in c6]))
+    dims = sorted(len(kb) for _, kb in epw.fixed_locus([list(r) for r in c6]))
     assert dims == [1] * 6
     a6 = group._v6_matrix(tbl.elements[lab["a"][0]])
-    dims = sorted(len(kb[0]) for _, kb in epw.fixed_locus([list(r) for r in a6]))
+    dims = sorted(len(kb) for _, kb in epw.fixed_locus([list(r) for r in a6]))
     assert dims == [1, 1, 1, 1, 2]
     s6 = group._v6_matrix(tbl.elements[lab["b3"][0]])
-    dims = sorted(len(kb[0]) for _, kb in epw.fixed_locus([list(r) for r in s6]))
+    dims = sorted(len(kb) for _, kb in epw.fixed_locus([list(r) for r in s6]))
     assert dims == [2, 4]
 
 
@@ -243,10 +243,8 @@ def test_fixed_point_counts_slow(table660, labeled_classes):
 def test_order2_line_squarefree(table660, labeled_classes):
     s6 = group._v6_matrix(table660.elements[labeled_classes["b3"][0]])
     for _, kb in epw.fixed_locus([list(r) for r in s6]):
-        if len(kb[0]) == 2:
-            p = [kb[i][0] for i in range(6)]
-            q = [kb[i][1] for i in range(6)]
-            pattern = epw.line_intersection_pattern(fixtures.sextic_poly(), p, q)
+        if len(kb) == 2:
+            pattern = epw.line_intersection_pattern(fixtures.sextic_poly(), *kb)
             assert pattern == [1] * 6
 
 

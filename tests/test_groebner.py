@@ -177,14 +177,14 @@ def test_threefold_ideal_matches_the_hand_built_quadrics(p):
 
 def test_threefold_gate():
     for p in (P, 65537):
-        ok, info = smoothness_check(gm_threefold_ideal(p), 4, minor_sample=None)
+        ok, info = smoothness_check(gm_threefold_ideal(p), 4)
         assert ok is True
         assert info == {"sampled_minors": False, "minors_used": 1037, "basis_size": 165}
 
 
 @pytest.mark.slow
 def test_fivefold_gate():
-    ok, info = smoothness_check(gm_fivefold_ideal(P), 4, minor_sample=None)
+    ok, info = smoothness_check(gm_fivefold_ideal(P), 4)
     assert ok is True
     assert info == {"sampled_minors": False, "minors_used": 2965, "basis_size": 445}
 
@@ -199,7 +199,7 @@ def test_threefold_negative_control():
     del broken[key]
     corrupted = FPoly(P, 8)
     corrupted.terms = broken
-    ok, info = smoothness_check(gens[:-1] + [corrupted], 4, minor_sample=None)
+    ok, info = smoothness_check(gens[:-1] + [corrupted], 4)
     assert ok is False
 
 

@@ -36,11 +36,11 @@ def test_det_examples():
 
 
 def test_kernel_examples():
-    assert linalg.kernel_basis(linalg.identity(3)) == [[], [], []]
+    assert linalg.kernel_basis(linalg.identity(3)) == []
     kb = linalg.kernel_basis([[0, 0], [0, 0]])
-    assert len(kb[0]) == 2
+    assert len(kb) == 2
     kb = linalg.kernel_basis([[1, 1]])
-    assert len(kb[0]) == 1 and kb[0][0] == -kb[1][0] != 0
+    assert len(kb) == 1 and kb[0][0] == -kb[0][1] != 0
 
 
 def test_rank_nullity_random():
@@ -49,17 +49,14 @@ def test_rank_nullity_random():
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
         r = linalg.rank(m)
         kb = linalg.kernel_basis(m)
-        k = len(kb[0]) if kb else 0
-        assert r + k == len(m[0])
-        for j in range(k):
-            col = [kb[i][j] for i in range(len(m[0]))]
-            assert all(v == 0 for v in linalg.mat_vec(m, col))
+        assert r + len(kb) == len(m[0])
+        for vec in kb:
+            assert all(v == 0 for v in linalg.mat_vec(m, vec))
     for _ in range(100):
         m = rand_cyclo_matrix(rng, rng.randint(1, 3), rng.randint(1, 4))
         r = linalg.rank(m)
         kb = linalg.kernel_basis(m)
-        k = len(kb[0]) if kb else 0
-        assert r + k == len(m[0])
+        assert r + len(kb) == len(m[0])
 
 
 def test_det_multiplicative():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinepw.poly import MultiPoly, Poly1, squarefree_decomposition, squarefree_part
+from kleinepw.poly import MultiPoly, gcd, squarefree_decomposition
 from kleinepw.textform import PolyParseError, emit_polynomial, parse_polynomial
 
 
@@ -66,44 +66,65 @@ def test_homogenize():
     assert h.coefficient((2, 0, 0)) == 1  # the inserted variable squared
 
 
+def upoly(coeffs):
+    """One-variable polynomial from its coefficients, low to high."""
+    return MultiPoly(1, {(k,): c for k, c in enumerate(coeffs)})
+
+
+def test_divmod_examples():
+    x = MultiPoly.var(0, 2)
+    y = MultiPoly.var(1, 2)
+    # over Z a coefficient the leading one does not divide stays behind
+    q, r = (4 * x * x + 3 * x * y).divmod(2 * x)
+    assert q == 2 * x and r == 3 * x * y
+    # over Q it divides
+    q, r = (3 * x * x + y).divmod(x * Fraction(2))
+    assert q == x * Fraction(3, 2) and r == y
+    with pytest.raises(ValueError):
+        (3 * x).exact_div(2 * x)
+    with pytest.raises(ZeroDivisionError):
+        x.divmod(MultiPoly.zero(2))
+    assert upoly([2, 4]).monic() == upoly([Fraction(1, 2), 1])
+
+
 def test_squarefree_examples():
     # u^2 -> [(u, 2)]
-    dec = squarefree_decomposition(Poly1([0, 0, 1]))
-    assert len(dec) == 1 and dec[0][1] == 2 and dec[0][0].degree() == 1
+    dec = squarefree_decomposition(upoly([0, 0, 1]))
+    assert len(dec) == 1 and dec[0][1] == 2 and dec[0][0].total_degree() == 1
 
     # the order-5 line section: squarefree part degree 4, gcd u^2 + u - 1
-    p = Poly1([5, -12, 0, 10, 0, 0, 1])
-    part = squarefree_part(p)
-    assert part.degree() == 4
-    g = Poly1([Fraction(c) for c in p.coeffs]).gcd(
-        Poly1([Fraction(c) for c in p.coeffs]).derivative()
-    )
-    assert g == Poly1([Fraction(-1), Fraction(1), Fraction(1)])
+    p = upoly([5, -12, 0, 10, 0, 0, 1])
+    assert sum(f.total_degree() for f, _ in squarefree_decomposition(p)) == 4
+    assert gcd(p, p.derivative(0)) == upoly([-1, 1, 1])
 
     # (u-1)(u+1) -> single squarefree factor of multiplicity 1
-    dec = squarefree_decomposition(Poly1([-1, 0, 1]))
-    assert len(dec) == 1 and dec[0][1] == 1 and dec[0][0].degree() == 2
+    dec = squarefree_decomposition(upoly([-1, 0, 1]))
+    assert len(dec) == 1 and dec[0][1] == 1 and dec[0][0].total_degree() == 2
+
+    # a constant has no factors
+    assert squarefree_decomposition(upoly([7])) == []
 
     with pytest.raises(ValueError):
-        squarefree_decomposition(Poly1([]))
+        squarefree_decomposition(upoly([]))
 
 
 def test_squarefree_reassembly():
     rng = random.Random(3)
     for _ in range(10):
-        # random monic product with repeated factors
-        f1 = Poly1([Fraction(rng.randint(-3, 3)), Fraction(1)])
-        f2 = Poly1([Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2)), Fraction(1)])
-        p = f1 * f1 * f2
+        # random product with repeated factors and a non-unit leading coefficient
+        f1 = upoly([rng.randint(-3, 3), 1])
+        f2 = upoly([rng.randint(-3, 3), rng.randint(-2, 2), 1])
+        p = f1 * f1 * f2 * 3
         dec = squarefree_decomposition(p)
-        prod = Poly1.from_const(Fraction(1))
+        prod = upoly([1])
         for fac, mult in dec:
+            assert fac.leading_term()[1] == 1
             for _ in range(mult):
                 prod = prod * fac
         assert prod == p.monic()
         for i, (fa, _) in enumerate(dec):
             for fb, _ in dec[i + 1 :]:
-                assert fa.gcd(fb).degree() == 0
+                assert gcd(fa, fb).total_degree() == 0
 
 
 def test_parser_examples():

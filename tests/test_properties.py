@@ -375,3 +375,51 @@ def test_packed_mat_mul_at_the_coefficient_bound(n, conductor, sign):
     a = [[CycloNum(conductor, (sign * top,) * phi, 1)] * n for _ in range(n)]
     b = [[CycloNum(conductor, (top,) * phi, 1)] * n for _ in range(n)]
     assert _equal_matrices(group.mat_mul(a, b), _per_entry_mat_mul(a, b))
+
+
+@st.composite
+def _sparse(draw, nvars, coeffs):
+    """A polynomial in nvars variables with exponents up to 4."""
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    return MultiPoly(nvars, draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(nvars=st.integers(1, 2), data=st.data())
+def test_divmod_over_q_is_division_with_remainder(nvars, data):
+    coeffs = _RATIONAL.filter(bool).map(Fraction)
+    a = data.draw(_sparse(nvars, coeffs))
+    b = data.draw(_sparse(nvars, coeffs).filter(bool))
+    q, r = a.divmod(b)
+    assert q * b + r == a
+    lead, _ = b.leading_term()
+    assert not any(all(x >= y for x, y in zip(e, lead)) for e in r.terms)
+    if r:
+        with pytest.raises(ValueError):
+            a.exact_div(b)
+    else:
+        assert a.exact_div(b) == q
+    assert (a * b).exact_div(b) == a
+    if a:
+        assert a.monic().leading_term()[1] == 1
+
+
+@settings(deadline=None, max_examples=80)
+@given(nvars=st.integers(1, 2), data=st.data())
+def test_divmod_over_z_stays_exact(nvars, data):
+    coeffs = st.integers(-6, 6).filter(bool)
+    a = data.draw(_sparse(nvars, coeffs))
+    b = data.draw(_sparse(nvars, coeffs).filter(bool))
+    q, r = a.divmod(b)
+    assert q * b + r == a
+    assert all(type(c) is int for p in (q, r) for c in p.terms.values())
+    # a term of r under the leading monomial has a coefficient the leading
+    # coefficient does not divide
+    lead, lc = b.leading_term()
+    for e, c in r.terms.items():
+        if all(x >= y for x, y in zip(e, lead)):
+            assert c % lc
+    assert (a * b).exact_div(b) == a
+    assert all(type(c) in (int, Fraction) for p in (a.monic(), b.monic())
+               for c in p.terms.values())
+    assert b.monic().leading_term()[1] == 1
