@@ -10,7 +10,7 @@ orbits give eight classes whose sizes and orders are pinned.
 
 import time
 
-from kleinepw import fixtures, group
+from kleinepw import fixtures, group, linalg
 
 t0 = time.time()
 a, c = group.gen_a(), group.gen_c()
@@ -20,7 +20,7 @@ borel = group.generate_group([a, c])
 print("closure of {a, c}:", len(borel), "matrices")
 
 s = group.weil_outside_borel()
-print("extra generator: order", group.mat_order(s), "trace", group.mat_trace(s))
+print("extra generator: order", group.mat_order(s), "trace", linalg.trace(s))
 
 table = group.generate_group([a, c, s])
 print("full closure:", len(table), f"matrices ({time.time()-t0:.1f}s)")

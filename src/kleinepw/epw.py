@@ -4,10 +4,11 @@ Coordinates on the 20-dimensional space of trivectors are indexed by the
 lexicographically ordered triples 0 <= i < j < k <= 5 (basis e_ijk); this
 order is fixed once, globally.  The rank-10 Lagrangian is the graph of a
 signed-permutation isomorphism v from 2-vectors to 3-vectors on the last
-five coordinates, and the sextic hypersurface is recovered from it in two
-independent ways: fraction-free elimination over the polynomial ring, and
-evaluation at the integer points of the degree-10 simplex followed by
-exact Newton interpolation.
+five coordinates (graph_rows builds it, for v and for the map rebuilt
+from the dual representation), and the sextic hypersurface is recovered
+from it in two independent ways: fraction-free elimination over the
+polynomial ring, and evaluation at the integer points of the degree-10
+simplex followed by exact Newton interpolation.
 
 The module holds no elimination of its own.  Ranks, determinants and
 exterior powers go through linalg: its fraction-free (Bareiss) kernel
@@ -23,8 +24,6 @@ All operations are pure functions over immutable inputs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import factorial, lcm
 
@@ -86,27 +85,24 @@ def build_v():
     return m
 
 
-@lru_cache(maxsize=None)
-def _v_maps():
-    forward = {}
-    inverse = {}
-    for pair, (sign, triple) in _V_ASSIGNMENTS.items():
-        forward[pair] = (sign, triple)
-        inverse[triple] = (sign, pair)
-    return forward, inverse
+def graph_rows(v):
+    """The graph of a 10 x 10 map v from 2-vectors to 3-vectors on 1..5
+    (rows: triples, columns: pairs, as in build_v): one 20-vector
+    e_{0,p} + v(e_p) per pair p."""
+    rows = []
+    for col, pair in enumerate(PAIRS5):
+        row = [0] * 20
+        row[TRIPLE_INDEX[(0,) + pair]] = 1
+        for triple, v_row in zip(TRIPLES5, v):
+            row[TRIPLE_INDEX[triple]] = v_row[col]
+        rows.append(row)
+    return rows
 
 
 def build_A():
-    """10 x 20 integer basis matrix of the Lagrangian: row for each pair p
-    is e_{0,p} + v(e_p), entries in {-1, 0, 1}."""
-    rows = []
-    for pair in PAIRS5:
-        row = [0] * 20
-        row[TRIPLE_INDEX[(0,) + pair]] = 1
-        sign, triple = _V_ASSIGNMENTS[pair]
-        row[TRIPLE_INDEX[triple]] = sign
-        rows.append(row)
-    return rows
+    """10 x 20 integer basis matrix of the Lagrangian, the graph of v:
+    entries in {-1, 0, 1}."""
+    return graph_rows(build_v())
 
 
 def wedge_pairing(t1, t2):
@@ -256,7 +252,7 @@ def is_lagrangian(rows):
 def chart_matrix_derived():
     """10 x 10 matrix over Z[x1..x5] whose determinant cuts out the sextic
     on the affine chart x0 = 1, derived from the graph map (not transcribed)."""
-    _, vinv = _v_maps()
+    v = build_v()
     cols = []
     for J in PAIRS5:
         col = {}
@@ -265,10 +261,11 @@ def chart_matrix_derived():
             sign, tri = merge_indices((k,), J)
             if not sign:
                 continue
-            vsign, pair = vinv[tri]
-            idx = PAIR5_INDEX[pair]
-            term = MultiPoly.var(k - 1, 5, sign * vsign)
-            col[idx] = col.get(idx, MultiPoly.zero(5)) + term
+            # v is a signed permutation: its transpose is its inverse
+            for idx, vsign in enumerate(v[TRIPLE5_INDEX[tri]]):
+                if vsign:
+                    term = MultiPoly.var(k - 1, 5, sign * vsign)
+                    col[idx] = col.get(idx, MultiPoly.zero(5)) + term
         cols.append(col)
     return [
         [cols[j].get(i, MultiPoly.zero(5)) for j in range(10)] for i in range(10)
@@ -422,13 +419,11 @@ def fixed_locus(g6):
 
 def dual_v():
     """The graph map rebuilt from the dual representation: the inverse
-    transpose of v under the pairing-induced identifications.  For the
-    signed permutation v this equals v itself, which is exactly why the
-    dual route returns the same Lagrangian."""
-    v = build_v()
-    # v is a signed permutation, so its inverse is its transpose
-    vin = [[v[j][i] for j in range(10)] for i in range(10)]
-    return [[vin[j][i] for j in range(10)] for i in range(10)]
+    transpose of v under the pairing-induced identifications, computed
+    exactly (Fraction entries).  For the signed permutation v it equals v,
+    which is why the dual route returns the same Lagrangian; the check
+    below verifies that instead of assuming it."""
+    return linalg.transpose(linalg.inverse(build_v()))
 
 
 def dual_rebuild_check(generators):
@@ -436,27 +431,13 @@ def dual_rebuild_check(generators):
     intertwines the exterior powers of the dual action of every given
     5 x 5 generator, and its graph spans the same Lagrangian."""
     vd = dual_v()
-    vdq = [[Fraction(x) for x in row] for row in vd]
     for g in generators:
-        aug = [list(row) + [Fraction(int(i == k)) for k in range(5)] for i, row in enumerate(g)]
-        ginv = [row[5:] for row in linalg.rref(aug)[0]]
-        gdual = [[ginv[j][i] for j in range(5)] for i in range(5)]
+        gdual = group._dual_matrix(g)
         w2 = linalg.exterior_power_matrix(gdual, 2)
         w3 = linalg.exterior_power_matrix(gdual, 3)
-        lhs = linalg.mat_mul(vdq, w2)
-        rhs = linalg.mat_mul(w3, vdq)
-        if not linalg.mat_eq(lhs, rhs):
+        if not linalg.mat_eq(linalg.mat_mul(vd, w2), linalg.mat_mul(w3, vd)):
             return False
-    rebuilt = []
-    for col, pair in enumerate(PAIRS5):
-        row = [0] * 20
-        row[TRIPLE_INDEX[(0,) + pair]] = 1
-        for t_i, tri in enumerate(TRIPLES5):
-            if vd[t_i][col]:
-                row[TRIPLE_INDEX[tri]] = vd[t_i][col]
-        rebuilt.append(row)
-    a_rows = build_A()
-    return span_rank(a_rows + rebuilt) == 10
+    return span_rank(build_A() + graph_rows(vd)) == 10
 
 
 # ---------------------------------------------------------------------------

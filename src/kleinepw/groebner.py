@@ -13,8 +13,12 @@ finite-field stand-ins for characteristic-0 computations:
   the empty verdict: a subset of the minors cuts out a larger scheme, so
   emptiness of the subsampled locus implies emptiness of the full one.
 
-The GM threefold's ideal is built from the Grassmannian's Pluecker
-relations by substituting its linear section, not written out by hand.
+One builder, pluecker_relations(k, n, p), gives the quadratic Pluecker
+relations of both Grassmannians in play: Gr(2, 5), whose linear and
+quadric sections are the GM threefold and fivefold, and Gr(3, 6), the
+decomposable trivectors, pulled back to the Lagrangian.  The GM
+threefold's ideal is built by substituting its linear section into the
+relations of Gr(2, 5), not written out by hand.
 
 Emptiness over a single prime is evidence, not proof, for the
 characteristic-0 statement; the verification driver demands agreement at
@@ -30,7 +34,7 @@ import random
 from itertools import combinations
 
 from . import linalg
-from .epw import TRIPLE_INDEX, TRIPLES6, build_A, merge_indices
+from .epw import build_A, merge_indices
 from .fixtures import PAIR_VARS, QUADRIC_TEXT, sextic_poly
 from .poly import MultiPoly, grevlex_key, linear_forms
 from .textform import parse_polynomial
@@ -63,9 +67,11 @@ def _pack(e):
 
 class FPoly(MultiPoly):
     """MultiPoly over F_p: coefficients in 1..p-1.  The ring operations
-    are MultiPoly's; the result hook reduces their coefficients mod p."""
+    are MultiPoly's; the result hook reduces their coefficients mod p, and
+    the inverse hook inverts them mod p, so divmod and monic divide in F_p."""
 
     __slots__ = ("p",)
+    _ints_in_z = False
 
     def __init__(self, p, nvars, terms=None):
         self.p = p
@@ -98,13 +104,8 @@ class FPoly(MultiPoly):
         """Reduce a MultiPoly with integer coefficients modulo p."""
         return FPoly(p, poly.nvars)._with_terms(poly.terms)
 
-    def monic(self):
-        if not self.terms:
-            return self
-        _, c = self.leading_term()
-        if c == 1:
-            return self
-        return self * pow(c, -1, self.p)
+    def _inverse(self, c):
+        return pow(c, -1, self.p)
 
     def evaluate(self, point):
         return super().evaluate(point) % self.p
@@ -416,44 +417,33 @@ def smoothness_check(
 # ---------------------------------------------------------------------------
 
 
-def grassmannian_relations_gr36(p):
-    """Quadratic relations cutting the cone of decomposable trivectors in
-    the 20 coordinates: contraction-and-wedge identities (equivalently the
-    three-term straightening relations); exactly 35 independent ones."""
-    nvars = 20
-    relations = {}
-    for m in range(6):
-        # (contract with m-th dual vector) wedge t = 0 in the 5-forms
-        for five in combinations(range(6), 5):
-            coeffs = {}
-            for I in TRIPLES6:
-                if m not in I:
+def pluecker_relations(k, n, p):
+    """The quadratic Pluecker relations of the cone over Gr(k, n) over F_p,
+    in the C(n, k) coordinates x_S, S a k-subset of 0..n-1 in
+    lexicographic order (Fulton, Young Tableaux, 1997, section 9.1): for
+    each (k-1)-subset I and (k+1)-subset J = (j_0 < ... < j_k), the sum
+    over t of (-1)^t x_(I u j_t) x_(J - j_t), where x_(I u j) carries the
+    sign of sorting I followed by j.  Zero relations and relations equal
+    to an earlier one up to a scalar are dropped."""
+    index = {s: i for i, s in enumerate(combinations(range(n), k))}
+    out, seen = [], set()
+    for I in combinations(range(n), k - 1):
+        for J in combinations(range(n), k + 1):
+            terms = []
+            for t, j in enumerate(J):
+                sign, merged = merge_indices(I, (j,))
+                if not sign:
                     continue
-                pos = I.index(m)
-                rest = tuple(x for x in I if x != m)
-                s1 = (-1) ** pos
-                for K in TRIPLES6:
-                    s2, merged = merge_indices(rest, K)
-                    if not s2 or merged != five:
-                        continue
-                    key = (
-                        (TRIPLE_INDEX[I], TRIPLE_INDEX[K])
-                        if TRIPLE_INDEX[I] <= TRIPLE_INDEX[K]
-                        else (TRIPLE_INDEX[K], TRIPLE_INDEX[I])
-                    )
-                    coeffs[key] = (coeffs.get(key, 0) + s1 * s2) % p
-            coeffs = {k: c for k, c in coeffs.items() if c}
-            if not coeffs:
-                continue
-            terms = {}
-            for (i, j), c in coeffs.items():
-                e = [0] * nvars
-                e[i] += 1
-                e[j] += 1
-                terms[tuple(e)] = c
-            poly = FPoly(p, nvars, terms).monic()
-            relations[frozenset(poly.terms.items())] = poly
-    return list(relations.values())
+                e = [0] * len(index)
+                e[index[merged]] += 1
+                e[index[J[:t] + J[t + 1:]]] += 1
+                terms.append((e, sign * (-1) ** t))
+            rel = FPoly(p, len(index), terms)
+            key = frozenset(rel.monic().terms.items())
+            if rel and key not in seen:
+                seen.add(key)
+                out.append(rel)
+    return out
 
 
 def decomposable_pullback_ideal(p):
@@ -461,7 +451,7 @@ def decomposable_pullback_ideal(p):
     family of Lagrangian vectors: quadrics over F_p in 10 coordinates
     whose projective emptiness certifies that the Lagrangian contains no
     decomposable vector."""
-    relations = grassmannian_relations_gr36(p)
+    relations = pluecker_relations(3, 6, p)
     # linear forms: coordinate I of the family point = sum_r a_r * A[r][I]
     linear = [FPoly.from_int_poly(form, p) for form in linear_forms(list(zip(*build_A())))]
     out = []
@@ -473,29 +463,6 @@ def decomposable_pullback_ideal(p):
             if key not in seen:
                 seen.add(key)
                 out.append(acc.monic())
-    return out
-
-
-def pluecker_relations_gr25(p):
-    """The five 4-term Grassmannian relations for 2-planes in a 5-space, in
-    the ten pair coordinates x01, x02, ..., x34 (lexicographic order): one
-    per 4-subset {i<j<k<l}: x_ij x_kl - x_ik x_jl + x_il x_jk."""
-    pair_index = {pair: k for k, pair in enumerate(combinations(range(5), 2))}
-    out = []
-    for sub in combinations(range(5), 4):
-        i, j, k, l = sub
-        terms = {}
-        for (p1, p2), sign in (
-            (((i, j), (k, l)), 1),
-            (((i, k), (j, l)), -1),
-            (((i, l), (j, k)), 1),
-        ):
-            a, b = pair_index[p1], pair_index[p2]
-            e = [0] * 10
-            e[a] += 1
-            e[b] += 1
-            terms[tuple(e)] = sign % p
-        out.append(FPoly(p, 10, terms))
     return out
 
 
@@ -512,7 +479,7 @@ def gm_threefold_ideal(p):
     section = {"x03": var("x12", -1), "x04": var("x23")}
     pairs = [f"x{i}{j}" for i, j in combinations(range(5), 2)]
     images = [section[pair] if pair in section else var(pair) for pair in pairs]
-    out = [rel.substitute(images) for rel in pluecker_relations_gr25(p)]
+    out = [rel.substitute(images) for rel in pluecker_relations(2, 5, p)]
     out.append(var("x01") * var("x02") - var("x13") * var("x14") - var("x24") * var("x34"))
     return out
 
@@ -521,7 +488,7 @@ def gm_fivefold_ideal(p):
     """The fivefold section: the five Grassmannian quadrics on pairs from
     a 5-space together with the invariant quadric, in the ten pair
     coordinates (x12, ..., x45)."""
-    out = pluecker_relations_gr25(p)
+    out = pluecker_relations(2, 5, p)
     q = parse_polynomial(QUADRIC_TEXT, PAIR_VARS)
     out.append(FPoly.from_int_poly(q, p))
     return out

@@ -18,7 +18,9 @@ generators gives products, squares, orders and conjugacy classes (genuine
 conjugation orbits) by index, and stabilizers come from orbits: each
 generator permutes the orbit of a subspace, and an element's word is
 walked through those permutations.  Characters and fixed-point counts are
-computed from the closure, exactly.  The group-summed invariant Hermitian
+computed from the closure, exactly; the identity, trace, conjugate
+transpose and inverse are linalg's, and the dual representation is the
+transpose of linalg.inverse.  The group-summed invariant Hermitian
 form is |G| * I, proved from the exact unitarity of the generators'
 images; the term-by-term sum, invariant_hermitian, is the tests' oracle.
 """
@@ -113,7 +115,7 @@ def weil_outside_borel():
 
 
 # ---------------------------------------------------------------------------
-# matrix utilities (5x5 over the conductor-11 field)
+# products, keys and orders of matrices over the conductor-11 field
 # ---------------------------------------------------------------------------
 
 
@@ -121,13 +123,6 @@ def mat_mul(a, b):
     """Exact product of two matrices over the cyclotomic field: the packed
     kernel cyclo.mat_mul."""
     return cyclo.mat_mul(a, b)
-
-
-def mat_identity(n=5):
-    zero, one = _c11(0), _c11(1)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
 
 
 def mat_key(m):
@@ -155,38 +150,13 @@ def mat_is_scalar(m):
     return True
 
 
-def mat_is_identity(m):
-    return m[0][0] == 1 and mat_is_scalar(m)
-
-
 def mat_order(m, cap=70):
     acc = m
     for k in range(1, cap + 1):
-        if mat_is_identity(acc):
+        if acc[0][0] == 1 and mat_is_scalar(acc):
             return k
         acc = mat_mul(acc, m)
     raise ValueError("order exceeds cap")
-
-
-def mat_inverse(m):
-    """Inverse by order (finite-order matrices only, order at most 11)."""
-    n = mat_order(m)
-    acc = mat_identity(len(m))
-    for _ in range(n - 1):
-        acc = mat_mul(acc, m)
-    return acc
-
-
-def mat_trace(m):
-    acc = m[0][0]
-    for i in range(1, len(m)):
-        acc = acc + m[i][i]
-    return acc
-
-
-def mat_conj_transpose(m):
-    n = len(m)
-    return tuple(tuple(m[j][i].conj() for j in range(n)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +198,7 @@ def generate_group(gens, cap=1320):
     and words[i], the generator indices whose product is elements[i]."""
     if not gens:
         raise ValueError("need at least one generator")
-    ident = mat_identity(len(gens[0]))
+    ident = tuple(map(tuple, linalg.identity(len(gens[0]), _c11(1), _c11(0))))
     elements = [ident]
     index = {mat_key(ident): 0}
     words = [()]
@@ -329,7 +299,7 @@ class GroupTable:
             return "1"
         if n == 11:
             lam = lambda_embed()
-            return "c" if mat_trace(self.elements[rep]) == lam else "c2"
+            return "c" if linalg.trace(self.elements[rep]) == lam else "c2"
         if n == 5:
             a_idx = self.index.get(mat_key(gen_a()))
             if a_idx is not None and a_idx in indices:
@@ -368,14 +338,12 @@ class RepFunctor:
     def character(self, table, idx):
         if self._character_fn is not None:
             return self._character_fn(table, idx)
-        tr = mat_trace(self.matrix(table.elements[idx]))
-        return tr
+        return linalg.trace(self.matrix(table.elements[idx]))
 
 
 def _dual_matrix(m5):
-    inv = mat_inverse(m5)
-    n = len(inv)
-    return tuple(tuple(inv[j][i] for j in range(n)) for i in range(n))
+    """The contragredient: the transpose of the inverse."""
+    return tuple(zip(*linalg.inverse(m5)))
 
 
 def _wedge2_matrix(m5):
@@ -403,9 +371,9 @@ def functor_wedge2():
 def functor_sym2_wedge2():
     def char(table, idx):
         w = _wedge2_matrix(table.elements[idx])
-        tr = mat_trace(w)
+        tr = linalg.trace(w)
         sq = _wedge2_matrix(table.elements[table.square_index(idx)])
-        tr2 = mat_trace(sq)
+        tr2 = linalg.trace(sq)
         return (tr * tr + tr2) * Fraction(1, 2)
 
     return RepFunctor("sym2_wedge2_xi", 55, character_fn=char)
@@ -457,7 +425,7 @@ def invariant_hermitian(f: RepFunctor, table: GroupTable):
     total = None
     for m in table.elements:
         fm = f.matrix(m)
-        term = mat_mul(mat_conj_transpose(fm), fm)
+        term = mat_mul(linalg.conj_transpose(fm), fm)
         if total is None:
             total = [list(row) for row in term]
         else:
@@ -476,16 +444,17 @@ def unitary_group_sum(f: RepFunctor, generators, order):
     F(g) is a product of unitaries, so every term is I and the sum is
     order * I.  Returns None when some generator's image is not unitary;
     invariant_hermitian's term-by-term sum is the oracle."""
-    if not hermitian_invariance_check(f, mat_identity(f.dim), generators):
+    ident = linalg.identity(f.dim, _c11(1), _c11(0))
+    if not hermitian_invariance_check(f, ident, generators):
         return None
-    return tuple(tuple(e * order for e in row) for row in mat_identity(f.dim))
+    return tuple(tuple(e * order for e in row) for row in ident)
 
 
 def hermitian_invariance_check(f: RepFunctor, m, generators):
     """conj(F(h))^T M F(h) == M for each generator h, exactly."""
     for h in generators:
         fh = f.matrix(h)
-        lhs = mat_mul(mat_mul(mat_conj_transpose(fh), m), fh)
+        lhs = mat_mul(mat_mul(linalg.conj_transpose(fh), m), fh)
         if not all(
             lhs[i][j] == m[i][j] for i in range(len(m)) for j in range(len(m))
         ):

@@ -55,12 +55,12 @@ class Lattice:
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
+    def inner(self, v, w):
+        """The bilinear form v^T G w, for integer or rational vectors."""
+        return sum(x * y for x, y in zip(v, linalg.mat_vec(self.gram, w)))
+
     def norm(self, v):
-        return sum(
-            v[i] * self.gram[i][j] * v[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return self.inner(v, v)
 
     def __repr__(self):
         return f"Lattice(rank={self.rank}, det={self.det()})"
@@ -231,16 +231,10 @@ class FiniteQuadraticForm:
             g = gcd(d, m)
             mults.append(d // g)
             orders.append(g)
-        k = len(self.orders)
-        gram = [[Fraction(0)] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                val = mults[i] * mults[j] * self.gram[i][j]
-                gram[i][j] = _reduce_mod(val, 2 if i == j else 1)
-        keep = [i for i in range(k) if orders[i] > 1]
+        keep = [i for i in range(len(self.orders)) if orders[i] > 1]
         return FiniteQuadraticForm(
             [orders[i] for i in keep],
-            [[gram[i][j] for j in keep] for i in keep],
+            [[mults[i] * mults[j] * self.gram[i][j] for j in keep] for i in keep],
         )
 
     def isometries(self, other, cap=10**4):
@@ -315,16 +309,7 @@ def disc_group(lat: Lattice) -> FiniteQuadraticForm:
         orders.append(abs(d))
         # generator: (column i of right) / d, in lattice coordinates
         dual_gens.append([Fraction(right[r][i], d) for r in range(n)])
-    k = len(dual_gens)
-    gram = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            val = sum(
-                dual_gens[i][r] * lat.gram[r][s] * dual_gens[j][s]
-                for r in range(n)
-                for s in range(n)
-            )
-            gram[i][j] = _reduce_mod(val, 2 if i == j else 1)
+    gram = [[lat.inner(u, w) for w in dual_gens] for u in dual_gens]
     return FiniteQuadraticForm(orders, gram)
 
 
@@ -444,13 +429,5 @@ def primitively_represents(lat: Lattice, value: int) -> bool:
 
 def orthogonal_complement(lat: Lattice, vector):
     """Sublattice orthogonal to an integer vector, with its restricted Gram."""
-    gv = [sum(lat.gram[i][j] * vector[j] for j in range(lat.rank)) for i in range(lat.rank)]
-    basis = linalg.int_kernel_basis([gv])
-    gram = [
-        [
-            sum(bi[r] * lat.gram[r][s] * bj[s] for r in range(lat.rank) for s in range(lat.rank))
-            for bj in basis
-        ]
-        for bi in basis
-    ]
-    return Lattice(gram), basis
+    basis = linalg.int_kernel_basis([linalg.mat_vec(lat.gram, vector)])
+    return Lattice([[lat.inner(u, w) for w in basis] for u in basis]), basis

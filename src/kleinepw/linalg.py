@@ -17,8 +17,10 @@ pick one of two elimination kernels by the type of the entries:
 Over rings without exact division (the order Z[w], polynomials over F_p)
 expansion_det expands along column subsets instead, and rref gives the
 full reduction that kernel_basis needs; kernel_basis and int_kernel_basis
-both return lists of basis row vectors.  is_hermitian is the one
-conjugate-symmetry test, for entries with conj() (CycloNum or QuadInt).
+both return lists of basis row vectors, and inverse reduces [m | I].
+identity, trace, conj_transpose and inverse are the package's one family
+of matrix helpers; is_hermitian is the one conjugate-symmetry test, for
+entries with conj() (CycloNum or QuadInt).
 """
 
 from __future__ import annotations
@@ -72,6 +74,19 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def conj_transpose(a):
+    """The conjugate transpose, for entries with conj() (CycloNum or
+    QuadInt)."""
+    return [[x.conj() for x in col] for col in zip(*a)]
+
+
+def trace(m):
+    acc = m[0][0]
+    for i in range(1, len(m)):
+        acc = acc + m[i][i]
+    return acc
+
+
 def mat_eq(a, b):
     if len(a) != len(b) or len(a[0]) != len(b[0]):
         return False
@@ -81,8 +96,7 @@ def mat_eq(a, b):
 def is_hermitian(m):
     """m equals its conjugate transpose, exactly.  Over Z[w] this also
     makes the diagonal rational: a + bw is its own conjugate iff b = 0."""
-    n = len(m)
-    return all(m[i][j] == m[j][i].conj() for i in range(n) for j in range(n))
+    return mat_eq(m, conj_transpose(m))
 
 
 def _minor(m, rows, cols):
@@ -304,6 +318,21 @@ def rref(m):
     return a, piv_cols
 
 
+def inverse(m):
+    """Inverse of a square matrix over a field: [m | I] reduced by rref.
+    I is built from the entries' own one, so CycloNum entries give
+    CycloNums and ints give Fractions.  Raises ValueError when m is
+    singular."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("inverse of a non-square matrix")
+    zero = m[0][0] * 0
+    red, piv_cols = rref([list(row) + unit for row, unit in zip(m, identity(n, zero + 1, zero))])
+    if piv_cols[-1] >= n:
+        raise ValueError("inverse of a singular matrix")
+    return [row[n:] for row in red]
+
+
 def kernel_basis(m):
     """Basis of the null space {x : m x = 0}: a list of independent row
     vectors, one per free column of the reduced form (empty when m has
@@ -337,10 +366,7 @@ def char_poly(m):
     mk = [list(row) for row in m]
     cs = []
     for k in range(1, n + 1):
-        tr = mk[0][0]
-        for i in range(1, n):
-            tr = tr + mk[i][i]
-        ck = tr * Fraction(-1, k)
+        ck = trace(mk) * Fraction(-1, k)
         cs.append(ck)
         if k < n:
             for i in range(n):

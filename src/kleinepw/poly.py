@@ -5,9 +5,11 @@ coefficient domain is anything supporting ring arithmetic (int, Fraction,
 CycloNum, ...).  The ring operations build their results through one
 hook, _with_terms, so a subclass can fix the coefficient ring:
 groebner.FPoly is MultiPoly over F_p, whose hook reduces coefficients
-modulo p.  The canonical term order is graded reverse lexicographic over
-the declared variable order.  divmod is the one division loop: exact_div
-and `//` are divmod with a zero remainder required, and gcd and
+modulo p.  A second hook, _inverse, inverts the leading coefficient for
+divmod and monic: through Fraction here, modulo p in FPoly.  The
+canonical term order is graded reverse lexicographic over the declared
+variable order.  divmod is the one division loop: exact_div and `//` are
+divmod with a zero remainder required, and gcd and
 squarefree_decomposition (line restrictions) run on one-variable
 polynomials through it.  linear_forms builds the linear images that
 substitute takes, a matrix's rows as forms in its column variables.
@@ -25,6 +27,10 @@ def grevlex_key(exps):
 
 class MultiPoly:
     __slots__ = ("nvars", "terms")
+
+    # int coefficients are taken in Z: divmod then divides them only where
+    # the leading coefficient divides exactly (FPoly takes them in F_p)
+    _ints_in_z = True
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -69,6 +75,11 @@ class MultiPoly:
         p = MultiPoly.__new__(MultiPoly)
         p.nvars, p.terms = self.nvars, terms
         return p
+
+    def _inverse(self, c):
+        """The inverse of a nonzero coefficient, for divmod and monic:
+        through Fraction, so an int is inverted as a rational."""
+        return Fraction(1) / c
 
     def _const(self, c):
         return self._with_terms({(0,) * self.nvars: c} if c else {})
@@ -244,16 +255,16 @@ class MultiPoly:
         """(q, r) with self == q * divisor + r, by one division loop in the
         grevlex order.  r keeps each term whose monomial the divisor's
         leading monomial does not divide and, when both coefficients are
-        ints, each term whose coefficient the leading coefficient does not
-        divide.  Other coefficients are multiplied by one inverse of the
-        leading coefficient, taken through Fraction."""
+        ints over Z, each term whose coefficient the leading coefficient
+        does not divide.  Other coefficients are multiplied by one inverse
+        of the leading coefficient, taken by the _inverse hook."""
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         de, dc = divisor.leading_term()
         tail = [(e, c) for e, c in divisor.terms.items() if e != de]
-        over_z = isinstance(dc, int)
-        inv = Fraction(1) / dc
+        over_z = self._ints_in_z and isinstance(dc, int)
+        inv = self._inverse(dc)
         rem = dict(self.terms)
         q, r = {}, {}
         while rem:
@@ -289,11 +300,11 @@ class MultiPoly:
 
     def monic(self):
         """This polynomial divided by its leading coefficient, through one
-        inverse; ints are divided as rationals."""
+        inverse from the _inverse hook; ints are divided as rationals."""
         if not self.terms:
             return self
         _, c = self.leading_term()
-        return self if c == 1 else self * (Fraction(1) / c)
+        return self if c == 1 else self * self._inverse(c)
 
     def __repr__(self):
         if not self.terms:

@@ -280,7 +280,7 @@ def _weil(ctx):
     s = ctx.generators[2]
     det = linalg.det(s)
     order = group.mat_order(s)
-    trace = group.mat_trace(s)
+    trace = linalg.trace(s)
     ok = det == 1 and order == 2 and trace == 1
     return _bool(ok, {}, {"det": repr(det), "order": order, "trace": repr(trace)})
 

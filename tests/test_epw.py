@@ -23,17 +23,20 @@ def test_v_assignments():
 
 def test_v_symmetry():
     # v(x) ^ y == x ^ v(y) on all basis pairs, as 5-forms
-    forward, _ = epw._v_maps()
+    v = epw.build_v()
 
-    def five_coeff(pair, triple):
-        s, merged = epw.merge_indices(pair, triple)
-        return s if merged == (1, 2, 3, 4, 5) else 0
+    def five_coeff(pair, col):
+        """Coefficient of e_12345 in e_pair ^ v(e_q), q the col-th pair."""
+        total = 0
+        for triple, row in zip(epw.TRIPLES5, v):
+            s, merged = epw.merge_indices(pair, triple)
+            if merged == (1, 2, 3, 4, 5):
+                total += s * row[col]
+        return total
 
-    for p in epw.PAIRS5:
-        for q in epw.PAIRS5:
-            sp, tp = forward[p]
-            sq, tq = forward[q]
-            assert five_coeff(p, tq) * sq == five_coeff(q, tp) * sp
+    for i, p in enumerate(epw.PAIRS5):
+        for j, q in enumerate(epw.PAIRS5):
+            assert five_coeff(p, j) == five_coeff(q, i)
 
 
 def test_lagrangian_matrix():
@@ -182,6 +185,23 @@ def test_random_lagrangians_against_oracle():
 
 def test_dual_rebuild(generators):
     assert epw.dual_rebuild_check(list(generators))
+    # the inverse transpose of the signed permutation v is v itself
+    assert epw.dual_v() == epw.build_v()
+
+
+def test_dual_rebuild_rejects_a_map_that_does_not_intertwine(generators, monkeypatch):
+    flipped = epw.build_v()
+    flipped[0] = [-x for x in flipped[0]]
+    monkeypatch.setattr(epw, "dual_v", lambda: flipped)
+    assert not epw.dual_rebuild_check(list(generators))
+
+
+def test_graph_rows_are_the_assignment_table():
+    rows = epw.graph_rows(epw.build_v())
+    for row, pair in zip(rows, epw.PAIRS5):
+        sign, triple = epw._V_ASSIGNMENTS[pair]
+        nz = {epw.TRIPLES6[i]: c for i, c in enumerate(row) if c}
+        assert nz == {(0,) + pair: 1, triple: sign}
 
 
 def test_restrict_to_line_examples():

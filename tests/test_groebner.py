@@ -4,6 +4,8 @@ from itertools import combinations
 import pytest
 
 from kleinepw import linalg
+from kleinepw.epw import TRIPLE_INDEX, TRIPLES6, build_A, merge_indices
+from kleinepw.poly import linear_forms
 from kleinepw.groebner import (
     BudgetExhausted,
     FPoly,
@@ -11,10 +13,10 @@ from kleinepw.groebner import (
     decomposable_pullback_ideal,
     gm_fivefold_ideal,
     gm_threefold_ideal,
-    grassmannian_relations_gr36,
     ideal_membership,
     jacobian_minors,
     normal_form,
+    pluecker_relations,
     projective_empty,
     projective_empty_with_basis,
     smoothness_check,
@@ -99,35 +101,39 @@ def test_smoothness_small_examples():
     assert smoothness_check([u * u * v], 1)[0] is False
 
 
-def test_grassmannian_relations():
-    rel = grassmannian_relations_gr36(P)
-    assert all(g.total_degree() == 2 for g in rel)
-    assert all(g.is_homogeneous() for g in rel)
-    # rank 35 over the prime field
-    monos = sorted({e for g in rel for e in g.terms})
+def _rank_mod(polys, p):
+    """Rank over F_p of the coefficient vectors of the given polynomials,
+    by a small modular elimination."""
+    monos = sorted({e for g in polys for e in g.terms})
     mi = {e: i for i, e in enumerate(monos)}
     rows = []
-    for g in rel:
+    for g in polys:
         row = [0] * len(monos)
         for e, c in g.terms.items():
             row[mi[e]] = c
         rows.append(row)
-    # small modular elimination
     r = 0
-    cols = len(monos)
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % P), None)
+    for c in range(len(monos)):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], P - 2, P)
-        rows[r] = [(v * inv) % P for v in rows[r]]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [(v * inv) % p for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][c] % P:
+            if i != r and rows[i][c] % p:
                 f = rows[i][c]
-                rows[i] = [(a - f * b) % P for a, b in zip(rows[i], rows[r])]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
         r += 1
-    assert r == 35
+    return r
+
+
+def test_grassmannian_relations():
+    rel = pluecker_relations(3, 6, P)
+    assert all(g.total_degree() == 2 for g in rel)
+    assert all(g.is_homogeneous() for g in rel)
+    # rank 35 over the prime field
+    assert _rank_mod(rel, P) == 35
     # vanish on decomposables, not identically
     rng = random.Random(5)
     for _ in range(3):
@@ -141,6 +147,68 @@ def test_grassmannian_relations():
         g.evaluate([1] + [0] * 18 + [1]) != 0 for g in rel
     )  # e_012 + e_345 is not decomposable
     assert some_nonzero
+
+
+def _three_term_rule(p):
+    """The oracle for pluecker_relations(2, 5, p): one relation
+    x_ij x_kl - x_ik x_jl + x_il x_jk per 4-subset {i<j<k<l} of 0..4, in
+    the ten pair coordinates."""
+    pair_index = {pair: k for k, pair in enumerate(combinations(range(5), 2))}
+    out = []
+    for i, j, k, l in combinations(range(5), 4):
+        terms = {}
+        for p1, p2, sign in (((i, j), (k, l), 1), ((i, k), (j, l), -1), ((i, l), (j, k), 1)):
+            e = [0] * 10
+            e[pair_index[p1]] += 1
+            e[pair_index[p2]] += 1
+            terms[tuple(e)] = sign
+        out.append(FPoly(p, 10, terms))
+    return out
+
+
+def _contraction_and_wedge(p):
+    """The oracle for pluecker_relations(3, 6, p): for each m and each
+    5-subset, the e_five coefficient of (contraction of t with the m-th
+    dual vector) ^ t, a quadric in the 20 trivector coordinates; deduplicated
+    up to a scalar."""
+    relations = {}
+    for m in range(6):
+        for five in combinations(range(6), 5):
+            coeffs = {}
+            for I in TRIPLES6:
+                if m not in I:
+                    continue
+                rest = tuple(x for x in I if x != m)
+                for K in TRIPLES6:
+                    s2, merged = merge_indices(rest, K)
+                    if s2 and merged == five:
+                        key = tuple(sorted((TRIPLE_INDEX[I], TRIPLE_INDEX[K])))
+                        coeffs[key] = coeffs.get(key, 0) + (-1) ** I.index(m) * s2
+            terms = []
+            for (i, j), c in coeffs.items():
+                e = [0] * 20
+                e[i] += 1
+                e[j] += 1
+                terms.append((e, c))
+            poly = FPoly(p, 20, terms).monic()
+            if poly:
+                relations[frozenset(poly.terms.items())] = poly
+    return list(relations.values())
+
+
+@pytest.mark.parametrize("p", [P, 65537])
+def test_pluecker_relations_of_gr25_are_the_three_term_rule(p):
+    assert pluecker_relations(2, 5, p) == _three_term_rule(p)
+
+
+@pytest.mark.parametrize("p", [P, 65537])
+def test_pluecker_relations_of_gr36_span_the_contraction_relations(p):
+    built, oracle = pluecker_relations(3, 6, p), _contraction_and_wedge(p)
+    assert _rank_mod(built, p) == _rank_mod(oracle, p) == _rank_mod(built + oracle, p) == 35
+    # the two decomposable pullback ideals have one reduced basis
+    linear = [FPoly.from_int_poly(form, p) for form in linear_forms(list(zip(*build_A())))]
+    pulled = [rel.substitute(linear) for rel in oracle]
+    assert buchberger(decomposable_pullback_ideal(p)) == buchberger(pulled)
 
 
 def test_decomposable_gate_two_primes():

@@ -160,3 +160,15 @@ def test_representability_sweeps():
     _, prim = lat.represented_norms(l5, 100)
     assert all((-d) // 4 in prim for d in range(16, 401, 8))
     assert lat.primitively_represents(l5, -4)
+
+
+def test_inner_is_the_double_sum():
+    rng = random.Random(3)
+    l = lat.parse_lattice_spec("U+E8(-1)+(-2)")
+    n = l.rank
+    for _ in range(20):
+        v = [rng.randint(-3, 3) for _ in range(n)]
+        w = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        want = sum(v[i] * l.gram[i][j] * w[j] for i in range(n) for j in range(n))
+        assert l.inner(v, w) == want == l.inner(w, v)
+        assert l.norm(v) == l.inner(v, v)

@@ -6,8 +6,10 @@ directly would bypass that choice.  Tests may still call the private
 kernels as oracles.
 
 epw imports group (for the matrix order), so group imports nothing from
-epw; cyclo is a leaf and imports nothing from the package; and the k x k
-minors and the Hermitian test have one home, linalg.
+epw; cyclo is a leaf and imports nothing from the package; the k x k
+minors, the Hermitian test and the matrix helpers (identity, trace,
+conjugate transpose, inverse) have one home, linalg; and groebner has one
+builder of Pluecker relations.
 """
 
 import ast
@@ -92,3 +94,32 @@ def test_minors_are_defined_only_in_linalg():
 def test_is_hermitian_is_defined_only_in_linalg():
     defs = _defined_outside_linalg(("is_hermitian", "is_hermitian_matrix"))
     assert not defs, "Hermitian tests outside linalg: " + ", ".join(defs)
+
+
+def _function_names(path):
+    """Names of the module-level functions; methods such as
+    CycloNum.inverse are not matrix helpers."""
+    return [node.name for node in _tree(path).body if isinstance(node, ast.FunctionDef)]
+
+
+def test_matrix_helpers_are_defined_only_in_linalg():
+    helpers = {"identity", "trace", "conj_transpose", "inverse"}
+    defs = [f"{path.name} {name}"
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"
+            for name in _function_names(path) if name in helpers]
+    assert not defs, "matrix helpers outside linalg: " + ", ".join(defs)
+    missing = helpers.difference(_function_names(PACKAGE / "linalg.py"))
+    assert not missing, f"linalg lacks {sorted(missing)}"
+
+
+def test_group_keeps_no_copy_of_the_matrix_helpers():
+    deleted = {"mat_identity", "mat_trace", "mat_conj_transpose", "mat_inverse",
+               "mat_is_identity"}
+    defs = sorted(deleted.intersection(_function_names(PACKAGE / "group.py")))
+    assert not defs, "group.py defines " + ", ".join(defs)
+
+
+def test_groebner_has_one_pluecker_builder():
+    builders = [name for name in _function_names(PACKAGE / "groebner.py")
+                if "pluecker" in name or "grassmannian" in name]
+    assert len(builders) == 1, builders

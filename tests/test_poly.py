@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kleinepw.groebner import FPoly
 from kleinepw.poly import MultiPoly, gcd, squarefree_decomposition
 from kleinepw.textform import PolyParseError, emit_polynomial, parse_polynomial
 
@@ -85,6 +86,28 @@ def test_divmod_examples():
     with pytest.raises(ZeroDivisionError):
         x.divmod(MultiPoly.zero(2))
     assert upoly([2, 4]).monic() == upoly([Fraction(1, 2), 1])
+
+
+def test_fpoly_divmod_divides_in_the_prime_field():
+    # 3x = 5 * 2x over F_7: the leading coefficient is inverted mod 7
+    q, r = FPoly(7, 1, {(1,): 3}).divmod(FPoly(7, 1, {(1,): 2}))
+    assert q == FPoly(7, 1, {(0,): 5}) and r.is_zero()
+    assert type(q) is FPoly and type(r) is FPoly
+    assert FPoly(7, 1, {(1,): 3, (0,): 1}).monic() == FPoly(7, 1, {(1,): 1, (0,): 5})
+
+
+def test_fpoly_divmod_is_division_with_remainder():
+    rng = random.Random(7)
+    p = 101
+    for _ in range(30):
+        a, b = (FPoly.from_int_poly(rand_poly(rng, nvars=2), p) for _ in range(2))
+        if b.is_zero():
+            continue
+        q, r = a.divmod(b)
+        assert q * b + r == a
+        assert all(0 < c < p for g in (q, r) for c in g.terms.values())
+        lead, _ = b.leading_term()
+        assert not any(all(x >= y for x, y in zip(e, lead)) for e in r.terms)
 
 
 def test_squarefree_examples():

@@ -19,13 +19,14 @@ P = 32003
 
 
 def _is_unitary(m):
-    return group.mat_is_identity(group.mat_mul(group.mat_conj_transpose(m), m))
+    return linalg.mat_eq(group.mat_mul(linalg.conj_transpose(m), m), linalg.identity(len(m)))
 
 
 @settings(deadline=None, max_examples=40)
 @given(word=st.lists(st.integers(0, 2), max_size=12))
 def test_words_have_unitary_images(word, generators):
-    m = group.mat_identity()
+    zero = CycloNum.from_rational(0, 11)
+    m = linalg.identity(5, zero + 1, zero)
     for k in word:
         m = group.mat_mul(m, generators[k])
     assert _is_unitary(m)
@@ -154,6 +155,47 @@ def test_integer_det_matches_expansion_and_field_kernel(m):
     embedded = [[QuadInt(x) for x in row] for row in m]
     assert linalg.expansion_det(embedded, QuadInt(1)) == QuadInt(d)
     assert _field_det([[Fraction(x) for x in row] for row in m]) == d
+
+
+def _check_inverse(m, entry_type):
+    """m * inverse(m) == I with entries of entry_type, or ValueError when m
+    is singular; a copy of m with a repeated (or zero) row must raise."""
+    n = len(m)
+    singular = m[:-1] + [m[0]] if n > 1 else [[m[0][0] * 0]]
+    with pytest.raises(ValueError):
+        linalg.inverse(singular)
+    if linalg.det(m) == 0:
+        with pytest.raises(ValueError):
+            linalg.inverse(m)
+        return
+    inv = linalg.inverse(m)
+    assert all(type(x) is entry_type for row in inv for x in row)
+    assert linalg.mat_eq(linalg.mat_mul(m, inv), linalg.identity(n))
+
+
+@settings(deadline=None, max_examples=60)
+@given(m=st.integers(1, 4).flatmap(lambda n: _square(st.integers(-3, 3), n)))
+def test_inverse_of_integer_matrices_is_rational(m):
+    _check_inverse(m, Fraction)
+
+
+@settings(deadline=None, max_examples=60)
+@given(m=st.integers(1, 4).flatmap(
+    lambda n: _square(st.fractions(-3, 3, max_denominator=4), n)))
+def test_inverse_of_rational_matrices(m):
+    _check_inverse(m, Fraction)
+
+
+_C11_ENTRY = st.one_of(
+    st.just(CycloNum(11, (0,) * 10, 1)),
+    st.lists(st.integers(-2, 2), min_size=10, max_size=10).map(lambda c: CycloNum(11, c, 1)),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(m=st.integers(1, 3).flatmap(lambda n: _square(_C11_ENTRY, n)))
+def test_inverse_of_conductor_11_matrices(m):
+    _check_inverse(m, CycloNum)
 
 
 @st.composite
