@@ -22,7 +22,9 @@ and every operation is a pure function.  The inverse is the product of
 the other Galois conjugates over the (rational) norm.  common_field lifts
 a matrix to the lcm of its entries' conductors.  mat_mul multiplies
 matrices with each entry packed into one integer (Kronecker
-substitution), reducing each output entry once.  The module imports
+substitution), reducing each output entry once; substitute_linear
+substitutes linear forms with packed entries into a rational polynomial
+the same way, so neither runs CycloNum.__mul__.  The module imports
 nothing from the rest of the package.
 """
 
@@ -417,6 +419,20 @@ def _pack(coeffs, bits):
     return v
 
 
+def _unpacker(bits, length):
+    """Inverse of _pack for length digits at radix 2^bits, each below half
+    the radix in absolute value: an offset of half the radix in every digit
+    reads each balanced digit d as the nonnegative d + half."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    offset = half * (((1 << (bits * length)) - 1) // mask)
+    shifts = [bits * t for t in range(length)]
+
+    def unpack(v):
+        v += offset
+        return [((v >> s) & mask) - half for s in shifts]
+    return unpack
+
+
 def mat_mul(a, b):
     """Exact product of two matrices of CycloNum entries.
 
@@ -438,22 +454,85 @@ def mat_mul(a, b):
     bits = (len(b) * phi * top_a * top_b).bit_length() + 1
     pa = [[_pack(c, bits) for c in row] for row in ca]
     cols = list(zip(*[[_pack(c, bits) for c in row] for row in cb]))
-    # unpack with an offset of half the radix in every digit, so that each
-    # balanced digit d is read as the nonnegative d + half
-    length = 2 * phi - 1
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    offset = half * (((1 << (bits * length)) - 1) // mask)
-    shifts = [bits * t for t in range(length)]
+    unpack = _unpacker(bits, 2 * phi - 1)
     den = den_a * den_b
     out = []
     for arow in pa:
         out_row = []
         for col in cols:
-            acc = sum(map(mul, arow, col)) + offset
-            digits = [((acc >> s) & mask) - half for s in shifts]
+            digits = unpack(sum(map(mul, arow, col)))
             out_row.append(CycloNum(n, _reduced(digits, n, phi), den))
         out.append(tuple(out_row))
     return tuple(out)
+
+
+def _keyed_product(a, b):
+    """Product of two polynomials held as packed monomial key -> int."""
+    out = {}
+    get = out.get
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + va * vb
+    return out
+
+
+def substitute_linear(terms, rows):
+    """The polynomial f(rows * y): x_i -> sum_j rows[i][j] * y_j substituted
+    into f, given by terms (exponent tuple -> int or Fraction), for a matrix
+    of int, Fraction or CycloNum entries.  Returns exponent tuple -> nonzero
+    CycloNum, in the lcm of the entries' conductors.
+
+    As in mat_mul, the entries are lifted to one field over one common
+    denominator and each is packed into one int at radix 2^bits (Kronecker
+    substitution); a monomial y^b is packed into the key sum_j b_j base^j,
+    base one more than the degree of f, so a product of monomials is a sum
+    of keys.  The expansion is int products only.  A term of degree d is
+    scaled by den^(deg - d), so all terms share one denominator; every
+    coefficient of the expansion, before reduction modulo the cyclotomic
+    polynomial, is at most sum_e |c_e| * top^|e| in absolute value, top the
+    largest sum of a row's absolute coefficients, and bits leaves it a
+    balanced digit.  Each output monomial is unpacked and reduced once."""
+    nvars, nout = len(rows), len(rows[0])
+    if any(len(e) != nvars for e in terms):
+        raise ValueError("need one row per variable")
+    cells = [[x if isinstance(x, CycloNum) else CycloNum.from_rational(x) for x in row]
+             for row in rows]
+    n = lcm(*(x.n for row in cells for x in row))
+    if n > MAX_CONDUCTOR:
+        raise ValueError(f"conductor lcm {n} exceeds cap {MAX_CONDUCTOR}")
+    phi = euler_phi(n)
+    ints, den, _ = _scaled(cells, n)
+    deg = max(map(sum, terms), default=0)
+    fden = lcm(*(Fraction(c).denominator for c in terms.values()))
+    coeffs = {e: int(Fraction(c) * fden) * den ** (deg - sum(e)) for e, c in terms.items()}
+    top = max(sum(abs(c) for cs in row for c in cs) for row in ints)
+    bits = sum(abs(c) * top ** sum(e) for e, c in coeffs.items()).bit_length() + 1
+    base = deg + 1
+    forms = [{base ** j: _pack(cs, bits) for j, cs in enumerate(row) if cs} for row in ints]
+    powers = [[{0: 1}] for _ in forms]
+    acc = {}
+    for e, c in coeffs.items():
+        term = {0: c}
+        for form, pw, k in zip(forms, powers, e):
+            while len(pw) <= k:
+                pw.append(_keyed_product(pw[-1], form))
+            if k:
+                term = _keyed_product(term, pw[k])
+        for key, v in term.items():
+            acc[key] = acc.get(key, 0) + v
+    unpack = _unpacker(bits, deg * (phi - 1) + 1)
+    out_den = fden * den ** deg
+    out = {}
+    for key, v in acc.items():
+        # z^t = z^(t mod n): fold the digits onto z^0..z^(n-1), then reduce
+        folded = [0] * n
+        for t, d in enumerate(unpack(v)):
+            folded[t % n] += d
+        coords = _map_exponents(folded, n, phi, 1)
+        if any(coords):
+            out[tuple(key // base ** j % base for j in range(nout))] = CycloNum(n, coords, out_den)
+    return out
 
 
 def lambda_embed() -> CycloNum:

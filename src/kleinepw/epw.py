@@ -14,16 +14,20 @@ The module holds no elimination of its own.  Ranks, determinants and
 exterior powers go through linalg: its fraction-free (Bareiss) kernel
 takes the rational matrices as they are and the chart matrices over
 Z[x1..x5] through linalg.bareiss_det; its field kernel takes the
-matrices that cyclo.common_field lifts to one cyclotomic field.  Both
-sextic routes certify the degree bound 6, and sextic_equation also the
-x0^6 coefficient 1, raising ArithmeticError when the determinant breaks
-them.
+matrices that cyclo.common_field lifts to one cyclotomic field.  stratum
+scales a rational point to an integer one, which spans the same
+x ^ (2-vectors), so its ranks run on int rows.  Both sextic routes
+certify the degree bound 6, and sextic_equation also the x0^6
+coefficient 1, raising ArithmeticError when the determinant breaks them.
+dual_rebuild_check also requires the dual action to be the inverse
+transpose.
 
 All operations are pure functions over immutable inputs.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
 
@@ -154,9 +158,17 @@ def span_rank(rows):
 
 def stratum(a_rows, x):
     """Intersection dimension at a point: dim of the Lagrangian meeting
-    x ^ (2-vectors), computed from ranks.  Rejects the zero vector."""
+    x ^ (2-vectors), computed from ranks.  Rejects the zero vector.
+
+    A rational x is scaled by the lcm of its denominators: x and lambda x
+    span the same x ^ (2-vectors), so with integer a_rows both ranks run on
+    int rows, which the fraction-free kernel takes without clearing
+    denominators.  A cyclotomic x is taken as it is."""
     if not any(x):
         raise ValueError("zero vector has no stratum")
+    if all(isinstance(c, (int, Fraction)) for c in x):
+        den = lcm(*(c.denominator for c in x))
+        x = [int(c * den) for c in x]
     wedge_rows = [wedge_vector_pair(x, p) for p in PAIRS6]
     w_rank = span_rank(wedge_rows)
     total = span_rank(list(a_rows) + wedge_rows)
@@ -427,12 +439,17 @@ def dual_v():
 
 
 def dual_rebuild_check(generators):
-    """Verify the dual-route reconstruction: the rebuilt graph map
-    intertwines the exterior powers of the dual action of every given
-    5 x 5 generator, and its graph spans the same Lagrangian."""
+    """Verify the dual-route reconstruction: the dual action of every given
+    5 x 5 generator g is the inverse transpose (gdual^T g = I, which the
+    plain inverse fails for a g with g^-1 != g^T), the rebuilt graph map
+    intertwines its exterior powers, and its graph spans the same
+    Lagrangian."""
     vd = dual_v()
     for g in generators:
         gdual = group._dual_matrix(g)
+        if not linalg.mat_eq(linalg.mat_mul(linalg.transpose(gdual), g),
+                             linalg.identity(len(g))):
+            return False
         w2 = linalg.exterior_power_matrix(gdual, 2)
         w3 = linalg.exterior_power_matrix(gdual, 3)
         if not linalg.mat_eq(linalg.mat_mul(vd, w2), linalg.mat_mul(w3, vd)):

@@ -185,6 +185,10 @@ def _cleared(m):
     for row in m:
         den = None
         for x in row:
+            # the exact type test first: isinstance against the numbers
+            # ABCs behind Fraction is slow, and most entries are ints
+            if type(x) is int:
+                continue
             if isinstance(x, Fraction):
                 den = _lcm(den or 1, x.denominator)
             elif not isinstance(x, int):
@@ -295,7 +299,9 @@ def expansion_det(m, one):
 
 
 def rref(m):
-    """Reduced row echelon form and pivot columns (field entries)."""
+    """Reduced row echelon form and pivot columns (field entries).  A pivot
+    row is scaled only when its pivot is not 1, and clears the other rows
+    in its nonzero columns only."""
     a = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in m]
     rows, cols = len(a), len(a[0]) if a else 0
     piv_cols = []
@@ -305,12 +311,17 @@ def rref(m):
         if p is None:
             continue
         a[r], a[p] = a[p], a[r]
-        piv_inv = 1 / a[r][c]
-        a[r] = [x * piv_inv for x in a[r]]
+        top = a[r]
+        if top[c] != 1:
+            piv_inv = 1 / top[c]
+            top = a[r] = [x * piv_inv for x in top]
+        support = [j for j, y in enumerate(top) if y]
         for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            row = a[i]
+            if i != r and row[c]:
+                f = row[c]
+                for j in support:
+                    row[j] = row[j] - f * top[j]
         piv_cols.append(c)
         r += 1
         if r == rows:

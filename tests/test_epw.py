@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from kleinepw import epw, fixtures, group, linalg
+from kleinepw import cli, cyclo, epw, fixtures, group, linalg, verify
+from kleinepw.cyclo import CycloNum
 from kleinepw.poly import MultiPoly, squarefree_decomposition
 
 
@@ -189,6 +191,14 @@ def test_dual_rebuild(generators):
     assert epw.dual_v() == epw.build_v()
 
 
+def test_dual_rebuild_rejects_the_plain_inverse(generators, monkeypatch):
+    # g^-1 satisfies the intertwining as well as g^-T does, since v
+    # intertwines every group element; only gdual^T g = I tells them apart
+    # (the 5-cycle gen_a has g^-1 = g^T != g^-T)
+    monkeypatch.setattr(group, "_dual_matrix", linalg.inverse)
+    assert not epw.dual_rebuild_check(list(generators))
+
+
 def test_dual_rebuild_rejects_a_map_that_does_not_intertwine(generators, monkeypatch):
     flipped = epw.build_v()
     flipped[0] = [-x for x in flipped[0]]
@@ -268,6 +278,46 @@ def test_order2_line_squarefree(table660, labeled_classes):
             assert pattern == [1] * 6
 
 
+def _stratum_oracle(a_rows, x):
+    """The unscaled formula: ranks of the Fraction rows of x ^ (2-vectors)."""
+    wedge = [epw.wedge_vector_pair(x, p) for p in epw.PAIRS6]
+    return len(a_rows) + linalg.rank(wedge) - linalg.rank(list(a_rows) + wedge)
+
+
+def test_stratum_of_rational_multiples_matches_the_unscaled_ranks(capsys):
+    rng = random.Random(14)
+    a_int = epw.build_A()
+    a_frac = [[Fraction(c, 2) for c in row] for row in a_int]
+    f = fixtures.sextic_poly()
+    points = [[Fraction(int(i == k)) for i in range(6)] for k in range(6)]
+    points += [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(6)]
+               for _ in range(6)]
+    while len(points) < 18:
+        # integer points on the sextic with coordinates of two sizes, so
+        # that their multiples reach stratum 1 with unequal denominators
+        x = [Fraction(rng.randint(-3, 3)) for _ in range(6)]
+        if len({abs(c) for c in x if c}) > 1 and f.evaluate(x) == 0 and x not in points:
+            points.append(x)
+    seen = set()
+    for x in points:
+        for q in (1, 2, 3, 6):
+            t = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), q)
+            y = [t * c for c in x]
+            want = _stratum_oracle(a_int, y)
+            assert epw.stratum(a_int, y) == want
+            assert epw.stratum(a_frac, y) == want
+            seen.add(want)
+    assert {0, 1, 2} <= seen
+    # the CLI reports the value at the point as given, not at its scaling
+    text = "1/2,-2/3,0,5/7,1,0"
+    point = [Fraction(c) for c in text.split(",")]
+    code = cli.main(["--json", "stratum", "--point", text])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["sextic-value"] == verify.frac_str(f.evaluate(point)) != "0"
+    assert payload["stratum"] == _stratum_oracle(a_int, point) == 0
+
+
 def test_stratum_sextic_consistency_random():
     rng = random.Random(11)
     a_rows = epw.build_A()
@@ -294,6 +344,30 @@ def test_sextic_invariance(generators):
                     img = img + MultiPoly.var(j, 6, e)
             images.append(img)
         assert f.substitute(images) == f
+
+
+def test_sextic_invariance_multiplies_no_cyclonums(monkeypatch):
+    # the substitution expands packed ints: not one CycloNum product runs,
+    # neither for the dense Weil generator nor in the verify check (whose
+    # generators and 6 x 6 images are built before counting starts)
+    f = fixtures.sextic_poly()
+    ctx = verify.VerifyContext()
+    generators = ctx.generators
+    v6 = {id(g): group._v6_matrix(g) for g in generators}
+    monkeypatch.setattr(group, "_v6_matrix", lambda g: v6[id(g)])
+    calls = []
+    product = CycloNum.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(CycloNum, "__mul__", counted)
+    monkeypatch.setattr(CycloNum, "__rmul__", counted)
+    assert verify._sextic_invariance(ctx) == (verify.PASS, {})
+    assert not calls
+    assert cyclo.substitute_linear(f.terms, v6[id(generators[2])]) == f.terms
+    assert not calls
 
 
 def test_quadric_invariance(generators):

@@ -11,9 +11,9 @@ from itertools import combinations  # noqa: E402
 from math import lcm  # noqa: E402
 
 from kleinepw import epw, group, linalg  # noqa: E402
-from kleinepw.cyclo import CycloNum, QuadInt, euler_phi  # noqa: E402
+from kleinepw.cyclo import CycloNum, QuadInt, euler_phi, substitute_linear  # noqa: E402
 from kleinepw.groebner import FPoly, buchberger, normal_form  # noqa: E402
-from kleinepw.poly import MultiPoly  # noqa: E402
+from kleinepw.poly import MultiPoly, linear_forms  # noqa: E402
 
 P = 32003
 
@@ -465,3 +465,75 @@ def test_divmod_over_z_stays_exact(nvars, data):
     assert all(type(c) in (int, Fraction) for p in (a.monic(), b.monic())
                for c in p.terms.values())
     assert b.monic().leading_term()[1] == 1
+
+
+# -- the packed linear substitution against MultiPoly.substitute ------------
+
+# entry conductors, and the hosts whose divisors among them are mixed in one
+# matrix (every lcm within MAX_CONDUCTOR)
+SUBSTITUTION_CONDUCTORS = (1, 3, 4, 5, 11)
+SUBSTITUTION_HOSTS = (1, 3, 4, 5, 11, 12, 15, 20, 33, 44, 55, 60)
+
+
+@st.composite
+def _substitution_entry(draw, host, bound):
+    """An int, a Fraction or a CycloNum of a conductor dividing host; often
+    zero, otherwise with coefficients up to bound over mixed denominators."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return 0
+    den = draw(st.sampled_from([1, 1, 2, 3, 2 ** 40 + 15]))
+    if kind == 1:
+        value = draw(st.integers(-bound, bound))
+        return value if den == 1 else Fraction(value, den)
+    n = draw(st.sampled_from([c for c in SUBSTITUTION_CONDUCTORS if host % c == 0]))
+    phi = euler_phi(n)
+    coeffs = draw(st.lists(st.integers(-bound, bound), min_size=phi, max_size=phi))
+    return CycloNum(n, coeffs, den)
+
+
+@st.composite
+def _substitution(draw):
+    """(terms, rows): a polynomial in 1..3 variables of degree up to 4,
+    neither homogeneous nor invariant in general, with int and Fraction
+    coefficients, and a matrix over one host field with some zero rows."""
+    nvars, nout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    host = draw(st.sampled_from(SUBSTITUTION_HOSTS))
+    bound = draw(st.sampled_from([1, 5, 2 ** 30, 2 ** 100]))
+    entry = _substitution_entry(host, bound)
+    rows = []
+    for _ in range(nvars):
+        zero_row = draw(st.integers(0, 4)) == 0
+        rows.append([0] * nout if zero_row else draw(st.lists(entry, min_size=nout,
+                                                               max_size=nout)))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars).filter(lambda e: sum(e) <= 4)
+    coeff = st.one_of(st.integers(-bound, bound).filter(bool),
+                      st.fractions(-bound, bound, max_denominator=12).filter(bool))
+    terms = draw(st.dictionaries(exps, coeff, max_size=6))
+    return terms, rows
+
+
+@settings(deadline=None, max_examples=80)
+@given(case=_substitution())
+def test_packed_substitution_matches_multipoly_substitute(case):
+    terms, rows = case
+    got = substitute_linear(terms, rows)
+    assert all(isinstance(c, CycloNum) and c for c in got.values())
+    assert MultiPoly(len(rows[0]), got) == MultiPoly(len(rows), terms).substitute(
+        linear_forms(rows))
+
+
+@pytest.mark.parametrize("conductor", SUBSTITUTION_CONDUCTORS)
+@pytest.mark.parametrize("degree", [1, 4])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_substitution_at_the_coefficient_bound(conductor, degree, sign):
+    # c x^d under x -> T y: the one coefficient c T^d is the radix bound itself
+    top = 2 ** 100
+    terms = {(degree,): sign * top}
+    rows = [[CycloNum(conductor, (top,) + (0,) * (euler_phi(conductor) - 1), 1)]]
+    assert substitute_linear(terms, rows) == {(degree,): sign * top ** (degree + 1)}
+    # every coefficient of a dense entry at T: the carries reach all digits
+    dense = [[CycloNum(conductor, (top,) * euler_phi(conductor), 1)] * 2] * 2
+    terms = {(degree, 0): sign * top, (0, degree): top, (1, degree - 1): 3}
+    want = MultiPoly(2, terms).substitute(linear_forms(dense))
+    assert MultiPoly(2, substitute_linear(terms, dense)) == want
