@@ -399,15 +399,24 @@ def _reduced(conv, n, phi):
     return out
 
 
-def _scaled(m, n):
-    """The entries of m lifted to conductor n over one common denominator:
-    (their integer coefficient lists, empty for a zero entry; the
-    denominator; the largest coefficient in absolute value)."""
-    rows = [[x.lift(n) for x in row] for row in m]
-    den = lcm(*(x.den for row in rows for x in row))
-    out = [[[c * (den // x.den) for c in x.num] if x else [] for x in row] for row in rows]
-    top = max((max(max(cs), -min(cs)) for row in out for cs in row if cs), default=0)
-    return out, den, top
+def _scaled(*matrices):
+    """Lift matrices of CycloNum, int or Fraction entries to one field, the
+    lcm n of the CycloNum entries' conductors (at most MAX_CONDUCTOR), and
+    put each matrix over one common denominator.  Returns n, phi(n) and,
+    for each matrix, (its entries' integer coefficient lists, empty for a
+    zero entry; the denominator; the largest coefficient in absolute
+    value)."""
+    n = lcm(*(x.n for m in matrices for row in m for x in row if isinstance(x, CycloNum)))
+    if n > MAX_CONDUCTOR:
+        raise ValueError(f"conductor lcm {n} exceeds cap {MAX_CONDUCTOR}")
+    scaled = []
+    for m in matrices:
+        rows = [[_coerce(x, n).lift(n) for x in row] for row in m]
+        den = lcm(*(x.den for row in rows for x in row))
+        out = [[[c * (den // x.den) for c in x.num] if x else [] for x in row] for row in rows]
+        top = max((max(max(cs), -min(cs)) for row in out for cs in row if cs), default=0)
+        scaled.append((out, den, top))
+    return n, euler_phi(n), scaled
 
 
 def _pack(coeffs, bits):
@@ -443,12 +452,7 @@ def mat_mul(a, b):
     bits leaves every coefficient of a sum of len(b) convolutions a
     balanced digit, so each output entry is one sum of int products,
     unpacked, reduced modulo the cyclotomic polynomial and built once."""
-    n = lcm(*(x.n for m in (a, b) for row in m for x in row))
-    if n > MAX_CONDUCTOR:
-        raise ValueError(f"conductor lcm {n} exceeds cap {MAX_CONDUCTOR}")
-    phi = euler_phi(n)
-    ca, den_a, top_a = _scaled(a, n)
-    cb, den_b, top_b = _scaled(b, n)
+    n, phi, ((ca, den_a, top_a), (cb, den_b, top_b)) = _scaled(a, b)
     # each output coefficient c has |c| <= len(b) * phi * top_a * top_b,
     # which is below 2^(bits - 1), half the radix
     bits = (len(b) * phi * top_a * top_b).bit_length() + 1
@@ -496,13 +500,7 @@ def substitute_linear(terms, rows):
     nvars, nout = len(rows), len(rows[0])
     if any(len(e) != nvars for e in terms):
         raise ValueError("need one row per variable")
-    cells = [[x if isinstance(x, CycloNum) else CycloNum.from_rational(x) for x in row]
-             for row in rows]
-    n = lcm(*(x.n for row in cells for x in row))
-    if n > MAX_CONDUCTOR:
-        raise ValueError(f"conductor lcm {n} exceeds cap {MAX_CONDUCTOR}")
-    phi = euler_phi(n)
-    ints, den, _ = _scaled(cells, n)
+    n, phi, ((ints, den, _),) = _scaled(rows)
     deg = max(map(sum, terms), default=0)
     fden = lcm(*(Fraction(c).denominator for c in terms.values()))
     coeffs = {e: int(Fraction(c) * fden) * den ** (deg - sum(e)) for e, c in terms.items()}

@@ -14,12 +14,10 @@ The module holds no elimination of its own.  Ranks, determinants and
 exterior powers go through linalg: its fraction-free (Bareiss) kernel
 takes the rational matrices as they are and the chart matrices over
 Z[x1..x5] through linalg.bareiss_det; its field kernel takes the
-matrices that cyclo.common_field lifts to one cyclotomic field.  stratum
-scales a rational point to an integer one, which spans the same
-x ^ (2-vectors), so its ranks run on int rows.  Both sextic routes
-certify the degree bound 6, and sextic_equation also the x0^6
-coefficient 1, raising ArithmeticError when the determinant breaks them.
-dual_rebuild_check also requires the dual action to be the inverse
+matrices that cyclo.common_field lifts to one cyclotomic field.  Both
+sextic routes certify the degree bound 6, and sextic_equation also the
+x0^6 coefficient 1, raising ArithmeticError when the determinant breaks
+them.  dual_rebuild_check also requires the dual action to be the inverse
 transpose.
 
 All operations are pure functions over immutable inputs.
@@ -27,7 +25,6 @@ All operations are pure functions over immutable inputs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
 
@@ -158,17 +155,9 @@ def span_rank(rows):
 
 def stratum(a_rows, x):
     """Intersection dimension at a point: dim of the Lagrangian meeting
-    x ^ (2-vectors), computed from ranks.  Rejects the zero vector.
-
-    A rational x is scaled by the lcm of its denominators: x and lambda x
-    span the same x ^ (2-vectors), so with integer a_rows both ranks run on
-    int rows, which the fraction-free kernel takes without clearing
-    denominators.  A cyclotomic x is taken as it is."""
+    x ^ (2-vectors), computed from ranks.  Rejects the zero vector."""
     if not any(x):
         raise ValueError("zero vector has no stratum")
-    if all(isinstance(c, (int, Fraction)) for c in x):
-        den = lcm(*(c.denominator for c in x))
-        x = [int(c * den) for c in x]
     wedge_rows = [wedge_vector_pair(x, p) for p in PAIRS6]
     w_rank = span_rank(wedge_rows)
     total = span_rank(list(a_rows) + wedge_rows)

@@ -308,7 +308,7 @@ def test_stratum_of_rational_multiples_matches_the_unscaled_ranks(capsys):
             assert epw.stratum(a_frac, y) == want
             seen.add(want)
     assert {0, 1, 2} <= seen
-    # the CLI reports the value at the point as given, not at its scaling
+    # the CLI reports the sextic value at the point as given
     text = "1/2,-2/3,0,5/7,1,0"
     point = [Fraction(c) for c in text.split(",")]
     code = cli.main(["--json", "stratum", "--point", text])
