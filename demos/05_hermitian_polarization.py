@@ -8,11 +8,11 @@ invariants off the characteristic polynomial: a unit determinant means
 the polarization is principal.
 """
 
+from kleinepw import fixtures, linalg
 from kleinepw import hermitian as herm
-from kleinepw import linalg
 from kleinepw.cyclo import QuadInt
 
-H = herm.build_Hprime()
+H = fixtures.hprime_matrix()
 print("rank-5 Gram matrix over Z[w]:")
 for row in H:
     print("   ", [repr(e) for e in row])

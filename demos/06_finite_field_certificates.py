@@ -19,7 +19,7 @@ from kleinepw.groebner import (
 for p in (32003, 65537):
     t0 = time.time()
     ideal = decomposable_pullback_ideal(p)
-    empty = projective_empty(ideal)
+    empty, _ = projective_empty(ideal)
     print(
         f"prime {p}: pullback cone of decomposable trivectors is empty: "
         f"{empty} ({time.time()-t0:.1f}s, {len(ideal)} quadrics in 10 variables)"

@@ -17,9 +17,11 @@ from fractions import Fraction
 
 from . import epw, fixtures, group, hermitian, lattices, linalg, verify
 from .groebner import (
+    MAX_DEGREE,
+    MAX_PAIRS,
     BudgetExhausted,
     FPoly,
-    projective_empty_with_basis,
+    projective_empty,
     smoothness_check,
 )
 from .textform import PolyParseError, emit_polynomial, parse_polynomial, poly_monomials_json
@@ -88,8 +90,8 @@ def build_parser():
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized property checks")
-    parser.add_argument("--budget-pairs", type=_budget_arg, default=500000)
-    parser.add_argument("--budget-degree", type=_budget_arg, default=48)
+    parser.add_argument("--budget-pairs", type=_budget_arg, default=MAX_PAIRS)
+    parser.add_argument("--budget-degree", type=_budget_arg, default=MAX_DEGREE)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -102,8 +104,7 @@ def build_parser():
         "divide coefficients of the transcribed sextic, 11 is the conductor",
     )
 
-    p_sextic = sub.add_parser("emit-sextic", help="print the canonical sextic")
-    p_sextic.add_argument("--format", choices=("text", "json"), default="text")
+    sub.add_parser("emit-sextic", help="print the canonical sextic")
 
     sub.add_parser("char-table", help="emit the class and character data")
 
@@ -165,7 +166,7 @@ def _emit(args, payload, text_lines):
 
 
 def cmd_verify(args):
-    primes = tuple(args.prime) if args.prime else (32003, 65537)
+    primes = tuple(args.prime) if args.prime else verify.PRIMES
     if len(primes) != 2 or primes[0] == primes[1]:
         raise ValueError(f"verify needs exactly two distinct --prime values, or none; "
                          f"got {', '.join(map(str, primes))}")
@@ -194,7 +195,7 @@ def cmd_verify(args):
 
 def cmd_emit_sextic(args):
     f = epw.sextic_equation()
-    if args.format == "json" or args.json:
+    if args.json:
         payload = {
             "variables": [f"x{i}" for i in range(6)],
             "monomials": poly_monomials_json(f),
@@ -302,15 +303,11 @@ def cmd_lattice(args):
 
 
 def cmd_hermitian(args):
-    H = hermitian.build_Hprime()
+    H = fixtures.hprime_matrix()
     if args.check == "hprime":
-        ok = (
-            linalg.is_hermitian(H)
-            and hermitian.is_positive_definite(H)
-            and hermitian.herm_det(H) == 1
-        )
-        payload = {"check": "hprime", "verdict": "pass" if ok else "fail",
-                   "det": str(hermitian.herm_det(H))}
+        det = hermitian.herm_det(H)
+        ok = linalg.is_hermitian(H) and hermitian.is_positive_definite(H) and det == 1
+        payload = {"check": "hprime", "verdict": "pass" if ok else "fail", "det": str(det)}
     elif args.check == "mat10":
         W = hermitian.induced_wedge2(H)
         ok, witness = hermitian.matches_mat10(W)
@@ -363,7 +360,7 @@ def cmd_groebner(args):
                        "codim": codim, "basis_size": info.get("basis_size"),
                        "info": info}
         else:
-            empty, basis = projective_empty_with_basis(
+            empty, basis = projective_empty(
                 gens, max_pairs=args.budget_pairs, max_degree=args.budget_degree
             )
             verdict = "pass" if empty else "fail"

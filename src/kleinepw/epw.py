@@ -20,6 +20,11 @@ x0^6 coefficient 1, raising ArithmeticError when the determinant breaks
 them.  dual_rebuild_check also requires the dual action to be the inverse
 transpose.
 
+A stratum or a section dimension takes one rank: the Lagrangian's basis
+and a basis of the other subspace meet in the sum of their lengths less
+the rank of both together.  The module reads no fixtures: callers pass
+the Lagrangian and the sextic.
+
 All operations are pure functions over immutable inputs.
 """
 
@@ -28,7 +33,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import factorial, lcm
 
-from . import fixtures, group, linalg
+from . import group, linalg
 from .cyclo import CycloNum, common_field
 from .poly import MultiPoly, linear_forms, squarefree_decomposition
 
@@ -126,12 +131,6 @@ def wedge_pairing(t1, t2):
     return total
 
 
-def basis_trivector(triple, one=1):
-    row = [0] * 20
-    row[TRIPLE_INDEX[tuple(triple)]] = one
-    return row
-
-
 def wedge_vector_pair(x, pair):
     """Coordinates of x ^ e_pair (x a 6-vector, pair from PAIRS6)."""
     out = [0] * 20
@@ -154,25 +153,30 @@ def span_rank(rows):
 
 
 def stratum(a_rows, x):
-    """Intersection dimension at a point: dim of the Lagrangian meeting
-    x ^ (2-vectors), computed from ranks.  Rejects the zero vector."""
-    if not any(x):
+    """Intersection dimension at a point: dim of the Lagrangian (basis
+    a_rows) meeting x ^ (2-vectors), from one rank.  Rejects the zero
+    vector.
+
+    x ^ (2-vectors) is the wedge square of V/<x>, of dimension 10 for every
+    nonzero x.  With i the first nonzero coordinate of x, the ten rows
+    x ^ e_p for the pairs p avoiding i are a basis of it: on the
+    coordinates of the triples {i} u p they are +-x_i, one each."""
+    i = next((k for k, c in enumerate(x) if c), None)
+    if i is None:
         raise ValueError("zero vector has no stratum")
-    wedge_rows = [wedge_vector_pair(x, p) for p in PAIRS6]
-    w_rank = span_rank(wedge_rows)
-    total = span_rank(list(a_rows) + wedge_rows)
-    return len(a_rows) + w_rank - total
+    wedge_rows = [wedge_vector_pair(x, p) for p in PAIRS6 if i not in p]
+    return trivector_subspace_intersection(a_rows, wedge_rows)
 
 
 def trivector_subspace_intersection(a_rows, w_rows):
-    ra = span_rank(a_rows)
-    rw = span_rank(w_rows)
-    return ra + rw - span_rank(list(a_rows) + list(w_rows))
+    """dim(span a_rows meet span w_rows) for two bases: the sum of their
+    lengths less the rank of both together."""
+    return len(a_rows) + len(w_rows) - span_rank(list(a_rows) + list(w_rows))
 
 
 def gm_dimension(a_rows, covector):
-    """5 - dim(A meet wedge3 of the hyperplane ker(covector)), for a
-    rational covector."""
+    """5 - dim(A meet wedge3 of the hyperplane ker(covector)), for the
+    Lagrangian's basis a_rows and a rational covector."""
     if not any(covector):
         raise ValueError("zero covector")
     # each kernel vector scaled by its denominators' lcm: the same span,
@@ -181,7 +185,8 @@ def gm_dimension(a_rows, covector):
     for vec in linalg.kernel_basis([covector]):
         den = lcm(*(x.denominator for x in vec))
         basis.append([int(x * den) for x in vec])
-    # the 3 x 3 minors' columns are the 3-subsets of 0..5 in TRIPLES6 order
+    # the 3 x 3 minors' columns are the 3-subsets of 0..5 in TRIPLES6 order;
+    # the exterior cube of the 5 independent rows is 10 independent rows
     w_rows = linalg.exterior_power_matrix(basis, 3)
     return 5 - trivector_subspace_intersection(a_rows, w_rows)
 
@@ -221,30 +226,6 @@ def self_duality_oracle(a_rows):
     )
 
 
-def random_lagrangian(rng, steps=6):
-    """Random Lagrangian: image of the coordinate Lagrangian spanned by the
-    e_0jk under random integer symplectic transvections t_v(x) = x + w(x,v) v."""
-    rows = [basis_trivector((0,) + p) for p in PAIRS5]
-    for _ in range(steps):
-        v = [rng.randint(-1, 1) for _ in range(20)]
-        if not any(v):
-            continue
-        rows = [
-            [x + wedge_pairing(r, v) * y for x, y in zip(r, v)] for r in rows
-        ]
-    return rows
-
-
-def is_lagrangian(rows):
-    if span_rank(rows) != len(rows):
-        return False
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            if wedge_pairing(rows[i], rows[j]) != 0:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the sextic: two independent determinant routes
 # ---------------------------------------------------------------------------
@@ -281,7 +262,7 @@ def sextic_equation():
     det = linalg.bareiss_det(chart_matrix_derived())
     if det.total_degree() > 6:
         raise ArithmeticError("chart determinant has degree above 6")
-    hom = det.homogenize(6, 0, degree=6)
+    hom = det.homogenize(6)
     if hom.coefficient((6, 0, 0, 0, 0, 0)) != 1:
         raise ArithmeticError("chart determinant has x0^6 coefficient other than 1")
     return hom
@@ -352,7 +333,7 @@ def sextic_via_interpolation():
     poly = _simplex_det(chart_matrix_derived())
     if poly.total_degree() > 6:
         raise ArithmeticError("interpolated sextic has degree above 6")
-    return poly.homogenize(6, 0, degree=6)
+    return poly.homogenize(6)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +448,10 @@ def line_intersection_pattern(f, p, q):
     return sorted(pattern)
 
 
-def sextic_fixed_point_count(g6, a_rows=None, f=None):
-    """Number of fixed points of the projective action lying on the sextic,
-    when finite: eigen-point strata plus distinct line intersections.
+def sextic_fixed_point_count(g6, a_rows, f):
+    """Number of fixed points of the projective action lying on the sextic
+    f, when finite: eigen-point strata (in the Lagrangian with basis a_rows)
+    plus distinct line intersections.
 
     Returns (count, components), one component (eigenvalue, dimension,
     value) per eigenspace: value is the stratum of a fixed point, the
@@ -477,10 +459,6 @@ def sextic_fixed_point_count(g6, a_rows=None, f=None):
     None for a fixed space of dimension >= 3.  count is None when some
     fixed component meets the hypersurface in positive dimension (the
     order-2 elements)."""
-    if a_rows is None:
-        a_rows = build_A()
-    if f is None:
-        f = fixtures.sextic_poly()
     components = []
     for ev, kb in fixed_locus(g6):
         dim = len(kb)

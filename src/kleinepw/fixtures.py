@@ -10,17 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 from .cyclo import CycloNum, QuadInt
 from .textform import parse_polynomial
-
-DATA_DIR = Path(__file__).resolve().parent / "data"
-
-
-def ideal_file(name: str) -> Path:
-    """Path of a shipped machine-readable ideal description."""
-    return DATA_DIR / f"{name}.json"
 
 # ---------------------------------------------------------------------------
 # The invariant sextic: canonical equation of the degree-6 hypersurface in

@@ -5,9 +5,9 @@ their coefficients into 1..p-1, in graded reverse lexicographic order.
 The Groebner machinery supports two certified checks used as
 finite-field stand-ins for characteristic-0 computations:
 
-* projective emptiness: the reduced basis has a pure power of every
-  variable among its leading monomials (the affine cone is supported at
-  the origin only);
+* projective emptiness (projective_empty, which also returns the basis):
+  the reduced basis has a pure power of every variable among its leading
+  monomials (the affine cone is supported at the origin only);
 * smoothness: the singular-locus ideal (generators plus c x c minors of
   the Jacobian) is projectively empty.  Minor subsampling is sound for
   the empty verdict: a subset of the minors cuts out a larger scheme, so
@@ -24,7 +24,8 @@ Emptiness over a single prime is evidence, not proof, for the
 characteristic-0 statement; the verification driver demands agreement at
 two primes and labels results accordingly.  Budgets (pair count, degree)
 raise BudgetExhausted, which callers must report distinctly from a
-mathematical verdict.
+mathematical verdict.  Their defaults, MAX_PAIRS and MAX_DEGREE, are also
+the defaults of verify and of the command line.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ from .epw import build_A, merge_indices
 from .fixtures import PAIR_VARS, QUADRIC_TEXT, sextic_poly
 from .poly import MultiPoly, grevlex_key, linear_forms
 from .textform import parse_polynomial
+
+# the default budgets of every Groebner computation
+MAX_PAIRS = 500000
+MAX_DEGREE = 48
 
 
 class BudgetExhausted(RuntimeError):
@@ -84,14 +89,6 @@ class FPoly(MultiPoly):
         r.p, r.nvars = p, self.nvars
         r.terms = {e: v for e, c in terms.items() if (v := c % p)}
         return r
-
-    @staticmethod
-    def zero(p, nvars):
-        return FPoly(p, nvars)
-
-    @staticmethod
-    def const(p, nvars, c):
-        return FPoly(p, nvars, {(0,) * nvars: c})
 
     @staticmethod
     def var(p, i, nvars, coeff=1):
@@ -186,7 +183,7 @@ def _lcm_exp(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def buchberger(gens, max_pairs=200000, max_degree=60):
+def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE):
     """Reduced Groebner basis by the classic algorithm with the coprime
     and chain criteria and normal (minimal-lcm) selection; deterministic
     for a fixed input order.  Budgets raise BudgetExhausted.
@@ -314,11 +311,7 @@ def autoreduce(basis):
     return keep
 
 
-def ideal_membership(f: FPoly, basis) -> bool:
-    return normal_form(f, basis).is_zero()
-
-
-def projective_empty_with_basis(gens, max_pairs=200000, max_degree=60):
+def projective_empty(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE):
     """(empty?, reduced basis) for a homogeneous ideal: the projective
     scheme is empty iff the leading ideal of the reduced basis contains a
     pure power of every variable."""
@@ -334,10 +327,6 @@ def projective_empty_with_basis(gens, max_pairs=200000, max_degree=60):
         if len(support) == 1:
             covered[support[0]] = True
     return all(covered), basis
-
-
-def projective_empty(gens, max_pairs=200000, max_degree=60):
-    return projective_empty_with_basis(gens, max_pairs, max_degree)[0]
 
 
 def jacobian(gens):
@@ -380,8 +369,8 @@ def jacobian_minors(gens, size, sample=None, seed=0):
 def smoothness_check(
     gens,
     codim,
-    max_pairs=200000,
-    max_degree=60,
+    max_pairs=MAX_PAIRS,
+    max_degree=MAX_DEGREE,
     minor_sample=None,
 ):
     """Projective emptiness of the singular locus: generators plus the
@@ -395,18 +384,15 @@ def smoothness_check(
         raise ValueError("codimension must be at least 1")
     base = buchberger(gens, max_pairs=max_pairs, max_degree=max_degree)
     minors, sampled = jacobian_minors(gens, codim, sample=minor_sample)
-    empty, basis = projective_empty_with_basis(
-        base + minors, max_pairs=max_pairs, max_degree=max_degree
-    )
+    empty, basis = projective_empty(base + minors, max_pairs=max_pairs, max_degree=max_degree)
     info = {"sampled_minors": sampled, "minors_used": len(minors),
             "basis_size": len(basis)}
     if empty:
         return True, info
     if sampled:
         minors, _ = jacobian_minors(gens, codim, sample=None)
-        empty, basis = projective_empty_with_basis(
-            base + minors, max_pairs=max_pairs, max_degree=max_degree
-        )
+        empty, basis = projective_empty(base + minors, max_pairs=max_pairs,
+                                        max_degree=max_degree)
         info = {"sampled_minors": False, "minors_used": len(minors),
                 "basis_size": len(basis)}
     return empty, info

@@ -18,11 +18,12 @@ generators gives products, squares, orders and conjugacy classes (genuine
 conjugation orbits) by index, and stabilizers come from orbits: each
 generator permutes the orbit of a subspace, and an element's word is
 walked through those permutations.  Characters and fixed-point counts are
-computed from the closure, exactly; the identity, trace, conjugate
-transpose and inverse are linalg's, and the dual representation is the
-transpose of linalg.inverse.  The group-summed invariant Hermitian
-form is |G| * I, proved from the exact unitarity of the generators'
-images; the term-by-term sum, invariant_hermitian, is the tests' oracle.
+computed from the closure, exactly, for an element given by its index in
+the closure; the identity, trace, conjugate transpose and inverse are
+linalg's, and the dual representation is the transpose of
+linalg.inverse.  The group-summed invariant Hermitian form is |G| * I,
+proved from the exact unitarity of the generators' images; the
+term-by-term sum, invariant_hermitian, is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -238,9 +239,6 @@ class GroupTable:
     def __len__(self):
         return len(self.elements)
 
-    def index_of(self, m):
-        return self.index[mat_key(m)]
-
     def product_index(self, i, j):
         """Index of elements[i] * elements[j]: walk j's word from i."""
         for k in self.words[j]:
@@ -379,13 +377,8 @@ def functor_sym2_wedge2():
     return RepFunctor("sym2_wedge2_xi", 55, character_fn=char)
 
 
-def functor_v6():
-    return RepFunctor("chi0_plus_xi", 6, matrix_fn=_v6_matrix)
-
-
-def character(f: RepFunctor, table: GroupTable, g) -> CycloNum:
-    """Trace of the functor applied to a group element (index or matrix)."""
-    idx = g if isinstance(g, int) else table.index_of(g)
+def character(f: RepFunctor, table: GroupTable, idx) -> CycloNum:
+    """Trace of the functor applied to the element of this index."""
     return f.character(table, idx)
 
 
@@ -402,12 +395,11 @@ def trivial_multiplicity(f: RepFunctor, table: GroupTable) -> int:
     return value
 
 
-def lefschetz_surface_count(table: GroupTable, g) -> int:
+def lefschetz_surface_count(table: GroupTable, idx) -> int:
     """Fixed-point count on the singular surface from the degree-2
-    character data: 2 + 2*chi(g)^2 - chi(g^2).  Defined for elements of
-    order 3, 5, 6, 11; order-2 elements are rejected because their fixed
-    locus on the surface is a curve."""
-    idx = g if isinstance(g, int) else table.index_of(g)
+    character data of the element g of this index: 2 + 2*chi(g)^2 -
+    chi(g^2).  Defined for elements of order 3, 5, 6, 11; order-2 elements
+    are rejected because their fixed locus on the surface is a curve."""
     n = table.element_order(idx)
     if n == 1:
         raise ValueError("identity fixes the whole surface")

@@ -22,11 +22,6 @@ from . import fixtures, linalg
 from .cyclo import QuadInt
 
 
-def build_Hprime():
-    """The rank-5 positive definite unimodular Hermitian Gram matrix."""
-    return fixtures.hprime_matrix()
-
-
 def _embed(m):
     return [[e.to_cyclo() for e in row] for row in m]
 

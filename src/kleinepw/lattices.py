@@ -52,15 +52,9 @@ class Lattice:
     def signature(self):
         return linalg.symmetric_signature(self.gram)
 
-    def is_even(self):
-        return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
-
     def inner(self, v, w):
         """The bilinear form v^T G w, for integer or rational vectors."""
         return sum(x * y for x, y in zip(v, linalg.mat_vec(self.gram, w)))
-
-    def norm(self, v):
-        return self.inner(v, v)
 
     def __repr__(self):
         return f"Lattice(rank={self.rank}, det={self.det()})"
@@ -86,10 +80,6 @@ def e8(sign=-1):
 
 def rank1(m):
     return Lattice([[m]])
-
-
-def from_gram(rows):
-    return Lattice(rows)
 
 
 def direct_sum(*lattices):
@@ -175,9 +165,6 @@ class FiniteQuadraticForm:
         for d in self.orders:
             total *= d
         return total
-
-    def is_trivial(self):
-        return self.order == 1
 
     def elements(self):
         return product(*(range(d) for d in self.orders))
@@ -411,20 +398,6 @@ def represented_norms(lat: Lattice, bound: int):
         if g == 1:
             primitive.add(norm)
     return all_norms, primitive
-
-
-def represents(lat: Lattice, value: int) -> bool:
-    return bool(vectors_of_norm(lat, value))
-
-
-def primitively_represents(lat: Lattice, value: int) -> bool:
-    for vec in vectors_of_norm(lat, value):
-        g = 0
-        for c in vec:
-            g = gcd(g, c)
-        if g == 1:
-            return True
-    return False
 
 
 def orthogonal_complement(lat: Lattice, vector):

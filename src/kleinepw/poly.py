@@ -13,6 +13,8 @@ divmod with a zero remainder required, and gcd and
 squarefree_decomposition (line restrictions) run on one-variable
 polynomials through it.  linear_forms builds the linear images that
 substitute takes, a matrix's rows as forms in its column variables.
+homogenize(d) turns a polynomial on the affine chart x0 = 1 into the
+form of degree d in x0 and the chart's variables.
 """
 
 from __future__ import annotations
@@ -234,20 +236,16 @@ class MultiPoly:
             result = result + term
         return result
 
-    def homogenize(self, nvars_out, insert_at, degree=None):
-        """Insert a homogenizing variable at position insert_at."""
-        if nvars_out != self.nvars + 1:
-            raise ValueError("homogenize adds exactly one variable")
-        d = self.total_degree() if degree is None else degree
+    def homogenize(self, degree):
+        """The form of this degree in one more variable, put first as x0:
+        each term times x0^(degree - its degree)."""
         out = {}
         for e, c in self.terms.items():
-            pad = d - sum(e)
+            pad = degree - sum(e)
             if pad < 0:
                 raise ValueError("degree below actual total degree")
-            ne = list(e)
-            ne.insert(insert_at, pad)
-            out[tuple(ne)] = c
-        p = MultiPoly(nvars_out)
+            out[(pad,) + e] = c
+        p = MultiPoly(self.nvars + 1)
         p.terms = out
         return p
 

@@ -6,6 +6,8 @@ skipped or budget-exhausted.  Failing verdicts always carry a witness
 (first mismatching coefficient, entry or vector).  Reports are emitted
 in check-id order regardless of execution order, and all exact values in
 witnesses are serialized as strings.
+The finite-field checks run at PRIMES with groebner's default budgets,
+unless VerifyContext is given others.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import epw, fixtures, group, hermitian, lattices, linalg
 from .cyclo import CycloNum, QuadInt, lambda_embed, substitute_linear
 from .groebner import (
+    MAX_DEGREE,
+    MAX_PAIRS,
     BudgetExhausted,
     decomposable_pullback_ideal,
     gm_fivefold_ideal,
@@ -30,6 +35,9 @@ from .poly import MultiPoly, gcd, squarefree_decomposition
 from .textform import emit_polynomial
 
 PASS, FAIL, SKIP, BUDGET = "pass", "fail", "skipped", "budget-exhausted"
+
+# the two primes of the finite-field checks, unless two others are given
+PRIMES = (32003, 65537)
 
 
 @dataclass
@@ -78,61 +86,49 @@ def cyclo_json(x: CycloNum):
 
 
 class VerifyContext:
-    """Lazily built shared state: the 660-element table, the Lagrangian,
-    the sextic by both routes."""
+    """Shared state, each piece built on first use and kept (a cached
+    property): the 660-element table, the Lagrangian, the sextic by both
+    routes, the invariant form."""
 
-    def __init__(self, seed=0, slow=False, primes=(32003, 65537),
-                 budget_pairs=500000, budget_degree=48):
+    def __init__(self, seed=0, slow=False, primes=PRIMES,
+                 budget_pairs=MAX_PAIRS, budget_degree=MAX_DEGREE):
         self.seed = seed
         self.slow = slow
         self.primes = tuple(primes)
         self.budget_pairs = budget_pairs
         self.budget_degree = budget_degree
-        self._cache = {}
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def generators(self):
-        return self._get(
-            "gens", lambda: (group.gen_a(), group.gen_c(), group.weil_outside_borel())
-        )
+        return group.gen_a(), group.gen_c(), group.weil_outside_borel()
 
-    @property
+    @cached_property
     def table(self):
-        return self._get("table", lambda: group.generate_group(list(self.generators)))
+        return group.generate_group(list(self.generators))
 
-    @property
+    @cached_property
     def labeled(self):
-        return self._get("labeled", lambda: self.table.labeled_classes())
+        return self.table.labeled_classes()
 
-    @property
+    @cached_property
     def lagrangian(self):
-        return self._get("A", epw.build_A)
+        return epw.build_A()
 
     @property
     def sextic_fixture(self):
         return fixtures.sextic_poly()
 
-    @property
+    @cached_property
     def sextic_derived(self):
-        return self._get("sextic", epw.sextic_equation)
+        return epw.sextic_equation()
 
-    @property
+    @cached_property
     def sextic_interpolated(self):
-        return self._get("sextic_interp", epw.sextic_via_interpolation)
+        return epw.sextic_via_interpolation()
 
-    @property
+    @cached_property
     def invariant_form(self):
-        return self._get(
-            "invform",
-            lambda: group.unitary_group_sum(
-                group.functor_wedge2(), self.generators, len(self.table)
-            ),
-        )
+        return group.unitary_group_sum(group.functor_wedge2(), self.generators, len(self.table))
 
 
 # the rows of the character table, in display order; chi0 is the trivial
@@ -664,7 +660,7 @@ def _hperp(ctx):
     "the negative definite rank-20 assembly has discriminant (Z/11)^2 ~ (-2/11, -2/11)",
 )
 def _disc11(ctx):
-    K = lattices.from_gram([[-2, -1], [-1, -6]])
+    K = lattices.Lattice([[-2, -1], [-1, -6]])
     L = lattices.direct_sum(lattices.e8(-1), lattices.e8(-1), K, K)
     D = lattices.disc_group(L)
     target = lattices.FiniteQuadraticForm(
@@ -685,7 +681,7 @@ def _disc11(ctx):
 )
 def _norm2(ctx):
     M = lattices.direct_sum(
-        lattices.from_gram([[2, 1], [1, 6]]), lattices.rank1(22)
+        lattices.Lattice([[2, 1], [1, 6]]), lattices.rank1(22)
     )
     v2 = sorted(lattices.vectors_of_norm(M, 2))
     if v2 != [(-1, 0, 0), (1, 0, 0)]:
@@ -703,7 +699,7 @@ def _norm2(ctx):
     "the rank-21 Picard assembly has no nontrivial isotropic discriminant elements",
 )
 def _picard(ctx):
-    K = lattices.from_gram([[-2, -1], [-1, -6]])
+    K = lattices.Lattice([[-2, -1], [-1, -6]])
     L = lattices.direct_sum(
         lattices.rank1(2), lattices.e8(-1), lattices.e8(-1), K, K
     )
@@ -738,7 +734,7 @@ def _gluing(ctx):
     "the maximal Hodge assembly has rank 22 and signature (2, 20)",
 )
 def _hodge(ctx):
-    K = lattices.from_gram([[-2, -1], [-1, -6]])
+    K = lattices.Lattice([[-2, -1], [-1, -6]])
     L = lattices.direct_sum(
         lattices.rank1(2), lattices.rank1(2),
         lattices.e8(-1), lattices.e8(-1), K, K,
@@ -767,7 +763,7 @@ def _e8roots(ctx):
     "diag(-4,-4,-6,-8) represents every even value in [-200, -4] and not -2",
 )
 def _repr4(ctx):
-    L = lattices.from_gram(
+    L = lattices.Lattice(
         [[-4, 0, 0, 0], [0, -4, 0, 0], [0, 0, -6, 0], [0, 0, 0, -8]]
     )
     norms, _ = lattices.represented_norms(L, 200)
@@ -783,7 +779,7 @@ def _repr4(ctx):
     "diag(-4,-4,-4,-6,-8) primitively represents -d/4 for every 8 | d, 8 < d <= 400",
 )
 def _repr5(ctx):
-    L = lattices.from_gram(
+    L = lattices.Lattice(
         [
             [-4, 0, 0, 0, 0],
             [0, -4, 0, 0, 0],
@@ -808,13 +804,10 @@ def _repr5(ctx):
     "the rank-5 Hermitian matrix is conjugate-symmetric, positive definite, det 1",
 )
 def _hprime(ctx):
-    H = hermitian.build_Hprime()
-    ok = (
-        linalg.is_hermitian(H)
-        and hermitian.is_positive_definite(H)
-        and hermitian.herm_det(H) == 1
-    )
-    return _bool(ok, {"det": hermitian.herm_det(H)})
+    H = fixtures.hprime_matrix()
+    det = hermitian.herm_det(H)
+    ok = linalg.is_hermitian(H) and hermitian.is_positive_definite(H) and det == 1
+    return _bool(ok, {"det": det})
 
 
 @check(
@@ -823,7 +816,7 @@ def _hprime(ctx):
     "the induced rank-10 form matches the transcribed matrix in all 100 entries",
 )
 def _mat10(ctx):
-    W = hermitian.induced_wedge2(hermitian.build_Hprime())
+    W = hermitian.induced_wedge2(fixtures.hprime_matrix())
     ok, witness = hermitian.matches_mat10(W)
     if ok:
         return PASS, {}
@@ -841,12 +834,12 @@ def _mat10(ctx):
     "the induced rank-10 form is positive definite with determinant 1",
 )
 def _mat10_principal(ctx):
-    W = hermitian.induced_wedge2(hermitian.build_Hprime())
+    W = hermitian.induced_wedge2(fixtures.hprime_matrix())
     det = hermitian.herm_det(W)
-    pos = hermitian.is_positive_definite(W)
+    # raises unless W is positive definite
     inv = hermitian.polarization_invariants(W)
-    ok = det == 1 and pos and inv[0] == 1 and inv[-1] == 1
-    return _bool(ok, {"det": det}, {"det": det, "positive": pos})
+    ok = det == 1 and inv[0] == 1 and inv[-1] == 1
+    return _bool(ok, {"det": det}, {"det": det})
 
 
 @check(
@@ -906,7 +899,7 @@ def _smooth_at_primes(ctx, ideal, codim, max_pairs, minor_sample=None, budget_wi
 )
 def _decomposable(ctx):
     def gate(p):
-        empty = projective_empty(
+        empty, _ = projective_empty(
             decomposable_pullback_ideal(p),
             max_pairs=ctx.budget_pairs,
             max_degree=ctx.budget_degree,

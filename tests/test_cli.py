@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from kleinepw import fixtures
 from kleinepw.cli import main
 from kleinepw.textform import parse_polynomial
+
+# the shipped ideal files
+DATA = Path(__file__).resolve().parent.parent / "src" / "kleinepw" / "data"
 
 
 def run(capsys, *argv):
@@ -24,7 +28,7 @@ def test_emit_sextic_text_and_determinism(capsys):
 
 
 def test_emit_sextic_json_round_trip(capsys):
-    code, out, _ = run(capsys, "--json", "emit-sextic", "--format", "json")
+    code, out, _ = run(capsys, "--json", "emit-sextic")
     assert code == 0
     payload = json.loads(out)
     assert len(payload["monomials"]) == 37
@@ -120,10 +124,12 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phras
          "argument --codim: 0 is not positive"),
         (["lattice", "--spec", "E8", "--short-vectors", "-1"],
          "argument --short-vectors: -1 is negative"),
+        # the global --json is the one JSON switch
+        (["emit-sextic", "--format", "json"], "unrecognized arguments: --format json"),
     ],
     ids=["verify-prime-4", "verify-prime-not-int", "groebner-prime-1", "budget-pairs-negative",
          "budget-degree-negative", "verify-prime-2", "verify-prime-3", "verify-prime-11",
-         "groebner-codim-0", "short-vectors-negative"],
+         "groebner-codim-0", "short-vectors-negative", "emit-sextic-format"],
 )
 def test_bad_number_flag_is_a_usage_error(capsys, argv, phrase):
     with pytest.raises(SystemExit) as err:
@@ -179,7 +185,7 @@ def test_fixed_points_command(capsys):
 def test_groebner_file_and_negative_control(tmp_path, capsys):
     # the shipped threefold ideal verifies smooth
     code, out, _ = run(
-        capsys, "groebner", "--file", str(fixtures.ideal_file("gm_threefold"))
+        capsys, "groebner", "--file", str(DATA / "gm_threefold.json")
     )
     assert code == 0
     payload = json.loads(out)
@@ -187,7 +193,7 @@ def test_groebner_file_and_negative_control(tmp_path, capsys):
     assert payload["mode"] == "smoothness"
 
     # corrupting the fixture (dropping one quadric term) must be caught
-    with open(fixtures.ideal_file("gm_threefold"), "r", encoding="utf-8") as handle:
+    with open(DATA / "gm_threefold.json", "r", encoding="utf-8") as handle:
         spec = json.load(handle)
     spec["generators"][-1] = "x01*x02 - x13*x14"
     bad = tmp_path / "corrupted.json"
@@ -201,7 +207,7 @@ def test_groebner_file_and_negative_control(tmp_path, capsys):
 def test_shipped_sixfold_file_passes_validation(capsys):
     # the double cover is a variety, so the emptiness verdict is fail (exit
     # 1); a field the command rejects would exit 2 with a usage line
-    code, out, _ = run(capsys, "groebner", "--file", str(fixtures.ideal_file("gm_sixfold")))
+    code, out, _ = run(capsys, "groebner", "--file", str(DATA / "gm_sixfold.json"))
     assert code == 1
     payload = json.loads(out)
     assert payload["mode"] == "projective-emptiness"
@@ -255,7 +261,7 @@ def test_shipped_ideal_matches_builder():
     # generator by generator and term for term, at the file's own prime
     for name, build in (("gm_threefold", gm_threefold_ideal),
                         ("gm_fivefold", gm_fivefold_ideal)):
-        with open(fixtures.ideal_file(name), "r", encoding="utf-8") as handle:
+        with open(DATA / f"{name}.json", "r", encoding="utf-8") as handle:
             spec = json.load(handle)
         p = spec["prime"]
         parsed = [FPoly.from_int_poly(parse_polynomial(s, spec["variables"]), p).terms

@@ -10,6 +10,36 @@ from kleinepw.cyclo import CycloNum
 from kleinepw.poly import MultiPoly, squarefree_decomposition
 
 
+def basis_trivector(triple):
+    row = [0] * 20
+    row[epw.TRIPLE_INDEX[tuple(triple)]] = 1
+    return row
+
+
+def random_lagrangian(rng, steps=6):
+    """Random Lagrangian: image of the coordinate Lagrangian spanned by the
+    e_0jk under random integer symplectic transvections t_v(x) = x + w(x,v) v."""
+    rows = [basis_trivector((0,) + p) for p in epw.PAIRS5]
+    for _ in range(steps):
+        v = [rng.randint(-1, 1) for _ in range(20)]
+        if not any(v):
+            continue
+        rows = [
+            [x + epw.wedge_pairing(r, v) * y for x, y in zip(r, v)] for r in rows
+        ]
+    return rows
+
+
+def is_lagrangian(rows):
+    if epw.span_rank(rows) != len(rows):
+        return False
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            if epw.wedge_pairing(rows[i], rows[j]) != 0:
+                return False
+    return True
+
+
 def test_v_assignments():
     v = epw.build_v()
     col = epw.PAIR5_INDEX[(1, 2)]
@@ -56,9 +86,9 @@ def test_lagrangian_matrix():
 
 
 def test_wedge_pairing_examples():
-    e012 = epw.basis_trivector((0, 1, 2))
-    e345 = epw.basis_trivector((3, 4, 5))
-    e045 = epw.basis_trivector((0, 4, 5))
+    e012 = basis_trivector((0, 1, 2))
+    e345 = basis_trivector((3, 4, 5))
+    e045 = basis_trivector((0, 4, 5))
     assert epw.wedge_pairing(e012, e345) == 1
     assert epw.wedge_pairing(e012, e045) == 0
     assert epw.wedge_pairing(e345, e012) == -1
@@ -109,7 +139,7 @@ def _tensor_grid_sextic():
             for exp in range(n)
         }
     assert all(c.denominator == 1 for c in values.values())
-    return MultiPoly(5, {e: int(c) for e, c in values.items()}).homogenize(6, 0, degree=6)
+    return MultiPoly(5, {e: int(c) for e, c in values.items()}).homogenize(6)
 
 
 def test_tensor_grid_oracle_matches_simplex_route():
@@ -152,16 +182,17 @@ def test_gm_dimension_with_fraction_kernel_matches_unscaled_minors():
         basis = linalg.kernel_basis([cov])
         assert any(x.denominator != 1 for vec in basis for x in vec)
         w_rows = linalg.exterior_power_matrix(basis, 3)
-        want = 5 - epw.trivector_subspace_intersection(a, w_rows)
-        assert epw.gm_dimension(a, cov) == want
+        # the three-rank formula, which assumes neither row set a basis
+        meet = linalg.rank(a) + linalg.rank(w_rows) - linalg.rank(a + w_rows)
+        assert epw.gm_dimension(a, cov) == 5 - meet
 
 
 def test_self_duality():
     a = epw.build_A()
     assert epw.self_duality_check(a) is True
     assert epw.self_duality_oracle(a) is True
-    coord = [epw.basis_trivector((0,) + p) for p in epw.PAIRS5]
-    assert epw.is_lagrangian(coord)
+    coord = [basis_trivector((0,) + p) for p in epw.PAIRS5]
+    assert is_lagrangian(coord)
     assert epw.self_duality_check(coord) is False
     assert epw.self_duality_oracle(coord) is False
 
@@ -173,15 +204,15 @@ def test_self_duality_check_rejects_without_the_oracle(monkeypatch):
         raise AssertionError("self_duality_check called the oracle")
 
     monkeypatch.setattr(epw, "self_duality_oracle", oracle)
-    coord = [epw.basis_trivector((0,) + p) for p in epw.PAIRS5]
+    coord = [basis_trivector((0,) + p) for p in epw.PAIRS5]
     assert epw.self_duality_check(coord) is False
 
 
 def test_random_lagrangians_against_oracle():
     rng = random.Random(7)
     for _ in range(5):
-        lagr = epw.random_lagrangian(rng)
-        assert epw.is_lagrangian(lagr)
+        lagr = random_lagrangian(rng)
+        assert is_lagrangian(lagr)
         assert epw.self_duality_check(lagr) == epw.self_duality_oracle(lagr)
 
 
@@ -279,9 +310,31 @@ def test_order2_line_squarefree(table660, labeled_classes):
 
 
 def _stratum_oracle(a_rows, x):
-    """The unscaled formula: ranks of the Fraction rows of x ^ (2-vectors)."""
+    """The unscaled three-rank formula on all fifteen rows of x ^ (2-vectors),
+    lifted to one field when x is cyclotomic."""
     wedge = [epw.wedge_vector_pair(x, p) for p in epw.PAIRS6]
-    return len(a_rows) + linalg.rank(wedge) - linalg.rank(list(a_rows) + wedge)
+
+    def rank(rows):
+        return linalg.rank(cyclo.common_field(rows))
+
+    return rank(a_rows) + rank(wedge) - rank(list(a_rows) + wedge)
+
+
+def test_stratum_of_cyclotomic_eigenvectors_matches_the_unscaled_ranks(
+        table660, labeled_classes):
+    # the basis vectors of every eigenspace of the non-trivial classes:
+    # cyclotomic points, in every stratum
+    a_rows = epw.build_A()
+    seen = set()
+    for label, cls in labeled_classes.items():
+        if label == "1":
+            continue
+        for _, kb in epw.fixed_locus(group._v6_matrix(table660.elements[cls[0]])):
+            for x in kb:
+                want = _stratum_oracle(a_rows, x)
+                assert epw.stratum(a_rows, x) == want, (label, x)
+                seen.add(want)
+    assert seen == {0, 1, 2}
 
 
 def test_stratum_of_rational_multiples_matches_the_unscaled_ranks(capsys):

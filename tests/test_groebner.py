@@ -13,12 +13,10 @@ from kleinepw.groebner import (
     decomposable_pullback_ideal,
     gm_fivefold_ideal,
     gm_threefold_ideal,
-    ideal_membership,
     jacobian_minors,
     normal_form,
     pluecker_relations,
     projective_empty,
-    projective_empty_with_basis,
     smoothness_check,
 )
 
@@ -34,7 +32,7 @@ def test_buchberger_basics():
     assert [g.terms for g in buchberger([x, y])] == [g.terms for g in [y, x]] or len(
         buchberger([x, y])
     ) == 2
-    one = FPoly.const(7, 1, 1)
+    one = FPoly(7, 1, {(0,): 1})
     u = FPoly.var(7, 0, 1)
     gb = buchberger([u * u - one, u - one])
     assert len(gb) == 1 and gb[0].terms == (u - one).terms
@@ -46,7 +44,7 @@ def test_buchberger_zero_dimensional_cone():
     leads = [g.leading_term()[0] for g in gb]
     assert any(e[1] == 0 for e in leads) and any(e[0] == 0 for e in leads)
     # hand-computed S-polynomial content: y^3 lands in the ideal
-    assert ideal_membership(y * y * y, gb)
+    assert normal_form(y * y * y, gb).is_zero()
 
 
 def test_idempotence_and_membership():
@@ -56,7 +54,7 @@ def test_idempotence_and_membership():
     again = buchberger(gb)
     assert [g.terms for g in again] == [g.terms for g in gb]
     for g in gens:
-        assert ideal_membership(g, gb)
+        assert normal_form(g, gb).is_zero()
 
 
 def test_normal_form_properties():
@@ -85,12 +83,12 @@ def test_budget_exhaustion():
 
 def test_projective_empty():
     x, y, z = fvars(P, 3)
-    assert projective_empty([x, y, z]) is True
-    assert projective_empty([x * y]) is False
+    assert projective_empty([x, y, z])[0] is True
+    assert projective_empty([x * y])[0] is False
     # monotone: adding generators never flips true -> false
-    assert projective_empty([x, y, z, x * y]) is True
+    assert projective_empty([x, y, z, x * y])[0] is True
     with pytest.raises(ValueError):
-        projective_empty([x + FPoly.const(P, 3, 1)])
+        projective_empty([x + FPoly(P, 3, {(0, 0, 0): 1})])
 
 
 def test_smoothness_small_examples():
@@ -213,7 +211,7 @@ def test_pluecker_relations_of_gr36_span_the_contraction_relations(p):
 
 def test_decomposable_gate_two_primes():
     for p in (P, 65537):
-        empty, basis = projective_empty_with_basis(decomposable_pullback_ideal(p))
+        empty, basis = projective_empty(decomposable_pullback_ideal(p))
         assert empty is True and len(basis) == 60
 
 
@@ -285,7 +283,7 @@ def test_jacobian_minors_over_z_match_the_fpoly_expansion():
     gens = gm_threefold_ideal(P)
     minors, sampled = jacobian_minors(gens, 4)
     jac = [[g.derivative(i) for i in range(8)] for g in gens]
-    one = FPoly.const(P, 8, 1)
+    one = FPoly(P, 8, {(0,) * 8: 1})
     oracle = []
     for rs in combinations(range(len(gens)), 4):
         for cs in combinations(range(8), 4):

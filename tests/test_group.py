@@ -6,6 +6,10 @@ import pytest
 from kleinepw import epw, fixtures, group, linalg, verify
 from kleinepw.cyclo import CycloNum, euler_phi, lambda_embed
 
+# the 6-dimensional representation trivial on coordinate 0, as the
+# fixed-point code extends the 5 x 5 matrices
+FUNCTOR_V6 = group.RepFunctor("chi0_plus_xi", 6, matrix_fn=group._v6_matrix)
+
 
 def _identity(n=5):
     zero = CycloNum.from_rational(0, 11)
@@ -94,7 +98,7 @@ def _classes_by_exact_conjugation(table):
         while frontier:
             x = table.elements[frontier.pop()]
             for g, ginv in pairs:
-                y = table.index_of(group.mat_mul(group.mat_mul(g, x), ginv))
+                y = table.index[group.mat_key(group.mat_mul(group.mat_mul(g, x), ginv))]
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
@@ -121,13 +125,13 @@ def test_products_and_orders_match_exact_matrices(table660, labeled_classes):
     for _ in range(100):
         i, j = rng.randrange(660), rng.randrange(660)
         prod = group.mat_mul(table660.elements[i], table660.elements[j])
-        assert table660.product_index(i, j) == table660.index_of(prod)
+        assert table660.product_index(i, j) == table660.index[group.mat_key(prod)]
     sample = [cls[0] for cls in labeled_classes.values()]
     sample += [rng.randrange(660) for _ in range(40)]
     for i in sample:
         assert table660.element_order(i) == group.mat_order(table660.elements[i])
         square = group.mat_mul(table660.elements[i], table660.elements[i])
-        assert table660.square_index(i) == table660.index_of(square)
+        assert table660.square_index(i) == table660.index[group.mat_key(square)]
 
 
 def test_table_queries_need_no_matrix_products(generators, monkeypatch):
@@ -260,7 +264,7 @@ def test_wedge2_character_identity(table660):
 
 def test_functoriality_random_pairs(table660):
     rng = random.Random(5)
-    functors = [group.functor_xi_dual(), group.functor_wedge2(), group.functor_v6()]
+    functors = [group.functor_xi_dual(), group.functor_wedge2(), FUNCTOR_V6]
     for f in functors:
         for _ in range(20):
             i = rng.randrange(660)
@@ -328,7 +332,7 @@ def test_non_unitary_generators_fail_invform():
     # the premise matters: here the true group sum is not a scalar matrix
     assert not group.mat_is_scalar(group.invariant_hermitian(w2, borel))
     ctx = verify.VerifyContext()
-    ctx._cache.update(gens=gens, table=borel)
+    ctx.generators, ctx.table = gens, borel
     assert verify._invform(ctx) == (verify.FAIL, {"stage": "unitary"})
 
 
@@ -363,7 +367,7 @@ def test_group_suite_needs_no_group_sum(generators, table660, monkeypatch):
     monkeypatch.setattr(group, "invariant_hermitian", refuse)
     monkeypatch.setattr(group, "projective_key", refuse)
     ctx = verify.VerifyContext()
-    ctx._cache.update(gens=tuple(generators), table=table660)
+    ctx.generators, ctx.table = tuple(generators), table660
     reports = verify.run_suite("group", ctx)
     assert {r.check_id: r.verdict for r in reports} == dict.fromkeys(
         GROUP_SUITE_WITNESSES, verify.PASS
@@ -438,7 +442,7 @@ def _stabilizer_by_images(table, subspace_cols, images):
 
 def test_orbit_stabilizer_matches_the_image_loop(table660):
     rng = random.Random(23)
-    images = [group.functor_v6().matrix(m) for m in table660.elements]
+    images = [FUNCTOR_V6.matrix(m) for m in table660.elements]
 
     def rational(k):
         return [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(k)]

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from kleinepw import fixtures, linalg
 from kleinepw import hermitian as herm
-from kleinepw import linalg
 from kleinepw.cyclo import QuadInt
 
 
@@ -15,14 +15,14 @@ def diag(entries):
 
 
 def test_hprime_entries():
-    h = herm.build_Hprime()
+    h = fixtures.hprime_matrix()
     assert h[0][0] == QuadInt(3)
     assert h[0][1] == QuadInt(2, 1)  # 1 - conj(w)
     assert linalg.is_hermitian(h)
 
 
 def test_hprime_unimodular_positive():
-    h = herm.build_Hprime()
+    h = fixtures.hprime_matrix()
     assert herm.herm_det(h) == 1
     assert herm.is_positive_definite(h)
     assert herm.leading_minor_values(h)[0] == 3
@@ -52,7 +52,7 @@ def test_positive_definite_counterexample():
 
 
 def test_induced_form_entries_and_fixture():
-    h = herm.build_Hprime()
+    h = fixtures.hprime_matrix()
     w = herm.induced_wedge2(h)
     assert w[0][0] == QuadInt(4)  # 3*3 - (1-conj w)(1-w) = 9 - 5
     assert w[0][1] == QuadInt(0, 2)  # 2w
@@ -83,7 +83,7 @@ def test_induced_form_diagonal_oracle():
 def test_polarization_invariants():
     assert herm.polarization_invariants(diag([1] * 10)) == herm.binomial_invariants(10)
     assert herm.polarization_invariants(diag([2] + [1] * 9))[0] == 2
-    w = herm.induced_wedge2(herm.build_Hprime())
+    w = herm.induced_wedge2(fixtures.hprime_matrix())
     inv = herm.polarization_invariants(w)
     assert inv[0] == 1  # principal
     assert inv[-1] == 1

@@ -6,7 +6,8 @@ directly would bypass that choice.  Tests may still call the private
 kernels as oracles.
 
 epw imports group (for the matrix order), so group imports nothing from
-epw; cyclo is a leaf and imports nothing from the package; the k x k
+epw; epw imports nothing from fixtures, so it cannot fall back on the
+transcriptions it is checked against; cyclo is a leaf and imports nothing from the package; the k x k
 minors, the Hermitian test and the matrix helpers (identity, trace,
 conjugate transpose, inverse) have one home, linalg; and groebner has one
 builder of Pluecker relations.
@@ -47,18 +48,29 @@ def test_no_private_linalg_names_outside_linalg():
     assert not uses, "private linalg names used outside linalg: " + ", ".join(uses)
 
 
-def test_group_imports_nothing_from_epw():
+def _imports_of(path, module):
+    """Lines of the file that import the package module or a name from it."""
     uses = []
-    for node in ast.walk(_tree(PACKAGE / "group.py")):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.ImportFrom):
             names = [(node.module or "").rsplit(".", 1)[-1]] + [a.name for a in node.names]
         elif isinstance(node, ast.Import):
             names = [a.name.rsplit(".", 1)[-1] for a in node.names]
         else:
             continue
-        if "epw" in names:
+        if module in names:
             uses.append(node.lineno)
+    return uses
+
+
+def test_group_imports_nothing_from_epw():
+    uses = _imports_of(PACKAGE / "group.py", "epw")
     assert not uses, f"group.py imports from epw at lines {uses}"
+
+
+def test_epw_imports_nothing_from_fixtures():
+    uses = _imports_of(PACKAGE / "epw.py", "fixtures")
+    assert not uses, f"epw.py imports from fixtures at lines {uses}"
 
 
 def _package_imports(path):

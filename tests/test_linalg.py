@@ -148,7 +148,7 @@ def rand_linear_multipoly(rng, nvars):
 def rand_fpoly(rng, p, nvars):
     """Random FPoly of degree at most 2 with a few terms, sometimes zero."""
     if rng.random() < 0.2:
-        return FPoly.zero(p, nvars)
+        return FPoly(p, nvars)
     terms = {}
     for _ in range(rng.randint(1, 3)):
         e = [0] * nvars
@@ -163,7 +163,7 @@ def test_expansion_det_fpoly_matches_integer_bareiss_at_points():
     p, nvars = 32003, 3
     for n in (1, 2, 3, 4):
         m = [[rand_fpoly(rng, p, nvars) for _ in range(n)] for _ in range(n)]
-        d = linalg.expansion_det(m, FPoly.const(p, nvars, 1))
+        d = linalg.expansion_det(m, FPoly(p, nvars, {(0,) * nvars: 1}))
         assert isinstance(d, FPoly) and d.p == p and d.nvars == nvars
         for _ in range(5):
             point = [rng.randrange(p) for _ in range(nvars)]
@@ -184,7 +184,7 @@ def test_expansion_det_multipoly_matches_poly_bareiss():
 @pytest.mark.parametrize(
     "zero, one",
     [
-        (FPoly.zero(101, 2), FPoly.const(101, 2, 1)),
+        (FPoly(101, 2), FPoly(101, 2, {(0, 0): 1})),
         (MultiPoly.zero(2), MultiPoly.const(2, 1)),
         (QuadInt(0), QuadInt(1)),
     ],

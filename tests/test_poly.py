@@ -61,7 +61,7 @@ def test_homogenize():
     x = MultiPoly.var(0, 2)
     y = MultiPoly.var(1, 2)
     p = x * x + y + 1
-    h = p.homogenize(3, 0, degree=2)
+    h = p.homogenize(2)
     assert h.is_homogeneous()
     assert h.total_degree() == 2
     assert h.coefficient((2, 0, 0)) == 1  # the inserted variable squared

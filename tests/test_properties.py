@@ -51,7 +51,7 @@ def test_redundant_input_keeps_the_reduced_basis(gens, data):
     # reduction must drop them or keep them without changing the basis
     extra = []
     for _ in range(data.draw(st.integers(0, 4))):
-        combo = FPoly.zero(P, 3)
+        combo = FPoly(P, 3)
         for _ in range(data.draw(st.integers(1, 3))):
             k = data.draw(st.integers(0, len(gens) - 1))
             combo = combo + gens[k] * data.draw(_homogeneous())
