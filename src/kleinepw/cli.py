@@ -328,7 +328,10 @@ def cmd_hermitian(args):
 
 def cmd_groebner(args):
     with open(args.file, "r", encoding="utf-8") as handle:
-        spec = json.load(handle)
+        try:
+            spec = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{args.file}: JSON nested too deeply") from None
     if not isinstance(spec, dict) or not {"variables", "generators"} <= spec.keys():
         raise ValueError(f"{args.file}: need a JSON object with 'variables' and 'generators'")
     prime = args.prime or spec.get("prime")

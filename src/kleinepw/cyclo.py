@@ -14,7 +14,8 @@ and Fraction.  to_int is the one rational-integer check.
 Coefficient vectors are stored as a tuple of integers over a single
 positive denominator with the gcd divided out; this is just a packed
 form of a rational vector and keeps the inner loops in integer
-arithmetic.
+arithmetic.  The constructor takes that form, CycloNum(n, numerators,
+den), with den required; from_rational builds a rational.
 
 Mixed-conductor operations lift both operands to the lcm of the two
 conductors, which is capped at MAX_CONDUCTOR.  All values are immutable
@@ -148,22 +149,13 @@ class CycloNum:
 
     __slots__ = ("n", "num", "den", "_hash")
 
-    def __init__(self, n, coeffs, den=None):
+    def __init__(self, n, coeffs, den):
         if n < 1 or n > MAX_CONDUCTOR:
             raise ValueError(f"conductor {n} outside supported range 1..{MAX_CONDUCTOR}")
+        num = list(coeffs)
         phi = euler_phi(n)
-        if den is None:
-            fracs = [Fraction(c) for c in coeffs]
-            if len(fracs) != phi:
-                raise ValueError(f"need {phi} coefficients for conductor {n}, got {len(fracs)}")
-            den = 1
-            for f in fracs:
-                den = den * f.denominator // gcd(den, f.denominator)
-            num = [int(f * den) for f in fracs]
-        else:
-            num = list(coeffs)
-            if len(num) != phi:
-                raise ValueError(f"need {phi} coefficients for conductor {n}, got {len(num)}")
+        if len(num) != phi:
+            raise ValueError(f"need {phi} coefficients for conductor {n}, got {len(num)}")
         self.n = n
         self.num, self.den = _normalize(num, den)
         self._hash = None
@@ -551,8 +543,8 @@ class QuadInt:
     """Element a + b*w of the imaginary quadratic order Z[w], w^2 = -w - 3.
 
     The order is the ring of integers of Q(sqrt(-11)); conjugation sends
-    a + b*w to (a - b) - b*w and the norm a^2 - a*b + 3*b^2 is
-    nonnegative, vanishing only at zero.
+    a + b*w to (a - b) - b*w, and q * q.conj() is the norm
+    a^2 - a*b + 3*b^2, nonnegative and vanishing only at zero.
     """
 
     __slots__ = ("a", "b")
@@ -593,9 +585,6 @@ class QuadInt:
 
     def conj(self):
         return QuadInt(self.a - self.b, -self.b)
-
-    def norm(self):
-        return self.a * self.a - self.a * self.b + 3 * self.b * self.b
 
     def is_zero(self):
         return self.a == 0 and self.b == 0

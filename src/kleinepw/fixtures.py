@@ -8,7 +8,6 @@ fixtures must never be generated by the code they check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycloNum, QuadInt
@@ -181,33 +180,28 @@ MAT10_TEXT = [
 ]
 
 
+# the monomials of a Hermitian entry: 1, L and Lbar = -1 - L
+_QUADINT_MONOMIALS = {(0, 0): QuadInt(1), (1, 0): QuadInt(0, 1), (0, 1): QuadInt(-1, -1)}
+
+
+def _parse_quadint(s):
+    terms = parse_polynomial(s, ["L", "Lbar"]).terms
+    if not terms.keys() <= _QUADINT_MONOMIALS.keys():
+        raise ValueError(f"fixture entry not linear in L: {s}")
+    return sum((int(c) * _QUADINT_MONOMIALS[e] for e, c in terms.items()), QuadInt(0))
+
+
 def _parse_quadint_matrix(rows):
-    out = []
-    for row in rows:
-        parsed = []
-        for s in row:
-            p = parse_polynomial(s, ["L", "Lbar"])
-            val = QuadInt(0, 0)
-            for e, c in p.terms.items():
-                if e == (0, 0):
-                    val = val + QuadInt(int(c), 0)
-                elif e == (1, 0):
-                    val = val + QuadInt(0, int(c))
-                elif e == (0, 1):
-                    # Lbar = -1 - L
-                    val = val + QuadInt(-int(c), -int(c))
-                else:
-                    raise ValueError(f"fixture entry not linear in L: {s}")
-            parsed.append(val)
-        out.append(parsed)
-    return out
+    """The matrix as a tuple of tuples of QuadInt: the cached fixtures are
+    shared by every caller, so they cannot be written into."""
+    return tuple(tuple(map(_parse_quadint, row)) for row in rows)
 
 
 @lru_cache(maxsize=None)
 def hprime_matrix():
-    return _parse_quadint_matrix(tuple(map(tuple, HPRIME_TEXT)))
+    return _parse_quadint_matrix(HPRIME_TEXT)
 
 
 @lru_cache(maxsize=None)
 def mat10_matrix():
-    return _parse_quadint_matrix(tuple(map(tuple, MAT10_TEXT)))
+    return _parse_quadint_matrix(MAT10_TEXT)

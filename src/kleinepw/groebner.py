@@ -12,6 +12,8 @@ finite-field stand-ins for characteristic-0 computations:
   the Jacobian) is projectively empty.  Minor subsampling is sound for
   the empty verdict: a subset of the minors cuts out a larger scheme, so
   emptiness of the subsampled locus implies emptiness of the full one.
+  The subsample is drawn with the fixed seed SAMPLE_SEED, so a sampled
+  run is reproducible.
 
 One builder, pluecker_relations(k, n, p), gives the quadratic Pluecker
 relations of both Grassmannians in play: Gr(2, 5), whose linear and
@@ -43,6 +45,8 @@ from .textform import parse_polynomial
 # the default budgets of every Groebner computation
 MAX_PAIRS = 500000
 MAX_DEGREE = 48
+# the seed of every Jacobian minor subsample
+SAMPLE_SEED = 0
 
 
 class BudgetExhausted(RuntimeError):
@@ -103,9 +107,6 @@ class FPoly(MultiPoly):
 
     def _inverse(self, c):
         return pow(c, -1, self.p)
-
-    def evaluate(self, point):
-        return super().evaluate(point) % self.p
 
 
 def _divides(d, e):
@@ -334,7 +335,7 @@ def jacobian(gens):
     return [[g.derivative(i) for i in range(nvars)] for g in gens]
 
 
-def jacobian_minors(gens, size, sample=None, seed=0):
+def jacobian_minors(gens, size, sample=None):
     """c x c minors of the Jacobian matrix; optionally a deterministic
     random subsample (sound for the empty verdict, since fewer equations
     cut out a larger scheme).
@@ -354,7 +355,7 @@ def jacobian_minors(gens, size, sample=None, seed=0):
     ]
     sampled = False
     if sample is not None and sample < len(all_keys):
-        rng = random.Random(seed)
+        rng = random.Random(SAMPLE_SEED)
         all_keys = rng.sample(all_keys, sample)
         sampled = True
     out = []

@@ -35,6 +35,10 @@ from . import cyclo, linalg
 from .cyclo import CycloNum, euler_phi, lambda_embed, sqrt_minus_11
 
 CONDUCTOR = 11
+# twice the group's order: a closure that passes it has a mis-normalized generator
+CLOSURE_CAP = 1320
+# the highest matrix order mat_order tries
+ORDER_CAP = 70
 
 # the quadratic residues mod 11, ordered so that the i-th squares to the
 # i-th diagonal exponent (1, 4, 5, 9, 3)
@@ -151,9 +155,9 @@ def mat_is_scalar(m):
     return True
 
 
-def mat_order(m, cap=70):
+def mat_order(m):
     acc = m
-    for k in range(1, cap + 1):
+    for k in range(1, ORDER_CAP + 1):
         if acc[0][0] == 1 and mat_is_scalar(acc):
             return k
         acc = mat_mul(acc, m)
@@ -192,9 +196,9 @@ def _right_product(h):
     )
 
 
-def generate_group(gens, cap=1320):
+def generate_group(gens):
     """Breadth-first closure under multiplication with canonical hashing;
-    aborts past the cap (closure exceeding it means a mis-normalized
+    aborts past CLOSURE_CAP (closure exceeding it means a mis-normalized
     generator).  Records right[i][k], the index of elements[i] * gens[k],
     and words[i], the generator indices whose product is elements[i]."""
     if not gens:
@@ -216,8 +220,8 @@ def generate_group(gens, cap=1320):
                 j = index[key] = len(elements)
                 elements.append(prod)
                 words.append(words[i] + (k,))
-                if len(elements) > cap:
-                    raise ClosureExceeded(f"closure exceeded cap {cap}")
+                if len(elements) > CLOSURE_CAP:
+                    raise ClosureExceeded(f"closure exceeded cap {CLOSURE_CAP}")
             row.append(j)
         right.append(tuple(row))
     return GroupTable(elements, index, list(gens), tuple(right), tuple(words))

@@ -5,8 +5,8 @@ discriminant group is the cokernel of the Gram matrix, computed through
 the Smith normal form, and carries a Q/2Z-valued quadratic form (the
 lattices used here are all even).  Short vectors of definite lattices
 are enumerated completely with an exact rational Cholesky decomposition;
-finite-quadratic-form isometries are found by brute force on groups of
-order up to 10^4.
+finite-quadratic-form isometries and isotropic elements are found by
+brute force on groups of order up to the constant MAX_ORDER = 10^4.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from itertools import product
 from math import gcd, isqrt
 
 from . import linalg
+
+# the largest discriminant group order searched element by element
+MAX_ORDER = 10**4
 
 
 class Lattice:
@@ -94,12 +97,20 @@ def direct_sum(*lattices):
     return Lattice(g)
 
 
+def _json_lattice(text):
+    try:
+        gram = json.loads(text)
+    except RecursionError:
+        raise ValueError("Gram matrix JSON nested too deeply") from None
+    return Lattice(gram)
+
+
 def parse_lattice_spec(spec: str) -> Lattice:
     """Symbolic sums like "U+U+E8(-1)+E8(-1)+(-2)+(-2)" or a JSON Gram
     matrix ("[[0,1],[1,0]]")."""
     spec = spec.strip()
     if spec.startswith("[["):
-        return Lattice(json.loads(spec))
+        return _json_lattice(spec)
     parts = []
     depth = 0
     current = []
@@ -127,7 +138,7 @@ def parse_lattice_spec(spec: str) -> Lattice:
         elif part.startswith("(") and part.endswith(")"):
             summands.append(rank1(int(part[1:-1])))
         elif part.startswith("[["):
-            summands.append(Lattice(json.loads(part)))
+            summands.append(_json_lattice(part))
         else:
             raise ValueError(f"cannot parse lattice term {part!r}")
     return direct_sum(*summands)
@@ -199,10 +210,10 @@ class FiniteQuadraticForm:
                 n = n * (d // gcd(d, xi)) // gcd(n, d // gcd(d, xi))
         return n
 
-    def isotropic_elements(self, cap=10**4):
+    def isotropic_elements(self):
         """All nonzero x with q(x) = 0 in Q/2Z."""
-        if self.order > cap:
-            raise ValueError(f"group order {self.order} exceeds cap {cap}")
+        if self.order > MAX_ORDER:
+            raise ValueError(f"group order {self.order} exceeds cap {MAX_ORDER}")
         out = []
         for x in self.elements():
             if any(x) and self.q(x) == 0:
@@ -224,13 +235,13 @@ class FiniteQuadraticForm:
             [[mults[i] * mults[j] * self.gram[i][j] for j in keep] for i in keep],
         )
 
-    def isometries(self, other, cap=10**4):
+    def isometries(self, other):
         """All group isomorphisms preserving the quadratic form, as tuples
         of generator images; exhaustive search."""
         if self.order != other.order:
             return []
-        if self.order > cap:
-            raise ValueError(f"group order {self.order} exceeds cap {cap}")
+        if self.order > MAX_ORDER:
+            raise ValueError(f"group order {self.order} exceeds cap {MAX_ORDER}")
         self_gens = []
         k = len(self.orders)
         other_elems = list(other.elements())
@@ -260,8 +271,8 @@ class FiniteQuadraticForm:
                 out.append(images)
         return out
 
-    def is_isomorphic(self, other, cap=10**4):
-        return bool(self.isometries(other, cap))
+    def is_isomorphic(self, other):
+        return bool(self.isometries(other))
 
     def __repr__(self):
         return f"FiniteQuadraticForm(orders={self.orders}, gram={self.gram})"

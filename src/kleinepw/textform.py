@@ -129,13 +129,9 @@ def parse_polynomial(src: str, variables) -> MultiPoly:
 
 def emit_polynomial(p: MultiPoly, variables=None) -> str:
     """Canonical text: terms in grevlex-descending order, integer
-    coefficients, deterministic across runs and platforms."""
-    if variables is None:
-        names = [f"x{i}" for i in range(p.nvars)]
-    elif isinstance(variables, int):
-        names = [f"x{i}" for i in range(variables)]
-    else:
-        names = list(variables)
+    coefficients, deterministic across runs and platforms.  The variables
+    are named by the given sequence, or x0, x1, ... without one."""
+    names = [f"x{i}" for i in range(p.nvars)] if variables is None else list(variables)
     if p.is_zero():
         return "0"
     bits = []

@@ -54,6 +54,10 @@ def test_stratum_usage_error(capsys):
     assert "six" in err
 
 
+# deeper than the interpreter's recursion limit
+NESTED = "[" * 3000 + "]" * 3000
+
+
 @pytest.mark.parametrize(
     "argv, spec, phrase",
     [
@@ -84,18 +88,23 @@ def test_stratum_usage_error(capsys):
          "got 32003, 32003"),
         (["verify", "groebner", "--prime", "32003", "--prime", "65537", "--prime", "101"],
          None, "got 32003, 65537, 101"),
+        (["lattice", "--spec", NESTED], None, "Gram matrix JSON nested too deeply"),
+        (["lattice", "--spec", "U+" + NESTED], None, "Gram matrix JSON nested too deeply"),
+        # written as it stands: json.dumps of it would recurse too
+        (["groebner", "--file"], NESTED, "JSON nested too deeply"),
     ],
     ids=["stratum-zero-denominator", "groebner-no-generators", "groebner-file-prime-4",
          "groebner-file-prime-string", "groebner-file-codim-string",
          "groebner-generator-not-string", "groebner-variables-string",
          "lattice-float-entry", "lattice-string-entry", "lattice-bool-entry",
          "lattice-float-summand", "verify-one-prime", "verify-repeated-prime",
-         "verify-three-primes"],
+         "verify-three-primes", "lattice-nested-json", "lattice-nested-json-summand",
+         "groebner-nested-json"],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phrase):
     if spec is not None:
         path = tmp_path / "ideal.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         argv = argv + [str(path)]
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -62,8 +62,8 @@ def test_closure_cap():
     bad = tuple(
         tuple(2 * e for e in row) for row in group.gen_c()
     )  # scalar multiple: infinite closure
-    with pytest.raises(group.ClosureExceeded):
-        group.generate_group([bad], cap=200)
+    with pytest.raises(group.ClosureExceeded, match=f"cap {group.CLOSURE_CAP}$"):
+        group.generate_group([bad])
 
 
 def test_full_closure_and_classes(table660):

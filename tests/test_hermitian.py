@@ -21,6 +21,14 @@ def test_hprime_entries():
     assert linalg.is_hermitian(h)
 
 
+def test_cached_fixture_matrices_are_read_only():
+    for matrix in (fixtures.hprime_matrix(), fixtures.mat10_matrix()):
+        with pytest.raises(TypeError):
+            matrix[0][0] = QuadInt(0)
+        with pytest.raises(TypeError):
+            matrix[0] = matrix[1]
+
+
 def test_hprime_unimodular_positive():
     h = fixtures.hprime_matrix()
     assert herm.herm_det(h) == 1

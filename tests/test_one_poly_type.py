@@ -1,8 +1,9 @@
 """One polynomial type: MultiPoly, with FPoly as MultiPoly over F_p.
 
-FPoly adds the prime, a result hook that reduces coefficients mod p,
-monic, its F_p constructors and a mod-p evaluate.  Its ring operations
-are MultiPoly's, built through that hook; a copy of them on FPoly would
+FPoly adds the prime, a result hook that reduces coefficients mod p, an
+inverse hook that inverts them mod p, and its F_p constructors; evaluate
+is MultiPoly's, so its value is reduced by the caller.  Its ring operations
+are MultiPoly's, built through the result hook; a copy of them on FPoly would
 be a second implementation to keep in step with the first.  For the same
 reason poly.py defines MultiPoly alone: one-variable work (gcd,
 squarefree decomposition of line sections) runs on one-variable
