@@ -24,7 +24,7 @@ from .groebner import (
     projective_empty,
     smoothness_check,
 )
-from .textform import PolyParseError, emit_polynomial, parse_polynomial, poly_monomials_json
+from .textform import emit_polynomial, parse_polynomial, poly_monomials_json
 from .verify import cyclo_json, frac_str, quadint_json
 
 
@@ -152,7 +152,7 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except (PolyParseError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:  # PolyParseError and JSONDecodeError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
 

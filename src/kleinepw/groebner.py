@@ -6,8 +6,8 @@ The Groebner machinery supports two certified checks used as
 finite-field stand-ins for characteristic-0 computations:
 
 * projective emptiness (projective_empty, which also returns the basis):
-  the reduced basis has a pure power of every variable among its leading
-  monomials (the affine cone is supported at the origin only);
+  a pure power of every variable among the leading monomials
+  (certifies_empty), so the affine cone is supported at the origin only;
 * smoothness: the singular-locus ideal (generators plus c x c minors of
   the Jacobian) is projectively empty.  Minor subsampling is sound for
   the empty verdict: a subset of the minors cuts out a larger scheme, so
@@ -21,6 +21,18 @@ quadric sections are the GM threefold and fivefold, and Gr(3, 6), the
 decomposable trivectors, pulled back to the Lagrangian.  The GM
 threefold's ideal is built by substituting its linear section into the
 relations of Gr(2, 5), not written out by hand.
+
+The certificate need not wait for the reduced basis.  Every polynomial
+Buchberger keeps lies in the ideal, so once the leading monomials found so
+far hold a pure power of every variable, the leading ideal holds them too,
+R/I has finite length and the affine cone is the origin alone (the
+finiteness theorem: Cox, Little & O'Shea, Ideals, Varieties, and
+Algorithms, ch. 5 section 3).  buchberger(stop_at_certificate=True) tests
+this after the input reduction and after each new basis element, and
+returns the partial basis as soon as it holds; the verify gates stop
+there.  An ideal that is not empty never meets the test, so its run ends
+at the reduced basis either way.  The command line and the demo keep the
+reduced basis, whose size they report.
 
 Emptiness over a single prime is evidence, not proof, for the
 characteristic-0 statement; the verification driver demands agreement at
@@ -184,7 +196,21 @@ def _lcm_exp(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE):
+def _pure_power_variable(e):
+    """The variable of which the monomial e is a pure power, or None when
+    e involves no variable or more than one."""
+    support = [i for i, k in enumerate(e) if k]
+    return support[0] if len(support) == 1 else None
+
+
+def certifies_empty(leads, nvars):
+    """The emptiness certificate: a pure power of every variable among the
+    leading monomials.  For leads of elements of a homogeneous ideal it
+    proves the projective scheme empty."""
+    return {_pure_power_variable(e) for e in leads} >= set(range(nvars))
+
+
+def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certificate=False):
     """Reduced Groebner basis by the classic algorithm with the coprime
     and chain criteria and normal (minimal-lcm) selection; deterministic
     for a fixed input order.  Budgets raise BudgetExhausted.
@@ -192,7 +218,14 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE):
     The input is reduced first: each generator, in order, is replaced by
     its normal form against the generators already kept; a zero is
     dropped, the rest are made monic and kept.  Pairs are formed among the
-    kept generators only.  The ideal, hence the reduced basis, is the same."""
+    kept generators only.  The ideal, hence the reduced basis, is the same.
+
+    With stop_at_certificate, the run ends as soon as the leads meet
+    certifies_empty: after the input reduction, or when a new element's
+    lead is a pure power.  The basis returned then is the partial,
+    unreduced one; its elements lie in the ideal, so its leads prove the
+    leading ideal finite-colength.  Otherwise, and for every ideal that
+    never meets the certificate, the result is the reduced basis."""
     basis, leads, lead_data = [], [], []
     for g in gens:
         h = normal_form(g, basis, lead_data)
@@ -204,6 +237,8 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE):
     if not basis:
         raise ValueError("no nonzero generators")
     p, nvars = basis[0].p, basis[0].nvars
+    if stop_at_certificate and certifies_empty(leads, nvars):
+        return basis
     degree = max(sum(e) for e in leads)
     pending = {}
     heap = []
@@ -268,6 +303,9 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE):
         basis.append(h)
         leads.append(le)
         lead_data.append((le, list(h.terms.items())))
+        if (stop_at_certificate and _pure_power_variable(le) is not None
+                and certifies_empty(leads, nvars)):
+            return basis
         new_idx = len(basis) - 1
         for k in range(new_idx):
             lcm_new = _lcm_exp(leads[k], le)
@@ -312,22 +350,20 @@ def autoreduce(basis):
     return keep
 
 
-def projective_empty(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE):
-    """(empty?, reduced basis) for a homogeneous ideal: the projective
-    scheme is empty iff the leading ideal of the reduced basis contains a
-    pure power of every variable."""
+def projective_empty(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE,
+                     stop_at_certificate=False):
+    """(empty?, basis) for a homogeneous ideal: the projective scheme is
+    empty iff the leading ideal of the reduced basis contains a pure power
+    of every variable (certifies_empty).  With stop_at_certificate an
+    empty verdict comes from buchberger's first certificate, and the basis
+    returned is that partial one, not the reduced basis; a verdict of
+    "not empty" always comes with the reduced basis."""
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError("projective emptiness needs homogeneous generators")
-    basis = buchberger(gens, max_pairs=max_pairs, max_degree=max_degree)
-    nvars = gens[0].nvars
-    covered = [False] * nvars
-    for g in basis:
-        e = g.leading_term()[0]
-        support = [i for i, k in enumerate(e) if k]
-        if len(support) == 1:
-            covered[support[0]] = True
-    return all(covered), basis
+    basis = buchberger(gens, max_pairs=max_pairs, max_degree=max_degree,
+                       stop_at_certificate=stop_at_certificate)
+    return certifies_empty([g.leading_term()[0] for g in basis], gens[0].nvars), basis
 
 
 def jacobian(gens):
@@ -373,29 +409,32 @@ def smoothness_check(
     max_pairs=MAX_PAIRS,
     max_degree=MAX_DEGREE,
     minor_sample=None,
+    stop_at_certificate=False,
 ):
     """Projective emptiness of the singular locus: generators plus the
     codim x codim minors of their Jacobian, all of them by default.  Given
     minor_sample, it starts from a deterministic random subsample of that
     many minors (enough when the verdict is empty) and falls back to the
-    full minor set otherwise.
+    full minor set otherwise.  stop_at_certificate goes to
+    projective_empty.
 
-    Returns (smooth: bool, info dict)."""
+    Returns (smooth: bool, info dict).  info["basis_size"] is the size of
+    the reduced basis; a smooth verdict reached at the first certificate
+    has no reduced basis, and its info has no "basis_size"."""
     if codim < 1:
         raise ValueError("codimension must be at least 1")
     base = buchberger(gens, max_pairs=max_pairs, max_degree=max_degree)
     minors, sampled = jacobian_minors(gens, codim, sample=minor_sample)
-    empty, basis = projective_empty(base + minors, max_pairs=max_pairs, max_degree=max_degree)
-    info = {"sampled_minors": sampled, "minors_used": len(minors),
-            "basis_size": len(basis)}
-    if empty:
-        return True, info
-    if sampled:
-        minors, _ = jacobian_minors(gens, codim, sample=None)
+    empty, basis = projective_empty(base + minors, max_pairs=max_pairs, max_degree=max_degree,
+                                    stop_at_certificate=stop_at_certificate)
+    if not empty and sampled:
+        minors, sampled = jacobian_minors(gens, codim, sample=None)
         empty, basis = projective_empty(base + minors, max_pairs=max_pairs,
-                                        max_degree=max_degree)
-        info = {"sampled_minors": False, "minors_used": len(minors),
-                "basis_size": len(basis)}
+                                        max_degree=max_degree,
+                                        stop_at_certificate=stop_at_certificate)
+    info = {"sampled_minors": sampled, "minors_used": len(minors)}
+    if not (empty and stop_at_certificate):
+        info["basis_size"] = len(basis)
     return empty, info
 
 

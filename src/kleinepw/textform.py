@@ -19,6 +19,9 @@ import re
 from .poly import MultiPoly
 
 MAX_EXPONENT = 4096
+# every term carries an exponent tuple this long; the shipped ideals use
+# at most 20 coordinates (the Pluecker coordinates of Gr(3, 6))
+MAX_VARIABLES = 64
 
 
 class PolyParseError(ValueError):
@@ -66,14 +69,16 @@ def parse_polynomial(src: str, variables) -> MultiPoly:
     """Parse the textual form into a MultiPoly.
 
     `variables` is either an int (variable names default to x0..x{n-1})
-    or an explicit sequence of names.
+    or an explicit sequence of names, at most MAX_VARIABLES of them.
     """
+    nvars = variables if isinstance(variables, int) else len(variables)
+    if nvars > MAX_VARIABLES:
+        raise ValueError(f"{nvars} variables, more than the {MAX_VARIABLES} allowed")
     if isinstance(variables, int):
         names = [f"x{i}" for i in range(variables)]
     else:
         names = list(variables)
     index = {name: i for i, name in enumerate(names)}
-    nvars = len(names)
     tokens = _tokenize(src)
     pos = 0
 

@@ -7,7 +7,8 @@ skipped or budget-exhausted.  Failing verdicts always carry a witness
 in check-id order regardless of execution order, and all exact values in
 witnesses are serialized as strings.
 The finite-field checks run at PRIMES with groebner's default budgets,
-unless VerifyContext is given others.
+unless VerifyContext is given others, and stop at the first emptiness
+certificate; their pass witnesses carry no basis size.
 """
 
 from __future__ import annotations
@@ -886,6 +887,7 @@ def _smooth_at_primes(ctx, ideal, codim, max_pairs, minor_sample=None, budget_wi
             max_pairs=max_pairs,
             max_degree=ctx.budget_degree,
             minor_sample=minor_sample,
+            stop_at_certificate=True,
         )
         return None if ok else {"prime": p, "info": info}
 
@@ -903,6 +905,7 @@ def _decomposable(ctx):
             decomposable_pullback_ideal(p),
             max_pairs=ctx.budget_pairs,
             max_degree=ctx.budget_degree,
+            stop_at_certificate=True,
         )
         return None if empty else {"prime": p}
 

@@ -74,6 +74,9 @@ NESTED = "[" * 3000 + "]" * 3000
          "'generators' must be a list of strings"),
         (["groebner", "--file"], {"variables": "ab", "prime": 7, "generators": ["a", "b"]},
          "'variables' must be a positive int or a list of names, got 'ab'"),
+        # refused before any exponent tuple of that length is built
+        (["groebner", "--file"], {"variables": 10**8, "prime": 7, "generators": ["x0"]},
+         "100000000 variables, more than the 64 allowed"),
         (["lattice", "--spec", "[[2.5,1],[1,2]]"], None,
          "Gram matrix entries must be integers, got 2.5"),
         (["lattice", "--spec", '[["2",1],[1,2]]'], None,
@@ -96,6 +99,7 @@ NESTED = "[" * 3000 + "]" * 3000
     ids=["stratum-zero-denominator", "groebner-no-generators", "groebner-file-prime-4",
          "groebner-file-prime-string", "groebner-file-codim-string",
          "groebner-generator-not-string", "groebner-variables-string",
+         "groebner-too-many-variables",
          "lattice-float-entry", "lattice-string-entry", "lattice-bool-entry",
          "lattice-float-summand", "verify-one-prime", "verify-repeated-prime",
          "verify-three-primes", "lattice-nested-json", "lattice-nested-json-summand",

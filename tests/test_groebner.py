@@ -10,6 +10,7 @@ from kleinepw.groebner import (
     BudgetExhausted,
     FPoly,
     buchberger,
+    certifies_empty,
     decomposable_pullback_ideal,
     gm_fivefold_ideal,
     gm_threefold_ideal,
@@ -89,6 +90,27 @@ def test_projective_empty():
     assert projective_empty([x, y, z, x * y])[0] is True
     with pytest.raises(ValueError):
         projective_empty([x + FPoly(P, 3, {(0, 0, 0): 1})])
+
+
+def test_certificate_needs_a_pure_power_of_every_variable():
+    assert certifies_empty([(0, 3, 0), (1, 1, 0), (2, 0, 0), (0, 0, 5)], 3)
+    assert not certifies_empty([(0, 3, 0), (1, 0, 1), (2, 0, 0)], 3)
+    # a constant lead is no pure power
+    assert not certifies_empty([(0, 0)], 2)
+
+
+def test_early_stop_returns_a_partial_basis_only_for_an_empty_ideal():
+    x, y, z = fvars(P, 3)
+    gens = [x * x + y * z, y * y + x * z, z * z * z]
+    reduced = buchberger(gens)
+    # the leads x^2, y^2, z^3 certify before any pair is handled
+    partial = buchberger(gens, stop_at_certificate=True)
+    assert partial == gens and partial != reduced
+    assert all(normal_form(g, reduced).is_zero() for g in partial)
+    assert projective_empty(gens, stop_at_certificate=True) == (True, partial)
+    # the twisted cubic's ideal is not empty: the run ends at the reduced basis
+    cubic = [x * z - y * y, x * y - z * z, x * x - y * z]
+    assert buchberger(cubic, stop_at_certificate=True) == buchberger(cubic)
 
 
 def test_smoothness_small_examples():
@@ -211,8 +233,14 @@ def test_pluecker_relations_of_gr36_span_the_contraction_relations(p):
 
 def test_decomposable_gate_two_primes():
     for p in (P, 65537):
-        empty, basis = projective_empty(decomposable_pullback_ideal(p))
+        gens = decomposable_pullback_ideal(p)
+        empty, basis = projective_empty(gens)
         assert empty is True and len(basis) == 60
+        # the early stop gives the same verdict from a partial basis of
+        # elements of the ideal
+        early, partial = projective_empty(gens, stop_at_certificate=True)
+        assert early is True and len(partial) == 57
+        assert all(normal_form(g, basis).is_zero() for g in partial)
 
 
 def _hand_built_threefold(p):
@@ -246,6 +274,9 @@ def test_threefold_gate():
         ok, info = smoothness_check(gm_threefold_ideal(p), 4)
         assert ok is True
         assert info == {"sampled_minors": False, "minors_used": 1037, "basis_size": 165}
+        # the early stop reaches the same verdict and reports no basis size
+        early = smoothness_check(gm_threefold_ideal(p), 4, stop_at_certificate=True)
+        assert early == (True, {"sampled_minors": False, "minors_used": 1037})
 
 
 @pytest.mark.slow
@@ -253,6 +284,8 @@ def test_fivefold_gate():
     ok, info = smoothness_check(gm_fivefold_ideal(P), 4)
     assert ok is True
     assert info == {"sampled_minors": False, "minors_used": 2965, "basis_size": 445}
+    early = smoothness_check(gm_fivefold_ideal(P), 4, stop_at_certificate=True)
+    assert early == (True, {"sampled_minors": False, "minors_used": 2965})
 
 
 def test_threefold_negative_control():
@@ -267,6 +300,10 @@ def test_threefold_negative_control():
     corrupted.terms = broken
     ok, info = smoothness_check(gens[:-1] + [corrupted], 4)
     assert ok is False
+    # a non-empty locus never meets the certificate: the early-stop route
+    # runs to the same reduced basis and reports the same basis size
+    assert smoothness_check(gens[:-1] + [corrupted], 4, stop_at_certificate=True) == (ok, info)
+    assert info["basis_size"] == 130
 
 
 def test_minor_subsampling_reports():

@@ -5,7 +5,7 @@ import pytest
 
 from kleinepw.groebner import FPoly
 from kleinepw.poly import MultiPoly, gcd, squarefree_decomposition
-from kleinepw.textform import PolyParseError, emit_polynomial, parse_polynomial
+from kleinepw.textform import MAX_VARIABLES, PolyParseError, emit_polynomial, parse_polynomial
 
 
 def rand_poly(rng, nvars=3, terms=4, deg=3):
@@ -162,6 +162,14 @@ def test_parser_examples():
         parse_polynomial("x9", 2)
     with pytest.raises(PolyParseError):
         parse_polynomial("x0^999999", 2)
+
+
+def test_parser_caps_the_variable_count():
+    assert parse_polynomial("x63", MAX_VARIABLES).nvars == MAX_VARIABLES
+    names = [f"y{i}" for i in range(MAX_VARIABLES + 1)]
+    for variables in (MAX_VARIABLES + 1, names):
+        with pytest.raises(ValueError, match=f"{MAX_VARIABLES + 1} variables, more than the "):
+            parse_polynomial("x0", variables)
 
 
 def test_emit_round_trip():

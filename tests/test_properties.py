@@ -3,16 +3,16 @@
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from fractions import Fraction  # noqa: E402
 from itertools import combinations  # noqa: E402
 
-from math import lcm  # noqa: E402
+from math import lcm, prod  # noqa: E402
 
 from kleinepw import epw, group, linalg  # noqa: E402
 from kleinepw.cyclo import CycloNum, QuadInt, euler_phi, substitute_linear  # noqa: E402
-from kleinepw.groebner import FPoly, buchberger, normal_form  # noqa: E402
+from kleinepw.groebner import FPoly, buchberger, normal_form, projective_empty  # noqa: E402
 from kleinepw.poly import MultiPoly, linear_forms  # noqa: E402
 
 from cyclo_fractions import cyclo_from_fractions  # noqa: E402
@@ -63,6 +63,83 @@ def test_redundant_input_keeps_the_reduced_basis(gens, data):
     assert [g.terms for g in again] == [g.terms for g in basis]
     for g in gens:
         assert normal_form(g, basis).is_zero()
+
+
+# -- the early stop at the emptiness certificate agrees with the reduced basis
+
+
+def _monomials(nvars, degree):
+    if nvars == 1:
+        return [(degree,)]
+    return [(k,) + rest for k in range(degree + 1) for rest in _monomials(nvars - 1, degree - k)]
+
+
+# the degree shapes of the queries benchmark's empty ideals
+EMPTY_IDEAL_SHAPES = ((2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (3, 2, 2, 2), (3, 3, 2, 2),
+                      (2, 2, 2, 2, 2))
+
+
+@st.composite
+def _triangular_empty(draw):
+    """An ideal shaped like the queries benchmark's empty ideals: x_i^d_i
+    plus a form of degree d_i in the later variables, whose only common
+    zero is the origin, under an invertible linear change of coordinates."""
+    degrees = draw(st.sampled_from(EMPTY_IDEAL_SHAPES))
+    n = len(degrees)
+    gens = []
+    for i, d in enumerate(degrees):
+        terms = {tuple(d if k == i else 0 for k in range(n)): 1}
+        if i < n - 1:
+            tail = [(0,) * (i + 1) + rest for rest in _monomials(n - i - 1, d)]
+            for e in draw(st.lists(st.sampled_from(tail), max_size=3, unique=True)):
+                terms[e] = draw(st.integers(1, P - 1))
+        gens.append(FPoly(P, n, terms))
+    change = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    assume(linalg.det(change) % P)
+    images = [FPoly(P, n, {tuple(int(k == j) for k in range(n)): change[i][j] for j in range(n)})
+              for i in range(n)]
+    return [g.substitute(images) for g in gens]
+
+
+@settings(deadline=None, max_examples=25)
+@given(gens=_triangular_empty())
+def test_early_stop_agrees_with_the_reduced_basis_on_empty_ideals(gens):
+    empty, reduced = projective_empty(gens)
+    early, partial = projective_empty(gens, stop_at_certificate=True)
+    assert empty is early is True
+    assert all(normal_form(g, reduced).is_zero() for g in partial)
+
+
+@st.composite
+def _planted_zero(draw):
+    """One to n homogeneous forms in n = 3 or 4 variables that all vanish
+    at one drawn point: each drawn form f has f(point) / point_j^d times
+    x_j^d taken off, for the first nonzero coordinate point_j."""
+    n = draw(st.integers(3, 4))
+    point = draw(st.lists(st.integers(0, P - 1), min_size=n, max_size=n).filter(any))
+    j = next(i for i, c in enumerate(point) if c)
+    gens = []
+    for _ in range(draw(st.integers(1, n))):
+        d = draw(st.integers(1, 3))
+        chosen = draw(st.lists(st.sampled_from(_monomials(n, d)), min_size=1, max_size=4,
+                               unique=True))
+        f = FPoly(P, n, {e: draw(st.integers(1, P - 1)) for e in chosen})
+        value = sum(c * prod(pow(a, k, P) for a, k in zip(point, e)) for e, c in f.terms.items())
+        pure = tuple(d if k == j else 0 for k in range(n))
+        f = f - FPoly(P, n, {pure: value * pow(point[j], -d, P)})
+        if not f.is_zero():
+            gens.append(f)
+    assume(gens)
+    return gens
+
+
+@settings(deadline=None, max_examples=30)
+@given(gens=_planted_zero())
+def test_early_stop_never_fires_on_a_planted_zero(gens):
+    reduced = buchberger(gens)
+    assert buchberger(gens, stop_at_certificate=True) == reduced
+    assert projective_empty(gens, stop_at_certificate=True) == (False, reduced)
 
 
 # -- FPoly is MultiPoly reduced mod p: each operation commutes with the lift
