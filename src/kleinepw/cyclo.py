@@ -21,12 +21,19 @@ Mixed-conductor operations lift both operands to the lcm of the two
 conductors, which is capped at MAX_CONDUCTOR.  All values are immutable
 and every operation is a pure function.  The inverse is the product of
 the other Galois conjugates over the (rational) norm.  common_field lifts
-a matrix to the lcm of its entries' conductors.  mat_mul multiplies
-matrices with each entry packed into one integer (Kronecker
-substitution), reducing each output entry once; substitute_linear
-substitutes linear forms with packed entries into a rational polynomial
-the same way, so neither runs CycloNum.__mul__.  The module imports
-nothing from the rest of the package.
+a matrix to the lcm of its entries' conductors.
+
+Matrix products run on coordinates, a row-major tuple of (num, den) per
+entry, with one packed kernel: each entry is packed into one integer
+(Kronecker substitution) and each output entry reduced and normalized
+once.  mat_mul applies it to CycloNum matrices; right_multiplier(h, n)
+keeps a fixed right factor h scaled, and packed per radix, for many left
+factors, and takes a monomial h with root-of-unity scalars as a rotation
+of coordinates instead; matrix_of builds CycloNums on normalized
+coordinates without copying them.  substitute_linear substitutes linear
+forms with packed entries into a rational polynomial the same way.
+None of them runs CycloNum.__mul__.  The module imports nothing from the
+rest of the package.
 """
 
 from __future__ import annotations
@@ -115,33 +122,35 @@ def _traces(n: int) -> tuple:
     return tuple(sum(table[k * t % n][0] for t in units) for k in range(euler_phi(n)))
 
 
+def _fold(v, n, phi):
+    """The power-basis coordinates of the sum of v[t] z^t over t < n: the
+    first phi coefficients kept, each later z^t replaced by its row of the
+    power table."""
+    out = v[:phi]
+    for c, row in zip(v[phi:], _zeta_power_table(n)[phi:]):
+        if c:
+            out = [a + c * r for a, r in zip(out, row)]
+    return out
+
+
 def _map_exponents(num, m, phi, step):
     """Coordinates, in the conductor-m power basis of phi = phi(m) entries,
-    of sum_i num[i] z^(i * step)."""
-    table = _zeta_power_table(m)
-    out = [0] * phi
+    of sum_i num[i] z^(i * step): each term put on z^(i * step mod m),
+    then folded."""
+    v = [0] * m
     for i, c in enumerate(num):
-        if c:
-            row = table[(i * step) % m]
-            for j in range(phi):
-                out[j] += c * row[j]
-    return out
+        v[i * step % m] += c
+    return _fold(v, m, phi)
 
 
 def _normalize(num, den):
     if den < 0:
         num = [-c for c in num]
         den = -den
-    if den == 1:
-        return tuple(num), 1
-    g = den
-    for c in num:
-        g = gcd(g, c)
-        if g == 1:
-            return tuple(num), den
-    num = [c // g for c in num]
-    den //= g
-    return tuple(num), den
+    g = den if den == 1 else gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple([c // g for c in num]), den // g
 
 
 class CycloNum:
@@ -174,6 +183,15 @@ class CycloNum:
         phi = euler_phi(n)
         num = [f.numerator] + [0] * (phi - 1)
         return CycloNum(n, num, f.denominator)
+
+    @staticmethod
+    def _normalized(n, num, den):
+        """The element with coordinates already normalized: num a tuple of
+        phi(n) ints, den > 0 and gcd(den, *num) == 1.  Neither checked
+        nor copied."""
+        x = object.__new__(CycloNum)
+        x.n, x.num, x.den, x._hash = n, num, den, None
+        return x
 
     # -- conductor handling -------------------------------------------
 
@@ -391,24 +409,30 @@ def _reduced(conv, n, phi):
     return out
 
 
-def _scaled(*matrices):
-    """Lift matrices of CycloNum, int or Fraction entries to one field, the
-    lcm n of the CycloNum entries' conductors (at most MAX_CONDUCTOR), and
-    put each matrix over one common denominator.  Returns n, phi(n) and,
-    for each matrix, (its entries' integer coefficient lists, empty for a
-    zero entry; the denominator; the largest coefficient in absolute
-    value)."""
+def _field(*matrices):
+    """The lcm of the conductors of the matrices' CycloNum entries, at most
+    MAX_CONDUCTOR; 1 for rational matrices."""
     n = lcm(*(x.n for m in matrices for row in m for x in row if isinstance(x, CycloNum)))
     if n > MAX_CONDUCTOR:
         raise ValueError(f"conductor lcm {n} exceeds cap {MAX_CONDUCTOR}")
-    scaled = []
-    for m in matrices:
-        rows = [[_coerce(x, n).lift(n) for x in row] for row in m]
-        den = lcm(*(x.den for row in rows for x in row))
-        out = [[[c * (den // x.den) for c in x.num] if x else [] for x in row] for row in rows]
-        top = max((max(max(cs), -min(cs)) for row in out for cs in row if cs), default=0)
-        scaled.append((out, den, top))
-    return n, euler_phi(n), scaled
+    return n
+
+
+def _coords(m, n):
+    """Row-major (num, den) coordinates of a matrix of CycloNum, int or
+    Fraction entries in the conductor-n field."""
+    return tuple((x.num, x.den) for row in m for x in (_coerce(e, n).lift(n) for e in row))
+
+
+def _scale(coords):
+    """Coordinates over one common denominator: each entry's integer
+    coefficients (empty for a zero entry), the denominator and the largest
+    coefficient in absolute value."""
+    den = lcm(*(d for _, d in coords))
+    ints = [(num if d == den else [c * (den // d) for c in num]) if any(num) else ()
+            for num, d in coords]
+    top = max((max(max(cs), -min(cs)) for cs in ints if cs), default=0)
+    return ints, den, top
 
 
 def _pack(coeffs, bits):
@@ -434,32 +458,122 @@ def _unpacker(bits, length):
     return unpack
 
 
-def mat_mul(a, b):
-    """Exact product of two matrices of CycloNum entries.
+def _packed_product(n, g, factor):
+    """The packed kernel: the coordinates of g h, for row-major coordinates
+    g of an r x k matrix and the k x c matrix h as _factor gives it (its
+    columns over one denominator, that denominator, its largest
+    coefficient and a cache, by radix, of its packed columns and the
+    unpacker).
 
-    With the entries lifted to the lcm of their conductors and each operand
-    over one common denominator, every entry is an integer polynomial of
-    degree below phi, packed into one int at radix 2^bits (Kronecker
-    substitution; Dumas, Fousse & Salvy, J. Symbolic Comput. 46, 2011).
-    bits leaves every coefficient of a sum of len(b) convolutions a
-    balanced digit, so each output entry is one sum of int products,
-    unpacked, reduced modulo the cyclotomic polynomial and built once."""
-    n, phi, ((ca, den_a, top_a), (cb, den_b, top_b)) = _scaled(a, b)
-    # each output coefficient c has |c| <= len(b) * phi * top_a * top_b,
-    # which is below 2^(bits - 1), half the radix
-    bits = (len(b) * phi * top_a * top_b).bit_length() + 1
-    pa = [[_pack(c, bits) for c in row] for row in ca]
-    cols = list(zip(*[[_pack(c, bits) for c in row] for row in cb]))
-    unpack = _unpacker(bits, 2 * phi - 1)
-    den = den_a * den_b
+    With g over one denominator as well, every entry is an integer
+    polynomial of degree below phi, packed into one int at radix 2^bits
+    (Kronecker substitution; Dumas, Fousse & Salvy, J. Symbolic Comput. 46,
+    2011).  Each output coefficient c has |c| <= k * phi * top_g * top_h,
+    below 2^(bits - 1), half the radix, so it is a balanced digit; each
+    output entry is one sum of int products, unpacked, reduced modulo the
+    cyclotomic polynomial and normalized once."""
+    columns, den_h, top_h, packed = factor
+    phi = euler_phi(n)
+    ints, den_g, top_g = _scale(g)
+    k = len(columns[0])
+    bits = (k * phi * top_g * top_h).bit_length() + 1
+    if bits not in packed:
+        packed[bits] = ([[_pack(c, bits) for c in col] for col in columns],
+                        _unpacker(bits, 2 * phi - 1))
+    cols, unpack = packed[bits]
+    pg = [_pack(c, bits) for c in ints]
+    den = den_g * den_h
+    return tuple(_normalize(_reduced(unpack(sum(map(mul, pg[r:r + k], col))), n, phi), den)
+                 for r in range(0, len(pg), k) for col in cols)
+
+
+def _factor(coords, cols):
+    """A matrix with cols columns, given by its coordinates, as the right
+    factor of _packed_product, with no radix met yet."""
+    ints, den, top = _scale(coords)
+    return [ints[j::cols] for j in range(cols)], den, top, {}
+
+
+def _unit_columns(coords, n, cols):
+    """(row, sign, s) for each leading column of a matrix with cols
+    columns, given by its coordinates, whose one nonzero entry is
+    sign * z^s: one per column exactly when the matrix is monomial with
+    root-of-unity scalars."""
+    units = {}  # coordinates -> (sign, s), + first where -z^s is a power too
+    for sign in (1, -1):
+        for s, vec in enumerate(_zeta_power_table(n)):
+            units.setdefault(tuple(sign * c for c in vec), (sign, s))
     out = []
-    for arow in pa:
-        out_row = []
-        for col in cols:
-            digits = unpack(sum(map(mul, arow, col)))
-            out_row.append(CycloNum(n, _reduced(digits, n, phi), den))
-        out.append(tuple(out_row))
+    for j in range(cols):
+        column = [(i, e) for i, e in enumerate(coords[j::cols]) if any(e[0])]
+        if len(column) != 1:
+            break
+        i, (num, den) = column[0]
+        if den != 1 or num not in units:
+            break
+        out.append((i, *units[num]))
+    return out
+
+
+def _monomial_product(n, g, k, columns):
+    """The coordinates of g h, for row-major coordinates g of an r x k
+    matrix and a monomial h with root-of-unity scalars, given by its
+    _unit_columns: column j of g h is column i of g times sign * z^s.
+    That is a rotation by s of the n coordinates on 1, z, ..., z^(n-1)
+    (z^n = 1), the ones past the power basis folded back by the power
+    table (for a prime n, the top one subtracted from the rest), and a
+    sign."""
+    phi = euler_phi(n)
+    pad = (0,) * (n - phi)
+    out = []
+    for r in range(0, len(g), k):
+        row = g[r:r + k]
+        for i, sign, shift in columns:
+            num, den = row[i]
+            if shift == 0 and sign == 1:
+                out.append(row[i])
+                continue
+            # z is a unit of Z[z], whose Z-basis the power basis is, so the
+            # coefficients keep their gcd: the entry stays normalized over
+            # its own denominator, with no gcd taken
+            v = num + pad
+            rotated = _fold(v[n - shift:] + v[:n - shift], n, phi)
+            out.append((tuple(rotated) if sign == 1 else tuple(-c for c in rotated), den))
     return tuple(out)
+
+
+def right_multiplier(h, n):
+    """The map g -> g h for a fixed k x c matrix h of CycloNum, int or
+    Fraction entries of conductors dividing n, on row-major (num, den)
+    coordinates of r x k matrices over the conductor-n field, normalized as
+    CycloNum keeps them; it returns the product's coordinates in the same
+    form.  A monomial h whose scalars are roots of unity or their
+    negatives permutes and rotates coordinates (_monomial_product); any
+    other h is scaled once, and the packed kernel _packed_product packs
+    its columns once for each radix it meets."""
+    coords = _coords(h, n)
+    k, c = len(h), len(h[0])
+    columns = _unit_columns(coords, n, c)
+    if len(columns) == c:
+        return lambda g: _monomial_product(n, g, k, columns)
+    factor = _factor(coords, c)
+    return lambda g: _packed_product(n, g, factor)
+
+
+def matrix_of(n, coords, cols):
+    """The matrix of normalized row-major coordinates over the
+    conductor-n field, as right_multiplier returns them; each entry shares
+    its coefficient tuple."""
+    entries = [CycloNum._normalized(n, num, den) for num, den in coords]
+    return tuple(tuple(entries[r:r + cols]) for r in range(0, len(entries), cols))
+
+
+def mat_mul(a, b):
+    """Exact product of two matrices of CycloNum, int or Fraction entries,
+    in the lcm of their conductors: the packed kernel _packed_product on
+    their coordinates, each output entry built once."""
+    n, c = _field(a, b), len(b[0])
+    return matrix_of(n, _packed_product(n, _coords(a, n), _factor(_coords(b, n), c)), c)
 
 
 def _keyed_product(a, b):
@@ -492,7 +606,10 @@ def substitute_linear(terms, rows):
     nvars, nout = len(rows), len(rows[0])
     if any(len(e) != nvars for e in terms):
         raise ValueError("need one row per variable")
-    n, phi, ((ints, den, _),) = _scaled(rows)
+    n = _field(rows)
+    phi = euler_phi(n)
+    flat, den, _ = _scale(_coords(rows, n))
+    ints = [flat[i * nout:(i + 1) * nout] for i in range(nvars)]
     deg = max(map(sum, terms), default=0)
     fden = lcm(*(Fraction(c).denominator for c in terms.values()))
     coeffs = {e: int(Fraction(c) * fden) * den ** (deg - sum(e)) for e, c in terms.items()}
@@ -515,11 +632,7 @@ def substitute_linear(terms, rows):
     out_den = fden * den ** deg
     out = {}
     for key, v in acc.items():
-        # z^t = z^(t mod n): fold the digits onto z^0..z^(n-1), then reduce
-        folded = [0] * n
-        for t, d in enumerate(unpack(v)):
-            folded[t % n] += d
-        coords = _map_exponents(folded, n, phi, 1)
+        coords = _map_exponents(unpack(v), n, phi, 1)
         if any(coords):
             out[tuple(key // base ** j % base for j in range(nout))] = CycloNum(n, coords, out_den)
     return out

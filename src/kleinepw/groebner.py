@@ -6,8 +6,9 @@ The Groebner machinery supports two certified checks used as
 finite-field stand-ins for characteristic-0 computations:
 
 * projective emptiness (projective_empty, which also returns the basis):
-  a pure power of every variable among the leading monomials
-  (certifies_empty), so the affine cone is supported at the origin only;
+  a nonzero constant or a pure power of every variable among the leading
+  monomials (certifies_empty), so the affine cone is supported at the
+  origin only;
 * smoothness: the singular-locus ideal (generators plus c x c minors of
   the Jacobian) is projectively empty.  Minor subsampling is sound for
   the empty verdict: a subset of the minors cuts out a larger scheme, so
@@ -24,8 +25,8 @@ relations of Gr(2, 5), not written out by hand.
 
 The certificate need not wait for the reduced basis.  Every polynomial
 Buchberger keeps lies in the ideal, so once the leading monomials found so
-far hold a pure power of every variable, the leading ideal holds them too,
-R/I has finite length and the affine cone is the origin alone (the
+far hold a nonzero constant or a pure power of every variable, the
+leading ideal holds them too, R/I has finite length and the affine cone is the origin alone (the
 finiteness theorem: Cox, Little & O'Shea, Ideals, Varieties, and
 Algorithms, ch. 5 section 3).  buchberger(stop_at_certificate=True) tests
 this after the input reduction and after each new basis element, and
@@ -77,7 +78,7 @@ class BudgetExhausted(RuntimeError):
 _PACK_BASE = 256
 
 
-def _pack(e):
+def _grevlex_int(e):
     """Packed integer whose natural order is the grevlex order (largest
     monomial = largest key); exponents must stay below the pack base."""
     key = sum(e)
@@ -140,7 +141,7 @@ def normal_form(f: FPoly, basis, lead_data=None):
     heap = []
     unpack = {}
     for e in work:
-        k = _pack(e)
+        k = _grevlex_int(e)
         unpack[k] = e
         heap.append(-k)
     heapq.heapify(heap)
@@ -178,7 +179,7 @@ def normal_form(f: FPoly, basis, lead_data=None):
                 acc = (-c * gc) % p
                 if acc:
                     work[ke] = acc
-                    kk = _pack(ke)
+                    kk = _grevlex_int(ke)
                     unpack[kk] = ke
                     push(heap, -kk)
             else:
@@ -204,10 +205,12 @@ def _pure_power_variable(e):
 
 
 def certifies_empty(leads, nvars):
-    """The emptiness certificate: a pure power of every variable among the
-    leading monomials.  For leads of elements of a homogeneous ideal it
-    proves the projective scheme empty."""
-    return {_pure_power_variable(e) for e in leads} >= set(range(nvars))
+    """The emptiness certificate: a nonzero constant, or a pure power of
+    every variable, among the leading monomials.  For leads of elements of
+    a homogeneous ideal it proves the projective scheme empty; a constant
+    lead makes the ideal the unit ideal, whose zero set is empty."""
+    return (any(not any(e) for e in leads)
+            or {_pure_power_variable(e) for e in leads} >= set(range(nvars)))
 
 
 def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certificate=False):
@@ -222,10 +225,11 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
 
     With stop_at_certificate, the run ends as soon as the leads meet
     certifies_empty: after the input reduction, or when a new element's
-    lead is a pure power.  The basis returned then is the partial,
-    unreduced one; its elements lie in the ideal, so its leads prove the
-    leading ideal finite-colength.  Otherwise, and for every ideal that
-    never meets the certificate, the result is the reduced basis."""
+    lead is a constant or a pure power.  The basis returned then is the
+    partial, unreduced one; its elements lie in the ideal, so its leads
+    prove the leading ideal finite-colength.  Otherwise, and for every
+    ideal that never meets the certificate, the result is the reduced
+    basis."""
     basis, leads, lead_data = [], [], []
     for g in gens:
         h = normal_form(g, basis, lead_data)
@@ -246,7 +250,7 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
         for j in range(i):
             lcm = _lcm_exp(leads[j], leads[i])
             pending[(j, i)] = lcm
-            heapq.heappush(heap, (_pack(lcm), j, i))
+            heapq.heappush(heap, (_grevlex_int(lcm), j, i))
     handled = 0
     while heap:
         _, i, j = heapq.heappop(heap)
@@ -303,14 +307,14 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
         basis.append(h)
         leads.append(le)
         lead_data.append((le, list(h.terms.items())))
-        if (stop_at_certificate and _pure_power_variable(le) is not None
+        if (stop_at_certificate and (not any(le) or _pure_power_variable(le) is not None)
                 and certifies_empty(leads, nvars)):
             return basis
         new_idx = len(basis) - 1
         for k in range(new_idx):
             lcm_new = _lcm_exp(leads[k], le)
             pending[(k, new_idx)] = lcm_new
-            heapq.heappush(heap, (_pack(lcm_new), k, new_idx))
+            heapq.heappush(heap, (_grevlex_int(lcm_new), k, new_idx))
     return autoreduce(basis)
 
 
@@ -353,11 +357,12 @@ def autoreduce(basis):
 def projective_empty(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE,
                      stop_at_certificate=False):
     """(empty?, basis) for a homogeneous ideal: the projective scheme is
-    empty iff the leading ideal of the reduced basis contains a pure power
-    of every variable (certifies_empty).  With stop_at_certificate an
-    empty verdict comes from buchberger's first certificate, and the basis
-    returned is that partial one, not the reduced basis; a verdict of
-    "not empty" always comes with the reduced basis."""
+    empty iff the leading ideal of the reduced basis contains a nonzero
+    constant or a pure power of every variable (certifies_empty).  With
+    stop_at_certificate an empty verdict comes from buchberger's first
+    certificate, and the basis returned is that partial one, not the
+    reduced basis; a verdict of "not empty" always comes with the reduced
+    basis."""
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError("projective emptiness needs homogeneous generators")

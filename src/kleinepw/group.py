@@ -10,20 +10,24 @@ z^(x*y) - z^(-x*y) with x, y running over the quadratic residues
 ordered to match the diagonal generator, normalized by a square root of
 -11 so the determinant is exactly 1.
 
-All 660 elements are generated by breadth-first closure with canonical
-cyclotomic hashing.  A right product by a monomial generator is a column
-permutation and a scaling; only the Weil generator needs the packed
-product cyclo.mat_mul.  The closure's multiplication table by the
-generators gives products, squares, orders and conjugacy classes (genuine
-conjugation orbits) by index, and stabilizers come from orbits: each
-generator permutes the orbit of a subspace, and an element's word is
-walked through those permutations.  Characters and fixed-point counts are
-computed from the closure, exactly, for an element given by its index in
-the closure; the identity, trace, conjugate transpose and inverse are
-linalg's, and the dual representation is the transpose of
-linalg.inverse.  The group-summed invariant Hermitian form is |G| * I,
-proved from the exact unitarity of the generators' images; the
-term-by-term sum, invariant_hermitian, is the tests' oracle.
+All 660 elements are generated by breadth-first closure on integer
+coordinates, the mat_key of each matrix, which is its canonical hash
+key.  Each generator's right product is a cyclo.right_multiplier: for a
+monomial generator with root-of-unity scalars a column permutation and a
+rotation of coefficients, for the Weil generator the packed kernel with
+the generator scaled and packed once.  An element's CycloNum matrix is
+built once, when the closure first meets it.  The closure's
+multiplication table by the generators gives products, squares, orders
+and conjugacy classes (genuine conjugation orbits) by index, and
+stabilizers come from orbits: each generator permutes the orbit of a
+subspace, and an element's word is walked through those permutations.
+Characters and fixed-point counts are computed from the closure,
+exactly, for an element given by its index in the closure; the identity,
+trace, conjugate transpose and inverse are linalg's, and the dual
+representation is the transpose of linalg.inverse.  The group-summed
+invariant Hermitian form is |G| * I, proved from the exact unitarity of
+the generators' images; the term-by-term sum, invariant_hermitian, is
+the tests' oracle.
 """
 
 from __future__ import annotations
@@ -169,56 +173,36 @@ def mat_order(m):
 # ---------------------------------------------------------------------------
 
 
-def _monomial_columns(h):
-    """For a matrix with exactly one nonzero entry in each column, the
-    (row, entry) of that nonzero column by column, with None for an entry
-    equal to 1; None for any other matrix."""
-    cols = []
-    for j in range(len(h[0])):
-        rows = [i for i in range(len(h)) if not h[i][j].is_zero()]
-        if len(rows) != 1:
-            return None
-        e = h[rows[0]][j]
-        cols.append((rows[0], None if e == 1 else e))
-    return cols
-
-
-def _right_product(h):
-    """g -> g * h.  A monomial h is a column permutation and a scaling, in
-    which an entry equal to 1 (or a zero entry of g) is not multiplied;
-    any other h goes through the dense mat_mul."""
-    cols = _monomial_columns(h)
-    if cols is None:
-        return lambda g: mat_mul(g, h)
-    return lambda g: tuple(
-        tuple(row[i] if s is None or not row[i] else row[i] * s for i, s in cols)
-        for row in g
-    )
-
-
 def generate_group(gens):
     """Breadth-first closure under multiplication with canonical hashing;
     aborts past CLOSURE_CAP (closure exceeding it means a mis-normalized
     generator).  Records right[i][k], the index of elements[i] * gens[k],
-    and words[i], the generator indices whose product is elements[i]."""
+    and words[i], the generator indices whose product is elements[i].
+
+    The closure runs on mat_key coordinates in the conductor-11 field,
+    each right product by cyclo.right_multiplier, and builds the CycloNum
+    matrix of an element once, when it is first met, on its key's own
+    coefficient tuples."""
     if not gens:
         raise ValueError("need at least one generator")
     ident = tuple(map(tuple, linalg.identity(len(gens[0]), _c11(1), _c11(0))))
+    size = len(ident)
+    keys = [mat_key(ident)]
     elements = [ident]
-    index = {mat_key(ident): 0}
+    index = {keys[0]: 0}
     words = [()]
     right = []
-    products = [_right_product(h) for h in gens]
-    # elements grows while it is walked: breadth-first order is index order
-    for i, g in enumerate(elements):
+    products = [cyclo.right_multiplier(h, CONDUCTOR) for h in gens]
+    # keys grows while it is walked: breadth-first order is index order
+    for i, g in enumerate(keys):
         row = []
         for k, times in enumerate(products):
-            prod = times(g)
-            key = mat_key(prod)
+            key = times(g)
             j = index.get(key)
             if j is None:
-                j = index[key] = len(elements)
-                elements.append(prod)
+                j = index[key] = len(keys)
+                keys.append(key)
+                elements.append(cyclo.matrix_of(CONDUCTOR, key, size))
                 words.append(words[i] + (k,))
                 if len(elements) > CLOSURE_CAP:
                     raise ClosureExceeded(f"closure exceeded cap {CLOSURE_CAP}")

@@ -240,6 +240,21 @@ def test_groebner_emptiness_mode(tmp_path, capsys):
     assert json.loads(out)["mode"] == "projective-emptiness"
 
 
+@pytest.mark.parametrize("prime", [7, 32003])
+@pytest.mark.parametrize("codim", [None, 1])
+def test_groebner_unit_ideal_is_empty(tmp_path, capsys, prime, codim):
+    # a nonzero constant is an emptiness certificate on its own
+    spec = {"variables": 2, "prime": prime, "generators": ["1", "x0*x1"]}
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(spec))
+    flags = () if codim is None else ("--codim", str(codim))
+    code, out, _ = run(capsys, "groebner", "--file", str(path), *flags)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass" and payload["primes"] == [prime]
+    assert payload["basis_size"] == 1
+
+
 def test_groebner_budget_verdict(tmp_path, capsys):
     spec = {
         "prime": 7,

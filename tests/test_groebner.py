@@ -95,8 +95,9 @@ def test_projective_empty():
 def test_certificate_needs_a_pure_power_of_every_variable():
     assert certifies_empty([(0, 3, 0), (1, 1, 0), (2, 0, 0), (0, 0, 5)], 3)
     assert not certifies_empty([(0, 3, 0), (1, 0, 1), (2, 0, 0)], 3)
-    # a constant lead is no pure power
-    assert not certifies_empty([(0, 0)], 2)
+    # a constant lead certifies too: the ideal is the unit ideal
+    assert certifies_empty([(0, 0)], 2)
+    assert certifies_empty([(0, 0, 0), (1, 1, 0)], 3)
 
 
 def test_early_stop_returns_a_partial_basis_only_for_an_empty_ideal():
@@ -111,6 +112,15 @@ def test_early_stop_returns_a_partial_basis_only_for_an_empty_ideal():
     # the twisted cubic's ideal is not empty: the run ends at the reduced basis
     cubic = [x * z - y * y, x * y - z * z, x * x - y * z]
     assert buchberger(cubic, stop_at_certificate=True) == buchberger(cubic)
+
+
+def test_early_stop_at_a_constant_lead():
+    x, y = fvars(7, 2)
+    gens = [x * y + FPoly(7, 2, {(0, 0): 1}), x * x]
+    assert [g.terms for g in buchberger(gens)] == [{(0, 0): 1}]
+    # S(x^2, xy + 1) gives x, then S(x, xy + 1) the constant; no y power is met
+    partial = buchberger(gens, stop_at_certificate=True)
+    assert [g.leading_term()[0] for g in partial] == [(1, 1), (2, 0), (1, 0), (0, 0)]
 
 
 def test_smoothness_small_examples():

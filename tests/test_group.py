@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinepw import epw, fixtures, group, linalg, verify
+from kleinepw import cyclo, epw, fixtures, group, linalg, verify
 from kleinepw.cyclo import CycloNum, euler_phi, lambda_embed
 
 # the 6-dimensional representation trivial on coordinate 0, as the
@@ -153,18 +153,27 @@ def test_table_queries_need_no_matrix_products(generators, monkeypatch):
 
 def test_closure_makes_dense_products_only_for_the_weil_generator(generators, monkeypatch):
     calls = []
-    dense = group.mat_mul
+    dense = cyclo._packed_product
 
-    def counted(a, b):
+    def counted(n, g, factor):
         calls.append(1)
-        return dense(a, b)
+        return dense(n, g, factor)
 
-    monkeypatch.setattr(group, "mat_mul", counted)
+    monkeypatch.setattr(cyclo, "_packed_product", counted)
     assert len(group.generate_group(list(generators))) == 660
     assert len(calls) == 660
     del calls[:]
     assert len(group.generate_group([group.gen_a(), group.gen_c()])) == 55
     assert not calls
+
+
+def test_closure_makes_no_cyclonum_product(generators, monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("CycloNum product in the closure")
+
+    monkeypatch.setattr(CycloNum, "__mul__", refuse)
+    monkeypatch.setattr(CycloNum, "__rmul__", refuse)
+    assert len(group.generate_group(list(generators))) == 660
 
 
 def test_stabilizer_makes_no_rank_call(table660, monkeypatch):
@@ -196,11 +205,17 @@ def _dense_closure(gens):
 
 def test_monomial_products_match_the_dense_closure(generators, table660):
     minus_one = tuple(tuple(-e for e in row) for row in _identity())
+    # a monomial matrix whose scalars 2 and 1/2 are no roots of unity takes
+    # the dense kernel; with diag(z, z^-1) it closes to 22 elements
+    zero, z = CycloNum.from_rational(0, 11), CycloNum.zeta(11)
+    swap = ((zero, zero + 2), (zero + Fraction(1, 2), zero))
     cases = [
         (list(generators), table660),
         ([group.gen_a(), group.gen_c()], None),
         ([group.gen_c(), minus_one], None),
+        ([swap, ((z, zero), (zero, z.inverse()))], None),
     ]
+    assert len(group.generate_group(cases[-1][0])) == 22
     for gens, table in cases:
         table = table or group.generate_group(gens)
         got = [group.mat_key(m) for m in table.elements], table.words, table.right

@@ -9,8 +9,9 @@ epw imports group (for the matrix order), so group imports nothing from
 epw; epw imports nothing from fixtures, so it cannot fall back on the
 transcriptions it is checked against; cyclo is a leaf and imports nothing from the package; the k x k
 minors, the Hermitian test and the matrix helpers (identity, trace,
-conjugate transpose, inverse) have one home, linalg; and groebner has one
-builder of Pluecker relations.
+conjugate transpose, inverse) have one home, linalg; the Kronecker packing
+(_pack, _unpacker) has one home, cyclo; and groebner has one builder of
+Pluecker relations.
 """
 
 import ast
@@ -88,23 +89,28 @@ def test_cyclo_imports_nothing_from_the_package():
     assert not uses, f"cyclo.py imports from the package at lines {uses}"
 
 
-def _defined_outside_linalg(names):
+def _defined_outside(home, names):
     return [
         f"{path.name}:{node.lineno} {node.name}"
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "linalg.py"
+        if path.name != home
         for node in ast.walk(_tree(path))
         if isinstance(node, ast.FunctionDef) and node.name in names
     ]
 
 
 def test_minors_are_defined_only_in_linalg():
-    defs = _defined_outside_linalg(("_minor", "exterior_power_matrix"))
+    defs = _defined_outside("linalg.py", ("_minor", "exterior_power_matrix"))
     assert not defs, "minor helpers outside linalg: " + ", ".join(defs)
 
 
+def test_packing_is_defined_only_in_cyclo():
+    defs = _defined_outside("cyclo.py", ("_pack", "_unpacker"))
+    assert not defs, "Kronecker packing outside cyclo: " + ", ".join(defs)
+
+
 def test_is_hermitian_is_defined_only_in_linalg():
-    defs = _defined_outside_linalg(("is_hermitian", "is_hermitian_matrix"))
+    defs = _defined_outside("linalg.py", ("is_hermitian", "is_hermitian_matrix"))
     assert not defs, "Hermitian tests outside linalg: " + ", ".join(defs)
 
 

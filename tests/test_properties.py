@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from fractions import Fraction  # noqa: E402
 from itertools import combinations  # noqa: E402
 
-from math import lcm, prod  # noqa: E402
+from math import gcd, lcm, prod  # noqa: E402
 
-from kleinepw import epw, group, linalg  # noqa: E402
+from kleinepw import cyclo, epw, group, linalg  # noqa: E402
 from kleinepw.cyclo import CycloNum, QuadInt, euler_phi, substitute_linear  # noqa: E402
 from kleinepw.groebner import FPoly, buchberger, normal_form, projective_empty  # noqa: E402
 from kleinepw.poly import MultiPoly, linear_forms  # noqa: E402
@@ -496,6 +496,64 @@ def test_packed_mat_mul_at_the_coefficient_bound(n, conductor, sign):
     a = [[CycloNum(conductor, (sign * top,) * phi, 1)] * n for _ in range(n)]
     b = [[CycloNum(conductor, (top,) * phi, 1)] * n for _ in range(n)]
     assert _equal_matrices(group.mat_mul(a, b), _per_entry_mat_mul(a, b))
+
+
+# prime conductors, as in the closure, and two composite ones, where
+# several powers of z past the power basis fold back
+KERNEL_CONDUCTORS = (3, 5, 7, 11, 12, 15)
+
+
+@st.composite
+def _kernel_case(draw):
+    """Two r x k matrices and a k x c matrix over one conductor, with zero
+    entries, signed coefficients and mixed denominators; the right factor
+    is sometimes monomial, with scalars +-z^j (the closure's shortcut) or
+    other multiples of z^j."""
+    n = draw(st.sampled_from(KERNEL_CONDUCTORS))
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    phi, bound = euler_phi(n), draw(st.sampled_from([1, 5, 2 ** 30]))
+    entry = st.one_of(
+        st.just(CycloNum(n, (0,) * phi, 1)),
+        st.builds(lambda cs, d: CycloNum(n, cs, d),
+                  st.lists(st.integers(-bound, bound), min_size=phi, max_size=phi),
+                  st.sampled_from([1, 2, 3, 7, 2 ** 40 + 15])))
+    left = st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r)
+    a, a2 = draw(left), draw(left)
+    if draw(st.booleans()):
+        b = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
+    else:
+        b = [[CycloNum(n, (0,) * phi, 1)] * c for _ in range(k)]
+        # a scalar other than +-1 times a root of unity takes the dense kernel
+        scalars = st.sampled_from([1, 1, -1, -1, 2, Fraction(1, 2), Fraction(-1, 3)])
+        for j in range(c):
+            b[draw(st.integers(0, k - 1))][j] = (draw(scalars)
+                                                 * CycloNum.zeta(n, draw(st.integers(0, n - 1))))
+    return n, a, a2, b
+
+
+def _normalized_like_the_constructor(n, m):
+    return all(type(x.num) is tuple and x.den > 0 and gcd(x.den, *x.num) == 1
+               and (x.num, x.den) == (y.num, y.den)
+               for row in m for x in row for y in (CycloNum(n, x.num, x.den),))
+
+
+@settings(deadline=None, max_examples=80)
+@given(case=_kernel_case())
+def test_packed_kernel_matches_the_schoolbook_product(case):
+    n, a, a2, b = case
+    assert _equal_matrices(cyclo.mat_mul(a, b), _per_entry_mat_mul(a, b))
+    # one multiplier for both left factors: the second may meet its packed
+    # columns again
+    times = cyclo.right_multiplier(b, n)
+    for left in (a, a2):
+        coords = times(tuple((x.num, x.den) for row in left for x in row))
+        got = cyclo.matrix_of(n, coords, len(b[0]))
+        assert _equal_matrices(got, _per_entry_mat_mul(left, b))
+        assert _normalized_like_the_constructor(n, got)
+
+
+def test_closure_entries_are_normalized_like_the_constructor(table660):
+    assert all(_normalized_like_the_constructor(11, m) for m in table660.elements)
 
 
 @st.composite
