@@ -17,6 +17,10 @@ form of a rational vector and keeps the inner loops in integer
 arithmetic.  The constructor takes that form, CycloNum(n, numerators,
 den), with den required; from_rational builds a rational.
 
+One reduction modulo the cyclotomic polynomial, _reduce, serves products,
+lifts, Galois maps, rotations and substitution alike: each z^t past the
+basis, in a vector of any length, becomes the sparse row of z^(t mod n).
+
 Mixed-conductor operations lift both operands to the lcm of the two
 conductors, which is capped at MAX_CONDUCTOR.  All values are immutable
 and every operation is a pure function.  The inverse is the product of
@@ -122,25 +126,36 @@ def _traces(n: int) -> tuple:
     return tuple(sum(table[k * t % n][0] for t in units) for k in range(euler_phi(n)))
 
 
-def _fold(v, n, phi):
-    """The power-basis coordinates of the sum of v[t] z^t over t < n: the
-    first phi coefficients kept, each later z^t replaced by its row of the
-    power table."""
-    out = v[:phi]
-    for c, row in zip(v[phi:], _zeta_power_table(n)[phi:]):
+@lru_cache(maxsize=None)
+def _sparse_power_rows(n: int) -> tuple:
+    """Row k: the nonzero (index, value) pairs of z^k, k = 0..n-1."""
+    return tuple(tuple((i, r) for i, r in enumerate(row) if r) for row in _zeta_power_table(n))
+
+
+def _reduce(v, n, phi):
+    """The reduction modulo the n-th cyclotomic polynomial: the power-basis
+    coordinates (phi = phi(n) of them) of sum_t v[t] z^t, for a coefficient
+    vector v of any length.  The first phi coefficients are kept, each
+    later z^t is replaced by the sparse row of z^(t mod n)."""
+    out = list(v[:phi])
+    out += [0] * (phi - len(out))
+    rows = _sparse_power_rows(n)
+    for t in range(phi, len(v)):
+        c = v[t]
         if c:
-            out = [a + c * r for a, r in zip(out, row)]
+            for j, r in rows[t % n]:
+                out[j] += c * r
     return out
 
 
 def _map_exponents(num, m, phi, step):
     """Coordinates, in the conductor-m power basis of phi = phi(m) entries,
     of sum_i num[i] z^(i * step): each term put on z^(i * step mod m),
-    then folded."""
+    then reduced."""
     v = [0] * m
     for i, c in enumerate(num):
         v[i * step % m] += c
-    return _fold(v, m, phi)
+    return _reduce(v, m, phi)
 
 
 def _normalize(num, den):
@@ -250,7 +265,7 @@ class CycloNum:
                     y = bn[j]
                     if y:
                         conv[i + j] += x * y
-        return CycloNum(a.n, _reduced(conv, a.n, phi), a.den * b.den)
+        return CycloNum(a.n, _reduce(conv, a.n, phi), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -389,26 +404,6 @@ def common_field(rows):
              for x in row] for row in rows]
 
 
-@lru_cache(maxsize=None)
-def _sparse_reduction_rows(n: int) -> tuple:
-    """Row j: the nonzero (index, value) pairs of z^(phi(n)+j), for the
-    phi(n) - 1 powers a product's convolution reaches past the basis."""
-    phi, table = euler_phi(n), _zeta_power_table(n)
-    return tuple(tuple((i, r) for i, r in enumerate(table[(phi + j) % n]) if r)
-                 for j in range(phi - 1))
-
-
-def _reduced(conv, n, phi):
-    """The coefficients of a product's convolution (2*phi - 1 of them)
-    reduced modulo the n-th cyclotomic polynomial."""
-    out = conv[:phi]
-    for c, row in zip(conv[phi:], _sparse_reduction_rows(n)):
-        if c:
-            for j, r in row:
-                out[j] += c * r
-    return out
-
-
 def _field(*matrices):
     """The lcm of the conductors of the matrices' CycloNum entries, at most
     MAX_CONDUCTOR; 1 for rational matrices."""
@@ -483,7 +478,7 @@ def _packed_product(n, g, factor):
     cols, unpack = packed[bits]
     pg = [_pack(c, bits) for c in ints]
     den = den_g * den_h
-    return tuple(_normalize(_reduced(unpack(sum(map(mul, pg[r:r + k], col))), n, phi), den)
+    return tuple(_normalize(_reduce(unpack(sum(map(mul, pg[r:r + k], col))), n, phi), den)
                  for r in range(0, len(pg), k) for col in cols)
 
 
@@ -518,13 +513,9 @@ def _unit_columns(coords, n, cols):
 def _monomial_product(n, g, k, columns):
     """The coordinates of g h, for row-major coordinates g of an r x k
     matrix and a monomial h with root-of-unity scalars, given by its
-    _unit_columns: column j of g h is column i of g times sign * z^s.
-    That is a rotation by s of the n coordinates on 1, z, ..., z^(n-1)
-    (z^n = 1), the ones past the power basis folded back by the power
-    table (for a prime n, the top one subtracted from the rest), and a
-    sign."""
+    _unit_columns: column j of g h is column i of g times sign * z^s,
+    the coefficients shifted up by s, reduced, and signed."""
     phi = euler_phi(n)
-    pad = (0,) * (n - phi)
     out = []
     for r in range(0, len(g), k):
         row = g[r:r + k]
@@ -536,8 +527,7 @@ def _monomial_product(n, g, k, columns):
             # z is a unit of Z[z], whose Z-basis the power basis is, so the
             # coefficients keep their gcd: the entry stays normalized over
             # its own denominator, with no gcd taken
-            v = num + pad
-            rotated = _fold(v[n - shift:] + v[:n - shift], n, phi)
+            rotated = _reduce((0,) * shift + num, n, phi)
             out.append((tuple(rotated) if sign == 1 else tuple(-c for c in rotated), den))
     return tuple(out)
 
@@ -632,7 +622,7 @@ def substitute_linear(terms, rows):
     out_den = fden * den ** deg
     out = {}
     for key, v in acc.items():
-        coords = _map_exponents(unpack(v), n, phi, 1)
+        coords = _reduce(unpack(v), n, phi)
         if any(coords):
             out[tuple(key // base ** j % base for j in range(nout))] = CycloNum(n, coords, out_den)
     return out

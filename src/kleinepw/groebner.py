@@ -1,7 +1,8 @@
 """Multivariate ideals over prime fields: Buchberger, emptiness, smoothness.
 
 Polynomials are FPoly: poly.MultiPoly over F_p, whose operations reduce
-their coefficients into 1..p-1, in graded reverse lexicographic order.
+their coefficients into 1..p-1.  The monomial order is poly.grevlex_key,
+exact for every exponent; normal_form's heap key orders in its reverse.
 The Groebner machinery supports two certified checks used as
 finite-field stand-ins for characteristic-0 computations:
 
@@ -52,7 +53,7 @@ from itertools import combinations
 from . import linalg
 from .epw import build_A, merge_indices
 from .fixtures import PAIR_VARS, QUADRIC_TEXT, sextic_poly
-from .poly import MultiPoly, grevlex_key, linear_forms
+from .poly import MultiPoly, grevlex_exponents, grevlex_key, linear_forms
 from .textform import parse_polynomial
 
 # the default budgets of every Groebner computation
@@ -73,18 +74,6 @@ class BudgetExhausted(RuntimeError):
 
     def progress(self):
         return {"pairs": self.pairs, "basis": self.basis, "degree": self.degree}
-
-
-_PACK_BASE = 256
-
-
-def _grevlex_int(e):
-    """Packed integer whose natural order is the grevlex order (largest
-    monomial = largest key); exponents must stay below the pack base."""
-    key = sum(e)
-    for idx in range(len(e) - 1, -1, -1):
-        key = key * _PACK_BASE + (_PACK_BASE - 1 - e[idx])
-    return key
 
 
 class FPoly(MultiPoly):
@@ -131,26 +120,23 @@ def _divides(d, e):
 
 def normal_form(f: FPoly, basis, lead_data=None):
     """Full reduction of f by a list of monic polynomials; the working
-    polynomial is driven by a lazy max-heap of packed grevlex keys."""
+    polynomial is driven by a lazy min-heap keyed (-deg, e_(n-1), ..., e_0),
+    whose order is the reverse of poly.grevlex_key's for any exponents, so
+    the largest monomial comes first; the key reversed past its first entry
+    is the exponent tuple."""
     p = f.p
     work = dict(f.terms)
     if not work:
         return f
     if lead_data is None:
         lead_data = [(g.leading_term()[0], list(g.terms.items())) for g in basis]
-    heap = []
-    unpack = {}
-    for e in work:
-        k = _grevlex_int(e)
-        unpack[k] = e
-        heap.append(-k)
+    heap = [(-sum(e),) + e[::-1] for e in work]
     heapq.heapify(heap)
     remainder = {}
     push = heapq.heappush
     pop = heapq.heappop
     while heap:
-        key = -pop(heap)
-        e = unpack[key]
+        e = pop(heap)[:0:-1]
         c = work.get(e)
         if c is None:
             continue
@@ -179,9 +165,7 @@ def normal_form(f: FPoly, basis, lead_data=None):
                 acc = (-c * gc) % p
                 if acc:
                     work[ke] = acc
-                    kk = _grevlex_int(ke)
-                    unpack[kk] = ke
-                    push(heap, -kk)
+                    push(heap, (-sum(ke),) + ke[::-1])
             else:
                 acc = (prev - c * gc) % p
                 if acc:
@@ -244,19 +228,16 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
     if stop_at_certificate and certifies_empty(leads, nvars):
         return basis
     degree = max(sum(e) for e in leads)
-    pending = {}
-    heap = []
-    for i in range(len(basis)):
-        for j in range(i):
-            lcm = _lcm_exp(leads[j], leads[i])
-            pending[(j, i)] = lcm
-            heapq.heappush(heap, (_grevlex_int(lcm), j, i))
+    # the pairs not yet handled, queued on grevlex_key(lcm), the key being
+    # the pair's one record of its lcm
+    pending = {(j, i) for i in range(len(basis)) for j in range(i)}
+    heap = [(grevlex_key(_lcm_exp(leads[j], leads[i])), j, i) for j, i in pending]
+    heapq.heapify(heap)
     handled = 0
     while heap:
-        _, i, j = heapq.heappop(heap)
-        lcm = pending.pop((i, j), None)
-        if lcm is None:
-            continue
+        key, i, j = heapq.heappop(heap)
+        pending.remove((i, j))
+        lcm = grevlex_exponents(key)
         # coprime criterion
         if all(a + b == c for a, b, c in zip(leads[i], leads[j], lcm)):
             continue
@@ -312,15 +293,17 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
             return basis
         new_idx = len(basis) - 1
         for k in range(new_idx):
-            lcm_new = _lcm_exp(leads[k], le)
-            pending[(k, new_idx)] = lcm_new
-            heapq.heappush(heap, (_grevlex_int(lcm_new), k, new_idx))
+            pending.add((k, new_idx))
+            heapq.heappush(heap, (grevlex_key(_lcm_exp(leads[k], le)), k, new_idx))
     return autoreduce(basis)
 
 
 def autoreduce(basis):
     """Interreduce a basis to the reduced Groebner basis: minimal leading
-    monomials, every element fully reduced by the others, monic, sorted."""
+    monomials, every element fully reduced by the others, monic, sorted.
+    One pass suffices: no kept lead divides another, so reduction keeps
+    every lead, and no term of an element, once reduced, is divisible by
+    any lead of the result."""
     # drop elements whose lead is divisible by another lead
     basis = [g.monic() for g in basis if not g.is_zero()]
     keep, data = [], []  # data: normal_form's (lead, terms), in step with keep
@@ -334,22 +317,9 @@ def autoreduce(basis):
             continue
         keep.append(g)
         data.append((li, list(g.terms.items())))
-    changed = True
-    while changed:
-        changed = False
-        out, out_data = [], []
-        for i, g in enumerate(keep):
-            others = out_data + data[i + 1 :]
-            r = normal_form(g, None, others) if others else g
-            if r.is_zero():
-                changed = True
-                continue
-            r = r.monic()
-            if r != g:
-                changed = True
-            out.append(r)
-            out_data.append((r.leading_term()[0], list(r.terms.items())))
-        keep, data = out, out_data
+    for i, g in enumerate(keep):
+        keep[i] = normal_form(g, None, data[:i] + data[i + 1:])
+        data[i] = (data[i][0], list(keep[i].terms.items()))
     keep.sort(key=lambda g: grevlex_key(g.leading_term()[0]))
     return keep
 

@@ -23,8 +23,18 @@ from fractions import Fraction
 
 
 def grevlex_key(exps):
-    """Sort key: larger key = later monomial in grevlex-descending listings."""
-    return (sum(exps),) + tuple(-e for e in reversed(exps))
+    """The sort key of the grevlex order, the one monomial order of the
+    package: a larger key is a larger monomial.  Its entries, the degree d
+    and then d - e for the exponents from the last, are nonnegative;
+    grevlex_exponents reads the exponents back."""
+    d = sum(exps)
+    return (d,) + tuple(d - e for e in reversed(exps))
+
+
+def grevlex_exponents(key):
+    """The exponent tuple whose grevlex_key is key."""
+    d = key[0]
+    return tuple(d - k for k in key[:0:-1])
 
 
 class MultiPoly:

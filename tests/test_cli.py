@@ -255,6 +255,35 @@ def test_groebner_unit_ideal_is_empty(tmp_path, capsys, prime, codim):
     assert payload["basis_size"] == 1
 
 
+# exponents past 255, which a base-256 packed order key would misorder
+HIGH_POWERS = "x1^258 - x0^257*x2"
+
+
+def _groebner_on(tmp_path, capsys, generators, *flags):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"variables": 3, "prime": 32003, "generators": generators}))
+    code, out, _ = run(capsys, *flags, "groebner", "--file", str(path))
+    return code, json.loads(out)
+
+
+def test_repeated_generator_keeps_the_reduced_basis(tmp_path, capsys):
+    # the reduced basis of an ideal is unique, however often a generator
+    # is listed
+    code, once = _groebner_on(tmp_path, capsys, [HIGH_POWERS])
+    assert code == 1 and once["verdict"] == "fail" and once["basis_size"] == 1
+    code, twice = _groebner_on(tmp_path, capsys, [HIGH_POWERS, HIGH_POWERS])
+    assert code == 1 and twice["verdict"] == "fail" and twice["basis_size"] == 1
+
+
+def test_high_powers_are_not_certified_empty(tmp_path, capsys):
+    # [1:1:1] is a zero of both ideals, repeated generator or not
+    flags = ("--budget-degree", "400")
+    for generators in ([HIGH_POWERS, "x0 - x2"], [HIGH_POWERS, HIGH_POWERS, "x0 - x2"]):
+        code, payload = _groebner_on(tmp_path, capsys, generators, *flags)
+        assert code == 1 and payload["verdict"] == "fail"
+        assert payload["basis_size"] == 2
+
+
 def test_groebner_budget_verdict(tmp_path, capsys):
     spec = {
         "prime": 7,

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from kleinepw import linalg
+from kleinepw import groebner, linalg
+from kleinepw.cli import main
 from kleinepw.epw import TRIPLE_INDEX, TRIPLES6, build_A, merge_indices
-from kleinepw.poly import linear_forms
+from kleinepw.poly import grevlex_key, linear_forms
 from kleinepw.groebner import (
     BudgetExhausted,
     FPoly,
+    _divides,
+    autoreduce,
     buchberger,
     certifies_empty,
     decomposable_pullback_ideal,
@@ -22,6 +28,8 @@ from kleinepw.groebner import (
 )
 
 P = 32003
+# the shipped ideal files
+DATA = Path(__file__).resolve().parent.parent / "src" / "kleinepw" / "data"
 
 
 def fvars(p, n):
@@ -290,8 +298,13 @@ def test_threefold_gate():
 
 
 @pytest.mark.slow
-def test_fivefold_gate():
-    ok, info = smoothness_check(gm_fivefold_ideal(P), 4)
+def test_fivefold_gate(monkeypatch):
+    # this run is also the one of the shipped gm_fivefold.json (the same
+    # generators, term for term), so it checks autoreduce against its oracle
+    (ok, info), bases = _autoreduce_inputs(
+        monkeypatch, lambda: smoothness_check(gm_fivefold_ideal(P), 4))
+    for basis in bases:
+        assert _same_terms(autoreduce(basis), _fixpoint_autoreduce(basis))
     assert ok is True
     assert info == {"sampled_minors": False, "minors_used": 2965, "basis_size": 445}
     early = smoothness_check(gm_fivefold_ideal(P), 4, stop_at_certificate=True)
@@ -343,3 +356,67 @@ def test_jacobian_minors_over_z_match_the_fpoly_expansion():
     assert sampled is False
     assert all(type(m) is FPoly and m.p == P for m in minors)
     assert [m.terms for m in minors] == [m.terms for m in oracle]
+
+
+def _fixpoint_autoreduce(basis):
+    """The oracle for autoreduce: the minimal basis interreduced pass after
+    pass until a pass changes nothing."""
+    basis = [g.monic() for g in basis if not g.is_zero()]
+    leads = [g.leading_term()[0] for g in basis]
+    keep = [g for i, g in enumerate(basis)
+            if not any(j != i and _divides(leads[j], leads[i])
+                       and (leads[j] != leads[i] or j < i) for j in range(len(basis)))]
+    data = [(g.leading_term()[0], list(g.terms.items())) for g in keep]
+    changed = True
+    while changed:
+        changed = False
+        out, out_data = [], []
+        for i, g in enumerate(keep):
+            others = out_data + data[i + 1:]
+            r = normal_form(g, None, others) if others else g
+            if r.is_zero():
+                changed = True
+                continue
+            r = r.monic()
+            if r != g:
+                changed = True
+            out.append(r)
+            out_data.append((r.leading_term()[0], list(r.terms.items())))
+        keep, data = out, out_data
+    keep.sort(key=lambda g: grevlex_key(g.leading_term()[0]))
+    return keep
+
+
+def _autoreduce_inputs(monkeypatch, run):
+    """run()'s result and the bases that buchberger handed to autoreduce
+    while it ran."""
+    seen = []
+    monkeypatch.setattr(groebner, "autoreduce", lambda basis: seen.append(basis) or autoreduce(basis))
+    result = run()
+    assert seen
+    return result, seen
+
+
+IDEALS = (gm_threefold_ideal, gm_fivefold_ideal, decomposable_pullback_ideal)
+
+
+def _same_terms(got, want):
+    """Term for term, in order."""
+    return [g.sorted_terms() for g in got] == [g.sorted_terms() for g in want]
+
+
+@pytest.mark.parametrize("p", [P, 65537])
+@pytest.mark.parametrize("build", IDEALS, ids=lambda f: f.__name__)
+def test_one_pass_autoreduce_matches_the_fixpoint_on_the_ideals(monkeypatch, build, p):
+    for basis in _autoreduce_inputs(monkeypatch, lambda: buchberger(build(p)))[1]:
+        assert _same_terms(autoreduce(basis), _fixpoint_autoreduce(basis))
+
+
+# gm_fivefold.json is checked by test_fivefold_gate, which runs it
+@pytest.mark.parametrize("name", ["gm_threefold", "gm_sixfold"])
+def test_one_pass_autoreduce_matches_the_fixpoint_on_the_data_files(monkeypatch, name):
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["groebner", "--file", str(DATA / f"{name}.json")])
+    for basis in _autoreduce_inputs(monkeypatch, run)[1]:
+        assert _same_terms(autoreduce(basis), _fixpoint_autoreduce(basis))

@@ -10,8 +10,9 @@ epw; epw imports nothing from fixtures, so it cannot fall back on the
 transcriptions it is checked against; cyclo is a leaf and imports nothing from the package; the k x k
 minors, the Hermitian test and the matrix helpers (identity, trace,
 conjugate transpose, inverse) have one home, linalg; the Kronecker packing
-(_pack, _unpacker) has one home, cyclo; and groebner has one builder of
-Pluecker relations.
+(_pack, _unpacker) has one home, cyclo; the monomial order has one home,
+poly (grevlex_key), so groebner's heaps cannot drift from it; and
+groebner has one builder of Pluecker relations.
 """
 
 import ast
@@ -107,6 +108,17 @@ def test_minors_are_defined_only_in_linalg():
 def test_packing_is_defined_only_in_cyclo():
     defs = _defined_outside("cyclo.py", ("_pack", "_unpacker"))
     assert not defs, "Kronecker packing outside cyclo: " + ", ".join(defs)
+
+
+def test_monomial_order_is_defined_only_in_poly():
+    defs = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "poly.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef) and "grevlex" in node.name
+    ]
+    assert not defs, "grevlex order defined outside poly: " + ", ".join(defs)
 
 
 def test_is_hermitian_is_defined_only_in_linalg():

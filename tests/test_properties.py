@@ -8,12 +8,15 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from fractions import Fraction  # noqa: E402
 from itertools import combinations  # noqa: E402
 
+from functools import cmp_to_key  # noqa: E402
 from math import gcd, lcm, prod  # noqa: E402
 
 from kleinepw import cyclo, epw, group, linalg  # noqa: E402
-from kleinepw.cyclo import CycloNum, QuadInt, euler_phi, substitute_linear  # noqa: E402
+from kleinepw.cyclo import (  # noqa: E402
+    CycloNum, QuadInt, cyclotomic_polynomial, euler_phi, substitute_linear)
 from kleinepw.groebner import FPoly, buchberger, normal_form, projective_empty  # noqa: E402
-from kleinepw.poly import MultiPoly, linear_forms  # noqa: E402
+from kleinepw.poly import MultiPoly, grevlex_exponents, grevlex_key, linear_forms  # noqa: E402
+from kleinepw.textform import MAX_EXPONENT  # noqa: E402
 
 from cyclo_fractions import cyclo_from_fractions  # noqa: E402
 
@@ -33,6 +36,71 @@ def test_words_have_unitary_images(word, generators):
         m = group.mat_mul(m, generators[k])
     assert _is_unitary(m)
     assert _is_unitary(group.functor_wedge2().matrix(m))
+
+
+def _grevlex_cmp(a, b):
+    """The grevlex order by its definition: the higher degree is larger;
+    at equal degree, the smaller exponent in the last variable where they
+    differ is larger."""
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x < y else -1
+    return 0
+
+
+@st.composite
+def _monomials(draw):
+    """Distinct exponent tuples in 2..8 variables, small and up to
+    MAX_EXPONENT, with permutations of one of them for ties in degree."""
+    nvars = draw(st.integers(2, 8))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT))
+    exps = draw(st.lists(st.tuples(*[exponent] * nvars), min_size=1, max_size=12))
+    base = list(exps[0])
+    for _ in range(draw(st.integers(0, 4))):
+        base = draw(st.permutations(base))
+        exps.append(tuple(base))
+    return nvars, list(dict.fromkeys(exps))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_monomials())
+def test_heap_order_is_the_grevlex_order(case):
+    nvars, exps = case
+    want = sorted(exps, key=cmp_to_key(_grevlex_cmp), reverse=True)
+    assert sorted(exps, key=grevlex_key, reverse=True) == want
+    assert all(grevlex_exponents(grevlex_key(e)) == e for e in exps)
+    # with no divisor, normal_form keeps every term in the order its heap
+    # pops them: largest monomial first
+    f = FPoly(P, nvars, {e: 1 for e in exps})
+    assert list(normal_form(f, []).terms) == want
+
+
+def _long_division_remainder(v, n):
+    """The remainder of sum_t v[t] z^t on division by the n-th cyclotomic
+    polynomial, by schoolbook long division."""
+    phi_n = cyclotomic_polynomial(n)
+    d = len(phi_n) - 1
+    rem = list(v) + [0] * max(0, d - len(v))
+    for t in range(len(rem) - 1, d - 1, -1):
+        c = rem[t]
+        if c:
+            for i, a in enumerate(phi_n):
+                rem[t - d + i] -= c * a
+    return rem[:d]
+
+
+@pytest.mark.parametrize("n", range(1, cyclo.MAX_CONDUCTOR + 1))
+@settings(deadline=None, max_examples=8)
+@given(data=st.data())
+def test_reduce_is_the_remainder_modulo_the_cyclotomic_polynomial(n, data):
+    # lengths short of the basis, the product's 2 phi - 1 and past it
+    phi = euler_phi(n)
+    length = data.draw(st.sampled_from([0, 1, phi, 2 * phi - 1, 2 * phi, n + phi, 3 * n + 2]))
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+    v = data.draw(st.lists(coeff, min_size=length, max_size=length))
+    assert cyclo._reduce(v, n, phi) == _long_division_remainder(v, n)
 
 
 @st.composite

@@ -52,3 +52,26 @@ def test_frac_and_cyclo_serialization():
     assert blob["pretty"] == "λ̄"
     blob = verify.cyclo_json(CycloNum.from_rational(Fraction(-1, 2), 11))
     assert blob["pretty"] == "-1/2"
+
+
+def _run_check(check_id, ctx):
+    fn = next(fn for cid, _, _, fn in verify.CHECKS if cid == check_id)
+    return fn(ctx)
+
+
+def test_quadric_invariance_names_the_generator_that_moves_the_quadric(monkeypatch, generators):
+    from kleinepw import fixtures
+    from kleinepw.fixtures import PAIR_VARS, QUADRIC_TEXT
+    from kleinepw.textform import parse_polynomial
+
+    ctx = verify.VerifyContext()
+    ctx.generators = generators
+    assert _run_check("quadric.invariance", ctx) == (verify.PASS, {})
+    # dropping the term x15*x25 leaves a quadric that c still fixes (c
+    # fixes each term) but a does not
+    broken = parse_polynomial(QUADRIC_TEXT.replace(" + x15*x25", ""), PAIR_VARS)
+    monkeypatch.setattr(fixtures, "invariant_quadric", lambda: broken)
+    assert _run_check("quadric.invariance", ctx) == (verify.FAIL, {"generator": "a"})
+    # with a left out, the first generator the check meets that moves it is s
+    ctx.generators = (generators[1], generators[1], generators[2])
+    assert _run_check("quadric.invariance", ctx) == (verify.FAIL, {"generator": "s"})
