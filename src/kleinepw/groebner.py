@@ -15,7 +15,11 @@ finite-field stand-ins for characteristic-0 computations:
   the empty verdict: a subset of the minors cuts out a larger scheme, so
   emptiness of the subsampled locus implies emptiness of the full one.
   The subsample is drawn with the fixed seed SAMPLE_SEED, so a sampled
-  run is reproducible.
+  run is reproducible.  jacobian_minors expands each row set of the
+  Jacobian once, by linalg.maximal_minors.
+
+Each Buchberger run keeps one first-divisor table for normal_form, so the
+monomials that recur in every Jacobian minor are matched to a lead once.
 
 One builder, pluecker_relations(k, n, p), gives the quadratic Pluecker
 relations of both Grassmannians in play: Gr(2, 5), whose linear and
@@ -48,7 +52,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 from . import linalg
 from .epw import build_A, merge_indices
@@ -118,18 +123,26 @@ def _divides(d, e):
     return True
 
 
-def normal_form(f: FPoly, basis, lead_data=None):
+def normal_form(f: FPoly, basis, lead_data=None, divisor=None):
     """Full reduction of f by a list of monic polynomials; the working
     polynomial is driven by a lazy min-heap keyed (-deg, e_(n-1), ..., e_0),
     whose order is the reverse of poly.grevlex_key's for any exponents, so
     the largest monomial comes first; the key reversed past its first entry
-    is the exponent tuple."""
+    is the exponent tuple.  Each monomial is reduced by the first lead that
+    divides it.
+
+    divisor, when given, is a first-divisor table for lead_data kept across
+    calls: it maps a monomial to the index of its first dividing lead, or
+    to ~k (a negative int) when none of the first k leads divides it.  It
+    stays valid only while lead_data grows by appending: a first hit is
+    then still the first hit, and a miss resumes its scan at lead k."""
     p = f.p
     work = dict(f.terms)
     if not work:
         return f
     if lead_data is None:
         lead_data = [(g.leading_term()[0], list(g.terms.items())) for g in basis]
+    n_leads = len(lead_data)
     heap = [(-sum(e),) + e[::-1] for e in work]
     heapq.heapify(heap)
     remainder = {}
@@ -141,20 +154,23 @@ def normal_form(f: FPoly, basis, lead_data=None):
         if c is None:
             continue
         del work[e]
-        hit = None
-        for le, terms in lead_data:
-            ok = True
-            for a, b in zip(le, e):
-                if a > b:
-                    ok = False
+        k = -1 if divisor is None else divisor.get(e, -1)
+        if k < 0:
+            for i in range(~k, n_leads):
+                for a, b in zip(lead_data[i][0], e):
+                    if a > b:
+                        break
+                else:
+                    k = i
                     break
-            if ok:
-                hit = (le, terms)
-                break
-        if hit is None:
+            else:
+                k = ~n_leads
+            if divisor is not None:
+                divisor[e] = k
+        if k < 0:
             remainder[e] = c
             continue
-        le, terms = hit
+        le, terms = lead_data[k]
         shift = tuple(a - b for a, b in zip(e, le))
         for ge, gc in terms:
             if ge == le:
@@ -206,6 +222,9 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
     its normal form against the generators already kept; a zero is
     dropped, the rest are made monic and kept.  Pairs are formed among the
     kept generators only.  The ideal, hence the reduced basis, is the same.
+    Every normal_form call of the run, input reduction and S-polynomials
+    alike, shares one first-divisor table (see normal_form); autoreduce
+    leaves a different element out of each call, so it scans without one.
 
     With stop_at_certificate, the run ends as soon as the leads meet
     certifies_empty: after the input reduction, or when a new element's
@@ -215,8 +234,11 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
     ideal that never meets the certificate, the result is the reduced
     basis."""
     basis, leads, lead_data = [], [], []
+    # normal_form's first-divisor table, valid for the run: lead_data
+    # only grows by appending
+    divisor = {}
     for g in gens:
-        h = normal_form(g, basis, lead_data)
+        h = normal_form(g, basis, lead_data, divisor)
         if not h.is_zero():
             h = h.monic()
             basis.append(h)
@@ -275,7 +297,7 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
                 del s_terms[ke]
         s = FPoly(p, nvars)
         s.terms = {e: c for e, c in s_terms.items() if c}
-        h = normal_form(s, basis, lead_data)
+        h = normal_form(s, basis, lead_data, divisor)
         if h.is_zero():
             continue
         h = h.monic()
@@ -347,34 +369,44 @@ def jacobian(gens):
 
 
 def jacobian_minors(gens, size, sample=None):
-    """c x c minors of the Jacobian matrix; optionally a deterministic
-    random subsample (sound for the empty verdict, since fewer equations
-    cut out a larger scheme).
+    """c x c minors of the Jacobian matrix, nonzero ones only, with the row
+    sets and then the column sets in lexicographic order; optionally a
+    deterministic random subsample of those keys (sound for the empty
+    verdict, since fewer equations cut out a larger scheme).
 
     The minors are taken over Z, from the generators' integer lifts, and
     then reduced mod p: reduction commutes with derivatives and
-    determinants, and integer arithmetic skips a reduction per operation."""
+    determinants, and integer arithmetic skips a reduction per operation.
+    Each row set is expanded once, by linalg.maximal_minors, which gives
+    the minors of all its column sets together."""
     p, nvars = gens[0].p, gens[0].nvars
     jac = jacobian([MultiPoly(nvars, g.terms) for g in gens])
     one = MultiPoly.const(nvars, 1)
-    rows = range(len(gens))
-    cols = range(nvars)
     all_keys = [
         (rs, cs)
-        for rs in combinations(rows, size)
-        for cs in combinations(cols, size)
+        for rs in combinations(range(len(gens)), size)
+        for cs in combinations(range(nvars), size)
     ]
     sampled = False
     if sample is not None and sample < len(all_keys):
         rng = random.Random(SAMPLE_SEED)
         all_keys = rng.sample(all_keys, sample)
         sampled = True
+    # one expansion per run of keys on the same row set, over the columns
+    # those keys use: all of them on the full key list, where each row set
+    # is one run, and mostly a single column set in a sample
     out = []
-    for rs, cs in all_keys:
-        sub = [[jac[r][c] for c in cs] for r in rs]
-        m = FPoly.from_int_poly(linalg.expansion_det(sub, one), p)
-        if not m.is_zero():
-            out.append(m)
+    for rs, run in groupby(all_keys, key=itemgetter(0)):
+        col_sets = [cs for _, cs in run]
+        cols = sorted(set().union(*col_sets))
+        bit = {c: 1 << i for i, c in enumerate(cols)}
+        minors = linalg.maximal_minors([[jac[r][c] for c in cols] for r in rs], one)
+        for cs in col_sets:
+            d = minors.get(sum(bit[c] for c in cs))
+            if d is not None:
+                m = FPoly.from_int_poly(d, p)
+                if not m.is_zero():
+                    out.append(m)
     return out, sampled
 
 

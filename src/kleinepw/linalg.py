@@ -14,10 +14,12 @@ pick one of two elimination kernels by the type of the entries:
   exact field: CycloNum, or any type with exact +, -, *, / and truthiness
   testing zero.  The matrices involved stay small.
 
-Over rings without exact division (the order Z[w], polynomials over F_p)
-expansion_det expands along column subsets instead, and rref gives the
-full reduction that kernel_basis needs; kernel_basis and int_kernel_basis
-both return lists of basis row vectors, and inverse reduces [m | I].
+Over rings without exact division (the order Z[w], polynomials over Z or
+F_p) maximal_minors expands along column subsets instead: one expansion of
+an r x n matrix gives all of its r x r minors, and expansion_det is its
+square case.  rref gives the full reduction that kernel_basis needs;
+kernel_basis and int_kernel_basis both return lists of basis row vectors,
+and inverse reduces [m | I].
 identity, trace, conj_transpose and inverse are the package's one family
 of matrix helpers; is_hermitian is the one conjugate-symmetry test, for
 entries with conj() (CycloNum or QuadInt).
@@ -267,24 +269,26 @@ def _field_pivots(m):
     return pivots, sign
 
 
-def expansion_det(m, one):
-    """Division-free determinant by subset expansion along the rows.
+def maximal_minors(m, one):
+    """All maximal minors of an r x n matrix (r <= n) from one
+    division-free subset expansion along the rows: {column mask: minor}.
 
     Exact over any commutative ring whose entries support +, -, * and
-    is_zero(); `one` is the ring's unit.  Level r maps each set of r
-    chosen columns (a bitmask) to the signed sum over all ways of placing
-    the first r rows in those columns.  Zero entries are skipped, which
-    keeps sparse polynomial matrices cheap.  A zero result is `one - one`.
+    truthiness testing zero; `one` is the ring's unit.  Level k maps each
+    set of k chosen columns (a bitmask) to the signed sum over all ways of
+    placing the first k rows in those columns, so level r holds the minor
+    on every r-subset of columns at once, and partial products shared
+    between minors are formed once.  Zero entries are skipped, which keeps
+    sparse polynomial matrices cheap; a mask missing from the result is a
+    zero minor, and a present one may still hold a zero that cancelled.
     """
-    n = len(m)
     level = {0: one}
     for row in m:
+        support = [(c, 1 << c, x) for c, x in enumerate(row) if x]
         nxt = {}
         for cols, val in level.items():
-            for c in range(n):
-                bit = 1 << c
-                entry = row[c]
-                if cols & bit or entry.is_zero():
+            for c, bit, entry in support:
+                if cols & bit:
                     continue
                 term = val * entry
                 # sign of the permutation: chosen columns to the right of c
@@ -294,7 +298,13 @@ def expansion_det(m, one):
                 acc = nxt.get(key)
                 nxt[key] = term if acc is None else acc + term
         level = nxt
-    full = level.get((1 << n) - 1)
+    return level
+
+
+def expansion_det(m, one):
+    """Division-free determinant of a square matrix: the one maximal minor
+    of maximal_minors.  A zero result is `one - one`."""
+    full = maximal_minors(m, one).get((1 << len(m)) - 1)
     return one - one if full is None else full
 
 

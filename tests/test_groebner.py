@@ -38,9 +38,9 @@ def fvars(p, n):
 
 def test_buchberger_basics():
     x, y = fvars(7, 2)
-    assert [g.terms for g in buchberger([x, y])] == [g.terms for g in [y, x]] or len(
-        buchberger([x, y])
-    ) == 2
+    # the reduced basis is sorted by leading monomial, whatever the input order
+    for gens in ([x, y], [y, x]):
+        assert [g.terms for g in buchberger(gens)] == [{(0, 1): 1}, {(1, 0): 1}]
     one = FPoly(7, 1, {(0,): 1})
     u = FPoly.var(7, 0, 1)
     gb = buchberger([u * u - one, u - one])
@@ -341,21 +341,65 @@ def test_minor_subsampling_reports():
 
 
 def test_jacobian_minors_over_z_match_the_fpoly_expansion():
-    # jacobian_minors takes the minors over Z and reduces them; the oracle
-    # expands each minor of the Jacobian over F_p directly
-    gens = gm_threefold_ideal(P)
-    minors, sampled = jacobian_minors(gens, 4)
-    jac = [[g.derivative(i) for i in range(8)] for g in gens]
-    one = FPoly(P, 8, {(0,) * 8: 1})
-    oracle = []
-    for rs in combinations(range(len(gens)), 4):
-        for cs in combinations(range(8), 4):
-            m = linalg.expansion_det([[jac[r][c] for c in cs] for r in rs], one)
-            if not m.is_zero():
-                oracle.append(m)
-    assert sampled is False
-    assert all(type(m) is FPoly and m.p == P for m in minors)
-    assert [m.terms for m in minors] == [m.terms for m in oracle]
+    # jacobian_minors takes all minors of a row set from one expansion over
+    # Z and reduces them; the oracle expands each minor of the Jacobian
+    # over F_p directly, in the same row-set then column-set order
+    for build in (gm_threefold_ideal, gm_fivefold_ideal):
+        for p in (P, 65537):
+            gens = build(p)
+            nvars = gens[0].nvars
+            minors, sampled = jacobian_minors(gens, 4)
+            jac = [[g.derivative(i) for i in range(nvars)] for g in gens]
+            one = FPoly(p, nvars, {(0,) * nvars: 1})
+            oracle = []
+            for rs in combinations(range(len(gens)), 4):
+                for cs in combinations(range(nvars), 4):
+                    m = linalg.expansion_det([[jac[r][c] for c in cs] for r in rs], one)
+                    if not m.is_zero():
+                        oracle.append(m)
+            assert sampled is False
+            assert all(type(m) is FPoly and m.p == p for m in minors)
+            assert [m.terms for m in minors] == [m.terms for m in oracle]
+
+
+def test_first_divisor_table_matches_the_plain_scan():
+    # one table shared by every call while the leads grow by appending, as
+    # in buchberger, gives the plain scan's normal forms term for term
+    p = 101
+    x, y, z = fvars(p, 3)
+    lead_data, divisor = [], {}
+
+    def append(g):
+        g = g.monic()
+        lead_data.append((g.leading_term()[0], list(g.terms.items())))
+
+    def check(f):
+        got = normal_form(f, None, lead_data, divisor)
+        want = normal_form(f, None, lead_data)
+        assert list(got.terms.items()) == list(want.terms.items())
+        # each entry is the first dividing lead, or a miss over a prefix of
+        # the leads that holds no divisor
+        for e, k in divisor.items():
+            first = next((i for i, (le, _) in enumerate(lead_data) if _divides(le, e)), None)
+            assert k == first if k >= 0 else first is None or first >= ~k
+        return got
+
+    # x^2 y misses while z^3 is the only lead, and is hit once xy is appended
+    append(z * z * z)
+    f = x * x * y + z * z
+    assert check(f).terms == f.terms and divisor[(2, 1, 0)] == ~1
+    append(x * y + z * z)
+    assert check(f).terms == (z * z - x * z * z).terms and divisor[(2, 1, 0)] == 1
+    rng = random.Random(7)
+
+    def random_poly(degree):
+        exps = [tuple(rng.randint(0, degree) for _ in range(3)) for _ in range(rng.randint(1, 6))]
+        return FPoly(p, 3, {e: rng.randrange(1, p) for e in exps})
+
+    for _ in range(12):
+        append(random_poly(3))
+        for _ in range(5):
+            check(random_poly(5))
 
 
 def _fixpoint_autoreduce(basis):

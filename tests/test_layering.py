@@ -8,7 +8,7 @@ kernels as oracles.
 epw imports group (for the matrix order), so group imports nothing from
 epw; epw imports nothing from fixtures, so it cannot fall back on the
 transcriptions it is checked against; cyclo is a leaf and imports nothing from the package; the k x k
-minors, the Hermitian test and the matrix helpers (identity, trace,
+minors and the subset expansion (maximal_minors), the Hermitian test and the matrix helpers (identity, trace,
 conjugate transpose, inverse) have one home, linalg; the Kronecker packing
 (_pack, _unpacker) has one home, cyclo; the monomial order has one home,
 poly (grevlex_key), so groebner's heaps cannot drift from it; and
@@ -101,7 +101,10 @@ def _defined_outside(home, names):
 
 
 def test_minors_are_defined_only_in_linalg():
-    defs = _defined_outside("linalg.py", ("_minor", "exterior_power_matrix"))
+    # the subset expansion too: a module with its own expansion loop would
+    # be a second determinant kernel
+    defs = _defined_outside("linalg.py", ("_minor", "exterior_power_matrix", "maximal_minors",
+                                          "expansion_det"))
     assert not defs, "minor helpers outside linalg: " + ", ".join(defs)
 
 

@@ -420,6 +420,44 @@ def test_exterior_power_entries_are_minors_and_compose(data):
         wedge, linalg.exterior_power_matrix(b, k))
 
 
+def _fpoly_det(sub, p):
+    """The determinant over F_p of a matrix of FPolys, taken by the
+    polynomial Bareiss kernel over Z on the lifts and then reduced."""
+    lifted = [[MultiPoly(x.nvars, x.terms) for x in row] for row in sub]
+    return FPoly.from_int_poly(linalg.bareiss_det(lifted), p)
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_maximal_minors_are_the_column_subset_determinants(data):
+    """Every entry of maximal_minors on an r x n matrix is the determinant
+    of the submatrix on its columns, and a mask missing from it is a zero
+    minor: against linalg.det for ints and Fractions, and against
+    expansion_det and the Bareiss kernel over Z for FPolys."""
+    kind = data.draw(st.sampled_from(["int", "rational", "fpoly"]))
+    n = data.draw(st.integers(1, 6))
+    r = data.draw(st.integers(1, min(4, n)))
+    if kind == "fpoly":
+        p = 7
+        entries = _affine().map(lambda f: FPoly.from_int_poly(f, p))
+        one = FPoly(p, 3, {(0, 0, 0): 1})
+    else:
+        entries = st.integers(-5, 5) if kind == "int" else _RATIONAL
+        one = 1
+    m = data.draw(_matrix(entries, r, n))
+    minors = linalg.maximal_minors(m, one)
+    col_sets = list(combinations(range(n), r))
+    masks = [sum(1 << c for c in cols) for cols in col_sets]
+    assert set(minors) <= set(masks)
+    for cols, mask in zip(col_sets, masks):
+        sub = [[row[c] for c in cols] for row in m]
+        got = minors.get(mask, one - one)
+        if kind == "fpoly":
+            assert got.terms == linalg.expansion_det(sub, one).terms == _fpoly_det(sub, p).terms
+        else:
+            assert got == linalg.det(sub)
+
+
 # -- the simplex interpolation route against the polynomial Bareiss route ---
 
 
