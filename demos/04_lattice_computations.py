@@ -4,7 +4,7 @@ The degree-2 cohomology of the associated fourfold carries quadratic
 lattices whose discriminant groups control gluing and uniqueness
 arguments.  Everything here is exact integer linear algebra: Smith
 normal forms, finite quadratic forms, and complete short-vector
-enumeration with a rational Cholesky decomposition.
+enumeration (Fincke-Pohst) on the integer rows of an exact LDL^T.
 """
 
 from fractions import Fraction

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import epw, fixtures, group, hermitian, lattices, linalg, verify
@@ -275,17 +276,19 @@ def cmd_stratum(args):
 def cmd_lattice(args):
     lat = lattices.parse_lattice_spec(args.spec)
     disc = lattices.disc_group(lat)
+    det, sig = lat.det(), lat.signature()
+    form = [[frac_str(x) for x in row] for row in disc.gram]
     payload = {
         "rank": lat.rank,
-        "determinant": str(lat.det()),
-        "signature": list(lat.signature()),
+        "determinant": str(det),
+        "signature": list(sig),
         "discriminant-orders": list(disc.orders),
-        "discriminant-form": [[frac_str(x) for x in row] for row in disc.gram],
+        "discriminant-form": form,
     }
     text = [
-        f"rank {lat.rank}, determinant {lat.det()}, signature {lat.signature()}",
+        f"rank {lat.rank}, determinant {det}, signature {sig}",
         f"discriminant group orders {list(disc.orders)}",
-        f"discriminant form {[[frac_str(x) for x in row] for row in disc.gram]}",
+        f"discriminant form {form}",
     ]
     if args.short_vectors is not None:
         vecs = lattices.short_vectors(lat, args.short_vectors)
@@ -293,11 +296,8 @@ def cmd_lattice(args):
             {"vector": list(v), "norm": n} for v, n in vecs
         ]
         text.append(f"{len(vecs)} vectors with |norm| <= {args.short_vectors}")
-        by_norm = {}
-        for _, n in vecs:
-            by_norm[n] = by_norm.get(n, 0) + 1
-        for n in sorted(by_norm):
-            text.append(f"  norm {n}: {by_norm[n]}")
+        by_norm = Counter(n for _, n in vecs)
+        text += [f"  norm {n}: {by_norm[n]}" for n in sorted(by_norm)]
     _emit(args, payload, text)
     return 0
 

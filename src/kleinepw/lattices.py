@@ -4,9 +4,11 @@ A lattice is a nondegenerate symmetric integer Gram matrix.  Its
 discriminant group is the cokernel of the Gram matrix, computed through
 the Smith normal form, and carries a Q/2Z-valued quadratic form (the
 lattices used here are all even).  Short vectors of definite lattices
-are enumerated completely with an exact rational Cholesky decomposition;
-finite-quadratic-form isometries and isotropic elements are found by
-brute force on groups of order up to the constant MAX_ORDER = 10^4.
+are enumerated completely by Fincke-Pohst on integers, from the
+fraction-free LDL^T of linalg.symmetric_elimination, which also gives
+signatures; finite-quadratic-form isometries and isotropic elements are
+found by brute force on groups of order up to the constant MAX_ORDER =
+10^4.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 from . import linalg
 
@@ -150,9 +152,7 @@ def parse_lattice_spec(spec: str) -> Lattice:
 
 
 def _reduce_mod(x: Fraction, m: int) -> Fraction:
-    x = Fraction(x)
-    k = x / m
-    return x - m * (k.numerator // k.denominator)
+    return Fraction(x) % m
 
 
 class FiniteQuadraticForm:
@@ -172,10 +172,7 @@ class FiniteQuadraticForm:
 
     @property
     def order(self):
-        total = 1
-        for d in self.orders:
-            total *= d
-        return total
+        return prod(self.orders)
 
     def elements(self):
         return product(*(range(d) for d in self.orders))
@@ -214,11 +211,7 @@ class FiniteQuadraticForm:
         """All nonzero x with q(x) = 0 in Q/2Z."""
         if self.order > MAX_ORDER:
             raise ValueError(f"group order {self.order} exceeds cap {MAX_ORDER}")
-        out = []
-        for x in self.elements():
-            if any(x) and self.q(x) == 0:
-                out.append(x)
-        return out
+        return [x for x in self.elements() if any(x) and self.q(x) == 0]
 
     def torsion_subform(self, m):
         """The m-torsion subgroup with its restricted form, generated by
@@ -312,75 +305,53 @@ def disc_group(lat: Lattice) -> FiniteQuadraticForm:
 
 
 # ---------------------------------------------------------------------------
-# short vector enumeration (exact Fincke-Pohst)
+# short vector enumeration (exact Fincke-Pohst on integers)
 # ---------------------------------------------------------------------------
-
-
-def _ldl(gram):
-    """Exact decomposition Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2
-    for a positive definite rational Gram matrix."""
-    n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    l = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = q[i][i]
-        if d[i] <= 0:
-            raise ValueError("matrix not positive definite")
-        for j in range(i + 1, n):
-            l[i][j] = q[i][j] / d[i]
-        for r in range(i + 1, n):
-            for s in range(r, n):
-                q[r][s] -= d[i] * l[i][r] * l[i][s]
-                q[s][r] = q[r][s]
-    return d, l
-
-
-def _floor_sqrt(fr: Fraction) -> int:
-    if fr < 0:
-        raise ValueError("negative radicand")
-    return isqrt(fr.numerator * fr.denominator) // fr.denominator
 
 
 def short_vectors(lat: Lattice, bound: int):
     """All nonzero vectors with |norm| <= bound in a definite lattice,
     as a deterministically ordered list of (vector, norm); complete
     enumeration, closed under negation."""
-    pos, neg = lat.signature()
-    if pos and neg:
+    rows, minors = linalg.symmetric_elimination(lat.gram)
+    scales = [a * b for a, b in zip(minors, minors[1:])]  # signed like the pivots
+    if any(c > 0 for c in scales) and any(c < 0 for c in scales):
         raise ValueError("short-vector enumeration needs a definite lattice")
-    sign = 1 if neg == 0 else -1
-    gram = [[sign * x for x in row] for row in lat.gram]
-    n = lat.rank
-    d, l = _ldl(gram)
+    sign = -1 if scales and scales[0] < 0 else 1
+    # |norm(x)| = sum_k y_k^2 / |D_k D_(k+1)| with y_k = rows[k] . x, so on
+    # the budget bound * common level k has an integer weight, and
+    # +-y_k = p x_k + t with p > 0, t summed over the terms (j, c), j > k
+    common = lcm(*scales)
+    levels = []
+    for k, (row, c) in enumerate(zip(rows, scales)):
+        s = 1 if row[k] > 0 else -1
+        levels.append((s * row[k], [(j, s * v) for j, v in enumerate(row) if j > k and v],
+                       common // abs(c)))
     out = []
-    x = [0] * n
-    bound_f = Fraction(bound)
+    x = [0] * lat.rank
+    budget = bound * common
 
-    def recurse(i, remaining):
-        if i < 0:
+    def recurse(k, remaining):
+        if k < 0:
             if any(x):
-                used = bound_f - remaining
-                if used.denominator != 1:
-                    raise ArithmeticError(f"non-integer norm {used}")
-                out.append((tuple(x), sign * int(used)))
+                used = budget - remaining
+                if used % common:
+                    raise ArithmeticError(f"non-integer norm {Fraction(used, common)}")
+                out.append((tuple(x), sign * (used // common)))
             return
-        center = sum(l[i][j] * x[j] for j in range(i + 1, n))
-        radius = remaining / d[i]
-        root = _floor_sqrt(radius)
-        lo = -center - root - 1
-        lo_int = lo.numerator // lo.denominator
-        hi = -center + root + 1
-        hi_int = hi.numerator // hi.denominator + 1
-        for xi in range(lo_int, hi_int + 1):
-            diff = xi + center
-            used = d[i] * diff * diff
-            if used <= remaining:
-                x[i] = xi
-                recurse(i - 1, remaining - used)
-        x[i] = 0
+        p, terms, w = levels[k]
+        t = 0
+        for j, c in terms:
+            t += c * x[j]
+        r = isqrt(remaining // w)
+        # exactly the x_k with (p x_k + t)^2 <= remaining / w
+        for xk in range(-((r + t) // p), (r - t) // p + 1):
+            y = p * xk + t
+            x[k] = xk
+            recurse(k - 1, remaining - w * y * y)
+        x[k] = 0
 
-    recurse(n - 1, bound_f)
+    recurse(lat.rank - 1, budget)
     out.sort()
     return out
 

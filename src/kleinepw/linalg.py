@@ -19,7 +19,9 @@ F_p) maximal_minors expands along column subsets instead: one expansion of
 an r x n matrix gives all of its r x r minors, and expansion_det is its
 square case.  rref gives the full reduction that kernel_basis needs;
 kernel_basis and int_kernel_basis both return lists of basis row vectors,
-and inverse reduces [m | I].
+and inverse reduces [m | I].  symmetric_elimination is the exact LDL^T of
+a symmetric integer matrix, kept fraction-free; symmetric_signature reads
+the signature off its pivots.
 identity, trace, conj_transpose and inverse are the package's one family
 of matrix helpers; is_hermitian is the one conjugate-symmetry test, for
 entries with conj() (CycloNum or QuadInt).
@@ -511,17 +513,44 @@ def descartes_positive_roots(coeffs):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def symmetric_elimination(gram):
+    """(rows, minors): the exact LDL^T of a nondegenerate symmetric integer
+    matrix, fraction-free (symmetric Bareiss).  minors[k] is the leading
+    principal minor D_k (D_0 = 1); rows[k] is zero before column k and
+    rows[k][k] = D_(k+1), so that x^T gram x = sum_k (rows[k] . x)^2 /
+    (D_k D_(k+1)), the pivots being D_(k+1)/D_k.  A zero diagonal entry is
+    first made nonzero by a congruence pivot, adding +-(row and column j)
+    to row and column k; the pivot signs still give the signature
+    (Sylvester), but the rows then describe the transformed form.  A
+    definite matrix never needs one.  ValueError on a degenerate matrix."""
+    a = [list(row) for row in gram]
+    n = len(a)
+    minors = [1]
+    rows = []
+    for k in range(n):
+        if not a[k][k]:
+            j = next((j for j in range(k + 1, n) if a[k][j]), None)
+            if j is None:
+                raise ValueError("degenerate symmetric matrix")
+            # the new entry 2 t a_kj + a_jj is nonzero for t = 1 or t = -1
+            t = 1 if a[j][j] + 2 * a[k][j] else -1
+            a[k] = [x + t * y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += t * row[j]
+        ak, piv, prev = a[k], a[k][k], minors[-1]
+        for i in range(k + 1, n):
+            ai, f = a[i], ak[i]
+            for j in range(i, n):
+                ai[j] = a[j][i] = (piv * ai[j] - f * ak[j]) // prev
+        rows.append([0] * k + ak[k:])
+        minors.append(piv)
+    return rows, minors
+
+
 def symmetric_signature(gram):
-    """(positives, negatives) for a nondegenerate symmetric integer matrix,
-    via Descartes' rule on the characteristic polynomial (all roots of a
-    symmetric matrix are real, so the rule is exact)."""
-    n = len(gram)
-    cp = char_poly(gram)
-    if not cp[0]:
-        raise ValueError("degenerate symmetric matrix")
-    pos = descartes_positive_roots(cp)
-    neg_poly = [c if i % 2 == 0 else -c for i, c in enumerate(cp)]
-    neg = descartes_positive_roots(neg_poly)
-    if pos + neg != n:
-        raise ArithmeticError(f"signature {(pos, neg)} does not add up to rank {n}")
-    return pos, neg
+    """(positives, negatives) for a nondegenerate symmetric integer matrix:
+    the signs of the pivots D_(k+1)/D_k of symmetric_elimination, exact by
+    Sylvester's law of inertia."""
+    _, minors = symmetric_elimination(gram)
+    pos = sum(1 for a, b in zip(minors, minors[1:]) if (a > 0) == (b > 0))
+    return pos, len(minors) - 1 - pos

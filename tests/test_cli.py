@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from kleinepw.textform import parse_polynomial
 
 # the shipped ideal files
 DATA = Path(__file__).resolve().parent.parent / "src" / "kleinepw" / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -169,6 +171,19 @@ def test_lattice_command(capsys):
         {"vector": [-1, 0], "norm": 2},
         {"vector": [1, 0], "norm": 2},
     ]
+
+
+def test_readme_examples_run(capsys):
+    # every klein-epw line of the README's command blocks, but verify and
+    # groebner, which the acceptance gate runs
+    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("klein-epw ")]
+    examples = [argv for argv in commands if argv[0] not in ("verify", "groebner")]
+    assert len(examples) >= 6
+    for argv in examples:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_hermitian_command(capsys):

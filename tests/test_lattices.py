@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import floor, isqrt
 
 import pytest
 
@@ -129,6 +130,98 @@ def test_short_vectors_bounds_and_box_oracle():
             if (x, y) != (0, 0) and n <= 12:
                 box.append(((x, y), n))
     assert sorted(box) == vecs
+
+
+def _fraction_short_vectors(gram, bound):
+    """Fincke-Pohst on Fractions over an exact rational LDL^T: the route
+    that the integer enumeration replaced, kept as its oracle.  gram must
+    be definite."""
+    sign = 1 if gram[0][0] > 0 else -1
+    n = len(gram)
+    q = [[Fraction(sign * x) for x in row] for row in gram]
+    d = [Fraction(0)] * n
+    l = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = q[i][i]
+        assert d[i] > 0
+        for j in range(i + 1, n):
+            l[i][j] = q[i][j] / d[i]
+        for r in range(i + 1, n):
+            for s in range(r, n):
+                q[r][s] -= d[i] * l[i][r] * l[i][s]
+                q[s][r] = q[r][s]
+    out = []
+    x = [0] * n
+
+    def recurse(i, remaining):
+        if i < 0:
+            if any(x):
+                used = bound - remaining
+                assert used.denominator == 1
+                out.append((tuple(x), sign * int(used)))
+            return
+        center = sum(l[i][j] * x[j] for j in range(i + 1, n))
+        radius = remaining / d[i]
+        root = isqrt(radius.numerator * radius.denominator) // radius.denominator
+        for xi in range(floor(-center - root - 1), floor(-center + root + 1) + 2):
+            used = d[i] * (xi + center) ** 2
+            if used <= remaining:
+                x[i] = xi
+                recurse(i - 1, remaining - used)
+        x[i] = 0
+
+    recurse(n - 1, Fraction(bound))
+    out.sort()
+    return out
+
+
+def _definite_summand(rng, kind, sign):
+    """A rank-1 form, or a definite JSON Gram matrix of size 2 or 3."""
+    if kind == "rank1":
+        return lat.rank1(sign * rng.randint(1, 6))
+    n = 2 if kind == "json2" else 3
+    while True:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = rng.randint(1, 6)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-2, 2)
+        if all(linalg.det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1)):
+            return lat.parse_lattice_spec(str([[sign * v for v in row] for row in g]))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("kind", ["rank1", "json2", "json3"])
+def test_integer_enumeration_matches_fraction_route(sign, kind):
+    # seeded definite sums, E8 first and last; the list must agree element
+    # for element and in order
+    rng = random.Random(f"{sign}{kind}")
+
+    def summand(k=kind):
+        return _definite_summand(rng, k, sign)
+
+    e8 = lat.e8(sign)
+    cases = [(lat.direct_sum(e8, summand()), rng.randint(2, 5)),
+             (lat.direct_sum(summand(), e8), rng.randint(2, 5)),
+             (lat.direct_sum(summand("rank1"), summand(), summand("json2")), rng.randint(2, 8)),
+             (lat.direct_sum(summand(), summand("rank1")), 8)]
+    for m, bound in cases:
+        assert lat.short_vectors(m, bound) == _fraction_short_vectors(m.gram, bound)
+
+
+@pytest.mark.parametrize("diag, bound", [((4, 4, 6, 8), 200), ((4, 4, 4, 6, 8), 100)])
+def test_integer_enumeration_on_the_representability_forms(diag, bound):
+    n = len(diag)
+    for sign in (1, -1):
+        m = lat.Lattice([[sign * diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        assert lat.short_vectors(m, bound) == _fraction_short_vectors(m.gram, bound)
+
+
+def test_short_vectors_rejects_indefinite():
+    # U, U + E8 and E8 + U need the congruence pivot; (2) + (-3) does not
+    for spec in ("U", "U+E8", "E8+U", "(2)+(-3)"):
+        with pytest.raises(ValueError, match="needs a definite lattice"):
+            lat.short_vectors(lat.parse_lattice_spec(spec), 2)
 
 
 def test_norm2_complement():

@@ -9,7 +9,8 @@ epw imports group (for the matrix order), so group imports nothing from
 epw; epw imports nothing from fixtures, so it cannot fall back on the
 transcriptions it is checked against; cyclo is a leaf and imports nothing from the package; the k x k
 minors and the subset expansion (maximal_minors), the Hermitian test and the matrix helpers (identity, trace,
-conjugate transpose, inverse) have one home, linalg; the Kronecker packing
+conjugate transpose, inverse) and the exact symmetric elimination (the
+LDL^T behind signatures and short vectors) have one home, linalg; the Kronecker packing
 (_pack, _unpacker) has one home, cyclo; the monomial order has one home,
 poly (grevlex_key), so groebner's heaps cannot drift from it; and
 groebner has one builder of Pluecker relations.
@@ -106,6 +107,15 @@ def test_minors_are_defined_only_in_linalg():
     defs = _defined_outside("linalg.py", ("_minor", "exterior_power_matrix", "maximal_minors",
                                           "expansion_det"))
     assert not defs, "minor helpers outside linalg: " + ", ".join(defs)
+
+
+def test_symmetric_elimination_is_defined_only_in_linalg():
+    # lattices once kept its own rational LDL^T (_ldl, _floor_sqrt) beside
+    # linalg's signature: two kernels for one decomposition
+    names = ("symmetric_elimination", "symmetric_signature", "_ldl", "_floor_sqrt")
+    defs = _defined_outside("linalg.py", names)
+    assert not defs, "symmetric elimination outside linalg: " + ", ".join(defs)
+    assert "symmetric_elimination" in _function_names(PACKAGE / "linalg.py")
 
 
 def test_packing_is_defined_only_in_cyclo():

@@ -133,6 +133,37 @@ def test_signature():
     assert linalg.symmetric_signature([list(r) for r in lattices.e8(-1).gram]) == (0, 8)
 
 
+def test_congruence_pivot():
+    # a zero diagonal entry takes a congruence pivot, +-(row and column j)
+    # added to row and column k; for [[0, 1], [1, -2]] adding gives 0 again
+    # and the pivot must subtract
+    assert linalg.symmetric_signature([[0, 1], [1, -2]]) == (1, 1)
+    assert linalg.symmetric_signature([[0, 1, 0], [1, -2, 0], [0, 0, 3]]) == (2, 1)
+    assert linalg.symmetric_signature([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == (1, 2)
+    assert linalg.symmetric_signature([[1, 0, 0], [0, 0, 2], [0, 2, 0]]) == (2, 1)
+    for degenerate in ([[1, 2], [2, 4]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="degenerate"):
+            linalg.symmetric_signature(degenerate)
+
+
+def test_symmetric_elimination_is_an_ldlt():
+    # on a definite form no pivot step runs, so the rows decompose the form
+    # itself: x^T G x = sum_k (rows[k] . x)^2 / (D_k D_(k+1))
+    from kleinepw import lattices
+
+    rng = random.Random(4)
+    for spec in ("E8(-1)+(-2)", "[[2,1,0],[1,4,1],[0,1,6]]", "E8+(3)+(5)"):
+        lat = lattices.parse_lattice_spec(spec)
+        rows, minors = linalg.symmetric_elimination(lat.gram)
+        assert minors[-1] == lat.det()
+        assert all(row[k] == minors[k + 1] and not any(row[:k]) for k, row in enumerate(rows))
+        for _ in range(10):
+            x = [rng.randint(-3, 3) for _ in range(lat.rank)]
+            form = sum(Fraction(sum(r * v for r, v in zip(row, x)) ** 2, a * b)
+                       for row, a, b in zip(rows, minors, minors[1:]))
+            assert form == lat.inner(x, x)
+
+
 def rand_linear_multipoly(rng, nvars):
     """Random affine-linear integer polynomial, zero about a quarter of the time."""
     if rng.random() < 0.25:

@@ -391,6 +391,51 @@ def test_rational_rank_matches_field_kernel(m):
         assert linalg.det([row[:n] for row in m]) == _field_det([row[:n] for row in exact])
 
 
+# -- the signature of a symmetric matrix -----------------------------------
+
+
+def _descartes_signature(gram):
+    """(positives, negatives) by Descartes' rule on the Faddeev-LeVerrier
+    characteristic polynomial, exact since a symmetric matrix has real
+    roots: the route that symmetric_signature replaced, kept as its oracle."""
+    cp = linalg.char_poly(gram)
+    pos = linalg.descartes_positive_roots(cp)
+    neg = linalg.descartes_positive_roots([c if i % 2 == 0 else -c for i, c in enumerate(cp)])
+    assert pos + neg == len(gram)
+    return pos, neg
+
+
+@st.composite
+def _symmetric(draw):
+    """A symmetric integer matrix of size at most 8 with entries in [-3, 3],
+    often zero on the diagonal, with up to two U = [[0, 1], [1, 0]] summands
+    shuffled into its rows and columns."""
+    planes = draw(st.integers(0, 2))
+    m = draw(st.integers(0 if planes else 1, 8 - 2 * planes))
+    diagonal = st.just(0) if draw(st.booleans()) else st.one_of(st.just(0), st.integers(-3, 3))
+    n = m + 2 * planes
+    g = [[0] * n for _ in range(n)]
+    for i in range(m):
+        g[i][i] = draw(diagonal)
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    for k in range(m, n, 2):
+        g[k][k + 1] = g[k + 1][k] = 1
+    perm = draw(st.permutations(range(n)))
+    return [[g[i][j] for j in perm] for i in perm]
+
+
+@settings(deadline=None, max_examples=200)
+@given(g=_symmetric())
+def test_signature_matches_descartes_oracle(g):
+    assume(linalg.det(g) != 0)
+    assert linalg.symmetric_signature(g) == _descartes_signature(g)
+    # every pivot is nonzero, and the congruence pivots are unimodular, so
+    # the last minor is det g
+    minors = linalg.symmetric_elimination(g)[1]
+    assert all(minors) and minors[-1] == linalg.det(g)
+
+
 # -- the k x k minors of a rectangular matrix ------------------------------
 
 
