@@ -233,7 +233,7 @@ def cmd_char_table(args):
 def cmd_fixed_points(args):
     ctx = verify.VerifyContext()
     label = {11: "c", 5: "a", 6: "b", 3: "b2", 2: "b3"}[args.order]
-    g6 = group._v6_matrix(ctx.table.elements[ctx.labeled[label][0]])
+    g6 = group._v6_matrix(group.class_representative(ctx.generators, label))
     count, found = epw.sextic_fixed_point_count(g6, ctx.lagrangian, ctx.sextic_fixture)
     components = []
     for ev, dim, value in found:

@@ -20,16 +20,21 @@ x0^6 coefficient 1, raising ArithmeticError when the determinant breaks
 them.  dual_rebuild_check also requires the dual action to be the inverse
 transpose.
 
-A stratum or a section dimension takes one rank: the Lagrangian's basis
-and a basis of the other subspace meet in the sum of their lengths less
-the rank of both together.  The module reads no fixtures: callers pass
-the Lagrangian and the sextic.
+A stratum or a section dimension takes one rank.  The Lagrangian's basis
+is brought to reduced echelon form once (rows scaled to integers when
+rational), each row of the other subspace's basis is reduced against it
+fraction-free, and the two meet in the sum of their lengths less the
+Lagrangian's rank and the rank of the reduced rows on the free columns:
+for A one 10 x 10 integer rank, not a 20-row one.  The module reads no
+fixtures: callers pass the Lagrangian and the sextic.
 
 All operations are pure functions over immutable inputs.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, lcm
 
@@ -154,24 +159,60 @@ def span_rank(rows):
 
 def stratum(a_rows, x):
     """Intersection dimension at a point: dim of the Lagrangian (basis
-    a_rows) meeting x ^ (2-vectors), from one rank.  Rejects the zero
-    vector.
+    a_rows) meeting x ^ (2-vectors).  Rejects the zero vector.
 
     x ^ (2-vectors) is the wedge square of V/<x>, of dimension 10 for every
     nonzero x.  With i the first nonzero coordinate of x, the ten rows
     x ^ e_p for the pairs p avoiding i are a basis of it: on the
-    coordinates of the triples {i} u p they are +-x_i, one each."""
+    coordinates of the triples {i} u p they are +-x_i, one each.  The
+    stratum is projective, so a rational x is first multiplied by the lcm
+    of its denominators, and the reduction runs on integers."""
     i = next((k for k, c in enumerate(x) if c), None)
     if i is None:
         raise ValueError("zero vector has no stratum")
+    if not any(isinstance(c, CycloNum) for c in x):
+        den = lcm(*(c.denominator for c in x))
+        x = [int(c * den) for c in x]
     wedge_rows = [wedge_vector_pair(x, p) for p in PAIRS6 if i not in p]
     return trivector_subspace_intersection(a_rows, wedge_rows)
 
 
+@lru_cache(maxsize=16)
+def _echelon(a_rows):
+    """(rank, pivot columns, free columns, scale, tails) of the span of
+    a_rows (a tuple of tuples): its reduced echelon form with every row
+    multiplied by scale, the lcm of the form's denominators when it is
+    rational (1 otherwise), so each row is scale at its own pivot column
+    and 0 at the others; tails holds the rows on the free columns."""
+    red, pivots = linalg.rref(common_field(a_rows))
+    rows = red[:len(pivots)]
+    free = tuple(j for j in range(len(TRIPLES6)) if j not in pivots)
+    scale = 1
+    if all(isinstance(x, Fraction) for row in rows for x in row):
+        scale = lcm(*(x.denominator for row in rows for x in row))
+        rows = [[(x * scale).numerator for x in row] for row in rows]
+    # tuples: the cache hands the same result to every caller
+    tails = tuple(tuple(row[j] for j in free) for row in rows)
+    return len(pivots), tuple(pivots), free, scale, tails
+
+
 def trivector_subspace_intersection(a_rows, w_rows):
-    """dim(span a_rows meet span w_rows) for two bases: the sum of their
-    lengths less the rank of both together."""
-    return len(a_rows) + len(w_rows) - span_rank(list(a_rows) + list(w_rows))
+    """dim(span a_rows meet span w_rows): the sum of the lengths of both
+    row sets less the rank of both together.  a_rows is brought to echelon
+    form once per distinct basis (_echelon); each w-row is reduced against
+    it fraction-free, which clears its pivot columns, and the rank of both
+    is rank(a_rows) plus the rank of the reduced rows on the free columns:
+    a 10 x 10 rank for the Lagrangian."""
+    rank_a, pivots, free, scale, tails = _echelon(tuple(map(tuple, a_rows)))
+    reduced = []
+    for w in w_rows:
+        acc = [scale * w[j] for j in free]
+        for c, tail in zip(pivots, tails):
+            x = w[c]
+            if x:
+                acc = [a - x * t for a, t in zip(acc, tail)]
+        reduced.append(acc)
+    return len(a_rows) - rank_a + len(w_rows) - span_rank(reduced)
 
 
 def gm_dimension(a_rows, covector):

@@ -22,7 +22,9 @@ and conjugacy classes (genuine conjugation orbits) by index, and
 stabilizers come from orbits: each generator permutes the orbit of a
 subspace, and an element's word is walked through those permutations.
 Characters and fixed-point counts are computed from the closure,
-exactly, for an element given by its index in the closure; the identity,
+exactly, for an element given by its index in the closure; CLASS_WORDS
+pins the closure's word of each class's first element, so
+class_representative gives it without the closure; the identity,
 trace, conjugate transpose and inverse are linalg's, and the dual
 representation is the transpose of linalg.inverse.  The group-summed
 invariant Hermitian form is |G| * I, proved from the exact unitarity of
@@ -33,7 +35,7 @@ the tests' oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import cyclo, linalg
 from .cyclo import CycloNum, euler_phi, lambda_embed, sqrt_minus_11
@@ -136,6 +138,24 @@ def mat_mul(a, b):
 
 def mat_key(m):
     return tuple((e.num, e.den) for row in m for e in row)
+
+
+# The closure's breadth-first word, in the generators (a, c, s) = (0, 1, 2),
+# of the smallest-index element of each labeled conjugacy class
+CLASS_WORDS = {
+    "1": (), "a": (0,), "c": (1,), "b3": (2,), "a2": (0, 0), "c2": (1, 1),
+    "b2": (0, 1, 2), "b": (0, 0, 1, 2),
+}
+
+
+def class_representative(gens, label):
+    """The closure's first element of the class with this label, without
+    the closure: the product of its word in CLASS_WORDS, gens being
+    (a, c, s)."""
+    word = CLASS_WORDS[label]
+    if not word:
+        return tuple(map(tuple, linalg.identity(len(gens[0]), _c11(1), _c11(0))))
+    return reduce(mat_mul, (gens[k] for k in word))
 
 
 def projective_key(m):

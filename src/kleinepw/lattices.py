@@ -5,10 +5,11 @@ discriminant group is the cokernel of the Gram matrix, computed through
 the Smith normal form, and carries a Q/2Z-valued quadratic form (the
 lattices used here are all even).  Short vectors of definite lattices
 are enumerated completely by Fincke-Pohst on integers, from the
-fraction-free LDL^T of linalg.symmetric_elimination, which also gives
-signatures; finite-quadratic-form isometries and isotropic elements are
-found by brute force on groups of order up to the constant MAX_ORDER =
-10^4.
+fraction-free LDL^T of linalg.symmetric_elimination; each lattice runs it
+once, and it also gives the determinant (its last leading minor) and the
+signature (the signs of its pivots).  Finite-quadratic-form isometries
+and isotropic elements are found by brute force on groups of order up to
+the constant MAX_ORDER = 10^4.
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ MAX_ORDER = 10**4
 
 
 class Lattice:
-    """Nondegenerate symmetric integer Gram matrix."""
+    """Nondegenerate symmetric integer Gram matrix, with its one exact
+    symmetric elimination (rows, minors): the determinant is the last
+    minor, the signature the signs of the pivots, and short_vectors
+    enumerates on the rows."""
 
-    __slots__ = ("gram",)
+    __slots__ = ("gram", "elimination")
 
     def __init__(self, gram):
         if not all(isinstance(row, (list, tuple)) for row in gram):
@@ -43,8 +47,10 @@ class Lattice:
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        if linalg.det(g) == 0:
-            raise ValueError("degenerate Gram matrix")
+        try:
+            self.elimination = linalg.symmetric_elimination(g)
+        except ValueError:
+            raise ValueError("degenerate Gram matrix") from None
         self.gram = tuple(tuple(row) for row in g)
 
     @property
@@ -52,10 +58,14 @@ class Lattice:
         return len(self.gram)
 
     def det(self):
-        return linalg.det(self.gram)
+        return self.elimination[1][-1]
 
     def signature(self):
-        return linalg.symmetric_signature(self.gram)
+        """(positives, negatives): the signs of the pivots D_(k+1)/D_k,
+        exact by Sylvester's law of inertia."""
+        minors = self.elimination[1]
+        pos = sum(1 for a, b in zip(minors, minors[1:]) if (a > 0) == (b > 0))
+        return pos, self.rank - pos
 
     def inner(self, v, w):
         """The bilinear form v^T G w, for integer or rational vectors."""
@@ -313,7 +323,7 @@ def short_vectors(lat: Lattice, bound: int):
     """All nonzero vectors with |norm| <= bound in a definite lattice,
     as a deterministically ordered list of (vector, norm); complete
     enumeration, closed under negation."""
-    rows, minors = linalg.symmetric_elimination(lat.gram)
+    rows, minors = lat.elimination
     scales = [a * b for a, b in zip(minors, minors[1:])]  # signed like the pivots
     if any(c > 0 for c in scales) and any(c < 0 for c in scales):
         raise ValueError("short-vector enumeration needs a definite lattice")

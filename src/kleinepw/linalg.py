@@ -20,8 +20,8 @@ an r x n matrix gives all of its r x r minors, and expansion_det is its
 square case.  rref gives the full reduction that kernel_basis needs;
 kernel_basis and int_kernel_basis both return lists of basis row vectors,
 and inverse reduces [m | I].  symmetric_elimination is the exact LDL^T of
-a symmetric integer matrix, kept fraction-free; symmetric_signature reads
-the signature off its pivots.
+a symmetric integer matrix, kept fraction-free; its leading minors give
+the determinant and, by their signs, the signature.
 identity, trace, conj_transpose and inverse are the package's one family
 of matrix helpers; is_hermitian is the one conjugate-symmetry test, for
 entries with conj() (CycloNum or QuadInt).
@@ -545,12 +545,3 @@ def symmetric_elimination(gram):
         rows.append([0] * k + ak[k:])
         minors.append(piv)
     return rows, minors
-
-
-def symmetric_signature(gram):
-    """(positives, negatives) for a nondegenerate symmetric integer matrix:
-    the signs of the pivots D_(k+1)/D_k of symmetric_elimination, exact by
-    Sylvester's law of inertia."""
-    _, minors = symmetric_elimination(gram)
-    pos = sum(1 for a, b in zip(minors, minors[1:]) if (a > 0) == (b > 0))
-    return pos, len(minors) - 1 - pos

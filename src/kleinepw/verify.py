@@ -614,7 +614,7 @@ def _fixed_counts(ctx):
         plan += [("b2", 3), ("b", 6)]
     got = {}
     for lab, order in plan:
-        g6 = group._v6_matrix(ctx.table.elements[ctx.labeled[lab][0]])
+        g6 = group._v6_matrix(group.class_representative(ctx.generators, lab))
         count, _ = epw.sextic_fixed_point_count(g6, A, f)
         got[order] = count
         if count != fixtures.SEXTIC_FIXED_COUNTS[order]:

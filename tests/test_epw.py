@@ -309,22 +309,40 @@ def test_order2_line_squarefree(table660, labeled_classes):
             assert pattern == [1] * 6
 
 
-def _stratum_oracle(a_rows, x):
-    """The unscaled three-rank formula on all fifteen rows of x ^ (2-vectors),
-    lifted to one field when x is cyclotomic."""
-    wedge = [epw.wedge_vector_pair(x, p) for p in epw.PAIRS6]
-
+def _three_rank_meet(a_rows, w_rows):
+    """dim(span a_rows meet span w_rows) by the three-rank formula, lifted
+    to one field when an entry is cyclotomic."""
     def rank(rows):
         return linalg.rank(cyclo.common_field(rows))
 
-    return rank(a_rows) + rank(wedge) - rank(list(a_rows) + wedge)
+    return rank(a_rows) + rank(w_rows) - rank(list(a_rows) + list(w_rows))
+
+
+def _stratum_oracle(a_rows, x):
+    """The unscaled three-rank formula on all fifteen rows of x ^ (2-vectors)."""
+    return _three_rank_meet(a_rows, [epw.wedge_vector_pair(x, p) for p in epw.PAIRS6])
+
+
+def _mixed(rows, rng):
+    """rows mixed by a seeded unimodular matrix: a product of elementary
+    row operations, so the same span in a basis that is not echelon."""
+    rows = [list(r) for r in rows]
+    for _ in range(30):
+        i, j = rng.sample(range(len(rows)), 2)
+        t = rng.choice([-2, -1, 1, 2])
+        rows[i] = [x + t * y for x, y in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return rows
 
 
 def test_stratum_of_cyclotomic_eigenvectors_matches_the_unscaled_ranks(
         table660, labeled_classes):
     # the basis vectors of every eigenspace of the non-trivial classes:
-    # cyclotomic points, in every stratum
+    # cyclotomic points, in every stratum, reduced against the Lagrangian's
+    # basis, a non-echelon basis of it and a Fraction one
     a_rows = epw.build_A()
+    bases = [a_rows, _mixed(a_rows, random.Random(23)),
+             [[Fraction(c, 3) for c in row] for row in a_rows]]
     seen = set()
     for label, cls in labeled_classes.items():
         if label == "1":
@@ -332,7 +350,8 @@ def test_stratum_of_cyclotomic_eigenvectors_matches_the_unscaled_ranks(
         for _, kb in epw.fixed_locus(group._v6_matrix(table660.elements[cls[0]])):
             for x in kb:
                 want = _stratum_oracle(a_rows, x)
-                assert epw.stratum(a_rows, x) == want, (label, x)
+                for basis in bases:
+                    assert epw.stratum(basis, x) == want, (label, x)
                 seen.add(want)
     assert seen == {0, 1, 2}
 
@@ -439,3 +458,56 @@ def test_quadric_invariance(generators):
         mt = [list(r) for r in zip(*m)]
         lhs = linalg.mat_mul(linalg.mat_mul(mt, b), m)
         assert linalg.mat_eq(lhs, [[Fraction(x) for x in row] for row in b])
+
+
+def _bases(rng):
+    """The Lagrangian as given, halved (Fractions), mixed by a unimodular
+    matrix (integer and halved), and a random 10-dimensional subspace
+    vanishing on three coordinates, whose echelon form has other pivot
+    columns and denominators."""
+    a = epw.build_A()
+    mixed = _mixed(a, rng)
+    other = [[0 if j in (0, 4, 11) else rng.randint(-3, 3) for j in range(20)]
+             for _ in range(10)]
+    red, pivots = linalg.rref(other)
+    assert pivots != list(range(10)) and len(pivots) == 10
+    assert any(x.denominator > 1 for row in red for x in row)
+    half = [[Fraction(c, 2) for c in row] for row in mixed]
+    return {"A": a, "a_frac": [[Fraction(c, 2) for c in row] for row in a],
+            "mixed": mixed, "mixed_frac": half, "random": other}
+
+
+def test_intersection_route_matches_the_three_rank_formula():
+    rng = random.Random(22)
+    bases = _bases(rng)
+    f = fixtures.sextic_poly()
+    points = [[int(i == k) for i in range(6)] for k in range(6)]
+    points += [[rng.randint(-3, 3) for _ in range(6)] for _ in range(12)]
+    points += [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(6)]
+               for _ in range(8)]
+    # rational multiples of two integer points of the sextic
+    for x in ([0, 0, 2, -1, 2, 2], [1, 0, 1, 1, 1, 1]):
+        t = Fraction(rng.randint(1, 7), rng.randint(2, 5))
+        points.append([t * c for c in x])
+    points = [x for x in points if any(x)]
+    seen = set()
+    for name, a_rows in bases.items():
+        for x in points:
+            want = _stratum_oracle(a_rows, x)
+            assert epw.stratum(a_rows, x) == want, (name, x)
+            seen.add((name, want))
+        for _ in range(6):
+            cov = [rng.randint(-2, 2) for _ in range(6)]
+            if not any(cov):
+                continue
+            w_rows = linalg.exterior_power_matrix(linalg.kernel_basis([cov]), 3)
+            assert epw.gm_dimension(a_rows, cov) == 5 - _three_rank_meet(a_rows, w_rows)
+        # row sets that are not bases: the formula counts their lengths
+        w_rows = [epw.wedge_vector_pair(points[8], p) for p in epw.PAIRS6]
+        w_rows += [list(a_rows[0]), [2 * c for c in a_rows[0]]]
+        want = len(a_rows) + len(w_rows) - linalg.rank(list(a_rows) + w_rows)
+        assert epw.trivector_subspace_intersection(a_rows, w_rows) == want
+        assert epw.trivector_subspace_intersection(a_rows + a_rows[:1], w_rows) == want + 1
+    assert all(f.evaluate(x) == 0 for x in points[-2:])
+    assert {want for name, want in seen if name != "random"} == {0, 1, 2}
+

@@ -265,3 +265,33 @@ def test_inner_is_the_double_sum():
         w = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
         want = sum(v[i] * l.gram[i][j] * w[j] for i in range(n) for j in range(n))
         assert l.inner(v, w) == want == l.inner(w, v)
+
+
+def test_one_elimination_per_lattice(monkeypatch, capsys):
+    # the constructor runs the one symmetric elimination; the determinant,
+    # the signature and the enumerations read it and run no other kernel
+    from kleinepw.cli import main
+
+    l = lat.parse_lattice_spec("E8(-1)+(-2)")
+    want_det = linalg.det(l.gram)
+    calls = []
+    real = linalg.symmetric_elimination
+
+    def counted(gram):
+        calls.append(len(gram))
+        return real(gram)
+
+    def refuse(*args):
+        raise AssertionError("a lattice recomputed its determinant or signature")
+
+    monkeypatch.setattr(linalg, "symmetric_elimination", counted)
+    monkeypatch.setattr(linalg, "det", refuse)
+    assert l.det() == want_det == -2
+    assert l.signature() == (0, 9)
+    assert len(lat.vectors_of_norm(l, -2)) == 242
+    assert lat.short_vectors(l, 2) == lat.short_vectors(l, 2)
+    assert calls == []
+    assert main(["lattice", "--spec", "E8(-1)+(-2)", "--short-vectors", "2"]) == 0
+    assert "determinant -2, signature (0, 9)" in capsys.readouterr().out
+    # one elimination for each summand and one for the sum
+    assert calls == [8, 1, 9]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinepw import linalg
+from kleinepw import lattices, linalg
 from kleinepw.cyclo import CycloNum, QuadInt, euler_phi
 from kleinepw.groebner import FPoly
 from kleinepw.poly import MultiPoly
@@ -92,8 +92,6 @@ def test_snf_examples():
     assert d == [1, 11]
     d, L, R = linalg.smith_normal_form([[22, 0], [0, 22]])
     assert d == [22, 22]
-    from kleinepw import lattices
-
     d, L, R = linalg.smith_normal_form([list(r) for r in lattices.e8(-1).gram])
     assert d == [1] * 8
 
@@ -124,38 +122,40 @@ def test_integer_kernel():
         assert 2 * b[0] + b[1] == 0
 
 
-def test_signature():
-    assert linalg.symmetric_signature([[2, 0], [0, -3]]) == (1, 1)
-    assert linalg.symmetric_signature([[0, 1], [1, 0]]) == (1, 1)
-    assert linalg.symmetric_signature([[2]]) == (1, 0)
-    from kleinepw import lattices
+def _signature(gram):
+    return lattices.Lattice(gram).signature()
 
-    assert linalg.symmetric_signature([list(r) for r in lattices.e8(-1).gram]) == (0, 8)
+
+def test_signature():
+    assert _signature([[2, 0], [0, -3]]) == (1, 1)
+    assert _signature([[0, 1], [1, 0]]) == (1, 1)
+    assert _signature([[2]]) == (1, 0)
+    assert _signature([list(r) for r in lattices.e8(-1).gram]) == (0, 8)
 
 
 def test_congruence_pivot():
     # a zero diagonal entry takes a congruence pivot, +-(row and column j)
     # added to row and column k; for [[0, 1], [1, -2]] adding gives 0 again
     # and the pivot must subtract
-    assert linalg.symmetric_signature([[0, 1], [1, -2]]) == (1, 1)
-    assert linalg.symmetric_signature([[0, 1, 0], [1, -2, 0], [0, 0, 3]]) == (2, 1)
-    assert linalg.symmetric_signature([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == (1, 2)
-    assert linalg.symmetric_signature([[1, 0, 0], [0, 0, 2], [0, 2, 0]]) == (2, 1)
+    assert _signature([[0, 1], [1, -2]]) == (1, 1)
+    assert _signature([[0, 1, 0], [1, -2, 0], [0, 0, 3]]) == (2, 1)
+    assert _signature([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == (1, 2)
+    assert _signature([[1, 0, 0], [0, 0, 2], [0, 2, 0]]) == (2, 1)
     for degenerate in ([[1, 2], [2, 4]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0, 0], [0, 0]]):
         with pytest.raises(ValueError, match="degenerate"):
-            linalg.symmetric_signature(degenerate)
+            linalg.symmetric_elimination(degenerate)
+        with pytest.raises(ValueError, match="degenerate Gram matrix"):
+            lattices.Lattice(degenerate)
 
 
 def test_symmetric_elimination_is_an_ldlt():
     # on a definite form no pivot step runs, so the rows decompose the form
     # itself: x^T G x = sum_k (rows[k] . x)^2 / (D_k D_(k+1))
-    from kleinepw import lattices
-
     rng = random.Random(4)
     for spec in ("E8(-1)+(-2)", "[[2,1,0],[1,4,1],[0,1,6]]", "E8+(3)+(5)"):
         lat = lattices.parse_lattice_spec(spec)
         rows, minors = linalg.symmetric_elimination(lat.gram)
-        assert minors[-1] == lat.det()
+        assert minors[-1] == lat.det() == linalg.det(lat.gram)
         assert all(row[k] == minors[k + 1] and not any(row[:k]) for k, row in enumerate(rows))
         for _ in range(10):
             x = [rng.randint(-3, 3) for _ in range(lat.rank)]
@@ -239,10 +239,10 @@ def test_expansion_det_zero_row_gives_typed_zero(zero, one):
         (linalg.rank, rand_cyclo_matrix(random.Random(6), 3, 4)),
         (linalg.char_poly, [[1, 2, 0], [0, 1, -1], [3, 0, 2]]),
         (linalg.smith_normal_form, [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]),
-        (linalg.symmetric_signature, [[2, 1, 0], [1, -3, 0], [0, 0, 5]]),
+        (linalg.symmetric_elimination, [[2, 1, 0], [1, -3, 0], [0, 0, 5]]),
     ],
     ids=["det-Q", "det-cyclo", "rank-Z", "rank-cyclo", "char_poly", "smith_normal_form",
-         "symmetric_signature"],
+         "symmetric_elimination"],
 )
 def test_tuple_rows_give_the_list_rows_result(fn, m):
     before = [list(row) for row in m]

@@ -11,7 +11,7 @@ from itertools import combinations  # noqa: E402
 from functools import cmp_to_key  # noqa: E402
 from math import gcd, lcm, prod  # noqa: E402
 
-from kleinepw import cyclo, epw, group, linalg  # noqa: E402
+from kleinepw import cyclo, epw, group, lattices, linalg  # noqa: E402
 from kleinepw.cyclo import (  # noqa: E402
     CycloNum, QuadInt, cyclotomic_polynomial, euler_phi, substitute_linear)
 from kleinepw.groebner import FPoly, buchberger, normal_form, projective_empty  # noqa: E402
@@ -397,7 +397,7 @@ def test_rational_rank_matches_field_kernel(m):
 def _descartes_signature(gram):
     """(positives, negatives) by Descartes' rule on the Faddeev-LeVerrier
     characteristic polynomial, exact since a symmetric matrix has real
-    roots: the route that symmetric_signature replaced, kept as its oracle."""
+    roots: the route that the pivot signs replaced, kept as their oracle."""
     cp = linalg.char_poly(gram)
     pos = linalg.descartes_positive_roots(cp)
     neg = linalg.descartes_positive_roots([c if i % 2 == 0 else -c for i, c in enumerate(cp)])
@@ -429,7 +429,7 @@ def _symmetric(draw):
 @given(g=_symmetric())
 def test_signature_matches_descartes_oracle(g):
     assume(linalg.det(g) != 0)
-    assert linalg.symmetric_signature(g) == _descartes_signature(g)
+    assert lattices.Lattice(g).signature() == _descartes_signature(g)
     # every pivot is nonzero, and the congruence pivots are unimodular, so
     # the last minor is det g
     minors = linalg.symmetric_elimination(g)[1]

@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
 
-from kleinepw import verify
+import pytest
+
+from kleinepw import cli, group, verify
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_registry_integrity():
@@ -75,3 +80,37 @@ def test_quadric_invariance_names_the_generator_that_moves_the_quadric(monkeypat
     # with a left out, the first generator the check meets that moves it is s
     ctx.generators = (generators[1], generators[1], generators[2])
     assert _run_check("quadric.invariance", ctx) == (verify.FAIL, {"generator": "s"})
+
+
+@pytest.fixture
+def no_closure(monkeypatch):
+    def refuse(gens):
+        raise AssertionError("the 660-element closure was built")
+
+    monkeypatch.setattr(group, "generate_group", refuse)
+
+
+def test_epw_suite_builds_no_closure(no_closure):
+    ctx = verify.VerifyContext()
+    reports = verify.run_suite("epw", ctx)
+    assert {r.check_id for r in reports} >= {"fixedpoints.sextic-counts",
+                                              "stratum.random-consistency"}
+    assert all(r.verdict == verify.PASS for r in reports), [
+        (r.check_id, r.witness) for r in reports if r.verdict != verify.PASS]
+    assert "table" not in vars(ctx) and "labeled" not in vars(ctx)
+
+
+@pytest.mark.parametrize("order", [2, 3, 5, 6, 11])
+def test_fixed_points_builds_no_closure(no_closure, capsys, order):
+    assert cli.main(["--json", "fixed-points", "--order", str(order)]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"fixed-points-{order}.json").read_text(encoding="utf-8")
+
+
+def test_class_words_are_the_closure_words(generators, table660, labeled_classes):
+    assert set(group.CLASS_WORDS) == set(labeled_classes)
+    for label, cls in labeled_classes.items():
+        rep = cls[0]
+        assert group.CLASS_WORDS[label] == table660.words[rep], label
+        got = group.class_representative(generators, label)
+        assert group.mat_key(got) == group.mat_key(table660.elements[rep]), label
