@@ -114,7 +114,8 @@ def build_parser():
 
     p_str = sub.add_parser("stratum", help="stratum of a rational point")
     p_str.add_argument("--point", required=True,
-                       help="six comma-separated rationals, e.g. 1,0,0,0,0,0")
+                       help="six comma-separated rationals, each an integer, a/b or a "
+                       "decimal, e.g. 1,-2,1/3,0.5,0,0; exponent notation (1e5) is refused")
 
     p_lat = sub.add_parser("lattice", help="discriminant data of a lattice")
     p_lat.add_argument("--spec", required=True,
@@ -256,6 +257,10 @@ def cmd_fixed_points(args):
 
 
 def cmd_stratum(args):
+    # Fraction("1e200000") would build a 200,000-digit integer
+    if "e" in args.point.lower():
+        raise ValueError(f"exponent notation in --point {args.point}: "
+                         "write each coordinate as an integer, a/b or a decimal")
     try:
         coords = [Fraction(part) for part in args.point.split(",")]
     except ZeroDivisionError:

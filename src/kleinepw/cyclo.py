@@ -32,8 +32,10 @@ entry, with one packed kernel: each entry is packed into one integer
 (Kronecker substitution) and each output entry reduced and normalized
 once.  mat_mul applies it to CycloNum matrices; right_multiplier(h, n)
 keeps a fixed right factor h scaled, and packed per radix, for many left
-factors, and takes a monomial h with root-of-unity scalars as a rotation
-of coordinates instead; matrix_of builds CycloNums on normalized
+factors, and takes a monomial h with root-of-unity scalars (one whose
+unit_columns exist) as a rotation of coordinates instead;
+left_monomial_product multiplies by such an h on the left, permuting rows
+and rotating coordinates; matrix_of builds CycloNums on normalized
 coordinates without copying them.  substitute_linear substitutes linear
 forms with packed entries into a rational polynomial the same way.
 None of them runs CycloNum.__mul__.  The module imports nothing from the
@@ -413,7 +415,7 @@ def _field(*matrices):
     return n
 
 
-def _coords(m, n):
+def coordinates(m, n):
     """Row-major (num, den) coordinates of a matrix of CycloNum, int or
     Fraction entries in the conductor-n field."""
     return tuple((x.num, x.den) for row in m for x in (_coerce(e, n).lift(n) for e in row))
@@ -489,11 +491,11 @@ def _factor(coords, cols):
     return [ints[j::cols] for j in range(cols)], den, top, {}
 
 
-def _unit_columns(coords, n, cols):
-    """(row, sign, s) for each leading column of a matrix with cols
-    columns, given by its coordinates, whose one nonzero entry is
-    sign * z^s: one per column exactly when the matrix is monomial with
-    root-of-unity scalars."""
+def unit_columns(coords, n, cols):
+    """(row, sign, s) for each column of a matrix with cols columns, given
+    by its coordinates in the conductor-n field, whose one nonzero entry is
+    sign * z^s; None unless the matrix is monomial with root-of-unity
+    scalars (or their negatives)."""
     units = {}  # coordinates -> (sign, s), + first where -z^s is a power too
     for sign in (1, -1):
         for s, vec in enumerate(_zeta_power_table(n)):
@@ -502,34 +504,49 @@ def _unit_columns(coords, n, cols):
     for j in range(cols):
         column = [(i, e) for i, e in enumerate(coords[j::cols]) if any(e[0])]
         if len(column) != 1:
-            break
+            return None
         i, (num, den) = column[0]
         if den != 1 or num not in units:
-            break
+            return None
         out.append((i, *units[num]))
     return out
+
+
+@lru_cache(maxsize=4096)
+def _unit_times(entry, sign, shift, n, phi):
+    """sign * z^shift times one normalized entry: its coefficients shifted
+    up by shift, reduced, and signed.  z is a unit of Z[z], whose Z-basis
+    the power basis is, so the coefficients keep their gcd: the entry stays
+    normalized over its own denominator, with no gcd taken.  Memoized: the
+    660 elements of the group have 67 distinct entries, so a closure
+    reduces few of them and its keys share their entry tuples."""
+    if shift == 0 and sign == 1:
+        return entry
+    num, den = entry
+    rotated = _reduce((0,) * shift + num, n, phi)
+    return (tuple(rotated) if sign == 1 else tuple(-c for c in rotated), den)
 
 
 def _monomial_product(n, g, k, columns):
     """The coordinates of g h, for row-major coordinates g of an r x k
     matrix and a monomial h with root-of-unity scalars, given by its
-    _unit_columns: column j of g h is column i of g times sign * z^s,
-    the coefficients shifted up by s, reduced, and signed."""
+    unit_columns: column j of g h is column i of g times sign * z^s."""
     phi = euler_phi(n)
-    out = []
-    for r in range(0, len(g), k):
-        row = g[r:r + k]
-        for i, sign, shift in columns:
-            num, den = row[i]
-            if shift == 0 and sign == 1:
-                out.append(row[i])
-                continue
-            # z is a unit of Z[z], whose Z-basis the power basis is, so the
-            # coefficients keep their gcd: the entry stays normalized over
-            # its own denominator, with no gcd taken
-            rotated = _reduce((0,) * shift + num, n, phi)
-            out.append((tuple(rotated) if sign == 1 else tuple(-c for c in rotated), den))
-    return tuple(out)
+    return tuple(_unit_times(g[r + i], sign, shift, n, phi)
+                 for r in range(0, len(g), k) for i, sign, shift in columns)
+
+
+def left_monomial_product(n, columns, g, cols):
+    """The coordinates of h g, for a monomial h with root-of-unity scalars,
+    given by its unit_columns, and row-major coordinates g of a matrix with
+    cols columns: where column j of h holds sign * z^s in row i, row i of
+    h g is row j of g times sign * z^s.  It permutes rows and rotates
+    coordinates, as _monomial_product does columns."""
+    phi = euler_phi(n)
+    rows = [None] * len(columns)
+    for j, (i, sign, shift) in enumerate(columns):
+        rows[i] = [_unit_times(e, sign, shift, n, phi) for e in g[j * cols:(j + 1) * cols]]
+    return tuple(e for row in rows for e in row)
 
 
 def right_multiplier(h, n):
@@ -538,13 +555,13 @@ def right_multiplier(h, n):
     coordinates of r x k matrices over the conductor-n field, normalized as
     CycloNum keeps them; it returns the product's coordinates in the same
     form.  A monomial h whose scalars are roots of unity or their
-    negatives permutes and rotates coordinates (_monomial_product); any
-    other h is scaled once, and the packed kernel _packed_product packs
-    its columns once for each radix it meets."""
-    coords = _coords(h, n)
+    negatives (unit_columns is not None) permutes and rotates coordinates
+    (_monomial_product); any other h is scaled once, and the packed kernel
+    _packed_product packs its columns once for each radix it meets."""
+    coords = coordinates(h, n)
     k, c = len(h), len(h[0])
-    columns = _unit_columns(coords, n, c)
-    if len(columns) == c:
+    columns = unit_columns(coords, n, c)
+    if columns is not None:
         return lambda g: _monomial_product(n, g, k, columns)
     factor = _factor(coords, c)
     return lambda g: _packed_product(n, g, factor)
@@ -563,7 +580,7 @@ def mat_mul(a, b):
     in the lcm of their conductors: the packed kernel _packed_product on
     their coordinates, each output entry built once."""
     n, c = _field(a, b), len(b[0])
-    return matrix_of(n, _packed_product(n, _coords(a, n), _factor(_coords(b, n), c)), c)
+    return matrix_of(n, _packed_product(n, coordinates(a, n), _factor(coordinates(b, n), c)), c)
 
 
 def _keyed_product(a, b):
@@ -598,7 +615,7 @@ def substitute_linear(terms, rows):
         raise ValueError("need one row per variable")
     n = _field(rows)
     phi = euler_phi(n)
-    flat, den, _ = _scale(_coords(rows, n))
+    flat, den, _ = _scale(coordinates(rows, n))
     ints = [flat[i * nout:(i + 1) * nout] for i in range(nvars)]
     deg = max(map(sum, terms), default=0)
     fden = lcm(*(Fraction(c).denominator for c in terms.values()))

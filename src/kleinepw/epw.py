@@ -383,7 +383,12 @@ def sextic_via_interpolation():
 
 
 def restrict_to_line(f, p, q):
-    """Binary form g(s, t) = f(s p + t q); rejects dependent points."""
+    """Binary form g(s, t) = f(s p + t q); rejects dependent points.
+
+    It stays on MultiPoly.substitute rather than cyclo.substitute_linear:
+    that kernel returns CycloNum coefficients even for a rational line,
+    which dehomogenize and the squarefree decomposition after it would
+    then have to convert back to rationals."""
     if span_rank([list(p), list(q)]) != 2:
         raise ValueError("line needs two independent points")
     return f.substitute(linear_forms(list(zip(p, q))))

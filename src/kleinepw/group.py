@@ -10,19 +10,27 @@ z^(x*y) - z^(-x*y) with x, y running over the quadratic residues
 ordered to match the diagonal generator, normalized by a square root of
 -11 so the determinant is exactly 1.
 
-All 660 elements are generated by breadth-first closure on integer
-coordinates, the mat_key of each matrix, which is its canonical hash
-key.  Each generator's right product is a cyclo.right_multiplier: for a
-monomial generator with root-of-unity scalars a column permutation and a
-rotation of coefficients, for the Weil generator the packed kernel with
-the generator scaled and packed once.  An element's CycloNum matrix is
-built once, when the closure first meets it.  The closure's
+All 660 elements are generated on integer coordinates, the mat_key of
+each matrix, which is its canonical hash key, by the right cosets of the
+subgroup H = <a, c> of order 55 (Holt, Eick & O'Brien, Handbook of
+Computational Group Theory, 2005, section 4.1).  Each generator's right
+product is a cyclo.right_multiplier: for a monomial generator with
+root-of-unity scalars a column permutation and a rotation of
+coefficients, for the Weil generator the packed kernel with the
+generator scaled and packed once.  H is closed breadth-first; only the
+12 coset representatives take right products, and the 55 keys of a new
+coset are left monomial products, rows permuted and coefficients
+rotated.  H's own table gives every coset's right table, and one integer
+breadth-first walk from the identity relabels the elements in the order
+of a breadth-first closure on the whole group.  An element's CycloNum
+matrix is built once, at the end.  The closure's
 multiplication table by the generators gives products, squares, orders
 and conjugacy classes (genuine conjugation orbits) by index, and
 stabilizers come from orbits: each generator permutes the orbit of a
 subspace, and an element's word is walked through those permutations.
 Characters and fixed-point counts are computed from the closure,
-exactly, for an element given by its index in the closure; CLASS_WORDS
+exactly, for an element given by its index in the closure, the wedge
+square's from the sum of principal 2 x 2 minors; CLASS_WORDS
 pins the closure's word of each class's first element, so
 class_representative gives it without the closure; the identity,
 trace, conjugate transpose and inverse are linalg's, and the dual
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import count
 
 from . import cyclo, linalg
 from .cyclo import CycloNum, euler_phi, lambda_embed, sqrt_minus_11
@@ -158,14 +167,6 @@ def class_representative(gens, label):
     return reduce(mat_mul, (gens[k] for k in word))
 
 
-def projective_key(m):
-    """Canonical key of the projective class: scale so the first nonzero
-    entry is 1."""
-    lead = next(e for row in m for e in row if not e.is_zero())
-    inv = lead.inverse()
-    return tuple((x.num, x.den) for row in m for e in row for x in (inv * e,))
-
-
 def mat_is_scalar(m):
     """Zero off the diagonal and one value on it."""
     lead = m[0][0]
@@ -193,41 +194,98 @@ def mat_order(m):
 # ---------------------------------------------------------------------------
 
 
+def _breadth_first(start, maps):
+    """Breadth-first closure of the key start under the maps, aborting past
+    CLOSURE_CAP: the keys in index order, the table right[i][k], the index
+    of maps[k](keys[i]), and words[i], the map indices that take start to
+    keys[i].  A key is any hashable: mat_key coordinates, or a position."""
+    keys, index, words, right = [start], {start: 0}, [()], []
+    # keys grows while it is walked: breadth-first order is index order
+    for i, g in enumerate(keys):
+        row = []
+        for k, times in enumerate(maps):
+            key = times(g)
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(keys)
+                keys.append(key)
+                words.append(words[i] + (k,))
+                if len(keys) > CLOSURE_CAP:
+                    raise ClosureExceeded(f"closure exceeded cap {CLOSURE_CAP}")
+            row.append(j)
+        right.append(tuple(row))
+    return keys, right, words
+
+
 def generate_group(gens):
     """Breadth-first closure under multiplication with canonical hashing;
     aborts past CLOSURE_CAP (closure exceeding it means a mis-normalized
     generator).  Records right[i][k], the index of elements[i] * gens[k],
     and words[i], the generator indices whose product is elements[i].
 
-    The closure runs on mat_key coordinates in the conductor-11 field,
-    each right product by cyclo.right_multiplier, and builds the CycloNum
-    matrix of an element once, when it is first met, on its key's own
-    coefficient tuples."""
+    The closure runs on mat_key coordinates in the conductor-11 field, by
+    the right cosets H t of the subgroup H generated by the monomial
+    generators (those with unit_columns, which cyclo.right_multiplier
+    rotates instead of multiplying).  H is closed breadth-first.  Each
+    coset representative t takes one right product t g_k per generator;
+    a product x outside the cosets met so far starts a new coset, whose
+    keys h x are left monomial products.  As (h t) g_k = h (t g_k) =
+    (h h') t' when t g_k = h' t', the right table of every coset comes
+    from its representative's row and H's own table.  One breadth-first
+    walk on positions from the identity then relabels the elements, so
+    the order, the words and the right table are those of the
+    breadth-first closure on all of the group.  The CycloNum matrix of
+    each element is built once, on its key's own coefficient tuples."""
     if not gens:
         raise ValueError("need at least one generator")
     ident = tuple(map(tuple, linalg.identity(len(gens[0]), _c11(1), _c11(0))))
     size = len(ident)
-    keys = [mat_key(ident)]
-    elements = [ident]
-    index = {keys[0]: 0}
-    words = [()]
-    right = []
     products = [cyclo.right_multiplier(h, CONDUCTOR) for h in gens]
-    # keys grows while it is walked: breadth-first order is index order
-    for i, g in enumerate(keys):
+    monomial = [times for h, times in zip(gens, products) if cyclo.unit_columns(
+        cyclo.coordinates(h, CONDUCTOR), CONDUCTOR, len(h[0])) is not None]
+    h_keys, h_right, h_words = _breadth_first(mat_key(ident), monomial)
+    h_units = [cyclo.unit_columns(key, CONDUCTOR, size) for key in h_keys]
+    order = len(h_keys)
+
+    @lru_cache(maxsize=None)
+    def times_h(h2):
+        """The index in H of h h2 for each h: h2's word walked from h."""
+        return [reduce(lambda x, k: h_right[x][k], h_words[h2], h) for h in range(order)]
+
+    # keys[c * order + h] is h t_c for the coset representative t_c
+    keys = list(h_keys)
+    index = {key: e for e, key in enumerate(keys)}
+    cosets = []  # cosets[c][k] = (c2, h2) with t_c g_k = h2 t_c2
+    # keys grows while its coset representatives are walked
+    for t in count(0, order):
+        if t == len(keys):
+            break
         row = []
-        for k, times in enumerate(products):
-            key = times(g)
-            j = index.get(key)
-            if j is None:
-                j = index[key] = len(keys)
-                keys.append(key)
-                elements.append(cyclo.matrix_of(CONDUCTOR, key, size))
-                words.append(words[i] + (k,))
-                if len(elements) > CLOSURE_CAP:
+        for times in products:
+            x = times(keys[t])
+            e = index.get(x)
+            if e is None:
+                e = len(keys)
+                if e + order > CLOSURE_CAP:
                     raise ClosureExceeded(f"closure exceeded cap {CLOSURE_CAP}")
-            row.append(j)
-        right.append(tuple(row))
+                for units in h_units:
+                    key = cyclo.left_monomial_product(CONDUCTOR, units, x, size)
+                    index[key] = len(keys)
+                    keys.append(key)
+            row.append(divmod(e, order))
+        cosets.append(row)
+
+    def coset_times(k):
+        """e -> the position of keys[e] g_k: (h t_c) g_k = (h h2) t_c2."""
+        def times(e):
+            c, h = divmod(e, order)
+            c2, h2 = cosets[c][k]
+            return c2 * order + times_h(h2)[h]
+        return times
+
+    walk, right, words = _breadth_first(0, [coset_times(k) for k in range(len(gens))])
+    elements = [cyclo.matrix_of(CONDUCTOR, keys[e], size) for e in walk]
+    index = {keys[e]: i for i, e in enumerate(walk)}
     return GroupTable(elements, index, list(gens), tuple(right), tuple(words))
 
 
@@ -370,16 +428,21 @@ def functor_xi_dual():
     return RepFunctor("xi_dual", 5, matrix_fn=_dual_matrix)
 
 
+def _wedge2_character(table, idx):
+    """The trace of the wedge square: the principal 2 x 2 minors' sum, with
+    no 10 x 10 matrix built."""
+    return linalg.exterior_power_trace(table.elements[idx], 2)
+
+
 def functor_wedge2():
-    return RepFunctor("wedge2_xi", 10, matrix_fn=_wedge2_matrix)
+    return RepFunctor("wedge2_xi", 10, matrix_fn=_wedge2_matrix,
+                      character_fn=_wedge2_character)
 
 
 def functor_sym2_wedge2():
     def char(table, idx):
-        w = _wedge2_matrix(table.elements[idx])
-        tr = linalg.trace(w)
-        sq = _wedge2_matrix(table.elements[table.square_index(idx)])
-        tr2 = linalg.trace(sq)
+        tr = _wedge2_character(table, idx)
+        tr2 = _wedge2_character(table, table.square_index(idx))
         return (tr * tr + tr2) * Fraction(1, 2)
 
     return RepFunctor("sym2_wedge2_xi", 55, character_fn=char)

@@ -2,9 +2,10 @@
 
 Matrices are lists or tuples of rows, each row a list or a tuple;
 functions never mutate their arguments.  exterior_power_matrix gives the
-k x k minors of a rectangular matrix.  mat_mul hands a product of two
-cyclotomic matrices to the packed kernel cyclo.mat_mul.  rank and det
-pick one of two elimination kernels by the type of the entries:
+k x k minors of a rectangular matrix, exterior_power_trace the sum of the
+principal ones.  mat_mul hands a product of two cyclotomic matrices to the
+packed kernel cyclo.mat_mul.  rank and det pick one of two elimination
+kernels by the type of the entries:
 
 - the fraction-free kernel (Bareiss) serves ints, and Fractions once each
   row is cleared of denominators, so ranks and determinants over Q never
@@ -130,6 +131,14 @@ def exterior_power_matrix(m, k):
     row_sets = tuple(combinations(range(len(m)), k))
     col_sets = tuple(combinations(range(len(m[0])), k))
     return [[_minor(m, rows, cols) for cols in col_sets] for rows in row_sets]
+
+
+def exterior_power_trace(m, k):
+    """Trace of the k-th exterior power of a square matrix, 1 <= k <= its
+    size: the sum of its principal k x k minors, the diagonal of
+    exterior_power_matrix, in the same order."""
+    minors = [_minor(m, rows, rows) for rows in combinations(range(len(m)), k)]
+    return sum(minors[1:], minors[0])
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,9 @@ NESTED = "[" * 3000 + "]" * 3000
     "argv, spec, phrase",
     [
         (["stratum", "--point", "1/0,0,0,0,0,0"], None, "zero denominator"),
+        # refused before Fraction builds a 200,000-digit integer
+        (["stratum", "--point", "1,1,1,1,1,1e200000"], None,
+         "exponent notation in --point 1,1,1,1,1,1e200000"),
         (["groebner", "--prime", "101", "--file"], {"variables": 3}, "generators"),
         (["groebner", "--file"], {"variables": 1, "prime": 4, "generators": ["x0"]},
          "'prime' must be a prime, got 4"),
@@ -98,7 +101,7 @@ NESTED = "[" * 3000 + "]" * 3000
         # written as it stands: json.dumps of it would recurse too
         (["groebner", "--file"], NESTED, "JSON nested too deeply"),
     ],
-    ids=["stratum-zero-denominator", "groebner-no-generators", "groebner-file-prime-4",
+    ids=["stratum-zero-denominator", "stratum-exponent-notation", "groebner-no-generators", "groebner-file-prime-4",
          "groebner-file-prime-string", "groebner-file-codim-string",
          "groebner-generator-not-string", "groebner-variables-string",
          "groebner-too-many-variables",

@@ -41,7 +41,6 @@ PACKAGE = ROOT / "src" / "kleinepw"
 
 # function name -> why it stays without a product caller
 REFERENCE_ORACLES = {
-    "projective_key": "group: the oracle that projective_class_count is checked against",
     "chart_matrix": "fixtures: the transcription that the derived chart is checked against",
 }
 

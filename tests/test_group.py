@@ -1,10 +1,14 @@
 import random
+import traceback
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from kleinepw import cyclo, epw, fixtures, group, linalg, verify
+from kleinepw import cli, cyclo, epw, fixtures, group, linalg, verify
 from kleinepw.cyclo import CycloNum, euler_phi, lambda_embed
+
+from projective_keys import projective_key
 
 # the 6-dimensional representation trivial on coordinate 0, as the
 # fixed-point code extends the 5 x 5 matrices
@@ -68,7 +72,7 @@ def test_closure_cap():
 
 def test_full_closure_and_classes(table660):
     assert len(table660) == 660
-    proj = {group.projective_key(m) for m in table660.elements}
+    proj = {projective_key(m) for m in table660.elements}
     assert len(proj) == 660
     sizes = sorted(len(c) for c in table660.conjugacy_classes())
     assert sizes == [1, 55, 60, 60, 110, 110, 132, 132]
@@ -76,13 +80,13 @@ def test_full_closure_and_classes(table660):
 
 def test_projective_count_matches_projective_keys(table660):
     assert table660.projective_class_count() == 660
-    assert len({group.projective_key(m) for m in table660.elements}) == 660
+    assert len({projective_key(m) for m in table660.elements}) == 660
     minus_one = tuple(tuple(-e for e in row) for row in _identity())
     cyclic = group.generate_group([group.gen_c(), minus_one])
     assert len(cyclic) == 22
     assert sum(1 for m in cyclic.elements if group.mat_is_scalar(m)) == 2
     assert cyclic.projective_class_count() == 11
-    assert len({group.projective_key(m) for m in cyclic.elements}) == 11
+    assert len({projective_key(m) for m in cyclic.elements}) == 11
 
 
 def _classes_by_exact_conjugation(table):
@@ -160,8 +164,9 @@ def test_closure_makes_dense_products_only_for_the_weil_generator(generators, mo
         return dense(n, g, factor)
 
     monkeypatch.setattr(cyclo, "_packed_product", counted)
+    # one packed product per coset of the Borel subgroup <a, c>: 660 / 55
     assert len(group.generate_group(list(generators))) == 660
-    assert len(calls) == 660
+    assert len(calls) == 12
     del calls[:]
     assert len(group.generate_group([group.gen_a(), group.gen_c()])) == 55
     assert not calls
@@ -209,17 +214,25 @@ def test_monomial_products_match_the_dense_closure(generators, table660):
     # the dense kernel; with diag(z, z^-1) it closes to 22 elements
     zero, z = CycloNum.from_rational(0, 11), CycloNum.zeta(11)
     swap = ((zero, zero + 2), (zero + Fraction(1, 2), zero))
+    a, c, s = generators
+    # the coset closure relabels breadth-first: with the monomial subgroup
+    # H trivial ([s]), with the Weil generator first, and with H = <c> of
+    # index 60
     cases = [
         (list(generators), table660),
-        ([group.gen_a(), group.gen_c()], None),
-        ([group.gen_c(), minus_one], None),
+        ([a, c], None),
+        ([c, minus_one], None),
         ([swap, ((z, zero), (zero, z.inverse()))], None),
+        ([s], None),
+        ([s, a, c], None),
+        ([c, s], None),
     ]
-    assert len(group.generate_group(cases[-1][0])) == 22
+    assert len(group.generate_group(cases[3][0])) == 22
     for gens, table in cases:
         table = table or group.generate_group(gens)
-        got = [group.mat_key(m) for m in table.elements], table.words, table.right
-        assert got == _dense_closure(gens)
+        keys = [group.mat_key(m) for m in table.elements]
+        assert (keys, table.words, table.right) == _dense_closure(gens)
+        assert list(table.index) == keys
 
 
 def test_class_labels_and_orders(table660, labeled_classes):
@@ -275,6 +288,22 @@ def test_wedge2_character_identity(table660):
         chi = group.character(xi, table660, idx)
         chi2 = group.character(xi, table660, table660.square_index(idx))
         assert lhs * 2 == chi * chi - chi2
+
+
+def test_exterior_power_trace_on_group_elements(table660, labeled_classes):
+    """On the class representatives and 20 seeded closure elements, the
+    principal-minor sum is the trace of the full exterior power, k = 1..5,
+    and the wedge-square character is the trace of the functor's matrix."""
+    rng = random.Random(23)
+    picks = [cls[0] for cls in labeled_classes.values()]
+    picks += [rng.randrange(660) for _ in range(20)]
+    w2 = group.functor_wedge2()
+    for idx in picks:
+        m = table660.elements[idx]
+        for k in range(1, 6):
+            want = linalg.trace(linalg.exterior_power_matrix(m, k))
+            assert linalg.exterior_power_trace(m, k) == want
+        assert group.character(w2, table660, idx) == linalg.trace(w2.matrix(m))
 
 
 def test_functoriality_random_pairs(table660):
@@ -380,7 +409,6 @@ def test_group_suite_needs_no_group_sum(generators, table660, monkeypatch):
         raise AssertionError("term-by-term route in the group suite")
 
     monkeypatch.setattr(group, "invariant_hermitian", refuse)
-    monkeypatch.setattr(group, "projective_key", refuse)
     ctx = verify.VerifyContext()
     ctx.generators, ctx.table = tuple(generators), table660
     reports = verify.run_suite("group", ctx)
@@ -388,6 +416,27 @@ def test_group_suite_needs_no_group_sum(generators, table660, monkeypatch):
         GROUP_SUITE_WITNESSES, verify.PASS
     )
     assert {r.check_id: r.witness for r in reports} == GROUP_SUITE_WITNESSES
+
+
+def test_verify_group_builds_wedge_matrices_only_for_the_generators(monkeypatch, capsys):
+    """The wedge-square characters are sums of principal minors: the
+    10 x 10 matrices are built for the three generators only, by
+    quadric.invariance and by the group-summed form's two invariance
+    checks."""
+    sites = Counter()
+    full = linalg.exterior_power_matrix
+
+    def counted(m, k):
+        names = {frame.name for frame in traceback.extract_stack()}
+        site = next((n for n in ("_quadric_invariance", "hermitian_invariance_check")
+                     if n in names), "elsewhere")
+        sites[site] += 1
+        return full(m, k)
+
+    monkeypatch.setattr(linalg, "exterior_power_matrix", counted)
+    assert cli.main(["--json", "verify", "group"]) == 0
+    capsys.readouterr()
+    assert sites == {"_quadric_invariance": 3, "hermitian_invariance_check": 6}
 
 
 def test_total_positivity():

@@ -465,6 +465,18 @@ def test_exterior_power_entries_are_minors_and_compose(data):
         wedge, linalg.exterior_power_matrix(b, k))
 
 
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_exterior_power_trace_is_the_trace_of_the_exterior_power(data):
+    """The sum of the principal k x k minors is the trace of the k-th
+    exterior power, for int and Fraction entries."""
+    entries = data.draw(st.sampled_from([st.integers(-5, 5), _RATIONAL]))
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, min(4, n)))
+    m = data.draw(_matrix(entries, n, n))
+    assert linalg.exterior_power_trace(m, k) == linalg.trace(linalg.exterior_power_matrix(m, k))
+
+
 def _fpoly_det(sub, p):
     """The determinant over F_p of a matrix of FPolys, taken by the
     polynomial Bareiss kernel over Z on the lifts and then reduced."""
