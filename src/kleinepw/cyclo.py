@@ -24,8 +24,12 @@ basis, in a vector of any length, becomes the sparse row of z^(t mod n).
 Mixed-conductor operations lift both operands to the lcm of the two
 conductors, which is capped at MAX_CONDUCTOR.  All values are immutable
 and every operation is a pure function.  The inverse is the product of
-the other Galois conjugates over the (rational) norm.  common_field lifts
-a matrix to the lcm of its entries' conductors.
+the other Galois conjugates over the (rational) norm, multiplied along a
+tower of subgroups of (Z/n)^* (_galois_tower) by doubling, so it takes
+about 2 log2 phi(n) products rather than phi(n) - 1; a rational is
+inverted directly.  The product of two CycloNums stays schoolbook (see
+__mul__).  common_field lifts a matrix to the lcm of its entries'
+conductors.
 
 Matrix products run on coordinates, a row-major tuple of (num, den) per
 entry, with one packed kernel: each entry is packed into one integer
@@ -254,6 +258,13 @@ class CycloNum:
         return (-self) + other
 
     def __mul__(self, other):
+        """The schoolbook product, reduced once.  A packed (Kronecker)
+        product of the two coefficient vectors was measured slower on each
+        suite's own operands (2-vCPU Xeon at 2.1 GHz, Python 3.11): verify
+        epw's 14,420 products took 0.185 s against 0.095 s, verify group's
+        8,591 took 0.074 s against 0.052 s.
+        Two thirds of epw's products have a rational operand, and the zero
+        skips of this loop make those cheap."""
         other = _coerce(other, self.n)
         if other is NotImplemented:
             return NotImplemented
@@ -272,17 +283,36 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse: the product of the other Galois
-        conjugates, divided by the norm (the product of all of them, a
-        nonzero rational)."""
+        """Multiplicative inverse: the adjugate, the product of the Galois
+        conjugates other than x itself, divided by the norm x * adjugate (a
+        nonzero rational).  A rational x is inverted directly.
+
+        The conjugates are multiplied along the tower of _galois_tower(n):
+        with y the norm of x to the level below and sigma the level's
+        generator of index m, the level multiplies the adjugate by
+        sigma(P_(m-1)), where P_k = y sigma(y) ... sigma^(k-1)(y) is built
+        by doubling, P_(a+b) = P_a sigma^a(P_b).  That is about 2 log2(m)
+        products a level: with the norm, 5 products at conductor
+        11, 7 at 33 and 9 at 55, where the conjugates one by one take 10,
+        20 and 40."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        adj = CycloNum.from_rational(1, self.n)
-        for t in range(2, self.n):
-            if gcd(t, self.n) == 1:
-                adj = adj * self.galois(t)
+        n = self.n
+        if self.is_rational():
+            return CycloNum(n, (self.den,) + (0,) * (len(self.num) - 1), self.num[0])
+        adj = None
+        for g, m in _galois_tower(n):
+            # P_(m-1) of y by left-to-right doubling over the bits of m - 1
+            y = self if adj is None else self * adj
+            p, a = y, 1
+            for bit in bin(m - 1)[3:]:
+                p, a = p * p.galois(pow(g, a, n)), 2 * a
+                if bit == "1":
+                    p, a = p * y.galois(pow(g, a, n)), a + 1
+            step = p.galois(g)
+            adj = step if adj is None else adj * step
         norm = (self * adj).to_fraction()
-        return CycloNum(self.n, [c * norm.denominator for c in adj.num],
+        return CycloNum(n, [c * norm.denominator for c in adj.num],
                         adj.den * norm.numerator)
 
     def __truediv__(self, other):
@@ -382,6 +412,24 @@ class CycloNum:
                     e = f"^{i}" if i > 1 else ""
                     terms.append(f"{f}*{z}{e}")
         return " + ".join(terms).replace("+ -", "- ")
+
+
+@lru_cache(maxsize=None)
+def _galois_tower(n):
+    """(g_1, m_1), (g_2, m_2), ...: (Z/n)^* as the tower <g_1> in
+    <g_1, g_2> in ..., each g_k the least unit outside the level below and
+    m_k the index of that level in its own, the least m with g_k^m inside
+    it.  11 gives ((2, 10),), 55 gives ((2, 20), (3, 2))."""
+    level, tower = {1}, []
+    for g in range(2, n):
+        if gcd(g, n) != 1 or g in level:
+            continue
+        m, power = 1, g
+        while power not in level:
+            m, power = m + 1, power * g % n
+        level = {h * pow(g, i, n) % n for h in level for i in range(m)}
+        tower.append((g, m))
+    return tuple(tower)
 
 
 def _coerce(value, n):

@@ -36,7 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm
+from math import comb, factorial, lcm
+from operator import mul
 
 from . import group, linalg
 from .cyclo import CycloNum, common_field
@@ -52,8 +53,11 @@ PAIR5_INDEX = {p: i for i, p in enumerate(PAIRS5)}
 TRIPLE5_INDEX = {t: i for i, t in enumerate(TRIPLES5)}
 
 
+@lru_cache(maxsize=None)
 def merge_indices(a, b):
-    """(sign, sorted tuple) for e_a ^ e_b, or (0, None) on a repeat."""
+    """(sign, sorted tuple) for e_a ^ e_b, or (0, None) on a repeat; a and
+    b are tuples.  Memoized: the strata ask for the same few hundred
+    merges many times over."""
     if set(a) & set(b):
         return 0, None
     joined = list(a) + list(b)
@@ -324,17 +328,58 @@ def _forward_differences(line):
     return line
 
 
+@lru_cache(maxsize=None)
+def _falling_rows(m):
+    """Row j: the x^j coefficients of m!/k! * x (x - 1) ... (x - k + 1)
+    for k = 0..m, the falling factorials scaled to integers."""
+    cols, falling = [], [1]
+    for k in range(m + 1):
+        cols.append([c * (factorial(m) // factorial(k)) for c in falling] + [0] * (m - k))
+        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+    return tuple(zip(*cols))
+
+
 def _binomials_to_powers(line):
-    """Power coefficients of sum_k line[k] * C(x, k), by Horner's rule on
-    x (x - 1) ... (x - k + 1) scaled by m!; raises unless they are integers."""
-    m = len(line) - 1
-    acc = []
-    for k in range(m, -1, -1):
-        acc = [a - k * b for a, b in zip([0] + acc, acc + [0])]
-        acc[0] += line[k] * (factorial(m) // factorial(k))
-    if any(a % factorial(m) for a in acc):
-        raise ArithmeticError("non-integer interpolated coefficient")
-    return [a // factorial(m) for a in acc]
+    """Power coefficients of sum_k line[k] * C(x, k): each the dot product
+    of line with a row of _falling_rows, over m!; raises unless they are
+    integers."""
+    scale = factorial(len(line) - 1)
+    out = []
+    for row in _falling_rows(len(line) - 1):
+        a, r = divmod(sum(map(mul, row, line)), scale)
+        if r:
+            raise ArithmeticError("non-integer interpolated coefficient")
+        out.append(a)
+    return out
+
+
+def _axis_lines(points, n):
+    """The lines of the simplex, one axis after the other, as lists of
+    indices into points (the simplex {e : |e| <= n} in _simplex order):
+    for each point with a zero coordinate on the axis, it and its steps
+    along the axis while they stay in the simplex.
+
+    No point is looked up.  The points sharing the coordinates before the
+    axis, a prefix, are a run {prefix} x S(w + 1, r) of the order, S(w, r)
+    the simplex of radius r in w variables; its first point has zeros from
+    the axis on, and it is the blocks {k} x S(w, r - k), k = 0..r, one
+    after the other.  Block k holds the suffixes of block 0 of degree at
+    most r - k, in the same order, so a line is the next unused index of
+    each block it reaches."""
+    nvars = len(points[0])
+    for axis in range(nvars):
+        w = nvars - 1 - axis
+        for i, e in enumerate(points):
+            if e[axis]:
+                continue
+            if not any(e[axis + 1:]):
+                r = n - sum(e)
+                starts = [i]
+                for k in range(r):
+                    starts.append(starts[-1] + comb(r - k + w, w))
+            line = starts[:n - sum(e) + 1]
+            yield line
+            starts[:len(line)] = [s + 1 for s in line]
 
 
 def _simplex_det(chart):
@@ -344,26 +389,36 @@ def _simplex_det(chart):
     SIAM J. Numer. Anal. 14, 1977).  Forward differences along each axis
     give the Newton coefficients D^e f(0); every difference stays inside
     the simplex.  The binomials C(x_i, k) are then expanded into powers
-    along each axis in the same way."""
+    along each axis in the same way.
+
+    The work is on flat arrays: each chart row is read once into its
+    constant row and its (column, variable, coefficient) terms, from which
+    each point's integer matrix is built; the values are one list in
+    _simplex order, and both transforms run over its index lines, made one
+    at a time (_axis_lines), axis after axis."""
     n, nvars = len(chart), chart[0][0].nvars
     if any(entry.total_degree() > 1 for row in chart for entry in row):
         raise ValueError("chart entries must be affine-linear")
-    # nonzero entries as (i, j, [(index into (1, x1, ...), coefficient)])
-    entries = [(i, j, [(1 + e.index(1) if any(e) else 0, c) for e, c in entry.terms.items()])
-               for i, row in enumerate(chart) for j, entry in enumerate(row) if entry.terms]
-    values = {}
-    for e in _simplex(nvars, n):
-        xs = (1,) + e
-        m = [[0] * n for _ in range(n)]
-        for i, j, terms in entries:
-            m[i][j] = sum(c * xs[k] for k, c in terms)
-        values[e] = linalg.bareiss_det(m)
+    const_rows, linear_terms = [], []
+    for row in chart:
+        const_rows.append([entry.coefficient((0,) * nvars) for entry in row])
+        linear_terms.append([(j, e.index(1), c) for j, entry in enumerate(row)
+                             for e, c in entry.terms.items() if any(e)])
+    points = _simplex(nvars, n)
+    values = []
+    for e in points:
+        m = []
+        for const, terms in zip(const_rows, linear_terms):
+            row = const[:]
+            for j, k, c in terms:
+                row[j] += c * e[k]
+            m.append(row)
+        values.append(linalg.bareiss_det(m))
     for transform in (_forward_differences, _binomials_to_powers):
-        for axis in range(nvars):
-            for rest in _simplex(nvars - 1, n):
-                keys = [rest[:axis] + (k,) + rest[axis:] for k in range(n - sum(rest) + 1)]
-                values.update(zip(keys, transform([values[key] for key in keys])))
-    return MultiPoly(nvars, values)
+        for line in _axis_lines(points, n):
+            for i, v in zip(line, transform([values[i] for i in line])):
+                values[i] = v
+    return MultiPoly(nvars, zip(points, values))
 
 
 def sextic_via_interpolation():

@@ -388,9 +388,8 @@ class RepFunctor:
     """A functorial construction applied to the base 5-dimensional matrix:
     provides the image matrix and the character."""
 
-    def __init__(self, name, dim, matrix_fn=None, character_fn=None):
+    def __init__(self, name, matrix_fn=None, character_fn=None):
         self.name = name
-        self.dim = dim
         self._matrix_fn = matrix_fn
         self._character_fn = character_fn
 
@@ -421,11 +420,11 @@ def _v6_matrix(m5):
 
 
 def functor_xi():
-    return RepFunctor("xi", 5, matrix_fn=lambda m: m)
+    return RepFunctor("xi", matrix_fn=lambda m: m)
 
 
 def functor_xi_dual():
-    return RepFunctor("xi_dual", 5, matrix_fn=_dual_matrix)
+    return RepFunctor("xi_dual", matrix_fn=_dual_matrix)
 
 
 def _wedge2_character(table, idx):
@@ -435,7 +434,7 @@ def _wedge2_character(table, idx):
 
 
 def functor_wedge2():
-    return RepFunctor("wedge2_xi", 10, matrix_fn=_wedge2_matrix,
+    return RepFunctor("wedge2_xi", matrix_fn=_wedge2_matrix,
                       character_fn=_wedge2_character)
 
 
@@ -445,7 +444,7 @@ def functor_sym2_wedge2():
         tr2 = _wedge2_character(table, table.square_index(idx))
         return (tr * tr + tr2) * Fraction(1, 2)
 
-    return RepFunctor("sym2_wedge2_xi", 55, character_fn=char)
+    return RepFunctor("sym2_wedge2_xi", character_fn=char)
 
 
 def character(f: RepFunctor, table: GroupTable, idx) -> CycloNum:
@@ -500,23 +499,22 @@ def invariant_hermitian(f: RepFunctor, table: GroupTable):
     return tuple(tuple(row) for row in total)
 
 
-def unitary_group_sum(f: RepFunctor, generators, order):
-    """The sum over the group generated by `generators` of
-    conj(F(g))^T F(g), proved rather than summed: if conj(F(h))^T F(h) == I
+def unitary_group_sum(images, order):
+    """The sum over a group of conj(F(g))^T F(g), given the images F(h) of
+    its generators, proved rather than summed: if conj(F(h))^T F(h) == I
     exactly for every generator h, then, F being a homomorphism, every
     F(g) is a product of unitaries, so every term is I and the sum is
     order * I.  Returns None when some generator's image is not unitary;
     invariant_hermitian's term-by-term sum is the oracle."""
-    ident = linalg.identity(f.dim, _c11(1), _c11(0))
-    if not hermitian_invariance_check(f, ident, generators):
+    ident = linalg.identity(len(images[0]), _c11(1), _c11(0))
+    if not hermitian_invariance_check(ident, images):
         return None
     return tuple(tuple(e * order for e in row) for row in ident)
 
 
-def hermitian_invariance_check(f: RepFunctor, m, generators):
-    """conj(F(h))^T M F(h) == M for each generator h, exactly."""
-    for h in generators:
-        fh = f.matrix(h)
+def hermitian_invariance_check(m, images):
+    """conj(H)^T M H == M, exactly, for each generator image H."""
+    for fh in images:
         lhs = mat_mul(mat_mul(linalg.conj_transpose(fh), m), fh)
         if not all(
             lhs[i][j] == m[i][j] for i in range(len(m)) for j in range(len(m))

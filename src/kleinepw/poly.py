@@ -11,8 +11,11 @@ canonical term order is graded reverse lexicographic over the declared
 variable order.  divmod is the one division loop: exact_div and `//` are
 divmod with a zero remainder required, and gcd and
 squarefree_decomposition (line restrictions) run on one-variable
-polynomials through it.  linear_forms builds the linear images that
-substitute takes, a matrix's rows as forms in its column variables.
+polynomials through it.  It keeps the remainder's monomials in a heap
+with lazy deletion of cancelled terms (Monagan & Pearce), so each step
+pops the largest one instead of scanning the remainder.  linear_forms
+builds the linear images that substitute takes, a matrix's rows as forms
+in its column variables.
 homogenize(d) turns a polynomial on the affine chart x0 = 1 into the
 form of degree d in x0 and the chart's variables.
 """
@@ -20,6 +23,7 @@ form of degree d in x0 and the chart's variables.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 def grevlex_key(exps):
@@ -35,6 +39,13 @@ def grevlex_exponents(key):
     """The exponent tuple whose grevlex_key is key."""
     d = key[0]
     return tuple(d - k for k in key[:0:-1])
+
+
+def _heap_entry(exps):
+    """The entry of divmod's min-heap for a monomial: its negated grevlex
+    key, so the largest monomial comes first, followed by the exponents."""
+    d = sum(exps)
+    return (-d,) + tuple(e - d for e in reversed(exps)) + exps
 
 
 class MultiPoly:
@@ -265,7 +276,16 @@ class MultiPoly:
         leading monomial does not divide and, when both coefficients are
         ints over Z, each term whose coefficient the leading coefficient
         does not divide.  Other coefficients are multiplied by one inverse
-        of the leading coefficient, taken by the _inverse hook."""
+        of the leading coefficient, taken by the _inverse hook.
+
+        The remaining terms' monomials wait in a heap (Monagan & Pearce,
+        J. Symbolic Comput. 46, 2011), so each step pops the largest one
+        instead of scanning them all.  An entry is one tuple: the negated
+        grevlex key followed by the exponents.  A term that cancels leaves
+        its entry behind, and an entry whose monomial is no longer in the
+        remainder is skipped when popped (lazy deletion); a monomial is
+        pushed again when it comes back, and each new monomial is below the
+        popped one, so no monomial is taken twice."""
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -274,10 +294,15 @@ class MultiPoly:
         over_z = self._ints_in_z and isinstance(dc, int)
         inv = self._inverse(dc)
         rem = dict(self.terms)
+        heap = [_heap_entry(e) for e in rem]
+        heapify(heap)
+        skip = self.nvars + 1
         q, r = {}, {}
-        while rem:
-            e = max(rem, key=grevlex_key)
-            c = rem.pop(e)
+        while heap:
+            e = heappop(heap)[skip:]
+            c = rem.pop(e, None)
+            if c is None:
+                continue
             qe = tuple(a - b for a, b in zip(e, de))
             whole = over_z and isinstance(c, int)
             if any(x < 0 for x in qe) or (whole and c % dc):
@@ -288,10 +313,13 @@ class MultiPoly:
             for te, tc in tail:
                 ke = tuple(a + b for a, b in zip(qe, te))
                 acc = rem.get(ke)
-                s = (acc if acc is not None else 0) - qc * tc
-                if s:
+                if acc is None:
+                    if s := -qc * tc:
+                        rem[ke] = s
+                        heappush(heap, _heap_entry(ke))
+                elif s := acc - qc * tc:
                     rem[ke] = s
-                elif ke in rem:
+                else:
                     del rem[ke]
         return self._with_terms(q), self._with_terms(r)
 

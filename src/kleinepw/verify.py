@@ -89,7 +89,7 @@ def cyclo_json(x: CycloNum):
 class VerifyContext:
     """Shared state, each piece built on first use and kept (a cached
     property): the 660-element table, the Lagrangian, the sextic by both
-    routes, the invariant form."""
+    routes, the generators' wedge-square images, the invariant form."""
 
     def __init__(self, seed=0, slow=False, primes=PRIMES,
                  budget_pairs=MAX_PAIRS, budget_degree=MAX_DEGREE):
@@ -128,8 +128,14 @@ class VerifyContext:
         return epw.sextic_via_interpolation()
 
     @cached_property
+    def wedge2_generators(self):
+        """The 10 x 10 wedge-square images of the three generators, built
+        once for the invariant form and the two checks that use them."""
+        return tuple(group._wedge2_matrix(g) for g in self.generators)
+
+    @cached_property
     def invariant_form(self):
-        return group.unitary_group_sum(group.functor_wedge2(), self.generators, len(self.table))
+        return group.unitary_group_sum(self.wedge2_generators, len(self.table))
 
 
 # the rows of the character table, in display order; chi0 is the trivial
@@ -424,8 +430,8 @@ def _quadric_mult(ctx):
 )
 def _quadric_invariance(ctx):
     q = fixtures.invariant_quadric()
-    for name, g in zip("acs", ctx.generators):
-        if substitute_linear(q.terms, group._wedge2_matrix(g)) != q.terms:
+    for name, w in zip("acs", ctx.wedge2_generators):
+        if substitute_linear(q.terms, w) != q.terms:
             return FAIL, {"generator": name}
     return PASS, {}
 
@@ -454,9 +460,7 @@ def _invform(ctx):
         return FAIL, {"stage": "unitary"}
     if not linalg.is_hermitian(m):
         return FAIL, {"stage": "hermitian"}
-    if not group.hermitian_invariance_check(
-        group.functor_wedge2(), m, list(ctx.generators)
-    ):
+    if not group.hermitian_invariance_check(m, ctx.wedge2_generators):
         return FAIL, {"stage": "invariance"}
     if not group.hermitian_positive_definite(m):
         return FAIL, {"stage": "positive-definite"}

@@ -232,12 +232,11 @@ def test_criterion_10_hermitian_suite():
 
 def test_criterion_11_invariant_form(table660, generators):
     with Criterion(11, "group-summed invariant Hermitian form", 300):
-        w2 = group.functor_wedge2()
         ctx = verify.VerifyContext()
         ctx.generators, ctx.table = tuple(generators), table660
         m = ctx.invariant_form
         assert linalg.is_hermitian(m)
-        assert group.hermitian_invariance_check(w2, m, list(generators))
+        assert group.hermitian_invariance_check(m, ctx.wedge2_generators)
         assert group.hermitian_positive_definite(m)
 
 

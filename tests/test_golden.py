@@ -1,8 +1,9 @@
-"""The default-tier CLI surface, pinned byte for byte in tests/golden/.
+"""The CLI surface, pinned byte for byte in tests/golden/.
 
 Each case runs one command in process and compares its stdout, with every
-`elapsed_seconds` field removed, to the committed file.  A change that alters
-an output on purpose regenerates the files in the same commit:
+`elapsed_seconds` field removed, to the committed file.  The default tier is
+CASES; SLOW_CASES holds the `--slow` reports and is marked `slow`.  A change
+that alters an output on purpose regenerates the files in the same commit:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -39,6 +40,11 @@ CASES = [
     *_groebner_cases(),
 ]
 
+# the `--slow` epw report: the conductor-33 fixed points, about 1 s
+SLOW_CASES = [
+    ("verify-epw-slow.jsonl", ["--json", "verify", "epw", "--slow"]),
+]
+
 
 def _without_elapsed(line):
     if '"elapsed_seconds"' not in line:
@@ -63,9 +69,16 @@ def test_output_matches_golden(name, argv):
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("name, argv", SLOW_CASES, ids=[name for name, _ in SLOW_CASES])
+def test_slow_output_matches_golden(name, argv):
+    _, text = render(argv)
+    assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES:
+    for name, argv in CASES + SLOW_CASES:
         code, text = render(argv)
         (GOLDEN / name).write_text(text, encoding="utf-8")
         print(f"{name}: exit {code}", file=sys.stderr)

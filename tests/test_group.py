@@ -12,7 +12,7 @@ from projective_keys import projective_key
 
 # the 6-dimensional representation trivial on coordinate 0, as the
 # fixed-point code extends the 5 x 5 matrices
-FUNCTOR_V6 = group.RepFunctor("chi0_plus_xi", 6, matrix_fn=group._v6_matrix)
+FUNCTOR_V6 = group.RepFunctor("chi0_plus_xi", matrix_fn=group._v6_matrix)
 
 
 def _identity(n=5):
@@ -335,7 +335,7 @@ def test_lefschetz_counts(table660, labeled_classes):
 
 def test_invariant_form_trivial_functor(table660):
     triv = group.RepFunctor(
-        "trivial", 1, matrix_fn=lambda m: ((CycloNum.from_rational(1, 11),),)
+        "trivial", matrix_fn=lambda m: ((CycloNum.from_rational(1, 11),),)
     )
     m = group.invariant_hermitian(triv, table660)
     assert m[0][0] == 660
@@ -345,10 +345,11 @@ def test_invariant_form_wedge2(table660, generators):
     w2 = group.functor_wedge2()
     m = group.invariant_hermitian(w2, table660)
     assert linalg.is_hermitian(m)
-    assert group.hermitian_invariance_check(w2, m, list(generators))
+    images = [w2.matrix(g) for g in generators]
+    assert group.hermitian_invariance_check(m, images)
     assert group.hermitian_positive_definite(m)
     # the term-by-term sum is the oracle for the route verify ships
-    assert m == group.unitary_group_sum(w2, generators, 660)
+    assert m == group.unitary_group_sum(images, 660)
     assert group.mat_is_scalar(m) and m[0][0] == 660
 
 
@@ -372,7 +373,7 @@ def test_non_unitary_generators_fail_invform():
     gens, borel = _borel_conjugated_by_diagonal()
     assert len(borel) == 55
     w2 = group.functor_wedge2()
-    assert group.unitary_group_sum(w2, gens, len(borel)) is None
+    assert group.unitary_group_sum([w2.matrix(g) for g in gens], len(borel)) is None
     # the premise matters: here the true group sum is not a scalar matrix
     assert not group.mat_is_scalar(group.invariant_hermitian(w2, borel))
     ctx = verify.VerifyContext()
@@ -419,24 +420,22 @@ def test_group_suite_needs_no_group_sum(generators, table660, monkeypatch):
 
 
 def test_verify_group_builds_wedge_matrices_only_for_the_generators(monkeypatch, capsys):
-    """The wedge-square characters are sums of principal minors: the
-    10 x 10 matrices are built for the three generators only, by
-    quadric.invariance and by the group-summed form's two invariance
-    checks."""
+    """The wedge-square characters are sums of principal minors, and the
+    10 x 10 matrices of the three generators are built once, by
+    VerifyContext.wedge2_generators, for the group-summed form's two
+    invariance checks and for quadric.invariance."""
     sites = Counter()
     full = linalg.exterior_power_matrix
 
     def counted(m, k):
         names = {frame.name for frame in traceback.extract_stack()}
-        site = next((n for n in ("_quadric_invariance", "hermitian_invariance_check")
-                     if n in names), "elsewhere")
-        sites[site] += 1
+        sites["wedge2_generators" if "wedge2_generators" in names else "elsewhere"] += 1
         return full(m, k)
 
     monkeypatch.setattr(linalg, "exterior_power_matrix", counted)
     assert cli.main(["--json", "verify", "group"]) == 0
     capsys.readouterr()
-    assert sites == {"_quadric_invariance": 3, "hermitian_invariance_check": 6}
+    assert sites == {"wedge2_generators": 3}
 
 
 def test_total_positivity():

@@ -13,12 +13,13 @@ from math import gcd, lcm, prod  # noqa: E402
 
 from kleinepw import cyclo, epw, group, lattices, linalg  # noqa: E402
 from kleinepw.cyclo import (  # noqa: E402
-    CycloNum, QuadInt, cyclotomic_polynomial, euler_phi, substitute_linear)
+    MAX_CONDUCTOR, CycloNum, QuadInt, cyclotomic_polynomial, euler_phi, substitute_linear)
 from kleinepw.groebner import FPoly, buchberger, normal_form, projective_empty  # noqa: E402
 from kleinepw.poly import MultiPoly, grevlex_exponents, grevlex_key, linear_forms  # noqa: E402
 from kleinepw.textform import MAX_EXPONENT  # noqa: E402
 
 from cyclo_fractions import cyclo_from_fractions  # noqa: E402
+from kernel_oracles import conjugate_product_inverse, max_scan_divmod  # noqa: E402
 
 P = 32003
 
@@ -765,6 +766,59 @@ def test_divmod_over_z_stays_exact(nvars, data):
     assert all(type(c) in (int, Fraction) for p in (a.monic(), b.monic())
                for c in p.terms.values())
     assert b.monic().leading_term()[1] == 1
+
+
+# -- the heap division and the tower inverse against their oracles ---------
+
+
+@settings(deadline=None, max_examples=150)
+@given(ring=st.sampled_from(("Z", "Q", "F_p")), nvars=st.integers(1, 3), data=st.data())
+def test_divmod_matches_the_max_scan(ring, nvars, data):
+    """The same quotient and remainder, term for term and in order, for a
+    dividend a * b + c (many cancellations) and for a plain one; over Z
+    the remainder may keep terms the leading coefficient does not divide."""
+    coeffs = {"Z": st.integers(-6, 6), "Q": _RATIONAL, "F_p": st.integers(-6, 6)}[ring]
+    a, b, c = (data.draw(_sparse(nvars, coeffs.filter(bool))) for _ in range(3))
+    assume(b)
+    if ring == "F_p":
+        a, b, c = (FPoly.from_int_poly(f, 7) for f in (a, b, c))
+        assume(b)
+    for dividend in (a * b + c, a):
+        got, want = dividend.divmod(b), max_scan_divmod(dividend, b)
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            assert list(g.terms.items()) == list(w.terms.items())
+        assert got[0] * b + got[1] == dividend
+
+
+@st.composite
+def _invertible(draw, n):
+    """A nonzero element of conductor n: a rational, +-z^k, a sparse one
+    with up to three nonzero coordinates, or a dense one."""
+    phi = euler_phi(n)
+    kind = draw(st.sampled_from(("rational", "unit", "sparse", "dense")))
+    if kind == "rational":
+        return CycloNum.from_rational(draw(_RATIONAL.filter(bool)), n)
+    if kind == "unit":
+        z = CycloNum.zeta(n, draw(st.integers(0, n - 1)))
+        return z if draw(st.booleans()) else -z
+    if kind == "sparse":
+        coeffs = [0] * phi
+        for i in draw(st.lists(st.integers(0, phi - 1), min_size=1, max_size=3)):
+            coeffs[i] = draw(st.integers(-5, 5).filter(bool))
+    else:
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi).filter(any))
+    return CycloNum(n, coeffs, draw(st.integers(1, 6)))
+
+
+@pytest.mark.parametrize("n", range(1, MAX_CONDUCTOR + 1))
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_inverse_matches_the_conjugate_product(n, data):
+    x = data.draw(_invertible(n))
+    got, want = x.inverse(), conjugate_product_inverse(x)
+    assert (got.n, got.num, got.den) == (want.n, want.num, want.den)
+    assert x * got == 1
 
 
 # -- the packed linear substitution against MultiPoly.substitute ------------

@@ -77,7 +77,9 @@ def test_quadric_invariance_names_the_generator_that_moves_the_quadric(monkeypat
     broken = parse_polynomial(QUADRIC_TEXT.replace(" + x15*x25", ""), PAIR_VARS)
     monkeypatch.setattr(fixtures, "invariant_quadric", lambda: broken)
     assert _run_check("quadric.invariance", ctx) == (verify.FAIL, {"generator": "a"})
-    # with a left out, the first generator the check meets that moves it is s
+    # with a left out, the first generator the check meets that moves it is
+    # s; a new context, since each builds its generators' images once
+    ctx = verify.VerifyContext()
     ctx.generators = (generators[1], generators[1], generators[2])
     assert _run_check("quadric.invariance", ctx) == (verify.FAIL, {"generator": "s"})
 
