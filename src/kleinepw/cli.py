@@ -29,8 +29,12 @@ from .textform import emit_polynomial, parse_polynomial, poly_monomials_json
 from .verify import cyclo_json, frac_str, quadint_json
 
 
+# trial division would take minutes on primes from this bound on
+PRIME_BOUND = 2 ** 31
+
+
 def _is_prime(n):
-    """Primality by trial division (the CLI's primes are small)."""
+    """Primality by trial division; callers refuse n >= PRIME_BOUND first."""
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
@@ -43,6 +47,8 @@ def _int_arg(text):
 
 def _prime_arg(text):
     value = _int_arg(text)
+    if value >= PRIME_BOUND:
+        raise argparse.ArgumentTypeError(f"{value} is too large: primes must be below 2^31")
     if not _is_prime(value):
         raise argparse.ArgumentTypeError(f"{value} is not a prime")
     return value
@@ -100,9 +106,9 @@ def build_parser():
     p_verify.add_argument("--slow", action="store_true", help="include the slow tier")
     p_verify.add_argument(
         "--prime", type=_verify_prime_arg, action="append", default=None,
-        help="a prime for the finite-field checks; give it twice, with two distinct "
-        "primes, or not at all (32003 and 65537); 2, 3 and 11 are refused: 2 and 3 "
-        "divide coefficients of the transcribed sextic, 11 is the conductor",
+        help="a prime below 2^31 for the finite-field checks; give it twice, with two "
+        "distinct primes, or not at all (32003 and 65537); 2, 3 and 11 are refused: 2 "
+        "and 3 divide coefficients of the transcribed sextic, 11 is the conductor",
     )
 
     sub.add_parser("emit-sextic", help="print the canonical sextic")
@@ -128,7 +134,8 @@ def build_parser():
 
     p_gb = sub.add_parser("groebner", help="finite-field ideal checks")
     p_gb.add_argument("--file", required=True, help="ideal description (JSON)")
-    p_gb.add_argument("--prime", type=_prime_arg, default=None)
+    p_gb.add_argument("--prime", type=_prime_arg, default=None,
+                      help="a prime below 2^31 (default: the file's 'prime' field)")
     p_gb.add_argument("--codim", type=_codim_arg, default=None,
                       help="run the smoothness check at this codimension "
                       "(default: projective emptiness only)")
@@ -342,6 +349,8 @@ def cmd_groebner(args):
     prime = args.prime or spec.get("prime")
     if prime is None:
         raise ValueError("no prime given (--prime or the file's 'prime' field)")
+    if type(prime) is int and prime >= PRIME_BOUND:
+        raise ValueError(f"{args.file}: 'prime' {prime} is too large: primes must be below 2^31")
     if type(prime) is not int or not _is_prime(prime):
         raise ValueError(f"{args.file}: 'prime' must be a prime, got {prime!r}")
     variables = spec["variables"]
@@ -355,12 +364,12 @@ def cmd_groebner(args):
     codim = args.codim if args.codim is not None else spec.get("codim")
     if codim is not None and not _positive(codim):
         raise ValueError(f"{args.file}: 'codim' must be a positive int, got {codim!r}")
-    gens = [FPoly.from_int_poly(parse_polynomial(src, variables), prime) for src in sources]
+    polys = [parse_polynomial(src, variables) for src in sources]
     start = time.monotonic()
     try:
         if codim is not None:
             ok, info = smoothness_check(
-                gens, codim,
+                polys, codim, prime,
                 max_pairs=args.budget_pairs, max_degree=args.budget_degree,
             )
             verdict = "pass" if ok else "fail"
@@ -369,7 +378,8 @@ def cmd_groebner(args):
                        "info": info}
         else:
             empty, basis = projective_empty(
-                gens, max_pairs=args.budget_pairs, max_degree=args.budget_degree
+                [FPoly.from_int_poly(f, prime) for f in polys],
+                max_pairs=args.budget_pairs, max_degree=args.budget_degree,
             )
             verdict = "pass" if empty else "fail"
             payload = {"verdict": verdict, "primes": [prime],

@@ -21,12 +21,14 @@ finite-field stand-ins for characteristic-0 computations:
 Each Buchberger run keeps one first-divisor table for normal_form, so the
 monomials that recur in every Jacobian minor are matched to a lead once.
 
-One builder, pluecker_relations(k, n, p), gives the quadratic Pluecker
+One builder, pluecker_relations(k, n), gives the quadratic Pluecker
 relations of both Grassmannians in play: Gr(2, 5), whose linear and
 quadric sections are the GM threefold and fivefold, and Gr(3, 6), the
 decomposable trivectors, pulled back to the Lagrangian.  The GM
 threefold's ideal is built by substituting its linear section into the
-relations of Gr(2, 5), not written out by hand.
+relations of Gr(2, 5), not written out by hand.  The gate ideals and
+their Jacobian minors are integer polynomials, built once; each gate
+reduces them at its primes (the pullback's through distinct_mod).
 
 The certificate need not wait for the reduced basis.  Every polynomial
 Buchberger keeps lies in the ideal, so once the leading monomials found so
@@ -100,12 +102,6 @@ class FPoly(MultiPoly):
         r.p, r.nvars = p, self.nvars
         r.terms = {e: v for e, c in terms.items() if (v := c % p)}
         return r
-
-    @staticmethod
-    def var(p, i, nvars, coeff=1):
-        e = [0] * nvars
-        e[i] = 1
-        return FPoly(p, nvars, {tuple(e): coeff})
 
     @staticmethod
     def from_int_poly(poly, p):
@@ -363,24 +359,18 @@ def projective_empty(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE,
     return certifies_empty([g.leading_term()[0] for g in basis], gens[0].nvars), basis
 
 
-def jacobian(gens):
-    nvars = gens[0].nvars
-    return [[g.derivative(i) for i in range(nvars)] for g in gens]
-
-
 def jacobian_minors(gens, size, sample=None):
-    """c x c minors of the Jacobian matrix, nonzero ones only, with the row
-    sets and then the column sets in lexicographic order; optionally a
-    deterministic random subsample of those keys (sound for the empty
-    verdict, since fewer equations cut out a larger scheme).
+    """c x c minors of the Jacobian matrix of integer polynomials, nonzero
+    ones only, with the row sets and then the column sets in lexicographic
+    order; optionally a deterministic random subsample of those keys
+    (sound for the empty verdict, since fewer equations cut out a larger
+    scheme).  Returns (minors, sampled).
 
-    The minors are taken over Z, from the generators' integer lifts, and
-    then reduced mod p: reduction commutes with derivatives and
-    determinants, and integer arithmetic skips a reduction per operation.
-    Each row set is expanded once, by linalg.maximal_minors, which gives
-    the minors of all its column sets together."""
-    p, nvars = gens[0].p, gens[0].nvars
-    jac = jacobian([MultiPoly(nvars, g.terms) for g in gens])
+    A gate expands the minors once over Z and reduces them at each prime:
+    reduction commutes with derivatives and determinants.  Each row set is
+    expanded once, by linalg.maximal_minors, for all its column sets."""
+    nvars = gens[0].nvars
+    jac = [[g.derivative(i) for i in range(nvars)] for g in gens]
     one = MultiPoly.const(nvars, 1)
     all_keys = [
         (rs, cs)
@@ -403,26 +393,19 @@ def jacobian_minors(gens, size, sample=None):
         minors = linalg.maximal_minors([[jac[r][c] for c in cols] for r in rs], one)
         for cs in col_sets:
             d = minors.get(sum(bit[c] for c in cs))
-            if d is not None:
-                m = FPoly.from_int_poly(d, p)
-                if not m.is_zero():
-                    out.append(m)
+            if d:
+                out.append(d)
     return out, sampled
 
 
-def smoothness_check(
-    gens,
-    codim,
-    max_pairs=MAX_PAIRS,
-    max_degree=MAX_DEGREE,
-    minor_sample=None,
-    stop_at_certificate=False,
-):
-    """Projective emptiness of the singular locus: generators plus the
-    codim x codim minors of their Jacobian, all of them by default.  Given
-    minor_sample, it starts from a deterministic random subsample of that
-    many minors (enough when the verdict is empty) and falls back to the
-    full minor set otherwise.  stop_at_certificate goes to
+def smoothness_check(gens, codim, p, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, minors=None,
+                     stop_at_certificate=False):
+    """Projective emptiness at the prime p of the singular locus of the
+    integer polynomials gens: the generators plus the codim x codim minors
+    of their Jacobian, reduced mod p.  minors is a jacobian_minors(gens,
+    codim, sample) result, so a caller that checks several primes expands
+    it once; by default it is the full set, and a sampled set that leaves
+    the locus nonempty falls back to it.  stop_at_certificate goes to
     projective_empty.
 
     Returns (smooth: bool, info dict).  info["basis_size"] is the size of
@@ -430,16 +413,18 @@ def smoothness_check(
     has no reduced basis, and its info has no "basis_size"."""
     if codim < 1:
         raise ValueError("codimension must be at least 1")
-    base = buchberger(gens, max_pairs=max_pairs, max_degree=max_degree)
-    minors, sampled = jacobian_minors(gens, codim, sample=minor_sample)
-    empty, basis = projective_empty(base + minors, max_pairs=max_pairs, max_degree=max_degree,
-                                    stop_at_certificate=stop_at_certificate)
-    if not empty and sampled:
-        minors, sampled = jacobian_minors(gens, codim, sample=None)
-        empty, basis = projective_empty(base + minors, max_pairs=max_pairs,
+    base = buchberger([FPoly.from_int_poly(g, p) for g in gens],
+                      max_pairs=max_pairs, max_degree=max_degree)
+    minors, sampled = minors or jacobian_minors(gens, codim)
+    while True:
+        reduced = [m for m in (FPoly.from_int_poly(d, p) for d in minors) if m]
+        empty, basis = projective_empty(base + reduced, max_pairs=max_pairs,
                                         max_degree=max_degree,
                                         stop_at_certificate=stop_at_certificate)
-    info = {"sampled_minors": sampled, "minors_used": len(minors)}
+        if empty or not sampled:
+            break
+        minors, sampled = jacobian_minors(gens, codim)
+    info = {"sampled_minors": sampled, "minors_used": len(reduced)}
     if not (empty and stop_at_certificate):
         info["basis_size"] = len(basis)
     return empty, info
@@ -450,16 +435,16 @@ def smoothness_check(
 # ---------------------------------------------------------------------------
 
 
-def pluecker_relations(k, n, p):
-    """The quadratic Pluecker relations of the cone over Gr(k, n) over F_p,
-    in the C(n, k) coordinates x_S, S a k-subset of 0..n-1 in
-    lexicographic order (Fulton, Young Tableaux, 1997, section 9.1): for
-    each (k-1)-subset I and (k+1)-subset J = (j_0 < ... < j_k), the sum
-    over t of (-1)^t x_(I u j_t) x_(J - j_t), where x_(I u j) carries the
-    sign of sorting I followed by j.  Zero relations and relations equal
-    to an earlier one up to a scalar are dropped."""
+def pluecker_relations(k, n):
+    """The quadratic Pluecker relations of the cone over Gr(k, n), with
+    integer coefficients, in the C(n, k) coordinates x_S, S a k-subset of
+    0..n-1 in lexicographic order (Fulton, Young Tableaux, 1997, section
+    9.1): for each (k-1)-subset I and (k+1)-subset J = (j_0 < ... < j_k),
+    the sum over t of (-1)^t x_(I u j_t) x_(J - j_t), where x_(I u j)
+    carries the sign of sorting I followed by j.  Zero relations and
+    relations equal to an earlier one up to a scalar are dropped."""
     index = {s: i for i, s in enumerate(combinations(range(n), k))}
-    out, seen = [], set()
+    relations = []
     for I in combinations(range(n), k - 1):
         for J in combinations(range(n), k + 1):
             terms = []
@@ -471,35 +456,38 @@ def pluecker_relations(k, n, p):
                 e[index[merged]] += 1
                 e[index[J[:t] + J[t + 1:]]] += 1
                 terms.append((e, sign * (-1) ** t))
-            rel = FPoly(p, len(index), terms)
-            key = frozenset(rel.monic().terms.items())
-            if rel and key not in seen:
-                seen.add(key)
-                out.append(rel)
-    return out
+            relations.append(MultiPoly(len(index), terms))
+    return _first_up_to_scalar(relations)
 
 
-def decomposable_pullback_ideal(p):
+def _first_up_to_scalar(polys):
+    """The nonzero polys, in order, each dropped when an earlier one equals
+    it up to a scalar."""
+    kept = {}
+    for f in polys:
+        if f:
+            kept.setdefault(frozenset(f.monic().terms.items()), f)
+    return list(kept.values())
+
+
+def distinct_mod(polys, p):
+    """The reductions mod p of integer polynomials, made monic, with the
+    zeros and those equal to an earlier one up to a scalar dropped: two
+    polynomials proportional mod p need not be proportional over Q."""
+    return [g.monic() for g in _first_up_to_scalar(FPoly.from_int_poly(f, p) for f in polys)]
+
+
+def decomposable_pullback_ideal():
     """Pull the decomposability relations back along the 10-parameter
-    family of Lagrangian vectors: quadrics over F_p in 10 coordinates
-    whose projective emptiness certifies that the Lagrangian contains no
-    decomposable vector."""
-    relations = pluecker_relations(3, 6, p)
+    family of Lagrangian vectors: integer quadrics in 10 coordinates.  The
+    projective emptiness of distinct_mod(these, p) certifies that the
+    Lagrangian contains no decomposable vector."""
     # linear forms: coordinate I of the family point = sum_r a_r * A[r][I]
-    linear = [FPoly.from_int_poly(form, p) for form in linear_forms(list(zip(*build_A())))]
-    out = []
-    seen = set()
-    for rel in relations:
-        acc = rel.substitute(linear)
-        if not acc.is_zero():
-            key = frozenset(acc.monic().terms.items())
-            if key not in seen:
-                seen.add(key)
-                out.append(acc.monic())
-    return out
+    linear = linear_forms(list(zip(*build_A())))
+    return [rel.substitute(linear) for rel in pluecker_relations(3, 6)]
 
 
-def gm_threefold_ideal(p):
+def gm_threefold_ideal():
     """The degree-10 Fano threefold section: the five Grassmannian quadrics
     restricted to the linear section x03 = -x12, x04 = x23, plus one more
     quadric, in the eight coordinates left (variable order: x01, x02, x12,
@@ -507,28 +495,25 @@ def gm_threefold_ideal(p):
     names = ["x01", "x02", "x12", "x13", "x14", "x23", "x24", "x34"]
 
     def var(name, coeff=1):
-        return FPoly.var(p, names.index(name), 8, coeff)
+        return MultiPoly.var(names.index(name), 8, coeff)
 
     section = {"x03": var("x12", -1), "x04": var("x23")}
     pairs = [f"x{i}{j}" for i, j in combinations(range(5), 2)]
     images = [section[pair] if pair in section else var(pair) for pair in pairs]
-    out = [rel.substitute(images) for rel in pluecker_relations(2, 5, p)]
+    out = [rel.substitute(images) for rel in pluecker_relations(2, 5)]
     out.append(var("x01") * var("x02") - var("x13") * var("x14") - var("x24") * var("x34"))
     return out
 
 
-def gm_fivefold_ideal(p):
+def gm_fivefold_ideal():
     """The fivefold section: the five Grassmannian quadrics on pairs from
     a 5-space together with the invariant quadric, in the ten pair
     coordinates (x12, ..., x45)."""
-    out = pluecker_relations(2, 5, p)
-    q = parse_polynomial(QUADRIC_TEXT, PAIR_VARS)
-    out.append(FPoly.from_int_poly(q, p))
-    return out
+    return pluecker_relations(2, 5) + [parse_polynomial(QUADRIC_TEXT, PAIR_VARS)]
 
 
-def sextic_singular_locus_ideal(p):
-    """Gradient ideal of the invariant sextic over F_p (six quintics in
-    six variables); its projective zero locus is the singular surface."""
-    f = FPoly.from_int_poly(sextic_poly(), p)
+def sextic_singular_locus_ideal():
+    """Gradient ideal of the invariant sextic (six quintics in six
+    variables); its projective zero locus is the singular surface."""
+    f = sextic_poly()
     return [f.derivative(i) for i in range(6)]

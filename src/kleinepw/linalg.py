@@ -43,10 +43,10 @@ def identity(n, one=1, zero=0):
 
 
 def mat_mul(a, b):
-    """Matrix product.  When every entry of both operands is a CycloNum the
-    packed kernel cyclo.mat_mul takes it and returns tuples; other entries
-    are multiplied one by one into lists."""
-    if all(isinstance(x, CycloNum) for m in (a, b) for row in m for x in row):
+    """Matrix product.  When either operand has a CycloNum entry the packed
+    kernel cyclo.mat_mul takes it, lifting int and Fraction entries, and
+    returns tuples; other entries are multiplied one by one into lists."""
+    if any(isinstance(x, CycloNum) for m in (a, b) for row in m for x in row):
         return cyclo.mat_mul(a, b)
     rows, inner, cols = len(a), len(b), len(b[0])
     out = []

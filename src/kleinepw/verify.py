@@ -26,8 +26,10 @@ from .groebner import (
     MAX_PAIRS,
     BudgetExhausted,
     decomposable_pullback_ideal,
+    distinct_mod,
     gm_fivefold_ideal,
     gm_threefold_ideal,
+    jacobian_minors,
     projective_empty,
     sextic_singular_locus_ideal,
     smoothness_check,
@@ -871,16 +873,14 @@ def _at_primes(ctx, gate, budget_witness=None):
     return PASS, {"verified-at-primes": verified}
 
 
-def _smooth_at_primes(ctx, ideal, codim, max_pairs, minor_sample=None, budget_witness=None):
+def _smooth_at_primes(ctx, gens, codim, max_pairs, minor_sample=None, budget_witness=None):
+    # the minors are expanded once, for every prime
+    minors = jacobian_minors(gens, codim, sample=minor_sample)
+
     def gate(p):
-        ok, info = smoothness_check(
-            ideal(p),
-            codim,
-            max_pairs=max_pairs,
-            max_degree=ctx.budget_degree,
-            minor_sample=minor_sample,
-            stop_at_certificate=True,
-        )
+        ok, info = smoothness_check(gens, codim, p, max_pairs=max_pairs,
+                                    max_degree=ctx.budget_degree, minors=minors,
+                                    stop_at_certificate=True)
         return None if ok else {"prime": p, "info": info}
 
     return _at_primes(ctx, gate, budget_witness)
@@ -892,9 +892,11 @@ def _smooth_at_primes(ctx, ideal, codim, max_pairs, minor_sample=None, budget_wi
     "the Lagrangian contains no decomposable vectors (empty pullback cone)",
 )
 def _decomposable(ctx):
+    gens = decomposable_pullback_ideal()
+
     def gate(p):
         empty, _ = projective_empty(
-            decomposable_pullback_ideal(p),
+            distinct_mod(gens, p),
             max_pairs=ctx.budget_pairs,
             max_degree=ctx.budget_degree,
             stop_at_certificate=True,
@@ -910,7 +912,7 @@ def _decomposable(ctx):
     "the degree-10 Fano threefold section is smooth (codimension-4 Jacobian check)",
 )
 def _x3smooth(ctx):
-    return _smooth_at_primes(ctx, gm_threefold_ideal, 4, ctx.budget_pairs)
+    return _smooth_at_primes(ctx, gm_threefold_ideal(), 4, ctx.budget_pairs)
 
 
 @check(
@@ -921,7 +923,7 @@ def _x3smooth(ctx):
 def _x5smooth(ctx):
     if not ctx.slow:
         return SKIP, {"reason": "slow tier; rerun with --slow"}
-    return _smooth_at_primes(ctx, gm_fivefold_ideal, 4, ctx.budget_pairs)
+    return _smooth_at_primes(ctx, gm_fivefold_ideal(), 4, ctx.budget_pairs)
 
 
 # explicit tier budget for the singular-surface check, which is expected
@@ -939,7 +941,7 @@ def _sing_smooth(ctx):
         return SKIP, {"reason": "slow tier; rerun with --slow"}
     return _smooth_at_primes(
         ctx,
-        sextic_singular_locus_ideal,
+        sextic_singular_locus_ideal(),
         3,
         SURFACE_BUDGET_PAIRS,
         48,

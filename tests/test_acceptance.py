@@ -13,6 +13,7 @@ from kleinepw import epw, fixtures, group, hermitian, lattices, linalg, verify
 from kleinepw.cyclo import CycloNum, QuadInt, lambda_embed
 from kleinepw.groebner import (
     decomposable_pullback_ideal,
+    distinct_mod,
     gm_threefold_ideal,
     projective_empty,
     smoothness_check,
@@ -243,8 +244,10 @@ def test_criterion_11_invariant_form(table660, generators):
 def test_criterion_12_groebner_gates():
     with Criterion(12, "finite-field emptiness and smoothness gates", 7200):
         primes = (32003, 65537)
+        pullback = decomposable_pullback_ideal()
         for p in primes:
-            assert projective_empty(decomposable_pullback_ideal(p))[0] is True
+            assert projective_empty(distinct_mod(pullback, p))[0] is True
+        threefold = gm_threefold_ideal()
         for p in primes:
-            ok, _ = smoothness_check(gm_threefold_ideal(p), 4)
+            ok, _ = smoothness_check(threefold, 4, p)
             assert ok is True

@@ -72,6 +72,10 @@ NESTED = "[" * 3000 + "]" * 3000
          "'prime' must be a prime, got 4"),
         (["groebner", "--file"], {"variables": 1, "prime": "7", "generators": ["x0"]},
          "'prime' must be a prime, got '7'"),
+        # refused before trial division up to its square root
+        (["groebner", "--file"],
+         {"variables": 1, "prime": 1000000000000000003, "generators": ["x0"]},
+         "'prime' 1000000000000000003 is too large: primes must be below 2^31"),
         (["groebner", "--file"],
          {"variables": 1, "prime": 7, "codim": "1", "generators": ["x0"]},
          "'codim' must be a positive int, got '1'"),
@@ -102,7 +106,7 @@ NESTED = "[" * 3000 + "]" * 3000
         (["groebner", "--file"], NESTED, "JSON nested too deeply"),
     ],
     ids=["stratum-zero-denominator", "stratum-exponent-notation", "groebner-no-generators", "groebner-file-prime-4",
-         "groebner-file-prime-string", "groebner-file-codim-string",
+         "groebner-file-prime-string", "groebner-file-prime-too-large", "groebner-file-codim-string",
          "groebner-generator-not-string", "groebner-variables-string",
          "groebner-too-many-variables",
          "lattice-float-entry", "lattice-string-entry", "lattice-bool-entry",
@@ -127,6 +131,8 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phras
     [
         (["verify", "groebner", "--prime", "4"], "argument --prime: 4 is not a prime"),
         (["verify", "groebner", "--prime", "x"], "argument --prime: invalid int value: 'x'"),
+        (["verify", "groebner", "--prime", "2305843009213693951", "--prime", "32003"],
+         "argument --prime: 2305843009213693951 is too large: primes must be below 2^31"),
         (["groebner", "--file", "ideal.json", "--prime", "1"],
          "argument --prime: 1 is not a prime"),
         (["--budget-pairs", "-1", "verify", "groebner"], "argument --budget-pairs: -1 is negative"),
@@ -145,7 +151,7 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phras
         # the global --json is the one JSON switch
         (["emit-sextic", "--format", "json"], "unrecognized arguments: --format json"),
     ],
-    ids=["verify-prime-4", "verify-prime-not-int", "groebner-prime-1", "budget-pairs-negative",
+    ids=["verify-prime-4", "verify-prime-not-int", "verify-prime-too-large", "groebner-prime-1", "budget-pairs-negative",
          "budget-degree-negative", "verify-prime-2", "verify-prime-3", "verify-prime-11",
          "groebner-codim-0", "short-vectors-negative", "emit-sextic-format"],
 )
@@ -333,7 +339,7 @@ def test_verify_budget_reports_progress(capsys):
 def test_shipped_ideal_matches_builder():
     from kleinepw.groebner import FPoly, gm_fivefold_ideal, gm_threefold_ideal
 
-    # generator by generator and term for term, at the file's own prime
+    # generator by generator and term for term, reduced at the file's own prime
     for name, build in (("gm_threefold", gm_threefold_ideal),
                         ("gm_fivefold", gm_fivefold_ideal)):
         with open(DATA / f"{name}.json", "r", encoding="utf-8") as handle:
@@ -341,7 +347,7 @@ def test_shipped_ideal_matches_builder():
         p = spec["prime"]
         parsed = [FPoly.from_int_poly(parse_polynomial(s, spec["variables"]), p).terms
                   for s in spec["generators"]]
-        assert parsed == [g.terms for g in build(p)], name
+        assert parsed == [FPoly.from_int_poly(g, p).terms for g in build()], name
 
 
 def test_verify_hermitian_json(capsys):

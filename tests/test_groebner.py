@@ -9,7 +9,7 @@ import pytest
 from kleinepw import groebner, linalg
 from kleinepw.cli import main
 from kleinepw.epw import TRIPLE_INDEX, TRIPLES6, build_A, merge_indices
-from kleinepw.poly import grevlex_key, linear_forms
+from kleinepw.poly import MultiPoly, grevlex_key, linear_forms
 from kleinepw.groebner import (
     BudgetExhausted,
     FPoly,
@@ -18,14 +18,19 @@ from kleinepw.groebner import (
     buchberger,
     certifies_empty,
     decomposable_pullback_ideal,
+    distinct_mod,
     gm_fivefold_ideal,
     gm_threefold_ideal,
     jacobian_minors,
     normal_form,
     pluecker_relations,
     projective_empty,
+    sextic_singular_locus_ideal,
     smoothness_check,
 )
+
+import kernel_oracles
+from kernel_oracles import fpoly_var
 
 P = 32003
 # the shipped ideal files
@@ -33,7 +38,17 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "kleinepw" / "data"
 
 
 def fvars(p, n):
-    return [FPoly.var(p, i, n) for i in range(n)]
+    return [fpoly_var(p, i, n) for i in range(n)]
+
+
+def zvars(n):
+    return [MultiPoly.var(i, n) for i in range(n)]
+
+
+def reduce_mod(polys, p):
+    """The reductions mod p that are nonzero, in order, as a smoothness
+    gate reduces its minors."""
+    return [g for g in (FPoly.from_int_poly(f, p) for f in polys) if g]
 
 
 def test_buchberger_basics():
@@ -42,7 +57,7 @@ def test_buchberger_basics():
     for gens in ([x, y], [y, x]):
         assert [g.terms for g in buchberger(gens)] == [{(0, 1): 1}, {(1, 0): 1}]
     one = FPoly(7, 1, {(0,): 1})
-    u = FPoly.var(7, 0, 1)
+    (u,) = fvars(7, 1)
     gb = buchberger([u * u - one, u - one])
     assert len(gb) == 1 and gb[0].terms == (u - one).terms
 
@@ -132,11 +147,15 @@ def test_early_stop_at_a_constant_lead():
 
 
 def test_smoothness_small_examples():
-    x, y, z, w = fvars(P, 4)
-    assert smoothness_check([x * x + y * y + z * z + w * w], 1)[0] is True
-    u, v, t = fvars(P, 3)
-    assert smoothness_check([u * v - t * t], 1)[0] is True  # smooth conic
-    assert smoothness_check([u * u * v], 1)[0] is False
+    x, y, z, w = zvars(4)
+    assert smoothness_check([x * x + y * y + z * z + w * w], 1, P)[0] is True
+    u, v, t = zvars(3)
+    assert smoothness_check([u * v - t * t], 1, P)[0] is True  # smooth conic
+    assert smoothness_check([u * u * v], 1, P)[0] is False
+    # x^2 + 2y^2 + 3z^2 is a smooth conic over Q and two lines mod 3
+    x, y, z = zvars(3)
+    assert smoothness_check([x * x + 2 * y * y + 3 * z * z], 1, 7)[0] is True
+    assert smoothness_check([x * x + 2 * y * y + 3 * z * z], 1, 3)[0] is False
 
 
 def _rank_mod(polys, p):
@@ -167,7 +186,7 @@ def _rank_mod(polys, p):
 
 
 def test_grassmannian_relations():
-    rel = pluecker_relations(3, 6, P)
+    rel = pluecker_relations(3, 6)
     assert all(g.total_degree() == 2 for g in rel)
     assert all(g.is_homogeneous() for g in rel)
     # rank 35 over the prime field
@@ -236,22 +255,24 @@ def _contraction_and_wedge(p):
 
 @pytest.mark.parametrize("p", [P, 65537])
 def test_pluecker_relations_of_gr25_are_the_three_term_rule(p):
-    assert pluecker_relations(2, 5, p) == _three_term_rule(p)
+    assert [FPoly.from_int_poly(r, p) for r in pluecker_relations(2, 5)] == _three_term_rule(p)
 
 
 @pytest.mark.parametrize("p", [P, 65537])
 def test_pluecker_relations_of_gr36_span_the_contraction_relations(p):
-    built, oracle = pluecker_relations(3, 6, p), _contraction_and_wedge(p)
+    built = [FPoly.from_int_poly(r, p) for r in pluecker_relations(3, 6)]
+    oracle = _contraction_and_wedge(p)
     assert _rank_mod(built, p) == _rank_mod(oracle, p) == _rank_mod(built + oracle, p) == 35
     # the two decomposable pullback ideals have one reduced basis
     linear = [FPoly.from_int_poly(form, p) for form in linear_forms(list(zip(*build_A())))]
     pulled = [rel.substitute(linear) for rel in oracle]
-    assert buchberger(decomposable_pullback_ideal(p)) == buchberger(pulled)
+    assert buchberger(distinct_mod(decomposable_pullback_ideal(), p)) == buchberger(pulled)
 
 
 def test_decomposable_gate_two_primes():
+    pullback = decomposable_pullback_ideal()
     for p in (P, 65537):
-        gens = decomposable_pullback_ideal(p)
+        gens = distinct_mod(pullback, p)
         empty, basis = projective_empty(gens)
         assert empty is True and len(basis) == 60
         # the early stop gives the same verdict from a partial basis of
@@ -268,7 +289,7 @@ def _hand_built_threefold(p):
     names = ["x01", "x02", "x12", "x13", "x14", "x23", "x24", "x34"]
 
     def var(name, coeff=1):
-        return FPoly.var(p, names.index(name), 8, coeff)
+        return fpoly_var(p, names.index(name), 8, coeff)
 
     def image(i, j):
         name = f"x{i}{j}"
@@ -282,18 +303,21 @@ def _hand_built_threefold(p):
 
 @pytest.mark.parametrize("p", [P, 65537])
 def test_threefold_ideal_matches_the_hand_built_quadrics(p):
-    built, oracle = gm_threefold_ideal(p), _hand_built_threefold(p)
-    assert all(type(g) is FPoly and g.p == p for g in built)
-    assert [g.terms for g in built] == [g.terms for g in oracle]
+    built, oracle = gm_threefold_ideal(), _hand_built_threefold(p)
+    assert all(type(g) is MultiPoly for g in built)
+    assert [FPoly.from_int_poly(g, p).terms for g in built] == [g.terms for g in oracle]
 
 
 def test_threefold_gate():
+    gens = gm_threefold_ideal()
+    minors = jacobian_minors(gens, 4)
     for p in (P, 65537):
-        ok, info = smoothness_check(gm_threefold_ideal(p), 4)
+        ok, info = smoothness_check(gens, 4, p)
         assert ok is True
         assert info == {"sampled_minors": False, "minors_used": 1037, "basis_size": 165}
-        # the early stop reaches the same verdict and reports no basis size
-        early = smoothness_check(gm_threefold_ideal(p), 4, stop_at_certificate=True)
+        # the early stop reaches the same verdict and reports no basis size,
+        # from the minors expanded once for both primes
+        early = smoothness_check(gens, 4, p, minors=minors, stop_at_certificate=True)
         assert early == (True, {"sampled_minors": False, "minors_used": 1037})
 
 
@@ -302,35 +326,34 @@ def test_fivefold_gate(monkeypatch):
     # this run is also the one of the shipped gm_fivefold.json (the same
     # generators, term for term), so it checks autoreduce against its oracle
     (ok, info), bases = _autoreduce_inputs(
-        monkeypatch, lambda: smoothness_check(gm_fivefold_ideal(P), 4))
+        monkeypatch, lambda: smoothness_check(gm_fivefold_ideal(), 4, P))
     for basis in bases:
         assert _same_terms(autoreduce(basis), _fixpoint_autoreduce(basis))
     assert ok is True
     assert info == {"sampled_minors": False, "minors_used": 2965, "basis_size": 445}
-    early = smoothness_check(gm_fivefold_ideal(P), 4, stop_at_certificate=True)
+    early = smoothness_check(gm_fivefold_ideal(), 4, P, stop_at_certificate=True)
     assert early == (True, {"sampled_minors": False, "minors_used": 2965})
 
 
 def test_threefold_negative_control():
     # deleting one quadric term forces a singular point: the degenerate
     # quadric's vertex plane meets the section
-    gens = gm_threefold_ideal(P)
+    gens = gm_threefold_ideal()
     quad = gens[-1]
     broken = dict(quad.terms)
     key = next(e for e in broken if e[6] == 1 and e[7] == 1)  # the x24*x34 term
     del broken[key]
-    corrupted = FPoly(P, 8)
-    corrupted.terms = broken
-    ok, info = smoothness_check(gens[:-1] + [corrupted], 4)
+    corrupted = gens[:-1] + [MultiPoly(8, broken)]
+    ok, info = smoothness_check(corrupted, 4, P)
     assert ok is False
     # a non-empty locus never meets the certificate: the early-stop route
     # runs to the same reduced basis and reports the same basis size
-    assert smoothness_check(gens[:-1] + [corrupted], 4, stop_at_certificate=True) == (ok, info)
+    assert smoothness_check(corrupted, 4, P, stop_at_certificate=True) == (ok, info)
     assert info["basis_size"] == 130
 
 
 def test_minor_subsampling_reports():
-    gens = gm_threefold_ideal(P)
+    gens = gm_threefold_ideal()
     minors, sampled = jacobian_minors(gens, 4, sample=10)
     assert sampled is True and len(minors) <= 10
     again, _ = jacobian_minors(gens, 4, sample=10)
@@ -342,13 +365,15 @@ def test_minor_subsampling_reports():
 
 def test_jacobian_minors_over_z_match_the_fpoly_expansion():
     # jacobian_minors takes all minors of a row set from one expansion over
-    # Z and reduces them; the oracle expands each minor of the Jacobian
-    # over F_p directly, in the same row-set then column-set order
+    # Z; reduced mod p they are the minors that the oracle expands over F_p
+    # directly, one by one, in the same row-set then column-set order
     for build in (gm_threefold_ideal, gm_fivefold_ideal):
+        minors, sampled = jacobian_minors(build(), 4)
+        assert sampled is False
+        assert all(type(m) is MultiPoly for m in minors)
         for p in (P, 65537):
-            gens = build(p)
+            gens = [FPoly.from_int_poly(g, p) for g in build()]
             nvars = gens[0].nvars
-            minors, sampled = jacobian_minors(gens, 4)
             jac = [[g.derivative(i) for i in range(nvars)] for g in gens]
             one = FPoly(p, nvars, {(0,) * nvars: 1})
             oracle = []
@@ -357,9 +382,7 @@ def test_jacobian_minors_over_z_match_the_fpoly_expansion():
                     m = linalg.expansion_det([[jac[r][c] for c in cs] for r in rs], one)
                     if not m.is_zero():
                         oracle.append(m)
-            assert sampled is False
-            assert all(type(m) is FPoly and m.p == p for m in minors)
-            assert [m.terms for m in minors] == [m.terms for m in oracle]
+            assert [m.terms for m in reduce_mod(minors, p)] == [m.terms for m in oracle]
 
 
 def test_first_divisor_table_matches_the_plain_scan():
@@ -444,6 +467,13 @@ def _autoreduce_inputs(monkeypatch, run):
 IDEALS = (gm_threefold_ideal, gm_fivefold_ideal, decomposable_pullback_ideal)
 
 
+def _gate_gens(build, p):
+    """A gate ideal's generators reduced at p as its gate reduces them."""
+    if build is decomposable_pullback_ideal:
+        return distinct_mod(build(), p)
+    return [FPoly.from_int_poly(g, p) for g in build()]
+
+
 def _same_terms(got, want):
     """Term for term, in order."""
     return [g.sorted_terms() for g in got] == [g.sorted_terms() for g in want]
@@ -452,7 +482,7 @@ def _same_terms(got, want):
 @pytest.mark.parametrize("p", [P, 65537])
 @pytest.mark.parametrize("build", IDEALS, ids=lambda f: f.__name__)
 def test_one_pass_autoreduce_matches_the_fixpoint_on_the_ideals(monkeypatch, build, p):
-    for basis in _autoreduce_inputs(monkeypatch, lambda: buchberger(build(p)))[1]:
+    for basis in _autoreduce_inputs(monkeypatch, lambda: buchberger(_gate_gens(build, p)))[1]:
         assert _same_terms(autoreduce(basis), _fixpoint_autoreduce(basis))
 
 
@@ -464,3 +494,49 @@ def test_one_pass_autoreduce_matches_the_fixpoint_on_the_data_files(monkeypatch,
             main(["groebner", "--file", str(DATA / f"{name}.json")])
     for basis in _autoreduce_inputs(monkeypatch, run)[1]:
         assert _same_terms(autoreduce(basis), _fixpoint_autoreduce(basis))
+
+
+# -- the integer gate ideals against the per-prime builders ------------------
+
+# (integer builder, per-prime oracle, codimension of its smoothness gate)
+GATES = (
+    (decomposable_pullback_ideal, kernel_oracles.decomposable_pullback_ideal_mod, None),
+    (gm_threefold_ideal, kernel_oracles.gm_threefold_ideal_mod, 4),
+    (gm_fivefold_ideal, kernel_oracles.gm_fivefold_ideal_mod, 4),
+    (sextic_singular_locus_ideal, kernel_oracles.sextic_singular_locus_ideal_mod, 3),
+)
+
+
+@pytest.mark.parametrize("p", [P, 65537])
+@pytest.mark.parametrize("gate", GATES, ids=[build.__name__ for build, _, _ in GATES])
+def test_gate_ideals_reduce_to_the_per_prime_builders(gate, p):
+    build, oracle, codim = gate
+    want = oracle(p)
+    assert _same_terms(_gate_gens(build, p), want)
+    if codim is None:
+        return
+    # the surface's full minor set is the slow test below; its sample here
+    sample = 48 if build is sextic_singular_locus_ideal else None
+    minors, _ = jacobian_minors(build(), codim, sample=sample)
+    assert _same_terms(reduce_mod(minors, p),
+                       kernel_oracles.lifted_jacobian_minors(want, codim, sample=sample))
+
+
+@pytest.mark.slow
+def test_surface_minors_reduce_to_the_lifted_minors():
+    minors, _ = jacobian_minors(sextic_singular_locus_ideal(), 3)
+    for p in (P, 65537):
+        want = kernel_oracles.lifted_jacobian_minors(
+            kernel_oracles.sextic_singular_locus_ideal_mod(p), 3)
+        assert _same_terms(reduce_mod(minors, p), want)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_pullback_reduces_to_the_per_prime_builder_at_small_primes(p):
+    gens = decomposable_pullback_ideal()
+    want = kernel_oracles.decomposable_pullback_ideal_mod(p)
+    assert _same_terms(distinct_mod(gens, p), want)
+    # f + p g equals f mod p but is not proportional to it over Q: the
+    # duplicates are dropped after the reduction
+    doubled = gens + [f + p * g for f, g in zip(gens, reversed(gens))]
+    assert _same_terms(distinct_mod(doubled, p), want)

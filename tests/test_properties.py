@@ -3,7 +3,7 @@
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from fractions import Fraction  # noqa: E402
 from itertools import combinations  # noqa: E402
@@ -270,8 +270,8 @@ def test_fpoly_operations_commute_with_reduction(p, data):
 
 
 def test_fpoly_derivative_drops_coefficients_that_vanish_mod_p():
-    x = FPoly.var(7, 0, 2)
-    y = FPoly.var(7, 1, 2)
+    x = FPoly(7, 2, {(1, 0): 1})
+    y = FPoly(7, 2, {(0, 1): 1})
     assert (x ** 7).derivative(0).is_zero()
     _same_fpoly((x ** 7 + 3 * x * y).derivative(0), FPoly(7, 2, {(0, 1): 3}), 7)
     assert (x * 7 + y * 14).is_zero()
@@ -604,7 +604,7 @@ def _per_entry_mat_mul(a, b):
             acc = None
             for k, x in enumerate(row):
                 y = b[k][j]
-                if x.is_zero() or y.is_zero():
+                if not x or not y:
                     continue
                 term = x * y
                 acc = term if acc is None else acc + term
@@ -644,9 +644,17 @@ def _equal_matrices(got, want):
 
 @settings(deadline=None, max_examples=60)
 @given(pair=_matrix_pair())
+# a rational factor, as in epw.dual_rebuild_check's products
+@example(pair=([[Fraction(1, 2), Fraction(-3)], [0, Fraction(5, 7)]],
+               [[CycloNum.zeta(11, 1), CycloNum.from_rational(2, 11)],
+                [CycloNum.zeta(11, 3), CycloNum.from_rational(0, 11)]]))
 def test_packed_mat_mul_matches_per_entry_product(pair):
     a, b = pair
-    assert _equal_matrices(group.mat_mul(a, b), _per_entry_mat_mul(a, b))
+    want = _per_entry_mat_mul(a, b)
+    assert _equal_matrices(group.mat_mul(a, b), want)
+    # linalg.mat_mul packs every product with a CycloNum operand
+    packed = linalg.mat_mul(a, b)
+    assert type(packed) is tuple and _equal_matrices(packed, want)
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])
