@@ -89,8 +89,19 @@ def _codim_arg(text):
     return value
 
 
+def _usage_error(parser, message):
+    """A usage error as one line, "error: <message>", with exit code 2, as
+    a command's errors are: argparse's error hook."""
+    parser.exit(2, f"error: {message}\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are made of the parser's class, so they report alike
+    error = _usage_error
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="klein-epw",
         description="exact reconstruction and verification of the Klein EPW sextic "
         "and its order-660 symmetry group",
@@ -143,11 +154,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        raise SystemExit(2 if e.code not in (0, None) else 0)
+    args = build_parser().parse_args(argv)
     # argparse requires the subcommand and restricts it to these names
     handler = {
         "verify": cmd_verify,

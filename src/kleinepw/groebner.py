@@ -1,8 +1,7 @@
 """Multivariate ideals over prime fields: Buchberger, emptiness, smoothness.
 
 Polynomials are FPoly: poly.MultiPoly over F_p, whose operations reduce
-their coefficients into 1..p-1.  The monomial order is poly.grevlex_key,
-exact for every exponent; normal_form's heap key orders in its reverse.
+their coefficients into 1..p-1.  The monomial order is poly.grevlex_key.
 The Groebner machinery supports two certified checks used as
 finite-field stand-ins for characteristic-0 computations:
 
@@ -18,7 +17,14 @@ finite-field stand-ins for characteristic-0 computations:
   run is reproducible.  jacobian_minors expands each row set of the
   Jacobian once, by linalg.maximal_minors.
 
-Each Buchberger run keeps one first-divisor table for normal_form, so the
+Inside a Buchberger run a monomial is two ints (poly.grevlex_packing,
+after Monagan & Pearce, J. Symbolic Comput. 46, 2011): P for the order and
+products, E for divisibility, packed through a memo that lives as long as
+the run.  The field width comes from D = max(the degree budget, the
+input's degree), which bounds every lead, as the budget is checked before
+an element joins the basis; in a degree-compatible order no monomial of an
+S-polynomial or a reduction exceeds an lcm of two leads, of degree at most
+2D.  The run also keeps one first-divisor table for normal_form, so the
 monomials that recur in every Jacobian minor are matched to a lead once.
 
 One builder, pluecker_relations(k, n), gives the quadratic Pluecker
@@ -52,15 +58,15 @@ the defaults of verify and of the command line.
 
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heapify, heappop, heappush
 from itertools import combinations, groupby
 from operator import itemgetter
 
 from . import linalg
 from .epw import build_A, merge_indices
 from .fixtures import PAIR_VARS, QUADRIC_TEXT, sextic_poly
-from .poly import MultiPoly, grevlex_exponents, grevlex_key, linear_forms
+from .poly import MultiPoly, grevlex_packing, linear_forms
 from .textform import parse_polynomial
 
 # the default budgets of every Groebner computation
@@ -112,85 +118,66 @@ class FPoly(MultiPoly):
         return pow(c, -1, self.p)
 
 
-def _divides(d, e):
-    for a, b in zip(d, e):
-        if a > b:
-            return False
-    return True
+def _packed_lead(g, packing):
+    """normal_form's entry for a monic g: lead P, lead E, other terms (P, c)."""
+    terms = [(packing[0](e), c) for e, c in g.terms.items()]
+    lead = max(terms)[0]
+    return lead, packing[2](lead), [t for t in terms if t[0] != lead]
 
 
-def normal_form(f: FPoly, basis, lead_data=None, divisor=None):
-    """Full reduction of f by a list of monic polynomials; the working
-    polynomial is driven by a lazy min-heap keyed (-deg, e_(n-1), ..., e_0),
-    whose order is the reverse of poly.grevlex_key's for any exponents, so
-    the largest monomial comes first; the key reversed past its first entry
-    is the exponent tuple.  Each monomial is reduced by the first lead that
-    divides it.
+def normal_form(f: FPoly, basis, packing=None, divisor=None):
+    """Full reduction of f by a list of monic polynomials, on packed
+    monomials: the working polynomial maps P to coefficient and is driven
+    by a lazy heap of negated Ps, largest monomial first; a step adds the
+    quotient's P to each tail P of the first lead that divides the
+    monomial, tested on E.  The remainder is unpacked in pop order, largest
+    term first.  Within a run, packing is the run's and basis its
+    _packed_lead entries; otherwise a packing is made for the degrees of f
+    and basis, which bound every monomial (a step replaces a monomial by
+    smaller ones, of no larger degree).
 
-    divisor, when given, is a first-divisor table for lead_data kept across
-    calls: it maps a monomial to the index of its first dividing lead, or
-    to ~k (a negative int) when none of the first k leads divides it.  It
-    stays valid only while lead_data grows by appending: a first hit is
-    then still the first hit, and a miss resumes its scan at lead k."""
+    divisor, when given, is a first-divisor table for basis kept across
+    calls: it maps a P to the index of its first dividing lead, or to ~k (a
+    negative int) when none of the first k leads divides it.  It stays
+    valid only while basis grows by appending: a first hit is then still
+    the first hit, and a miss resumes its scan at lead k."""
+    if packing is None:
+        packing = grevlex_packing(f.nvars, max(g.total_degree() for g in (f, *basis)))
+        basis = [_packed_lead(g, packing) for g in basis]
+    pack, unpack, word, _, guard = packing
+    divisor = {} if divisor is None else divisor
     p = f.p
-    work = dict(f.terms)
-    if not work:
-        return f
-    if lead_data is None:
-        lead_data = [(g.leading_term()[0], list(g.terms.items())) for g in basis]
-    n_leads = len(lead_data)
-    heap = [(-sum(e),) + e[::-1] for e in work]
-    heapq.heapify(heap)
+    work = {pack(e): c for e, c in f.terms.items()}
+    heap = [-m for m in work]
+    heapify(heap)
+    n_leads = len(basis)
     remainder = {}
-    push = heapq.heappush
-    pop = heapq.heappop
     while heap:
-        e = pop(heap)[:0:-1]
-        c = work.get(e)
+        m = -heappop(heap)
+        c = work.pop(m, None)
         if c is None:
             continue
-        del work[e]
-        k = -1 if divisor is None else divisor.get(e, -1)
+        k = divisor.get(m, -1)
         if k < 0:
-            for i in range(~k, n_leads):
-                for a, b in zip(lead_data[i][0], e):
-                    if a > b:
-                        break
-                else:
-                    k = i
-                    break
-            else:
-                k = ~n_leads
-            if divisor is not None:
-                divisor[e] = k
+            e = word(m) | guard
+            k = divisor[m] = next((i for i in range(~k, n_leads)
+                                   if (e - basis[i][1]) & guard == guard), ~n_leads)
         if k < 0:
-            remainder[e] = c
+            remainder[unpack(m)] = c
             continue
-        le, terms = lead_data[k]
-        shift = tuple(a - b for a, b in zip(e, le))
-        for ge, gc in terms:
-            if ge == le:
-                continue
-            ke = tuple(a + b for a, b in zip(ge, shift))
-            prev = work.get(ke)
+        lead, _, tail = basis[k]
+        shift = m - lead
+        for q, gc in tail:
+            q += shift
+            prev = work.get(q)
             if prev is None:
-                acc = (-c * gc) % p
-                if acc:
-                    work[ke] = acc
-                    push(heap, (-sum(ke),) + ke[::-1])
+                work[q] = -c * gc % p
+                heappush(heap, -q)
+            elif acc := (prev - c * gc) % p:
+                work[q] = acc
             else:
-                acc = (prev - c * gc) % p
-                if acc:
-                    work[ke] = acc
-                else:
-                    del work[ke]
-    r = FPoly(p, f.nvars)
-    r.terms = remainder
-    return r
-
-
-def _lcm_exp(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+                del work[q]
+    return f._with_terms(remainder)
 
 
 def _pure_power_variable(e):
@@ -219,8 +206,9 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
     dropped, the rest are made monic and kept.  Pairs are formed among the
     kept generators only.  The ideal, hence the reduced basis, is the same.
     Every normal_form call of the run, input reduction and S-polynomials
-    alike, shares one first-divisor table (see normal_form); autoreduce
-    leaves a different element out of each call, so it scans without one.
+    alike, shares one packing and one first-divisor table (see
+    normal_form).  A pair waits on the P of its lcm, and the coprime and
+    chain criteria test the lcm's E.
 
     With stop_at_certificate, the run ends as soon as the leads meet
     certifies_empty: after the input reduction, or when a new element's
@@ -229,90 +217,81 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
     prove the leading ideal finite-colength.  Otherwise, and for every
     ideal that never meets the certificate, the result is the reduced
     basis."""
+    if not any(gens):
+        raise ValueError("no nonzero generators")
+    p, nvars = gens[0].p, gens[0].nvars
+    packing = grevlex_packing(nvars, max(max_degree, *(g.total_degree() for g in gens)))
+    _, unpack, word, packed_lcm, guard = packing
     basis, leads, lead_data = [], [], []
     # normal_form's first-divisor table, valid for the run: lead_data
     # only grows by appending
     divisor = {}
+
+    def join(h):
+        # normal_form gives the lead first; made monic, h keeps that order
+        c = next(iter(h.terms.values()))
+        h = h if c == 1 else h * pow(c, -1, p)
+        basis.append(h)
+        lead_data.append(_packed_lead(h, packing))
+        leads.append(unpack(lead_data[-1][0]))
+
     for g in gens:
-        h = normal_form(g, basis, lead_data, divisor)
+        h = normal_form(g, lead_data, packing, divisor)
         if not h.is_zero():
-            h = h.monic()
-            basis.append(h)
-            leads.append(h.leading_term()[0])
-            lead_data.append((leads[-1], list(h.terms.items())))
-    if not basis:
-        raise ValueError("no nonzero generators")
-    p, nvars = basis[0].p, basis[0].nvars
+            join(h)
     if stop_at_certificate and certifies_empty(leads, nvars):
         return basis
     degree = max(sum(e) for e in leads)
-    # the pairs not yet handled, queued on grevlex_key(lcm), the key being
-    # the pair's one record of its lcm
+    # the pairs not yet handled, queued on the P of their lcm
     pending = {(j, i) for i in range(len(basis)) for j in range(i)}
-    heap = [(grevlex_key(_lcm_exp(leads[j], leads[i])), j, i) for j, i in pending]
-    heapq.heapify(heap)
+    heap = [(packed_lcm(lead_data[j][1], lead_data[i][1]), j, i) for j, i in pending]
+    heapify(heap)
     handled = 0
     while heap:
-        key, i, j = heapq.heappop(heap)
+        lcm, i, j = heappop(heap)
         pending.remove((i, j))
-        lcm = grevlex_exponents(key)
+        (lead_i, e_i, tail_i), (lead_j, e_j, tail_j) = lead_data[i], lead_data[j]
+        e = word(lcm)
         # coprime criterion
-        if all(a + b == c for a, b, c in zip(leads[i], leads[j], lcm)):
+        if e == e_i + e_j:
             continue
         # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if _divides(leads[k], lcm):
-                ik = (k, i) if k < i else (i, k)
-                jk = (k, j) if k < j else (j, k)
-                if ik not in pending and jk not in pending:
-                    skip = True
-                    break
-        if skip:
+        e |= guard
+        if any((e - e_k) & guard == guard and k != i and k != j
+               and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
+               for k, (_, e_k, _) in enumerate(lead_data)):
             continue
         if handled >= max_pairs:
-            raise BudgetExhausted(
-                f"pair budget {max_pairs} exhausted", handled, len(basis), degree
-            )
+            raise BudgetExhausted(f"pair budget {max_pairs} exhausted", handled, len(basis),
+                                  degree)
         handled += 1
-        gi, gj = basis[i], basis[j]
-        shift_i = tuple(a - b for a, b in zip(lcm, leads[i]))
-        shift_j = tuple(a - b for a, b in zip(lcm, leads[j]))
-        s_terms = {}
-        for e, c in gi.terms.items():
-            ke = tuple(a + b for a, b in zip(e, shift_i))
-            s_terms[ke] = (s_terms.get(ke, 0) + c) % p
-        for e, c in gj.terms.items():
-            ke = tuple(a + b for a, b in zip(e, shift_j))
-            acc = (s_terms.get(ke, 0) - c) % p
-            if acc:
-                s_terms[ke] = acc
-            elif ke in s_terms:
-                del s_terms[ke]
+        # the S-polynomial of monic elements: the shifted leads cancel
+        shift_i, shift_j = lcm - lead_i, lcm - lead_j
+        s_terms = {q + shift_i: c for q, c in tail_i}
+        for q, c in tail_j:
+            q += shift_j
+            if acc := (s_terms.get(q, 0) - c) % p:
+                s_terms[q] = acc
+            else:
+                del s_terms[q]
         s = FPoly(p, nvars)
-        s.terms = {e: c for e, c in s_terms.items() if c}
-        h = normal_form(s, basis, lead_data, divisor)
+        s.terms = {unpack(q): c for q, c in s_terms.items()}
+        h = normal_form(s, lead_data, packing, divisor)
         if h.is_zero():
             continue
-        h = h.monic()
-        le = h.leading_term()[0]
+        le = next(iter(h.terms))
         degree = max(degree, sum(le))
         if sum(le) > max_degree:
-            raise BudgetExhausted(
-                f"degree budget {max_degree} exhausted", handled, len(basis), degree
-            )
-        basis.append(h)
-        leads.append(le)
-        lead_data.append((le, list(h.terms.items())))
+            raise BudgetExhausted(f"degree budget {max_degree} exhausted", handled,
+                                  len(basis), degree)
+        join(h)
         if (stop_at_certificate and (not any(le) or _pure_power_variable(le) is not None)
                 and certifies_empty(leads, nvars)):
             return basis
-        new_idx = len(basis) - 1
-        for k in range(new_idx):
-            pending.add((k, new_idx))
-            heapq.heappush(heap, (grevlex_key(_lcm_exp(leads[k], le)), k, new_idx))
+        n = len(basis) - 1
+        for k in range(n):
+            pending.add((k, n))
+            heappush(heap, (packed_lcm(lead_data[k][1], lead_data[n][1]), k, n))
     return autoreduce(basis)
 
 
@@ -321,25 +300,21 @@ def autoreduce(basis):
     monomials, every element fully reduced by the others, monic, sorted.
     One pass suffices: no kept lead divides another, so reduction keeps
     every lead, and no term of an element, once reduced, is divisible by
-    any lead of the result."""
-    # drop elements whose lead is divisible by another lead
+    any lead of the result.  Its normal_form calls share one packing; each
+    leaves a different element out, so none keeps a first-divisor table."""
     basis = [g.monic() for g in basis if not g.is_zero()]
-    keep, data = [], []  # data: normal_form's (lead, terms), in step with keep
-    leads = [g.leading_term()[0] for g in basis]
-    for i, g in enumerate(basis):
-        li = leads[i]
-        if any(
-            j != i and _divides(leads[j], li) and (leads[j] != li or j < i)
-            for j in range(len(basis))
-        ):
-            continue
-        keep.append(g)
-        data.append((li, list(g.terms.items())))
+    packing = grevlex_packing(basis[0].nvars, max(g.total_degree() for g in basis))
+    guard = packing[4]
+    data = [_packed_lead(g, packing) for g in basis]
+    # drop elements whose lead is divisible by another lead
+    kept = [i for i, (li, ei, _) in enumerate(data)
+            if not any(j != i and ((ei | guard) - ej) & guard == guard and (lj != li or j < i)
+                       for j, (lj, ej, _) in enumerate(data))]
+    keep, data = [basis[i] for i in kept], [data[i] for i in kept]
     for i, g in enumerate(keep):
-        keep[i] = normal_form(g, None, data[:i] + data[i + 1:])
-        data[i] = (data[i][0], list(keep[i].terms.items()))
-    keep.sort(key=lambda g: grevlex_key(g.leading_term()[0]))
-    return keep
+        keep[i] = normal_form(g, data[:i] + data[i + 1:], packing)
+        data[i] = _packed_lead(keep[i], packing)
+    return [g for _, g in sorted(zip((d[0] for d in data), keep))]
 
 
 def projective_empty(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE,

@@ -12,8 +12,14 @@ variable order.  divmod is the one division loop: exact_div and `//` are
 divmod with a zero remainder required, and gcd and
 squarefree_decomposition (line restrictions) run on one-variable
 polynomials through it.  It keeps the remainder's monomials in a heap
-with lazy deletion of cancelled terms (Monagan & Pearce), so each step
-pops the largest one instead of scanning the remainder.  linear_forms
+with lazy deletion of cancelled terms, so each step pops the largest one
+instead of scanning the remainder.  The heap holds packed monomials
+(grevlex_packing; Monagan & Pearce, J. Symbolic Comput. 46, 2011), two
+ints in w-bit fields: P packs grevlex_key, so a product is one integer add
+and the order is integer comparison; E packs the exponents under a guard
+bit per field, so l divides m iff ((E_m | G) - E_l) & G == G for the guard
+bits G.  Fields of w = max(8, bitlen(2D + 1) + 1) bits hold every monomial
+of degree up to 2D.  linear_forms
 builds the linear images that substitute takes, a matrix's rows as forms
 in its column variables.
 homogenize(d) turns a polynomial on the affine chart x0 = 1 into the
@@ -29,23 +35,53 @@ from heapq import heapify, heappop, heappush
 def grevlex_key(exps):
     """The sort key of the grevlex order, the one monomial order of the
     package: a larger key is a larger monomial.  Its entries, the degree d
-    and then d - e for the exponents from the last, are nonnegative;
-    grevlex_exponents reads the exponents back."""
+    and then d - e for the exponents from the last, are nonnegative and
+    linear in the exponents."""
     d = sum(exps)
     return (d,) + tuple(d - e for e in reversed(exps))
 
 
-def grevlex_exponents(key):
-    """The exponent tuple whose grevlex_key is key."""
-    d = key[0]
-    return tuple(d - k for k in key[:0:-1])
+def grevlex_packing(nvars, degree):
+    """The packing (module docstring) of monomials in nvars variables of
+    degree at most 2 * degree.  P's fields hold grevlex_key's entries, most
+    significant first; the key is linear in the exponents, so P(ab) = P(a)
+    + P(b).  E's i-th field from the bottom holds e_i below its guard bit: a
+    field of E_m below E_l's borrows its own guard, and no borrow crosses it.
 
+    Returns (pack, unpack, word, packed_lcm, G): pack(exps) is P, unpack(P)
+    the exponents (both memoized while the packing lives), word(P) is E,
+    and packed_lcm(E_a, E_b) is the P of lcm(a, b)."""
+    w = max(8, (2 * degree + 1).bit_length() + 1)
+    top, field = nvars * w, (1 << w) - 1
+    ones = sum(1 << i * w for i in range(nvars))
+    guard = ones << w - 1
+    packed, exps_of = {}, {}
 
-def _heap_entry(exps):
-    """The entry of divmod's min-heap for a monomial: its negated grevlex
-    key, so the largest monomial comes first, followed by the exponents."""
-    d = sum(exps)
-    return (-d,) + tuple(e - d for e in reversed(exps)) + exps
+    def pack(exps):
+        m = packed.get(exps)
+        if m is None:
+            m = packed[exps] = sum(k << i * w for i, k in enumerate(reversed(grevlex_key(exps))))
+        return m
+
+    def unpack(m):
+        exps = exps_of.get(m)
+        if exps is None:
+            exps = exps_of[m] = tuple((m >> top) - (m >> i * w & field) for i in range(nvars))
+            packed[exps] = m
+        return exps
+
+    def word(m):
+        return (m >> top) * ones - (m & (1 << top) - 1)
+
+    def packed_lcm(a, b):
+        # the fields where a >= b, spread down from their guard bits
+        ge = ((a | guard) - b) & guard
+        ge -= ge >> w - 1
+        e = a & ge | b & ~ge
+        # the degree is the middle field of e * ones, the sum of all fields
+        return (e * ones >> top - w & field) * (ones | 1 << top) - e
+
+    return pack, unpack, word, packed_lcm, guard
 
 
 class MultiPoly:
@@ -278,49 +314,51 @@ class MultiPoly:
         does not divide.  Other coefficients are multiplied by one inverse
         of the leading coefficient, taken by the _inverse hook.
 
-        The remaining terms' monomials wait in a heap (Monagan & Pearce,
-        J. Symbolic Comput. 46, 2011), so each step pops the largest one
-        instead of scanning them all.  An entry is one tuple: the negated
-        grevlex key followed by the exponents.  A term that cancels leaves
-        its entry behind, and an entry whose monomial is no longer in the
-        remainder is skipped when popped (lazy deletion); a monomial is
+        The remaining terms' monomials wait in a heap of their negated
+        packed Ps (grevlex_packing, for the larger degree of the two, which
+        bounds every monomial of the division), so each step pops the
+        largest one instead of scanning them all.  A term that cancels
+        leaves its entry behind, and an entry whose monomial is no longer in
+        the remainder is skipped when popped (lazy deletion); a monomial is
         pushed again when it comes back, and each new monomial is below the
         popped one, so no monomial is taken twice."""
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
+        pack, unpack, word, _, guard = grevlex_packing(
+            self.nvars, max(self.total_degree(), divisor.total_degree()))
         de, dc = divisor.leading_term()
-        tail = [(e, c) for e, c in divisor.terms.items() if e != de]
+        dm, dw = pack(de), word(pack(de))
+        tail = [(pack(e), c) for e, c in divisor.terms.items() if e != de]
         over_z = self._ints_in_z and isinstance(dc, int)
         inv = self._inverse(dc)
-        rem = dict(self.terms)
-        heap = [_heap_entry(e) for e in rem]
+        rem = {pack(e): c for e, c in self.terms.items()}
+        heap = [-m for m in rem]
         heapify(heap)
-        skip = self.nvars + 1
         q, r = {}, {}
         while heap:
-            e = heappop(heap)[skip:]
-            c = rem.pop(e, None)
+            m = -heappop(heap)
+            c = rem.pop(m, None)
             if c is None:
                 continue
-            qe = tuple(a - b for a, b in zip(e, de))
             whole = over_z and isinstance(c, int)
-            if any(x < 0 for x in qe) or (whole and c % dc):
-                r[e] = c
+            if ((word(m) | guard) - dw) & guard != guard or (whole and c % dc):
+                r[unpack(m)] = c
                 continue
             qc = c // dc if whole else c * inv
-            q[qe] = qc
-            for te, tc in tail:
-                ke = tuple(a + b for a, b in zip(qe, te))
-                acc = rem.get(ke)
+            qm = m - dm
+            q[unpack(qm)] = qc
+            for tm, tc in tail:
+                km = qm + tm
+                acc = rem.get(km)
                 if acc is None:
                     if s := -qc * tc:
-                        rem[ke] = s
-                        heappush(heap, _heap_entry(ke))
+                        rem[km] = s
+                        heappush(heap, -km)
                 elif s := acc - qc * tc:
-                    rem[ke] = s
+                    rem[km] = s
                 else:
-                    del rem[ke]
+                    del rem[km]
         return self._with_terms(q), self._with_terms(r)
 
     def exact_div(self, divisor):

@@ -9,8 +9,12 @@ The *_mod builders construct the Groebner gate ideals over F_p, prime by
 prime, and lifted_jacobian_minors expands the minors of their integer
 lifts in [0, p); the package builds each ideal and its minors once over
 Z and reduces them at each prime.
+tuple_normal_form, tuple_buchberger and tuple_autoreduce are the Groebner
+kernel on exponent tuples, with divides as its divisibility test; the
+package runs the same algorithm on packed monomials (poly.grevlex_packing).
 """
 
+import heapq
 import random
 from itertools import combinations, groupby
 from math import gcd
@@ -20,7 +24,8 @@ from kleinepw import linalg
 from kleinepw.cyclo import CycloNum
 from kleinepw.epw import build_A, merge_indices
 from kleinepw.fixtures import PAIR_VARS, QUADRIC_TEXT, sextic_poly
-from kleinepw.groebner import SAMPLE_SEED, FPoly
+from kleinepw.groebner import (MAX_DEGREE, MAX_PAIRS, SAMPLE_SEED, BudgetExhausted, FPoly,
+                               certifies_empty)
 from kleinepw.poly import MultiPoly, grevlex_key, linear_forms
 from kleinepw.textform import parse_polynomial
 
@@ -167,3 +172,143 @@ def lifted_jacobian_minors(gens, size, sample=None):
                 if not m.is_zero():
                     out.append(m)
     return out
+
+
+# -- the Groebner kernel on exponent tuples ----------------------------------
+
+
+def divides(d, e):
+    """Whether the monomial d divides e, exponent by exponent."""
+    return all(a <= b for a, b in zip(d, e))
+
+
+def tuple_normal_form(f, basis, lead_data=None, divisor=None):
+    """Full reduction of f by a list of monic polynomials, on exponent
+    tuples: a lazy min-heap keyed (-deg, e_(n-1), ..., e_0), the reverse of
+    grevlex_key's order, drives the working polynomial, and each monomial is
+    reduced by the first lead that divides it.  lead_data is the leads'
+    [(lead, terms)]; divisor, when given, is a first-divisor table kept
+    across calls while lead_data grows by appending: a monomial's first
+    dividing lead, or ~k when none of the first k leads divides it."""
+    p = f.p
+    work = dict(f.terms)
+    if lead_data is None:
+        lead_data = [(g.leading_term()[0], list(g.terms.items())) for g in basis]
+    n_leads = len(lead_data)
+    heap = [(-sum(e),) + e[::-1] for e in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        e = heapq.heappop(heap)[:0:-1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        k = -1 if divisor is None else divisor.get(e, -1)
+        if k < 0:
+            k = next((i for i in range(~k, n_leads) if divides(lead_data[i][0], e)), ~n_leads)
+            if divisor is not None:
+                divisor[e] = k
+        if k < 0:
+            remainder[e] = c
+            continue
+        le, terms = lead_data[k]
+        shift = tuple(a - b for a, b in zip(e, le))
+        for ge, gc in terms:
+            if ge == le:
+                continue
+            ke = tuple(a + b for a, b in zip(ge, shift))
+            prev = work.get(ke)
+            acc = ((0 if prev is None else prev) - c * gc) % p
+            if prev is None and acc:
+                heapq.heappush(heap, (-sum(ke),) + ke[::-1])
+            if acc:
+                work[ke] = acc
+            elif prev is not None:
+                del work[ke]
+    r = FPoly(p, f.nvars)
+    r.terms = remainder
+    return r
+
+
+def tuple_buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE,
+                     stop_at_certificate=False):
+    """groebner.buchberger on exponent tuples: the same input reduction,
+    normal selection on grevlex_key(lcm), coprime and chain criteria,
+    budgets, early stop and final tuple_autoreduce."""
+    basis, leads, lead_data, divisor = [], [], [], {}
+
+    def join(h):
+        h = h.monic()
+        basis.append(h)
+        leads.append(h.leading_term()[0])
+        lead_data.append((leads[-1], list(h.terms.items())))
+
+    for g in gens:
+        h = tuple_normal_form(g, basis, lead_data, divisor)
+        if not h.is_zero():
+            join(h)
+    if not basis:
+        raise ValueError("no nonzero generators")
+    p, nvars = basis[0].p, basis[0].nvars
+    if stop_at_certificate and certifies_empty(leads, nvars):
+        return basis
+    degree = max(sum(e) for e in leads)
+
+    def lcm(a, b):
+        return tuple(map(max, a, b))
+
+    pending = {(j, i) for i in range(len(basis)) for j in range(i)}
+    heap = [(grevlex_key(lcm(leads[j], leads[i])), j, i) for j, i in pending]
+    heapq.heapify(heap)
+    handled = 0
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        pending.remove((i, j))
+        m = lcm(leads[i], leads[j])
+        if all(a + b == c for a, b, c in zip(leads[i], leads[j], m)):
+            continue
+        if any(k != i and k != j and divides(leads[k], m)
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending for k in range(len(basis))):
+            continue
+        if handled >= max_pairs:
+            raise BudgetExhausted(f"pair budget {max_pairs} exhausted", handled, len(basis),
+                                  degree)
+        handled += 1
+        s = FPoly(p, nvars)
+        for g, le, sign in ((basis[i], leads[i], 1), (basis[j], leads[j], -1)):
+            shift = tuple(a - b for a, b in zip(m, le))
+            s = s + FPoly(p, nvars, {tuple(a + b for a, b in zip(e, shift)): sign * c
+                                     for e, c in g.terms.items()})
+        h = tuple_normal_form(s, basis, lead_data, divisor)
+        if h.is_zero():
+            continue
+        le = h.monic().leading_term()[0]
+        degree = max(degree, sum(le))
+        if sum(le) > max_degree:
+            raise BudgetExhausted(f"degree budget {max_degree} exhausted", handled,
+                                  len(basis), degree)
+        join(h)
+        if stop_at_certificate and certifies_empty(leads, nvars):
+            return basis
+        for k in range(len(basis) - 1):
+            pending.add((k, len(basis) - 1))
+            heapq.heappush(heap, (grevlex_key(lcm(leads[k], le)), k, len(basis) - 1))
+    return tuple_autoreduce(basis)
+
+
+def tuple_autoreduce(basis):
+    """groebner.autoreduce on exponent tuples: drop each element whose lead
+    another lead divides (the later of two equal leads), reduce each kept
+    element by the others in one pass, sort by lead."""
+    basis = [g.monic() for g in basis if not g.is_zero()]
+    leads = [g.leading_term()[0] for g in basis]
+    keep = [g for i, g in enumerate(basis)
+            if not any(j != i and divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)
+                       for j in range(len(basis)))]
+    data = [(g.leading_term()[0], list(g.terms.items())) for g in keep]
+    for i, g in enumerate(keep):
+        keep[i] = tuple_normal_form(g, None, data[:i] + data[i + 1:])
+        data[i] = (data[i][0], list(keep[i].terms.items()))
+    keep.sort(key=lambda g: grevlex_key(g.leading_term()[0]))
+    return keep

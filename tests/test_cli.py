@@ -146,14 +146,19 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phras
          "argument --prime: 11 is a bad prime for verify: it is the conductor"),
         (["groebner", "--file", "ideal.json", "--codim", "0"],
          "argument --codim: 0 is not positive"),
+        (["verify", "groebner", "--prime", "2305843009213693951"],
+         "argument --prime: 2305843009213693951 is too large: primes must be below 2^31"),
         (["lattice", "--spec", "E8", "--short-vectors", "-1"],
          "argument --short-vectors: -1 is negative"),
+        (["lattice", "--spec", "E8(1)", "--short-vectors", "x"],
+         "argument --short-vectors: invalid int value: 'x'"),
         # the global --json is the one JSON switch
         (["emit-sextic", "--format", "json"], "unrecognized arguments: --format json"),
     ],
     ids=["verify-prime-4", "verify-prime-not-int", "verify-prime-too-large", "groebner-prime-1", "budget-pairs-negative",
          "budget-degree-negative", "verify-prime-2", "verify-prime-3", "verify-prime-11",
-         "groebner-codim-0", "short-vectors-negative", "emit-sextic-format"],
+         "groebner-codim-0", "verify-prime-too-large-alone", "short-vectors-negative",
+         "short-vectors-not-int", "emit-sextic-format"],
 )
 def test_bad_number_flag_is_a_usage_error(capsys, argv, phrase):
     with pytest.raises(SystemExit) as err:
@@ -161,7 +166,9 @@ def test_bad_number_flag_is_a_usage_error(capsys, argv, phrase):
     assert err.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert phrase in out.err and "Traceback" not in out.err
+    # one line, as a command's own errors: no usage block before it
+    assert out.err.startswith("error: ") and phrase in out.err
+    assert out.err.count("\n") == 1
 
 
 def test_lattice_command(capsys):

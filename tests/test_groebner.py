@@ -9,11 +9,10 @@ import pytest
 from kleinepw import groebner, linalg
 from kleinepw.cli import main
 from kleinepw.epw import TRIPLE_INDEX, TRIPLES6, build_A, merge_indices
-from kleinepw.poly import MultiPoly, grevlex_key, linear_forms
+from kleinepw.poly import MultiPoly, grevlex_key, grevlex_packing, linear_forms
 from kleinepw.groebner import (
     BudgetExhausted,
     FPoly,
-    _divides,
     autoreduce,
     buchberger,
     certifies_empty,
@@ -30,7 +29,7 @@ from kleinepw.groebner import (
 )
 
 import kernel_oracles
-from kernel_oracles import fpoly_var
+from kernel_oracles import divides, fpoly_var, tuple_normal_form
 
 P = 32003
 # the shipped ideal files
@@ -144,6 +143,30 @@ def test_early_stop_at_a_constant_lead():
     # S(x^2, xy + 1) gives x, then S(x, xy + 1) the constant; no y power is met
     partial = buchberger(gens, stop_at_certificate=True)
     assert [g.leading_term()[0] for g in partial] == [(1, 1), (2, 0), (1, 0), (0, 0)]
+
+
+def test_run_width_comes_from_the_budget_or_the_input_degree(monkeypatch):
+    # every monomial of a run has degree at most twice the larger of the
+    # degree budget and the input's degree: the packing gets that bound
+    degrees = []
+    packing = groebner.grevlex_packing
+    monkeypatch.setattr(groebner, "grevlex_packing",
+                        lambda nvars, degree: degrees.append(degree) or packing(nvars, degree))
+    x, y, z = fvars(P, 3)
+    high = FPoly(P, 3, {(0, 258, 0): 1, (257, 0, 1): -1})
+    for gens, max_degree, want in (([x * y - z * z], 48, 48), ([high, x - z], 48, 258),
+                                   ([high, x - z], 400, 400), ([high, high], 3, 258)):
+        del degrees[:]
+        budgets = {"max_pairs": 40, "max_degree": max_degree}
+        try:
+            got = [g.terms for g in buchberger(gens, **budgets)]
+        except BudgetExhausted as e:
+            got = e.progress()
+        try:
+            want_basis = [g.terms for g in kernel_oracles.tuple_buchberger(gens, **budgets)]
+        except BudgetExhausted as e:
+            want_basis = e.progress()
+        assert degrees[0] == want and got == want_basis
 
 
 def test_smoothness_small_examples():
@@ -387,32 +410,36 @@ def test_jacobian_minors_over_z_match_the_fpoly_expansion():
 
 def test_first_divisor_table_matches_the_plain_scan():
     # one table shared by every call while the leads grow by appending, as
-    # in buchberger, gives the plain scan's normal forms term for term
+    # in buchberger, gives the tuple kernel's plain-scan normal forms term
+    # for term
     p = 101
     x, y, z = fvars(p, 3)
-    lead_data, divisor = [], {}
+    packing = grevlex_packing(3, 15)
+    pack, unpack = packing[:2]
+    basis, lead_data, divisor = [], [], {}
 
     def append(g):
-        g = g.monic()
-        lead_data.append((g.leading_term()[0], list(g.terms.items())))
+        basis.append(g.monic())
+        lead_data.append(groebner._packed_lead(basis[-1], packing))
 
     def check(f):
-        got = normal_form(f, None, lead_data, divisor)
-        want = normal_form(f, None, lead_data)
+        got = normal_form(f, lead_data, packing, divisor)
+        want = tuple_normal_form(f, basis)
         assert list(got.terms.items()) == list(want.terms.items())
         # each entry is the first dividing lead, or a miss over a prefix of
         # the leads that holds no divisor
-        for e, k in divisor.items():
-            first = next((i for i, (le, _) in enumerate(lead_data) if _divides(le, e)), None)
+        for m, k in divisor.items():
+            first = next((i for i, g in enumerate(basis)
+                          if divides(g.leading_term()[0], unpack(m))), None)
             assert k == first if k >= 0 else first is None or first >= ~k
         return got
 
     # x^2 y misses while z^3 is the only lead, and is hit once xy is appended
     append(z * z * z)
     f = x * x * y + z * z
-    assert check(f).terms == f.terms and divisor[(2, 1, 0)] == ~1
+    assert check(f).terms == f.terms and divisor[pack((2, 1, 0))] == ~1
     append(x * y + z * z)
-    assert check(f).terms == (z * z - x * z * z).terms and divisor[(2, 1, 0)] == 1
+    assert check(f).terms == (z * z - x * z * z).terms and divisor[pack((2, 1, 0))] == 1
     rng = random.Random(7)
 
     def random_poly(degree):
@@ -427,11 +454,11 @@ def test_first_divisor_table_matches_the_plain_scan():
 
 def _fixpoint_autoreduce(basis):
     """The oracle for autoreduce: the minimal basis interreduced pass after
-    pass until a pass changes nothing."""
+    pass until a pass changes nothing, on the tuple kernel."""
     basis = [g.monic() for g in basis if not g.is_zero()]
     leads = [g.leading_term()[0] for g in basis]
     keep = [g for i, g in enumerate(basis)
-            if not any(j != i and _divides(leads[j], leads[i])
+            if not any(j != i and divides(leads[j], leads[i])
                        and (leads[j] != leads[i] or j < i) for j in range(len(basis)))]
     data = [(g.leading_term()[0], list(g.terms.items())) for g in keep]
     changed = True
@@ -440,7 +467,7 @@ def _fixpoint_autoreduce(basis):
         out, out_data = [], []
         for i, g in enumerate(keep):
             others = out_data + data[i + 1:]
-            r = normal_form(g, None, others) if others else g
+            r = tuple_normal_form(g, None, others) if others else g
             if r.is_zero():
                 changed = True
                 continue

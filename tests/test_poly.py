@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from kleinepw.groebner import FPoly
-from kleinepw.poly import MultiPoly, gcd, squarefree_decomposition
+from kleinepw.poly import MultiPoly, gcd, grevlex_key, grevlex_packing, squarefree_decomposition
 from kleinepw.textform import MAX_VARIABLES, PolyParseError, emit_polynomial, parse_polynomial
 
 
@@ -183,3 +184,75 @@ def test_emit_round_trip():
     q = fixtures.invariant_quadric()
     text_q = emit_polynomial(q, fixtures.PAIR_VARS)
     assert parse_polynomial(text_q, fixtures.PAIR_VARS) == q
+
+
+# -- packed monomials at the edges of their fields -------------------------
+
+
+def _width(guard):
+    """The field width w of a packing, read from its lowest guard bit."""
+    return (guard & -guard).bit_length()
+
+
+def test_packed_width_follows_the_degree_bound():
+    # w = max(8, bitlen(2 * degree + 1) + 1): 8 up to degree 63, then one
+    # more bit each time 2 * degree + 1 needs one
+    for degree, w in ((0, 8), (63, 8), (64, 9), (127, 9), (128, 10), (2 ** 20, 23)):
+        assert _width(grevlex_packing(3, degree)[4]) == w
+
+
+@pytest.mark.parametrize("degree", [63, 64, 2048])
+def test_packing_at_the_largest_field_value(degree):
+    pack, unpack, word, packed_lcm, guard = grevlex_packing(3, degree)
+    top = 2 ** (_width(guard) - 1) - 1
+
+    # order: all of degree top, ties broken by the smaller last exponent,
+    # then the smaller next-to-last
+    ascending = [(0, 0, top), (0, 1, top - 1), (top - 1, 0, 1), (0, top, 0), (1, top - 1, 0),
+                 (top, 0, 0)]
+    assert sorted(reversed(ascending), key=pack) == ascending
+    assert sorted(reversed(ascending), key=grevlex_key) == ascending
+    assert pack((0, 0, 1)) < pack((top, 0, 0)) < pack((0, 0, top + 1))
+
+    # products: one integer add, exact up to fields of top
+    for a, b in (((top - 1, 0, 0), (1, 0, 0)), ((0, top, 0), (0, 0, top)),
+                 ((top, 0, 0), (0, 0, 0)), ((1, 2, 3), (top - 1, top - 2, top - 3))):
+        ab = tuple(x + y for x, y in zip(a, b))
+        assert pack(a) + pack(b) == pack(ab)
+        assert unpack(pack(a) + pack(b)) == ab
+
+    def divides(l, m):
+        return ((word(pack(m)) | guard) - word(pack(l))) & guard == guard
+
+    assert divides((top, 0, 0), (top, 1, 0)) and divides((0, top, 0), (0, top, 0))
+    assert divides((0, 0, 1), (0, 0, top)) and divides((0, 0, 0), (top, top, top))
+    assert not divides((top, 1, 0), (top, 0, 1)) and not divides((1, 0, 0), (0, top, top))
+    # a field of m below the one of l borrows from its guard, not from the
+    # next field up
+    assert not divides((0, 1, 0), (top, 0, top)) and not divides((0, 0, top), (top, top, top - 1))
+
+    # the lcm's P, from the Es, up to the degree bound 2 * degree
+    for a, b, lcm in (((top - 3, 0, 2), (1, 1, 1), (top - 3, 1, 2)),
+                      ((0, 0, degree), (degree, 0, 0), (degree, 0, degree)),
+                      ((0, 0, 0), (0, top, 0), (0, top, 0))):
+        assert packed_lcm(word(pack(a)), word(pack(b))) == pack(lcm)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 63, 64, 2048, 4096])
+def test_packing_holds_every_monomial_up_to_twice_the_degree(degree):
+    # the width rule's promise: exact order, products, divisibility and
+    # lcms for every monomial of degree at most 2 * degree
+    pack, unpack, word, packed_lcm, guard = grevlex_packing(3, degree)
+    values = sorted({0, 1, degree, max(2 * degree - 1, 0), 2 * degree})
+    monos = [e for e in product(values, repeat=3) if sum(e) <= 2 * degree]
+    assert sorted(monos, key=pack) == sorted(monos, key=grevlex_key)
+    for a in monos:
+        assert unpack(pack(a)) == a
+        for b in monos:
+            divides = all(x <= y for x, y in zip(a, b))
+            assert (((word(pack(b)) | guard) - word(pack(a))) & guard == guard) == divides
+            lcm = tuple(map(max, a, b))
+            if sum(lcm) <= 2 * degree:
+                assert packed_lcm(word(pack(a)), word(pack(b))) == pack(lcm)
+            if divides:
+                assert pack(b) - pack(a) == pack(tuple(y - x for x, y in zip(a, b)))

@@ -14,12 +14,14 @@ from math import gcd, lcm, prod  # noqa: E402
 from kleinepw import cyclo, epw, group, lattices, linalg  # noqa: E402
 from kleinepw.cyclo import (  # noqa: E402
     MAX_CONDUCTOR, CycloNum, QuadInt, cyclotomic_polynomial, euler_phi, substitute_linear)
-from kleinepw.groebner import FPoly, buchberger, normal_form, projective_empty  # noqa: E402
-from kleinepw.poly import MultiPoly, grevlex_exponents, grevlex_key, linear_forms  # noqa: E402
+from kleinepw.groebner import (  # noqa: E402
+    BudgetExhausted, FPoly, buchberger, normal_form, projective_empty)
+from kleinepw.poly import MultiPoly, grevlex_key, grevlex_packing, linear_forms  # noqa: E402
 from kleinepw.textform import MAX_EXPONENT  # noqa: E402
 
 from cyclo_fractions import cyclo_from_fractions  # noqa: E402
-from kernel_oracles import conjugate_product_inverse, max_scan_divmod  # noqa: E402
+from kernel_oracles import (  # noqa: E402
+    conjugate_product_inverse, max_scan_divmod, tuple_buchberger, tuple_normal_form)
 
 P = 32003
 
@@ -71,7 +73,10 @@ def test_heap_order_is_the_grevlex_order(case):
     nvars, exps = case
     want = sorted(exps, key=cmp_to_key(_grevlex_cmp), reverse=True)
     assert sorted(exps, key=grevlex_key, reverse=True) == want
-    assert all(grevlex_exponents(grevlex_key(e)) == e for e in exps)
+    # the packed P orders as the key, and unpacks to the exponents
+    pack, unpack = grevlex_packing(nvars, MAX_EXPONENT * nvars)[:2]
+    assert sorted(exps, key=pack, reverse=True) == want
+    assert all(unpack(pack(e)) == e for e in exps)
     # with no divisor, normal_form keeps every term in the order its heap
     # pops them: largest monomial first
     f = FPoly(P, nvars, {e: 1 for e in exps})
@@ -132,6 +137,63 @@ def test_redundant_input_keeps_the_reduced_basis(gens, data):
     assert [g.terms for g in again] == [g.terms for g in basis]
     for g in gens:
         assert normal_form(g, basis).is_zero()
+
+
+# -- the packed Groebner kernel against the tuple kernel, at high exponents
+
+# x1^258 - x0^257 x2, whose exponents broke a base-256 packed key
+HIGH_POWERS = FPoly(P, 3, {(0, 258, 0): 1, (257, 0, 1): -1})
+X0_MINUS_X2 = FPoly(P, 3, {(1, 0, 0): 1, (0, 0, 1): -1})
+
+
+@st.composite
+def _binomials(draw, nvars, count):
+    """count monic binomials m - c m' or monomials m in nvars variables,
+    with exponents small or up to MAX_EXPONENT: their reductions trade one
+    term for one term, so even degree-4096 chains stay short."""
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT))
+    out = []
+    for _ in range(count):
+        exps = draw(st.lists(st.tuples(*[exponent] * nvars), min_size=1, max_size=2, unique=True))
+        coeffs = draw(st.lists(st.integers(1, P - 1), min_size=len(exps), max_size=len(exps)))
+        out.append(FPoly(P, nvars, dict(zip(exps, coeffs))).monic())
+    return out
+
+
+@st.composite
+def _reductions(draw):
+    nvars = draw(st.integers(1, 4))
+    return draw(_binomials(nvars, draw(st.integers(0, 4)))), draw(_binomials(nvars, 3))
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_reductions())
+@example(case=([HIGH_POWERS], [HIGH_POWERS * X0_MINUS_X2, X0_MINUS_X2]))
+@example(case=([X0_MINUS_X2, HIGH_POWERS], [HIGH_POWERS, HIGH_POWERS + X0_MINUS_X2]))
+def test_packed_normal_form_matches_the_tuple_kernel(case):
+    basis, polys = case
+    f = sum(polys[1:], polys[0])
+    got, want = normal_form(f, basis), tuple_normal_form(f, basis)
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def _outcome(run, gens, **budgets):
+    """The basis term for term, or the budget message and progress."""
+    try:
+        return [list(g.terms.items()) for g in run(gens, **budgets)]
+    except BudgetExhausted as e:
+        return str(e), e.progress()
+
+
+@settings(deadline=None, max_examples=40)
+@given(gens=st.integers(1, 3).flatmap(lambda n: _binomials(n, 3)),
+       max_degree=st.sampled_from([48, 400, 3 * MAX_EXPONENT]), stop=st.booleans())
+@example(gens=[HIGH_POWERS, HIGH_POWERS], max_degree=48, stop=False)
+@example(gens=[HIGH_POWERS, HIGH_POWERS, X0_MINUS_X2], max_degree=400, stop=False)
+@example(gens=[HIGH_POWERS, X0_MINUS_X2], max_degree=400, stop=True)
+def test_packed_buchberger_matches_the_tuple_kernel(gens, max_degree, stop):
+    budgets = {"max_pairs": 30, "max_degree": max_degree, "stop_at_certificate": stop}
+    assert _outcome(buchberger, gens, **budgets) == _outcome(tuple_buchberger, gens, **budgets)
 
 
 # -- the early stop at the emptiness certificate agrees with the reduced basis
