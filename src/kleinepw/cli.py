@@ -9,6 +9,7 @@ strings (decimal integers or "num/den"), never floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -100,7 +101,10 @@ class _Parser(argparse.ArgumentParser):
     error = _usage_error
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process and shared by every main call:
+    parse_args keeps no state between calls (--prime appends to a fresh list)."""
     parser = _Parser(
         prog="klein-epw",
         description="exact reconstruction and verification of the Klein EPW sextic "

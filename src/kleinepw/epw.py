@@ -299,11 +299,14 @@ def chart_matrix_derived():
     ]
 
 
+@lru_cache(maxsize=None)
 def sextic_equation():
     """Homogeneous degree-6 polynomial in x0..x5 cutting out the locus where
     the invariant Lagrangian meets x ^ (2-vectors): the derived chart
     determinant by fraction-free elimination over Z[x1..x5].  Its degree
-    at most 6 and its x0^6 coefficient 1 are certified, not assumed."""
+    at most 6 and its x0^6 coefficient 1 are certified, not assumed, once per
+    process: callers share the result, as a MultiPoly's terms are written only
+    while it is being built."""
     det = linalg.bareiss_det(chart_matrix_derived())
     if det.total_degree() > 6:
         raise ArithmeticError("chart determinant has degree above 6")

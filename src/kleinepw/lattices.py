@@ -118,25 +118,19 @@ def _json_lattice(text):
 
 
 def parse_lattice_spec(spec: str) -> Lattice:
-    """Symbolic sums like "U+U+E8(-1)+E8(-1)+(-2)+(-2)" or a JSON Gram
-    matrix ("[[0,1],[1,0]]")."""
-    spec = spec.strip()
-    if spec.startswith("[["):
-        return _json_lattice(spec)
-    parts = []
-    depth = 0
-    current = []
-    for ch in spec:
-        if ch == "(" or ch == "[":
-            depth += 1
-        elif ch == ")" or ch == "]":
-            depth -= 1
+    """Direct sums like "U+U+E8(-1)+(-2)"; any summand, the first or a lone
+    one included, may be a JSON Gram matrix ("[[0,1],[1,0]]+E8(1)").  The
+    sum is split at each "+" outside brackets, so a JSON matrix is one
+    summand; unbalanced brackets are a ValueError."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(spec):
+        depth += (ch in "([") - (ch in ")]")
         if ch == "+" and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current).strip())
+            parts.append(spec[start:i].strip())
+            start = i + 1
+    if depth:
+        raise ValueError(f"unbalanced brackets in lattice spec {spec!r}")
+    parts.append(spec[start:].strip())
     summands = []
     for part in parts:
         if not part:

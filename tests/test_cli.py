@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from kleinepw import fixtures
+from kleinepw import cli, epw, fixtures
 from kleinepw.cli import main
 from kleinepw.textform import parse_polynomial
 
@@ -102,6 +102,8 @@ NESTED = "[" * 3000 + "]" * 3000
          None, "got 32003, 65537, 101"),
         (["lattice", "--spec", NESTED], None, "Gram matrix JSON nested too deeply"),
         (["lattice", "--spec", "U+" + NESTED], None, "Gram matrix JSON nested too deeply"),
+        (["lattice", "--spec", "[[2,1],[1,2]+E8(1)"], None,
+         "unbalanced brackets in lattice spec '[[2,1],[1,2]+E8(1)'"),
         # written as it stands: json.dumps of it would recurse too
         (["groebner", "--file"], NESTED, "JSON nested too deeply"),
     ],
@@ -112,7 +114,7 @@ NESTED = "[" * 3000 + "]" * 3000
          "lattice-float-entry", "lattice-string-entry", "lattice-bool-entry",
          "lattice-float-summand", "verify-one-prime", "verify-repeated-prime",
          "verify-three-primes", "lattice-nested-json", "lattice-nested-json-summand",
-         "groebner-nested-json"],
+         "lattice-unbalanced-json", "groebner-nested-json"],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phrase):
     if spec is not None:
@@ -382,3 +384,40 @@ def test_cli_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls():
+    parser = cli.build_parser()
+    args = parser.parse_args(["--json", "--seed", "7", "verify", "groebner",
+                              "--prime", "5", "--prime", "7"])
+    assert args.prime == [5, 7] and args.json and args.seed == 7
+    args = parser.parse_args(["verify", "groebner"])
+    assert args.prime is None and not args.json and args.seed == 0
+
+
+def test_usage_error_leaves_the_parser_as_fresh(capsys):
+    argv = ["--json", "lattice", "--spec", "(2)+[[2,1],[1,6]]", "--short-vectors", "2"]
+    with pytest.raises(SystemExit) as err:
+        main(["--seed", "3", "lattice", "--spec", "(2)", "--short-vectors", "x"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    fresh = cli.build_parser.__wrapped__().parse_args(argv)
+    assert vars(cli.build_parser().parse_args(argv)) == vars(fresh)
+    assert cli.cmd_lattice(fresh) == 0
+    want = capsys.readouterr().out
+    assert run(capsys, *argv) == (0, want, "")
+
+
+def test_shared_sextic_survives_repeated_calls(capsys):
+    golden = (Path(__file__).resolve().parent / "golden" / "emit-sextic.txt").read_text(
+        encoding="utf-8")
+    outputs = [run(capsys, "emit-sextic")[1] for _ in range(2)]
+    code, _, _ = run(capsys, "--json", "verify", "epw")
+    assert code == 0
+    assert epw.sextic_equation() is epw.sextic_equation()
+    assert epw.sextic_equation() == fixtures.sextic_poly()
+    assert outputs == [golden, golden]

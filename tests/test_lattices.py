@@ -31,6 +31,18 @@ def test_direct_sum_and_rank():
         lat.parse_lattice_spec("Q+U")
 
 
+def test_json_summands_anywhere_in_a_sum():
+    first = lat.parse_lattice_spec("[[2,1],[1,2]]+E8(1)")
+    assert (first.rank, first.det()) == (10, 3)
+    assert first.gram[:2] == ((2, 1) + (0,) * 8, (1, 2) + (0,) * 8)
+    middle = lat.parse_lattice_spec("U + [[2,1],[1,2]] + (-2)")
+    assert (middle.rank, middle.det()) == (5, 6)
+    assert middle.gram[2][2:4] == (2, 1)
+    for spec in ("[[2,1],[1,2]+E8(1)", "U+(-2", "E8(1))+U"):
+        with pytest.raises(ValueError, match="unbalanced brackets"):
+            lat.parse_lattice_spec(spec)
+
+
 def test_disc_group_examples():
     assert lat.disc_group(lat.e8(-1)).order == 1
     d = lat.disc_group(lat.Lattice([[-2, -1], [-1, -6]]))
