@@ -386,12 +386,9 @@ def test_cli_usage_error():
     assert err.value.code == 2
 
 
-def test_parser_is_built_once():
-    assert cli.build_parser() is cli.build_parser()
-
-
 def test_reused_parser_keeps_no_state_between_calls():
     parser = cli.build_parser()
+    assert parser is cli.build_parser()
     args = parser.parse_args(["--json", "--seed", "7", "verify", "groebner",
                               "--prime", "5", "--prime", "7"])
     assert args.prime == [5, 7] and args.json and args.seed == 7
