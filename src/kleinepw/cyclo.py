@@ -751,6 +751,20 @@ class QuadInt:
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, other):
+        """The exact quotient self * conj(other) / N(other), as `//` is
+        across the package; ArithmeticError when it is not in Z[w]."""
+        other = _as_quadint(other)
+        if other is NotImplemented:
+            return NotImplemented
+        bar = other.conj()
+        norm, num = (other * bar).a, self * bar
+        if not norm:
+            raise ZeroDivisionError("division by zero in Z[w]")
+        if num.a % norm or num.b % norm:
+            raise ArithmeticError(f"{self!r} is not divisible by {other!r} in Z[w]")
+        return QuadInt(num.a // norm, num.b // norm)
+
     def conj(self):
         return QuadInt(self.a - self.b, -self.b)
 
@@ -758,8 +772,11 @@ class QuadInt:
         return self.a == 0 and self.b == 0
 
     def to_cyclo(self):
-        """Embed into the conductor-11 field via w -> lambda_embed()."""
-        return CycloNum.from_rational(self.a, 11) + self.b * lambda_embed()
+        """Embed into the conductor-11 field via w -> lambda_embed(), on
+        coordinates: lambda's are integers, its constant one 0."""
+        vec = [self.b * c for c in lambda_embed().num]
+        vec[0] = self.a
+        return CycloNum(11, vec, 1)
 
     def __eq__(self, other):
         other = _as_quadint(other)

@@ -543,10 +543,10 @@ def is_totally_positive(value: CycloNum) -> bool:
 
 
 def hermitian_positive_definite(m) -> bool:
-    """Leading principal minors are real and (totally) positive."""
-    n = len(m)
-    for k in range(1, n + 1):
-        minor = linalg.det([row[:k] for row in m[:k]])
+    """Leading principal minors are real and (totally) positive, all of
+    them from one elimination without row swaps (linalg.leading_minors,
+    which stops at the first zero minor)."""
+    for minor in linalg.leading_minors(m):
         if not isinstance(minor, CycloNum):
             if minor <= 0:
                 return False

@@ -15,8 +15,14 @@ kernels by the type of the entries:
   exact field: CycloNum, or any type with exact +, -, *, / and truthiness
   testing zero.  The matrices involved stay small.
 
-Over rings without exact division (the order Z[w], polynomials over Z or
-F_p) maximal_minors expands along column subsets instead: one expansion of
+leading_minors runs one of the two kernels without row swaps: the field
+kernel for CycloNum entries, the fraction-free one for ints and the order
+Z[w] (QuadInt's `//` is exact).  One elimination gives every leading
+principal minor.
+
+Where no division may be taken (polynomials over Z or F_p, and the
+division-free cross-check of a determinant over Z[w]) maximal_minors
+expands along column subsets instead: one expansion of
 an r x n matrix gives all of its r x r minors, and expansion_det is its
 square case.  rref gives the full reduction that kernel_basis needs;
 kernel_basis and int_kernel_basis both return lists of basis row vectors,
@@ -187,6 +193,31 @@ def bareiss_det(m):
     return last if r == len(m) else m[0][0] * 0
 
 
+def leading_minors(m):
+    """The leading principal minors d_1, d_2, ... of a square matrix, from
+    one elimination without row swaps.  Such an elimination cannot pass a
+    zero pivot, so the list stops at the first zero minor, which it
+    includes.  CycloNum entries take the field kernel, where d_k is the
+    product of the first k pivots; other entries take the fraction-free
+    kernel, which needs an exact `//` (ints, QuadInt), and whose k-th
+    pivot is d_k itself."""
+    a = [list(row) for row in m]
+    field = any(isinstance(x, CycloNum) for row in a for x in row)
+    minors = []
+    prev = None
+    for k in range(len(a)):
+        piv = a[k][k]
+        minors.append(minors[-1] * piv if field and minors else piv)
+        if not piv or k + 1 == len(a):
+            break
+        if field:
+            _field_step(a, k, k)
+        else:
+            _bareiss_step(a, k, k, prev)
+            prev = piv
+    return minors
+
+
 def _cleared(m):
     """(integer rows, scale) for a matrix of ints and Fractions.  A row
     holding a Fraction is multiplied by the lcm of its denominators, which
@@ -231,22 +262,30 @@ def _bareiss(m):
         if p != r:
             a[r], a[p] = a[p], a[r]
             sign = -sign
-        top = a[r]
-        piv = top[c]
-        later = range(c + 1, cols)
-        for row in a[r + 1:]:
-            x = row[c]
-            if prev is None:
-                for j in later:
-                    row[j] = piv * row[j] - x * top[j]
-            else:
-                for j in later:
-                    row[j] = (piv * row[j] - x * top[j]) // prev
-        prev = piv
+        _bareiss_step(a, r, c, prev)
+        prev = a[r][c]
         r += 1
         if r == rows:
             break
     return r, (-prev if sign < 0 else prev)
+
+
+def _bareiss_step(a, r, c, prev):
+    """One fraction-free step in place: each row below row r becomes
+    (pivot * row - row[c] * a[r]) // prev on the columns after c, where
+    the pivot is a[r][c] and prev the previous pivot (None at the first
+    step).  Column c below the pivot is left as it was, never read again."""
+    top = a[r]
+    piv = top[c]
+    later = range(c + 1, len(top))
+    for row in a[r + 1:]:
+        x = row[c]
+        if prev is None:
+            for j in later:
+                row[j] = piv * row[j] - x * top[j]
+        else:
+            for j in later:
+                row[j] = (piv * row[j] - x * top[j]) // prev
 
 
 def _field_pivots(m):
@@ -266,18 +305,25 @@ def _field_pivots(m):
         if p != r:
             a[r], a[p] = a[p], a[r]
             sign = -sign
-        top = a[r]
-        pivots.append(top[c])
+        pivots.append(a[r][c])
         if r + 1 == rows:
             break
-        piv_inv = 1 / top[c]
-        for i in range(r + 1, rows):
-            row = a[i]
-            if row[c]:
-                f = row[c] * piv_inv
-                for j in range(c + 1, cols):
-                    row[j] = row[j] - f * top[j]
+        _field_step(a, r, c)
     return pivots, sign
+
+
+def _field_step(a, r, c):
+    """One Gaussian step in place: subtract from each row below row r the
+    multiple of a[r] that clears its entry in column c, on the columns
+    after c.  The pivot a[r][c] must be nonzero."""
+    top = a[r]
+    piv_inv = 1 / top[c]
+    later = range(c + 1, len(top))
+    for row in a[r + 1:]:
+        if row[c]:
+            f = row[c] * piv_inv
+            for j in later:
+                row[j] = row[j] - f * top[j]
 
 
 def maximal_minors(m, one):

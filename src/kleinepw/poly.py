@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 
 
 def grevlex_key(exps):
@@ -262,17 +263,36 @@ class MultiPoly:
     # -- evaluation / substitution --------------------------------------
 
     def evaluate(self, point):
-        """Value at a point; coefficients and coordinates must multiply."""
+        """Value at a point; coefficients and coordinates must multiply.
+
+        Each term multiplies its coefficient by a product from a power
+        table per coordinate.  A point of ints and Fractions is first put
+        over one common denominator D, so that the table holds integers: a
+        term of degree d is scaled by D^(top - d), top being the largest
+        degree, and the sum is divided by D^top once."""
         if len(point) != self.nvars:
             raise ValueError("point length mismatch")
+        den = 1
+        if all(type(x) is int or isinstance(x, Fraction) for x in point):
+            den = lcm(*(x.denominator for x in point))
+            point = [x.numerator * (den // x.denominator) for x in point]
+        top = max(map(sum, self.terms), default=0)
+        powers = []
+        for x in point:
+            row = [1, x]
+            while len(row) <= top:
+                row.append(row[-1] * x)
+            powers.append(row)
+        scale = [den ** (top - d) for d in range(top + 1)]
         total = 0
         for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                for _ in range(k):
-                    v = v * x
-            total = total + v
-        return total
+            v, d = 1, 0
+            for row, k in zip(powers, e):
+                if k:
+                    v = v * row[k]
+                    d += k
+            total = total + c * (v * scale[d])
+        return total if den == 1 else total * Fraction(1, scale[0])
 
     def substitute(self, images):
         """Ring substitution x_i -> images[i] (MultiPolys over one ring); the

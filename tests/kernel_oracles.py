@@ -12,6 +12,15 @@ Z and reduces them at each prime.
 tuple_normal_form, tuple_buchberger and tuple_autoreduce are the Groebner
 kernel on exponent tuples, with divides as its divisibility test; the
 package runs the same algorithm on packed monomials (poly.grevlex_packing).
+per_block_leading_minors takes herm_det of each leading block, and
+per_block_positive_definite linalg.det of each, then tests every minor as
+group.hermitian_positive_definite does; the package reads all leading
+minors off one elimination without row swaps (linalg.leading_minors).
+cyclotomic_polarization_invariants runs linalg.char_poly on the
+conductor-11 embedding; hermitian.polarization_invariants runs
+Faddeev-LeVerrier on the integer pair of Z[w] coordinates.
+term_by_term_evaluate multiplies each coordinate in, one factor at a
+time; MultiPoly.evaluate uses a power table over one common denominator.
 """
 
 import heapq
@@ -20,8 +29,8 @@ from itertools import combinations, groupby
 from math import gcd
 from operator import itemgetter
 
-from kleinepw import linalg
-from kleinepw.cyclo import CycloNum
+from kleinepw import group, hermitian, linalg
+from kleinepw.cyclo import CycloNum, lambda_embed
 from kleinepw.epw import build_A, merge_indices
 from kleinepw.fixtures import PAIR_VARS, QUADRIC_TEXT, sextic_poly
 from kleinepw.groebner import (MAX_DEGREE, MAX_PAIRS, SAMPLE_SEED, BudgetExhausted, FPoly,
@@ -312,3 +321,49 @@ def tuple_autoreduce(basis):
         data[i] = (data[i][0], list(keep[i].terms.items()))
     keep.sort(key=lambda g: grevlex_key(g.leading_term()[0]))
     return keep
+
+
+# -- leading minors, positivity and invariants, block by block ---------------
+
+
+def per_block_leading_minors(m):
+    """herm_det of every leading principal block of a Hermitian matrix
+    over Z[w], zero or not."""
+    return [hermitian.herm_det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+
+
+def per_block_positive_definite(m):
+    """group.hermitian_positive_definite by linalg.det of each leading
+    block, each minor real and totally positive."""
+    for k in range(1, len(m) + 1):
+        minor = linalg.det([row[:k] for row in m[:k]])
+        if not isinstance(minor, CycloNum):
+            if minor <= 0:
+                return False
+            continue
+        if not minor.is_real() or not group.is_totally_positive(minor):
+            return False
+    return True
+
+
+def cyclotomic_polarization_invariants(m):
+    """hermitian.polarization_invariants of a positive definite m, from the
+    characteristic polynomial of its conductor-11 embedding a + b lambda."""
+    n = len(m)
+    lam = lambda_embed()
+    cp = linalg.char_poly([[CycloNum.from_rational(e.a, 11) + e.b * lam for e in row]
+                           for row in m])
+    return [(-1) ** (n - j) * c.to_int() for j, c in enumerate(cp[:n])] + [1]
+
+
+def term_by_term_evaluate(f, point):
+    """f at the point, each term its coefficient times the coordinates
+    multiplied in one factor at a time."""
+    total = 0
+    for e, c in f.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            for _ in range(k):
+                v = v * x
+        total = total + v
+    return total

@@ -97,3 +97,36 @@ def test_polarization_invariants():
     assert inv[-1] == 1
     with pytest.raises(ValueError):
         herm.polarization_invariants(diag([1, -1]))
+
+
+def test_leading_minors_stop_at_the_first_zero():
+    assert herm.leading_minor_values(diag([1, 0, 1])) == [1, 0]
+    assert not herm.is_positive_definite(diag([1, 0, 1]))
+    swap = ((QuadInt(0), QuadInt(1)), (QuadInt(1), QuadInt(0)))
+    assert herm.leading_minor_values(swap) == [0]
+    assert herm.leading_minor_values(fixtures.mat10_matrix())[-1] == 1
+
+
+def test_route_disagreements_raise(monkeypatch):
+    w = herm.induced_wedge2(fixtures.hprime_matrix())
+    embed, char_poly = herm._embed, herm._char_poly
+
+    def skewed_embed(m):
+        out = embed(m)
+        out[-1][-1] = out[-1][-1] + 1
+        return out
+
+    def skewed_char_poly(m):
+        return [c + 1 if j == 0 else c for j, c in enumerate(char_poly(m))]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(herm, "_embed", skewed_embed)
+        with pytest.raises(ArithmeticError, match="leading minors disagree"):
+            herm.leading_minor_values(w)
+    with monkeypatch.context() as patch:
+        patch.setattr(herm, "_char_poly", skewed_char_poly)
+        with pytest.raises(ArithmeticError, match="disagree on det"):
+            herm.polarization_invariants(w)
+    # a trace with a w-part: det(T - w) = T - w is not over Z
+    with pytest.raises(ArithmeticError):
+        herm._char_poly(((QuadInt(0, 1),),))

@@ -11,7 +11,7 @@ from itertools import combinations  # noqa: E402
 from functools import cmp_to_key  # noqa: E402
 from math import gcd, lcm, prod  # noqa: E402
 
-from kleinepw import cyclo, epw, group, lattices, linalg  # noqa: E402
+from kleinepw import cyclo, epw, group, hermitian, lattices, linalg  # noqa: E402
 from kleinepw.cyclo import (  # noqa: E402
     MAX_CONDUCTOR, CycloNum, QuadInt, cyclotomic_polynomial, euler_phi, substitute_linear)
 from kleinepw.groebner import (  # noqa: E402
@@ -21,7 +21,9 @@ from kleinepw.textform import MAX_EXPONENT  # noqa: E402
 
 from cyclo_fractions import cyclo_from_fractions  # noqa: E402
 from kernel_oracles import (  # noqa: E402
-    conjugate_product_inverse, max_scan_divmod, tuple_buchberger, tuple_normal_form)
+    conjugate_product_inverse, cyclotomic_polarization_invariants, max_scan_divmod,
+    per_block_leading_minors, per_block_positive_definite, term_by_term_evaluate,
+    tuple_buchberger, tuple_normal_form)
 
 P = 32003
 
@@ -961,3 +963,134 @@ def test_packed_substitution_at_the_coefficient_bound(conductor, degree, sign):
     terms = {(degree, 0): sign * top, (0, degree): top, (1, degree - 1): 3}
     want = MultiPoly(2, terms).substitute(linear_forms(dense))
     assert MultiPoly(2, substitute_linear(terms, dense)) == want
+
+
+# -- leading minors without row swaps against block-by-block determinants ----
+
+_ZW = st.builds(QuadInt, st.integers(-3, 3), st.integers(-2, 2))
+
+
+def _zw(rows):
+    return [[QuadInt(x) for x in row] for row in rows]
+
+
+@st.composite
+def _hermitian_zw(draw):
+    """A Hermitian matrix over Z[w] of size 1..6: a Gram matrix conj(B)^T B
+    (positive semidefinite; singular with B, and B often has a zero
+    column) or one with random entries (mostly indefinite), then shifted
+    by a small multiple of I."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        b = draw(_square(st.one_of(st.just(QuadInt(0)), _ZW), n))
+        m = linalg.mat_mul(linalg.conj_transpose(b), b)
+    else:
+        m = [[None] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = QuadInt(draw(st.integers(-4, 6)))
+            for j in range(i):
+                m[i][j] = draw(_ZW)
+                m[j][i] = m[i][j].conj()
+    shift = draw(st.sampled_from([0, 0, 0, 1, -1, 3]))
+    return [[x + shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(m=_hermitian_zw())
+@example(m=_zw([[0, 1], [1, 0]]))
+@example(m=_zw([[1, 0, 0], [0, 0, 0], [0, 0, 1]]))
+@example(m=_zw([[1, 0], [0, -1]]))
+def test_leading_minors_match_the_block_by_block_route(m):
+    want = per_block_leading_minors(m)
+    first_zero = next((k + 1 for k, v in enumerate(want) if not v), len(want))
+    assert hermitian.leading_minor_values(m) == want[:first_zero]
+    definite = all(v > 0 for v in want)
+    assert hermitian.is_positive_definite(m) == definite
+    if definite:
+        assert hermitian.polarization_invariants(m) == cyclotomic_polarization_invariants(m)
+    else:
+        with pytest.raises(ValueError):
+            hermitian.polarization_invariants(m)
+    embedded = [[x.to_cyclo() for x in row] for row in m]
+    assert group.hermitian_positive_definite(embedded) == definite
+    assert per_block_positive_definite(embedded) == definite
+
+
+@st.composite
+def _hermitian_cyclo(draw):
+    """conj(B)^T B + s I over the conductor-5 or -7 field, size 1..4: its
+    leading minors are real and often irrational, and s < 0 makes some of
+    them positive without being totally positive."""
+    n, conductor = draw(st.integers(1, 4)), draw(st.sampled_from([5, 7]))
+    phi = euler_phi(conductor)
+    entry = st.one_of(st.just(CycloNum.from_rational(0, conductor)),
+                      st.lists(st.integers(-2, 2), min_size=phi, max_size=phi).map(
+                          lambda c: CycloNum(conductor, c, 1)))
+    b = draw(_square(entry, n))
+    shift = draw(st.sampled_from([0, 0, 1, -1, -3]))
+    m = linalg.mat_mul(linalg.conj_transpose(b), b)
+    return [[x + shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(m=_hermitian_cyclo())
+def test_sylvester_test_matches_the_block_by_block_route(m):
+    assert group.hermitian_positive_definite(m) == per_block_positive_definite(m)
+
+
+@settings(deadline=None, max_examples=60)
+@given(m=st.integers(1, 5).flatmap(lambda n: _square(st.integers(-2, 2), n)))
+@example(m=[[0, 1], [1, 0]])
+def test_integer_leading_minors_are_the_block_determinants(m):
+    want = [linalg.det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+    first_zero = next((k + 1 for k, v in enumerate(want) if not v), len(want))
+    assert linalg.leading_minors(m) == want[:first_zero]
+    field = linalg.leading_minors([[CycloNum.from_rational(x, 3) for x in row] for row in m])
+    assert field == want[:first_zero]
+
+
+_QUOTIENT_ENTRY = st.builds(QuadInt, st.integers(-40, 40), st.integers(-40, 40))
+
+
+@settings(deadline=None, max_examples=100)
+@given(q=_QUOTIENT_ENTRY, r=_QUOTIENT_ENTRY)
+@example(q=QuadInt(2, 1), r=QuadInt(0))
+@example(q=QuadInt(-7, 3), r=QuadInt(2))
+def test_quadint_floordiv_is_the_exact_quotient(q, r):
+    if not r:
+        with pytest.raises(ZeroDivisionError):
+            q // r
+        return
+    assert (q * r) // r == q
+    if r != 1 and r != -1:
+        # 1 is not a multiple of r in Z[w], whose only units are +-1
+        with pytest.raises(ArithmeticError):
+            (q * r + 1) // r
+
+
+# -- MultiPoly.evaluate against the term-by-term product ---------------------
+
+
+@st.composite
+def _evaluation(draw):
+    """A polynomial of mixed degrees with int and Fraction coefficients,
+    and an all-int point or one with Fraction coordinates."""
+    nvars = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 5)] * nvars)
+    coeff = st.one_of(st.integers(-50, 50).filter(bool),
+                      st.fractions(-50, 50, max_denominator=12).filter(bool))
+    terms = draw(st.dictionaries(exps, coeff, max_size=8))
+    coord = st.integers(-7, 7)
+    if draw(st.booleans()):
+        coord = st.one_of(coord, st.fractions(-7, 7, max_denominator=30))
+    return MultiPoly(nvars, terms), draw(st.lists(coord, min_size=nvars, max_size=nvars))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_evaluation())
+def test_evaluate_matches_the_term_by_term_product(case):
+    f, point = case
+    got, want = f.evaluate(point), term_by_term_evaluate(f, point)
+    assert got == want
+    if all(type(x) is int for x in point + list(f.terms.values())):
+        assert type(got) is int
