@@ -11,14 +11,13 @@ polynomial ring, and evaluation at the integer points of the degree-10
 simplex followed by exact Newton interpolation.
 
 The module holds no elimination of its own.  Ranks, determinants and
-exterior powers go through linalg: its fraction-free (Bareiss) kernel
-takes the rational matrices as they are and the chart matrices over
-Z[x1..x5] through linalg.bareiss_det; its field kernel takes the
-matrices that cyclo.common_field lifts to one cyclotomic field.  Both
-sextic routes certify the degree bound 6, and sextic_equation also the
-x0^6 coefficient 1, raising ArithmeticError when the determinant breaks
-them.  dual_rebuild_check also requires the dual action to be the inverse
-transpose.
+exterior powers go through linalg, which lifts mixed entries itself: its
+fraction-free (Bareiss) kernel takes the rational matrices and the chart
+matrices over Z[x1..x5] (through linalg.bareiss_det), its field kernel
+the cyclotomic ones.  Both sextic routes certify the degree bound 6,
+and sextic_equation also the x0^6 coefficient 1, raising ArithmeticError
+when the determinant breaks them.  dual_rebuild_check also requires the
+dual action to be the inverse transpose.
 
 A stratum or a section dimension takes one rank.  The Lagrangian's basis
 is brought to reduced echelon form once (rows scaled to integers when
@@ -40,7 +39,7 @@ from math import comb, factorial, lcm
 from operator import mul
 
 from . import group, linalg
-from .cyclo import CycloNum, common_field
+from .cyclo import CycloNum
 from .poly import MultiPoly, linear_forms, squarefree_decomposition
 
 TRIPLES6 = tuple(combinations(range(6), 3))
@@ -153,7 +152,7 @@ def wedge_vector_pair(x, pair):
 
 
 def span_rank(rows):
-    return linalg.rank(common_field(rows))
+    return linalg.rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +186,10 @@ def _echelon(a_rows):
     a_rows (a tuple of tuples): its reduced echelon form with every row
     multiplied by scale, the lcm of the form's denominators when it is
     rational (1 otherwise), so each row is scale at its own pivot column
-    and 0 at the others; tails holds the rows on the free columns."""
-    red, pivots = linalg.rref(common_field(a_rows))
+    and 0 at the others; tails holds the rows on the free columns.  Apart
+    from group._echelon because the strata reduce integer rows against the
+    integer tails, and the form is cached per basis."""
+    red, pivots = linalg.rref(a_rows)
     rows = red[:len(pivots)]
     free = tuple(j for j in range(len(TRIPLES6)) if j not in pivots)
     scale = 1
@@ -483,13 +484,11 @@ def fixed_locus(g6):
     eigenvalue actually occurring, over a cyclotomic field containing all
     candidate eigenvalues.  The projective fixed locus is the union of the
     projectivized eigenspaces."""
-    g6 = common_field(g6)
     n = group.mat_order(g6)
     out = []
     for j in range(n):
         ev = root_of_unity(n, j)
         shifted = [[g6[i][k] - (ev if i == k else 0) for k in range(6)] for i in range(6)]
-        shifted = common_field(shifted)
         kb = linalg.kernel_basis(shifted)
         if kb:
             out.append((ev, kb))

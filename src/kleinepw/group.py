@@ -560,7 +560,9 @@ def hermitian_positive_definite(m) -> bool:
 
 def _echelon(vectors):
     """The reduced row echelon basis of the span of vectors (CycloNums of
-    one conductor) and its key; equal spans give equal keys."""
+    one conductor) and its key; equal spans give equal keys.  Apart from
+    epw._echelon because the key reads (num, den) off CycloNum entries,
+    which a rational span lifted to one conductor still has."""
     red, pivots = linalg.rref(vectors)
     basis = red[:len(pivots)]
     return basis, tuple((x.num, x.den) for row in basis for x in row)

@@ -4,21 +4,18 @@ Matrices are lists or tuples of rows, each row a list or a tuple;
 functions never mutate their arguments.  exterior_power_matrix gives the
 k x k minors of a rectangular matrix, exterior_power_trace the sum of the
 principal ones.  mat_mul hands a product of two cyclotomic matrices to the
-packed kernel cyclo.mat_mul.  rank and det pick one of two elimination
-kernels by the type of the entries:
-
-- the fraction-free kernel (Bareiss) serves ints, and Fractions once each
-  row is cleared of denominators, so ranks and determinants over Q never
-  divide in Q.  bareiss_det exposes it for polynomial matrices over Z
-  (MultiPoly, whose exact quotient is `//`);
-- the field kernel (Gaussian elimination with division) serves every other
-  exact field: CycloNum, or any type with exact +, -, *, / and truthiness
-  testing zero.  The matrices involved stay small.
-
-leading_minors runs one of the two kernels without row swaps: the field
-kernel for CycloNum entries, the fraction-free one for ints and the order
-Z[w] (QuadInt's `//` is exact).  One elimination gives every leading
-principal minor.
+packed kernel cyclo.mat_mul.  rank, det, bareiss_det and leading_minors
+read their results off one elimination loop with two steps: the
+fraction-free step (Bareiss) divides exactly by the previous pivot, the
+field step (Gaussian elimination) multiplies by one pivot inverse per
+row.  One lifting rule picks the step: a matrix with a CycloNum entry is
+lifted to one cyclotomic field for the field step; a matrix of ints and
+Fractions has each row cleared of denominators for the fraction-free
+step, so ranks and determinants over Q never divide in Q; other entries
+(QuadInt and MultiPoly, whose `//` is exact) take the fraction-free step
+as they are.  bareiss_det skips the lifting: its callers know their ring
+(ints, Z[x] as MultiPoly).  Without row swaps the loop gives every
+leading principal minor at once.
 
 Where no division may be taken (polynomials over Z or F_p, and the
 division-free cross-check of a determinant over Z[w]) maximal_minors
@@ -37,8 +34,9 @@ entries with conj() (CycloNum or QuadInt).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import lcm as _lcm
+from itertools import accumulate, combinations
+from math import lcm as _lcm, prod
+from operator import mul
 
 from . import cyclo
 from .cyclo import CycloNum
@@ -148,7 +146,7 @@ def exterior_power_trace(m, k):
 
 
 # ---------------------------------------------------------------------------
-# rank and determinant: one fraction-free kernel, one field kernel
+# rank, determinant and leading minors: one elimination loop
 # ---------------------------------------------------------------------------
 
 
@@ -156,76 +154,65 @@ def rank(m) -> int:
     """Rank by elimination: fraction-free over Q, with division otherwise."""
     if not m or not m[0]:
         return 0
-    cleared = _cleared(m)
-    return _bareiss(cleared[0])[0] if cleared else len(_field_pivots(m)[0])
+    rows, field, _ = _lifted(m)
+    return len(_eliminate(rows, field)[0])
 
 
 def det(m):
-    """Exact determinant of a square matrix.
-
-    Integer and Fraction matrices run fraction-free (Bareiss) after their
-    denominators are cleared; other exact fields use Gaussian elimination
-    with division.  An int matrix gives an int, a Fraction matrix a Fraction.
-    """
+    """Exact determinant of a square matrix, lifted as _lifted says.  An
+    int matrix gives an int, a matrix with a Fraction entry a Fraction."""
     n = len(m)
     if n == 0:
         return 1
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    cleared = _cleared(m)
-    if cleared:
-        rows, scale = cleared
+    rows, field, scales = _lifted(m)
+    if not field:
         d = bareiss_det(rows)
-        return d if scale is None else Fraction(d, scale)
-    pivots, sign = _field_pivots(m)
+        return d if scales is None else Fraction(d, prod(scales))
+    pivots, sign = _eliminate(rows, True)
     if len(pivots) < n:
-        return m[0][0] * 0
-    result = pivots[0]
-    for piv in pivots[1:]:
-        result = result * piv
-    return -result if sign < 0 else result
+        return rows[0][0] * 0
+    d = prod(pivots[1:], start=pivots[0])
+    return -d if sign < 0 else d
 
 
 def bareiss_det(m):
     """Determinant of a square matrix over an integral domain whose exact
-    quotients are taken by `//`: the integers, or Z[x] as MultiPoly."""
-    r, last = _bareiss(m)
-    return last if r == len(m) else m[0][0] * 0
+    quotients are taken by `//`: the integers, or Z[x] as MultiPoly.  No
+    type scan: the fraction-free kernel is taken as given."""
+    pivots, sign = _eliminate(m, False)
+    if len(pivots) < len(m):
+        return m[0][0] * 0
+    return -pivots[-1] if sign < 0 else pivots[-1]
 
 
 def leading_minors(m):
     """The leading principal minors d_1, d_2, ... of a square matrix, from
     one elimination without row swaps.  Such an elimination cannot pass a
     zero pivot, so the list stops at the first zero minor, which it
-    includes.  CycloNum entries take the field kernel, where d_k is the
-    product of the first k pivots; other entries take the fraction-free
-    kernel, which needs an exact `//` (ints, QuadInt), and whose k-th
-    pivot is d_k itself."""
-    a = [list(row) for row in m]
-    field = any(isinstance(x, CycloNum) for row in a for x in row)
-    minors = []
-    prev = None
-    for k in range(len(a)):
-        piv = a[k][k]
-        minors.append(minors[-1] * piv if field and minors else piv)
-        if not piv or k + 1 == len(a):
-            break
-        if field:
-            _field_step(a, k, k)
-        else:
-            _bareiss_step(a, k, k, prev)
-            prev = piv
+    includes.  In the field kernel d_k is the product of the first k
+    pivots; in the fraction-free kernel the k-th pivot is d_k itself,
+    divided back by the first k row multipliers when rows were cleared."""
+    rows, field, scales = _lifted(m)
+    minors, _ = _eliminate(rows, field, swaps=False)
+    if field:
+        minors = list(accumulate(minors, mul))
+    if scales is not None:
+        minors = [Fraction(d, s) for d, s in zip(minors, accumulate(scales, mul))]
     return minors
 
 
-def _cleared(m):
-    """(integer rows, scale) for a matrix of ints and Fractions.  A row
-    holding a Fraction is multiplied by the lcm of its denominators, which
-    keeps the rank and multiplies the determinant by that lcm; scale is the
-    product of the multipliers, or None when no entry is a Fraction.  None
-    when some entry is neither an int nor a Fraction."""
-    rows = []
-    scale = None
+def _lifted(m):
+    """(rows, field, scales): m prepared for _eliminate.  A matrix with a
+    CycloNum entry is lifted to one cyclotomic field (cyclo.common_field)
+    for the field kernel.  A matrix of ints and Fractions takes the
+    fraction-free kernel, each row multiplied by the lcm of its
+    denominators, which keeps the rank and multiplies each minor by the
+    multipliers of its rows; scales lists the multipliers, one per row,
+    or is None when no entry is a Fraction.  Other entries (QuadInt,
+    MultiPoly) take the fraction-free kernel unchanged."""
+    rows, scales, cleared = [], [], False
     for row in m:
         den = None
         for x in row:
@@ -235,95 +222,64 @@ def _cleared(m):
                 continue
             if isinstance(x, Fraction):
                 den = _lcm(den or 1, x.denominator)
+            elif isinstance(x, CycloNum):
+                return cyclo.common_field(m), True, None
             elif not isinstance(x, int):
-                return None
+                return m, False, None
         if den is None:
             rows.append(row)
         else:
             rows.append([x.numerator * (den // x.denominator) for x in row])
-            scale = (scale or 1) * den
-    return rows, scale
+            cleared = True
+        scales.append(den or 1)
+    return rows, False, scales if cleared else None
 
 
-def _bareiss(m):
-    """Fraction-free echelon form (Bareiss, Math. Comp. 22, 1968) over an
-    integral domain with exact `//`.  Returns (rank, last pivot with the
-    sign of the row swaps); for a square matrix of full rank that pivot is
-    the determinant.  Every division is exact: each entry is a minor of m."""
-    a = [list(row) for row in m]
-    rows, cols = len(a), len(a[0])
-    r = 0
-    sign = 1
-    prev = None
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if a[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-            sign = -sign
-        _bareiss_step(a, r, c, prev)
-        prev = a[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r, (-prev if sign < 0 else prev)
-
-
-def _bareiss_step(a, r, c, prev):
-    """One fraction-free step in place: each row below row r becomes
-    (pivot * row - row[c] * a[r]) // prev on the columns after c, where
-    the pivot is a[r][c] and prev the previous pivot (None at the first
-    step).  Column c below the pivot is left as it was, never read again."""
-    top = a[r]
-    piv = top[c]
-    later = range(c + 1, len(top))
-    for row in a[r + 1:]:
-        x = row[c]
-        if prev is None:
-            for j in later:
-                row[j] = piv * row[j] - x * top[j]
-        else:
-            for j in later:
-                row[j] = (piv * row[j] - x * top[j]) // prev
-
-
-def _field_pivots(m):
-    """Gaussian elimination with division over a field (cyclotomic entries
-    in practice).  Returns (pivots, sign of the row swaps): their count is
-    the rank, and for a square matrix of full rank the signed product of
-    the pivots is the determinant."""
-    a = [list(row) for row in m]
-    rows, cols = len(a), len(a[0])
-    pivots = []
-    sign = 1
-    for c in range(cols):
+def _eliminate(rows, field, swaps=True):
+    """(pivots, sign of the row swaps) of the elimination of rows.  With
+    swaps, columns without a pivot are skipped, so the pivots count the
+    rank; without, the pivots are diagonal and the loop stops after the
+    first zero one, which it keeps.  The field step clears each row below
+    with one pivot inverse, so d_k is the product of the first k pivots.
+    The fraction-free step (Bareiss, Math. Comp. 22, 1968) replaces a row
+    by (pivot * row - row[c] * pivot row) // previous pivot, exact because
+    each entry is a minor: the k-th pivot is d_k itself.  Column c below a
+    pivot is never read again, so it is left as it was."""
+    a = [list(row) for row in rows]
+    pivots, sign, prev = [], 1, None
+    for c in range(len(a[0]) if a else 0):
         r = len(pivots)
-        p = next((i for i in range(r, rows) if a[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-            sign = -sign
-        pivots.append(a[r][c])
-        if r + 1 == rows:
+        if swaps:
+            p = next((i for i in range(r, len(a)) if a[i][c]), None)
+            if p is None:
+                continue
+            if p != r:
+                a[r], a[p] = a[p], a[r]
+                sign = -sign
+        top = a[r]
+        piv = top[c]
+        pivots.append(piv)
+        if not piv or r + 1 == len(a):
             break
-        _field_step(a, r, c)
+        later = range(c + 1, len(top))
+        if field:
+            piv_inv = Fraction(1) / piv
+            for row in a[r + 1:]:
+                if row[c]:
+                    f = row[c] * piv_inv
+                    for j in later:
+                        row[j] = row[j] - f * top[j]
+            continue
+        for row in a[r + 1:]:
+            x = row[c]
+            if prev is None:
+                for j in later:
+                    row[j] = piv * row[j] - x * top[j]
+            else:
+                for j in later:
+                    row[j] = (piv * row[j] - x * top[j]) // prev
+        prev = piv
     return pivots, sign
-
-
-def _field_step(a, r, c):
-    """One Gaussian step in place: subtract from each row below row r the
-    multiple of a[r] that clears its entry in column c, on the columns
-    after c.  The pivot a[r][c] must be nonzero."""
-    top = a[r]
-    piv_inv = 1 / top[c]
-    later = range(c + 1, len(top))
-    for row in a[r + 1:]:
-        if row[c]:
-            f = row[c] * piv_inv
-            for j in later:
-                row[j] = row[j] - f * top[j]
 
 
 def maximal_minors(m, one):
@@ -366,10 +322,11 @@ def expansion_det(m, one):
 
 
 def rref(m):
-    """Reduced row echelon form and pivot columns (field entries).  A pivot
-    row is scaled only when its pivot is not 1, and clears the other rows
-    in its nonzero columns only."""
-    a = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in m]
+    """Reduced row echelon form and pivot columns (field entries).  A matrix
+    with a CycloNum entry is first lifted to one field, as in _lifted, and
+    ints become Fractions.  A pivot row is scaled only when its pivot is
+    not 1, and clears the other rows in its nonzero columns only."""
+    a = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in cyclo.common_field(m)]
     rows, cols = len(a), len(a[0]) if a else 0
     piv_cols = []
     r = 0

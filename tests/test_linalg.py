@@ -230,21 +230,32 @@ def test_expansion_det_zero_row_gives_typed_zero(zero, one):
     assert d == zero
 
 
+_ZETA5 = CycloNum.zeta(5)
+# ints beside CycloNums: linalg lifts the ints into the cyclotomic field
+_MIXED = [[1, _ZETA5], [_ZETA5.conj(), 3]]
+
+
 @pytest.mark.parametrize(
-    "fn, m",
+    "fn, m, want",
     [
-        (linalg.det, [[2, -1, 0], [1, 3, Fraction(1, 2)], [0, 4, 5]]),
-        (linalg.det, rand_cyclo_matrix(random.Random(5), 3, 3)),
-        (linalg.rank, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]),
-        (linalg.rank, rand_cyclo_matrix(random.Random(6), 3, 4)),
-        (linalg.char_poly, [[1, 2, 0], [0, 1, -1], [3, 0, 2]]),
-        (linalg.smith_normal_form, [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]),
-        (linalg.symmetric_elimination, [[2, 1, 0], [1, -3, 0], [0, 0, 5]]),
+        (linalg.det, [[2, -1, 0], [1, 3, Fraction(1, 2)], [0, 4, 5]], None),
+        (linalg.det, rand_cyclo_matrix(random.Random(5), 3, 3), None),
+        (linalg.det, _MIXED, 2),
+        (linalg.rank, [[1, 2, 3], [2, 4, 6], [0, 1, 1]], None),
+        (linalg.rank, rand_cyclo_matrix(random.Random(6), 3, 4), None),
+        (linalg.rank, _MIXED, 2),
+        (linalg.leading_minors, _MIXED, [1, 2]),
+        (linalg.char_poly, [[1, 2, 0], [0, 1, -1], [3, 0, 2]], None),
+        (linalg.smith_normal_form, [[2, 4, 4], [-6, 6, 12], [10, -4, -16]], None),
+        (linalg.symmetric_elimination, [[2, 1, 0], [1, -3, 0], [0, 0, 5]], None),
     ],
-    ids=["det-Q", "det-cyclo", "rank-Z", "rank-cyclo", "char_poly", "smith_normal_form",
-         "symmetric_elimination"],
+    ids=["det-Q", "det-cyclo", "det-mixed", "rank-Z", "rank-cyclo", "rank-mixed",
+         "leading_minors-mixed", "char_poly", "smith_normal_form", "symmetric_elimination"],
 )
-def test_tuple_rows_give_the_list_rows_result(fn, m):
+def test_tuple_rows_give_the_list_rows_result(fn, m, want):
     before = [list(row) for row in m]
-    assert fn(tuple(tuple(row) for row in m)) == fn(m)
+    got = fn(m)
+    assert fn(tuple(tuple(row) for row in m)) == got
     assert m == before
+    if want is not None:
+        assert got == want

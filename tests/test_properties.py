@@ -345,8 +345,9 @@ def test_fpoly_derivative_drops_coefficients_that_vanish_mod_p():
 
 
 def _field_det(m):
-    """Determinant from the field kernel's pivots, called directly."""
-    pivots, sign = linalg._field_pivots(m)
+    """Determinant from the pivots of the elimination loop with the field
+    kernel forced."""
+    pivots, sign = linalg._eliminate(m, True)
     if len(pivots) < len(m):
         return 0
     d = sign
@@ -367,6 +368,8 @@ def test_integer_det_matches_expansion_and_field_kernel(m):
     embedded = [[QuadInt(x) for x in row] for row in m]
     assert linalg.expansion_det(embedded, QuadInt(1)) == QuadInt(d)
     assert _field_det([[Fraction(x) for x in row] for row in m]) == d
+    # the field kernel stays exact when it meets int pivots
+    assert _field_det(m) == d
 
 
 def _check_inverse(m, entry_type):
@@ -450,7 +453,7 @@ def _rational_matrix(draw):
 @given(m=_rational_matrix())
 def test_rational_rank_matches_field_kernel(m):
     exact = [[Fraction(x) for x in row] for row in m]
-    assert linalg.rank(m) == len(linalg._field_pivots(exact)[0])
+    assert linalg.rank(m) == len(linalg._eliminate(exact, True)[0])
     n = len(m)
     if n <= len(m[0]):
         assert linalg.det([row[:n] for row in m]) == _field_det([row[:n] for row in exact])
@@ -1039,9 +1042,14 @@ def test_sylvester_test_matches_the_block_by_block_route(m):
 
 
 @settings(deadline=None, max_examples=60)
-@given(m=st.integers(1, 5).flatmap(lambda n: _square(st.integers(-2, 2), n)))
+@given(m=st.integers(1, 5).flatmap(lambda n: _square(
+    st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=4)), n)))
 @example(m=[[0, 1], [1, 0]])
+@example(m=[[Fraction(1, 2), 1, 0], [1, Fraction(1, 3), 1], [0, 1, Fraction(2, 7)]])
 def test_integer_leading_minors_are_the_block_determinants(m):
+    """Over ints and Fractions alike: a Fraction row is cleared of its
+    denominators before the fraction-free elimination, and each minor
+    divided back by the multipliers of its rows."""
     want = [linalg.det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
     first_zero = next((k + 1 for k, v in enumerate(want) if not v), len(want))
     assert linalg.leading_minors(m) == want[:first_zero]
