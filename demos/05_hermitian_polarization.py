@@ -21,7 +21,7 @@ print("positive definite:", herm.is_positive_definite(H))
 print("determinant:", herm.herm_det(H), "(unimodular)")
 print("leading minors:", herm.leading_minor_values(H))
 
-W = herm.induced_wedge2(H)
+W = linalg.exterior_power_matrix(H, 2)  # the 2 x 2 minors of H
 ok, witness = herm.matches_mat10(W)
 print("\ninduced rank-10 form matches the transcription entrywise:", ok)
 print("determinant:", herm.herm_det(W))

@@ -332,7 +332,7 @@ def cmd_hermitian(args):
         ok = linalg.is_hermitian(H) and hermitian.is_positive_definite(H) and det == 1
         payload = {"check": "hprime", "verdict": "pass" if ok else "fail", "det": str(det)}
     elif args.check == "mat10":
-        W = hermitian.induced_wedge2(H)
+        W = linalg.exterior_power_matrix(H, 2)
         ok, witness = hermitian.matches_mat10(W)
         payload = {"check": "mat10", "verdict": "pass" if ok else "fail"}
         if not ok:
@@ -340,7 +340,7 @@ def cmd_hermitian(args):
             payload["witness"] = {"entry": [i, j], "computed": quadint_json(got),
                                   "expected": quadint_json(want)}
     else:
-        W = hermitian.induced_wedge2(H)
+        W = linalg.exterior_power_matrix(H, 2)
         # inv[0] is det W, by three routes (polarization_invariants)
         inv = hermitian.polarization_invariants(W)
         ok = inv[0] == 1

@@ -351,9 +351,6 @@ class CycloNum:
             return self
         return self.galois(self.n - 1)
 
-    def is_real(self):
-        return self.conj() == self
-
     # -- predicates / conversions ---------------------------------------
 
     def is_zero(self):

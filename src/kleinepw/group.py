@@ -23,21 +23,22 @@ coset are left monomial products, rows permuted and coefficients
 rotated.  H's own table gives every coset's right table, and one integer
 breadth-first walk from the identity relabels the elements in the order
 of a breadth-first closure on the whole group.  An element's CycloNum
-matrix is built once, at the end.  The closure's
-multiplication table by the generators gives products, squares, orders
-and conjugacy classes (genuine conjugation orbits) by index, and
-stabilizers come from orbits: each generator permutes the orbit of a
-subspace, and an element's word is walked through those permutations.
-Characters and fixed-point counts are computed from the closure,
-exactly, for an element given by its index in the closure, the wedge
-square's from the sum of principal 2 x 2 minors; CLASS_WORDS
-pins the closure's word of each class's first element, so
-class_representative gives it without the closure; the identity,
-trace, conjugate transpose and inverse are linalg's, and the dual
-representation is the transpose of linalg.inverse.  The group-summed
-invariant Hermitian form is |G| * I, proved from the exact unitarity of
-the generators' images; the term-by-term sum, invariant_hermitian, is
-the tests' oracle.
+matrix is built once, at the end.  The closure's multiplication table by
+the generators gives products, squares and orders by index.  Every orbit
+walk is the one breadth-first walk _breadth_first: H, the relabelling,
+each conjugacy class (a genuine conjugation orbit) and each stabilizer's
+orbit of subspaces, whose echelon keys the generators' images map by
+cyclo.right_multiplier; an element's word is walked through the orbit's
+permutations.  Characters and fixed-point counts are computed exactly
+for an element given by its index in the closure, the wedge square's
+from the sum of principal 2 x 2 minors (its matrix is
+linalg.exterior_power_matrix); CLASS_WORDS pins the closure's word of
+each class's first element, so class_representative gives it without
+the closure; the dual representation is the transpose of
+linalg.inverse.  The group-summed invariant Hermitian form is |G| * I,
+proved from the exact unitarity of the generators' images, and positive
+definite by its leading minors read as exact positive rationals; the
+term-by-term sum, invariant_hermitian, is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count
+from operator import add
 
 from . import cyclo, linalg
-from .cyclo import CycloNum, euler_phi, lambda_embed, sqrt_minus_11
+from .cyclo import CycloNum, lambda_embed, sqrt_minus_11
 
 CONDUCTOR = 11
 # twice the group's order: a closure that passes it has a mis-normalized generator
@@ -109,7 +111,6 @@ def fourier_candidate():
     return tuple(m)
 
 
-@lru_cache(maxsize=1)
 def weil_outside_borel():
     """The extra generator: the Fourier candidate scaled to determinant 1.
 
@@ -327,31 +328,20 @@ class GroupTable:
         return n
 
     def conjugacy_classes(self):
-        """List of (sorted index list): orbits of x -> g^-1 x g over the
-        generators g, in order of smallest member."""
+        """Sorted index lists: the orbits of x -> g^-1 x g over the
+        generators g, by _breadth_first, in order of smallest member."""
         right = self.right
         # g_k^-1 is the element that gens[k] takes to the identity
         inverses = [next(r for r, row in enumerate(right) if row[k] == 0)
                     for k in range(len(self.gens))]
-        assigned = [False] * len(self.elements)
-        classes = []
+        maps = [lambda x, k=k, ginv=ginv: right[self.product_index(ginv, x)][k]
+                for k, ginv in enumerate(inverses)]
+        seen, classes = set(), []
         for start in range(len(self.elements)):
-            if assigned[start]:
-                continue
-            orbit = {start}
-            frontier = [start]
-            assigned[start] = True
-            while frontier:
-                nxt = []
-                for idx in frontier:
-                    for k, ginv in enumerate(inverses):
-                        yi = right[self.product_index(ginv, idx)][k]
-                        if yi not in orbit:
-                            orbit.add(yi)
-                            assigned[yi] = True
-                            nxt.append(yi)
-                frontier = nxt
-            classes.append(sorted(orbit))
+            if start not in seen:
+                orbit = _breadth_first(start, maps)[0]
+                seen.update(orbit)
+                classes.append(sorted(orbit))
         return classes
 
     def class_label(self, indices):
@@ -409,10 +399,6 @@ def _dual_matrix(m5):
     return tuple(zip(*linalg.inverse(m5)))
 
 
-def _wedge2_matrix(m5):
-    return tuple(tuple(row) for row in linalg.exterior_power_matrix(m5, 2))
-
-
 def _v6_matrix(m5):
     """Extend a 5 x 5 matrix to 6 x 6 acting trivially on coordinate 0."""
     zero = m5[0][0] * 0
@@ -434,7 +420,7 @@ def _wedge2_character(table, idx):
 
 
 def functor_wedge2():
-    return RepFunctor("wedge2_xi", matrix_fn=_wedge2_matrix,
+    return RepFunctor("wedge2_xi", matrix_fn=lambda m: linalg.exterior_power_matrix(m, 2),
                       character_fn=_wedge2_character)
 
 
@@ -484,19 +470,8 @@ def lefschetz_surface_count(table: GroupTable, idx) -> int:
 def invariant_hermitian(f: RepFunctor, table: GroupTable):
     """Sum over the group of conj(F(g))^T F(g): an exactly invariant
     Hermitian matrix (conjugate-transpose symmetric)."""
-    total = None
-    for m in table.elements:
-        fm = f.matrix(m)
-        term = mat_mul(linalg.conj_transpose(fm), fm)
-        if total is None:
-            total = [list(row) for row in term]
-        else:
-            for i in range(len(term)):
-                row = term[i]
-                trow = total[i]
-                for j in range(len(row)):
-                    trow[j] = trow[j] + row[j]
-    return tuple(tuple(row) for row in total)
+    terms = (mat_mul(linalg.conj_transpose(fm), fm) for fm in map(f.matrix, table.elements))
+    return reduce(lambda s, t: tuple(tuple(map(add, r, q)) for r, q in zip(s, t)), terms)
 
 
 def unitary_group_sum(images, order):
@@ -514,58 +489,28 @@ def unitary_group_sum(images, order):
 
 def hermitian_invariance_check(m, images):
     """conj(H)^T M H == M, exactly, for each generator image H."""
-    for fh in images:
-        lhs = mat_mul(mat_mul(linalg.conj_transpose(fh), m), fh)
-        if not all(
-            lhs[i][j] == m[i][j] for i in range(len(m)) for j in range(len(m))
-        ):
-            return False
-    return True
-
-
-def is_totally_positive(value: CycloNum) -> bool:
-    """Exact positivity for an element of the real subfield: all roots of
-    the characteristic polynomial of multiplication by the element are
-    positive (Descartes' rule is exact since they are all real)."""
-    if not value.is_real():
-        raise ValueError("positivity is defined for real elements only")
-    if value.is_zero():
-        return False
-    if value.is_rational():
-        return value.to_fraction() > 0
-    n = value.n
-    phi = euler_phi(n)
-    cols = []
-    for j in range(phi):
-        cols.append((value * CycloNum.zeta(n, j)).coeffs())
-    mult = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-    return linalg.descartes_positive_roots(linalg.char_poly(mult)) == phi
+    return all(linalg.mat_eq(mat_mul(mat_mul(linalg.conj_transpose(fh), m), fh), m)
+               for fh in images)
 
 
 def hermitian_positive_definite(m) -> bool:
-    """Leading principal minors are real and (totally) positive, all of
-    them from one elimination without row swaps (linalg.leading_minors,
-    which stops at the first zero minor)."""
-    for minor in linalg.leading_minors(m):
-        if not isinstance(minor, CycloNum):
-            if minor <= 0:
-                return False
-            continue
-        if not minor.is_real():
-            return False
-        if not is_totally_positive(minor):
-            return False
-    return True
+    """Every leading principal minor is a positive rational, all of them
+    from one elimination without row swaps (linalg.leading_minors, which
+    stops at the first zero minor).  The group-summed forms have rational
+    minors; an irrational one is not decided, and its to_fraction raises
+    ValueError."""
+    return all(d.to_fraction() > 0 for d in linalg.leading_minors(m))
 
 
-def _echelon(vectors):
-    """The reduced row echelon basis of the span of vectors (CycloNums of
-    one conductor) and its key; equal spans give equal keys.  Apart from
-    epw._echelon because the key reads (num, den) off CycloNum entries,
-    which a rational span lifted to one conductor still has."""
-    red, pivots = linalg.rref(vectors)
-    basis = red[:len(pivots)]
-    return basis, tuple((x.num, x.den) for row in basis for x in row)
+def _echelon(rows):
+    """The key of the span of rows (CycloNums of one conductor): the
+    row-major (num, den) coordinates of its reduced row echelon basis, so
+    equal spans give equal keys.  Apart from epw._echelon because the key
+    is read off CycloNum entries, which a rational span lifted to one
+    conductor still has, and is the coordinates cyclo.right_multiplier
+    maps."""
+    red, pivots = linalg.rref(rows)
+    return tuple((x.num, x.den) for row in red[:len(pivots)] for x in row)
 
 
 def stabilizer(table: GroupTable, subspace_cols):
@@ -573,37 +518,33 @@ def stabilizer(table: GroupTable, subspace_cols):
     6 x k matrix into itself under the action on V6 (_v6_matrix).
 
     Orbit-stabilizer (Holt, Eick & O'Brien, Handbook of Computational Group
-    Theory, 2005, section 4.1): a breadth-first search over the span's
-    orbit under the generators' images, each span keyed by its reduced
-    echelon form over one cyclotomic field, records each generator as a
-    permutation of the orbit.  elements[i] = g_k1 ... g_km for words[i] =
-    (k1, ..., km), so its image of the span is found by walking the word
-    through those permutations right to left."""
+    Theory, 2005, section 4.1): _breadth_first, the closure's walk, closes
+    the span's orbit under the generators' images, each span keyed by
+    _echelon over one cyclotomic field.  A generator maps a key's rows by
+    its transposed image through cyclo.right_multiplier, the closure's
+    kernel, built once per generator; the walk's table right[i][k] is
+    each generator as a permutation of the orbit.  elements[i] = g_k1 ...
+    g_km for words[i] = (k1, ..., km), so its image of the span is found by
+    walking the word through those permutations right to left."""
     if not any(any(row) for row in subspace_cols):
         raise ValueError("zero subspace")
     # the transposed images of the generators, then the spanning vectors,
     # as rows over one cyclotomic field
-    rows = [col for g in table.gens for col in zip(*_v6_matrix(g))]
-    rows = cyclo.common_field(rows + list(zip(*subspace_cols)))
-    d = len(subspace_cols)
-    transposed = [rows[k:k + d] for k in range(0, d * len(table.gens), d)]
-    start, key = _echelon(rows[d * len(table.gens):])
-    orbit, index = [start], {key: 0}
-    perms = [[] for _ in transposed]
-    # orbit grows while it is walked
-    for basis in orbit:
-        for perm, mt in zip(perms, transposed):
-            image, key = _echelon(cyclo.mat_mul(basis, mt))
-            j = index.get(key)
-            if j is None:
-                j = index[key] = len(orbit)
-                orbit.append(image)
-            perm.append(j)
+    images = [tuple(zip(*_v6_matrix(g))) for g in table.gens]
+    rows = cyclo.common_field([row for h in images for row in h] + list(zip(*subspace_cols)))
+    n, width = rows[0][0].n, len(rows[0])
+
+    def image_of(h):
+        times = cyclo.right_multiplier(h, n)
+        return lambda key: _echelon(cyclo.matrix_of(n, times(key), width))
+
+    start = _echelon(rows[width * len(images):])
+    _, right, _ = _breadth_first(start, [image_of(h) for h in images])
     out = []
     for idx, word in enumerate(table.words):
         point = 0
         for k in reversed(word):
-            point = perms[k][point]
+            point = right[point][k]
         if point == 0:
             out.append(idx)
     return out

@@ -2,10 +2,11 @@
 
 The rank-5 positive definite unimodular Hermitian form with an order-11
 symmetry is fixed as a transcription; the package recomputes the form it
-induces on the wedge square (rank 10), its 2 x 2 minors taken by
-linalg.exterior_power_matrix, compares entrywise against the
+induces on the wedge square (rank 10), its 2 x 2 minors, by calling
+linalg.exterior_power_matrix(m, 2), compares entrywise against the
 transcribed rank-10 matrix, and reads off polarization invariants from
-characteristic polynomials.
+the characteristic polynomial, _char_poly (the package's one
+Faddeev-LeVerrier).
 
 Every exact integer here comes by two routes or more:
 
@@ -71,14 +72,6 @@ def _positive_minors(m):
 def is_positive_definite(m) -> bool:
     """All leading principal minors strictly positive (exact integers)."""
     return _positive_minors(m) is not None
-
-
-def induced_wedge2(m):
-    """The rank-10 Hermitian form induced on the wedge square:
-    H(x1^x2, x3^x4) = H'(x1,x3) H'(x2,x4) - H'(x1,x4) H'(x2,x3), the 2 x 2
-    minors of H', in the basis (e12, e13, e14, e15, e23, e24, e25, e34,
-    e35, e45)."""
-    return tuple(tuple(row) for row in linalg.exterior_power_matrix(m, 2))
 
 
 def matches_mat10(computed):

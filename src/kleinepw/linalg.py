@@ -15,7 +15,8 @@ step, so ranks and determinants over Q never divide in Q; other entries
 (QuadInt and MultiPoly, whose `//` is exact) take the fraction-free step
 as they are.  bareiss_det skips the lifting: its callers know their ring
 (ints, Z[x] as MultiPoly).  Without row swaps the loop gives every
-leading principal minor at once.
+leading principal minor at once; Sylvester's criterion on them is the
+package's one positive-definiteness test over a cyclotomic field.
 
 Where no division may be taken (polynomials over Z or F_p, and the
 division-free cross-check of a determinant over Z[w]) maximal_minors
@@ -390,28 +391,6 @@ def kernel_basis(m):
     return basis
 
 
-def char_poly(m):
-    """Monic characteristic polynomial det(T*I - m), exact, via the
-    Faddeev-LeVerrier recurrence (divisions only by integers)."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    coeffs = [None] * (n + 1)
-    coeffs[n] = 1
-    mk = [list(row) for row in m]
-    cs = []
-    for k in range(1, n + 1):
-        ck = trace(mk) * Fraction(-1, k)
-        cs.append(ck)
-        if k < n:
-            for i in range(n):
-                mk[i][i] = mk[i][i] + ck
-            mk = [list(row) for row in mat_mul(m, mk)]
-    # det(T I - m) = T^n + cs[0] T^(n-1) + ... + cs[n-1]
-    out = [cs[n - 1 - i] for i in range(n)] + [1]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form over the integers
 # ---------------------------------------------------------------------------
@@ -516,13 +495,6 @@ def int_kernel_basis(m):
         if j >= len(diag) or diag[j] == 0:
             basis.append([right[i][j] for i in range(cols)])
     return basis
-
-
-def descartes_positive_roots(coeffs):
-    """Number of positive roots (with multiplicity) of a polynomial all of
-    whose roots are real: the count equals the sign variations."""
-    signs = [1 if c > 0 else -1 for c in coeffs if c]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def symmetric_elimination(gram):

@@ -7,9 +7,10 @@ Grammar (whitespace insignificant):
     factor := INT | VAR ('^' INT)?
 
 Variables are named identifiers (x0..x9 or pair-indexed names such as
-x00, x12); the caller supplies the variable-name list, whose order fixes
-the variable indices of the resulting MultiPoly.  Integer coefficients
-only.  Parse errors carry line and column.
+x00, x12); the caller supplies the variable-name list, distinct names
+that VAR spells, whose order fixes the variable indices of the
+resulting MultiPoly.  Integer coefficients only.  Parse errors carry
+line and column.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ class PolyParseError(ValueError):
         self.col = col
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()])|(\S))")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME})|([-+*^()])|(\S))")
 
 
 def _tokenize(src):
@@ -69,7 +71,8 @@ def parse_polynomial(src: str, variables) -> MultiPoly:
     """Parse the textual form into a MultiPoly.
 
     `variables` is either an int (variable names default to x0..x{n-1})
-    or an explicit sequence of names, at most MAX_VARIABLES of them.
+    or an explicit sequence of names, at most MAX_VARIABLES of them, each
+    distinct and spelled by VAR, or some index could not be written.
     """
     nvars = variables if isinstance(variables, int) else len(variables)
     if nvars > MAX_VARIABLES:
@@ -79,6 +82,9 @@ def parse_polynomial(src: str, variables) -> MultiPoly:
     else:
         names = list(variables)
     index = {name: i for i, name in enumerate(names)}
+    for i, name in enumerate(names):
+        if index[name] != i or not re.fullmatch(_NAME, name):
+            raise ValueError(f"variable names must be distinct and match {_NAME}, got {name!r}")
     tokens = _tokenize(src)
     pos = 0
 

@@ -133,7 +133,7 @@ class VerifyContext:
     def wedge2_generators(self):
         """The 10 x 10 wedge-square images of the three generators, built
         once for the invariant form and the two checks that use them."""
-        return tuple(group._wedge2_matrix(g) for g in self.generators)
+        return tuple(linalg.exterior_power_matrix(g, 2) for g in self.generators)
 
     @cached_property
     def invariant_form(self):
@@ -811,7 +811,7 @@ def _hprime(ctx):
     "the induced rank-10 form matches the transcribed matrix in all 100 entries",
 )
 def _mat10(ctx):
-    W = hermitian.induced_wedge2(fixtures.hprime_matrix())
+    W = linalg.exterior_power_matrix(fixtures.hprime_matrix(), 2)
     ok, witness = hermitian.matches_mat10(W)
     if ok:
         return PASS, {}
@@ -829,7 +829,7 @@ def _mat10(ctx):
     "the induced rank-10 form is positive definite with determinant 1",
 )
 def _mat10_principal(ctx):
-    W = hermitian.induced_wedge2(fixtures.hprime_matrix())
+    W = linalg.exterior_power_matrix(fixtures.hprime_matrix(), 2)
     # raises unless W is positive definite; the first invariant is det W,
     # by three routes
     det = hermitian.polarization_invariants(W)[0]

@@ -13,11 +13,14 @@ tuple_normal_form, tuple_buchberger and tuple_autoreduce are the Groebner
 kernel on exponent tuples, with divides as its divisibility test; the
 package runs the same algorithm on packed monomials (poly.grevlex_packing).
 per_block_leading_minors takes herm_det of each leading block, and
-per_block_positive_definite linalg.det of each, then tests every minor as
-group.hermitian_positive_definite does; the package reads all leading
-minors off one elimination without row swaps (linalg.leading_minors).
-cyclotomic_polarization_invariants runs linalg.char_poly on the
-conductor-11 embedding; hermitian.polarization_invariants runs
+per_block_positive_definite linalg.det of each, then reads every minor as
+a rational, as group.hermitian_positive_definite does; the package reads
+all leading minors off one elimination without row swaps
+(linalg.leading_minors).
+char_poly is Faddeev-LeVerrier on any exact matrix, and
+descartes_positive_roots counts the sign changes of a polynomial with
+real roots only.  cyclotomic_polarization_invariants runs char_poly on
+the conductor-11 embedding; hermitian.polarization_invariants runs
 Faddeev-LeVerrier on the integer pair of Z[w] coordinates.
 term_by_term_evaluate multiplies each coordinate in, one factor at a
 time; MultiPoly.evaluate uses a power table over one common denominator.
@@ -25,11 +28,12 @@ time; MultiPoly.evaluate uses a power table over one common denominator.
 
 import heapq
 import random
+from fractions import Fraction
 from itertools import combinations, groupby
 from math import gcd
 from operator import itemgetter
 
-from kleinepw import group, hermitian, linalg
+from kleinepw import hermitian, linalg
 from kleinepw.cyclo import CycloNum, lambda_embed
 from kleinepw.epw import build_A, merge_indices
 from kleinepw.fixtures import PAIR_VARS, QUADRIC_TEXT, sextic_poly
@@ -334,16 +338,37 @@ def per_block_leading_minors(m):
 
 def per_block_positive_definite(m):
     """group.hermitian_positive_definite by linalg.det of each leading
-    block, each minor real and totally positive."""
+    block of a cyclotomic matrix, each minor read as a positive rational:
+    ValueError at an irrational minor met before a non-positive one."""
     for k in range(1, len(m) + 1):
-        minor = linalg.det([row[:k] for row in m[:k]])
-        if not isinstance(minor, CycloNum):
-            if minor <= 0:
-                return False
-            continue
-        if not minor.is_real() or not group.is_totally_positive(minor):
+        if linalg.det([row[:k] for row in m[:k]]).to_fraction() <= 0:
             return False
     return True
+
+
+def char_poly(m):
+    """Monic characteristic polynomial det(T*I - m), coefficients of T^0 up
+    to T^n, exact, via the Faddeev-LeVerrier recurrence (divisions only by
+    integers)."""
+    n = len(m)
+    mk = [list(row) for row in m]
+    cs = []
+    for k in range(1, n + 1):
+        ck = linalg.trace(mk) * Fraction(-1, k)
+        cs.append(ck)
+        if k < n:
+            for i in range(n):
+                mk[i][i] = mk[i][i] + ck
+            mk = [list(row) for row in linalg.mat_mul(m, mk)]
+    # det(T I - m) = T^n + cs[0] T^(n-1) + ... + cs[n-1]
+    return cs[::-1] + [1]
+
+
+def descartes_positive_roots(coeffs):
+    """Number of positive roots (with multiplicity) of a polynomial all of
+    whose roots are real: the count equals the sign variations."""
+    signs = [1 if c > 0 else -1 for c in coeffs if c]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def cyclotomic_polarization_invariants(m):
@@ -351,8 +376,7 @@ def cyclotomic_polarization_invariants(m):
     characteristic polynomial of its conductor-11 embedding a + b lambda."""
     n = len(m)
     lam = lambda_embed()
-    cp = linalg.char_poly([[CycloNum.from_rational(e.a, 11) + e.b * lam for e in row]
-                           for row in m])
+    cp = char_poly([[CycloNum.from_rational(e.a, 11) + e.b * lam for e in row] for row in m])
     return [(-1) ** (n - j) * c.to_int() for j, c in enumerate(cp[:n])] + [1]
 
 

@@ -106,7 +106,7 @@ def test_criterion_04_invariant_quadric(table660, generators):
                 b[i][j] += Fraction(coeff, 2)
                 b[j][i] += Fraction(coeff, 2)
         for g in generators:
-            m = [list(r) for r in group._wedge2_matrix(g)]
+            m = linalg.exterior_power_matrix(g, 2)
             mt = [list(r) for r in zip(*m)]
             assert linalg.mat_eq(
                 linalg.mat_mul(linalg.mat_mul(mt, b), m),
@@ -220,7 +220,7 @@ def test_criterion_10_hermitian_suite():
         assert linalg.is_hermitian(h)
         assert hermitian.is_positive_definite(h)
         assert hermitian.herm_det(h) == 1
-        w = hermitian.induced_wedge2(h)
+        w = linalg.exterior_power_matrix(h, 2)
         ok, witness = hermitian.matches_mat10(w)
         assert ok, witness
         assert hermitian.herm_det(w) == 1

@@ -86,6 +86,16 @@ NESTED = "[" * 3000 + "]" * 3000
         # refused before any exponent tuple of that length is built
         (["groebner", "--file"], {"variables": 10**8, "prime": 7, "generators": ["x0"]},
          "100000000 variables, more than the 64 allowed"),
+        # the second x would win, and index 0 could never be written
+        (["groebner", "--file"],
+         {"variables": ["x", "y", "x"], "prime": 7, "generators": ["x^2", "y^2"]},
+         "variable names must be distinct and match [A-Za-z_][A-Za-z_0-9]*, got 'x'"),
+        (["groebner", "--file"],
+         {"variables": ["x", "y", ""], "prime": 7, "generators": ["x^2", "y^2"]},
+         "variable names must be distinct and match [A-Za-z_][A-Za-z_0-9]*, got ''"),
+        (["groebner", "--file"],
+         {"variables": ["x", "y", "1z"], "prime": 7, "generators": ["x^2", "y^2"]},
+         "variable names must be distinct and match [A-Za-z_][A-Za-z_0-9]*, got '1z'"),
         (["lattice", "--spec", "[[2.5,1],[1,2]]"], None,
          "Gram matrix entries must be integers, got 2.5"),
         (["lattice", "--spec", '[["2",1],[1,2]]'], None,
@@ -110,7 +120,8 @@ NESTED = "[" * 3000 + "]" * 3000
     ids=["stratum-zero-denominator", "stratum-exponent-notation", "groebner-no-generators", "groebner-file-prime-4",
          "groebner-file-prime-string", "groebner-file-prime-too-large", "groebner-file-codim-string",
          "groebner-generator-not-string", "groebner-variables-string",
-         "groebner-too-many-variables",
+         "groebner-too-many-variables", "groebner-repeated-variable",
+         "groebner-empty-variable", "groebner-unspellable-variable",
          "lattice-float-entry", "lattice-string-entry", "lattice-bool-entry",
          "lattice-float-summand", "verify-one-prime", "verify-repeated-prime",
          "verify-three-primes", "lattice-nested-json", "lattice-nested-json-summand",

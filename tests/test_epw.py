@@ -31,7 +31,7 @@ def random_lagrangian(rng, steps=6):
 
 
 def is_lagrangian(rows):
-    if epw.span_rank(rows) != len(rows):
+    if linalg.rank(rows) != len(rows):
         return False
     for i in range(len(rows)):
         for j in range(i, len(rows)):
@@ -454,7 +454,7 @@ def test_quadric_invariance(generators):
             b[i][j] += Fraction(coeff, 2)
             b[j][i] += Fraction(coeff, 2)
     for g in generators:
-        m = [list(r) for r in group._wedge2_matrix(g)]
+        m = linalg.exterior_power_matrix(g, 2)
         mt = [list(r) for r in zip(*m)]
         lhs = linalg.mat_mul(linalg.mat_mul(mt, b), m)
         assert linalg.mat_eq(lhs, [[Fraction(x) for x in row] for row in b])

@@ -21,9 +21,9 @@ from kleinepw.textform import MAX_EXPONENT  # noqa: E402
 
 from cyclo_fractions import cyclo_from_fractions  # noqa: E402
 from kernel_oracles import (  # noqa: E402
-    conjugate_product_inverse, cyclotomic_polarization_invariants, max_scan_divmod,
-    per_block_leading_minors, per_block_positive_definite, term_by_term_evaluate,
-    tuple_buchberger, tuple_normal_form)
+    char_poly, conjugate_product_inverse, cyclotomic_polarization_invariants,
+    descartes_positive_roots, max_scan_divmod, per_block_leading_minors,
+    per_block_positive_definite, term_by_term_evaluate, tuple_buchberger, tuple_normal_form)
 
 P = 32003
 
@@ -466,9 +466,9 @@ def _descartes_signature(gram):
     """(positives, negatives) by Descartes' rule on the Faddeev-LeVerrier
     characteristic polynomial, exact since a symmetric matrix has real
     roots: the route that the pivot signs replaced, kept as their oracle."""
-    cp = linalg.char_poly(gram)
-    pos = linalg.descartes_positive_roots(cp)
-    neg = linalg.descartes_positive_roots([c if i % 2 == 0 else -c for i, c in enumerate(cp)])
+    cp = char_poly(gram)
+    pos = descartes_positive_roots(cp)
+    neg = descartes_positive_roots([c if i % 2 == 0 else -c for i, c in enumerate(cp)])
     assert pos + neg == len(gram)
     return pos, neg
 
@@ -1037,8 +1037,19 @@ def _hermitian_cyclo(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(m=_hermitian_cyclo())
+@example(m=[[CycloNum.from_rational(2, 5), CycloNum.zeta(5)],
+            [CycloNum.zeta(5, 4), CycloNum.from_rational(3, 5)]])
+@example(m=[[CycloNum.zeta(5) + CycloNum.zeta(5, 4) + 2]])
 def test_sylvester_test_matches_the_block_by_block_route(m):
-    assert group.hermitian_positive_definite(m) == per_block_positive_definite(m)
+    """Rational minors decide; an irrational minor met first is a
+    ValueError on both routes."""
+    try:
+        want = per_block_positive_definite(m)
+    except ValueError:
+        with pytest.raises(ValueError):
+            group.hermitian_positive_definite(m)
+    else:
+        assert group.hermitian_positive_definite(m) == want
 
 
 @settings(deadline=None, max_examples=60)
