@@ -9,13 +9,9 @@ finite-field stand-ins for characteristic-0 computations:
   a nonzero constant or a pure power of every variable among the leading
   monomials (certifies_empty), so the affine cone is supported at the
   origin only;
-* smoothness: the singular-locus ideal (generators plus c x c minors of
-  the Jacobian) is projectively empty.  Minor subsampling is sound for
-  the empty verdict: a subset of the minors cuts out a larger scheme, so
-  emptiness of the subsampled locus implies emptiness of the full one.
-  The subsample is drawn with the fixed seed SAMPLE_SEED, so a sampled
-  run is reproducible.  jacobian_minors expands each row set of the
-  Jacobian once, by linalg.maximal_minors.
+* smoothness: the singular-locus ideal (generators plus all c x c minors
+  of the Jacobian) is projectively empty.  jacobian_minors expands each
+  row set of the Jacobian once, by linalg.maximal_minors.
 
 Inside a Buchberger run a monomial is two ints (poly.grevlex_packing,
 after Monagan & Pearce, J. Symbolic Comput. 46, 2011): P for the order and
@@ -58,10 +54,8 @@ the defaults of verify and of the command line.
 
 from __future__ import annotations
 
-import random
 from heapq import heapify, heappop, heappush
-from itertools import combinations, groupby
-from operator import itemgetter
+from itertools import combinations
 
 from . import linalg
 from .epw import build_A, merge_indices
@@ -72,8 +66,6 @@ from .textform import parse_polynomial
 # the default budgets of every Groebner computation
 MAX_PAIRS = 500000
 MAX_DEGREE = 48
-# the seed of every Jacobian minor subsample
-SAMPLE_SEED = 0
 
 
 class BudgetExhausted(RuntimeError):
@@ -334,12 +326,10 @@ def projective_empty(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE,
     return certifies_empty([g.leading_term()[0] for g in basis], gens[0].nvars), basis
 
 
-def jacobian_minors(gens, size, sample=None):
-    """c x c minors of the Jacobian matrix of integer polynomials, nonzero
-    ones only, with the row sets and then the column sets in lexicographic
-    order; optionally a deterministic random subsample of those keys
-    (sound for the empty verdict, since fewer equations cut out a larger
-    scheme).  Returns (minors, sampled).
+def jacobian_minors(gens, size):
+    """All nonzero c x c minors of the Jacobian matrix of integer
+    polynomials, with the row sets and then the column sets in
+    lexicographic order.  Returns (minors, False).
 
     A gate expands the minors once over Z and reduces them at each prime:
     reduction commutes with derivatives and determinants.  Each row set is
@@ -347,40 +337,25 @@ def jacobian_minors(gens, size, sample=None):
     nvars = gens[0].nvars
     jac = [[g.derivative(i) for i in range(nvars)] for g in gens]
     one = MultiPoly.const(nvars, 1)
-    all_keys = [
-        (rs, cs)
-        for rs in combinations(range(len(gens)), size)
-        for cs in combinations(range(nvars), size)
-    ]
-    sampled = False
-    if sample is not None and sample < len(all_keys):
-        rng = random.Random(SAMPLE_SEED)
-        all_keys = rng.sample(all_keys, sample)
-        sampled = True
-    # one expansion per run of keys on the same row set, over the columns
-    # those keys use: all of them on the full key list, where each row set
-    # is one run, and mostly a single column set in a sample
     out = []
-    for rs, run in groupby(all_keys, key=itemgetter(0)):
-        col_sets = [cs for _, cs in run]
-        cols = sorted(set().union(*col_sets))
-        bit = {c: 1 << i for i, c in enumerate(cols)}
-        minors = linalg.maximal_minors([[jac[r][c] for c in cols] for r in rs], one)
-        for cs in col_sets:
-            d = minors.get(sum(bit[c] for c in cs))
+    for rs in combinations(range(len(gens)), size):
+        minors = linalg.maximal_minors([jac[r] for r in rs], one)
+        for cs in combinations(range(nvars), size):
+            d = minors.get(sum(1 << c for c in cs))
             if d:
                 out.append(d)
-    return out, sampled
+    # a pair, not a bare list, because perfbench's minors_used observer
+    # (OBSERVERS["groebner.jacobian_minors"]) reads len(result[0])
+    return out, False
 
 
 def smoothness_check(gens, codim, p, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, minors=None,
                      stop_at_certificate=False):
     """Projective emptiness at the prime p of the singular locus of the
-    integer polynomials gens: the generators plus the codim x codim minors
+    integer polynomials gens: the generators plus all codim x codim minors
     of their Jacobian, reduced mod p.  minors is a jacobian_minors(gens,
-    codim, sample) result, so a caller that checks several primes expands
-    it once; by default it is the full set, and a sampled set that leaves
-    the locus nonempty falls back to it.  stop_at_certificate goes to
+    codim) result, so a caller that checks several primes expands it once;
+    by default it is expanded here.  stop_at_certificate goes to
     projective_empty.
 
     Returns (smooth: bool, info dict).  info["basis_size"] is the size of
@@ -390,16 +365,11 @@ def smoothness_check(gens, codim, p, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE,
         raise ValueError("codimension must be at least 1")
     base = buchberger([FPoly.from_int_poly(g, p) for g in gens],
                       max_pairs=max_pairs, max_degree=max_degree)
-    minors, sampled = minors or jacobian_minors(gens, codim)
-    while True:
-        reduced = [m for m in (FPoly.from_int_poly(d, p) for d in minors) if m]
-        empty, basis = projective_empty(base + reduced, max_pairs=max_pairs,
-                                        max_degree=max_degree,
-                                        stop_at_certificate=stop_at_certificate)
-        if empty or not sampled:
-            break
-        minors, sampled = jacobian_minors(gens, codim)
-    info = {"sampled_minors": sampled, "minors_used": len(reduced)}
+    minors, _ = minors or jacobian_minors(gens, codim)
+    reduced = [m for m in (FPoly.from_int_poly(d, p) for d in minors) if m]
+    empty, basis = projective_empty(base + reduced, max_pairs=max_pairs, max_degree=max_degree,
+                                    stop_at_certificate=stop_at_certificate)
+    info = {"minors_used": len(reduced)}
     if not (empty and stop_at_certificate):
         info["basis_size"] = len(basis)
     return empty, info

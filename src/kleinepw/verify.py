@@ -308,7 +308,7 @@ def _closure(ctx):
     "conjugacy class sizes form the multiset {1,60,60,132,132,110,110,55}",
 )
 def _classes(ctx):
-    sizes = sorted(len(c) for c in ctx.table.conjugacy_classes())
+    sizes = sorted(len(c) for c in ctx.labeled.values())
     want = sorted(s for _, _, s in fixtures.CLASS_DATA)
     return _bool(sizes == want, {"sizes": sizes}, {"sizes": sizes, "expected": want})
 
@@ -385,7 +385,7 @@ def _exponents(ctx):
 def _orthogonality(ctx):
     for f in (group.functor_xi(), group.functor_xi_dual(), group.functor_wedge2()):
         total = None
-        for cls in ctx.table.conjugacy_classes():
+        for cls in ctx.labeled.values():
             v = group.character(f, ctx.table, cls[0])
             term = v * v.conj() * len(cls)
             total = term if total is None else total + term
@@ -402,7 +402,7 @@ def _orthogonality(ctx):
 def _wedge_identity(ctx):
     xi = group.functor_xi()
     w2 = group.functor_wedge2()
-    for cls in ctx.table.conjugacy_classes():
+    for cls in ctx.labeled.values():
         idx = cls[0]
         lhs = group.character(w2, ctx.table, idx)
         chi = group.character(xi, ctx.table, idx)
@@ -872,9 +872,9 @@ def _at_primes(ctx, gate, budget_witness=None):
     return PASS, {"verified-at-primes": verified}
 
 
-def _smooth_at_primes(ctx, gens, codim, max_pairs, minor_sample=None, budget_witness=None):
+def _smooth_at_primes(ctx, gens, codim, max_pairs, budget_witness=None):
     # the minors are expanded once, for every prime
-    minors = jacobian_minors(gens, codim, sample=minor_sample)
+    minors = jacobian_minors(gens, codim)
 
     def gate(p):
         ok, info = smoothness_check(gens, codim, p, max_pairs=max_pairs,
@@ -925,8 +925,7 @@ def _x5smooth(ctx):
     return _smooth_at_primes(ctx, gm_fivefold_ideal(), 4, ctx.budget_pairs)
 
 
-# explicit tier budget for the singular-surface check, which is expected
-# to exhaust it at desk scale
+# explicit tier budget for the singular-surface check
 SURFACE_BUDGET_PAIRS = 5000
 
 
@@ -938,14 +937,8 @@ SURFACE_BUDGET_PAIRS = 5000
 def _sing_smooth(ctx):
     if not ctx.slow:
         return SKIP, {"reason": "slow tier; rerun with --slow"}
-    return _smooth_at_primes(
-        ctx,
-        sextic_singular_locus_ideal(),
-        3,
-        SURFACE_BUDGET_PAIRS,
-        48,
-        {"tier-budget-pairs": SURFACE_BUDGET_PAIRS},
-    )
+    return _smooth_at_primes(ctx, sextic_singular_locus_ideal(), 3, SURFACE_BUDGET_PAIRS,
+                             {"tier-budget-pairs": SURFACE_BUDGET_PAIRS})
 
 
 # ---------------------------------------------------------------------------

@@ -27,18 +27,15 @@ time; MultiPoly.evaluate uses a power table over one common denominator.
 """
 
 import heapq
-import random
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations
 from math import gcd
-from operator import itemgetter
 
 from kleinepw import hermitian, linalg
 from kleinepw.cyclo import CycloNum, lambda_embed
 from kleinepw.epw import build_A, merge_indices
 from kleinepw.fixtures import PAIR_VARS, QUADRIC_TEXT, sextic_poly
-from kleinepw.groebner import (MAX_DEGREE, MAX_PAIRS, SAMPLE_SEED, BudgetExhausted, FPoly,
-                               certifies_empty)
+from kleinepw.groebner import MAX_DEGREE, MAX_PAIRS, BudgetExhausted, FPoly, certifies_empty
 from kleinepw.poly import MultiPoly, grevlex_key, linear_forms
 from kleinepw.textform import parse_polynomial
 
@@ -161,25 +158,18 @@ def sextic_singular_locus_ideal_mod(p):
     return [f.derivative(i) for i in range(6)]
 
 
-def lifted_jacobian_minors(gens, size, sample=None):
+def lifted_jacobian_minors(gens, size):
     """The c x c Jacobian minors of FPoly generators that are nonzero mod
-    p, in jacobian_minors' key order and sample: the minors of the
-    generators' integer lifts in [0, p), expanded over Z and reduced."""
+    p, in jacobian_minors' key order: the minors of the generators'
+    integer lifts in [0, p), expanded over Z and reduced."""
     p, nvars = gens[0].p, gens[0].nvars
     jac = [[MultiPoly(nvars, g.terms).derivative(i) for i in range(nvars)] for g in gens]
     one = MultiPoly.const(nvars, 1)
-    all_keys = [(rs, cs) for rs in combinations(range(len(gens)), size)
-                for cs in combinations(range(nvars), size)]
-    if sample is not None and sample < len(all_keys):
-        all_keys = random.Random(SAMPLE_SEED).sample(all_keys, sample)
     out = []
-    for rs, run in groupby(all_keys, key=itemgetter(0)):
-        col_sets = [cs for _, cs in run]
-        cols = sorted(set().union(*col_sets))
-        bit = {c: 1 << i for i, c in enumerate(cols)}
-        minors = linalg.maximal_minors([[jac[r][c] for c in cols] for r in rs], one)
-        for cs in col_sets:
-            d = minors.get(sum(bit[c] for c in cs))
+    for rs in combinations(range(len(gens)), size):
+        minors = linalg.maximal_minors([jac[r] for r in rs], one)
+        for cs in combinations(range(nvars), size):
+            d = minors.get(sum(1 << c for c in cs))
             if d is not None:
                 m = FPoly.from_int_poly(d, p)
                 if not m.is_zero():

@@ -337,11 +337,11 @@ def test_threefold_gate():
     for p in (P, 65537):
         ok, info = smoothness_check(gens, 4, p)
         assert ok is True
-        assert info == {"sampled_minors": False, "minors_used": 1037, "basis_size": 165}
+        assert info == {"minors_used": 1037, "basis_size": 165}
         # the early stop reaches the same verdict and reports no basis size,
         # from the minors expanded once for both primes
         early = smoothness_check(gens, 4, p, minors=minors, stop_at_certificate=True)
-        assert early == (True, {"sampled_minors": False, "minors_used": 1037})
+        assert early == (True, {"minors_used": 1037})
 
 
 @pytest.mark.slow
@@ -353,9 +353,9 @@ def test_fivefold_gate(monkeypatch):
     for basis in bases:
         assert _same_terms(autoreduce(basis), _fixpoint_autoreduce(basis))
     assert ok is True
-    assert info == {"sampled_minors": False, "minors_used": 2965, "basis_size": 445}
+    assert info == {"minors_used": 2965, "basis_size": 445}
     early = smoothness_check(gm_fivefold_ideal(), 4, P, stop_at_certificate=True)
-    assert early == (True, {"sampled_minors": False, "minors_used": 2965})
+    assert early == (True, {"minors_used": 2965})
 
 
 def test_threefold_negative_control():
@@ -373,17 +373,6 @@ def test_threefold_negative_control():
     # runs to the same reduced basis and reports the same basis size
     assert smoothness_check(corrupted, 4, P, stop_at_certificate=True) == (ok, info)
     assert info["basis_size"] == 130
-
-
-def test_minor_subsampling_reports():
-    gens = gm_threefold_ideal()
-    minors, sampled = jacobian_minors(gens, 4, sample=10)
-    assert sampled is True and len(minors) <= 10
-    again, _ = jacobian_minors(gens, 4, sample=10)
-    assert [m.terms for m in again] == [m.terms for m in minors]  # the seed is fixed
-    full, not_sampled = jacobian_minors(gens, 4, sample=None)
-    assert not_sampled is False and len(full) > 1000
-    assert all(m.terms in [f.terms for f in full] for m in minors)
 
 
 def test_jacobian_minors_over_z_match_the_fpoly_expansion():
@@ -540,13 +529,11 @@ def test_gate_ideals_reduce_to_the_per_prime_builders(gate, p):
     build, oracle, codim = gate
     want = oracle(p)
     assert _same_terms(_gate_gens(build, p), want)
-    if codim is None:
+    # the surface's minors are the slow test below
+    if codim is None or build is sextic_singular_locus_ideal:
         return
-    # the surface's full minor set is the slow test below; its sample here
-    sample = 48 if build is sextic_singular_locus_ideal else None
-    minors, _ = jacobian_minors(build(), codim, sample=sample)
-    assert _same_terms(reduce_mod(minors, p),
-                       kernel_oracles.lifted_jacobian_minors(want, codim, sample=sample))
+    minors, _ = jacobian_minors(build(), codim)
+    assert _same_terms(reduce_mod(minors, p), kernel_oracles.lifted_jacobian_minors(want, codim))
 
 
 @pytest.mark.slow

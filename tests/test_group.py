@@ -423,19 +423,29 @@ def test_verify_group_builds_wedge_matrices_only_for_the_generators(monkeypatch,
     """The wedge-square characters are sums of principal minors, and the
     10 x 10 matrices of the three generators are built once, by
     VerifyContext.wedge2_generators, for the group-summed form's two
-    invariance checks and for quadric.invariance."""
+    invariance checks and for quadric.invariance.  The checks read the
+    classes from VerifyContext.labeled; only trivial_multiplicity's two
+    calls compute them again."""
     sites = Counter()
     full = linalg.exterior_power_matrix
+    classes = group.GroupTable.conjugacy_classes
+    class_calls = []
 
     def counted(m, k):
         names = {frame.name for frame in traceback.extract_stack()}
         sites["wedge2_generators" if "wedge2_generators" in names else "elsewhere"] += 1
         return full(m, k)
 
+    def counted_classes(table):
+        class_calls.append(1)
+        return classes(table)
+
     monkeypatch.setattr(linalg, "exterior_power_matrix", counted)
+    monkeypatch.setattr(group.GroupTable, "conjugacy_classes", counted_classes)
     assert cli.main(["--json", "verify", "group"]) == 0
     capsys.readouterr()
     assert sites == {"wedge2_generators": 3}
+    assert len(class_calls) == 3
 
 
 def test_stabilizers(table660):

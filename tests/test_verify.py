@@ -84,6 +84,21 @@ def test_quadric_invariance_names_the_generator_that_moves_the_quadric(monkeypat
     assert _run_check("quadric.invariance", ctx) == (verify.FAIL, {"generator": "s"})
 
 
+def test_surface_gate_checks_every_minor(monkeypatch):
+    # the real surface run takes minutes; this checks only what the gate
+    # hands smoothness_check: all 400 nonzero 3 x 3 minors, at each prime
+    used = []
+
+    def record(gens, codim, p, minors, **budgets):
+        used.append((p, len(minors[0])))
+        return True, {}
+
+    monkeypatch.setattr(verify, "smoothness_check", record)
+    verdict, witness = verify._sing_smooth(verify.VerifyContext(slow=True))
+    assert used == [(32003, 400), (65537, 400)]
+    assert (verdict, witness) == (verify.PASS, {"verified-at-primes": [32003, 65537]})
+
+
 @pytest.fixture
 def no_closure(monkeypatch):
     def refuse(gens):
