@@ -5,8 +5,9 @@ The rank-10 Lagrangian is the graph of a signed bijection v between
 the degeneracy locus is the determinant of a 10 x 10 matrix of linear
 forms; homogenizing gives a degree-6 hypersurface in P^5 with integer
 coefficients.  Two independent routes must agree: fraction-free
-elimination over the polynomial ring, and evaluation at the integer points
-of the degree-10 simplex followed by exact Newton interpolation.
+elimination over the polynomial ring, and evaluation at the 462 integer
+points of the radius-6 simplex followed by exact Newton interpolation; the
+radius 6 is certified from the chart's kernel, not assumed.
 """
 
 from kleinepw import epw, fixtures

@@ -7,8 +7,11 @@ signed-permutation isomorphism v from 2-vectors to 3-vectors on the last
 five coordinates (graph_rows builds it, for v and for the map rebuilt
 from the dual representation), and the sextic hypersurface is recovered
 from it in two independent ways: fraction-free elimination over the
-polynomial ring, and evaluation at the integer points of the degree-10
-simplex followed by exact Newton interpolation.
+polynomial ring, and evaluation at the 462 integer points of the
+radius-6 simplex followed by exact Newton interpolation.  The radius is
+certified, not assumed: the chart is -I + N(x) with N linear, N kills the
+five vectors x ^ e_i, which have rank 4, so rank N <= 6 bounds the
+determinant's degree.
 
 The module holds no elimination of its own.  Ranks, determinants and
 exterior powers go through linalg, which lifts mixed entries itself: its
@@ -317,6 +320,39 @@ def sextic_equation():
     return hom
 
 
+def _chart_degree_bound(chart):
+    """A certified bound on the total degree of det(chart), for a 10 x 10
+    affine chart C + N(x) on PAIRS5 (C constant, N linear in x1..x5;
+    _simplex_det rejects any other): its size less the rank of five
+    vectors that N kills identically.
+
+    Expanding det(C + N) column by column, a term that takes k columns of
+    N vanishes once k exceeds the rank of N over Q(x), so that rank bounds
+    the degree.  Column J of the derived chart's N is v^-1(x ^ e_J), so N
+    sends a 2-vector u to v^-1(x ^ u), and kills the five u_i = x ^ e_i.
+    N u_i = 0 is checked as a MultiPoly identity, raising ArithmeticError
+    otherwise.  At x = (1, ..., 1) the u_i have rank 4, a lower bound for
+    their rank over Q(x); so rank N <= 6, and so is the degree."""
+    nvars = chart[0][0].nvars
+    zero = MultiPoly.zero(nvars)
+    kernel = []
+    for i in range(1, 6):
+        u = [zero] * len(PAIRS5)
+        for k in range(1, 6):
+            sign, pair = merge_indices((k,), (i,))
+            if sign:
+                u[PAIR5_INDEX[pair]] = MultiPoly.var(k - 1, nvars, sign)
+        kernel.append(u)
+    origin = (0,) * nvars
+    for row in chart:
+        linear = [MultiPoly(nvars, {e: c for e, c in entry.terms.items() if e != origin})
+                  for entry in row]
+        if any(sum(map(mul, linear, u), zero) for u in kernel):
+            raise ArithmeticError("chart's linear part does not kill x ^ e_i")
+    point = [1] * nvars
+    return len(chart) - linalg.rank([[c.evaluate(point) for c in u] for u in kernel])
+
+
 def _simplex(nvars, n):
     """Exponent vectors e in N^nvars with |e| <= n, in lexicographic order."""
     if nvars == 0:
@@ -386,21 +422,25 @@ def _axis_lines(points, n):
             starts[:len(line)] = [s + 1 for s in line]
 
 
-def _simplex_det(chart):
+def _simplex_det(chart, degree=None):
     """Determinant of an n x n matrix of affine-linear integer MultiPolys,
     interpolated from integer determinants on the principal lattice
-    {e : |e| <= n}, which is unisolvent for total degree <= n (Chung & Yao,
-    SIAM J. Numer. Anal. 14, 1977).  Forward differences along each axis
-    give the Newton coefficients D^e f(0); every difference stays inside
-    the simplex.  The binomials C(x_i, k) are then expanded into powers
-    along each axis in the same way.
+    {e : |e| <= degree}, which is unisolvent for total degree <= degree
+    (Chung & Yao, SIAM J. Numer. Anal. 14, 1977).  The radius defaults to
+    n, a bound for every such matrix; a smaller one is exact only for a
+    determinant of at most that degree.  Forward differences along each
+    axis give the Newton coefficients D^e f(0); every difference stays
+    inside the simplex.  The binomials C(x_i, k) are then expanded into
+    powers along each axis in the same way.
 
     The work is on flat arrays: each chart row is read once into its
     constant row and its (column, variable, coefficient) terms, from which
     each point's integer matrix is built; the values are one list in
     _simplex order, and both transforms run over its index lines, made one
     at a time (_axis_lines), axis after axis."""
-    n, nvars = len(chart), chart[0][0].nvars
+    nvars = chart[0][0].nvars
+    if degree is None:
+        degree = len(chart)
     if any(entry.total_degree() > 1 for row in chart for entry in row):
         raise ValueError("chart entries must be affine-linear")
     const_rows, linear_terms = [], []
@@ -408,7 +448,7 @@ def _simplex_det(chart):
         const_rows.append([entry.coefficient((0,) * nvars) for entry in row])
         linear_terms.append([(j, e.index(1), c) for j, entry in enumerate(row)
                              for e, c in entry.terms.items() if any(e)])
-    points = _simplex(nvars, n)
+    points = _simplex(nvars, degree)
     values = []
     for e in points:
         m = []
@@ -419,7 +459,7 @@ def _simplex_det(chart):
             m.append(row)
         values.append(linalg.bareiss_det(m))
     for transform in (_forward_differences, _binomials_to_powers):
-        for line in _axis_lines(points, n):
+        for line in _axis_lines(points, degree):
             for i, v in zip(line, transform([values[i] for i in line])):
                 values[i] = v
     return MultiPoly(nvars, zip(points, values))
@@ -427,10 +467,12 @@ def _simplex_det(chart):
 
 def sextic_via_interpolation():
     """Independent route: the derived chart determinant interpolated from
-    its values on the degree-10 simplex, which assumes only the degree
-    bound 10 of a 10 x 10 affine chart; the sextic's degree 6 is then a
-    certificate, not an assumption."""
-    poly = _simplex_det(chart_matrix_derived())
+    its values on the 462 points of the radius-6 simplex, the radius being
+    the degree bound that _chart_degree_bound certifies from the chart's
+    kernel (Chung & Yao, as in _simplex_det).  The sextic's degree 6 is
+    checked again after the interpolation."""
+    chart = chart_matrix_derived()
+    poly = _simplex_det(chart, _chart_degree_bound(chart))
     if poly.total_degree() > 6:
         raise ArithmeticError("interpolated sextic has degree above 6")
     return poly.homogenize(6)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,50 @@ def test_sextic_routes_and_fixture():
     assert len(f1.terms) == 37
     f2 = epw.sextic_via_interpolation()
     assert f2 == f1
+
+
+def test_chart_degree_bound_is_certified():
+    chart = epw.chart_matrix_derived()
+    assert epw._chart_degree_bound(chart) == 6
+    # an x1 added to one entry, and one linear term's sign flipped, both
+    # leave x ^ e_i outside the linear part's kernel
+    bumped = [row[:] for row in chart]
+    bumped[0][0] = bumped[0][0] + MultiPoly.var(0, 5)
+    flipped = [row[:] for row in chart]
+    i, j = next((i, j) for i, row in enumerate(chart) for j, entry in enumerate(row)
+                if entry.total_degree() == 1)
+    e = next(e for e in chart[i][j].terms if any(e))
+    flipped[i][j] = MultiPoly(5, {k: -c if k == e else c for k, c in chart[i][j].terms.items()})
+    for mutant in (bumped, flipped):
+        with pytest.raises(ArithmeticError, match="kill"):
+            epw._chart_degree_bound(mutant)
+
+
+def test_certified_radius_matches_the_full_simplex():
+    """The 3,003-point route of radius 10, the size bound, is the oracle of
+    the certified radius 6; radius 5 is too small and misses."""
+    chart = epw.chart_matrix_derived()
+    interpolated = epw.sextic_via_interpolation()
+    affine = MultiPoly(5, {e[1:]: c for e, c in interpolated.terms.items()})
+    assert epw._simplex_det(chart) == affine
+    assert epw._simplex_det(chart, 5) != affine
+
+
+def test_verify_epw_interpolates_on_the_radius_6_simplex(monkeypatch, capsys):
+    """verify epw takes the 462 determinants of the radius-6 simplex, not
+    the 3,003 of the radius-10 one."""
+    full = linalg.bareiss_det
+    calls = []
+
+    def counted(m):
+        if sys._getframe(1).f_code is epw._simplex_det.__code__:
+            calls.append(1)
+        return full(m)
+
+    monkeypatch.setattr(linalg, "bareiss_det", counted)
+    assert cli.main(["--json", "verify", "epw"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 462
 
 
 def _tensor_grid_sextic():

@@ -591,7 +591,11 @@ def test_maximal_minors_are_the_column_subset_determinants(data):
 def test_simplex_det_matches_bareiss(data):
     nvars = data.draw(st.integers(2, 5))
     m = data.draw(st.integers(1, 5).flatmap(lambda n: _square(_affine(nvars), n)))
-    assert epw._simplex_det(m) == linalg.bareiss_det(m)
+    det = linalg.bareiss_det(m)
+    assert epw._simplex_det(m) == det
+    # any radius from the true degree up to the size is exact
+    degree = data.draw(st.integers(max(det.total_degree(), 0), len(m)))
+    assert epw._simplex_det(m, degree) == det
 
 
 def test_simplex_det_reaches_the_size_bound():
