@@ -40,10 +40,13 @@ factors, and takes a monomial h with root-of-unity scalars (one whose
 unit_columns exist) as a rotation of coordinates instead;
 left_monomial_product multiplies by such an h on the left, permuting rows
 and rotating coordinates; matrix_of builds CycloNums on normalized
-coordinates without copying them.  substitute_linear substitutes linear
-forms with packed entries into a rational polynomial the same way.
-None of them runs CycloNum.__mul__.  The module imports nothing from the
-rest of the package.
+coordinates without copying them, one per distinct value when given a
+shared dict.  substitute_linear substitutes linear forms with packed
+entries into a rational polynomial the same way, by Horner's rule over
+the variables; packing is a ring homomorphism and only the final
+coefficients are unpacked, so intermediate values need no bound.  None
+of them runs CycloNum.__mul__.  The module imports nothing from the rest
+of the package.
 """
 
 from __future__ import annotations
@@ -612,11 +615,19 @@ def right_multiplier(h, n):
     return lambda g: _packed_product(n, g, factor)
 
 
-def matrix_of(n, coords, cols):
+def matrix_of(n, coords, cols, shared=None):
     """The matrix of normalized row-major coordinates over the
     conductor-n field, as right_multiplier returns them; each entry shares
-    its coefficient tuple."""
-    entries = [CycloNum._normalized(n, num, den) for num, den in coords]
+    its coefficient tuple.  shared, a dict keyed on (num, den), interns the
+    entries: matrices built with one dict hold one CycloNum per distinct
+    value."""
+    if shared is None:
+        entries = [CycloNum._normalized(n, num, den) for num, den in coords]
+    else:
+        for c in coords:
+            if c not in shared:
+                shared[c] = CycloNum._normalized(n, *c)
+        entries = [shared[c] for c in coords]
     return tuple(tuple(entries[r:r + cols]) for r in range(0, len(entries), cols))
 
 
@@ -639,6 +650,26 @@ def _keyed_product(a, b):
     return out
 
 
+def _horner(coeffs, forms):
+    """sum_e c_e prod_i forms[i]^e_i as packed monomial key -> int, for
+    coeffs mapping exponent tuples of length len(forms) to ints: Horner's
+    rule in the last variable, each coefficient of its powers expanded the
+    same way in the others."""
+    if not forms:
+        return {0: c for c in coeffs.values()}
+    *rest, form = forms
+    groups = {}
+    for e, c in coeffs.items():
+        groups.setdefault(e[-1], {})[e[:-1]] = c
+    acc = {}
+    for k in range(max(groups, default=-1), -1, -1):
+        acc = _keyed_product(acc, form)
+        if k in groups:
+            for key, v in _horner(groups[k], rest).items():
+                acc[key] = acc.get(key, 0) + v
+    return acc
+
+
 def substitute_linear(terms, rows):
     """The polynomial f(rows * y): x_i -> sum_j rows[i][j] * y_j substituted
     into f, given by terms (exponent tuple -> int or Fraction), for a matrix
@@ -649,12 +680,16 @@ def substitute_linear(terms, rows):
     denominator and each is packed into one int at radix 2^bits (Kronecker
     substitution); a monomial y^b is packed into the key sum_j b_j base^j,
     base one more than the degree of f, so a product of monomials is a sum
-    of keys.  The expansion is int products only.  A term of degree d is
-    scaled by den^(deg - d), so all terms share one denominator; every
-    coefficient of the expansion, before reduction modulo the cyclotomic
-    polynomial, is at most sum_e |c_e| * top^|e| in absolute value, top the
-    largest sum of a row's absolute coefficients, and bits leaves it a
-    balanced digit.  Each output monomial is unpacked and reduced once."""
+    of keys.  A term of degree d is scaled by den^(deg - d), so all terms
+    share one denominator.  The expansion is int products only, by Horner's
+    rule over the variables (_horner): one multiply by a linear form per
+    step, not one per term and power.  Packing is evaluation at 2^bits, a
+    ring homomorphism from Z[z], and only the final coefficients are
+    unpacked, so no intermediate value needs a bound: every coefficient of
+    the result, before reduction modulo the cyclotomic polynomial, is at
+    most sum_e |c_e| * top^|e| in absolute value, top the largest sum of a
+    row's absolute coefficients, and bits leaves it a balanced digit.  Each
+    output monomial is unpacked and reduced once."""
     nvars, nout = len(rows), len(rows[0])
     if any(len(e) != nvars for e in terms):
         raise ValueError("need one row per variable")
@@ -669,21 +704,10 @@ def substitute_linear(terms, rows):
     bits = sum(abs(c) * top ** sum(e) for e, c in coeffs.items()).bit_length() + 1
     base = deg + 1
     forms = [{base ** j: _pack(cs, bits) for j, cs in enumerate(row) if cs} for row in ints]
-    powers = [[{0: 1}] for _ in forms]
-    acc = {}
-    for e, c in coeffs.items():
-        term = {0: c}
-        for form, pw, k in zip(forms, powers, e):
-            while len(pw) <= k:
-                pw.append(_keyed_product(pw[-1], form))
-            if k:
-                term = _keyed_product(term, pw[k])
-        for key, v in term.items():
-            acc[key] = acc.get(key, 0) + v
     unpack = _unpacker(bits, deg * (phi - 1) + 1)
     out_den = fden * den ** deg
     out = {}
-    for key, v in acc.items():
+    for key, v in _horner(coeffs, forms).items():
         coords = _reduce(unpack(v), n, phi)
         if any(coords):
             out[tuple(key // base ** j % base for j in range(nout))] = CycloNum(n, coords, out_den)

@@ -171,11 +171,14 @@ def stratum(a_rows, x):
     nonzero x.  With i the first nonzero coordinate of x, the ten rows
     x ^ e_p for the pairs p avoiding i are a basis of it: on the
     coordinates of the triples {i} u p they are +-x_i, one each.  The
-    stratum is projective, so a rational x is first multiplied by the lcm
-    of its denominators, and the reduction runs on integers."""
+    stratum is projective, so a rational x, its rational CycloNums (such
+    as the unit eigenvectors of a diagonal element) read as Fractions, is
+    first multiplied by the lcm of its denominators, and the reduction
+    runs on integers."""
     i = next((k for k, c in enumerate(x) if c), None)
     if i is None:
         raise ValueError("zero vector has no stratum")
+    x = [c.to_fraction() if isinstance(c, CycloNum) and c.is_rational() else c for c in x]
     if not any(isinstance(c, CycloNum) for c in x):
         den = lcm(*(c.denominator for c in x))
         x = [int(c * den) for c in x]
@@ -525,7 +528,12 @@ def fixed_locus(g6):
     """Eigen-decomposition of a finite-order 6 x 6 matrix: one subspace per
     eigenvalue actually occurring, over a cyclotomic field containing all
     candidate eigenvalues.  The projective fixed locus is the union of the
-    projectivized eigenspaces."""
+    projectivized eigenspaces.  A g6 whose CycloNum entries are all
+    rational (a permutation matrix, say) is first rewritten in conductor 1,
+    so its order n and eigenspaces are computed in Q(zeta_n), not in the
+    lcm of n and the conductor its entries were written in."""
+    if all(x.is_rational() for row in g6 for x in row):
+        g6 = [[CycloNum.from_rational(x.to_fraction()) for x in row] for row in g6]
     n = group.mat_order(g6)
     out = []
     for j in range(n):

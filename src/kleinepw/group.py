@@ -285,7 +285,8 @@ def generate_group(gens):
         return times
 
     walk, right, words = _breadth_first(0, [coset_times(k) for k in range(len(gens))])
-    elements = [cyclo.matrix_of(CONDUCTOR, keys[e], size) for e in walk]
+    shared = {}
+    elements = [cyclo.matrix_of(CONDUCTOR, keys[e], size, shared) for e in walk]
     index = {keys[e]: i for i, e in enumerate(walk)}
     return GroupTable(elements, index, list(gens), tuple(right), tuple(words))
 

@@ -24,16 +24,22 @@ the conductor-11 embedding; hermitian.polarization_invariants runs
 Faddeev-LeVerrier on the integer pair of Z[w] coordinates.
 term_by_term_evaluate multiplies each coordinate in, one factor at a
 time; MultiPoly.evaluate uses a power table over one common denominator.
+power_cache_substitute multiplies each term by cached powers of the packed
+linear forms; cyclo.substitute_linear expands by Horner's rule over the
+variables, on the same packing, bound and unpacking.
+conductor_kept_fixed_locus solves the eigenspaces in the field the
+matrix's entries are written in; epw.fixed_locus first rewrites a rational
+matrix in conductor 1.
 """
 
 import heapq
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
-from kleinepw import hermitian, linalg
+from kleinepw import cyclo, group, hermitian, linalg
 from kleinepw.cyclo import CycloNum, lambda_embed
-from kleinepw.epw import build_A, merge_indices
+from kleinepw.epw import build_A, merge_indices, root_of_unity
 from kleinepw.fixtures import PAIR_VARS, QUADRIC_TEXT, sextic_poly
 from kleinepw.groebner import MAX_DEGREE, MAX_PAIRS, BudgetExhausted, FPoly, certifies_empty
 from kleinepw.poly import MultiPoly, grevlex_key, linear_forms
@@ -381,3 +387,58 @@ def term_by_term_evaluate(f, point):
                 v = v * x
         total = total + v
     return total
+
+
+# -- the packed substitution and the eigenspaces, as they were --------------
+
+
+def power_cache_substitute(terms, rows):
+    """cyclo.substitute_linear with each term multiplied by cached powers
+    of the linear forms, through cyclo._keyed_product, on the same packing,
+    bit bound and single unpacking."""
+    nvars, nout = len(rows), len(rows[0])
+    n = cyclo._field(rows)
+    phi = cyclo.euler_phi(n)
+    flat, den, _ = cyclo._scale(cyclo.coordinates(rows, n))
+    ints = [flat[i * nout:(i + 1) * nout] for i in range(nvars)]
+    deg = max(map(sum, terms), default=0)
+    fden = lcm(*(Fraction(c).denominator for c in terms.values()))
+    coeffs = {e: int(Fraction(c) * fden) * den ** (deg - sum(e)) for e, c in terms.items()}
+    top = max(sum(abs(c) for cs in row for c in cs) for row in ints)
+    bits = sum(abs(c) * top ** sum(e) for e, c in coeffs.items()).bit_length() + 1
+    base = deg + 1
+    forms = [{base ** j: cyclo._pack(cs, bits) for j, cs in enumerate(row) if cs}
+             for row in ints]
+    powers = [[{0: 1}] for _ in forms]
+    acc = {}
+    for e, c in coeffs.items():
+        term = {0: c}
+        for form, pw, k in zip(forms, powers, e):
+            while len(pw) <= k:
+                pw.append(cyclo._keyed_product(pw[-1], form))
+            if k:
+                term = cyclo._keyed_product(term, pw[k])
+        for key, v in term.items():
+            acc[key] = acc.get(key, 0) + v
+    unpack = cyclo._unpacker(bits, deg * (phi - 1) + 1)
+    out = {}
+    for key, v in acc.items():
+        coords = cyclo._reduce(unpack(v), n, phi)
+        if any(coords):
+            out[tuple(key // base ** j % base for j in range(nout))] = CycloNum(
+                n, coords, fden * den ** deg)
+    return out
+
+
+def conductor_kept_fixed_locus(g6):
+    """epw.fixed_locus without the rational lowering: the order and the
+    eigenspaces in the lcm of the order and the entries' conductor."""
+    n = group.mat_order(g6)
+    out = []
+    for j in range(n):
+        ev = root_of_unity(n, j)
+        shifted = [[g6[i][k] - (ev if i == k else 0) for k in range(6)] for i in range(6)]
+        kb = linalg.kernel_basis(shifted)
+        if kb:
+            out.append((ev, kb))
+    return out

@@ -10,6 +10,8 @@ from kleinepw import cli, cyclo, epw, fixtures, group, linalg, verify
 from kleinepw.cyclo import CycloNum
 from kleinepw.poly import MultiPoly, squarefree_decomposition
 
+from kernel_oracles import conductor_kept_fixed_locus, power_cache_substitute
+
 
 def basis_trivector(triple):
     row = [0] * 20
@@ -401,6 +403,43 @@ def test_stratum_of_cyclotomic_eigenvectors_matches_the_unscaled_ranks(
     assert seen == {0, 1, 2}
 
 
+def test_rational_cyclonum_points_take_the_integer_route(generators, monkeypatch):
+    # c is diagonal: its eigenpoints are unit vectors written in conductor
+    # 11, and their strata reduce no CycloNum entry
+    c6 = group._v6_matrix(generators[1])
+    points = [kb[0] for _, kb in epw.fixed_locus(c6)]
+    assert {x.n for p in points for x in p} == {11}
+    a_rows = epw.build_A()
+    fractions = [[x.to_fraction() for x in p] for p in points]
+    want = [epw.stratum(a_rows, p) for p in fractions]
+    cyclotomic = []
+    for name in ("rank", "rref"):
+        kernel = getattr(linalg, name)
+
+        def recorded(m, kernel=kernel):
+            cyclotomic.extend(x for row in m for x in row if isinstance(x, CycloNum))
+            return kernel(m)
+
+        monkeypatch.setattr(linalg, name, recorded)
+    epw._echelon.cache_clear()
+    assert [epw.stratum(a_rows, p) for p in points] == want == [0, 2, 2, 2, 2, 2]
+    assert not cyclotomic
+
+
+def test_fixed_locus_of_a_rational_matrix_is_solved_in_q_zeta_n(generators):
+    # a is a permutation matrix written in conductor 11: its eigenspaces
+    # lie in Q(zeta_5), and span what the conductor-55 route finds
+    a6 = group._v6_matrix(generators[0])
+    got = epw.fixed_locus(a6)
+    want = conductor_kept_fixed_locus(a6)
+    assert {x.n for _, kb in want for v in kb for x in v} == {55}
+    assert {x.n for _, kb in got for v in kb for x in v} == {5}
+    assert [ev for ev, _ in got] == [ev for ev, _ in want]
+    for (_, kb), (_, old) in zip(got, want):
+        rank = linalg.rank(cyclo.common_field(kb))
+        assert rank == len(kb) == len(old) == linalg.rank(cyclo.common_field(kb + old))
+
+
 def test_stratum_of_rational_multiples_matches_the_unscaled_ranks(capsys):
     rng = random.Random(14)
     a_int = epw.build_A()
@@ -485,6 +524,31 @@ def test_sextic_invariance_multiplies_no_cyclonums(monkeypatch):
     assert not calls
     assert cyclo.substitute_linear(f.terms, v6[id(generators[2])]) == f.terms
     assert not calls
+
+
+def test_horner_substitution_matches_the_power_cache(monkeypatch):
+    # f(g y) for the v6 images of a, c and s, term for term against the
+    # power-cache expansion, and the packed term-pair products it costs on
+    # the dense Weil image: 31,123 by the power cache
+    f = fixtures.sextic_poly()
+    images = [group._v6_matrix(g) for g in verify.VerifyContext().generators]
+    pairs = []
+    keyed = cyclo._keyed_product
+
+    def counted(a, b):
+        pairs.append(len(a) * len(b))
+        return keyed(a, b)
+
+    monkeypatch.setattr(cyclo, "_keyed_product", counted)
+    for g6 in images:
+        got = cyclo.substitute_linear(f.terms, g6)
+        want = power_cache_substitute(f.terms, g6)
+        assert {e: (c.n, c.num, c.den) for e, c in got.items()} == {
+            e: (c.n, c.num, c.den) for e, c in want.items()}
+        assert got == f.terms
+    del pairs[:]
+    cyclo.substitute_linear(f.terms, images[2])
+    assert sum(pairs) <= 13277
 
 
 def test_quadric_invariance(generators):

@@ -181,6 +181,13 @@ def test_closure_makes_no_cyclonum_product(generators, monkeypatch):
     assert len(group.generate_group(list(generators))) == 660
 
 
+def test_closure_shares_one_cyclonum_per_entry_value(table660):
+    # 660 matrices of 25 entries over the 67 distinct values of the closure
+    entries = [x for m in table660.elements for row in m for x in row]
+    values = {(x.num, x.den) for x in entries}
+    assert len({id(x) for x in entries}) == len(values) < len(entries)
+
+
 def test_stabilizer_makes_no_rank_call(table660, monkeypatch):
     def refuse(m):
         raise AssertionError("rank call in the stabilizer")

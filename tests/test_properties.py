@@ -23,7 +23,8 @@ from cyclo_fractions import cyclo_from_fractions  # noqa: E402
 from kernel_oracles import (  # noqa: E402
     char_poly, conjugate_product_inverse, cyclotomic_polarization_invariants,
     descartes_positive_roots, max_scan_divmod, per_block_leading_minors,
-    per_block_positive_definite, term_by_term_evaluate, tuple_buchberger, tuple_normal_form)
+    per_block_positive_definite, power_cache_substitute, term_by_term_evaluate,
+    tuple_buchberger, tuple_normal_form)
 
 P = 32003
 
@@ -948,12 +949,21 @@ def _substitution(draw):
 
 @settings(deadline=None, max_examples=80)
 @given(case=_substitution())
+# the zero polynomial and constants: Horner's rule meets no terms, or
+# terms in no variable
+@example(case=({}, [[1, 2], [3, 4]]))
+@example(case=({(0, 0): 5}, [[1, 2], [3, 4]]))
+@example(case=({(0, 0): Fraction(-2, 7)}, [[CycloNum.zeta(11), Fraction(1, 3)]] * 2))
 def test_packed_substitution_matches_multipoly_substitute(case):
     terms, rows = case
     got = substitute_linear(terms, rows)
     assert all(isinstance(c, CycloNum) and c for c in got.values())
     assert MultiPoly(len(rows[0]), got) == MultiPoly(len(rows), terms).substitute(
         linear_forms(rows))
+    # term for term against the power-cache expansion
+    want = power_cache_substitute(terms, rows)
+    assert {e: (c.n, c.num, c.den) for e, c in got.items()} == {
+        e: (c.n, c.num, c.den) for e, c in want.items()}
 
 
 @pytest.mark.parametrize("conductor", SUBSTITUTION_CONDUCTORS)

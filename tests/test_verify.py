@@ -99,6 +99,12 @@ def test_surface_gate_checks_every_minor(monkeypatch):
     assert (verdict, witness) == (verify.PASS, {"verified-at-primes": [32003, 65537]})
 
 
+def test_fivefold_slow_report():
+    # the slow tier's codimension-4 Jacobian check, at both primes
+    assert verify._x5smooth(verify.VerifyContext(slow=True)) == (
+        verify.PASS, {"verified-at-primes": [32003, 65537]})
+
+
 @pytest.fixture
 def no_closure(monkeypatch):
     def refuse(gens):
