@@ -44,16 +44,19 @@ coordinates without copying them, one per distinct value when given a
 shared dict.  substitute_linear substitutes linear forms with packed
 entries into a rational polynomial the same way, by Horner's rule over
 the variables; packing is a ring homomorphism and only the final
-coefficients are unpacked, so intermediate values need no bound.  None
-of them runs CycloNum.__mul__.  The module imports nothing from the rest
-of the package.
+coefficients are unpacked, so intermediate values need no bound.
+packed_for_minors packs a matrix once, CycloNum or QuadInt entries, for
+linalg's subset expansion of its minors (exterior powers and their
+traces), and unpacks each result once.  None of them runs
+CycloNum.__mul__.  The module imports nothing from the rest of the
+package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
 MAX_CONDUCTOR = 66
@@ -267,7 +270,11 @@ class CycloNum:
         epw's 14,420 products took 0.185 s against 0.095 s, verify group's
         8,591 took 0.074 s against 0.052 s.
         Two thirds of epw's products have a rational operand, and the zero
-        skips of this loop make those cheap."""
+        skips of this loop make those cheap.  An expansion packs instead
+        (mat_mul, substitute_linear, packed_for_minors): its entries are
+        packed once and meet in many products, and only its results are
+        unpacked and reduced, where a single product would pay the packing,
+        unpacking and reduction for one multiplication."""
         other = _coerce(other, self.n)
         if other is NotImplemented:
             return NotImplemented
@@ -637,6 +644,56 @@ def mat_mul(a, b):
     their coordinates, each output entry built once."""
     n, c = _field(a, b), len(b[0])
     return matrix_of(n, _packed_product(n, coordinates(a, n), _factor(coordinates(b, n), c)), c)
+
+
+def packed_for_minors(m, k, terms):
+    """(rows, finish): a matrix of CycloNum, int and Fraction entries, or
+    of QuadInt and int entries, packed for a division-free expansion of its
+    k x k minors on plain ints, and the map from a packed sum of at most
+    terms such minors back to its CycloNum (in the lcm of the entries'
+    conductors) or QuadInt.
+
+    As in mat_mul, the entries are lifted to one field over one common
+    denominator den, or written a + b w, and each is packed once at radix
+    2^bits.  Packing is a ring homomorphism from Z[z] (or Z[w]), so a
+    packed sum of minors is that of their unreduced k! products of k
+    entries each: every coefficient is at most terms * k! * s^k in absolute
+    value, s the largest sum of an entry's absolute coefficients, and bits
+    leaves it a balanced digit.  finish reduces the digits once, modulo the
+    cyclotomic polynomial over den^k, or against w^t = alpha_t + beta_t w
+    (w^2 = -w - 3) as it reads them, with no digit list."""
+    cols = len(m[0])
+    quad = any(isinstance(x, QuadInt) for row in m for x in row)
+    if quad:
+        ints, den = [(q.a, q.b) for row in m for q in map(_as_quadint, row)], 1
+    else:
+        n = _field(m)
+        phi = euler_phi(n)
+        ints, den, _ = _scale(coordinates(m, n))
+    s = max((sum(map(abs, cs)) for cs in ints), default=0)
+    bits = (terms * factorial(k) * s ** k).bit_length() + 1
+    packed = [_pack(cs, bits) for cs in ints]
+    rows = [packed[r:r + cols] for r in range(0, len(packed), cols)]
+    if not quad:
+        unpack, den_k = _unpacker(bits, k * (phi - 1) + 1), den ** k
+        return rows, lambda v: CycloNum(n, _reduce(unpack(v), n, phi), den_k)
+    powers = [(1, 0)]
+    for _ in range(k):
+        a, b = powers[-1]
+        powers.append((-3 * b, a - b))
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    offset = half * (((1 << (bits * (k + 1))) - 1) // mask)
+
+    def finish(v):
+        v += offset
+        a = b = 0
+        for alpha, beta in powers:
+            d = (v & mask) - half
+            v >>= bits
+            a += alpha * d
+            b += beta * d
+        return QuadInt(a, b)
+    return rows, finish
 
 
 def _keyed_product(a, b):

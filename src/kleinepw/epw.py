@@ -527,19 +527,41 @@ def root_of_unity(order, power=1):
 def fixed_locus(g6):
     """Eigen-decomposition of a finite-order 6 x 6 matrix: one subspace per
     eigenvalue actually occurring, over a cyclotomic field containing all
-    candidate eigenvalues.  The projective fixed locus is the union of the
-    projectivized eigenspaces.  A g6 whose CycloNum entries are all
-    rational (a permutation matrix, say) is first rewritten in conductor 1,
-    so its order n and eigenspaces are computed in Q(zeta_n), not in the
-    lcm of n and the conductor its entries were written in."""
+    candidate eigenvalues, in the order of root_of_unity(n, j) by j.  The
+    projective fixed locus is the union of the projectivized eigenspaces.
+    A g6 whose CycloNum entries are all rational (a permutation matrix,
+    say) is first rewritten in conductor 1, so its order n and eigenspaces
+    are computed in Q(zeta_n), not in the lcm of n and the conductor its
+    entries were written in.  A diagonal g6 is read off its diagonal: n is
+    the lcm of the entries' orders, each found by powering the entry, and
+    the eigenspace of ev is spanned by the unit vectors e_i with g6[i][i]
+    = ev, written as kernel_basis writes them, in the entries' conductor
+    (root_of_unity(n, j) is written in a divisor of it).  Any other g6
+    takes one kernel_basis elimination per candidate eigenvalue."""
     if all(x.is_rational() for row in g6 for x in row):
         g6 = [[CycloNum.from_rational(x.to_fraction()) for x in row] for row in g6]
-    n = group.mat_order(g6)
+    diag = [row[i] for i, row in enumerate(g6)]
+    diagonal = not any(x for i, row in enumerate(g6) for k, x in enumerate(row) if i != k)
+    n = 1 if diagonal else group.mat_order(g6)
+    if diagonal:
+        for d in diag:
+            acc, k = d, 1
+            while acc != 1 and k <= group.ORDER_CAP:
+                acc, k = acc * d, k + 1
+            n = lcm(n, k)
+        if n > group.ORDER_CAP:
+            raise ValueError("order exceeds cap")
+    zero = CycloNum.from_rational(0, lcm(*(x.n for row in g6 for x in row)))
+    one = zero + 1
     out = []
     for j in range(n):
         ev = root_of_unity(n, j)
-        shifted = [[g6[i][k] - (ev if i == k else 0) for k in range(6)] for i in range(6)]
-        kb = linalg.kernel_basis(shifted)
+        if diagonal:
+            kb = [[one if i == f else zero for i in range(6)]
+                  for f, d in enumerate(diag) if d == ev]
+        else:
+            shifted = [[g6[i][k] - (ev if i == k else 0) for k in range(6)] for i in range(6)]
+            kb = linalg.kernel_basis(shifted)
         if kb:
             out.append((ev, kb))
     if sum(len(kb) for _, kb in out) != 6:

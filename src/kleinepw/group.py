@@ -35,10 +35,12 @@ from the sum of principal 2 x 2 minors (its matrix is
 linalg.exterior_power_matrix); CLASS_WORDS pins the closure's word of
 each class's first element, so class_representative gives it without
 the closure; the dual representation is the transpose of
-linalg.inverse.  The group-summed invariant Hermitian form is |G| * I,
-proved from the exact unitarity of the generators' images, and positive
-definite by its leading minors read as exact positive rationals; the
-term-by-term sum, invariant_hermitian, is the tests' oracle.
+linalg.inverse, and its character the trace of the inverse element, whose
+index GroupTable.inverse_index reads off the integer table.  The
+group-summed invariant Hermitian form is |G| * I, proved from the exact
+unitarity of the generators' images, and positive definite by its
+leading minors read as exact positive rationals; the term-by-term sum,
+invariant_hermitian, is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -321,6 +323,14 @@ class GroupTable:
         subgroup Z and each class is a coset of it, so len(self) // |Z|."""
         return len(self) // sum(1 for m in self.elements if mat_is_scalar(m))
 
+    def inverse_index(self, i):
+        """Index of elements[i]^-1, which is elements[i]^(n-1) for its
+        order n: the last power before the walk returns to the identity."""
+        x, prev = i, 0
+        while x != 0:
+            prev, x = x, self.product_index(x, i)
+        return prev
+
     def element_order(self, i):
         n, x = 1, i
         while x != 0:
@@ -332,9 +342,8 @@ class GroupTable:
         """Sorted index lists: the orbits of x -> g^-1 x g over the
         generators g, by _breadth_first, in order of smallest member."""
         right = self.right
-        # g_k^-1 is the element that gens[k] takes to the identity
-        inverses = [next(r for r, row in enumerate(right) if row[k] == 0)
-                    for k in range(len(self.gens))]
+        # right[0][k] is the index of gens[k]
+        inverses = [self.inverse_index(right[0][k]) for k in range(len(self.gens))]
         maps = [lambda x, k=k, ginv=ginv: right[self.product_index(ginv, x)][k]
                 for k, ginv in enumerate(inverses)]
         seen, classes = set(), []
@@ -410,8 +419,14 @@ def functor_xi():
     return RepFunctor("xi", matrix_fn=lambda m: m)
 
 
+def _xi_dual_character(table, idx):
+    """The trace of the contragredient: tr(g^-T) = tr(g^-1), the trace of
+    the inverse read from the integer table, with no inverse computed."""
+    return linalg.trace(table.elements[table.inverse_index(idx)])
+
+
 def functor_xi_dual():
-    return RepFunctor("xi_dual", matrix_fn=_dual_matrix)
+    return RepFunctor("xi_dual", matrix_fn=_dual_matrix, character_fn=_xi_dual_character)
 
 
 def _wedge2_character(table, idx):

@@ -1,9 +1,7 @@
 """Exact dense linear algebra over fields plus integer Smith normal form.
 
 Matrices are lists or tuples of rows, each row a list or a tuple;
-functions never mutate their arguments.  exterior_power_matrix gives the
-k x k minors of a rectangular matrix, exterior_power_trace the sum of the
-principal ones.  mat_mul hands a product of two cyclotomic matrices to the
+functions never mutate their arguments.  mat_mul hands a product of two cyclotomic matrices to the
 packed kernel cyclo.mat_mul.  rank, det, bareiss_det and leading_minors
 read their results off one elimination loop with two steps: the
 fraction-free step (Bareiss) divides exactly by the previous pivot, the
@@ -18,11 +16,14 @@ as they are.  bareiss_det skips the lifting: its callers know their ring
 leading principal minor at once; Sylvester's criterion on them is the
 package's one positive-definiteness test over a cyclotomic field.
 
-Where no division may be taken (polynomials over Z or F_p, and the
-division-free cross-check of a determinant over Z[w]) maximal_minors
-expands along column subsets instead: one expansion of
-an r x n matrix gives all of its r x r minors, and expansion_det is its
-square case.  rref gives the full reduction that kernel_basis needs;
+Where no division may be taken (polynomials over Z or F_p, the
+division-free cross-check of a determinant over Z[w], and the minors of
+exterior powers) maximal_minors expands along column subsets instead: one
+expansion of an r x n matrix gives all of its r x r minors, and
+expansion_det is its square case.  exterior_power_matrix takes the k x k
+minors from one expansion of each k-row block, exterior_power_trace sums
+the expansion_det of each principal block; CycloNum and QuadInt entries
+are expanded as Kronecker-packed ints (cyclo.packed_for_minors).  rref gives the full reduction that kernel_basis needs;
 kernel_basis and int_kernel_basis both return lists of basis row vectors,
 and inverse reduces [m | I].  symmetric_elimination is the exact LDL^T of
 a symmetric integer matrix, kept fraction-free; its leading minors give
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import lcm as _lcm, prod
+from math import comb, lcm as _lcm, prod
 from operator import mul
 
 from . import cyclo
@@ -109,41 +110,45 @@ def is_hermitian(m):
     return mat_eq(m, conj_transpose(m))
 
 
-def _minor(m, rows, cols):
-    """Determinant of the submatrix on the given rows and columns.  Up to
-    3 x 3 it is expanded directly, which needs no division: a field kernel
-    would invert cyclotomic entries."""
-    k = len(rows)
-    if k == 1:
-        return m[rows[0]][cols[0]]
-    if k == 2:
-        (r0, r1), (c0, c1) = rows, cols
-        return m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
-    if k == 3:
-        (r0, r1, r2), (c0, c1, c2) = rows, cols
-        return (
-            m[r0][c0] * (m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1])
-            - m[r0][c1] * (m[r1][c0] * m[r2][c2] - m[r1][c2] * m[r2][c0])
-            + m[r0][c2] * (m[r1][c0] * m[r2][c1] - m[r1][c1] * m[r2][c0])
-        )
-    return det([[m[r][c] for c in cols] for r in rows])
+def _expansion_rows(m, k, terms):
+    """(rows, one, finish) for the subset expansion of m's k x k minors, or
+    of a sum of at most terms of them: packed by cyclo.packed_for_minors
+    when an entry is a CycloNum or a QuadInt, else as they are, finish
+    None."""
+    if any(isinstance(x, (CycloNum, cyclo.QuadInt)) for row in m for x in row):
+        rows, finish = cyclo.packed_for_minors(m, k, terms)
+        return rows, 1, finish
+    return m, m[0][0] * 0 + 1, None
 
 
 def exterior_power_matrix(m, k):
     """k-th exterior power of an r x n matrix: a C(r, k) x C(n, k) matrix
     whose entry (I, J) is the minor on the I-th k-subset of rows and the
-    J-th k-subset of columns, both in lexicographic order."""
-    row_sets = tuple(combinations(range(len(m)), k))
-    col_sets = tuple(combinations(range(len(m[0])), k))
-    return [[_minor(m, rows, cols) for cols in col_sets] for rows in row_sets]
+    J-th k-subset of columns, both in lexicographic order.  Each k-row
+    block gives all its minors in one maximal_minors expansion; on a
+    packed matrix each distinct minor is unpacked once."""
+    rows, one, finish = _expansion_rows(m, k, 1)
+    zero = one - one
+    masks = [sum(1 << c for c in cols) for cols in combinations(range(len(m[0])), k)]
+    out = []
+    for block in combinations(rows, k):
+        minors = maximal_minors(block, one)
+        out.append([minors.get(mask, zero) for mask in masks])
+    if finish is None:
+        return out
+    values = {v: finish(v) for v in {v for row in out for v in row}}
+    return [[values[v] for v in row] for row in out]
 
 
 def exterior_power_trace(m, k):
     """Trace of the k-th exterior power of a square matrix, 1 <= k <= its
-    size: the sum of its principal k x k minors, the diagonal of
-    exterior_power_matrix, in the same order."""
-    minors = [_minor(m, rows, rows) for rows in combinations(range(len(m)), k)]
-    return sum(minors[1:], minors[0])
+    size: the sum of its principal k x k minors, each an expansion_det, the
+    diagonal of exterior_power_matrix.  A packed sum is unpacked once."""
+    rows, one, finish = _expansion_rows(m, k, comb(len(m), k))
+    total = one - one
+    for idx in combinations(range(len(m)), k):
+        total = total + expansion_det([[rows[i][j] for j in idx] for i in idx], one)
+    return total if finish is None else finish(total)
 
 
 # ---------------------------------------------------------------------------
@@ -292,25 +297,32 @@ def maximal_minors(m, one):
     set of k chosen columns (a bitmask) to the signed sum over all ways of
     placing the first k rows in those columns, so level r holds the minor
     on every r-subset of columns at once, and partial products shared
-    between minors are formed once.  Zero entries are skipped, which keeps
-    sparse polynomial matrices cheap; a mask missing from the result is a
-    zero minor, and a present one may still hold a zero that cancelled.
+    between minors are formed once.  Level 1 is the first row itself, and
+    a term of odd sign is subtracted, not negated and added, which saves an
+    element per term in rings such as Z[w].  Zero entries are skipped,
+    which keeps sparse polynomial matrices cheap; a mask missing from the
+    result is a zero minor, and a present one may still hold a zero that
+    cancelled.
     """
-    level = {0: one}
-    for row in m:
+    if not m:
+        return {0: one}
+    level = {1 << c: x for c, x in enumerate(m[0]) if x}
+    for row in m[1:]:
         support = [(c, 1 << c, x) for c, x in enumerate(row) if x]
         nxt = {}
+        get = nxt.get
         for cols, val in level.items():
             for c, bit, entry in support:
                 if cols & bit:
                     continue
+                key = cols | bit
+                acc = get(key)
                 term = val * entry
                 # sign of the permutation: chosen columns to the right of c
-                if (cols >> c).bit_count() % 2:
-                    term = -term
-                key = cols | bit
-                acc = nxt.get(key)
-                nxt[key] = term if acc is None else acc + term
+                if (cols >> c).bit_count() & 1:
+                    nxt[key] = -term if acc is None else acc - term
+                else:
+                    nxt[key] = term if acc is None else acc + term
         level = nxt
     return level
 

@@ -28,8 +28,14 @@ power_cache_substitute multiplies each term by cached powers of the packed
 linear forms; cyclo.substitute_linear expands by Horner's rule over the
 variables, on the same packing, bound and unpacking.
 conductor_kept_fixed_locus solves the eigenspaces in the field the
-matrix's entries are written in; epw.fixed_locus first rewrites a rational
-matrix in conductor 1.
+matrix's entries are written in, by one kernel_basis elimination per
+candidate eigenvalue; epw.fixed_locus first rewrites a rational matrix in
+conductor 1, and reads a diagonal matrix's eigenspaces off its diagonal.
+cofactor_minor expands a minor up to 3 x 3 by cofactors, one ring product
+at a time, and takes linalg.det beyond; cofactor_exterior_power and
+cofactor_exterior_trace build the exterior power and its trace from it.
+The package expands each k-row block once by linalg.maximal_minors, on
+Kronecker-packed ints for CycloNum and QuadInt entries.
 """
 
 import heapq
@@ -442,3 +448,38 @@ def conductor_kept_fixed_locus(g6):
         if kb:
             out.append((ev, kb))
     return out
+
+
+def cofactor_minor(m, rows, cols):
+    """Determinant of the submatrix on the given rows and columns: expanded
+    by cofactors up to 3 x 3, which needs no division, and by linalg.det
+    beyond."""
+    k = len(rows)
+    if k == 1:
+        return m[rows[0]][cols[0]]
+    if k == 2:
+        (r0, r1), (c0, c1) = rows, cols
+        return m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
+    if k == 3:
+        (r0, r1, r2), (c0, c1, c2) = rows, cols
+        return (
+            m[r0][c0] * (m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1])
+            - m[r0][c1] * (m[r1][c0] * m[r2][c2] - m[r1][c2] * m[r2][c0])
+            + m[r0][c2] * (m[r1][c0] * m[r2][c1] - m[r1][c1] * m[r2][c0])
+        )
+    return linalg.det([[m[r][c] for c in cols] for r in rows])
+
+
+def cofactor_exterior_power(m, k):
+    """linalg.exterior_power_matrix by cofactor_minor, one minor at a
+    time."""
+    col_sets = tuple(combinations(range(len(m[0])), k))
+    return [[cofactor_minor(m, rows, cols) for cols in col_sets]
+            for rows in combinations(range(len(m)), k)]
+
+
+def cofactor_exterior_trace(m, k):
+    """linalg.exterior_power_trace as the sum of the principal
+    cofactor_minors."""
+    minors = [cofactor_minor(m, rows, rows) for rows in combinations(range(len(m)), k)]
+    return sum(minors[1:], minors[0])

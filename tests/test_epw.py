@@ -440,6 +440,34 @@ def test_fixed_locus_of_a_rational_matrix_is_solved_in_q_zeta_n(generators):
         assert rank == len(kb) == len(old) == linalg.rank(cyclo.common_field(kb + old))
 
 
+def test_diagonal_fixed_locus_is_read_off_the_diagonal(generators, monkeypatch):
+    # c and c2 are diagonal: their eigenspaces come off the diagonal, with
+    # no matrix power and no elimination, and equal the kernel_basis route's,
+    # eigenvalue for eigenvalue and vector for vector, in the same field; a
+    # and b3 are not diagonal and still take that route
+    mats = {label: group._v6_matrix(group.class_representative(generators, label))
+            for label in ("c", "c2", "a", "b3")}
+    want = {label: conductor_kept_fixed_locus(m) for label, m in mats.items()}
+    calls = []
+    for module, name in ((group, "mat_order"), (linalg, "kernel_basis")):
+        def counted(m, kernel=getattr(module, name), name=name):
+            calls.append(name)
+            return kernel(m)
+
+        monkeypatch.setattr(module, name, counted)
+    for label, m in mats.items():
+        calls.clear()
+        got = epw.fixed_locus(m)
+        assert [ev for ev, _ in got] == [ev for ev, _ in want[label]]
+        assert [kb for _, kb in got] == [kb for _, kb in want[label]]
+        if label in ("c", "c2"):
+            assert not calls, label
+            assert [{x.n for v in kb for x in v} for _, kb in got] == [
+                {x.n for v in kb for x in v} for _, kb in want[label]]
+        else:
+            assert "kernel_basis" in calls, label
+
+
 def test_stratum_of_rational_multiples_matches_the_unscaled_ranks(capsys):
     rng = random.Random(14)
     a_int = epw.build_A()

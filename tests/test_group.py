@@ -313,6 +313,32 @@ def test_exterior_power_trace_on_group_elements(table660, labeled_classes):
         assert group.character(w2, table660, idx) == linalg.trace(w2.matrix(m))
 
 
+def test_inverse_index_and_the_dual_character(table660, labeled_classes, monkeypatch):
+    """On the class representatives and 20 seeded elements, inverse_index
+    names the inverse: both products walk to the identity, and its key is
+    that of linalg.inverse.  The xi* character is then read from the table,
+    with no inverse computed, and equals the trace of the contragredient
+    matrix."""
+    rng = random.Random(29)
+    picks = [cls[0] for cls in labeled_classes.values()]
+    picks += [rng.randrange(660) for _ in range(20)]
+    dual = group.functor_xi_dual()
+    want = {}
+    for idx in picks:
+        inv = table660.inverse_index(idx)
+        assert table660.product_index(idx, inv) == 0 == table660.product_index(inv, idx)
+        m = table660.elements[idx]
+        assert table660.index[group.mat_key(linalg.inverse(m))] == inv
+        want[idx] = linalg.trace(dual.matrix(m))
+
+    def refuse(m):
+        raise AssertionError("the xi* character computed an inverse")
+
+    monkeypatch.setattr(linalg, "inverse", refuse)
+    for idx in picks:
+        assert group.character(dual, table660, idx) == want[idx]
+
+
 def test_functoriality_random_pairs(table660):
     rng = random.Random(5)
     functors = [group.functor_xi_dual(), group.functor_wedge2(), FUNCTOR_V6]

@@ -10,7 +10,9 @@ epw; epw imports nothing from fixtures, so it cannot fall back on the
 transcriptions it is checked against; cyclo is a leaf and imports nothing from the package; the k x k
 minors and the subset expansion (maximal_minors), the Hermitian test and the matrix helpers (identity, trace,
 conjugate transpose, inverse) and the exact symmetric elimination (the
-LDL^T behind signatures and short vectors) have one home, linalg; the Kronecker packing
+LDL^T behind signatures and short vectors) have one home, linalg; the
+exterior powers reach no determinant routine but the subset expansion
+(maximal_minors, expansion_det), and linalg keeps no cofactor _minor; the Kronecker packing
 (_pack, _unpacker) has one home, cyclo; the monomial order has one home,
 poly (grevlex_key), so groebner's heaps cannot drift from it; and
 groebner has one builder of Pluecker relations.
@@ -107,6 +109,30 @@ def test_minors_are_defined_only_in_linalg():
     defs = _defined_outside("linalg.py", ("_minor", "exterior_power_matrix", "maximal_minors",
                                           "expansion_det"))
     assert not defs, "minor helpers outside linalg: " + ", ".join(defs)
+
+
+def _linalg_calls():
+    """{linalg function: names of the linalg functions it calls}."""
+    functions = {node.name: node for node in _tree(PACKAGE / "linalg.py").body
+                 if isinstance(node, ast.FunctionDef)}
+    return {name: {call.func.id for call in ast.walk(node)
+                   if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                   and call.func.id in functions}
+            for name, node in functions.items()}
+
+
+def test_exterior_powers_reach_only_the_subset_expansion():
+    # the cofactor route _minor was a second determinant routine beside the
+    # subset expansion; it lives on in tests/kernel_oracles.py as the oracle
+    calls = _linalg_calls()
+    assert "_minor" not in calls
+    for name in ("exterior_power_matrix", "exterior_power_trace"):
+        reached, frontier = set(), {name}
+        while frontier:
+            reached |= frontier
+            frontier = set().union(*(calls[f] for f in frontier)) - reached
+        kernels = reached - {name, "_expansion_rows"}
+        assert kernels and kernels <= {"maximal_minors", "expansion_det"}, (name, kernels)
 
 
 def test_symmetric_elimination_is_defined_only_in_linalg():

@@ -9,7 +9,7 @@ from fractions import Fraction  # noqa: E402
 from itertools import combinations  # noqa: E402
 
 from functools import cmp_to_key  # noqa: E402
-from math import gcd, lcm, prod  # noqa: E402
+from math import comb, factorial, gcd, lcm, prod  # noqa: E402
 
 from kleinepw import cyclo, epw, group, hermitian, lattices, linalg  # noqa: E402
 from kleinepw.cyclo import (  # noqa: E402
@@ -22,7 +22,8 @@ from kleinepw.textform import MAX_EXPONENT  # noqa: E402
 from cyclo_fractions import cyclo_from_fractions  # noqa: E402
 from kernel_oracles import (  # noqa: E402
     char_poly, conjugate_product_inverse, cyclotomic_polarization_invariants,
-    descartes_positive_roots, max_scan_divmod, per_block_leading_minors,
+    cofactor_exterior_power, cofactor_exterior_trace, descartes_positive_roots,
+    max_scan_divmod, per_block_leading_minors,
     per_block_positive_definite, power_cache_substitute, term_by_term_evaluate,
     tuple_buchberger, tuple_normal_form)
 
@@ -740,6 +741,110 @@ def test_packed_mat_mul_at_the_coefficient_bound(n, conductor, sign):
     a = [[CycloNum(conductor, (sign * top,) * phi, 1)] * n for _ in range(n)]
     b = [[CycloNum(conductor, (top,) * phi, 1)] * n for _ in range(n)]
     assert _equal_matrices(group.mat_mul(a, b), _per_entry_mat_mul(a, b))
+
+
+# -- packed exterior powers against the cofactor route ----------------------
+
+MINOR_CONDUCTORS = (1, 3, 5, 11, 15, 33, 55)
+
+
+@st.composite
+def _minor_entry(draw, host):
+    """An int, a Fraction or a CycloNum of a conductor dividing host, over
+    a denominator; any of them may be zero."""
+    kind = draw(st.sampled_from(["int", "fraction", "cyclo", "cyclo"]))
+    if kind == "int":
+        return draw(st.integers(-4, 4))
+    if kind == "fraction":
+        return draw(st.fractions(-3, 3, max_denominator=6))
+    n = draw(st.sampled_from([c for c in MINOR_CONDUCTORS if host % c == 0]))
+    phi = euler_phi(n)
+    if draw(st.integers(0, 4)) == 0:
+        return CycloNum(n, (0,) * phi, 1)
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=phi, max_size=phi))
+    return CycloNum(n, coeffs, draw(st.sampled_from([1, 2, 3, 10])))
+
+
+@st.composite
+def _packed_minor_case(draw):
+    """(m, k): an r x n matrix, r <= 5 and n <= 6, of mixed entries over a
+    host field, with one CycloNum entry at least and some zero rows, and
+    1 <= k <= min(r, n)."""
+    host = draw(st.sampled_from(MINOR_CONDUCTORS))
+    r, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = _minor_entry(host)
+    m = draw(_matrix(entry, r, n))
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
+        m[i] = [draw(st.sampled_from([0, Fraction(0), CycloNum.from_rational(0, host)]))] * n
+    m[draw(st.integers(0, r - 1))][draw(st.integers(0, n - 1))] = CycloNum.zeta(
+        host, draw(st.integers(0, host - 1)))
+    return m, draw(st.sampled_from(range(1, min(r, n) + 1)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=_packed_minor_case())
+def test_packed_exterior_power_matches_the_cofactor_route(case):
+    """Each k x k minor expanded on Kronecker-packed ints, and the trace of
+    the leading square block's exterior power, equal the cofactor route's,
+    one CycloNum product at a time."""
+    m, k = case
+    got, want = linalg.exterior_power_matrix(m, k), cofactor_exterior_power(m, k)
+    assert _equal_matrices(got, want)
+    assert all(isinstance(x, CycloNum) for row in got for x in row)
+    square = [row[:min(len(m), len(m[0]))] for row in m[:len(m[0])]]
+    assert linalg.exterior_power_trace(square, k) == cofactor_exterior_trace(square, k)
+
+
+_QUADINT = st.builds(QuadInt, st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_packed_exterior_power_over_z_w_matches_the_cofactor_route(data):
+    """The same over Z[w]: QuadInt and int entries, zero rows included,
+    unpacked by the powers of w."""
+    r, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    k = data.draw(st.sampled_from(range(1, min(r, n) + 1)))
+    m = data.draw(_matrix(st.one_of(_QUADINT, st.integers(-3, 3), st.just(QuadInt(0))), r, n))
+    for i in data.draw(st.sets(st.integers(0, r - 1), max_size=2)):
+        m[i] = [QuadInt(0)] * n
+    m[0][0] = data.draw(_QUADINT)
+    got = linalg.exterior_power_matrix(m, k)
+    assert _equal_matrices(got, cofactor_exterior_power(m, k))
+    assert all(isinstance(x, QuadInt) for row in got for x in row)
+    square = [row[:min(r, n)] for row in m[:n]]
+    assert linalg.exterior_power_trace(square, k) == cofactor_exterior_trace(square, k)
+
+
+def _radix_stress(ring, size, top):
+    """A size x size matrix whose principal minors of size 1 and 2 reach
+    the radix bound k! * s^k, s = top: entry (i, j) is +-top times
+    z^(i + j) (or times w^(j mod 2) over Z[w]), + on and below the diagonal
+    and - above, so both terms of a principal 2 x 2 minor have one sign and
+    one power."""
+    def entry(i, j):
+        sign = 1 if i >= j else -1
+        if ring == "z[w]":
+            return QuadInt(0, sign * top) if j % 2 else QuadInt(sign * top)
+        n = int(ring)
+        return CycloNum(n, [sign * top if t == (i + j) % euler_phi(n) else 0
+                            for t in range(euler_phi(n))], 1)
+    return [[entry(i, j) for j in range(size)] for i in range(size)]
+
+
+@pytest.mark.parametrize("ring", ["1", "11", "55", "z[w]"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_packed_exterior_power_at_the_radix_bound(ring, k):
+    # coefficients near 10^6: a principal 2 x 2 minor is 2 * top^2 on one
+    # digit and the trace of the 5 x 5 matrix's k-th power sums C(5, k) of
+    # them, each the bound the radix is sized for; one bit less overflows
+    top = 10 ** 6 - 1
+    m = _radix_stress(ring, 5, top)
+    assert _equal_matrices(linalg.exterior_power_matrix(m, k), cofactor_exterior_power(m, k))
+    trace = linalg.exterior_power_trace(m, k)
+    assert trace == cofactor_exterior_trace(m, k)
+    if ring == "1":
+        assert trace == comb(5, k) * factorial(k) * top ** k
 
 
 # prime conductors, as in the closure, and two composite ones, where
