@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from kleinepw import cli, epw, fixtures
+from kleinepw import cli, epw, fixtures, hermitian
 from kleinepw.cli import main
 from kleinepw.textform import parse_polynomial
 
@@ -220,6 +220,30 @@ def test_hermitian_command(capsys):
         code, out, _ = run(capsys, "hermitian", "--check", check)
         assert code == 0
         assert "pass" in out
+
+
+def test_hermitian_mat10_failure_prints_the_entry(capsys, monkeypatch):
+    # the transcription with entry (3, 8), -1 - w, one off
+    off = [list(row) for row in fixtures.mat10_matrix()]
+    off[3][8] = off[3][8] + 1
+    monkeypatch.setattr(fixtures, "mat10_matrix", lambda: off)
+    code, out, _ = run(capsys, "--json", "hermitian", "--check", "mat10")
+    assert code == 1
+    assert json.loads(out) == {
+        "check": "mat10", "verdict": "fail",
+        "witness": {"entry": [3, 8], "computed": [-1, -1], "expected": [0, -1]},
+    }
+    code, out, _ = run(capsys, "hermitian", "--check", "mat10")
+    assert (code, out) == (1, "mat10: fail\n")
+
+
+def test_hermitian_hprime_failure_prints_the_determinant(capsys, monkeypatch):
+    monkeypatch.setattr(hermitian, "herm_det", lambda m: 2)
+    code, out, _ = run(capsys, "--json", "hermitian", "--check", "hprime")
+    assert code == 1
+    assert json.loads(out) == {"check": "hprime", "verdict": "fail", "det": "2"}
+    code, out, _ = run(capsys, "hermitian", "--check", "hprime")
+    assert (code, out) == (1, "hprime: fail\n")
 
 
 def test_fixed_points_command(capsys):

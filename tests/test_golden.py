@@ -8,6 +8,7 @@ that alters an output on purpose regenerates the files in the same commit:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from kleinepw.cli import main
+from kleinepw.cli import build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = Path(__file__).resolve().parent.parent / "src" / "kleinepw" / "data"
@@ -38,7 +39,15 @@ CASES = [
     *((f"fixed-points-{n}.json", ["--json", "fixed-points", "--order", str(n)])
       for n in (2, 3, 5, 6, 11)),
     ("emit-sextic.txt", ["emit-sextic"]),
+    ("emit-sextic.json", ["--json", "emit-sextic"]),
     ("char-table.txt", ["char-table"]),
+    ("char-table.json", ["--json", "char-table"]),
+    *((f"hermitian-{check}.{ext}", [*flag, "hermitian", "--check", check])
+      for check in ("hprime", "mat10", "principal")
+      for ext, flag in (("json", ["--json"]), ("txt", []))),
+    ("stratum.json", ["--json", "stratum", "--point", "1,-2,1/3,0.5,0,0"]),
+    ("lattice-short-vectors.json",
+     ["--json", "lattice", "--spec", "[[2,1],[1,2]]+(6)", "--short-vectors", "6"]),
     *_groebner_cases(),
 ]
 
@@ -69,6 +78,15 @@ def render(argv):
 def test_output_matches_golden(name, argv):
     _, text = render(argv)
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_every_subcommand_has_a_golden_case():
+    # a new subcommand cannot ship with its output unpinned
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    pinned = {parser.parse_args(argv).command for _, argv in CASES + SLOW_CASES}
+    assert pinned == set(commands)
 
 
 @pytest.mark.slow
