@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from . import epw, fixtures, group, hermitian, lattices, linalg, verify
+from . import epw, fixtures, group, lattices, verify
 from .groebner import (
     MAX_DEGREE,
     MAX_PAIRS,
@@ -27,7 +27,7 @@ from .groebner import (
     smoothness_check,
 )
 from .textform import emit_polynomial, parse_polynomial, poly_monomials_json
-from .verify import cyclo_json, frac_str, quadint_json
+from .verify import cyclo_json, frac_str
 
 
 # trial division would take minutes on primes from this bound on
@@ -326,28 +326,22 @@ def cmd_lattice(args):
 
 
 def cmd_hermitian(args):
-    H = fixtures.hprime_matrix()
-    if args.check == "hprime":
-        det = hermitian.herm_det(H)
-        ok = linalg.is_hermitian(H) and hermitian.is_positive_definite(H) and det == 1
-        payload = {"check": "hprime", "verdict": "pass" if ok else "fail", "det": str(det)}
-    elif args.check == "mat10":
-        W = linalg.exterior_power_matrix(H, 2)
-        ok, witness = hermitian.matches_mat10(W)
-        payload = {"check": "mat10", "verdict": "pass" if ok else "fail"}
-        if not ok:
-            i, j, got, want = witness
-            payload["witness"] = {"entry": [i, j], "computed": quadint_json(got),
-                                  "expected": quadint_json(want)}
-    else:
-        W = linalg.exterior_power_matrix(H, 2)
-        # inv[0] is det W, by three routes (polarization_invariants)
-        inv = hermitian.polarization_invariants(W)
-        ok = inv[0] == 1
-        payload = {"check": "principal", "verdict": "pass" if ok else "fail",
+    ctx = verify.VerifyContext()
+    if args.check == "principal":
+        inv = ctx.wedge_square_invariants
+        payload = {"check": args.check, "verdict": verify.PASS if inv[0] == 1 else verify.FAIL,
                    "invariants": [str(v) for v in inv]}
-    _emit(args, payload, [f"{payload['check']}: {payload['verdict']}"])
-    return 0 if payload["verdict"] == "pass" else 1
+    else:
+        # the verdict and witness of verify's check
+        cid = {"hprime": "hermitian.rank5-form", "mat10": "hermitian.wedge-square-match"}[args.check]
+        verdict, witness = next(fn for c, _, _, fn in verify.CHECKS if c == cid)(ctx)
+        payload = {"check": args.check, "verdict": verdict}
+        if args.check == "hprime":
+            payload["det"] = str(witness["det"])
+        elif verdict == verify.FAIL:
+            payload["witness"] = witness
+    _emit(args, payload, [f"{args.check}: {payload['verdict']}"])
+    return 0 if payload["verdict"] == verify.PASS else 1
 
 
 def cmd_groebner(args):

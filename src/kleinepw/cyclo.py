@@ -34,21 +34,21 @@ conductors.
 Matrix products run on coordinates, a row-major tuple of (num, den) per
 entry, with one packed kernel: each entry is packed into one integer
 (Kronecker substitution) and each output entry reduced and normalized
-once.  mat_mul applies it to CycloNum matrices; right_multiplier(h, n)
-keeps a fixed right factor h scaled, and packed per radix, for many left
-factors, and takes a monomial h with root-of-unity scalars (one whose
-unit_columns exist) as a rotation of coordinates instead;
-left_monomial_product multiplies by such an h on the left, permuting rows
-and rotating coordinates; matrix_of builds CycloNums on normalized
-coordinates without copying them, one per distinct value when given a
-shared dict.  substitute_linear substitutes linear forms with packed
-entries into a rational polynomial the same way, by Horner's rule over
-the variables; packing is a ring homomorphism and only the final
-coefficients are unpacked, so intermediate values need no bound.
-packed_for_minors packs a matrix once, CycloNum or QuadInt entries, for
-linalg's subset expansion of its minors (exterior powers and their
-traces), and unpacks each result once.  None of them runs
-CycloNum.__mul__.  The module imports nothing from the rest of the
+once.  right_multiplier(h, n), its one entry, keeps a fixed right factor
+h scaled, and packed per radix, for many left factors, and takes a
+monomial h (a signed permutation, a root-of-unity diagonal: one whose
+unit_columns exist) as a rotation of coordinates instead; mat_mul(a, b)
+is right_multiplier(b, n) on a; left_monomial_product multiplies by such
+an h on the left, permuting rows and rotating coordinates; matrix_of
+builds CycloNums on normalized coordinates without copying them, one per
+distinct value when given a shared dict.  substitute_linear substitutes
+linear forms with packed entries into a rational polynomial the same
+way, by Horner's rule over the variables; packing is a ring homomorphism
+and only the final coefficients are unpacked, so intermediate values
+need no bound.  packed_for_minors packs a matrix once, CycloNum or
+QuadInt entries, for linalg's subset expansion of its minors (exterior
+powers and their traces), and unpacks each result once.  None of them
+runs CycloNum.__mul__.  The module imports nothing from the rest of the
 package.
 """
 
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -496,10 +497,13 @@ def _pack(coeffs, bits):
     return v
 
 
-def _unpacker(bits, length):
+def _unpacker(bits, length, pairs=None):
     """Inverse of _pack for length digits at radix 2^bits, each below half
     the radix in absolute value: an offset of half the radix in every digit
-    reads each balanced digit d as the nonnegative d + half."""
+    reads each balanced digit d as the nonnegative d + half.  Given pairs,
+    the coordinates (alpha_t, beta_t) of w^t in Z[w], it returns the
+    QuadInt sum_t d_t w^t instead, folded as the digits d_t are read, with
+    no digit list."""
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     offset = half * (((1 << (bits * length)) - 1) // mask)
     shifts = [bits * t for t in range(length)]
@@ -507,13 +511,23 @@ def _unpacker(bits, length):
     def unpack(v):
         v += offset
         return [((v >> s) & mask) - half for s in shifts]
-    return unpack
+
+    def fold(v):
+        v += offset
+        a = b = 0
+        for alpha, beta in pairs:
+            d = (v & mask) - half
+            v >>= bits
+            a += alpha * d
+            b += beta * d
+        return QuadInt(a, b)
+    return unpack if pairs is None else fold
 
 
 def _packed_product(n, g, factor):
     """The packed kernel: the coordinates of g h, for row-major coordinates
-    g of an r x k matrix and the k x c matrix h as _factor gives it (its
-    columns over one denominator, that denominator, its largest
+    g of an r x k matrix and the k x c matrix h as right_multiplier scales
+    it (its columns over one denominator, that denominator, its largest
     coefficient and a cache, by radix, of its packed columns and the
     unpacker).
 
@@ -537,13 +551,6 @@ def _packed_product(n, g, factor):
     den = den_g * den_h
     return tuple(_normalize(_reduce(unpack(sum(map(mul, pg[r:r + k], col))), n, phi), den)
                  for r in range(0, len(pg), k) for col in cols)
-
-
-def _factor(coords, cols):
-    """A matrix with cols columns, given by its coordinates, as the right
-    factor of _packed_product, with no radix met yet."""
-    ints, den, top = _scale(coords)
-    return [ints[j::cols] for j in range(cols)], den, top, {}
 
 
 def unit_columns(coords, n, cols):
@@ -609,16 +616,18 @@ def right_multiplier(h, n):
     Fraction entries of conductors dividing n, on row-major (num, den)
     coordinates of r x k matrices over the conductor-n field, normalized as
     CycloNum keeps them; it returns the product's coordinates in the same
-    form.  A monomial h whose scalars are roots of unity or their
-    negatives (unit_columns is not None) permutes and rotates coordinates
-    (_monomial_product); any other h is scaled once, and the packed kernel
-    _packed_product packs its columns once for each radix it meets."""
+    form.  A monomial h whose scalars are roots of unity or their negatives
+    (unit_columns is not None: a signed permutation, a root-of-unity
+    diagonal) permutes and rotates coordinates (_monomial_product); any
+    other h is scaled once, and the packed kernel _packed_product, entered
+    only here, packs its columns once for each radix it meets."""
     coords = coordinates(h, n)
     k, c = len(h), len(h[0])
     columns = unit_columns(coords, n, c)
     if columns is not None:
         return lambda g: _monomial_product(n, g, k, columns)
-    factor = _factor(coords, c)
+    ints, den, top = _scale(coords)
+    factor = [ints[j::c] for j in range(c)], den, top, {}
     return lambda g: _packed_product(n, g, factor)
 
 
@@ -640,10 +649,11 @@ def matrix_of(n, coords, cols, shared=None):
 
 def mat_mul(a, b):
     """Exact product of two matrices of CycloNum, int or Fraction entries,
-    in the lcm of their conductors: the packed kernel _packed_product on
-    their coordinates, each output entry built once."""
-    n, c = _field(a, b), len(b[0])
-    return matrix_of(n, _packed_product(n, coordinates(a, n), _factor(coordinates(b, n), c)), c)
+    in the lcm of their conductors: right_multiplier(b, n) on a's
+    coordinates, rotated for a monomial b, else packed; each output entry
+    is built once."""
+    n = _field(a, b)
+    return matrix_of(n, right_multiplier(b, n)(coordinates(a, n)), len(b[0]))
 
 
 def packed_for_minors(m, k, terms):
@@ -659,13 +669,13 @@ def packed_for_minors(m, k, terms):
     packed sum of minors is that of their unreduced k! products of k
     entries each: every coefficient is at most terms * k! * s^k in absolute
     value, s the largest sum of an entry's absolute coefficients, and bits
-    leaves it a balanced digit.  finish reduces the digits once, modulo the
-    cyclotomic polynomial over den^k, or against w^t = alpha_t + beta_t w
-    (w^2 = -w - 3) as it reads them, with no digit list."""
+    leaves it a balanced digit.  finish reads the digits by _unpacker and
+    reduces them once, modulo the cyclotomic polynomial over den^k, or
+    folds them against w^t = alpha_t + beta_t w (w^2 = -w - 3)."""
     cols = len(m[0])
     quad = any(isinstance(x, QuadInt) for row in m for x in row)
     if quad:
-        ints, den = [(q.a, q.b) for row in m for q in map(_as_quadint, row)], 1
+        ints = [(q.a, q.b) for row in m for q in map(_as_quadint, row)]
     else:
         n = _field(m)
         phi = euler_phi(n)
@@ -677,23 +687,8 @@ def packed_for_minors(m, k, terms):
     if not quad:
         unpack, den_k = _unpacker(bits, k * (phi - 1) + 1), den ** k
         return rows, lambda v: CycloNum(n, _reduce(unpack(v), n, phi), den_k)
-    powers = [(1, 0)]
-    for _ in range(k):
-        a, b = powers[-1]
-        powers.append((-3 * b, a - b))
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    offset = half * (((1 << (bits * (k + 1))) - 1) // mask)
-
-    def finish(v):
-        v += offset
-        a = b = 0
-        for alpha, beta in powers:
-            d = (v & mask) - half
-            v >>= bits
-            a += alpha * d
-            b += beta * d
-        return QuadInt(a, b)
-    return rows, finish
+    powers = accumulate([QuadInt(0, 1)] * k, mul, initial=QuadInt(1))
+    return rows, _unpacker(bits, k + 1, [(p.a, p.b) for p in powers])
 
 
 def _keyed_product(a, b):

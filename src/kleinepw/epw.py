@@ -231,12 +231,9 @@ def gm_dimension(a_rows, covector):
     Lagrangian's basis a_rows and a rational covector."""
     if not any(covector):
         raise ValueError("zero covector")
-    # each kernel vector scaled by its denominators' lcm: the same span,
-    # and integer minors
-    basis = []
-    for vec in linalg.kernel_basis([covector]):
-        den = lcm(*(x.denominator for x in vec))
-        basis.append([int(x * den) for x in vec])
+    # an integer basis of the hyperplane, for integer minors
+    den = lcm(*(Fraction(x).denominator for x in covector))
+    basis = linalg.int_kernel_basis([[int(x * den) for x in covector]])
     # the 3 x 3 minors' columns are the 3-subsets of 0..5 in TRIPLES6 order;
     # the exterior cube of the 5 independent rows is 10 independent rows
     w_rows = linalg.exterior_power_matrix(basis, 3)

@@ -1,8 +1,8 @@
 """Exact dense linear algebra over fields plus integer Smith normal form.
 
 Matrices are lists or tuples of rows, each row a list or a tuple;
-functions never mutate their arguments.  mat_mul hands a product of two cyclotomic matrices to the
-packed kernel cyclo.mat_mul.  rank, det, bareiss_det and leading_minors
+functions never mutate their arguments.  mat_mul hands a cyclotomic
+product to cyclo.mat_mul.  rank, det, bareiss_det and leading_minors
 read their results off one elimination loop with two steps: the
 fraction-free step (Bareiss) divides exactly by the previous pivot, the
 field step (Gaussian elimination) multiplies by one pivot inverse per
@@ -49,9 +49,9 @@ def identity(n, one=1, zero=0):
 
 
 def mat_mul(a, b):
-    """Matrix product.  When either operand has a CycloNum entry the packed
-    kernel cyclo.mat_mul takes it, lifting int and Fraction entries, and
-    returns tuples; other entries are multiplied one by one into lists."""
+    """Matrix product.  When either operand has a CycloNum entry
+    cyclo.mat_mul takes it, lifting int and Fraction entries, and returns
+    tuples; other entries are multiplied one by one into lists."""
     if any(isinstance(x, CycloNum) for m in (a, b) for row in m for x in row):
         return cyclo.mat_mul(a, b)
     rows, inner, cols = len(a), len(b), len(b[0])

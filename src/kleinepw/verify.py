@@ -91,7 +91,7 @@ def cyclo_json(x: CycloNum):
 class VerifyContext:
     """Shared state, each piece built on first use and kept (a cached
     property): the 660-element table, the Lagrangian, the sextic by both
-    routes, the generators' wedge-square images, the invariant form."""
+    routes, wedge squares of the generators and of H', the invariant form."""
 
     def __init__(self, seed=0, slow=False, primes=PRIMES,
                  budget_pairs=MAX_PAIRS, budget_degree=MAX_DEGREE):
@@ -136,6 +136,16 @@ class VerifyContext:
         return tuple(linalg.exterior_power_matrix(g, 2) for g in self.generators)
 
     @cached_property
+    def hermitian_wedge_square(self):
+        return linalg.exterior_power_matrix(fixtures.hprime_matrix(), 2)
+
+    @cached_property
+    def wedge_square_invariants(self):
+        """The polarization invariants of H' wedge H', det first (by three
+        routes); ValueError unless it is positive definite."""
+        return hermitian.polarization_invariants(self.hermitian_wedge_square)
+
+    @cached_property
     def invariant_form(self):
         return group.unitary_group_sum(self.wedge2_generators, len(self.table))
 
@@ -169,10 +179,8 @@ def check(check_id, suites, statement):
     return wrap
 
 
-def _bool(ok, witness_ok=None, witness_fail=None):
-    if ok:
-        return PASS, witness_ok or {}
-    return FAIL, witness_fail or {}
+def _bool(ok, witness_ok, witness_fail):
+    return (PASS, witness_ok) if ok else (FAIL, witness_fail)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +378,12 @@ def _lambda(ctx):
 )
 def _exponents(ctx):
     squares = sorted({(k * k) % 11 for k in range(1, 11)})
-    got = sorted((1, 4, 5, 9, 3))
+    exponents = [1, 4, 5, 9, 3]
     c = ctx.generators[1]
     z = CycloNum.zeta(11)
-    diag_ok = all(c[i][i] == z ** e for i, e in enumerate((1, 4, 5, 9, 3)))
-    return _bool(got == squares and diag_ok, {"exponents": [1, 4, 5, 9, 3]})
+    diag_ok = all(c[i][i] == z ** e for i, e in enumerate(exponents))
+    return _bool(sorted(exponents) == squares and diag_ok, {"exponents": exponents},
+                 {"exponents": exponents, "squares": squares, "diagonal-match": diag_ok})
 
 
 @check(
@@ -801,8 +810,8 @@ def _repr5(ctx):
 def _hprime(ctx):
     H = fixtures.hprime_matrix()
     det = hermitian.herm_det(H)
-    ok = linalg.is_hermitian(H) and hermitian.is_positive_definite(H) and det == 1
-    return _bool(ok, {"det": det})
+    definite = linalg.is_hermitian(H) and hermitian.is_positive_definite(H)
+    return _bool(definite and det == 1, {"det": det}, {"det": det, "positive-definite": definite})
 
 
 @check(
@@ -811,16 +820,11 @@ def _hprime(ctx):
     "the induced rank-10 form matches the transcribed matrix in all 100 entries",
 )
 def _mat10(ctx):
-    W = linalg.exterior_power_matrix(fixtures.hprime_matrix(), 2)
-    ok, witness = hermitian.matches_mat10(W)
+    ok, witness = hermitian.matches_mat10(ctx.hermitian_wedge_square)
     if ok:
         return PASS, {}
     i, j, got, want = witness
-    return FAIL, {
-        "entry": [i, j],
-        "computed": quadint_json(got),
-        "expected": quadint_json(want),
-    }
+    return FAIL, {"entry": [i, j], "computed": quadint_json(got), "expected": quadint_json(want)}
 
 
 @check(
@@ -829,10 +833,7 @@ def _mat10(ctx):
     "the induced rank-10 form is positive definite with determinant 1",
 )
 def _mat10_principal(ctx):
-    W = linalg.exterior_power_matrix(fixtures.hprime_matrix(), 2)
-    # raises unless W is positive definite; the first invariant is det W,
-    # by three routes
-    det = hermitian.polarization_invariants(W)[0]
+    det = ctx.wedge_square_invariants[0]
     return _bool(det == 1, {"det": det}, {"det": det})
 
 

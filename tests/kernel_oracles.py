@@ -36,6 +36,9 @@ at a time, and takes linalg.det beyond; cofactor_exterior_power and
 cofactor_exterior_trace build the exterior power and its trace from it.
 The package expands each k-row block once by linalg.maximal_minors, on
 Kronecker-packed ints for CycloNum and QuadInt entries.
+packed_mat_mul takes every product by the packed kernel
+cyclo._packed_product; cyclo.mat_mul permutes and rotates coordinates
+instead when the right factor is monomial with root-of-unity scalars.
 """
 
 import heapq
@@ -483,3 +486,13 @@ def cofactor_exterior_trace(m, k):
     cofactor_minors."""
     minors = [cofactor_minor(m, rows, rows) for rows in combinations(range(len(m)), k)]
     return sum(minors[1:], minors[0])
+
+
+def packed_mat_mul(a, b):
+    """The product by the packed kernel alone, whatever b is: b's columns
+    over one denominator, as cyclo.right_multiplier scales a factor that
+    is not monomial."""
+    n, c = cyclo._field(a, b), len(b[0])
+    ints, den, top = cyclo._scale(cyclo.coordinates(b, n))
+    factor = [ints[j::c] for j in range(c)], den, top, {}
+    return cyclo.matrix_of(n, cyclo._packed_product(n, cyclo.coordinates(a, n), factor), c)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kleinepw import cyclo
 from kleinepw.cyclo import (
     CycloNum,
     QuadInt,
@@ -13,6 +14,7 @@ from kleinepw.cyclo import (
 )
 
 from cyclo_fractions import cyclo_from_fractions
+from kernel_oracles import packed_mat_mul
 
 
 def rand_cyclo(rng, n=11):
@@ -148,3 +150,59 @@ def test_quadint_wedge2_character_value():
     w = QuadInt(0, 1)
     diff = w * w - w.conj()
     assert diff == QuadInt(-2, 0)
+
+
+# -- mat_mul's rotation path against the packed kernel ------------------------
+
+# column j of the 4 x 4 factors below holds its one entry in row PERMUTATION[j]
+PERMUTATION = (2, 0, 3, 1)
+MONOMIALS = ("int-signed-permutation", "fraction-signed-permutation",
+             "negated-root-diagonal")
+# a signed permutation with the scalar 2, no root of unity, and a dense factor
+CONTROLS = ("scaled-permutation", "dense")
+
+
+def _entry(rng, host):
+    """A CycloNum of a conductor dividing host, zero one time in five."""
+    n = rng.choice([d for d in (1, 5, 11, 55) if host % d == 0])
+    if rng.randrange(5) == 0:
+        return CycloNum.from_rational(0, n)
+    return CycloNum(n, [rng.randint(-9, 9) for _ in range(euler_phi(n))],
+                    rng.choice([1, 2, 3, 10]))
+
+
+def _right_factor(kind, host, rng):
+    if kind == "dense":
+        return [[_entry(rng, host) for _ in range(4)] for _ in range(4)]
+    divisors = [d for d in (1, 5, 11, 55) if host % d == 0]
+    zero, entries = 0, [(i, j, (-1) ** j) for j, i in enumerate(PERMUTATION)]
+    if kind == "fraction-signed-permutation":
+        zero, entries = Fraction(0), [(i, j, Fraction(-x)) for i, j, x in entries]
+    elif kind == "negated-root-diagonal":
+        zero = CycloNum.from_rational(0, host)
+        entries = [(j, j, -CycloNum.zeta(divisors[j % len(divisors)], 3 * j + 1))
+                   for j in range(4)]
+    elif kind == "scaled-permutation":
+        entries[0] = (*entries[0][:2], 2)
+    h = [[zero] * 4 for _ in range(4)]
+    for i, j, x in entries:
+        h[i][j] = x
+    return h
+
+
+@pytest.mark.parametrize("host", [1, 5, 11, 55])
+@pytest.mark.parametrize("kind", MONOMIALS + CONTROLS)
+def test_mat_mul_rotates_a_monomial_right_factor_as_the_packed_kernel_multiplies(
+        monkeypatch, host, kind):
+    rng = random.Random(f"{host}/{kind}")
+    a = [[_entry(rng, host) for _ in range(4)] for _ in range(3)]
+    h = _right_factor(kind, host, rng)
+    want = packed_mat_mul(a, h)
+    calls = []
+    packed = cyclo._packed_product
+    monkeypatch.setattr(cyclo, "_packed_product", lambda *args: calls.append(1) or packed(*args))
+    got = cyclo.mat_mul(a, h)
+    # the same coordinates, normalized alike, entry for entry
+    assert ([[(x.n, x.num, x.den) for x in row] for row in got]
+            == [[(x.n, x.num, x.den) for x in row] for row in want])
+    assert len(calls) == (kind in CONTROLS)

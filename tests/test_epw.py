@@ -269,6 +269,22 @@ def test_dual_rebuild(generators):
     assert epw.dual_v() == epw.build_v()
 
 
+def test_dual_rebuild_packs_only_the_weil_generators_dense_products(generators, monkeypatch):
+    # dual_v() is a signed permutation, and a and c are monomial, so their
+    # duals and exterior powers are too: only the Weil generator's
+    # gdual^T g and dual_v() times its wedge square take the packed kernel
+    calls = []
+    packed = cyclo._packed_product
+    monkeypatch.setattr(cyclo, "_packed_product", lambda *args: calls.append(1) or packed(*args))
+    assert epw.dual_rebuild_check(list(generators))
+    assert len(calls) == 2
+    # verify epw adds one product building the Weil generator and one
+    # mat_order in the fixed loci
+    del calls[:]
+    assert all(r.verdict == verify.PASS for r in verify.run_suite("epw", verify.VerifyContext()))
+    assert len(calls) == 4
+
+
 def test_dual_rebuild_rejects_the_plain_inverse(generators, monkeypatch):
     # g^-1 satisfies the intertwining as well as g^-T does, since v
     # intertwines every group element; only gdual^T g = I tells them apart

@@ -8,6 +8,7 @@ import pytest
 from kleinepw import cli, cyclo, epw, fixtures, group, linalg, verify
 from kleinepw.cyclo import CycloNum, lambda_embed
 
+from kernel_oracles import packed_mat_mul
 from projective_keys import projective_key
 
 # the 6-dimensional representation trivial on coordinate 0, as the
@@ -198,14 +199,14 @@ def test_stabilizer_makes_no_rank_call(table660, monkeypatch):
 
 def _dense_closure(gens):
     """The oracle route: the breadth-first closure with every right product
-    taken by the dense mat_mul."""
+    taken by the packed kernel, monomial or not."""
     elements = [_identity(len(gens[0]))]
     index = {group.mat_key(elements[0]): 0}
     words, right = [()], []
     for i, g in enumerate(elements):
         row = []
         for k, h in enumerate(gens):
-            prod = group.mat_mul(g, h)
+            prod = packed_mat_mul(g, h)
             j = index.setdefault(group.mat_key(prod), len(elements))
             if j == len(elements):
                 elements.append(prod)

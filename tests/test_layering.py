@@ -13,7 +13,10 @@ conjugate transpose, inverse) and the exact symmetric elimination (the
 LDL^T behind signatures and short vectors) have one home, linalg; the
 exterior powers reach no determinant routine but the subset expansion
 (maximal_minors, expansion_det), and linalg keeps no cofactor _minor; the Kronecker packing
-(_pack, _unpacker) has one home, cyclo; the monomial order has one home,
+(_pack, _unpacker) has one home, cyclo, the packed matrix kernel one
+entry, right_multiplier, and the balanced-digit reading one home,
+_unpacker; the CLI prints the Hermitian checks' verdicts and computes
+none of them; the monomial order has one home,
 poly (grevlex_key), so groebner's heaps cannot drift from it; and
 groebner has one builder of Pluecker relations.
 """
@@ -147,6 +150,52 @@ def test_symmetric_elimination_is_defined_only_in_linalg():
 def test_packing_is_defined_only_in_cyclo():
     defs = _defined_outside("cyclo.py", ("_pack", "_unpacker"))
     assert not defs, "Kronecker packing outside cyclo: " + ", ".join(defs)
+
+
+def _functions(path):
+    """The module's functions and methods, nested ones inside their
+    outermost function."""
+    for node in _tree(path).body:
+        if isinstance(node, ast.ClassDef):
+            yield from (f for f in node.body if isinstance(f, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node
+
+
+def _names_in(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_packed_kernel_has_one_entry():
+    # mat_mul once packed its own products beside right_multiplier, and so
+    # packed monomial factors that right_multiplier rotates
+    callers = [f"{path.name} {f.name}" for path in sorted(PACKAGE.glob("*.py"))
+               for f in _functions(path) if "_packed_product" in _names_in(f)]
+    assert callers == ["cyclo.py right_multiplier"]
+
+
+def test_balanced_digits_are_read_only_by_the_unpacker():
+    # a function that knows the radix 2^bits and shifts or masks an int,
+    # or takes half the radix (bits - 1), reads balanced digits;
+    # packed_for_minors once read its Z[w] digits so
+    def reads_digits(f):
+        ops = [n for n in ast.walk(f) if isinstance(n, (ast.BinOp, ast.AugAssign))]
+        return "bits" in _names_in(f) and any(
+            isinstance(n.op, (ast.RShift, ast.BitAnd))
+            or (isinstance(n.op, ast.Sub) and isinstance(getattr(n, "left", None), ast.Name)
+                and n.left.id == "bits")
+            for n in ops)
+
+    readers = [f"{path.name} {f.name}" for path in sorted(PACKAGE.glob("*.py"))
+               for f in _functions(path) if reads_digits(f)]
+    assert readers == ["cyclo.py _unpacker"], readers
+
+
+def test_cli_computes_no_hermitian_check():
+    # hermitian --check prints the verdicts of verify's hermitian checks
+    names = _names_in(_tree(PACKAGE / "cli.py"))
+    assert not names & {"herm_det", "is_positive_definite", "matches_mat10"}
 
 
 def test_monomial_order_is_defined_only_in_poly():

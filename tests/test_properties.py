@@ -725,7 +725,7 @@ def test_packed_mat_mul_matches_per_entry_product(pair):
     a, b = pair
     want = _per_entry_mat_mul(a, b)
     assert _equal_matrices(group.mat_mul(a, b), want)
-    # linalg.mat_mul packs every product with a CycloNum operand
+    # linalg.mat_mul hands every product with a CycloNum operand to cyclo
     packed = linalg.mat_mul(a, b)
     assert type(packed) is tuple and _equal_matrices(packed, want)
 

@@ -1,9 +1,10 @@
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
-from kleinepw import cli, group, verify
+from kleinepw import cli, group, hermitian, verify
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -62,6 +63,40 @@ def test_frac_and_cyclo_serialization():
 def _run_check(check_id, ctx):
     fn = next(fn for cid, _, _, fn in verify.CHECKS if cid == check_id)
     return fn(ctx)
+
+
+def _failure_witness(call):
+    if len(call.args) > 2:
+        return call.args[2]
+    return next((k.value for k in call.keywords if k.arg == "witness_fail"), None)
+
+
+def test_every_bool_verdict_carries_a_failure_witness():
+    # "Failing verdicts always carry a witness" (the module docstring)
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_bool"]
+    assert len(calls) > 20
+    bare = [call.lineno for call in calls for w in (_failure_witness(call),)
+            if w is None or (isinstance(w, ast.Dict) and not w.keys)
+            or (isinstance(w, ast.Constant) and not w.value)]
+    assert not bare, f"_bool without a failure witness at lines {bare}"
+
+
+def test_rank5_form_failure_carries_the_determinant(monkeypatch):
+    monkeypatch.setattr(hermitian, "herm_det", lambda m: 2)
+    assert _run_check("hermitian.rank5-form", verify.VerifyContext()) == (
+        verify.FAIL, {"det": 2, "positive-definite": True})
+
+
+def test_eigenvalue_exponents_failure_carries_a_witness(generators):
+    a, c, s = generators
+    swapped = [list(row) for row in c]
+    swapped[0][0], swapped[1][1] = c[1][1], c[0][0]
+    ctx = verify.VerifyContext()
+    ctx.generators = (a, swapped, s)
+    assert _run_check("group.eigenvalue-exponents", ctx) == (verify.FAIL, {
+        "exponents": [1, 4, 5, 9, 3], "squares": [1, 3, 4, 5, 9], "diagonal-match": False})
 
 
 def test_quadric_invariance_names_the_generator_that_moves_the_quadric(monkeypatch, generators):
