@@ -242,9 +242,7 @@ def cmd_char_table(args):
     text.append(header)
     for entry in classes:
         vals = " ".join(f"{entry['values'][n]['pretty']:>10}" for n in rows)
-        text.append(
-            f"{entry['class']:<6} {entry['order']:>5} {entry['size']:>4} {vals}"
-        )
+        text.append(f"{entry['class']:<6} {entry['order']:>5} {entry['size']:>4} {vals}")
     _emit(args, payload, text)
     return 0
 
@@ -315,9 +313,7 @@ def cmd_lattice(args):
     ]
     if args.short_vectors is not None:
         vecs = lattices.short_vectors(lat, args.short_vectors)
-        payload["short-vectors"] = [
-            {"vector": list(v), "norm": n} for v, n in vecs
-        ]
+        payload["short-vectors"] = [{"vector": list(v), "norm": n} for v, n in vecs]
         text.append(f"{len(vecs)} vectors with |norm| <= {args.short_vectors}")
         by_norm = Counter(n for _, n in vecs)
         text += [f"  norm {n}: {by_norm[n]}" for n in sorted(by_norm)]
@@ -327,19 +323,18 @@ def cmd_lattice(args):
 
 def cmd_hermitian(args):
     ctx = verify.VerifyContext()
-    if args.check == "principal":
-        inv = ctx.wedge_square_invariants
-        payload = {"check": args.check, "verdict": verify.PASS if inv[0] == 1 else verify.FAIL,
-                   "invariants": [str(v) for v in inv]}
-    else:
-        # the verdict and witness of verify's check
-        cid = {"hprime": "hermitian.rank5-form", "mat10": "hermitian.wedge-square-match"}[args.check]
-        verdict, witness = next(fn for c, _, _, fn in verify.CHECKS if c == cid)(ctx)
-        payload = {"check": args.check, "verdict": verdict}
-        if args.check == "hprime":
-            payload["det"] = str(witness["det"])
-        elif verdict == verify.FAIL:
-            payload["witness"] = witness
+    cid = {"hprime": "hermitian.rank5-form", "mat10": "hermitian.wedge-square-match",
+           "principal": "hermitian.wedge-square-principal"}[args.check]
+    # verify's check, its exceptions a fail with an error witness as in verify
+    check = next(fn for c, _, _, fn in verify.CHECKS if c == cid)
+    verdict, witness = verify.run_check(check, ctx)
+    payload = {"check": args.check, "verdict": verdict}
+    if "error" in witness or args.check == "mat10" and verdict == verify.FAIL:
+        payload["witness"] = witness
+    elif args.check == "hprime":
+        payload["det"] = str(witness["det"])
+    elif args.check == "principal":
+        payload["invariants"] = [str(v) for v in ctx.wedge_square_invariants]
     _emit(args, payload, [f"{args.check}: {payload['verdict']}"])
     return 0 if payload["verdict"] == verify.PASS else 1
 

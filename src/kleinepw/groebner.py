@@ -15,13 +15,17 @@ finite-field stand-ins for characteristic-0 computations:
 
 Inside a Buchberger run a monomial is two ints (poly.grevlex_packing,
 after Monagan & Pearce, J. Symbolic Comput. 46, 2011): P for the order and
-products, E for divisibility, packed through a memo that lives as long as
-the run.  The field width comes from D = max(the degree budget, the
-input's degree), which bounds every lead, as the budget is checked before
-an element joins the basis; in a degree-compatible order no monomial of an
-S-polynomial or a reduction exceeds an lcm of two leads, of degree at most
-2D.  The run also keeps one first-divisor table for normal_form, so the
-monomials that recur in every Jacobian minor are matched to a lead once.
+products, E for divisibility.  An element is its packed entry only (lead
+P, lead E, the other terms as (P, c), monic): the private kernel _reduce
+takes an S-polynomial as a {P: c} dict, its remainder joins the basis as
+it is, and FPolys are built once, at the exit.  The field width comes
+from D = max(the degree budget, the input's degree), which bounds every
+lead, as the budget is checked before an element joins the basis; in a
+degree-compatible order no monomial of an S-polynomial or a reduction
+exceeds an lcm of two leads, of degree at most 2D.  A smoothness gate
+keeps one packing: jacobian_minors expands the minors over Z on its Ps,
+and each prime's run reads their residues under it (or repacks them, if
+its width differs).
 
 One builder, pluecker_relations(k, n), gives the quadratic Pluecker
 relations of both Grassmannians in play: Gr(2, 5), whose linear and
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import add
 
 from . import linalg
 from .epw import build_A, merge_indices
@@ -110,36 +115,32 @@ class FPoly(MultiPoly):
         return pow(c, -1, self.p)
 
 
-def _packed_lead(g, packing):
-    """normal_form's entry for a monic g: lead P, lead E, other terms (P, c)."""
-    terms = [(packing[0](e), c) for e, c in g.terms.items()]
-    lead = max(terms)[0]
-    return lead, packing[2](lead), [t for t in terms if t[0] != lead]
+class _PackedZ(MultiPoly):
+    """MultiPoly over Z keyed by the Ps of one grevlex_packing, whose
+    monomial product is an integer add: for +, -, * and truthiness only."""
+
+    __slots__ = ()
+    _monomial_product = staticmethod(add)
 
 
-def normal_form(f: FPoly, basis, packing=None, divisor=None):
-    """Full reduction of f by a list of monic polynomials, on packed
-    monomials: the working polynomial maps P to coefficient and is driven
-    by a lazy heap of negated Ps, largest monomial first; a step adds the
+def _entry(terms, p, word):
+    """A nonzero {P: c} dict made monic, as (lead P, lead E, [(P, c)] tail)."""
+    lead = max(terms)
+    inv = pow(terms[lead], -1, p)
+    return lead, word(lead), [(m, c * inv % p) for m, c in terms.items() if m != lead]
+
+
+def _reduce(work, basis, packing, p, divisor):
+    """The remainder, largest term first, of the full reduction of work
+    ({P: c}, consumed) by the monic packed entries basis.  A lazy heap of
+    negated Ps drives work, largest monomial first; a step adds the
     quotient's P to each tail P of the first lead that divides the
-    monomial, tested on E.  The remainder is unpacked in pop order, largest
-    term first.  Within a run, packing is the run's and basis its
-    _packed_lead entries; otherwise a packing is made for the degrees of f
-    and basis, which bound every monomial (a step replaces a monomial by
-    smaller ones, of no larger degree).
-
-    divisor, when given, is a first-divisor table for basis kept across
-    calls: it maps a P to the index of its first dividing lead, or to ~k (a
-    negative int) when none of the first k leads divides it.  It stays
-    valid only while basis grows by appending: a first hit is then still
-    the first hit, and a miss resumes its scan at lead k."""
-    if packing is None:
-        packing = grevlex_packing(f.nvars, max(g.total_degree() for g in (f, *basis)))
-        basis = [_packed_lead(g, packing) for g in basis]
-    pack, unpack, word, _, guard = packing
-    divisor = {} if divisor is None else divisor
-    p = f.p
-    work = {pack(e): c for e, c in f.terms.items()}
+    monomial, tested on E.  divisor is a first-divisor table for basis kept
+    across calls: it maps a P to the index of its first dividing lead, or
+    to ~k when none of the first k leads divides it.  It stays valid while
+    basis grows by appending: a first hit stays first, and a miss resumes
+    its scan at lead k."""
+    word, guard = packing[2], packing[4]
     heap = [-m for m in work]
     heapify(heap)
     n_leads = len(basis)
@@ -155,7 +156,7 @@ def normal_form(f: FPoly, basis, packing=None, divisor=None):
             k = divisor[m] = next((i for i in range(~k, n_leads)
                                    if (e - basis[i][1]) & guard == guard), ~n_leads)
         if k < 0:
-            remainder[unpack(m)] = c
+            remainder[m] = c
             continue
         lead, _, tail = basis[k]
         shift = m - lead
@@ -169,7 +170,28 @@ def normal_form(f: FPoly, basis, packing=None, divisor=None):
                 work[q] = acc
             else:
                 del work[q]
-    return f._with_terms(remainder)
+    return remainder
+
+
+def _packed(g, pack):
+    return {pack(e): c for e, c in g.terms.items()}
+
+
+def _fpolys(entries, unpack, p, nvars):
+    """The monic FPolys of packed entries, each lead first."""
+    return [FPoly(p, nvars)._with_terms({unpack(lead): 1, **{unpack(m): c for m, c in tail}})
+            for lead, _, tail in entries]
+
+
+def normal_form(f: FPoly, basis):
+    """Full reduction of f by a list of monic polynomials: _reduce on a
+    packing for the degrees of f and basis, which bound every monomial (a
+    step replaces a monomial by smaller ones), unpacked largest term first."""
+    packing = grevlex_packing(f.nvars, max(g.total_degree() for g in (f, *basis)))
+    pack, unpack, word = packing[:3]
+    entries = [_entry(_packed(g, pack), f.p, word) for g in basis]
+    r = _reduce(_packed(f, pack), entries, packing, f.p, {})
+    return f._with_terms({unpack(m): c for m, c in r.items()})
 
 
 def _pure_power_variable(e):
@@ -188,19 +210,26 @@ def certifies_empty(leads, nvars):
             or {_pure_power_variable(e) for e in leads} >= set(range(nvars)))
 
 
-def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certificate=False):
+def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certificate=False,
+               packed=None):
     """Reduced Groebner basis by the classic algorithm with the coprime
     and chain criteria and normal (minimal-lcm) selection; deterministic
     for a fixed input order.  Budgets raise BudgetExhausted.
+
+    packed, when given, is (packing, dicts): more generators over F_p, after
+    gens, as nonzero {P: c} dicts under that packing (jacobian_minors').
+    The run takes that packing if its width is the run's, and otherwise
+    repacks the dicts, so no P is read under another width.
 
     The input is reduced first: each generator, in order, is replaced by
     its normal form against the generators already kept; a zero is
     dropped, the rest are made monic and kept.  Pairs are formed among the
     kept generators only.  The ideal, hence the reduced basis, is the same.
-    Every normal_form call of the run, input reduction and S-polynomials
-    alike, shares one packing and one first-divisor table (see
-    normal_form).  A pair waits on the P of its lcm, and the coprime and
-    chain criteria test the lcm's E.
+    Every _reduce call of the run shares one packing and one first-divisor
+    table.  A pair waits as the int lcm << 2b | j << b | i, j < i, whose b
+    bits hold every basis size the pair budget allows, so pairs pop in the
+    order of (lcm's P, j, i); the coprime and chain criteria test the
+    lcm's E, and a triangular bytearray flags the pairs already taken.
 
     With stop_at_certificate, the run ends as soon as the leads meet
     certifies_empty: after the input reduction, or when a new element's
@@ -212,37 +241,41 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
     if not any(gens):
         raise ValueError("no nonzero generators")
     p, nvars = gens[0].p, gens[0].nvars
-    packing = grevlex_packing(nvars, max(max_degree, *(g.total_degree() for g in gens)))
-    _, unpack, word, packed_lcm, guard = packing
-    basis, leads, lead_data = [], [], []
-    # normal_form's first-divisor table, valid for the run: lead_data
-    # only grows by appending
-    divisor = {}
-
-    def join(h):
-        # normal_form gives the lead first; made monic, h keeps that order
-        c = next(iter(h.terms.values()))
-        h = h if c == 1 else h * pow(c, -1, p)
-        basis.append(h)
-        lead_data.append(_packed_lead(h, packing))
-        leads.append(unpack(lead_data[-1][0]))
-
-    for g in gens:
-        h = normal_form(g, lead_data, packing, divisor)
-        if not h.is_zero():
-            join(h)
+    given, extra = packed or (None, [])
+    top = given and given[4].bit_length()
+    packing = grevlex_packing(nvars, max(max_degree, *(g.total_degree() for g in gens),
+                                         *(max(d) >> top for d in extra)))
+    if given and given[4] == packing[4]:
+        packing = given
+    elif given:
+        extra = [{packing[0](given[1](m)): c for m, c in d.items()} for d in extra]
+    pack, unpack, word, packed_lcm, guard = packing
+    entries, leads = [], []
+    divisor = {}  # valid for the run: entries only grows by appending
+    inputs = [_packed(g, pack) for g in gens] + [dict(d) for d in extra]
+    for work in inputs:
+        r = _reduce(work, entries, packing, p, divisor)
+        if r:
+            entries.append(_entry(r, p, word))
+            leads.append(unpack(entries[-1][0]))
     if stop_at_certificate and certifies_empty(leads, nvars):
-        return basis
+        return _fpolys(entries, unpack, p, nvars)
     degree = max(sum(e) for e in leads)
-    # the pairs not yet handled, queued on the P of their lcm
-    pending = {(j, i) for i in range(len(basis)) for j in range(i)}
-    heap = [(packed_lcm(lead_data[j][1], lead_data[i][1]), j, i) for j, i in pending]
+    b = (len(inputs) + max(max_pairs, 0)).bit_length()
+    low = (1 << b) - 1
+    # the pairs not yet taken, on the P of their lcm, and the taken flags:
+    # pair (j, i), j < i, at i * (i - 1) / 2 + j
+    heap = [packed_lcm(entries[j][1], entries[i][1]) << 2 * b | j << b | i
+            for i in range(len(entries)) for j in range(i)]
     heapify(heap)
+    taken = bytearray(len(heap))
     handled = 0
     while heap:
-        lcm, i, j = heappop(heap)
-        pending.remove((i, j))
-        (lead_i, e_i, tail_i), (lead_j, e_j, tail_j) = lead_data[i], lead_data[j]
+        pair = heappop(heap)
+        lcm, i, j = pair >> 2 * b, pair >> b & low, pair & low
+        row_j = j * (j - 1) >> 1
+        taken[row_j + i] = 1
+        (lead_i, e_i, tail_i), (lead_j, e_j, tail_j) = entries[i], entries[j]
         e = word(lcm)
         # coprime criterion
         if e == e_i + e_j:
@@ -250,41 +283,41 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
         # chain criterion
         e |= guard
         if any((e - e_k) & guard == guard and k != i and k != j
-               and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
-               for k, (_, e_k, _) in enumerate(lead_data)):
+               and taken[(k * (k - 1) >> 1) + i if k > i else (i * (i - 1) >> 1) + k]
+               and taken[(k * (k - 1) >> 1) + j if k > j else row_j + k]
+               for k, (_, e_k, _) in enumerate(entries)):
             continue
         if handled >= max_pairs:
-            raise BudgetExhausted(f"pair budget {max_pairs} exhausted", handled, len(basis),
+            raise BudgetExhausted(f"pair budget {max_pairs} exhausted", handled, len(entries),
                                   degree)
         handled += 1
         # the S-polynomial of monic elements: the shifted leads cancel
         shift_i, shift_j = lcm - lead_i, lcm - lead_j
-        s_terms = {q + shift_i: c for q, c in tail_i}
+        s = {q + shift_i: c for q, c in tail_i}
         for q, c in tail_j:
             q += shift_j
-            if acc := (s_terms.get(q, 0) - c) % p:
-                s_terms[q] = acc
+            if acc := (s.get(q, 0) - c) % p:
+                s[q] = acc
             else:
-                del s_terms[q]
-        s = FPoly(p, nvars)
-        s.terms = {unpack(q): c for q, c in s_terms.items()}
-        h = normal_form(s, lead_data, packing, divisor)
-        if h.is_zero():
+                del s[q]
+        r = _reduce(s, entries, packing, p, divisor)
+        if not r:
             continue
-        le = next(iter(h.terms))
+        le = unpack(next(iter(r)))
         degree = max(degree, sum(le))
         if sum(le) > max_degree:
             raise BudgetExhausted(f"degree budget {max_degree} exhausted", handled,
-                                  len(basis), degree)
-        join(h)
+                                  len(entries), degree)
+        n = len(entries)
+        entries.append(_entry(r, p, word))
+        leads.append(le)
         if (stop_at_certificate and (not any(le) or _pure_power_variable(le) is not None)
                 and certifies_empty(leads, nvars)):
-            return basis
-        n = len(basis) - 1
+            return _fpolys(entries, unpack, p, nvars)
+        taken.extend(bytes(n))
         for k in range(n):
-            pending.add((k, n))
-            heappush(heap, (packed_lcm(lead_data[k][1], lead_data[n][1]), k, n))
-    return autoreduce(basis)
+            heappush(heap, packed_lcm(entries[k][1], entries[n][1]) << 2 * b | k << b | n)
+    return autoreduce(_fpolys(entries, unpack, p, nvars))
 
 
 def autoreduce(basis):
@@ -292,61 +325,69 @@ def autoreduce(basis):
     monomials, every element fully reduced by the others, monic, sorted.
     One pass suffices: no kept lead divides another, so reduction keeps
     every lead, and no term of an element, once reduced, is divisible by
-    any lead of the result.  Its normal_form calls share one packing; each
+    any lead of the result.  Its _reduce calls share one packing; each
     leaves a different element out, so none keeps a first-divisor table."""
-    basis = [g.monic() for g in basis if not g.is_zero()]
-    packing = grevlex_packing(basis[0].nvars, max(g.total_degree() for g in basis))
-    guard = packing[4]
-    data = [_packed_lead(g, packing) for g in basis]
+    basis = [g for g in basis if not g.is_zero()]
+    p, nvars = basis[0].p, basis[0].nvars
+    packing = grevlex_packing(nvars, max(g.total_degree() for g in basis))
+    pack, unpack, word, _, guard = packing
+    data = [_entry(_packed(g, pack), p, word) for g in basis]
     # drop elements whose lead is divisible by another lead
-    kept = [i for i, (li, ei, _) in enumerate(data)
+    data = [(li, ei, ti) for i, (li, ei, ti) in enumerate(data)
             if not any(j != i and ((ei | guard) - ej) & guard == guard and (lj != li or j < i)
                        for j, (lj, ej, _) in enumerate(data))]
-    keep, data = [basis[i] for i in kept], [data[i] for i in kept]
-    for i, g in enumerate(keep):
-        keep[i] = normal_form(g, data[:i] + data[i + 1:], packing)
-        data[i] = _packed_lead(keep[i], packing)
-    return [g for _, g in sorted(zip((d[0] for d in data), keep))]
+    for i, (lead, _, tail) in enumerate(data):
+        r = _reduce({lead: 1, **dict(tail)}, data[:i] + data[i + 1:], packing, p, {})
+        data[i] = _entry(r, p, word)
+    return _fpolys(sorted(data, key=lambda d: d[0]), unpack, p, nvars)
 
 
 def projective_empty(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE,
-                     stop_at_certificate=False):
+                     stop_at_certificate=False, packed=None):
     """(empty?, basis) for a homogeneous ideal: the projective scheme is
     empty iff the leading ideal of the reduced basis contains a nonzero
     constant or a pure power of every variable (certifies_empty).  With
     stop_at_certificate an empty verdict comes from buchberger's first
     certificate, and the basis returned is that partial one, not the
     reduced basis; a verdict of "not empty" always comes with the reduced
-    basis."""
-    for g in gens:
-        if not g.is_homogeneous():
-            raise ValueError("projective emptiness needs homogeneous generators")
+    basis.  packed goes to buchberger; a packed dict is homogeneous when
+    its least and largest P lie in one degree."""
+    packing, extra = packed or (None, [])
+    top = packing and packing[4].bit_length()
+    if not (all(g.is_homogeneous() for g in gens)
+            and all(min(d) >> top == max(d) >> top for d in extra)):
+        raise ValueError("projective emptiness needs homogeneous generators")
     basis = buchberger(gens, max_pairs=max_pairs, max_degree=max_degree,
-                       stop_at_certificate=stop_at_certificate)
+                       stop_at_certificate=stop_at_certificate, packed=packed)
     return certifies_empty([g.leading_term()[0] for g in basis], gens[0].nvars), basis
 
 
-def jacobian_minors(gens, size):
+def jacobian_minors(gens, size, max_degree=MAX_DEGREE):
     """All nonzero c x c minors of the Jacobian matrix of integer
     polynomials, with the row sets and then the column sets in
-    lexicographic order.  Returns (minors, False).
+    lexicographic order.  Returns (minors, packing): the minors over Z
+    keyed by the Ps of the packing a run under the degree budget
+    max_degree makes for them (of degree at most the c largest row
+    degrees' sum).
 
     A gate expands the minors once over Z and reduces them at each prime:
     reduction commutes with derivatives and determinants.  Each row set is
-    expanded once, by linalg.maximal_minors, for all its column sets."""
+    expanded once, by linalg.maximal_minors, for all its column sets; the
+    entries are packed first, so each product of two terms adds two ints."""
     nvars = gens[0].nvars
-    jac = [[g.derivative(i) for i in range(nvars)] for g in gens]
-    one = MultiPoly.const(nvars, 1)
+    rows = sorted((max(g.total_degree() - 1, 0) for g in gens), reverse=True)
+    packing = grevlex_packing(nvars, max(max_degree, sum(rows[:size])))
+    zero = _PackedZ(nvars)
+    jac = [[zero._with_terms(_packed(g.derivative(i), packing[0])) for i in range(nvars)]
+           for g in gens]
     out = []
     for rs in combinations(range(len(gens)), size):
-        minors = linalg.maximal_minors([jac[r] for r in rs], one)
+        minors = linalg.maximal_minors([jac[r] for r in rs], zero._with_terms({0: 1}))
         for cs in combinations(range(nvars), size):
             d = minors.get(sum(1 << c for c in cs))
             if d:
                 out.append(d)
-    # a pair, not a bare list, because perfbench's minors_used observer
-    # (OBSERVERS["groebner.jacobian_minors"]) reads len(result[0])
-    return out, False
+    return out, packing
 
 
 def smoothness_check(gens, codim, p, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, minors=None,
@@ -354,9 +395,10 @@ def smoothness_check(gens, codim, p, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE,
     """Projective emptiness at the prime p of the singular locus of the
     integer polynomials gens: the generators plus all codim x codim minors
     of their Jacobian, reduced mod p.  minors is a jacobian_minors(gens,
-    codim) result, so a caller that checks several primes expands it once;
-    by default it is expanded here.  stop_at_certificate goes to
-    projective_empty.
+    codim) result, so a caller that checks several primes expands and
+    packs it once; by default it is expanded here.  Their residues follow
+    the reduced basis of gens into the run, packed.  stop_at_certificate
+    goes to projective_empty.
 
     Returns (smooth: bool, info dict).  info["basis_size"] is the size of
     the reduced basis; a smooth verdict reached at the first certificate
@@ -365,10 +407,11 @@ def smoothness_check(gens, codim, p, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE,
         raise ValueError("codimension must be at least 1")
     base = buchberger([FPoly.from_int_poly(g, p) for g in gens],
                       max_pairs=max_pairs, max_degree=max_degree)
-    minors, _ = minors or jacobian_minors(gens, codim)
-    reduced = [m for m in (FPoly.from_int_poly(d, p) for d in minors) if m]
-    empty, basis = projective_empty(base + reduced, max_pairs=max_pairs, max_degree=max_degree,
-                                    stop_at_certificate=stop_at_certificate)
+    minors, packing = minors or jacobian_minors(gens, codim, max_degree)
+    reduced = [r for d in minors if (r := {m: v for m, c in d.terms.items() if (v := c % p)})]
+    empty, basis = projective_empty(base, max_pairs=max_pairs, max_degree=max_degree,
+                                    stop_at_certificate=stop_at_certificate,
+                                    packed=(packing, reduced))
     info = {"minors_used": len(reduced)}
     if not (empty and stop_at_certificate):
         info["basis_size"] = len(basis)

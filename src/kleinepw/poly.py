@@ -6,7 +6,9 @@ CycloNum, ...).  The ring operations build their results through one
 hook, _with_terms, so a subclass can fix the coefficient ring:
 groebner.FPoly is MultiPoly over F_p, whose hook reduces coefficients
 modulo p.  A second hook, _inverse, inverts the leading coefficient for
-divmod and monic: through Fraction here, modulo p in FPoly.  The
+divmod and monic: through Fraction here, modulo p in FPoly.  A third,
+_monomial_product, is where a product meets the keys, so groebner expands
+Jacobian minors on packed monomials through this same product.  The
 canonical term order is graded reverse lexicographic over the declared
 variable order.  divmod is the one division loop: exact_div and `//` are
 divmod with a zero remainder required, and gcd and
@@ -31,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
+from operator import add
 
 
 def grevlex_key(exps):
@@ -51,7 +54,8 @@ def grevlex_packing(nvars, degree):
 
     Returns (pack, unpack, word, packed_lcm, G): pack(exps) is P, unpack(P)
     the exponents (both memoized while the packing lives), word(P) is E,
-    and packed_lcm(E_a, E_b) is the P of lcm(a, b)."""
+    and packed_lcm(E_a, E_b) is the P of lcm(a, b).  P >> G.bit_length()
+    is the degree; G fixes nvars and w, so packings with one G agree."""
     w = max(8, (2 * degree + 1).bit_length() + 1)
     top, field = nvars * w, (1 << w) - 1
     ones = sum(1 << i * w for i in range(nvars))
@@ -128,13 +132,17 @@ class MultiPoly:
     # -- basic ring ops -------------------------------------------------
 
     def _with_terms(self, terms):
-        """A polynomial over this one's coefficient ring with the given
-        terms (exponent tuple -> coefficient, no zero coefficients).  The
-        ring operations (+, -, *, **, derivative, exact division) build
-        their results here."""
-        p = MultiPoly.__new__(MultiPoly)
+        """A polynomial of this one's class with the given terms (monomial
+        -> coefficient, no zero coefficients).  The ring operations (+, -,
+        *, **, derivative, exact division) build their results here."""
+        p = object.__new__(type(self))
         p.nvars, p.terms = self.nvars, terms
         return p
+
+    @staticmethod
+    def _monomial_product(a, b):
+        """The product of two monomials, the one key read by *."""
+        return tuple(map(add, a, b))
 
     def _inverse(self, c):
         """The inverse of a nonzero coefficient, for divmod and monic:
@@ -177,17 +185,16 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            return self._with_terms(
-                {e: c * other for e, c in self.terms.items()} if other else {}
-            )
+            return self._with_terms({e: c * other for e, c in self.terms.items()} if other else {})
         self._check(other)
         out = {}
         small, big = (self.terms, other.terms)
         if len(small) > len(big):
             small, big = big, small
+        mono = self._monomial_product
         for e1, c1 in small.items():
             for e2, c2 in big.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = mono(e1, e2)
                 c = c1 * c2
                 acc = out.get(e)
                 s = acc + c if acc is not None else c
@@ -405,9 +412,7 @@ class MultiPoly:
             return "0"
         bits = []
         for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k
-            )
+            mono = "*".join(f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k)
             bits.append(f"{c}" if not mono else f"{c}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
 

@@ -218,11 +218,8 @@ def _first_term_diff(a, b, a_name, b_name):
     """Witness at the first exponent (sorted order) where a and b differ."""
     for e in sorted(set(a.terms) | set(b.terms)):
         if a.terms.get(e) != b.terms.get(e):
-            return {
-                "exponents": list(e),
-                a_name: str(a.terms.get(e, 0)),
-                b_name: str(b.terms.get(e, 0)),
-            }
+            return {"exponents": list(e), a_name: str(a.terms.get(e, 0)),
+                    b_name: str(b.terms.get(e, 0))}
     return {}
 
 
@@ -243,11 +240,7 @@ def _sextic_terms(ctx):
 )
 def _sextic_coeffs(ctx):
     f = ctx.sextic_derived
-    probes = [
-        ((6, 0, 0, 0, 0, 0), 1),
-        ((1, 1, 1, 1, 1, 1), -12),
-        ((0, 1, 0, 0, 1, 4), -4),
-    ]
+    probes = [((6, 0, 0, 0, 0, 0), 1), ((1, 1, 1, 1, 1, 1), -12), ((0, 1, 0, 0, 1, 4), -4)]
     for e, want in probes:
         got = f.coefficient(e)
         if got != want:
@@ -651,9 +644,7 @@ def _fixed_counts(ctx):
 def _hperp(ctx):
     L = lattices.parse_lattice_spec("U+U+E8(-1)+E8(-1)+(-2)+(-2)")
     D = lattices.disc_group(L)
-    target = lattices.FiniteQuadraticForm(
-        (2, 2), [[Fraction(-1, 2), 0], [0, Fraction(-1, 2)]]
-    )
+    target = lattices.FiniteQuadraticForm((2, 2), [[Fraction(-1, 2), 0], [0, Fraction(-1, 2)]])
     ok = L.rank == 22 and D.orders == (2, 2) and D.is_isomorphic(target)
     return _bool(ok, {"orders": list(D.orders)}, {"orders": list(D.orders)})
 
@@ -665,11 +656,9 @@ def _hperp(ctx):
 )
 def _disc11(ctx):
     K = lattices.Lattice([[-2, -1], [-1, -6]])
-    L = lattices.direct_sum(lattices.e8(-1), lattices.e8(-1), K, K)
+    L = lattices.parse_lattice_spec("E8(-1)+E8(-1)+[[-2,-1],[-1,-6]]+[[-2,-1],[-1,-6]]")
     D = lattices.disc_group(L)
-    target = lattices.FiniteQuadraticForm(
-        (11, 11), [[Fraction(-2, 11), 0], [0, Fraction(-2, 11)]]
-    )
+    target = lattices.FiniteQuadraticForm((11, 11), [[Fraction(-2, 11), 0], [0, Fraction(-2, 11)]])
     single = lattices.disc_group(K).is_isomorphic(
         lattices.FiniteQuadraticForm((11,), [[Fraction(-2, 11)]])
     )
@@ -684,9 +673,7 @@ def _disc11(ctx):
     "complement (22)+(22)",
 )
 def _norm2(ctx):
-    M = lattices.direct_sum(
-        lattices.Lattice([[2, 1], [1, 6]]), lattices.rank1(22)
-    )
+    M = lattices.parse_lattice_spec("[[2,1],[1,6]]+(22)")
     v2 = sorted(lattices.vectors_of_norm(M, 2))
     if v2 != [(-1, 0, 0), (1, 0, 0)]:
         return FAIL, {"vectors": [list(v) for v in v2]}
@@ -703,10 +690,7 @@ def _norm2(ctx):
     "the rank-21 Picard assembly has no nontrivial isotropic discriminant elements",
 )
 def _picard(ctx):
-    K = lattices.Lattice([[-2, -1], [-1, -6]])
-    L = lattices.direct_sum(
-        lattices.rank1(2), lattices.e8(-1), lattices.e8(-1), K, K
-    )
+    L = lattices.parse_lattice_spec("(2)+E8(-1)+E8(-1)+[[-2,-1],[-1,-6]]+[[-2,-1],[-1,-6]]")
     iso = lattices.disc_group(L).isotropic_elements()
     return _bool(
         L.rank == 21 and iso == [],
@@ -721,13 +705,8 @@ def _picard(ctx):
     "exactly two isometries glue the 2-torsion of Disc((22)^2) to Disc((-2)^2)",
 )
 def _gluing(ctx):
-    DT = lattices.disc_group(
-        lattices.direct_sum(lattices.rank1(22), lattices.rank1(22))
-    )
-    tor = DT.torsion_subform(2)
-    target = lattices.disc_group(
-        lattices.direct_sum(lattices.rank1(-2), lattices.rank1(-2))
-    )
+    tor = lattices.disc_group(lattices.parse_lattice_spec("(22)+(22)")).torsion_subform(2)
+    target = lattices.disc_group(lattices.parse_lattice_spec("(-2)+(-2)"))
     isoms = tor.isometries(target)
     return _bool(len(isoms) == 2, {"count": len(isoms)}, {"count": len(isoms)})
 
@@ -738,11 +717,7 @@ def _gluing(ctx):
     "the maximal Hodge assembly has rank 22 and signature (2, 20)",
 )
 def _hodge(ctx):
-    K = lattices.Lattice([[-2, -1], [-1, -6]])
-    L = lattices.direct_sum(
-        lattices.rank1(2), lattices.rank1(2),
-        lattices.e8(-1), lattices.e8(-1), K, K,
-    )
+    L = lattices.parse_lattice_spec("(2)+(2)+E8(-1)+E8(-1)+[[-2,-1],[-1,-6]]+[[-2,-1],[-1,-6]]")
     sig = L.signature()
     return _bool(L.rank == 22 and sig == (2, 20),
                  {"rank": L.rank, "signature": list(sig)},
@@ -767,9 +742,7 @@ def _e8roots(ctx):
     "diag(-4,-4,-6,-8) represents every even value in [-200, -4] and not -2",
 )
 def _repr4(ctx):
-    L = lattices.Lattice(
-        [[-4, 0, 0, 0], [0, -4, 0, 0], [0, 0, -6, 0], [0, 0, 0, -8]]
-    )
+    L = lattices.parse_lattice_spec("(-4)+(-4)+(-6)+(-8)")
     norms, _ = lattices.represented_norms(L, 200)
     if -2 in norms:
         return FAIL, {"unexpected": -2}
@@ -783,15 +756,7 @@ def _repr4(ctx):
     "diag(-4,-4,-4,-6,-8) primitively represents -d/4 for every 8 | d, 8 < d <= 400",
 )
 def _repr5(ctx):
-    L = lattices.Lattice(
-        [
-            [-4, 0, 0, 0, 0],
-            [0, -4, 0, 0, 0],
-            [0, 0, -4, 0, 0],
-            [0, 0, 0, -6, 0],
-            [0, 0, 0, 0, -8],
-        ]
-    )
+    L = lattices.parse_lattice_spec("(-4)+(-4)+(-4)+(-6)+(-8)")
     _, prim = lattices.represented_norms(L, 100)
     missing = [d for d in range(16, 401, 8) if (-d) // 4 not in prim]
     return _bool(not missing, {"count": len(range(16, 401, 8))}, {"missing": missing[:5]})
@@ -843,9 +808,7 @@ def _mat10_principal(ctx):
     "polarization invariants of the identity are the binomial coefficients",
 )
 def _binomials(ctx):
-    ident = tuple(
-        tuple(QuadInt(1 if i == j else 0) for j in range(10)) for i in range(10)
-    )
+    ident = tuple(tuple(QuadInt(1 if i == j else 0) for j in range(10)) for i in range(10))
     inv = hermitian.polarization_invariants(ident)
     want = hermitian.binomial_invariants(10)
     return _bool(inv == want, {"invariants": inv}, {"invariants": inv, "expected": want})
@@ -874,8 +837,8 @@ def _at_primes(ctx, gate, budget_witness=None):
 
 
 def _smooth_at_primes(ctx, gens, codim, max_pairs, budget_witness=None):
-    # the minors are expanded once, for every prime
-    minors = jacobian_minors(gens, codim)
+    # the minors are expanded and packed once, for every prime
+    minors = jacobian_minors(gens, codim, ctx.budget_degree)
 
     def gate(p):
         ok, info = smoothness_check(gens, codim, p, max_pairs=max_pairs,
@@ -949,6 +912,16 @@ def _sing_smooth(ctx):
 SUITES = ("fast", "group", "epw", "lattice", "hermitian", "groebner", "all")
 
 
+def run_check(fn, ctx):
+    """(verdict, witness) of one check; a spent budget or an exception too."""
+    try:
+        return fn(ctx)
+    except BudgetExhausted as e:
+        return BUDGET, {"detail": str(e)}
+    except Exception as e:  # noqa: BLE001 - verdicts must not crash the driver
+        return FAIL, {"error": f"{type(e).__name__}: {e}"}
+
+
 def run_suite(suite, ctx=None):
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -959,17 +932,9 @@ def run_suite(suite, ctx=None):
         if suite != "all" and suite not in suites:
             continue
         start = time.monotonic()
-        try:
-            verdict, witness = fn(ctx)
-        except BudgetExhausted as e:
-            verdict, witness = BUDGET, {"detail": str(e)}
-        except Exception as e:  # noqa: BLE001 - verdicts must not crash the driver
-            verdict, witness = FAIL, {"error": f"{type(e).__name__}: {e}"}
-        reports.append(
-            VerificationReport(
-                check_id, statement, verdict, witness, time.monotonic() - start
-            )
-        )
+        verdict, witness = run_check(fn, ctx)
+        reports.append(VerificationReport(check_id, statement, verdict, witness,
+                                          time.monotonic() - start))
     return reports
 
 

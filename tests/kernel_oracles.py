@@ -8,7 +8,9 @@ remainder; MultiPoly.divmod pops it from a heap.
 The *_mod builders construct the Groebner gate ideals over F_p, prime by
 prime, and lifted_jacobian_minors expands the minors of their integer
 lifts in [0, p); the package builds each ideal and its minors once over
-Z and reduces them at each prime.
+Z and reduces them at each prime.  tuple_jacobian_minors expands the
+minors over Z on exponent tuples; the package expands them on packed
+monomials.
 tuple_normal_form, tuple_buchberger and tuple_autoreduce are the Groebner
 kernel on exponent tuples, with divides as its divisibility test; the
 package runs the same algorithm on packed monomials (poly.grevlex_packing).
@@ -171,6 +173,23 @@ def gm_fivefold_ideal_mod(p):
 def sextic_singular_locus_ideal_mod(p):
     f = FPoly.from_int_poly(sextic_poly(), p)
     return [f.derivative(i) for i in range(6)]
+
+
+def tuple_jacobian_minors(gens, size):
+    """groebner.jacobian_minors on exponent tuples: each row set expanded
+    once by linalg.maximal_minors over MultiPoly, the nonzero minors in the
+    same row-set then column-set order."""
+    nvars = gens[0].nvars
+    jac = [[g.derivative(i) for i in range(nvars)] for g in gens]
+    one = MultiPoly.const(nvars, 1)
+    out = []
+    for rs in combinations(range(len(gens)), size):
+        minors = linalg.maximal_minors([jac[r] for r in rs], one)
+        for cs in combinations(range(nvars), size):
+            d = minors.get(sum(1 << c for c in cs))
+            if d:
+                out.append(d)
+    return out
 
 
 def lifted_jacobian_minors(gens, size):

@@ -246,6 +246,28 @@ def test_hermitian_hprime_failure_prints_the_determinant(capsys, monkeypatch):
     assert (code, out) == (1, "hprime: fail\n")
 
 
+@pytest.mark.parametrize("function", ["herm_det", "polarization_invariants"])
+def test_hermitian_arithmetic_error_is_a_fail_verdict(capsys, monkeypatch, function):
+    # a disagreement of two determinant routes raises ArithmeticError; the
+    # command reports it as verify hermitian does, a fail with an error
+    # witness and exit 1, and a check that does not call the function passes
+    def disagree(m):
+        raise ArithmeticError("ring and field determinants disagree")
+
+    monkeypatch.setattr(hermitian, function, disagree)
+    calls = {"hprime": "herm_det", "principal": "polarization_invariants", "mat10": None}
+    for check, called in calls.items():
+        code, out, err = run(capsys, "--json", "hermitian", "--check", check)
+        payload = json.loads(out)
+        if called == function:
+            assert (code, err) == (1, "")
+            assert payload == {"check": check, "verdict": "fail", "witness": {
+                "error": "ArithmeticError: ring and field determinants disagree"}}
+            assert run(capsys, "hermitian", "--check", check)[:2] == (1, f"{check}: fail\n")
+        else:
+            assert code == 0 and payload["verdict"] == "pass"
+
+
 def test_fixed_points_command(capsys):
     code, out, _ = run(capsys, "--json", "fixed-points", "--order", "11")
     assert code == 0
@@ -366,6 +388,18 @@ def test_groebner_budget_verdict(tmp_path, capsys):
     assert payload["verdict"] == "budget-exhausted"
     # one S-pair gave x1^3; the next pair ran over the budget
     assert payload["progress"] == {"pairs": 1, "basis": 3, "degree": 3}
+
+
+def test_verify_groebner_at_budget_degree_200_gives_the_default_report(capsys):
+    # a degree budget of 200 widens the packed fields from 8 to 10 bits:
+    # the minors are expanded and read at that width, to the same report
+    def reports(*flags):
+        code, out, _ = run(capsys, "--json", *flags, "verify", "groebner")
+        return code, [{k: v for k, v in json.loads(line).items() if k != "elapsed_seconds"}
+                      for line in out.splitlines()]
+
+    default = reports()
+    assert default[0] == 0 and reports("--budget-degree", "200") == default
 
 
 def test_verify_budget_reports_progress(capsys):

@@ -50,6 +50,15 @@ def reduce_mod(polys, p):
     return [g for g in (FPoly.from_int_poly(f, p) for f in polys) if g]
 
 
+def unpacked_minors(gens, size, max_degree=groebner.MAX_DEGREE):
+    """jacobian_minors' minors as MultiPolys on exponent tuples, each
+    unpacked by the packing it returns, terms in its order."""
+    minors, packing = jacobian_minors(gens, size, max_degree)
+    unpack = packing[1]
+    return [MultiPoly(gens[0].nvars, [(unpack(m), c) for m, c in d.terms.items()])
+            for d in minors]
+
+
 def test_buchberger_basics():
     x, y = fvars(7, 2)
     # the reduced basis is sorted by leading monomial, whatever the input order
@@ -380,9 +389,7 @@ def test_jacobian_minors_over_z_match_the_fpoly_expansion():
     # Z; reduced mod p they are the minors that the oracle expands over F_p
     # directly, one by one, in the same row-set then column-set order
     for build in (gm_threefold_ideal, gm_fivefold_ideal):
-        minors, sampled = jacobian_minors(build(), 4)
-        assert sampled is False
-        assert all(type(m) is MultiPoly for m in minors)
+        minors = unpacked_minors(build(), 4)
         for p in (P, 65537):
             gens = [FPoly.from_int_poly(g, p) for g in build()]
             nvars = gens[0].nvars
@@ -397,6 +404,17 @@ def test_jacobian_minors_over_z_match_the_fpoly_expansion():
             assert [m.terms for m in reduce_mod(minors, p)] == [m.terms for m in oracle]
 
 
+@pytest.mark.parametrize("build", [gm_threefold_ideal, gm_fivefold_ideal],
+                         ids=lambda f: f.__name__)
+def test_packed_minors_equal_the_tuple_expansion(build):
+    # the expansion on packed Ps through MultiPoly's product hook gives the
+    # expansion on exponent tuples term for term, in the same term order
+    got = unpacked_minors(build(), 4)
+    want = kernel_oracles.tuple_jacobian_minors(build(), 4)
+    assert [list(m.terms.items()) for m in got] == [list(m.terms.items()) for m in want]
+    assert all(type(m) is MultiPoly for m in want)
+
+
 def test_first_divisor_table_matches_the_plain_scan():
     # one table shared by every call while the leads grow by appending, as
     # in buchberger, gives the tuple kernel's plain-scan normal forms term
@@ -404,15 +422,16 @@ def test_first_divisor_table_matches_the_plain_scan():
     p = 101
     x, y, z = fvars(p, 3)
     packing = grevlex_packing(3, 15)
-    pack, unpack = packing[:2]
+    pack, unpack, word = packing[:3]
     basis, lead_data, divisor = [], [], {}
 
     def append(g):
         basis.append(g.monic())
-        lead_data.append(groebner._packed_lead(basis[-1], packing))
+        lead_data.append(groebner._entry(groebner._packed(basis[-1], pack), p, word))
 
     def check(f):
-        got = normal_form(f, lead_data, packing, divisor)
+        r = groebner._reduce(groebner._packed(f, pack), lead_data, packing, p, divisor)
+        got = FPoly(p, 3, [(unpack(m), c) for m, c in r.items()])
         want = tuple_normal_form(f, basis)
         assert list(got.terms.items()) == list(want.terms.items())
         # each entry is the first dividing lead, or a miss over a prefix of
@@ -439,6 +458,66 @@ def test_first_divisor_table_matches_the_plain_scan():
         append(random_poly(3))
         for _ in range(5):
             check(random_poly(5))
+
+
+def _recorded_runs(monkeypatch, run):
+    """run()'s result and each buchberger call made while it ran, as
+    (generators with any packed ones unpacked to FPolys, keyword
+    arguments, basis returned)."""
+    runs = []
+
+    def recording(gens, **kwargs):
+        basis = buchberger(gens, **kwargs)
+        packing, extra = kwargs.get("packed") or (None, [])
+        unpacked = [FPoly(g.p, g.nvars, [(packing[1](m), c) for m, c in d.items()])
+                    for g in gens[:1] for d in extra]
+        runs.append((list(gens) + unpacked, kwargs, basis))
+        return basis
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    return run(), runs
+
+
+@pytest.mark.parametrize("p", [P, 65537])
+@pytest.mark.parametrize("gate", ["threefold", "pullback"])
+def test_gate_runs_match_the_tuple_kernel(monkeypatch, gate, p):
+    # every run of the verify gate, its partial basis at the certificate
+    # included, equals the tuple kernel's on the same generators, term for
+    # term; the threefold's minors enter packed and are unpacked to compare
+    def run():
+        if gate == "pullback":
+            return projective_empty(distinct_mod(decomposable_pullback_ideal(), p),
+                                    stop_at_certificate=True)[0]
+        gens = gm_threefold_ideal()
+        return smoothness_check(gens, 4, p, minors=jacobian_minors(gens, 4),
+                                stop_at_certificate=True)[0]
+
+    verdict, runs = _recorded_runs(monkeypatch, run)
+    assert verdict is True and [len(r[0]) for r in runs] == (
+        [45] if gate == "pullback" else [6, 7 + 1037])
+    for gens, kwargs, basis in runs:
+        budgets = {k: v for k, v in kwargs.items() if k != "packed"}
+        assert _same_terms(basis, kernel_oracles.tuple_buchberger(gens, **budgets))
+
+
+def test_minors_packed_at_one_width_are_repacked_for_another(monkeypatch):
+    # jacobian_minors packs for the run its degree budget makes: 8-bit
+    # fields at the default 48, 10-bit ones at 200.  A run at 200 given
+    # minors packed at 8 bits repacks them, and gives the tuple kernel's
+    # runs and the default verdict.  The gate needs a few pairs; a budget
+    # of 100 stops a run that misreads the Ps early
+    def width(packing):
+        return (packing[4] & -packing[4]).bit_length()
+
+    gens = gm_threefold_ideal()
+    narrow = jacobian_minors(gens, 4)
+    assert width(narrow[1]) == 8 and width(jacobian_minors(gens, 4, 200)[1]) == 10
+    verdict, runs = _recorded_runs(monkeypatch, lambda: smoothness_check(
+        gens, 4, P, max_pairs=100, max_degree=200, minors=narrow, stop_at_certificate=True))
+    assert verdict == (True, {"minors_used": 1037})
+    for gens, kwargs, basis in runs:
+        budgets = {k: v for k, v in kwargs.items() if k != "packed"}
+        assert _same_terms(basis, kernel_oracles.tuple_buchberger(gens, **budgets))
 
 
 def _fixpoint_autoreduce(basis):
@@ -532,13 +611,13 @@ def test_gate_ideals_reduce_to_the_per_prime_builders(gate, p):
     # the surface's minors are the slow test below
     if codim is None or build is sextic_singular_locus_ideal:
         return
-    minors, _ = jacobian_minors(build(), codim)
+    minors = unpacked_minors(build(), codim)
     assert _same_terms(reduce_mod(minors, p), kernel_oracles.lifted_jacobian_minors(want, codim))
 
 
 @pytest.mark.slow
 def test_surface_minors_reduce_to_the_lifted_minors():
-    minors, _ = jacobian_minors(sextic_singular_locus_ideal(), 3)
+    minors = unpacked_minors(sextic_singular_locus_ideal(), 3)
     for p in (P, 65537):
         want = kernel_oracles.lifted_jacobian_minors(
             kernel_oracles.sextic_singular_locus_ideal_mod(p), 3)

@@ -3,7 +3,7 @@
     python3 tools/bench_record.py --number N
 
 Run from anywhere in a full checkout; it needs only the standard library.
-It runs one fresh `klein-epw --json verify groebner --slow` process, then
+It runs three fresh `klein-epw --json verify groebner --slow` processes, then
 perfbench/run.py with --trace 0 on each workload that BENCHMARK.json
 declares (seed 1, BENCHMARK.json's run_seconds) and with --trace 1 on
 verify-groebner, times three fresh `klein-epw --json verify all`
@@ -18,9 +18,10 @@ processes, and writes BENCH_<N>.json at the root of the checkout with:
   tree has changes);
 * the line count of src/kleinepw/*.py;
 * the traced groebner.* layer numbers of verify-groebner;
-* the slow tier: the `verify groebner --slow` process's raw wall seconds,
-  exit code and peak RSS, and the verdict and witness of its
-  groebner.singular-surface-smooth report.
+* the slow tier: the median raw wall seconds and peak RSS of the three
+  `verify groebner --slow` processes, each process's own, the first
+  nonzero exit code (0 when all pass), and the verdict and witness of the
+  last one's groebner.singular-surface-smooth report.
 
 A CHANGES.md entry quotes the file of its change against its parent's.
 """
@@ -31,15 +32,16 @@ import argparse
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+SLOW_RUNS = 3
 VERIFY_ALL_RUNS = 3
 
 
@@ -53,22 +55,30 @@ def perfbench(workload, seconds, trace):
 
 
 def verify_groebner_slow():
-    """One fresh `klein-epw --json verify groebner --slow` process: raw wall
-    seconds, exit code, peak RSS and the singular surface's report.  The
-    peak RSS is RUSAGE_CHILDREN's, the largest of the children waited for
-    so far, so this must run before any other child."""
+    """SLOW_RUNS fresh `klein-epw --json verify groebner --slow` processes:
+    the medians of their raw wall seconds and peak RSS, each run's, and the
+    singular surface's report.  Each peak RSS is the child's own, from the
+    rusage that os.wait4 returns for it."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     code = ("import sys; from kleinepw.cli import main; "
             "sys.exit(main(['--json', 'verify', 'groebner', '--slow']))")
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True)
-    wall = round(time.perf_counter() - start, 3)
-    # ru_maxrss is in KiB on Linux
-    rss_mb = round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1)
-    reports = [json.loads(line) for line in proc.stdout.splitlines() if line.strip()]
+    runs = []
+    for _ in range(SLOW_RUNS):
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
+            start = time.perf_counter()
+            proc = subprocess.Popen([sys.executable, "-c", code], cwd=ROOT, env=env, stdout=out)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = round(time.perf_counter() - start, 3)
+            out.seek(0)
+            reports = [json.loads(line) for line in out if line.strip()]
+        # ru_maxrss is in KiB on Linux
+        runs.append({"wall_s": wall, "exit_code": os.waitstatus_to_exitcode(status),
+                     "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)})
     surface = next((r for r in reports if r["check"] == "groebner.singular-surface-smooth"), {})
-    return {"wall_s": wall, "exit_code": proc.returncode, "peak_rss_mb": rss_mb,
+    return {"wall_s": statistics.median(r["wall_s"] for r in runs),
+            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+            "exit_code": next((r["exit_code"] for r in runs if r["exit_code"]), 0),
+            "runs": runs,
             "surface_verdict": surface.get("verdict"),
             "surface_witness": surface.get("witness")}
 
