@@ -242,7 +242,9 @@ def cmd_char_table(args):
     text.append(header)
     for entry in classes:
         vals = " ".join(f"{entry['values'][n]['pretty']:>10}" for n in rows)
-        text.append(f"{entry['class']:<6} {entry['order']:>5} {entry['size']:>4} {vals}")
+        text.append(
+            f"{entry['class']:<6} {entry['order']:>5} {entry['size']:>4} {vals}"
+        )
     _emit(args, payload, text)
     return 0
 
@@ -313,7 +315,9 @@ def cmd_lattice(args):
     ]
     if args.short_vectors is not None:
         vecs = lattices.short_vectors(lat, args.short_vectors)
-        payload["short-vectors"] = [{"vector": list(v), "norm": n} for v, n in vecs]
+        payload["short-vectors"] = [
+            {"vector": list(v), "norm": n} for v, n in vecs
+        ]
         text.append(f"{len(vecs)} vectors with |norm| <= {args.short_vectors}")
         by_norm = Counter(n for _, n in vecs)
         text += [f"  norm {n}: {by_norm[n]}" for n in sorted(by_norm)]

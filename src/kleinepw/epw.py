@@ -298,7 +298,9 @@ def chart_matrix_derived():
                     term = MultiPoly.var(k - 1, 5, sign * vsign)
                     col[idx] = col.get(idx, MultiPoly.zero(5)) + term
         cols.append(col)
-    return [[cols[j].get(i, MultiPoly.zero(5)) for j in range(10)] for i in range(10)]
+    return [
+        [cols[j].get(i, MultiPoly.zero(5)) for j in range(10)] for i in range(10)
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -63,7 +63,9 @@ _CHART_VARS = ["x1", "x2", "x3", "x4", "x5"]
 
 @lru_cache(maxsize=None)
 def chart_matrix():
-    return [[parse_polynomial(s, _CHART_VARS) for s in row] for row in CHART_MATRIX_TEXT]
+    return [
+        [parse_polynomial(s, _CHART_VARS) for s in row] for row in CHART_MATRIX_TEXT
+    ]
 
 
 # ---------------------------------------------------------------------------

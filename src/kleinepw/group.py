@@ -132,7 +132,9 @@ def weil_outside_borel():
                 if mat_order(out) != 2:
                     continue
                 return out
-    raise WeilNormalizationError("no determinant-1 normalization in the conductor-11 field")
+    raise WeilNormalizationError(
+        "no determinant-1 normalization in the conductor-11 field"
+    )
 
 
 # ---------------------------------------------------------------------------

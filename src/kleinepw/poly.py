@@ -139,10 +139,8 @@ class MultiPoly:
         p.nvars, p.terms = self.nvars, terms
         return p
 
-    @staticmethod
-    def _monomial_product(a, b):
-        """The product of two monomials, the one key read by *."""
-        return tuple(map(add, a, b))
+    # the product of two monomials, the one place where * reads a key
+    _monomial_product = staticmethod(lambda a, b: tuple(map(add, a, b)))
 
     def _inverse(self, c):
         """The inverse of a nonzero coefficient, for divmod and monic:
@@ -185,7 +183,9 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            return self._with_terms({e: c * other for e, c in self.terms.items()} if other else {})
+            return self._with_terms(
+                {e: c * other for e, c in self.terms.items()} if other else {}
+            )
         self._check(other)
         out = {}
         small, big = (self.terms, other.terms)
@@ -412,7 +412,9 @@ class MultiPoly:
             return "0"
         bits = []
         for e, c in self.sorted_terms():
-            mono = "*".join(f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k)
+            mono = "*".join(
+                f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k
+            )
             bits.append(f"{c}" if not mono else f"{c}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
 

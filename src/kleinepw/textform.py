@@ -150,7 +150,9 @@ def emit_polynomial(p: MultiPoly, variables=None) -> str:
         if c != int(c):
             raise ValueError("canonical text form requires integer coefficients")
         c = int(c)
-        mono = "*".join(f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k)
+        mono = "*".join(
+            f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k
+        )
         mag = abs(c)
         if mono and mag == 1:
             body = mono

@@ -218,8 +218,11 @@ def _first_term_diff(a, b, a_name, b_name):
     """Witness at the first exponent (sorted order) where a and b differ."""
     for e in sorted(set(a.terms) | set(b.terms)):
         if a.terms.get(e) != b.terms.get(e):
-            return {"exponents": list(e), a_name: str(a.terms.get(e, 0)),
-                    b_name: str(b.terms.get(e, 0))}
+            return {
+                "exponents": list(e),
+                a_name: str(a.terms.get(e, 0)),
+                b_name: str(b.terms.get(e, 0)),
+            }
     return {}
 
 
@@ -240,7 +243,11 @@ def _sextic_terms(ctx):
 )
 def _sextic_coeffs(ctx):
     f = ctx.sextic_derived
-    probes = [((6, 0, 0, 0, 0, 0), 1), ((1, 1, 1, 1, 1, 1), -12), ((0, 1, 0, 0, 1, 4), -4)]
+    probes = [
+        ((6, 0, 0, 0, 0, 0), 1),
+        ((1, 1, 1, 1, 1, 1), -12),
+        ((0, 1, 0, 0, 1, 4), -4),
+    ]
     for e, want in probes:
         got = f.coefficient(e)
         if got != want:
@@ -644,7 +651,9 @@ def _fixed_counts(ctx):
 def _hperp(ctx):
     L = lattices.parse_lattice_spec("U+U+E8(-1)+E8(-1)+(-2)+(-2)")
     D = lattices.disc_group(L)
-    target = lattices.FiniteQuadraticForm((2, 2), [[Fraction(-1, 2), 0], [0, Fraction(-1, 2)]])
+    target = lattices.FiniteQuadraticForm(
+        (2, 2), [[Fraction(-1, 2), 0], [0, Fraction(-1, 2)]]
+    )
     ok = L.rank == 22 and D.orders == (2, 2) and D.is_isomorphic(target)
     return _bool(ok, {"orders": list(D.orders)}, {"orders": list(D.orders)})
 
@@ -658,7 +667,9 @@ def _disc11(ctx):
     K = lattices.Lattice([[-2, -1], [-1, -6]])
     L = lattices.parse_lattice_spec("E8(-1)+E8(-1)+[[-2,-1],[-1,-6]]+[[-2,-1],[-1,-6]]")
     D = lattices.disc_group(L)
-    target = lattices.FiniteQuadraticForm((11, 11), [[Fraction(-2, 11), 0], [0, Fraction(-2, 11)]])
+    target = lattices.FiniteQuadraticForm(
+        (11, 11), [[Fraction(-2, 11), 0], [0, Fraction(-2, 11)]]
+    )
     single = lattices.disc_group(K).is_isomorphic(
         lattices.FiniteQuadraticForm((11,), [[Fraction(-2, 11)]])
     )
@@ -808,7 +819,9 @@ def _mat10_principal(ctx):
     "polarization invariants of the identity are the binomial coefficients",
 )
 def _binomials(ctx):
-    ident = tuple(tuple(QuadInt(1 if i == j else 0) for j in range(10)) for i in range(10))
+    ident = tuple(
+        tuple(QuadInt(1 if i == j else 0) for j in range(10)) for i in range(10)
+    )
     inv = hermitian.polarization_invariants(ident)
     want = hermitian.binomial_invariants(10)
     return _bool(inv == want, {"invariants": inv}, {"invariants": inv, "expected": want})
