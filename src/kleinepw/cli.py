@@ -329,7 +329,7 @@ def cmd_hermitian(args):
     ctx = verify.VerifyContext()
     cid = {"hprime": "hermitian.rank5-form", "mat10": "hermitian.wedge-square-match",
            "principal": "hermitian.wedge-square-principal"}[args.check]
-    # verify's check, its exceptions a fail with an error witness as in verify
+    # verify's own check; run_check makes an exception a fail with an error witness
     check = next(fn for c, _, _, fn in verify.CHECKS if c == cid)
     verdict, witness = verify.run_check(check, ctx)
     payload = {"check": args.check, "verdict": verdict}

@@ -121,6 +121,14 @@ def test_projective_empty():
     assert projective_empty([x, y, z, x * y])[0] is True
     with pytest.raises(ValueError):
         projective_empty([x + FPoly(P, 3, {(0, 0, 0): 1})])
+    # packed generators are held to the same rule: x^2 + y is refused, x^2
+    # + yz is the form it packs
+    packing = grevlex_packing(3, 48)
+    pack = packing[0]
+    with pytest.raises(ValueError):
+        projective_empty([x, y], packed=(packing, [{pack((2, 0, 0)): 1, pack((0, 1, 0)): 1}]))
+    assert projective_empty([x, y], packed=(packing, [{pack((2, 0, 0)): 1,
+                                                       pack((0, 1, 1)): 1}]))[0] is False
 
 
 def test_certificate_needs_a_pure_power_of_every_variable():
@@ -518,6 +526,17 @@ def test_minors_packed_at_one_width_are_repacked_for_another(monkeypatch):
     for gens, kwargs, basis in runs:
         budgets = {k: v for k, v in kwargs.items() if k != "packed"}
         assert _same_terms(basis, kernel_oracles.tuple_buchberger(gens, **budgets))
+
+
+def test_pair_indices_outgrow_the_input_count(monkeypatch):
+    # two generators whose run keeps more than four elements: a waiting
+    # pair's index fields are sized by the pair budget, not by the input
+    gens = [FPoly(101, 3, {(0, 0, 3): 62, (1, 0, 2): 35, (1, 1, 1): 75}),
+            FPoly(101, 3, {(1, 0, 2): 40, (1, 1, 1): 11, (2, 1, 0): 89})]
+    budgets = {"max_pairs": 200, "max_degree": 12}
+    got, (run,) = _autoreduce_inputs(monkeypatch, lambda: buchberger(gens, **budgets))
+    assert len(run) > 4
+    assert _same_terms(got, kernel_oracles.tuple_buchberger(gens, **budgets))
 
 
 def _fixpoint_autoreduce(basis):
