@@ -14,7 +14,7 @@ import ast
 import re
 from pathlib import Path
 
-from kleinepw.groebner import FPoly
+from kleinepw.groebner import FPoly, _PackedZ
 from kleinepw.poly import MultiPoly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,9 +27,13 @@ RETIRED = re.compile(r"\b(Poly1|squarefree_part|binary_form_to_poly1)\b")
 
 
 def test_fpoly_inherits_the_ring_operations():
-    assert issubclass(FPoly, MultiPoly)
-    copies = [name for name in RING_OPERATIONS if name in FPoly.__dict__]
-    assert not copies, "FPoly defines its own " + ", ".join(copies)
+    # groebner._PackedZ, MultiPoly over Z on packed monomials, changes only
+    # the monomial-product hook
+    for cls in (FPoly, _PackedZ):
+        assert issubclass(cls, MultiPoly)
+        copies = [name for name in RING_OPERATIONS if name in cls.__dict__]
+        assert not copies, f"{cls.__name__} defines its own " + ", ".join(copies)
+    assert set(_PackedZ.__dict__) - {"__module__", "__doc__", "__slots__"} == {"_monomial_product"}
 
 
 def test_poly_defines_one_class():
