@@ -45,8 +45,12 @@ Algorithms, ch. 5 section 3).  buchberger(stop_at_certificate=True) tests
 this after the input reduction and after each new basis element, and
 returns the partial basis as soon as it holds; the verify gates stop
 there.  An ideal that is not empty never meets the test, so its run ends
-at the reduced basis either way.  The command line and the demo keep the
-reduced basis, whose size they report.
+at the reduced basis either way.  A gate's second prime replays the first
+prime's run (buchberger's trace): only the inputs it kept and the pairs
+that gave an element, falling back to a full run at any deviation.  Each
+element is still computed mod the second prime and lies in the ideal, so
+that prime's verdict is still its own certificate.  The command line and
+the demo keep the reduced basis, whose size they report.
 
 Emptiness over a single prime is evidence, not proof, for the
 characteristic-0 statement; the verification driver demands agreement at
@@ -173,6 +177,47 @@ def _reduce(work, basis, packing, p, divisor):
     return remainder
 
 
+def _reduce_pair(i, j, entries, packing, p, divisor):
+    """_reduce of the S-polynomial of the monic entries i and j, whose
+    leads, shifted to their lcm, cancel."""
+    (lead_i, e_i, tail_i), (lead_j, e_j, tail_j) = entries[i], entries[j]
+    lcm = packing[3](e_i, e_j)
+    shift_i, shift_j = lcm - lead_i, lcm - lead_j
+    s = {q + shift_i: c for q, c in tail_i}
+    for q, c in tail_j:
+        q += shift_j
+        if acc := (s.get(q, 0) - c) % p:
+            s[q] = acc
+        else:
+            del s[q]
+    return _reduce(s, entries, packing, p, divisor)
+
+
+def _replay(inputs, trace, packing, p, nvars, max_degree):
+    """The entries of the run that trace records, made at p from its kept
+    inputs and then its pairs alone, with no heap and no criteria, when
+    their leads certify; None at a deviation: another input count, an input
+    or pair that reduces to zero, a pair of entries not yet made, a lead
+    over the degree budget, or no certificate at the end of the trace."""
+    count, kept, made = trace
+    if count != len(inputs):
+        return None
+    unpack, word = packing[1], packing[2]
+    entries, divisor = [], {}
+    for k in kept:
+        r = _reduce({m: v for m, c in inputs[k].items() if (v := c % p)}, entries, packing, p,
+                    divisor)
+        if not r:
+            return None
+        entries.append(_entry(r, p, word))
+    for i, j in made:
+        r = j < len(entries) and _reduce_pair(i, j, entries, packing, p, divisor)
+        if not r or sum(unpack(next(iter(r)))) > max_degree:
+            return None
+        entries.append(_entry(r, p, word))
+    return entries if certifies_empty([unpack(e[0]) for e in entries], nvars) else None
+
+
 def _packed(g, pack):
     return {pack(e): c for e, c in g.terms.items()}
 
@@ -211,15 +256,16 @@ def certifies_empty(leads, nvars):
 
 
 def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certificate=False,
-               packed=None):
+               packed=None, trace=None):
     """Reduced Groebner basis by the classic algorithm with the coprime
     and chain criteria and normal (minimal-lcm) selection; deterministic
     for a fixed input order.  Budgets raise BudgetExhausted.
 
-    packed, when given, is (packing, dicts): more generators over F_p, after
-    gens, as nonzero {P: c} dicts under that packing (jacobian_minors').
-    The run takes that packing if its width is the run's, and otherwise
-    repacks the dicts, so no P is read under another width.
+    packed, when given, is (packing, dicts): more generators, after gens,
+    as nonzero {P: c} dicts over Z under that packing (jacobian_minors'),
+    each reduced mod p when the run reads it.  The run takes that packing
+    if its width is the run's, and otherwise repacks the dicts, so no P is
+    read under another width.
 
     The input is reduced first: each generator, in order, is replaced by
     its normal form against the generators already kept; a zero is
@@ -237,7 +283,15 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
     partial, unreduced one; its elements lie in the ideal, so its leads
     prove the leading ideal finite-colength.  Otherwise, and for every
     ideal that never meets the certificate, the result is the reduced
-    basis."""
+    basis.
+
+    trace, a list, records the run (Traverso, ISSAC 1988; Arnold, J.
+    Symbolic Comput. 35, 2003): the input count, the positions in gens +
+    dicts of the kept inputs, and the pairs (i, j), i < j, whose remainder
+    joined the basis.  With stop_at_certificate a nonempty trace is
+    replayed instead (_replay), in this p's arithmetic, to its end; at a
+    deviation the run starts from scratch and records itself.  A replayed element still
+    lies in the ideal, so a replay can miss the certificate, never fake it."""
     if not any(gens):
         raise ValueError("no nonzero generators")
     p, nvars = gens[0].p, gens[0].nvars
@@ -250,12 +304,19 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
     elif given:
         extra = [{packing[0](given[1](m)): c for m, c in d.items()} for d in extra]
     pack, unpack, word, packed_lcm, guard = packing
-    entries, leads = [], []
+    inputs = [_packed(g, pack) for g in gens] + extra
+    if trace and stop_at_certificate:
+        entries = _replay(inputs, trace, packing, p, nvars, max_degree)
+        if entries:
+            return _fpolys(entries, unpack, p, nvars)
+    entries, leads, kept, made = [], [], [], []
+    if trace is not None:
+        trace[:] = len(inputs), kept, made
     divisor = {}  # valid for the run: entries only grows by appending
-    inputs = [_packed(g, pack) for g in gens] + [dict(d) for d in extra]
-    for work in inputs:
-        r = _reduce(work, entries, packing, p, divisor)
+    for k, work in enumerate(inputs):
+        r = _reduce({m: v for m, c in work.items() if (v := c % p)}, entries, packing, p, divisor)
         if r:
+            kept.append(k)
             entries.append(_entry(r, p, word))
             leads.append(unpack(entries[-1][0]))
     if stop_at_certificate and certifies_empty(leads, nvars):
@@ -275,7 +336,7 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
         lcm, i, j = pair >> 2 * b, pair >> b & low, pair & low
         row_j = j * (j - 1) >> 1
         taken[row_j + i] = 1
-        (lead_i, e_i, tail_i), (lead_j, e_j, tail_j) = entries[i], entries[j]
+        e_i, e_j = entries[i][1], entries[j][1]
         e = word(lcm)
         # coprime criterion
         if e == e_i + e_j:
@@ -291,16 +352,7 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
             raise BudgetExhausted(f"pair budget {max_pairs} exhausted", handled, len(entries),
                                   degree)
         handled += 1
-        # the S-polynomial of monic elements: the shifted leads cancel
-        shift_i, shift_j = lcm - lead_i, lcm - lead_j
-        s = {q + shift_i: c for q, c in tail_i}
-        for q, c in tail_j:
-            q += shift_j
-            if acc := (s.get(q, 0) - c) % p:
-                s[q] = acc
-            else:
-                del s[q]
-        r = _reduce(s, entries, packing, p, divisor)
+        r = _reduce_pair(i, j, entries, packing, p, divisor)
         if not r:
             continue
         le = unpack(next(iter(r)))
@@ -311,6 +363,7 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
         n = len(entries)
         entries.append(_entry(r, p, word))
         leads.append(le)
+        made.append((i, j))
         if (stop_at_certificate and (not any(le) or _pure_power_variable(le) is not None)
                 and certifies_empty(leads, nvars)):
             return _fpolys(entries, unpack, p, nvars)
@@ -343,23 +396,24 @@ def autoreduce(basis):
 
 
 def projective_empty(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE,
-                     stop_at_certificate=False, packed=None):
+                     stop_at_certificate=False, packed=None, trace=None):
     """(empty?, basis) for a homogeneous ideal: the projective scheme is
     empty iff the leading ideal of the reduced basis contains a nonzero
     constant or a pure power of every variable (certifies_empty).  With
     stop_at_certificate an empty verdict comes from buchberger's first
     certificate, and the basis returned is that partial one, not the
     reduced basis; a verdict of "not empty" always comes with the reduced
-    basis.  packed goes to buchberger; a packed dict is homogeneous when
-    its least and largest P lie in one degree."""
+    basis.  packed and trace go to buchberger; a packed dict is
+    homogeneous when its least and largest P lie in one degree.  The
+    certificate reads the leads buchberger puts first in each element."""
     packing, extra = packed or (None, [])
     top = packing and packing[4].bit_length()
     if not (all(g.is_homogeneous() for g in gens)
             and all(min(d) >> top == max(d) >> top for d in extra)):
         raise ValueError("projective emptiness needs homogeneous generators")
     basis = buchberger(gens, max_pairs=max_pairs, max_degree=max_degree,
-                       stop_at_certificate=stop_at_certificate, packed=packed)
-    return certifies_empty([g.leading_term()[0] for g in basis], gens[0].nvars), basis
+                       stop_at_certificate=stop_at_certificate, packed=packed, trace=trace)
+    return certifies_empty([next(iter(g.terms)) for g in basis], gens[0].nvars), basis
 
 
 def jacobian_minors(gens, size, max_degree=MAX_DEGREE):
@@ -391,14 +445,15 @@ def jacobian_minors(gens, size, max_degree=MAX_DEGREE):
 
 
 def smoothness_check(gens, codim, p, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, minors=None,
-                     stop_at_certificate=False):
+                     stop_at_certificate=False, trace=None):
     """Projective emptiness at the prime p of the singular locus of the
     integer polynomials gens: the generators plus all codim x codim minors
     of their Jacobian, reduced mod p.  minors is a jacobian_minors(gens,
     codim) result, so a caller that checks several primes expands and
-    packs it once; by default it is expanded here.  Their residues follow
-    the reduced basis of gens into the run, packed.  stop_at_certificate
-    goes to projective_empty.
+    packs it once; by default it is expanded here.  They follow the
+    reduced basis of gens into the run, packed, which takes the residues
+    of those it reads: on a replay, only those the trace names.
+    stop_at_certificate and trace go to projective_empty.
 
     Returns (smooth: bool, info dict).  info["basis_size"] is the size of
     the reduced basis; a smooth verdict reached at the first certificate
@@ -408,11 +463,10 @@ def smoothness_check(gens, codim, p, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE,
     base = buchberger([FPoly.from_int_poly(g, p) for g in gens],
                       max_pairs=max_pairs, max_degree=max_degree)
     minors, packing = minors or jacobian_minors(gens, codim, max_degree)
-    reduced = [r for d in minors if (r := {m: v for m, c in d.terms.items() if (v := c % p)})]
     empty, basis = projective_empty(base, max_pairs=max_pairs, max_degree=max_degree,
                                     stop_at_certificate=stop_at_certificate,
-                                    packed=(packing, reduced))
-    info = {"minors_used": len(reduced)}
+                                    packed=(packing, [d.terms for d in minors]), trace=trace)
+    info = {"minors_used": sum(any(c % p for c in d.terms.values()) for d in minors)}
     if not (empty and stop_at_certificate):
         info["basis_size"] = len(basis)
     return empty, info

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -43,13 +42,13 @@ PASS, FAIL, SKIP, BUDGET = "pass", "fail", "skipped", "budget-exhausted"
 PRIMES = (32003, 65537)
 
 
-@dataclass
 class VerificationReport:
-    check_id: str
-    statement: str
-    verdict: str
-    witness: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    __slots__ = ("check_id", "statement", "verdict", "witness", "elapsed")
+
+    def __init__(self, check_id, statement, verdict, witness=None, elapsed=0.0):
+        self.check_id, self.statement, self.verdict = check_id, statement, verdict
+        self.witness = {} if witness is None else witness
+        self.elapsed = elapsed
 
     def to_json(self):
         return {
@@ -850,13 +849,14 @@ def _at_primes(ctx, gate, budget_witness=None):
 
 
 def _smooth_at_primes(ctx, gens, codim, max_pairs, budget_witness=None):
-    # the minors are expanded and packed once, for every prime
-    minors = jacobian_minors(gens, codim, ctx.budget_degree)
+    # the minors are expanded and packed once, for every prime, and each
+    # prime after the first replays the first one's trace
+    minors, trace = jacobian_minors(gens, codim, ctx.budget_degree), []
 
     def gate(p):
         ok, info = smoothness_check(gens, codim, p, max_pairs=max_pairs,
                                     max_degree=ctx.budget_degree, minors=minors,
-                                    stop_at_certificate=True)
+                                    stop_at_certificate=True, trace=trace)
         return None if ok else {"prime": p, "info": info}
 
     return _at_primes(ctx, gate, budget_witness)
@@ -868,7 +868,7 @@ def _smooth_at_primes(ctx, gens, codim, max_pairs, budget_witness=None):
     "the Lagrangian contains no decomposable vectors (empty pullback cone)",
 )
 def _decomposable(ctx):
-    gens = decomposable_pullback_ideal()
+    gens, trace = decomposable_pullback_ideal(), []
 
     def gate(p):
         empty, _ = projective_empty(
@@ -876,6 +876,7 @@ def _decomposable(ctx):
             max_pairs=ctx.budget_pairs,
             max_degree=ctx.budget_degree,
             stop_at_certificate=True,
+            trace=trace,
         )
         return None if empty else {"prime": p}
 

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every command starts by importing the CLI; dataclasses would pull in
+    # inspect, ast, dis and tokenize, some 6-7 ms of a fresh process
+    code = "import sys, kleinepw.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(DATA.parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_emit_sextic_text_and_determinism(capsys):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import random
 from itertools import combinations
@@ -8,6 +9,7 @@ import pytest
 
 from kleinepw import groebner, linalg
 from kleinepw.cli import main
+from kleinepw.verify import SURFACE_BUDGET_PAIRS
 from kleinepw.epw import TRIPLE_INDEX, TRIPLES6, build_A, merge_indices
 from kleinepw.poly import MultiPoly, grevlex_key, grevlex_packing, linear_forms
 from kleinepw.groebner import (
@@ -504,7 +506,7 @@ def test_gate_runs_match_the_tuple_kernel(monkeypatch, gate, p):
     assert verdict is True and [len(r[0]) for r in runs] == (
         [45] if gate == "pullback" else [6, 7 + 1037])
     for gens, kwargs, basis in runs:
-        budgets = {k: v for k, v in kwargs.items() if k != "packed"}
+        budgets = {k: v for k, v in kwargs.items() if k not in ("packed", "trace")}
         assert _same_terms(basis, kernel_oracles.tuple_buchberger(gens, **budgets))
 
 
@@ -524,7 +526,7 @@ def test_minors_packed_at_one_width_are_repacked_for_another(monkeypatch):
         gens, 4, P, max_pairs=100, max_degree=200, minors=narrow, stop_at_certificate=True))
     assert verdict == (True, {"minors_used": 1037})
     for gens, kwargs, basis in runs:
-        budgets = {k: v for k, v in kwargs.items() if k != "packed"}
+        budgets = {k: v for k, v in kwargs.items() if k not in ("packed", "trace")}
         assert _same_terms(basis, kernel_oracles.tuple_buchberger(gens, **budgets))
 
 
@@ -537,6 +539,121 @@ def test_pair_indices_outgrow_the_input_count(monkeypatch):
     got, (run,) = _autoreduce_inputs(monkeypatch, lambda: buchberger(gens, **budgets))
     assert len(run) > 4
     assert _same_terms(got, kernel_oracles.tuple_buchberger(gens, **budgets))
+
+
+def test_projective_empty_reads_the_leads_from_the_run(monkeypatch):
+    # every basis buchberger returns puts each lead first; the certificate
+    # takes its leads from there, with no grevlex_key per term again
+    def refuse(self):
+        raise AssertionError("a lead was derived again")
+
+    def run(gens, **kwargs):
+        basis = buchberger(gens, **kwargs)
+        monkeypatch.setattr(MultiPoly, "leading_term", refuse)
+        return basis
+
+    x, y = fvars(P, 2)
+    gens = distinct_mod(decomposable_pullback_ideal(), P)
+    monkeypatch.setattr(groebner, "buchberger", run)
+    assert projective_empty([x * y])[0] is False
+    assert [(e, len(b)) for e, b in (projective_empty(gens, stop_at_certificate=True),
+                                     projective_empty(gens))] == [(True, 57), (True, 60)]
+
+
+# -- the second prime replays the first prime's trace --------------------------
+
+# each verify gate: its integer ideal, the codimension of its smoothness
+# check (None: the pullback's emptiness) and its pair budget
+REPLAY_GATES = {
+    "threefold": (gm_threefold_ideal, 4, groebner.MAX_PAIRS),
+    "pullback": (decomposable_pullback_ideal, None, groebner.MAX_PAIRS),
+    "fivefold": (gm_fivefold_ideal, 4, groebner.MAX_PAIRS),
+    "surface": (sextic_singular_locus_ideal, 3, SURFACE_BUDGET_PAIRS),
+}
+# _digest of the surface's partial basis at 65537, from the full run: 2,633
+# elements, 279,648 terms
+SURFACE_DIGEST = "7c7e55376599cabfd439a32357e48597725d32d2892aab7806acc4915af47ba0"
+
+
+def _gate_runner(monkeypatch, name):
+    """run(p, trace): the gate's certificate run at p as verify makes it,
+    as (verdict, the partial basis, [whether _replay made it] or [] when
+    no replay was tried)."""
+    build, codim, max_pairs = REPLAY_GATES[name]
+    gens = build()
+    minors = codim and jacobian_minors(gens, codim)
+    bases, replays = [], []
+    real_buchberger, real_replay = buchberger, groebner._replay
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda g, **kwargs: bases.append(real_buchberger(g, **kwargs)) or bases[-1])
+    monkeypatch.setattr(groebner, "_replay",
+                        lambda *args: replays.append(real_replay(*args)) or replays[-1])
+
+    def run(p, trace):
+        del bases[:], replays[:]
+        if codim is None:
+            verdict = projective_empty(distinct_mod(gens, p), max_pairs=max_pairs,
+                                       stop_at_certificate=True, trace=trace)[0]
+        else:
+            verdict = smoothness_check(gens, codim, p, max_pairs=max_pairs, minors=minors,
+                                       stop_at_certificate=True, trace=trace)[0]
+        return verdict, bases[-1], [r is not None for r in replays]
+
+    return run
+
+
+def _digest(basis):
+    """sha256 of each element's terms, sorted, in the basis' order."""
+    h = hashlib.sha256()
+    for g in basis:
+        h.update(repr(g.sorted_terms()).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", ["threefold", "pullback", "fivefold",
+                                  pytest.param("surface", marks=pytest.mark.slow)])
+def test_the_second_prime_replays_the_first_prime_trace(monkeypatch, name):
+    # the trace recorded at 32003 replays at 65537 with no fallback, to the
+    # full run's partial basis there, term for term
+    run = _gate_runner(monkeypatch, name)
+    trace = []
+    assert run(P, trace)[0] is True and trace
+    verdict, basis, replays = run(65537, trace)
+    assert verdict is True and replays == [True]
+    if name == "surface":
+        assert len(basis) == 2633 and _digest(basis) == SURFACE_DIGEST
+    else:
+        full = run(65537, None)
+        assert full[2] == [] and _same_terms(basis, full[1])
+
+
+def _corrupted(kind, trace):
+    count, kept, made = trace
+    if kind == "needed pair dropped":
+        # the last pair's element completes the certificate
+        return [count, kept, made[:-1]]
+    if kind == "pairs swapped":
+        # a pair whose element the next pair takes: that one now comes first
+        k = next(k for k in range(len(made) - 1) if len(kept) + k in made[k + 1])
+        return [count, kept, made[:k] + [made[k + 1], made[k]] + made[k + 2:]]
+    return [count, kept[:1] + kept, made]
+
+
+@pytest.mark.parametrize("kind", ["needed pair dropped", "pairs swapped",
+                                  "input index repeated"])
+def test_a_corrupted_trace_falls_back_to_the_full_run(monkeypatch, kind):
+    # the pullback's run needs 22 pairs after its 35 kept inputs
+    run = _gate_runner(monkeypatch, "pullback")
+    recorded = []
+    run(P, recorded)
+    trace = _corrupted(kind, recorded)
+    verdict, basis, replays = run(65537, trace)
+    fresh = []
+    full = run(65537, fresh)
+    assert replays == [False] and verdict is full[0] is True
+    assert _same_terms(basis, full[1])
+    # the fallback recorded its own run for a later prime
+    assert trace == fresh
 
 
 def _fixpoint_autoreduce(basis):

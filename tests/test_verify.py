@@ -122,15 +122,18 @@ def test_quadric_invariance_names_the_generator_that_moves_the_quadric(monkeypat
 def test_surface_gate_checks_every_minor(monkeypatch):
     # the real surface run takes minutes; this checks only what the gate
     # hands smoothness_check: all 400 nonzero 3 x 3 minors, at each prime
-    used = []
+    # and one trace, which the second prime replays
+    used, traces = [], []
 
-    def record(gens, codim, p, minors, **budgets):
+    def record(gens, codim, p, minors, trace, **budgets):
         used.append((p, len(minors[0])))
+        traces.append(trace)
         return True, {}
 
     monkeypatch.setattr(verify, "smoothness_check", record)
     verdict, witness = verify._sing_smooth(verify.VerifyContext(slow=True))
     assert used == [(32003, 400), (65537, 400)]
+    assert traces[0] is traces[1] == []
     assert (verdict, witness) == (verify.PASS, {"verified-at-primes": [32003, 65537]})
 
 
