@@ -290,8 +290,9 @@ def buchberger(gens, max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE, stop_at_certifi
     dicts of the kept inputs, and the pairs (i, j), i < j, whose remainder
     joined the basis.  With stop_at_certificate a nonempty trace is
     replayed instead (_replay), in this p's arithmetic, to its end; at a
-    deviation the run starts from scratch and records itself.  A replayed element still
-    lies in the ideal, so a replay can miss the certificate, never fake it."""
+    deviation the run starts from scratch and records itself.  A replayed
+    element still lies in the ideal, so a replay can miss the
+    certificate, never fake it."""
     if not any(gens):
         raise ValueError("no nonzero generators")
     p, nvars = gens[0].p, gens[0].nvars

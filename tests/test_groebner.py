@@ -9,7 +9,6 @@ import pytest
 
 from kleinepw import groebner, linalg
 from kleinepw.cli import main
-from kleinepw.verify import SURFACE_BUDGET_PAIRS
 from kleinepw.epw import TRIPLE_INDEX, TRIPLES6, build_A, merge_indices
 from kleinepw.poly import MultiPoly, grevlex_key, grevlex_packing, linear_forms
 from kleinepw.groebner import (
@@ -29,6 +28,7 @@ from kleinepw.groebner import (
     sextic_singular_locus_ideal,
     smoothness_check,
 )
+from kleinepw.verify import SURFACE_BUDGET_PAIRS
 
 import kernel_oracles
 from kernel_oracles import divides, fpoly_var, tuple_normal_form
@@ -585,7 +585,7 @@ def _gate_runner(monkeypatch, name):
     bases, replays = [], []
     real_buchberger, real_replay = buchberger, groebner._replay
     monkeypatch.setattr(groebner, "buchberger",
-                        lambda g, **kwargs: bases.append(real_buchberger(g, **kwargs)) or bases[-1])
+                        lambda g, **kw: bases.append(real_buchberger(g, **kw)) or bases[-1])
     monkeypatch.setattr(groebner, "_replay",
                         lambda *args: replays.append(real_replay(*args)) or replays[-1])
 
