@@ -177,9 +177,32 @@ def main(argv=None):
         return 2
 
 
+def _indented_json(x, indent="\n"):
+    """json.dumps(x, ensure_ascii=False, sort_keys=True, indent=2) for x
+    with str keys only.  Given an indent, json.dumps runs the stdlib's
+    pure-Python encoder; this builds the same text, its strings quoted by
+    the C function that json.dumps uses for them."""
+    if type(x) is int:
+        return str(x)
+    if isinstance(x, str):
+        return json.encoder.encode_basestring(x)
+    inner = indent + "  "
+    if isinstance(x, dict) and x:
+        for key in x:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = [f"{json.encoder.encode_basestring(key)}: {_indented_json(x[key], inner)}"
+                 for key in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(x, (list, tuple)) and x:
+        items = [str(v) if type(v) is int else _indented_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(x)
+
+
 def _emit(args, payload, text_lines):
     if args.json:
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2))
+        print(_indented_json(payload))
     else:
         for line in text_lines:
             print(line)

@@ -36,35 +36,9 @@ _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME})|([-+*^()])|(\S))")
 
 
-def _tokenize(src):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m:
-            break
-        ws = src[pos : m.start(m.lastindex)]
-        for ch in ws:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        text = m.group(m.lastindex)
-        kind = ("int", "name", "op", "bad")[m.lastindex - 1]
-        if kind == "bad":
-            raise PolyParseError(f"unexpected character {text!r}", line, col)
-        tokens.append((kind, text, line, col))
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        pos = m.end()
-    tokens.append(("end", "", line, col))
-    return tokens
+def _parse_error(message, src, at):
+    """A PolyParseError at offset `at` of src, with its line and column."""
+    return PolyParseError(message, src.count("\n", 0, at) + 1, at - src.rfind("\n", 0, at))
 
 
 def parse_polynomial(src: str, variables) -> MultiPoly:
@@ -73,6 +47,8 @@ def parse_polynomial(src: str, variables) -> MultiPoly:
     `variables` is either an int (variable names default to x0..x{n-1})
     or an explicit sequence of names, at most MAX_VARIABLES of them, each
     distinct and spelled by VAR, or some index could not be written.
+    One pass: each term's coefficient and exponents are read directly, and
+    one MultiPoly collects the terms in the order they are written.
     """
     nvars = variables if isinstance(variables, int) else len(variables)
     if nvars > MAX_VARIABLES:
@@ -85,57 +61,50 @@ def parse_polynomial(src: str, variables) -> MultiPoly:
     for i, name in enumerate(names):
         if index[name] != i or not re.fullmatch(_NAME, name):
             raise ValueError(f"variable names must be distinct and match {_NAME}, got {name!r}")
-    tokens = _tokenize(src)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_factor():
-        kind, text, line, col = take()
-        if kind == "int":
-            return MultiPoly.const(nvars, int(text))
-        if kind == "name":
-            if text not in index:
-                raise PolyParseError(f"unknown variable {text!r}", line, col)
-            exp = 1
-            if peek()[0] == "op" and peek()[1] == "^":
-                take()
-                ek, etext, eline, ecol = take()
-                if ek != "int":
-                    raise PolyParseError("expected integer exponent", eline, ecol)
-                exp = int(etext)
-                if exp > MAX_EXPONENT:
-                    raise PolyParseError(f"exponent {exp} too large", eline, ecol)
-            e = [0] * nvars
-            e[index[text]] = exp
-            return MultiPoly(nvars, {tuple(e): 1})
-        raise PolyParseError(f"expected integer or variable, got {text!r}", line, col)
-
-    def parse_term():
-        p = parse_factor()
-        while peek()[0] == "op" and peek()[1] == "*":
-            take()
-            p = p * parse_factor()
-        return p
-
-    result = MultiPoly.zero(nvars)
-    sign = 1
-    if peek()[0] == "op" and peek()[1] in "+-":
-        sign = -1 if take()[1] == "-" else 1
-    result = result + sign * parse_term()
-    while peek()[0] != "end":
-        kind, text, line, col = take()
-        if kind != "op" or text not in "+-":
-            raise PolyParseError(f"expected '+' or '-', got {text!r}", line, col)
-        result = result + (-1 if text == "-" else 1) * parse_term()
-    return result
+    # (kind, text, offset); kind is the matching _TOKEN group: 1 INT, 2 VAR,
+    # 3 operator, 4 a stray character; the end token has kind 0 and no text
+    tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN.finditer(src)]
+    for kind, text, at in tokens:
+        if kind == 4:
+            raise _parse_error(f"unexpected character {text!r}", src, at)
+    tokens.append((0, "", tokens[-1][2] + len(tokens[-1][1]) if tokens else 0))
+    terms = []
+    sign, i = 1, 0
+    if tokens[0][0] == 3 and tokens[0][1] in "+-":
+        sign, i = -1 if tokens[0][1] == "-" else 1, 1
+    while True:
+        coeff, exps = sign, [0] * nvars
+        while True:  # the factors of one term
+            kind, text, at = tokens[i]
+            i += 1
+            if kind == 1:
+                coeff *= int(text)
+            elif kind == 2:
+                if text not in index:
+                    raise _parse_error(f"unknown variable {text!r}", src, at)
+                exp = 1
+                if tokens[i][1] == "^":
+                    kind, etext, at = tokens[i + 1]
+                    i += 2
+                    if kind != 1:
+                        raise _parse_error("expected integer exponent", src, at)
+                    exp = int(etext)
+                    if exp > MAX_EXPONENT:
+                        raise _parse_error(f"exponent {exp} too large", src, at)
+                exps[index[text]] += exp
+            else:
+                raise _parse_error(f"expected integer or variable, got {text!r}", src, at)
+            if tokens[i][1] != "*":
+                break
+            i += 1
+        terms.append((exps, coeff))
+        kind, text, at = tokens[i]
+        if not kind:
+            return MultiPoly(nvars, terms)
+        i += 1
+        if kind != 3 or text not in "+-":
+            raise _parse_error(f"expected '+' or '-', got {text!r}", src, at)
+        sign = -1 if text == "-" else 1
 
 
 def emit_polynomial(p: MultiPoly, variables=None) -> str:

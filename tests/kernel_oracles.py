@@ -41,9 +41,15 @@ Kronecker-packed ints for CycloNum and QuadInt entries.
 packed_mat_mul takes every product by the packed kernel
 cyclo._packed_product; cyclo.mat_mul permutes and rotates coordinates
 instead when the right factor is monomial with root-of-unity scalars.
+tokenized_parse_polynomial tokenizes the whole text first, counting lines
+and columns character by character, then builds each factor as a
+MultiPoly and sums the terms one full addition at a time;
+textform.parse_polynomial reads each term's coefficient and exponents in
+one pass and computes a line and column only for an error.
 """
 
 import heapq
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -54,7 +60,8 @@ from kleinepw.epw import build_A, merge_indices, root_of_unity
 from kleinepw.fixtures import PAIR_VARS, QUADRIC_TEXT, sextic_poly
 from kleinepw.groebner import MAX_DEGREE, MAX_PAIRS, BudgetExhausted, FPoly, certifies_empty
 from kleinepw.poly import MultiPoly, grevlex_key, linear_forms
-from kleinepw.textform import parse_polynomial
+from kleinepw.textform import (_NAME, _TOKEN, MAX_EXPONENT, MAX_VARIABLES, PolyParseError,
+                               parse_polynomial)
 
 
 def conjugate_product_inverse(x):
@@ -515,3 +522,102 @@ def packed_mat_mul(a, b):
     ints, den, top = cyclo._scale(cyclo.coordinates(b, n))
     factor = [ints[j::c] for j in range(c)], den, top, {}
     return cyclo.matrix_of(n, cyclo._packed_product(n, cyclo.coordinates(a, n), factor), c)
+
+
+def tokenize(src):
+    """The tokens of src, each (kind, text, line, column), then an end token."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN.match(src, pos)
+        if not m:
+            break
+        ws = src[pos : m.start(m.lastindex)]
+        for ch in ws:
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+        text = m.group(m.lastindex)
+        kind = ("int", "name", "op", "bad")[m.lastindex - 1]
+        if kind == "bad":
+            raise PolyParseError(f"unexpected character {text!r}", line, col)
+        tokens.append((kind, text, line, col))
+        for ch in text:
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+        pos = m.end()
+    tokens.append(("end", "", line, col))
+    return tokens
+
+
+def tokenized_parse_polynomial(src, variables):
+    """textform.parse_polynomial over tokenize, one MultiPoly per factor
+    and one MultiPoly addition per term."""
+    nvars = variables if isinstance(variables, int) else len(variables)
+    if nvars > MAX_VARIABLES:
+        raise ValueError(f"{nvars} variables, more than the {MAX_VARIABLES} allowed")
+    if isinstance(variables, int):
+        names = [f"x{i}" for i in range(variables)]
+    else:
+        names = list(variables)
+    index = {name: i for i, name in enumerate(names)}
+    for i, name in enumerate(names):
+        if index[name] != i or not re.fullmatch(_NAME, name):
+            raise ValueError(f"variable names must be distinct and match {_NAME}, got {name!r}")
+    tokens = tokenize(src)
+    pos = 0
+
+    def peek():
+        return tokens[pos]
+
+    def take():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_factor():
+        kind, text, line, col = take()
+        if kind == "int":
+            return MultiPoly.const(nvars, int(text))
+        if kind == "name":
+            if text not in index:
+                raise PolyParseError(f"unknown variable {text!r}", line, col)
+            exp = 1
+            if peek()[0] == "op" and peek()[1] == "^":
+                take()
+                ek, etext, eline, ecol = take()
+                if ek != "int":
+                    raise PolyParseError("expected integer exponent", eline, ecol)
+                exp = int(etext)
+                if exp > MAX_EXPONENT:
+                    raise PolyParseError(f"exponent {exp} too large", eline, ecol)
+            e = [0] * nvars
+            e[index[text]] = exp
+            return MultiPoly(nvars, {tuple(e): 1})
+        raise PolyParseError(f"expected integer or variable, got {text!r}", line, col)
+
+    def parse_term():
+        p = parse_factor()
+        while peek()[0] == "op" and peek()[1] == "*":
+            take()
+            p = p * parse_factor()
+        return p
+
+    result = MultiPoly.zero(nvars)
+    sign = 1
+    if peek()[0] == "op" and peek()[1] in "+-":
+        sign = -1 if take()[1] == "-" else 1
+    result = result + sign * parse_term()
+    while peek()[0] != "end":
+        kind, text, line, col = take()
+        if kind != "op" or text not in "+-":
+            raise PolyParseError(f"expected '+' or '-', got {text!r}", line, col)
+        result = result + (-1 if text == "-" else 1) * parse_term()
+    return result

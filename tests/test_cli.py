@@ -53,6 +53,13 @@ def test_emit_sextic_json_round_trip(capsys):
     assert again == fixtures.sextic_poly()
 
 
+def test_indented_json_takes_str_keys_only():
+    # json.dumps would write 1 and None as "1" and "null"; no payload has them
+    for key in (1, None, ("a",)):
+        with pytest.raises(TypeError, match="keys must be str, not "):
+            cli._indented_json({"a": [{key: 0}]})
+
+
 def test_stratum_command(capsys):
     code, out, _ = run(capsys, "--json", "stratum", "--point", "0,1,0,0,0,0")
     assert code == 0

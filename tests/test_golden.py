@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from kleinepw.cli import build_parser, main
+from kleinepw.cli import _indented_json, build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = Path(__file__).resolve().parent.parent / "src" / "kleinepw" / "data"
@@ -87,6 +87,15 @@ def test_every_subcommand_has_a_golden_case():
                     if isinstance(action, argparse._SubParsersAction))
     pinned = {parser.parse_args(argv).command for _, argv in CASES + SLOW_CASES}
     assert pinned == set(commands)
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.glob("*.json*")))
+def test_indented_json_reemits_the_golden_file(name):
+    # a .jsonl file holds one JSON document a line, a .json file one in all
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    for doc in map(json.loads, text.splitlines() if name.endswith(".jsonl") else [text]):
+        want = json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2)
+        assert _indented_json(doc) == want
 
 
 @pytest.mark.slow

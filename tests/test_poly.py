@@ -165,6 +165,21 @@ def test_parser_examples():
         parse_polynomial("x0^999999", 2)
 
 
+def test_parser_makes_no_polynomial_arithmetic(monkeypatch):
+    from kleinepw import fixtures
+
+    f = fixtures.sextic_poly()
+    text = emit_polynomial(f)
+
+    def refuse(self, other):
+        raise AssertionError("polynomial arithmetic in the parser")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
+    assert parse_polynomial(text, 6).terms == f.terms
+    assert parse_polynomial("2*x0*x1^2*3 - x2 + x2", 3).terms == {(1, 2, 0): 6}
+
+
 def test_parser_caps_the_variable_count():
     assert parse_polynomial("x63", MAX_VARIABLES).nvars == MAX_VARIABLES
     names = [f"y{i}" for i in range(MAX_VARIABLES + 1)]

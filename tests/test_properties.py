@@ -5,19 +5,20 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+import json  # noqa: E402
 from fractions import Fraction  # noqa: E402
 from itertools import combinations  # noqa: E402
 
 from functools import cmp_to_key  # noqa: E402
 from math import comb, factorial, gcd, lcm, prod  # noqa: E402
 
-from kleinepw import cyclo, epw, group, hermitian, lattices, linalg  # noqa: E402
+from kleinepw import cli, cyclo, epw, group, hermitian, lattices, linalg  # noqa: E402
 from kleinepw.cyclo import (  # noqa: E402
     MAX_CONDUCTOR, CycloNum, QuadInt, cyclotomic_polynomial, euler_phi, substitute_linear)
 from kleinepw.groebner import (  # noqa: E402
     BudgetExhausted, FPoly, buchberger, normal_form, projective_empty)
 from kleinepw.poly import MultiPoly, grevlex_key, grevlex_packing, linear_forms  # noqa: E402
-from kleinepw.textform import MAX_EXPONENT  # noqa: E402
+from kleinepw.textform import MAX_EXPONENT, parse_polynomial  # noqa: E402
 
 from cyclo_fractions import cyclo_from_fractions  # noqa: E402
 from kernel_oracles import (  # noqa: E402
@@ -25,7 +26,7 @@ from kernel_oracles import (  # noqa: E402
     cofactor_exterior_power, cofactor_exterior_trace, descartes_positive_roots,
     max_scan_divmod, per_block_leading_minors,
     per_block_positive_definite, power_cache_substitute, term_by_term_evaluate,
-    tuple_buchberger, tuple_normal_form)
+    tokenized_parse_polynomial, tuple_buchberger, tuple_normal_form)
 
 P = 32003
 
@@ -1232,3 +1233,71 @@ def test_evaluate_matches_the_term_by_term_product(case):
     assert got == want
     if all(type(x) is int for x in point + list(f.terms.values())):
         assert type(got) is int
+
+
+# -- the CLI's indented JSON against json.dumps -------------------------------
+
+# non-ASCII text, quotes, backslashes and control characters among the rest
+_JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028é∞')))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10 ** 40, 10 ** 40),
+              st.floats(), _JSON_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(deadline=None, max_examples=300)
+@given(x=_JSON_VALUES)
+@example(x={"": [], "a": {}, "b": ()})
+def test_indented_json_matches_json_dumps(x):
+    assert cli._indented_json(x) == json.dumps(x, ensure_ascii=False, sort_keys=True, indent=2)
+
+
+# -- the one-pass parser against the tokenizing one ---------------------------
+
+_NEAR_MISSES = ("+", "-", "*", "^", "(", ")", "$", "y", "x9", "x0x1", "\n", "  ",
+                f"^{MAX_EXPONENT}", f"^{MAX_EXPONENT + 1}", "99999999")
+
+
+@st.composite
+def _near_grammar(draw):
+    """Polynomial text in x0, x1, x2 as the grammar writes it, with a
+    unary sign and newlines, and some near misses spliced in: '^' with no
+    exponent, unknown names, exponents over MAX_EXPONENT, stray characters."""
+    factor = st.one_of(
+        st.integers(0, 40).map(str),
+        st.tuples(st.sampled_from(["x0", "x1", "x2"]),
+                  st.sampled_from(["", "^0", "^1", "^3", f"^{MAX_EXPONENT}"])).map("".join))
+    terms = draw(st.lists(st.lists(factor, min_size=1, max_size=4).map("*".join),
+                          min_size=1, max_size=5))
+    pieces = [draw(st.sampled_from(["", "-", "+ "]))]
+    for k, term in enumerate(terms):
+        if k:
+            pieces.append(draw(st.sampled_from([" + ", " - ", "\n+ ", "-"])))
+        pieces.append(term)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(pieces)))
+        pieces.insert(at, draw(st.sampled_from(_NEAR_MISSES)))
+    return "".join(pieces)
+
+
+def _parsed(parse, src):
+    """The terms in insertion order, or the exception's class and message."""
+    try:
+        return list(parse(src, 3).terms.items())
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(deadline=None, max_examples=400)
+@given(src=_near_grammar())
+@example(src="")
+@example(src="  \n ")
+@example(src="x0^")
+@example(src="x0 + \n")
+@example(src="x0*0 + x1 - x1 + x1")
+@example(src="x0 + y $")
+@example(src=f"x1^{MAX_EXPONENT}*x1^{MAX_EXPONENT}")
+def test_one_pass_parser_matches_the_tokenizing_parser(src):
+    assert _parsed(parse_polynomial, src) == _parsed(tokenized_parse_polynomial, src)

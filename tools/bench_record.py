@@ -6,7 +6,7 @@ Run from anywhere in a full checkout; it needs only the standard library.
 It runs three fresh `klein-epw --json verify groebner --slow` processes, then
 perfbench/run.py with --trace 0 on each workload that BENCHMARK.json
 declares (seed 1, BENCHMARK.json's run_seconds) and with --trace 1 on
-verify-groebner, times three fresh `klein-epw --json verify all`
+verify-groebner and on queries, times three fresh `klein-epw --json verify all`
 processes, and writes BENCH_<N>.json at the root of the checkout with:
 
 * for each workload, its end-to-end metrics (perfbench reports the median
@@ -18,6 +18,9 @@ processes, and writes BENCH_<N>.json at the root of the checkout with:
   tree has changes);
 * the line count of src/kleinepw/*.py;
 * the traced groebner.* layer numbers of verify-groebner;
+* the traced layer numbers of queries named in QUERIES_LAYERS: the text
+  handling, the lattice kernels, the small groebner requests, the
+  polynomial products and the CLI's self time;
 * the slow tier: the median raw wall seconds and peak RSS of the three
   `verify groebner --slow` processes, each process's own, the first
   nonzero exit code (0 when all pass), and the verdict and witness of the
@@ -43,6 +46,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 SLOW_RUNS = 3
 VERIFY_ALL_RUNS = 3
+QUERIES_LAYERS = ("textform.parse_polynomial_ms", "textform.emit_polynomial_ms",
+                  "lattices.short_vectors_ms", "lattices.disc_group_ms",
+                  "groebner.small_ideal_ms", "poly.mul_calls", "cli.self_s")
 
 
 def perfbench(workload, seconds, trace):
@@ -115,6 +121,7 @@ def record(number):
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
     traced = perfbench("verify-groebner", seconds, 1)["metrics"]
+    queries = perfbench("queries", seconds, 1)["metrics"]
     walls = verify_all_walls()
     return {
         "number": number,
@@ -129,6 +136,7 @@ def record(number):
         "verify_all_wall_s": {"median": statistics.median(walls), "runs": walls},
         "groebner_layers": {k: v["value"] for k, v in traced.items()
                             if k.startswith("groebner.")},
+        "queries_layers": {k: queries[k]["value"] for k in QUERIES_LAYERS},
         "verify_groebner_slow": slow,
     }
 
