@@ -6,8 +6,8 @@ Run from anywhere in a full checkout; it needs only the standard library.
 It runs three fresh `klein-epw --json verify groebner --slow` processes, then
 perfbench/run.py with --trace 0 on each workload that BENCHMARK.json
 declares (seed 1, BENCHMARK.json's run_seconds) and with --trace 1 on
-verify-groebner and on queries, times three fresh `klein-epw --json verify all`
-processes, and writes BENCH_<N>.json at the root of the checkout with:
+verify-groebner and on queries, times three fresh `klein-epw --json verify
+all` processes, and writes BENCH_<N>.json at the root of the checkout with:
 
 * for each workload, its end-to-end metrics (perfbench reports the median
   over the run's units), whether it was correct and how many requests
