@@ -849,14 +849,13 @@ def _at_primes(ctx, gate, budget_witness=None):
 
 
 def _smooth_at_primes(ctx, gens, codim, max_pairs, budget_witness=None):
-    # the minors are expanded and packed once, for every prime, and each
+    # the minors are expanded, checked and packed once, for every prime, and each
     # prime after the first replays the first one's trace
     minors, trace = jacobian_minors(gens, codim, ctx.budget_degree), []
 
     def gate(p):
         ok, info = smoothness_check(gens, codim, p, max_pairs=max_pairs,
-                                    max_degree=ctx.budget_degree, minors=minors,
-                                    stop_at_certificate=True, trace=trace)
+                                    max_degree=ctx.budget_degree, minors=minors, trace=trace)
         return None if ok else {"prime": p, "info": info}
 
     return _at_primes(ctx, gate, budget_witness)
@@ -871,13 +870,8 @@ def _decomposable(ctx):
     gens, trace = decomposable_pullback_ideal(), []
 
     def gate(p):
-        empty, _ = projective_empty(
-            distinct_mod(gens, p),
-            max_pairs=ctx.budget_pairs,
-            max_degree=ctx.budget_degree,
-            stop_at_certificate=True,
-            trace=trace,
-        )
+        empty, _ = projective_empty(distinct_mod(gens, p), max_pairs=ctx.budget_pairs,
+                                    max_degree=ctx.budget_degree, trace=trace)
         return None if empty else {"prime": p}
 
     return _at_primes(ctx, gate)

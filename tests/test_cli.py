@@ -136,6 +136,14 @@ NESTED = "[" * 3000 + "]" * 3000
          "unbalanced brackets in lattice spec '[[2,1],[1,2]+E8(1)'"),
         # written as it stands: json.dumps of it would recurse too
         (["groebner", "--file"], NESTED, "JSON nested too deeply"),
+        # refused before any Buchberger run: with no pair to spend, a run
+        # would report budget-exhausted first
+        (["--budget-pairs", "0", "groebner", "--codim", "1", "--file"],
+         {"variables": 3, "prime": 101, "generators": ["x0^2 + x1", "x0*x1 + x2"]},
+         "projective emptiness needs homogeneous generators"),
+        (["--budget-pairs", "0", "groebner", "--file"],
+         {"variables": 3, "prime": 101, "generators": ["x0^2 + x1", "x0*x1 + x2"]},
+         "projective emptiness needs homogeneous generators"),
     ],
     ids=["stratum-zero-denominator", "stratum-exponent-notation", "groebner-no-generators", "groebner-file-prime-4",
          "groebner-file-prime-string", "groebner-file-prime-too-large", "groebner-file-codim-string",
@@ -145,7 +153,8 @@ NESTED = "[" * 3000 + "]" * 3000
          "lattice-float-entry", "lattice-string-entry", "lattice-bool-entry",
          "lattice-float-summand", "verify-one-prime", "verify-repeated-prime",
          "verify-three-primes", "lattice-nested-json", "lattice-nested-json-summand",
-         "lattice-unbalanced-json", "groebner-nested-json"],
+         "lattice-unbalanced-json", "groebner-nested-json",
+         "groebner-smoothness-not-homogeneous", "groebner-emptiness-not-homogeneous"],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, spec, phrase):
     if spec is not None:

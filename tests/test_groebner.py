@@ -55,7 +55,7 @@ def reduce_mod(polys, p):
 def unpacked_minors(gens, size, max_degree=groebner.MAX_DEGREE):
     """jacobian_minors' minors as MultiPolys on exponent tuples, each
     unpacked by the packing it returns, terms in its order."""
-    minors, packing = jacobian_minors(gens, size, max_degree)
+    minors, packing, _ = jacobian_minors(gens, size, max_degree)
     unpack = packing[1]
     return [MultiPoly(gens[0].nvars, [(unpack(m), c) for m, c in d.terms.items()])
             for d in minors]
@@ -123,14 +123,27 @@ def test_projective_empty():
     assert projective_empty([x, y, z, x * y])[0] is True
     with pytest.raises(ValueError):
         projective_empty([x + FPoly(P, 3, {(0, 0, 0): 1})])
-    # packed generators are held to the same rule: x^2 + y is refused, x^2
-    # + yz is the form it packs
-    packing = grevlex_packing(3, 48)
-    pack = packing[0]
-    with pytest.raises(ValueError):
-        projective_empty([x, y], packed=(packing, [{pack((2, 0, 0)): 1, pack((0, 1, 0)): 1}]))
-    assert projective_empty([x, y], packed=(packing, [{pack((2, 0, 0)): 1,
-                                                       pack((0, 1, 1)): 1}]))[0] is False
+
+
+def test_minors_are_checked_for_homogeneity_where_they_are_built(monkeypatch):
+    # jacobian_minors refuses x^2 + y, and the minors of x^2 + yz and xy,
+    # homogeneous rows, are homogeneous; smoothness_check refuses x^2 + y
+    # before any Buchberger run, also with minors handed in
+    x, y, z = zvars(3)
+    with pytest.raises(ValueError, match="homogeneous"):
+        jacobian_minors([x * x + y], 1)
+    minors, packing, _ = jacobian_minors([x * x + y * z, x * y], 2)
+    top = packing[4].bit_length()
+    assert minors and all(min(d.terms) >> top == max(d.terms) >> top for d in minors)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Buchberger run before the homogeneity check")
+
+    handed_in = jacobian_minors([x * x + y * z], 1)
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    for given in (None, handed_in):
+        with pytest.raises(ValueError, match="homogeneous"):
+            smoothness_check([x * x + y], 1, P, minors=given)
 
 
 def test_certificate_needs_a_pure_power_of_every_variable():
@@ -146,13 +159,13 @@ def test_early_stop_returns_a_partial_basis_only_for_an_empty_ideal():
     gens = [x * x + y * z, y * y + x * z, z * z * z]
     reduced = buchberger(gens)
     # the leads x^2, y^2, z^3 certify before any pair is handled
-    partial = buchberger(gens, stop_at_certificate=True)
+    partial = buchberger(gens, trace=[])
     assert partial == gens and partial != reduced
     assert all(normal_form(g, reduced).is_zero() for g in partial)
-    assert projective_empty(gens, stop_at_certificate=True) == (True, partial)
+    assert projective_empty(gens, trace=[]) == (True, partial)
     # the twisted cubic's ideal is not empty: the run ends at the reduced basis
     cubic = [x * z - y * y, x * y - z * z, x * x - y * z]
-    assert buchberger(cubic, stop_at_certificate=True) == buchberger(cubic)
+    assert buchberger(cubic, trace=[]) == buchberger(cubic)
 
 
 def test_early_stop_at_a_constant_lead():
@@ -160,7 +173,7 @@ def test_early_stop_at_a_constant_lead():
     gens = [x * y + FPoly(7, 2, {(0, 0): 1}), x * x]
     assert [g.terms for g in buchberger(gens)] == [{(0, 0): 1}]
     # S(x^2, xy + 1) gives x, then S(x, xy + 1) the constant; no y power is met
-    partial = buchberger(gens, stop_at_certificate=True)
+    partial = buchberger(gens, trace=[])
     assert [g.leading_term()[0] for g in partial] == [(1, 1), (2, 0), (1, 0), (0, 0)]
 
 
@@ -319,7 +332,7 @@ def test_decomposable_gate_two_primes():
         assert empty is True and len(basis) == 60
         # the early stop gives the same verdict from a partial basis of
         # elements of the ideal
-        early, partial = projective_empty(gens, stop_at_certificate=True)
+        early, partial = projective_empty(gens, trace=[])
         assert early is True and len(partial) == 57
         assert all(normal_form(g, basis).is_zero() for g in partial)
 
@@ -359,7 +372,7 @@ def test_threefold_gate():
         assert info == {"minors_used": 1037, "basis_size": 165}
         # the early stop reaches the same verdict and reports no basis size,
         # from the minors expanded once for both primes
-        early = smoothness_check(gens, 4, p, minors=minors, stop_at_certificate=True)
+        early = smoothness_check(gens, 4, p, minors=minors, trace=[])
         assert early == (True, {"minors_used": 1037})
 
 
@@ -373,7 +386,7 @@ def test_fivefold_gate(monkeypatch):
         assert _same_terms(autoreduce(basis), _fixpoint_autoreduce(basis))
     assert ok is True
     assert info == {"minors_used": 2965, "basis_size": 445}
-    early = smoothness_check(gm_fivefold_ideal(), 4, P, stop_at_certificate=True)
+    early = smoothness_check(gm_fivefold_ideal(), 4, P, trace=[])
     assert early == (True, {"minors_used": 2965})
 
 
@@ -390,7 +403,7 @@ def test_threefold_negative_control():
     assert ok is False
     # a non-empty locus never meets the certificate: the early-stop route
     # runs to the same reduced basis and reports the same basis size
-    assert smoothness_check(corrupted, 4, P, stop_at_certificate=True) == (ok, info)
+    assert smoothness_check(corrupted, 4, P, trace=[]) == (ok, info)
     assert info["basis_size"] == 130
 
 
@@ -488,6 +501,13 @@ def _recorded_runs(monkeypatch, run):
     return run(), runs
 
 
+def _oracle_budgets(kwargs):
+    """tuple_buchberger's keyword arguments for a recorded buchberger
+    call: its budgets, and a run given a trace stops at the certificate."""
+    budgets = {k: v for k, v in kwargs.items() if k in ("max_pairs", "max_degree")}
+    return {**budgets, "stop_at_certificate": kwargs.get("trace") is not None}
+
+
 @pytest.mark.parametrize("p", [P, 65537])
 @pytest.mark.parametrize("gate", ["threefold", "pullback"])
 def test_gate_runs_match_the_tuple_kernel(monkeypatch, gate, p):
@@ -497,37 +517,46 @@ def test_gate_runs_match_the_tuple_kernel(monkeypatch, gate, p):
     def run():
         if gate == "pullback":
             return projective_empty(distinct_mod(decomposable_pullback_ideal(), p),
-                                    stop_at_certificate=True)[0]
+                                    trace=[])[0]
         gens = gm_threefold_ideal()
-        return smoothness_check(gens, 4, p, minors=jacobian_minors(gens, 4),
-                                stop_at_certificate=True)[0]
+        return smoothness_check(gens, 4, p, minors=jacobian_minors(gens, 4), trace=[])[0]
 
     verdict, runs = _recorded_runs(monkeypatch, run)
     assert verdict is True and [len(r[0]) for r in runs] == (
         [45] if gate == "pullback" else [6, 7 + 1037])
     for gens, kwargs, basis in runs:
-        budgets = {k: v for k, v in kwargs.items() if k not in ("packed", "trace")}
-        assert _same_terms(basis, kernel_oracles.tuple_buchberger(gens, **budgets))
+        assert _same_terms(basis, kernel_oracles.tuple_buchberger(gens, **_oracle_budgets(kwargs)))
 
 
-def test_minors_packed_at_one_width_are_repacked_for_another(monkeypatch):
-    # jacobian_minors packs for the run its degree budget makes: 8-bit
-    # fields at the default 48, 10-bit ones at 200.  A run at 200 given
-    # minors packed at 8 bits repacks them, and gives the tuple kernel's
-    # runs and the default verdict.  The gate needs a few pairs; a budget
-    # of 100 stops a run that misreads the Ps early
-    def width(packing):
-        return (packing[4] & -packing[4]).bit_length()
+def _width(packing):
+    return (packing[4] & -packing[4]).bit_length()
 
+
+def test_minors_packed_for_the_default_budget_are_too_narrow_at_200():
+    # jacobian_minors packs for its degree budget: 8-bit fields at the
+    # default 48, 10-bit ones at 200.  A run takes a given packing as it
+    # is, so a run at 200 refuses minors packed at 8 bits
     gens = gm_threefold_ideal()
     narrow = jacobian_minors(gens, 4)
-    assert width(narrow[1]) == 8 and width(jacobian_minors(gens, 4, 200)[1]) == 10
+    assert _width(narrow[1]) == 8
+    with pytest.raises(ValueError, match="narrower than the run needs"):
+        smoothness_check(gens, 4, P, max_pairs=100, max_degree=200, minors=narrow, trace=[])
+
+
+def test_minors_packed_at_200_serve_a_run_at_the_default(monkeypatch):
+    # minors packed at 10 bits for a budget of 200 serve a run at the
+    # default 48 as they are, and give the tuple kernel's runs and the
+    # default verdict.  The gate needs a few pairs; a budget of 100 stops
+    # a run that misreads the Ps early
+    gens = gm_threefold_ideal()
+    wide = jacobian_minors(gens, 4, 200)
+    assert _width(wide[1]) == 10
     verdict, runs = _recorded_runs(monkeypatch, lambda: smoothness_check(
-        gens, 4, P, max_pairs=100, max_degree=200, minors=narrow, stop_at_certificate=True))
+        gens, 4, P, max_pairs=100, minors=wide, trace=[]))
     assert verdict == (True, {"minors_used": 1037})
+    assert [len(r[0]) for r in runs] == [6, 7 + 1037] and runs[1][1]["packed"][0] is wide[1]
     for gens, kwargs, basis in runs:
-        budgets = {k: v for k, v in kwargs.items() if k not in ("packed", "trace")}
-        assert _same_terms(basis, kernel_oracles.tuple_buchberger(gens, **budgets))
+        assert _same_terms(basis, kernel_oracles.tuple_buchberger(gens, **_oracle_budgets(kwargs)))
 
 
 def test_pair_indices_outgrow_the_input_count(monkeypatch):
@@ -556,7 +585,7 @@ def test_projective_empty_reads_the_leads_from_the_run(monkeypatch):
     gens = distinct_mod(decomposable_pullback_ideal(), P)
     monkeypatch.setattr(groebner, "buchberger", run)
     assert projective_empty([x * y])[0] is False
-    assert [(e, len(b)) for e, b in (projective_empty(gens, stop_at_certificate=True),
+    assert [(e, len(b)) for e, b in (projective_empty(gens, trace=[]),
                                      projective_empty(gens))] == [(True, 57), (True, 60)]
 
 
@@ -593,10 +622,10 @@ def _gate_runner(monkeypatch, name):
         del bases[:], replays[:]
         if codim is None:
             verdict = projective_empty(distinct_mod(gens, p), max_pairs=max_pairs,
-                                       stop_at_certificate=True, trace=trace)[0]
+                                       trace=trace)[0]
         else:
             verdict = smoothness_check(gens, codim, p, max_pairs=max_pairs, minors=minors,
-                                       stop_at_certificate=True, trace=trace)[0]
+                                       trace=trace)[0]
         return verdict, bases[-1], [r is not None for r in replays]
 
     return run
@@ -623,8 +652,51 @@ def test_the_second_prime_replays_the_first_prime_trace(monkeypatch, name):
     if name == "surface":
         assert len(basis) == 2633 and _digest(basis) == SURFACE_DIGEST
     else:
-        full = run(65537, None)
+        full = run(65537, [])
         assert full[2] == [] and _same_terms(basis, full[1])
+
+
+class _Watched(dict):
+    """A dict that adds its index to seen whenever it is iterated."""
+
+    def __init__(self, terms, index, seen):
+        super().__init__(terms)
+        self.index, self.seen = index, seen
+
+    def __iter__(self):
+        self.seen.add(self.index)
+        return super().__iter__()
+
+    def keys(self):
+        self.seen.add(self.index)
+        return super().keys()
+
+    def values(self):
+        self.seen.add(self.index)
+        return super().values()
+
+    def items(self):
+        self.seen.add(self.index)
+        return super().items()
+
+
+def test_the_replay_iterates_only_the_kept_minors():
+    # at the replayed second prime no packed minor outside the trace's
+    # kept inputs is iterated: the minors are not scanned again for
+    # homogeneity, width or use at each prime
+    gens = gm_threefold_ideal()
+    minors, packing, contents = gate_minors = jacobian_minors(gens, 4)
+    seen = set()
+    for k, d in enumerate(minors):
+        d.terms = _Watched(d.terms, k, seen)
+    trace = []
+    assert smoothness_check(gens, 4, P, minors=gate_minors, trace=trace)[0] is True
+    assert seen == set(range(len(minors)))
+    count, kept, _ = trace
+    first = count - len(minors)
+    seen.clear()
+    assert smoothness_check(gens, 4, 65537, minors=gate_minors, trace=trace)[0] is True
+    assert seen == {k - first for k in kept if k >= first} and len(seen) < len(minors)
 
 
 def _corrupted(kind, trace):

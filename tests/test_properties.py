@@ -197,8 +197,9 @@ def _outcome(run, gens, **budgets):
 @example(gens=[HIGH_POWERS, HIGH_POWERS, X0_MINUS_X2], max_degree=400, stop=False)
 @example(gens=[HIGH_POWERS, X0_MINUS_X2], max_degree=400, stop=True)
 def test_packed_buchberger_matches_the_tuple_kernel(gens, max_degree, stop):
-    budgets = {"max_pairs": 30, "max_degree": max_degree, "stop_at_certificate": stop}
-    assert _outcome(buchberger, gens, **budgets) == _outcome(tuple_buchberger, gens, **budgets)
+    budgets = {"max_pairs": 30, "max_degree": max_degree}
+    assert (_outcome(buchberger, gens, **budgets, trace=[] if stop else None)
+            == _outcome(tuple_buchberger, gens, **budgets, stop_at_certificate=stop))
 
 
 # -- the early stop at the emptiness certificate agrees with the reduced basis
@@ -242,7 +243,7 @@ def _triangular_empty(draw):
 @given(gens=_triangular_empty())
 def test_early_stop_agrees_with_the_reduced_basis_on_empty_ideals(gens):
     empty, reduced = projective_empty(gens)
-    early, partial = projective_empty(gens, stop_at_certificate=True)
+    early, partial = projective_empty(gens, trace=[])
     assert empty is early is True
     assert all(normal_form(g, reduced).is_zero() for g in partial)
 
@@ -274,8 +275,8 @@ def _planted_zero(draw):
 @given(gens=_planted_zero())
 def test_early_stop_never_fires_on_a_planted_zero(gens):
     reduced = buchberger(gens)
-    assert buchberger(gens, stop_at_certificate=True) == reduced
-    assert projective_empty(gens, stop_at_certificate=True) == (False, reduced)
+    assert buchberger(gens, trace=[]) == reduced
+    assert projective_empty(gens, trace=[]) == (False, reduced)
 
 
 # -- FPoly is MultiPoly reduced mod p: each operation commutes with the lift
